@@ -12,10 +12,10 @@
 //! * error rate — lossy-link retransmission cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hmc_core::{topology, ConflictPolicy, FaultConfig, HmcSim, RefreshParams, SimParams};
+use hmc_core::{topology, ConflictPolicy, HmcSim, RefreshParams, SimParams};
 use hmc_host::{run_workload, Host, LinkSelection, RunConfig};
 use hmc_types::{
-    BankFirstMap, BlockSize, DeviceConfig, LinearMap, StorageMode,
+    BankFirstMap, BlockSize, DeviceConfig, LinearMap, LinkFaultConfig, StorageMode,
 };
 use hmc_workloads::{RandomAccess, Stream, StreamMode};
 
@@ -206,16 +206,14 @@ fn bench_refresh(c: &mut Criterion) {
 fn bench_error_rates(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_error_rate");
     g.sample_size(10);
-    for (name, rate) in [("clean", 0.0), ("ber_1e3", 1e-3), ("ber_1e2", 1e-2)] {
+    for (name, ppm) in [("clean", 0), ("ber_1e3", 1_000), ("ber_1e2", 10_000)] {
         let run = move || {
             let (mut sim, mut host) = build(base_config(), None);
-            if rate > 0.0 {
-                sim.enable_fault_injection(FaultConfig {
-                    packet_error_rate: rate,
-                    retry_cycles: 8,
-                    seed: 11,
-                    ..FaultConfig::default()
-                });
+            if ppm > 0 {
+                let faults = LinkFaultConfig::default()
+                    .with_error_rate_ppm(ppm)
+                    .with_seed(11);
+                sim.set_link_faults(Some(faults));
             }
             cycles_of(&mut sim, &mut host, &mut random(1))
         };

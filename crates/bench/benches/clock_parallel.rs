@@ -27,12 +27,9 @@ fn bench_thread_sweep(c: &mut Criterion) {
     g.sample_size(20);
     g.throughput(Throughput::Elements(BATCH));
     for threads in [1usize, 2, 4, 8] {
-        let opts = SetupOptions {
-            threads,
-            ..SetupOptions::default()
-        };
-        let (mut sim, mut host) =
-            paper_setup(DeviceConfig::paper_8link_16bank_8gb(), opts, None);
+        let (sim, mut host) =
+            paper_setup(DeviceConfig::paper_8link_16bank_8gb(), SetupOptions::default(), None);
+        let mut sim = sim.with_threads(threads);
         let mut workload = RandomAccess::new(1, 2 << 30, BlockSize::B64, 50, u64::MAX / 2);
         g.bench_function(format!("threads_{threads}"), |b| {
             b.iter_batched(

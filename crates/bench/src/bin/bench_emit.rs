@@ -7,15 +7,13 @@
 //! output directory. CI archives the files as the performance trajectory.
 //!
 //! Usage:
-//!   bench_emit [--out DIR] [--threads N] [--workload dense|bursty|sparse|all]
-//!              [--timing classic|ddr|both] [--min-sparse-speedup X]
-//!              [--interconnect crossbar|ring|mesh|all]
-//!              [--arbitration round-robin|oldest-first|locality-aware]
-//!              [--hammer] [--hammer-threshold N] [--flip-prob PPM]
-//!              [--retention CYCLES] [--mitigation none|trr|elevated]
-//!              [--link-error-rate PPM] [--link-retry-limit N]
-//!              [--retrain-cycles N] [--link-retry-cycles N]
-//!              [--link-fault-seed S]
+//!   bench_emit [--out DIR] [--workload dense|bursty|sparse|all]
+//!              [--timing both] [--interconnect all]
+//!              [--min-sparse-speedup X] [--hammer] [simulation axes]
+//!
+//! The simulation axes are the shared flags of `SimParams::USAGE`
+//! (`--help` lists them); `--timing` and `--interconnect` additionally
+//! accept the sweep spellings `both` and `all` here.
 //!
 //! `--timing both` emits one record point per vault timing backend, so
 //! the archived trajectory tracks both the paper's constant-time model
@@ -44,104 +42,62 @@ use hmc_bench::emit::{
     compare, hammer_overhead, shape_by_name, write_hammer_summary, write_record, write_summary,
     SHAPES,
 };
-use hmc_core::NocParams;
-use hmc_types::{ArbitrationKind, CellFaultConfig, InterconnectKind, LinkFaultConfig, TimingKind};
+use hmc_core::{Args, SimParams};
+use hmc_types::{InterconnectKind, TimingKind};
 
 fn main() {
     let mut out = PathBuf::from("results");
-    let mut threads: usize = 1;
     let mut workload = String::from("all");
-    let mut timings: Vec<TimingKind> = vec![TimingKind::Classic];
-    let mut fabrics: Vec<InterconnectKind> = vec![InterconnectKind::Crossbar];
-    let mut arbitration = ArbitrationKind::RoundRobin;
+    let mut all_timings = false;
+    let mut all_fabrics = false;
     let mut min_sparse_speedup: Option<f64> = None;
     let mut hammer = false;
-    let mut cell_faults = None;
-    let mut link_faults = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out = PathBuf::from(args.next().unwrap_or_else(|| die("--out needs a path"))),
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--threads needs an integer"));
+    let mut args = Args::from_env(
+        "bench_emit",
+        "usage: bench_emit [--out DIR] [--workload dense|bursty|sparse|all] \
+         [--timing both] [--interconnect all] [--min-sparse-speedup X] [--hammer] \
+         [simulation axes]",
+    );
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--out" => out = args.value(&flag),
+            "--workload" => workload = args.value(&flag),
+            // The sweep spellings; single values fall through to the
+            // shared parser.
+            "--timing" if args.peek() == Some("both") => {
+                args.next_flag();
+                all_timings = true;
             }
-            "--workload" => {
-                workload = args.next().unwrap_or_else(|| die("--workload needs a name"));
+            "--interconnect" if args.peek() == Some("all") => {
+                args.next_flag();
+                all_fabrics = true;
             }
-            "--timing" => {
-                let v = args.next().unwrap_or_else(|| die("--timing needs a value"));
-                timings = match v.as_str() {
-                    "both" => TimingKind::ALL.to_vec(),
-                    other => vec![TimingKind::by_name(other)
-                        .unwrap_or_else(|| die("--timing needs `classic`, `ddr`, or `both`"))],
-                };
-            }
-            "--interconnect" => {
-                let v = args.next().unwrap_or_else(|| die("--interconnect needs a value"));
-                fabrics = match v.as_str() {
-                    "all" => InterconnectKind::ALL.to_vec(),
-                    other => vec![InterconnectKind::by_name(other).unwrap_or_else(|| {
-                        die("--interconnect needs `crossbar`, `ring`, `mesh`, or `all`")
-                    })],
-                };
-            }
-            "--arbitration" => {
-                arbitration = args.next().and_then(|v| ArbitrationKind::by_name(&v)).unwrap_or_else(
-                    || die("--arbitration needs `round-robin`, `oldest-first`, or `locality-aware`"),
-                );
-            }
-            "--min-sparse-speedup" => {
-                min_sparse_speedup = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--min-sparse-speedup needs a number")),
-                );
-            }
+            "--min-sparse-speedup" => min_sparse_speedup = Some(args.value(&flag)),
             "--hammer" => hammer = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: bench_emit [--out DIR] [--threads N] \
-                     [--workload dense|bursty|sparse|all] \
-                     [--timing classic|ddr|both] [--min-sparse-speedup X] \
-                     [--interconnect crossbar|ring|mesh|all] \
-                     [--arbitration round-robin|oldest-first|locality-aware] \
-                     [--hammer] [--hammer-threshold N] [--flip-prob PPM] \
-                     [--retention CYCLES] [--mitigation none|trr|elevated] \
-                     [--link-error-rate PPM] [--link-retry-limit N] \
-                     [--retrain-cycles N] [--link-retry-cycles N] \
-                     [--link-fault-seed S]"
-                );
-                return;
-            }
-            flag => {
-                let value = args.next();
-                let hit = CellFaultConfig::apply_flag(&mut cell_faults, flag, value.as_deref())
-                    .and_then(|hit| {
-                        if hit {
-                            Ok(true)
-                        } else {
-                            LinkFaultConfig::apply_flag(&mut link_faults, flag, value.as_deref())
-                        }
-                    });
-                match hit {
-                    Ok(true) => {}
-                    Ok(false) => die(&format!("unknown argument {flag}")),
-                    Err(e) => die(&e.to_string()),
-                }
-            }
+            _ => args.axis(&flag),
         }
     }
+    let params = args.params_over(SimParams::default());
+    let threads = params.threads;
+    let timings = if all_timings {
+        TimingKind::ALL.to_vec()
+    } else {
+        vec![params.timing.kind]
+    };
+    let fabrics = if all_fabrics {
+        InterconnectKind::ALL.to_vec()
+    } else {
+        vec![params.interconnect.kind]
+    };
 
     let shapes: Vec<_> = if workload == "all" {
         SHAPES.to_vec()
     } else {
         vec![shape_by_name(&workload)
-            .unwrap_or_else(|| die(&format!("unknown workload {workload}")))]
+            .unwrap_or_else(|| args.die(format_args!("unknown workload {workload}")))]
     };
-    std::fs::create_dir_all(&out).unwrap_or_else(|e| die(&format!("{}: {e}", out.display())));
+    std::fs::create_dir_all(&out)
+        .unwrap_or_else(|e| args.die(format_args!("{}: {e}", out.display())));
 
     println!(
         "{:<8} {:<8} {:<9} {:>16} {:>16} {:>9}  (cycles/sec, {threads} thread{})",
@@ -156,9 +112,11 @@ fn main() {
     let mut failed = false;
     for timing in &timings {
         for fabric in &fabrics {
-            let noc = NocParams::of(*fabric).with_arbitration(arbitration);
+            let mut point = params;
+            point.timing.kind = *timing;
+            point.interconnect.kind = *fabric;
             for shape in &shapes {
-                let (stepped, fast, summary) = compare(*shape, threads, *timing, noc, link_faults);
+                let (stepped, fast, summary) = compare(*shape, point);
                 println!(
                     "{:<8} {:<8} {:<9} {:>16.3e} {:>16.3e} {:>8.2}x",
                     summary.workload,
@@ -170,11 +128,11 @@ fn main() {
                 );
                 for r in [&stepped, &fast] {
                     let path = write_record(&out, r)
-                        .unwrap_or_else(|e| die(&format!("write record: {e}")));
+                        .unwrap_or_else(|e| args.die(format_args!("write record: {e}")));
                     eprintln!("bench_emit: wrote {}", path.display());
                 }
                 let path = write_summary(&out, &summary)
-                    .unwrap_or_else(|e| die(&format!("write summary: {e}")));
+                    .unwrap_or_else(|e| args.die(format_args!("write summary: {e}")));
                 eprintln!("bench_emit: wrote {}", path.display());
                 if let Some(min) = min_sparse_speedup {
                     if *timing == TimingKind::Classic
@@ -193,7 +151,7 @@ fn main() {
         }
     }
     if hammer {
-        let cfg = cell_faults.unwrap_or_default();
+        let cfg = params.cell_faults.unwrap_or_default();
         let (off, on, summary) = hammer_overhead(threads, cfg);
         println!(
             "{:<8} {:<8} {:<9} {:>16.3e} {:>16.3e} {:>8} cycle overhead ({} bit flips armed)",
@@ -207,11 +165,11 @@ fn main() {
         );
         for r in [&off, &on] {
             let path =
-                write_record(&out, r).unwrap_or_else(|e| die(&format!("write record: {e}")));
+                write_record(&out, r).unwrap_or_else(|e| args.die(format_args!("write record: {e}")));
             eprintln!("bench_emit: wrote {}", path.display());
         }
         let path = write_hammer_summary(&out, &summary)
-            .unwrap_or_else(|e| die(&format!("write summary: {e}")));
+            .unwrap_or_else(|e| args.die(format_args!("write summary: {e}")));
         eprintln!("bench_emit: wrote {}", path.display());
         if summary.simulated_cycle_overhead != 0 {
             eprintln!(
@@ -224,9 +182,4 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("bench_emit: {msg}");
-    std::process::exit(2);
 }

@@ -12,8 +12,14 @@
 //!      -> processed -> [child vault rsp] -> [child xbar rsp]
 //!      -> (forward) -> [root xbar rsp] -> host
 //! ```
+//!
+//! Usage:
+//!   figure3 [simulation axes]
+//!
+//! The simulation axes are the shared flags of `SimParams::USAGE`
+//! (`--help` lists them); the walk runs under them.
 
-use hmc_core::{topology, HmcSim};
+use hmc_core::{topology, Args, HmcSim, SimParams};
 use hmc_types::{BlockSize, Command, DeviceConfig, Packet};
 
 fn snapshot(sim: &HmcSim, tag: u16) -> String {
@@ -51,7 +57,8 @@ fn walk(sim: &mut HmcSim, label: &str, target_dev: u8) {
         Packet::request(Command::Rd(BlockSize::B64), target_dev, 0x40, tag, 0, &[]).unwrap();
     sim.send(0, 0, packet).unwrap();
     println!("  cycle {:>2}: injected  -> {}", sim.current_clock(), snapshot(sim, tag));
-    for _ in 0..16 {
+    // Long enough for a DDR activate + column access under `--timing ddr`.
+    for _ in 0..64 {
         sim.clock().unwrap();
         let where_now = snapshot(sim, tag);
         println!("  cycle {:>2}: clocked   -> {where_now}", sim.current_clock());
@@ -65,10 +72,16 @@ fn walk(sim: &mut HmcSim, label: &str, target_dev: u8) {
             return;
         }
     }
-    println!("  (no response within 16 cycles)\n");
+    println!("  (no response within 64 cycles)\n");
 }
 
 fn main() {
+    let mut args = Args::from_env("figure3", "usage: figure3 [simulation axes]");
+    while let Some(flag) = args.next_flag() {
+        args.axis(&flag);
+    }
+    let params = args.params_over(SimParams::default());
+
     println!("Figure 3: sub-cycle clock stage schedule\n");
     println!("Stages per clock call (paper §IV.C):");
     println!("  1. child-device link crossbar transactions");
@@ -80,13 +93,13 @@ fn main() {
 
     // Single device: request resolves within one cycle's stage walk.
     let cfg = DeviceConfig::small();
-    let mut sim = HmcSim::new(1, cfg.clone()).unwrap();
+    let mut sim = HmcSim::new(1, cfg.clone()).unwrap().with_params(params);
     let host = sim.host_cube_id(0);
     topology::build_simple(&mut sim, host).unwrap();
     walk(&mut sim, "single device", 0);
 
     // Two-device chain: the packet takes one chaining hop per cycle.
-    let mut sim = HmcSim::new(2, cfg).unwrap();
+    let mut sim = HmcSim::new(2, cfg).unwrap().with_params(params);
     let host = sim.host_cube_id(0);
     topology::build_chain(&mut sim, host).unwrap();
     walk(&mut sim, "two-device chain", 1);

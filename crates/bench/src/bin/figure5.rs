@@ -8,99 +8,44 @@
 //! ASCII sparkline summary and per-vault utilization totals.
 //!
 //! Usage:
-//!   figure5 [--scale N] [--seed S] [--bin W] [--out DIR] [--threads N] [--check]
-//!           [--fast-forward] [--timing classic|ddr]
-//!           [--interconnect crossbar|ring|mesh]
-//!           [--arbitration round-robin|oldest-first|locality-aware]
-//!           [--hammer-threshold N] [--flip-prob PPM] [--retention CYCLES]
-//!           [--mitigation none|trr|elevated]
+//!   figure5 [--scale N] [--seed S] [--bin W] [--out DIR] [simulation axes]
 //!
 //! Defaults: 1/256 scale, bin width auto (~200 rows), output CSVs to the
-//! current directory as `figure5_<config>.csv`.
+//! current directory as `figure5_<config>.csv`. The simulation axes are
+//! the shared flags of `SimParams::USAGE` (`--help` lists them).
 
 use std::fs::File;
 use std::io::BufWriter;
 
 use hmc_bench::harness::{paper_setup, paper_workload, SetupOptions};
-use hmc_core::{NocParams, TimingParams};
+use hmc_core::{Args, SimParams};
 use hmc_host::{run_workload, RunConfig};
 use hmc_trace::{SeriesCollector, SharedSink, Verbosity};
-use hmc_types::{
-    ArbitrationKind, CellFaultConfig, DeviceConfig, InterconnectKind, LinkFaultConfig,
-    StorageMode, TimingKind,
-};
+use hmc_types::{DeviceConfig, StorageMode};
 
 fn main() {
     let mut scale: u64 = 256;
     let mut seed: u32 = 1;
     let mut bin: u64 = 0; // 0 = auto
     let mut out_dir = String::from(".");
-    let mut threads: usize = 1;
-    let mut check = false;
-    let mut fast_forward = false;
-    let mut timing = TimingKind::Classic;
-    let mut interconnect = InterconnectKind::Crossbar;
-    let mut arbitration = ArbitrationKind::RoundRobin;
-    let mut cell_faults = None;
-    let mut link_faults = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => scale = parse(args.next(), "--scale"),
-            "--seed" => seed = parse(args.next(), "--seed"),
-            "--bin" => bin = parse(args.next(), "--bin"),
-            "--out" => out_dir = args.next().unwrap_or_else(|| die("--out needs a path")),
-            "--threads" => threads = parse(args.next(), "--threads"),
-            "--check" => check = true,
-            "--fast-forward" => fast_forward = true,
-            "--timing" => {
-                timing = args
-                    .next()
-                    .and_then(|v| TimingKind::by_name(&v))
-                    .unwrap_or_else(|| die("--timing needs `classic` or `ddr`"));
-            }
-            "--interconnect" => {
-                interconnect = args
-                    .next()
-                    .and_then(|v| InterconnectKind::by_name(&v))
-                    .unwrap_or_else(|| die("--interconnect needs `crossbar`, `ring`, or `mesh`"));
-            }
-            "--arbitration" => {
-                arbitration = args.next().and_then(|v| ArbitrationKind::by_name(&v)).unwrap_or_else(
-                    || die("--arbitration needs `round-robin`, `oldest-first`, or `locality-aware`"),
-                );
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: figure5 [--scale N] [--seed S] [--bin W] [--out DIR] \
-                     [--threads N] [--check] [--fast-forward] [--timing classic|ddr] \
-                     [--interconnect crossbar|ring|mesh] \
-                     [--arbitration round-robin|oldest-first|locality-aware] \
-                     [--hammer-threshold N] [--flip-prob PPM] [--retention CYCLES] \
-                     [--mitigation none|trr|elevated] \
-                     [--link-error-rate PPM] [--link-retry-limit N] \
-                     [--retrain-cycles N] [--link-retry-cycles N] [--link-fault-seed S]"
-                );
-                return;
-            }
-            flag => {
-                let value = args.next();
-                let hit = CellFaultConfig::apply_flag(&mut cell_faults, flag, value.as_deref())
-                    .and_then(|hit| {
-                        if hit {
-                            Ok(true)
-                        } else {
-                            LinkFaultConfig::apply_flag(&mut link_faults, flag, value.as_deref())
-                        }
-                    });
-                match hit {
-                    Ok(true) => {}
-                    Ok(false) => die(&format!("unknown argument {flag}")),
-                    Err(e) => die(&e.to_string()),
-                }
-            }
+    let mut args = Args::from_env(
+        "figure5",
+        "usage: figure5 [--scale N] [--seed S] [--bin W] [--out DIR] [simulation axes]",
+    );
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--scale" => scale = args.value(&flag),
+            "--seed" => seed = args.value(&flag),
+            "--bin" => bin = args.value(&flag),
+            "--out" => out_dir = args.value(&flag),
+            _ => args.axis(&flag),
         }
     }
+    let opts = SetupOptions {
+        verbosity: Verbosity::Full,
+        storage: StorageMode::TimingOnly,
+        params: args.params_over(SimParams::default()),
+    };
 
     println!("Figure 5: random access simulation results (1/{scale} scale, seed {seed})\n");
 
@@ -116,27 +61,12 @@ fn main() {
         let bin_width = if bin > 0 { bin } else { (expected_cycles / 200).max(1) };
 
         let series = SharedSink::new(SeriesCollector::new(bin_width, vaults));
-        let opts = SetupOptions {
-            verbosity: Verbosity::Full,
-            storage: StorageMode::TimingOnly,
-            threads,
-            fast_forward,
-            timing: TimingParams::of(timing),
-            interconnect: NocParams::of(interconnect).with_arbitration(arbitration),
-            cell_faults,
-            link_faults,
-        };
         let (mut sim, mut host) = paper_setup(cfg, opts, Some(Box::new(series.clone())));
         let mut workload = paper_workload(seed, scale);
-        let run_cfg = RunConfig {
-            check_invariants: check,
-            fast_forward,
-            ..RunConfig::default()
-        };
-        let report = run_workload(&mut sim, &mut host, &mut workload, run_cfg)
+        let report = run_workload(&mut sim, &mut host, &mut workload, RunConfig::default())
             .expect("figure5 run completes");
-        if check && report.invariant_violations > 0 {
-            die(&format!(
+        if report.invariant_violations > 0 {
+            args.die(format_args!(
                 "{label}: {} invariant violation(s); first: {:?}",
                 report.invariant_violations,
                 sim.invariant_violations().first()
@@ -179,10 +109,10 @@ fn main() {
         );
 
         let path = format!("{out_dir}/figure5_{slug}.csv");
-        let file = File::create(&path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+        let file = File::create(&path).unwrap_or_else(|e| args.die(format_args!("{path}: {e}")));
         collector
             .write_csv(BufWriter::new(file))
-            .unwrap_or_else(|e| die(&format!("{path}: {e}")));
+            .unwrap_or_else(|e| args.die(format_args!("{path}: {e}")));
         println!("   series written to {path} (bin width {bin_width} cycles)\n");
     }
 }
@@ -202,14 +132,4 @@ fn sparkline<I: Iterator<Item = u64>>(values: I) -> String {
         .iter()
         .map(|&v| BARS[((v * 7) / max) as usize])
         .collect()
-}
-
-fn parse<T: std::str::FromStr>(v: Option<String>, flag: &str) -> T {
-    v.and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| die(&format!("{flag} needs a number")))
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("figure5: {msg}");
-    std::process::exit(2);
 }

@@ -4,40 +4,33 @@
 //! workload, and reporting options; get cycles, throughput, latency,
 //! utilization, trace statistics and an energy estimate.
 //!
-//! ```text
-//! hmcsim [--config 4l8b|4l16b|8l8b|8l16b|small | --config-file FILE.json]
-//!        [--dump-config FILE.json]
-//!        [--workload random|stream|gups|chase|stencil|hotspot|hammer]
-//!        [--requests N] [--seed S] [--read-pct P] [--block BYTES]
-//!        [--error-rate R] [--serialize-flits N] [--threads N]
-//!        [--locality] [--stall-queue] [--check] [--fast-forward]
-//!        [--timing classic|ddr]
-//!        [--interconnect crossbar|ring|mesh]
-//!        [--arbitration round-robin|oldest-first|locality-aware]
-//!        [--hammer-threshold N] [--flip-prob PPM] [--retention CYCLES]
-//!        [--mitigation none|trr|elevated]
-//!        [--link-error-rate R] [--link-retry-limit N] [--retrain-cycles N]
-//!        [--link-retry-cycles N] [--link-fault-seed S]
-//!        [--series FILE] [--trace FILE] [--utilization] [--energy]
-//!        [--profile]
-//! ```
+//! `hmcsim --help` prints the synopsis (`USAGE` below) and the shared
+//! simulation-axis flags (`SimParams::USAGE`). Those are applied on top of the parameters the
+//! device configuration seeds, so a `--config-file` that names a timing
+//! backend, fabric or fault block is honoured unless a flag overrides it.
 
 use std::fs::File;
 use std::io::BufWriter;
 
-use hmc_core::{topology, ConflictPolicy, FaultConfig, HmcSim, NocParams, SimParams, TimingParams};
+use hmc_core::{topology, Args, HmcSim};
 use hmc_host::{run_workload, Host, LinkSelection, RunConfig};
 use hmc_trace::{
     estimate_energy, EnergyModel, MultiSink, SeriesCollector, SharedSink, TextSink,
     Tracer, Verbosity,
 };
-use hmc_types::{
-    ArbitrationKind, BlockSize, CellFaultConfig, DeviceConfig, InterconnectKind, LinkFaultConfig,
-    StorageMode, TimingKind,
-};
+use hmc_types::{BlockSize, DeviceConfig, InterconnectKind, StorageMode, TimingKind};
 use hmc_workloads::{Workload, WorkloadSpec};
 
+const USAGE: &str = "\
+usage: hmcsim [--config 4l8b|4l16b|8l8b|8l16b|small | --config-file F.json]
+              [--dump-config F.json]
+              [--workload random|stream|gups|chase|stencil|hotspot|hammer]
+              [--requests N] [--seed S] [--read-pct P] [--block BYTES]
+              [--locality] [--series FILE] [--trace FILE] [--utilization]
+              [--energy] [--profile] [simulation axes]";
+
 struct Options {
+    args: Args,
     config: DeviceConfig,
     config_name: String,
     workload: String,
@@ -45,200 +38,69 @@ struct Options {
     seed: u32,
     read_pct: u8,
     block: BlockSize,
-    error_rate: f64,
-    serialize_flits: Option<usize>,
-    threads: usize,
     locality: bool,
-    stall_queue: bool,
     series: Option<String>,
     trace: Option<String>,
     utilization: bool,
     energy: bool,
     profile: bool,
-    check: bool,
-    fast_forward: bool,
-    timing: TimingKind,
-    interconnect: InterconnectKind,
-    arbitration: ArbitrationKind,
-    cell_faults: Option<CellFaultConfig>,
-    link_faults: Option<LinkFaultConfig>,
     dump_config: Option<String>,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            config: DeviceConfig::paper_4link_8bank_2gb(),
-            config_name: "4l8b".into(),
-            workload: "random".into(),
-            requests: 100_000,
-            seed: 1,
-            read_pct: 50,
-            block: BlockSize::B64,
-            error_rate: 0.0,
-            serialize_flits: None,
-            threads: 1,
-            locality: false,
-            stall_queue: false,
-            series: None,
-            trace: None,
-            utilization: false,
-            energy: false,
-            profile: false,
-            check: false,
-            fast_forward: false,
-            timing: TimingKind::Classic,
-            interconnect: InterconnectKind::Crossbar,
-            arbitration: ArbitrationKind::RoundRobin,
-            cell_faults: None,
-            link_faults: None,
-            dump_config: None,
-        }
-    }
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: hmcsim [--config 4l8b|4l16b|8l8b|8l16b|small | --config-file F.json] \
-         [--dump-config F.json] \
-         [--workload random|stream|gups|chase|stencil|hotspot|hammer] [--requests N] \
-         [--seed S] [--read-pct P] [--block BYTES] [--error-rate R] \
-         [--serialize-flits N] [--threads N] [--locality] [--stall-queue] \
-         [--check] [--fast-forward] [--timing classic|ddr] \
-         [--interconnect crossbar|ring|mesh] \
-         [--arbitration round-robin|oldest-first|locality-aware] \
-         [--hammer-threshold N] [--flip-prob PPM] [--retention CYCLES] \
-         [--mitigation none|trr|elevated] \
-         [--link-error-rate R] [--link-retry-limit N] [--retrain-cycles N] \
-         [--link-retry-cycles N] [--link-fault-seed S] [--series FILE] \
-         [--trace FILE] [--utilization] [--energy] [--profile]"
-    );
-    std::process::exit(2);
-}
-
 fn parse_options() -> Options {
-    let mut o = Options::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut next = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("hmcsim: {flag} needs a value");
-                usage()
-            })
-        };
-        match arg.as_str() {
+    let mut o = Options {
+        args: Args::from_env("hmcsim", USAGE),
+        config: DeviceConfig::paper_4link_8bank_2gb(),
+        config_name: "4l8b".into(),
+        workload: "random".into(),
+        requests: 100_000,
+        seed: 1,
+        read_pct: 50,
+        block: BlockSize::B64,
+        locality: false,
+        series: None,
+        trace: None,
+        utilization: false,
+        energy: false,
+        profile: false,
+        dump_config: None,
+    };
+    while let Some(flag) = o.args.next_flag() {
+        let args = &mut o.args;
+        match flag.as_str() {
             "--config-file" => {
-                let path = next("--config-file");
-                let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                    eprintln!("hmcsim: {path}: {e}");
-                    usage()
-                });
-                o.config = serde_json::from_str(&text).unwrap_or_else(|e| {
-                    eprintln!("hmcsim: {path}: {e}");
-                    usage()
-                });
+                let path: String = args.value(&flag);
+                let text = std::fs::read_to_string(&path)
+                    .unwrap_or_else(|e| args.die(format_args!("{path}: {e}")));
+                o.config = serde_json::from_str(&text)
+                    .unwrap_or_else(|e| args.die(format_args!("{path}: {e}")));
                 if let Err(e) = o.config.validate() {
-                    eprintln!("hmcsim: {path}: {e}");
-                    usage()
+                    args.die(format_args!("{path}: {e}"));
                 }
                 o.config_name = path;
             }
-            "--dump-config" => {
-                let path = next("--dump-config");
-                o.dump_config = Some(path);
-            }
+            "--dump-config" => o.dump_config = Some(args.value(&flag)),
             "--config" => {
-                o.config_name = next("--config");
+                o.config_name = args.value(&flag);
                 o.config = DeviceConfig::by_name(&o.config_name).unwrap_or_else(|| {
-                    eprintln!("hmcsim: unknown config {}", o.config_name);
-                    usage()
+                    args.die(format_args!("unknown config {}", o.config_name))
                 });
             }
-            "--workload" => o.workload = next("--workload"),
-            "--requests" => o.requests = next("--requests").parse().unwrap_or_else(|_| usage()),
-            "--seed" => o.seed = next("--seed").parse().unwrap_or_else(|_| usage()),
-            "--read-pct" => o.read_pct = next("--read-pct").parse().unwrap_or_else(|_| usage()),
+            "--workload" => o.workload = args.value(&flag),
+            "--requests" => o.requests = args.value(&flag),
+            "--seed" => o.seed = args.value(&flag),
+            "--read-pct" => o.read_pct = args.value(&flag),
             "--block" => {
-                let bytes: usize = next("--block").parse().unwrap_or_else(|_| usage());
-                o.block = BlockSize::from_bytes(bytes).unwrap_or_else(|e| {
-                    eprintln!("hmcsim: {e}");
-                    usage()
-                });
+                o.block = BlockSize::from_bytes(args.value(&flag))
+                    .unwrap_or_else(|e| args.die(e));
             }
-            "--error-rate" => {
-                o.error_rate = next("--error-rate").parse().unwrap_or_else(|_| usage());
-                if !(0.0..=1.0).contains(&o.error_rate) || !o.error_rate.is_finite() {
-                    eprintln!("hmcsim: --error-rate must be a probability in [0, 1]");
-                    usage()
-                }
-            }
-            "--serialize-flits" => {
-                let flits: usize = next("--serialize-flits").parse().unwrap_or_else(|_| usage());
-                if flits == 0 {
-                    eprintln!("hmcsim: --serialize-flits must be at least 1");
-                    usage()
-                }
-                o.serialize_flits = Some(flits);
-            }
-            "--threads" => o.threads = next("--threads").parse().unwrap_or_else(|_| usage()),
             "--locality" => o.locality = true,
-            "--stall-queue" => o.stall_queue = true,
-            "--series" => o.series = Some(next("--series")),
-            "--trace" => o.trace = Some(next("--trace")),
+            "--series" => o.series = Some(args.value(&flag)),
+            "--trace" => o.trace = Some(args.value(&flag)),
             "--utilization" => o.utilization = true,
             "--energy" => o.energy = true,
             "--profile" => o.profile = true,
-            "--check" => o.check = true,
-            "--fast-forward" => o.fast_forward = true,
-            "--timing" => {
-                let name = next("--timing");
-                o.timing = TimingKind::by_name(&name).unwrap_or_else(|| {
-                    eprintln!("hmcsim: --timing needs `classic` or `ddr`, got {name}");
-                    usage()
-                });
-            }
-            "--interconnect" => {
-                let name = next("--interconnect");
-                o.interconnect = InterconnectKind::by_name(&name).unwrap_or_else(|| {
-                    eprintln!(
-                        "hmcsim: --interconnect needs `crossbar`, `ring`, or `mesh`, got {name}"
-                    );
-                    usage()
-                });
-            }
-            "--arbitration" => {
-                let name = next("--arbitration");
-                o.arbitration = ArbitrationKind::by_name(&name).unwrap_or_else(|| {
-                    eprintln!(
-                        "hmcsim: --arbitration needs `round-robin`, `oldest-first`, \
-                         or `locality-aware`, got {name}"
-                    );
-                    usage()
-                });
-            }
-            "--help" | "-h" => usage(),
-            flag => {
-                let value = args.next();
-                let handled = CellFaultConfig::apply_flag(&mut o.cell_faults, flag, value.as_deref())
-                    .and_then(|hit| {
-                        if hit {
-                            Ok(true)
-                        } else {
-                            LinkFaultConfig::apply_flag(&mut o.link_faults, flag, value.as_deref())
-                        }
-                    });
-                match handled {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        eprintln!("hmcsim: unknown argument {flag}");
-                        usage()
-                    }
-                    Err(e) => {
-                        eprintln!("hmcsim: {e}");
-                        usage()
-                    }
-                }
-            }
+            _ => args.axis(&flag),
         }
     }
     o
@@ -251,52 +113,23 @@ fn build_workload(o: &Options) -> Box<dyn Workload> {
         .with_read_pct(o.read_pct)
         .with_geometry(o.config.geometry())
         .build()
-        .unwrap_or_else(|e| {
-            eprintln!("hmcsim: {e}");
-            usage()
-        })
+        .unwrap_or_else(|e| o.args.die(e))
 }
 
 fn main() {
     let o = parse_options();
     if let Some(path) = &o.dump_config {
         let json = serde_json::to_string_pretty(&o.config).expect("config serializes");
-        std::fs::write(path, json).unwrap_or_else(|e| {
-            eprintln!("hmcsim: {path}: {e}");
-            std::process::exit(2);
-        });
+        std::fs::write(path, json).unwrap_or_else(|e| o.args.die(format_args!("{path}: {e}")));
         eprintln!("hmcsim: configuration written to {path}");
         return;
     }
     let config = o.config.clone().with_storage_mode(StorageMode::TimingOnly);
-    let mut sim = HmcSim::new(1, config).expect("config validates");
-    sim = sim.with_params(SimParams {
-        link_flits_per_cycle: o.serialize_flits,
-        conflict_policy: if o.stall_queue {
-            ConflictPolicy::StallQueue
-        } else {
-            ConflictPolicy::SkipConflicting
-        },
-        threads: o.threads,
-        fast_forward: o.fast_forward,
-        timing: TimingParams::of(o.timing),
-        interconnect: NocParams::of(o.interconnect).with_arbitration(o.arbitration),
-        // CLI flags win over a cell-fault block in --config-file JSON.
-        cell_faults: o.cell_faults.or(o.config.cell_faults),
-        link_faults: o.link_faults.or(o.config.link_faults),
-        ..SimParams::default()
-    });
-    // Legacy flag: --error-rate arms the retry protocol with its default
-    // retry/retrain parameters; --link-error-rate and friends take
-    // precedence when given.
-    if o.error_rate > 0.0 && o.link_faults.is_none() && o.config.link_faults.is_none() {
-        sim.enable_fault_injection(FaultConfig {
-            packet_error_rate: o.error_rate,
-            retry_cycles: 8,
-            seed: o.seed as u64 | 1,
-            ..FaultConfig::default()
-        });
-    }
+    let sim = HmcSim::new(1, config).expect("config validates");
+    // Defaults < config file < command line: the flags land on top of
+    // whatever axes the device config seeded.
+    let params = o.args.params_over(*sim.params());
+    let mut sim = sim.with_params(params);
     let host_id = sim.host_cube_id(0);
     topology::build_simple(&mut sim, host_id).expect("topology");
 
@@ -343,11 +176,7 @@ fn main() {
         workload.len_hint().unwrap_or(o.requests),
         o.config_name
     );
-    let run_cfg = RunConfig {
-        check_invariants: o.check,
-        ..RunConfig::default()
-    };
-    let report = run_workload(&mut sim, &mut host, workload.as_mut(), run_cfg)
+    let report = run_workload(&mut sim, &mut host, workload.as_mut(), RunConfig::default())
         .expect("run completes");
 
     println!("cycles            {}", report.cycles);
@@ -361,18 +190,18 @@ fn main() {
         "latency           mean {:.1}, max {} cycles",
         report.mean_latency, report.max_latency
     );
-    if o.timing == TimingKind::Ddr {
+    if params.timing.kind == TimingKind::Ddr {
         let s = sim.stats();
         println!(
             "row buffer        {} hits, {} misses, {} precharges",
             s.row_hits, s.row_misses, s.precharges
         );
     }
-    if o.interconnect != InterconnectKind::Crossbar {
+    if params.interconnect.kind != InterconnectKind::Crossbar {
         let s = sim.stats();
         println!(
             "noc ({})        {} hops, {} stalls, {} arbitration losses",
-            o.interconnect.name(),
+            params.interconnect.kind.name(),
             s.noc_hops,
             s.noc_stalls,
             s.noc_arb_losses
@@ -392,7 +221,7 @@ fn main() {
             s.hammer_activations, s.bit_flips, s.trr_refreshes, s.retention_decays
         );
     }
-    if o.check {
+    if params.check_invariants {
         println!("invariants        {} violation(s)", report.invariant_violations);
         if report.invariant_violations > 0 {
             eprintln!(
@@ -422,7 +251,7 @@ fn main() {
         println!("  background  {:>14.0} pJ", energy.background_pj);
         println!("  total       {:>14.0} pJ", energy.total_pj);
         println!("  {:.2} pJ/bit, {:.2} W average", energy.pj_per_bit, energy.avg_power_w);
-        if o.serialize_flits.is_none() {
+        if params.link_flits_per_cycle.is_none() {
             println!(
                 "  (pJ/bit is robust; average watts assume real time per cycle —\n\
                  \x20  pass --serialize-flits 1 for physically-paced link timing)"

@@ -3,9 +3,13 @@
 //! transaction-efficiency analysis of §IV.E.
 //!
 //! Usage:
-//!   latency [--requests N] [--seed S]
+//!   latency [--requests N] [--seed S] [simulation axes]
+//!
+//! The simulation axes are the shared flags of `SimParams::USAGE`
+//! (`--help` lists them).
 
 use hmc_bench::harness::{paper_setup, SetupOptions};
+use hmc_core::{Args, SimParams};
 use hmc_host::{run_workload, RunConfig};
 use hmc_trace::analysis::{analyze_bandwidth, TrafficCounts};
 use hmc_types::{BlockSize, DeviceConfig};
@@ -14,30 +18,29 @@ use hmc_workloads::RandomAccess;
 fn main() {
     let mut requests: u64 = 100_000;
     let mut seed: u32 = 1;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--requests" => {
-                requests = args.next().and_then(|v| v.parse().ok()).unwrap_or(100_000)
-            }
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(1),
-            "--help" | "-h" => {
-                eprintln!("usage: latency [--requests N] [--seed S]");
-                return;
-            }
-            other => {
-                eprintln!("latency: unknown argument {other}");
-                std::process::exit(2);
-            }
+    let mut args = Args::from_env(
+        "latency",
+        "usage: latency [--requests N] [--seed S] [simulation axes]",
+    );
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--requests" => requests = args.value(&flag),
+            "--seed" => seed = args.value(&flag),
+            _ => args.axis(&flag),
         }
     }
+    let params = args.params_over(SimParams::default());
+    let opts = SetupOptions {
+        params,
+        ..SetupOptions::default()
+    };
 
     println!("request latency distributions ({requests} random 64-byte requests, 50/50 mix)\n");
     for (label, cfg) in DeviceConfig::paper_configs() {
         let links = cfg.num_links;
         let lanes = cfg.lanes_per_link;
         let speed = cfg.link_speed;
-        let (mut sim, mut host) = paper_setup(cfg, SetupOptions::default(), None);
+        let (mut sim, mut host) = paper_setup(cfg, opts, None);
         let mut w = RandomAccess::new(seed, 2 << 30, BlockSize::B64, 50, requests);
         let report = run_workload(&mut sim, &mut host, &mut w, RunConfig::default())
             .expect("latency run completes");
@@ -83,18 +86,16 @@ fn main() {
     // A serialized-link run: one FLIT per link direction per cycle, the
     // physical rate of a full-width 10 Gbps link at 1.25 GHz. Utilization
     // against the 160 GB/s peak is now meaningful.
-    use hmc_core::{topology, HmcSim, SimParams};
-    use hmc_host::Host;
-    use hmc_types::StorageMode;
     println!("== 4-Link; 8-Bank; 2GB with serialized links (1 FLIT/cycle/link) ==");
-    let cfg = DeviceConfig::paper_4link_8bank_2gb().with_storage_mode(StorageMode::TimingOnly);
-    let mut sim = HmcSim::new(1, cfg).unwrap().with_params(SimParams {
-        link_flits_per_cycle: Some(1),
-        ..SimParams::default()
-    });
-    let host_id = sim.host_cube_id(0);
-    topology::build_simple(&mut sim, host_id).unwrap();
-    let mut host = Host::attach(&sim, host_id).unwrap();
+    let serialized = SetupOptions {
+        params: SimParams {
+            link_flits_per_cycle: Some(1),
+            ..params
+        },
+        ..opts
+    };
+    let (mut sim, mut host) =
+        paper_setup(DeviceConfig::paper_4link_8bank_2gb(), serialized, None);
     let serialized_requests = requests.min(20_000);
     let mut w = RandomAccess::new(seed, 2 << 30, BlockSize::B64, 50, serialized_requests);
     let report = run_workload(&mut sim, &mut host, &mut w, RunConfig::default()).unwrap();

@@ -9,23 +9,18 @@
 //! sweep order regardless of completion order.
 //!
 //! Usage:
-//!   sweep [--requests N] [--seed S] [--out FILE] [--jobs N] [--fast-forward]
-//!         [--timing classic|ddr] [--interconnect crossbar|ring|mesh]
-//!         [--arbitration round-robin|oldest-first|locality-aware]
-//!         [--hammer-threshold N] [--flip-prob PPM] [--retention CYCLES]
-//!         [--mitigation none|trr|elevated]
+//!   sweep [--requests N] [--seed S] [--out FILE] [--jobs N] [simulation axes]
+//!
+//! The simulation axes are the shared flags of `SimParams::USAGE`
+//! (`--help` lists them); every grid point runs under them.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use hmc_core::{topology, HmcSim, NocParams, SimParams, TimingParams};
+use hmc_core::{topology, Args, HmcSim, SimParams};
 use hmc_host::{run_workload, Host, RunConfig};
-use hmc_types::{
-    ArbitrationKind, BlockSize, CellFaultConfig, DeviceConfig, InterconnectKind,
-    LinkFaultConfig, StorageMode,
-    TimingKind,
-};
+use hmc_types::{BlockSize, DeviceConfig, StorageMode};
 use hmc_workloads::RandomAccess;
 
 struct Point {
@@ -38,32 +33,18 @@ struct Point {
     mean_latency: f64,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_point(
-    requests: u64,
-    seed: u32,
-    xbar_depth: usize,
-    vault_depth: usize,
-    window: Option<usize>,
-    drain: usize,
-    fast_forward: bool,
-    timing: TimingKind,
-    interconnect: NocParams,
-    cell_faults: Option<CellFaultConfig>,
-    link_faults: Option<LinkFaultConfig>,
-) -> Point {
+/// One grid point: `(xbar depth, vault depth, vault window, xbar drain)`.
+type GridPoint = (usize, usize, Option<usize>, usize);
+
+fn run_point(requests: u64, seed: u32, point: GridPoint, axes: SimParams) -> Point {
+    let (xbar_depth, vault_depth, window, drain) = point;
     let cfg = DeviceConfig::paper_4link_8bank_2gb()
         .with_storage_mode(StorageMode::TimingOnly)
         .with_queue_depths(xbar_depth, vault_depth);
     let mut sim = HmcSim::new(1, cfg).unwrap().with_params(SimParams {
         vault_window: window,
         xbar_drain_per_cycle: drain,
-        fast_forward,
-        timing: TimingParams::of(timing),
-        interconnect,
-        cell_faults,
-        link_faults,
-        ..SimParams::default()
+        ..axes
     });
     let host_id = sim.host_cube_id(0);
     topology::build_simple(&mut sim, host_id).unwrap();
@@ -88,97 +69,29 @@ fn main() {
     let mut jobs: usize = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut fast_forward = false;
-    let mut timing = TimingKind::Classic;
-    let mut interconnect = InterconnectKind::Crossbar;
-    let mut arbitration = ArbitrationKind::RoundRobin;
-    let mut cell_faults = None;
-    let mut link_faults = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--requests" => requests = args.next().and_then(|v| v.parse().ok()).unwrap_or(32_768),
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(1),
-            "--out" => out = args.next(),
+    let mut args = Args::from_env(
+        "sweep",
+        "usage: sweep [--requests N] [--seed S] [--out FILE] [--jobs N] [simulation axes]",
+    );
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--requests" => requests = args.value(&flag),
+            "--seed" => seed = args.value(&flag),
+            "--out" => out = Some(args.value(&flag)),
             "--jobs" => {
-                jobs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&j: &usize| j >= 1)
-                    .unwrap_or(jobs)
-            }
-            "--fast-forward" => fast_forward = true,
-            "--timing" => {
-                timing = args
-                    .next()
-                    .and_then(|v| TimingKind::by_name(&v))
-                    .unwrap_or_else(|| {
-                        eprintln!("sweep: --timing needs `classic` or `ddr`");
-                        std::process::exit(2);
-                    })
-            }
-            "--interconnect" => {
-                interconnect = args
-                    .next()
-                    .and_then(|v| InterconnectKind::by_name(&v))
-                    .unwrap_or_else(|| {
-                        eprintln!("sweep: --interconnect needs `crossbar`, `ring`, or `mesh`");
-                        std::process::exit(2);
-                    })
-            }
-            "--arbitration" => {
-                arbitration = args
-                    .next()
-                    .and_then(|v| ArbitrationKind::by_name(&v))
-                    .unwrap_or_else(|| {
-                        eprintln!(
-                            "sweep: --arbitration needs `round-robin`, `oldest-first`, \
-                             or `locality-aware`"
-                        );
-                        std::process::exit(2);
-                    })
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: sweep [--requests N] [--seed S] [--out FILE] [--jobs N] \
-                     [--fast-forward] [--timing classic|ddr] \
-                     [--interconnect crossbar|ring|mesh] \
-                     [--arbitration round-robin|oldest-first|locality-aware] \
-                     [--hammer-threshold N] [--flip-prob PPM] [--retention CYCLES] \
-                     [--mitigation none|trr|elevated] \
-                     [--link-error-rate PPM] [--link-retry-limit N] \
-                     [--retrain-cycles N] [--link-retry-cycles N] [--link-fault-seed S]"
-                );
-                return;
-            }
-            flag => {
-                let value = args.next();
-                let hit = CellFaultConfig::apply_flag(&mut cell_faults, flag, value.as_deref())
-                    .and_then(|hit| {
-                        if hit {
-                            Ok(true)
-                        } else {
-                            LinkFaultConfig::apply_flag(&mut link_faults, flag, value.as_deref())
-                        }
-                    });
-                match hit {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        eprintln!("sweep: unknown argument {flag}");
-                        std::process::exit(2);
-                    }
-                    Err(e) => {
-                        eprintln!("sweep: {e}");
-                        std::process::exit(2);
-                    }
+                jobs = args.value(&flag);
+                if jobs == 0 {
+                    args.die("--jobs must be at least 1");
                 }
             }
+            _ => args.axis(&flag),
         }
     }
+    let axes = args.params_over(SimParams::default());
 
     // Enumerate the sweep grid first; each tuple is an independent
     // simulation, so the points run concurrently below.
-    let mut grid: Vec<(usize, usize, Option<usize>, usize)> = Vec::new();
+    let mut grid: Vec<GridPoint> = Vec::new();
     for xbar in [16usize, 32, 64, 128, 256] {
         for vault in [8usize, 16, 32, 64] {
             grid.push((xbar, vault, None, 32));
@@ -211,23 +124,7 @@ fn main() {
                     if i >= grid.len() {
                         break;
                     }
-                    let (xbar, vault, window, drain) = grid[i];
-                    local.push((
-                        i,
-                        run_point(
-                            requests,
-                            seed,
-                            xbar,
-                            vault,
-                            window,
-                            drain,
-                            fast_forward,
-                            timing,
-                            NocParams::of(interconnect).with_arbitration(arbitration),
-                            cell_faults,
-                            link_faults,
-                        ),
-                    ));
+                    local.push((i, run_point(requests, seed, grid[i], axes)));
                 }
                 local
             }));

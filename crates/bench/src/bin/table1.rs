@@ -3,136 +3,46 @@
 //! requests (50/50 read/write).
 //!
 //! Usage:
-//!   table1 [--scale N] [--full] [--seed S] [--threads N] [--check]
-//!          [--fast-forward] [--timing classic|ddr]
-//!          [--interconnect crossbar|ring|mesh]
-//!          [--arbitration round-robin|oldest-first|locality-aware]
-//!          [--hammer-threshold N] [--flip-prob PPM] [--retention CYCLES]
-//!          [--mitigation none|trr|elevated]
+//!   table1 [--scale N] [--full] [--seed S] [simulation axes]
 //!
 //! `--scale N` runs 1/N of the paper's request count (default 16);
 //! `--full` is shorthand for `--scale 1` (the paper's exact request
-//! count; takes a few minutes per configuration). `--threads N` runs
-//! the sharded clock engine with N workers (0 = auto); cycle counts are
-//! bit-identical to the serial engine. `--check` arms the per-cycle
-//! protocol invariant checker and fails the run on any violation.
-//! `--fast-forward` arms the engine's event-driven fast-forward mode
-//! (cycle counts stay bit-identical to stepped execution). `--timing`
-//! selects the vault timing backend: the paper's constant-time conflict
-//! model (`classic`, default) or the cycle-accurate DDR state machine
-//! (`ddr`). `--interconnect` selects the intra-cube fabric: the direct
-//! crossbar (default) or a buffered ring/mesh NoC, with `--arbitration`
-//! picking the per-hop arbitration policy buffered fabrics use. Any of
-//! the cell-fault flags (`--hammer-threshold`, `--flip-prob`,
-//! `--retention`, `--mitigation`) arms RowHammer/retention fault
-//! injection for the runs; the remaining knobs keep their defaults.
+//! count; takes a few minutes per configuration). The simulation axes
+//! are the shared flags of `SimParams::USAGE` (`--help` lists them):
+//! cycle counts are bit-identical across `--threads` and
+//! `--fast-forward`, and `--check` fails the run on any protocol
+//! invariant violation.
 
-use hmc_bench::table1::{format_table, run_table1_with};
-use hmc_bench::SetupOptions;
-use hmc_core::{NocParams, TimingParams};
-use hmc_types::{ArbitrationKind, CellFaultConfig, InterconnectKind, LinkFaultConfig, TimingKind};
+use hmc_bench::table1::{format_table, run_table1};
+use hmc_core::{Args, SimParams};
 
 fn main() {
     let mut scale: u64 = 16;
     let mut seed: u32 = 1;
-    let mut threads: usize = 1;
-    let mut check = false;
-    let mut fast_forward = false;
-    let mut timing = TimingKind::Classic;
-    let mut interconnect = InterconnectKind::Crossbar;
-    let mut arbitration = ArbitrationKind::RoundRobin;
-    let mut cell_faults = None;
-    let mut link_faults = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
+    let mut args = Args::from_env(
+        "table1",
+        "usage: table1 [--scale N] [--full] [--seed S] [simulation axes]",
+    );
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
             "--full" => scale = 1,
-            "--scale" => {
-                scale = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--scale needs a positive integer"));
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--threads needs an integer"));
-            }
-            "--check" => check = true,
-            "--fast-forward" => fast_forward = true,
-            "--timing" => {
-                timing = args
-                    .next()
-                    .and_then(|v| TimingKind::by_name(&v))
-                    .unwrap_or_else(|| die("--timing needs `classic` or `ddr`"));
-            }
-            "--interconnect" => {
-                interconnect = args
-                    .next()
-                    .and_then(|v| InterconnectKind::by_name(&v))
-                    .unwrap_or_else(|| die("--interconnect needs `crossbar`, `ring`, or `mesh`"));
-            }
-            "--arbitration" => {
-                arbitration = args.next().and_then(|v| ArbitrationKind::by_name(&v)).unwrap_or_else(
-                    || die("--arbitration needs `round-robin`, `oldest-first`, or `locality-aware`"),
-                );
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: table1 [--scale N] [--full] [--seed S] [--threads N] [--check] \
-                     [--fast-forward] [--timing classic|ddr] \
-                     [--interconnect crossbar|ring|mesh] \
-                     [--arbitration round-robin|oldest-first|locality-aware] \
-                     [--hammer-threshold N] [--flip-prob PPM] [--retention CYCLES] \
-                     [--mitigation none|trr|elevated] \
-                     [--link-error-rate PPM] [--link-retry-limit N] \
-                     [--retrain-cycles N] [--link-retry-cycles N] [--link-fault-seed S]"
-                );
-                return;
-            }
-            flag => {
-                let value = args.next();
-                let hit = CellFaultConfig::apply_flag(&mut cell_faults, flag, value.as_deref())
-                    .and_then(|hit| {
-                        if hit {
-                            Ok(true)
-                        } else {
-                            LinkFaultConfig::apply_flag(&mut link_faults, flag, value.as_deref())
-                        }
-                    });
-                match hit {
-                    Ok(true) => {}
-                    Ok(false) => die(&format!("unknown argument {flag}")),
-                    Err(e) => die(&e.to_string()),
-                }
-            }
+            "--scale" => scale = args.value(&flag),
+            "--seed" => seed = args.value(&flag),
+            _ => args.axis(&flag),
         }
     }
+    let params = args.params_over(SimParams::default());
+    let check = params.check_invariants;
 
     eprintln!(
-        "Running Table I at 1/{scale} scale (seed {seed}, {threads} threads, {} timing, \
+        "Running Table I at 1/{scale} scale (seed {seed}, {} threads, {} timing, \
          {} fabric{}) ...",
-        timing.name(),
-        interconnect.name(),
+        params.threads,
+        params.timing.kind.name(),
+        params.interconnect.kind.name(),
         if check { ", invariants checked" } else { "" }
     );
-    let opts = SetupOptions {
-        threads,
-        fast_forward,
-        timing: TimingParams::of(timing),
-        interconnect: NocParams::of(interconnect).with_arbitration(arbitration),
-        cell_faults,
-        link_faults,
-        ..SetupOptions::default()
-    };
-    let rows = run_table1_with(scale, seed, opts, check, |config, cycles| {
+    let rows = run_table1(scale, seed, params, |config, cycles| {
         eprint!("\r  config {} of 4: {cycles:>10} cycles", config + 1);
     });
     eprintln!();
@@ -152,9 +62,4 @@ fn main() {
         }
         println!("Invariant check: 0 violations across all configurations.");
     }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("table1: {msg}");
-    std::process::exit(2);
 }

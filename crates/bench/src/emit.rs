@@ -21,12 +21,12 @@
 //! fast-forward mode exists for.
 
 use std::path::{Path, PathBuf};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use hmc_core::{HmcSim, NocParams, SimParams, TimingParams};
+use hmc_core::{HmcSim, SimParams};
 use hmc_types::{
-    BlockSize, CellFaultConfig, Command, DeviceConfig, InterconnectKind, LinkFaultConfig, LinkId,
-    Mitigation, Packet, StorageMode, TimingKind,
+    BlockSize, CellFaultConfig, Command, DeviceConfig, InterconnectKind, LinkId, Mitigation,
+    Packet, StorageMode,
 };
 use hmc_workloads::{Hammer, Workload};
 use serde::{Deserialize, Serialize};
@@ -163,31 +163,46 @@ fn host_num_cpus() -> u64 {
         .unwrap_or(0)
 }
 
-fn emit_sim(
-    threads: usize,
-    fast_forward: bool,
-    timing: TimingKind,
-    noc: NocParams,
-    cell_faults: Option<CellFaultConfig>,
-    link_faults: Option<LinkFaultConfig>,
-) -> HmcSim {
+fn emit_sim(params: SimParams) -> HmcSim {
     let cfg = DeviceConfig::small().with_storage_mode(StorageMode::TimingOnly);
     let mut sim = HmcSim::new(1, cfg)
         .expect("small config validates")
-        .with_params(SimParams {
-            threads,
-            fast_forward,
-            timing: TimingParams::of(timing),
-            interconnect: noc,
-            cell_faults,
-            link_faults,
-            ..SimParams::default()
-        });
+        .with_params(params);
     for l in 0..4 {
         sim.connect_host(0, l, sim.host_cube_id(0))
             .expect("host link wires");
     }
     sim
+}
+
+/// The record for one finished run of `sim`.
+fn finished(
+    workload: &str,
+    mode: &str,
+    sim: &HmcSim,
+    wall: Duration,
+    requests: u64,
+    responses: u64,
+) -> BenchRecord {
+    let params = sim.params();
+    let simulated_cycles = sim.current_clock();
+    let wall_ns = wall.as_nanos().max(1) as u64;
+    BenchRecord {
+        schema: SCHEMA.into(),
+        workload: workload.into(),
+        mode: mode.into(),
+        timing: params.timing.kind.name().into(),
+        interconnect: params.interconnect.kind.name().into(),
+        arbitration: params.interconnect.arbitration.name().into(),
+        threads: params.threads.max(1) as u64,
+        num_cpus: host_num_cpus(),
+        simulated_cycles,
+        wall_ns,
+        cycles_per_sec: simulated_cycles as f64 * 1e9 / wall_ns as f64,
+        requests,
+        responses,
+        unix_time_secs: unix_now_secs(),
+    }
 }
 
 fn drain(sim: &mut HmcSim, responses: &mut u64) {
@@ -198,19 +213,11 @@ fn drain(sim: &mut HmcSim, responses: &mut u64) {
     }
 }
 
-/// Measure one workload shape in one engine mode under one timing
-/// backend. The schedule is deterministic given the shape, so stepped
-/// and fast-forward runs simulate the identical cycle span — only wall
-/// time differs.
-pub fn measure(
-    shape: WorkloadShape,
-    fast_forward: bool,
-    threads: usize,
-    timing: TimingKind,
-    noc: NocParams,
-    link_faults: Option<LinkFaultConfig>,
-) -> BenchRecord {
-    let mut sim = emit_sim(threads, fast_forward, timing, noc, None, link_faults);
+/// Measure one workload shape under `params`. The schedule is
+/// deterministic given the shape, so stepped and fast-forward runs
+/// simulate the identical cycle span — only wall time differs.
+pub fn measure(shape: WorkloadShape, params: SimParams) -> BenchRecord {
+    let mut sim = emit_sim(params);
     let mut requests = 0u64;
     let mut responses = 0u64;
     let start = Instant::now();
@@ -244,44 +251,22 @@ pub fn measure(
         sim.clock_batch(64).expect("clock");
         drain(&mut sim, &mut responses);
     }
-    let wall = start.elapsed();
-    let simulated_cycles = sim.current_clock();
-    let wall_ns = wall.as_nanos().max(1) as u64;
-    BenchRecord {
-        schema: SCHEMA.into(),
-        workload: shape.name.into(),
-        mode: mode_name(fast_forward).into(),
-        timing: timing.name().into(),
-        interconnect: noc.kind.name().into(),
-        arbitration: noc.arbitration.name().into(),
-        threads: threads.max(1) as u64,
-        num_cpus: host_num_cpus(),
-        simulated_cycles,
-        wall_ns,
-        cycles_per_sec: simulated_cycles as f64 * 1e9 / wall_ns as f64,
-        requests,
-        responses,
-        unix_time_secs: unix_now_secs(),
-    }
+    let mode = mode_name(params.fast_forward);
+    finished(shape.name, mode, &sim, start.elapsed(), requests, responses)
 }
 
-/// Measure one shape in both modes under one timing backend and fabric,
-/// and fold the comparison.
-pub fn compare(
-    shape: WorkloadShape,
-    threads: usize,
-    timing: TimingKind,
-    noc: NocParams,
-    link_faults: Option<LinkFaultConfig>,
-) -> (BenchRecord, BenchRecord, BenchSummary) {
-    let stepped = measure(shape, false, threads, timing, noc, link_faults);
-    let fast = measure(shape, true, threads, timing, noc, link_faults);
+/// Measure one shape stepped and fast-forward under otherwise identical
+/// `params`, and fold the comparison.
+pub fn compare(shape: WorkloadShape, params: SimParams) -> (BenchRecord, BenchRecord, BenchSummary) {
+    let [stepped, fast] = [false, true].map(|fast_forward| {
+        measure(shape, SimParams { fast_forward, ..params })
+    });
     let summary = BenchSummary {
         schema: SCHEMA.into(),
         workload: shape.name.into(),
-        timing: timing.name().into(),
-        interconnect: noc.kind.name().into(),
-        threads: threads.max(1) as u64,
+        timing: stepped.timing.clone(),
+        interconnect: stepped.interconnect.clone(),
+        threads: stepped.threads,
         stepped_cycles_per_sec: stepped.cycles_per_sec,
         fast_forward_cycles_per_sec: fast.cycles_per_sec,
         speedup: fast.cycles_per_sec / stepped.cycles_per_sec.max(f64::MIN_POSITIVE),
@@ -294,22 +279,12 @@ pub fn compare(
 /// many times within a single refresh window.
 pub const HAMMER_REQUESTS: u64 = 6_000;
 
-/// Measure the double-sided hammer shape, optionally with cell-fault
-/// injection armed. The request schedule is identical either way, so
-/// comparing the two runs isolates the cost of the fault hook itself.
-pub fn measure_hammer(
-    fast_forward: bool,
-    threads: usize,
-    cell_faults: Option<CellFaultConfig>,
-) -> (BenchRecord, u64) {
-    let mut sim = emit_sim(
-        threads,
-        fast_forward,
-        TimingKind::Classic,
-        NocParams::default(),
-        cell_faults,
-        None,
-    );
+/// Measure the double-sided hammer shape under `params`, whose
+/// `cell_faults` arm (or leave off) the injection. The request schedule
+/// is identical either way, so comparing the two runs isolates the cost
+/// of the fault hook itself.
+pub fn measure_hammer(params: SimParams) -> (BenchRecord, u64) {
+    let mut sim = emit_sim(params);
     let geometry = sim.config().geometry();
     let mut hammer = Hammer::new(
         geometry,
@@ -348,31 +323,13 @@ pub fn measure_hammer(
         sim.clock_batch(64).expect("clock");
         drain(&mut sim, &mut responses);
     }
-    let wall = start.elapsed();
-    let simulated_cycles = sim.current_clock();
-    let wall_ns = wall.as_nanos().max(1) as u64;
-    let bit_flips = sim.stats().bit_flips;
-    let record = BenchRecord {
-        schema: SCHEMA.into(),
-        workload: "hammer".into(),
-        mode: if cell_faults.is_some() {
-            "faults-on".into()
-        } else {
-            "faults-off".into()
-        },
-        timing: TimingKind::Classic.name().into(),
-        interconnect: InterconnectKind::Crossbar.name().into(),
-        arbitration: NocParams::default().arbitration.name().into(),
-        threads: threads.max(1) as u64,
-        num_cpus: host_num_cpus(),
-        simulated_cycles,
-        wall_ns,
-        cycles_per_sec: simulated_cycles as f64 * 1e9 / wall_ns as f64,
-        requests,
-        responses,
-        unix_time_secs: unix_now_secs(),
+    let mode = if params.cell_faults.is_some() {
+        "faults-on"
+    } else {
+        "faults-off"
     };
-    (record, bit_flips)
+    let record = finished("hammer", mode, &sim, start.elapsed(), requests, responses);
+    (record, sim.stats().bit_flips)
 }
 
 /// Faults-off vs faults-armed comparison for the hammer shape.
@@ -410,9 +367,15 @@ pub fn hammer_overhead(
     threads: usize,
     cfg: CellFaultConfig,
 ) -> (BenchRecord, BenchRecord, HammerOverheadSummary) {
-    let armed = cfg.with_mitigation(Mitigation::None);
-    let (off, _) = measure_hammer(false, threads, None);
-    let (on, bit_flips_on) = measure_hammer(false, threads, Some(armed));
+    let off_params = SimParams {
+        threads,
+        ..SimParams::default()
+    };
+    let (off, _) = measure_hammer(off_params);
+    let (on, bit_flips_on) = measure_hammer(SimParams {
+        cell_faults: Some(cfg.with_mitigation(Mitigation::None)),
+        ..off_params
+    });
     let summary = HammerOverheadSummary {
         schema: SCHEMA.into(),
         workload: "hammer".into(),
@@ -502,6 +465,20 @@ pub fn write_summary(dir: &Path, summary: &BenchSummary) -> std::io::Result<Path
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmc_core::{NocParams, TimingParams};
+    use hmc_types::{LinkFaultConfig, TimingKind};
+
+    fn stepped_and_fast(params: SimParams) -> (BenchRecord, BenchRecord) {
+        let (stepped, fast, _) = compare(tiny(), params);
+        (stepped, fast)
+    }
+
+    fn ddr() -> SimParams {
+        SimParams {
+            timing: TimingParams::of(TimingKind::Ddr),
+            ..SimParams::default()
+        }
+    }
 
     fn tiny() -> WorkloadShape {
         WorkloadShape {
@@ -522,23 +499,11 @@ mod tests {
             .with_retry_cycles(4)
             .with_retrain_cycles(16)
             .with_seed(11);
-        let clean = measure(tiny(), false, 1, TimingKind::Classic, NocParams::default(), None);
-        let stepped = measure(
-            tiny(),
-            false,
-            1,
-            TimingKind::Classic,
-            NocParams::default(),
-            Some(lf),
-        );
-        let fast = measure(
-            tiny(),
-            true,
-            1,
-            TimingKind::Classic,
-            NocParams::default(),
-            Some(lf),
-        );
+        let clean = measure(tiny(), SimParams::default());
+        let (stepped, fast) = stepped_and_fast(SimParams {
+            link_faults: Some(lf),
+            ..SimParams::default()
+        });
         assert_eq!(stepped.simulated_cycles, fast.simulated_cycles);
         assert_eq!(stepped.responses, fast.responses);
         assert_eq!(stepped.responses, clean.responses, "every read must answer");
@@ -546,8 +511,7 @@ mod tests {
 
     #[test]
     fn both_modes_simulate_the_identical_span() {
-        let stepped = measure(tiny(), false, 1, TimingKind::Classic, NocParams::default(), None);
-        let fast = measure(tiny(), true, 1, TimingKind::Classic, NocParams::default(), None);
+        let (stepped, fast) = stepped_and_fast(SimParams::default());
         assert_eq!(stepped.simulated_cycles, fast.simulated_cycles);
         assert_eq!(stepped.requests, fast.requests);
         assert_eq!(stepped.responses, fast.responses);
@@ -562,8 +526,7 @@ mod tests {
 
     #[test]
     fn ddr_backend_spans_match_across_modes_too() {
-        let stepped = measure(tiny(), false, 1, TimingKind::Ddr, NocParams::default(), None);
-        let fast = measure(tiny(), true, 1, TimingKind::Ddr, NocParams::default(), None);
+        let (stepped, fast) = stepped_and_fast(ddr());
         assert_eq!(stepped.simulated_cycles, fast.simulated_cycles);
         assert_eq!(stepped.responses, fast.responses);
         assert_eq!(stepped.responses, 12, "every read must answer");
@@ -572,9 +535,10 @@ mod tests {
 
     #[test]
     fn buffered_fabric_spans_match_across_modes() {
-        let ring = NocParams::of(InterconnectKind::Ring);
-        let stepped = measure(tiny(), false, 1, TimingKind::Classic, ring, None);
-        let fast = measure(tiny(), true, 1, TimingKind::Classic, ring, None);
+        let (stepped, fast) = stepped_and_fast(SimParams {
+            interconnect: NocParams::of(InterconnectKind::Ring),
+            ..SimParams::default()
+        });
         assert_eq!(stepped.simulated_cycles, fast.simulated_cycles);
         assert_eq!(stepped.responses, fast.responses);
         assert_eq!(stepped.responses, 12, "every read must answer");
@@ -585,8 +549,7 @@ mod tests {
 
     #[test]
     fn records_round_trip_through_json() {
-        let (stepped, fast, summary) =
-            compare(tiny(), 1, TimingKind::Classic, NocParams::default(), None);
+        let (stepped, fast, summary) = compare(tiny(), SimParams::default());
         for r in [&stepped, &fast] {
             let json = serde_json::to_string(r).unwrap();
             let back: BenchRecord = serde_json::from_str(&json).unwrap();
@@ -602,7 +565,7 @@ mod tests {
     fn emitted_files_land_where_named() {
         let dir = std::env::temp_dir().join("hmc_bench_emit_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let record = measure(tiny(), true, 1, TimingKind::Ddr, NocParams::default(), None);
+        let record = measure(tiny(), SimParams { fast_forward: true, ..ddr() });
         let path = write_record(&dir, &record).unwrap();
         assert!(path.ends_with("BENCH_sparse_fast-forward_ddr_t1.json"));
         let text = std::fs::read_to_string(&path).unwrap();

@@ -1,6 +1,6 @@
 //! Shared experiment setup.
 
-use hmc_core::{topology, HmcSim, NocParams, TimingParams};
+use hmc_core::{topology, HmcSim, SimParams};
 use hmc_host::Host;
 use hmc_trace::{TraceSink, Tracer, Verbosity};
 use hmc_types::{DeviceConfig, StorageMode};
@@ -13,26 +13,9 @@ pub struct SetupOptions {
     pub verbosity: Verbosity,
     /// Storage mode (Table I runs use timing-only).
     pub storage: StorageMode,
-    /// Worker threads for the sharded clock engine (`1` = serial, `0` =
-    /// auto-detect; bit-identical either way).
-    pub threads: usize,
-    /// Arm the engine's event-driven fast-forward mode
-    /// (`SimParams::fast_forward`); bit-identical to stepped execution,
-    /// pays off on batch-clocked idle-heavy schedules.
-    pub fast_forward: bool,
-    /// Vault timing backend (`SimParams::timing`): the paper's
-    /// constant-time conflict model by default, or the cycle-accurate
-    /// DDR state machine.
-    pub timing: TimingParams,
-    /// Intra-cube interconnect fabric (`SimParams::interconnect`): the
-    /// direct crossbar by default, or a buffered ring/mesh NoC.
-    pub interconnect: NocParams,
-    /// Cell-level fault injection (`SimParams::cell_faults`): RowHammer
-    /// disturbance and retention decay, off by default.
-    pub cell_faults: Option<hmc_types::CellFaultConfig>,
-    /// Link transmission faults: seeded SERDES corruption with the
-    /// retry/retrain/poison protocol, off by default.
-    pub link_faults: Option<hmc_types::LinkFaultConfig>,
+    /// Every simulation axis — the value the shared flag parser
+    /// produces (`Args::params_over`).
+    pub params: SimParams,
 }
 
 impl Default for SetupOptions {
@@ -40,12 +23,7 @@ impl Default for SetupOptions {
         SetupOptions {
             verbosity: Verbosity::Off,
             storage: StorageMode::TimingOnly,
-            threads: 1,
-            fast_forward: false,
-            timing: TimingParams::default(),
-            interconnect: NocParams::default(),
-            cell_faults: None,
-            link_faults: None,
+            params: SimParams::default(),
         }
     }
 }
@@ -60,12 +38,7 @@ pub fn paper_setup(
     let config = config.with_storage_mode(opts.storage);
     let mut sim = HmcSim::new(1, config)
         .expect("paper configs validate")
-        .with_threads(opts.threads)
-        .with_fast_forward(opts.fast_forward)
-        .with_timing(opts.timing)
-        .with_interconnect(opts.interconnect)
-        .with_cell_faults(opts.cell_faults)
-        .with_link_faults(opts.link_faults);
+        .with_params(opts.params);
     let host_id = sim.host_cube_id(0);
     topology::build_simple(&mut sim, host_id).expect("simple topology");
     if let Some(sink) = sink {

@@ -15,4 +15,4 @@ pub mod table1;
 
 pub use emit::{compare, measure, BenchRecord, BenchSummary, WorkloadShape, SHAPES};
 pub use harness::{paper_setup, scaled_requests, SetupOptions};
-pub use table1::{run_table1, run_table1_checked, run_table1_with, table1_speedups, Table1Row};
+pub use table1::{run_table1, table1_speedups, Table1Row};

@@ -15,6 +15,7 @@
 //! spec leaves open (§IV req. 3); the reproduction targets the *shape* —
 //! ordering and speedup factors.
 
+use hmc_core::SimParams;
 use hmc_host::{run_workload_with_progress, RunConfig};
 use hmc_types::DeviceConfig;
 
@@ -41,55 +42,22 @@ pub struct Table1Row {
     pub invariant_violations: u64,
 }
 
-/// Run the Table I experiment at `1/scale` of the paper's request count.
+/// Run the Table I experiment at `1/scale` of the paper's request count
+/// under `params`. Cycle counts are bit-identical across thread counts
+/// and engine modes; with `params.check_invariants` set the violations
+/// found are reported per row in [`Table1Row::invariant_violations`].
 ///
 /// `progress` is invoked as `(config_index, cycles_elapsed)` during runs.
-pub fn run_table1<F: FnMut(usize, u64)>(scale: u64, seed: u32, progress: F) -> Vec<Table1Row> {
-    run_table1_threaded(scale, seed, 1, progress)
-}
-
-/// [`run_table1`] on the sharded clock engine with `threads` workers.
-/// Cycle counts are bit-identical across thread counts — only wall-clock
-/// time changes.
-pub fn run_table1_threaded<F: FnMut(usize, u64)>(
+pub fn run_table1<F: FnMut(usize, u64)>(
     scale: u64,
     seed: u32,
-    threads: usize,
-    progress: F,
-) -> Vec<Table1Row> {
-    run_table1_checked(scale, seed, threads, false, progress)
-}
-
-/// [`run_table1_threaded`] with the protocol invariant checker optionally
-/// armed (`check = true` sets [`RunConfig::check_invariants`]). Checked
-/// runs are slower but verify token conservation, queue-slot validity,
-/// tag-lifecycle and CRC invariants on every cycle; violations are
-/// reported per row in [`Table1Row::invariant_violations`].
-pub fn run_table1_checked<F: FnMut(usize, u64)>(
-    scale: u64,
-    seed: u32,
-    threads: usize,
-    check: bool,
-    progress: F,
-) -> Vec<Table1Row> {
-    let opts = SetupOptions {
-        threads,
-        ..SetupOptions::default()
-    };
-    run_table1_with(scale, seed, opts, check, progress)
-}
-
-/// [`run_table1_checked`] over explicit [`SetupOptions`] — the full knob
-/// set, including the engine's fast-forward mode. Cycle counts are
-/// bit-identical across every option combination; only wall-clock time
-/// changes.
-pub fn run_table1_with<F: FnMut(usize, u64)>(
-    scale: u64,
-    seed: u32,
-    opts: SetupOptions,
-    check: bool,
+    params: SimParams,
     mut progress: F,
 ) -> Vec<Table1Row> {
+    let opts = SetupOptions {
+        params,
+        ..SetupOptions::default()
+    };
     let requests = scaled_requests(scale);
     DeviceConfig::paper_configs()
         .into_iter()
@@ -103,8 +71,6 @@ pub fn run_table1_with<F: FnMut(usize, u64)>(
                 &mut workload,
                 RunConfig {
                     progress_every: 65_536,
-                    check_invariants: check,
-                    fast_forward: opts.fast_forward,
                     ..RunConfig::default()
                 },
                 |cycles, _| progress(i, cycles),
@@ -189,7 +155,7 @@ mod tests {
     #[test]
     fn tiny_scale_run_produces_ordered_rows() {
         // 1/8192 scale: 4096 requests per config — fast enough for tests.
-        let rows = run_table1(8192, 1, |_, _| {});
+        let rows = run_table1(8192, 1, SimParams::default(), |_, _| {});
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.cycles > 0, "{}: zero cycles", r.label);
@@ -202,12 +168,12 @@ mod tests {
 
     #[test]
     fn fast_forward_rows_are_cycle_identical_to_stepped() {
-        let stepped = run_table1(8192, 1, |_, _| {});
-        let opts = SetupOptions {
+        let stepped = run_table1(8192, 1, SimParams::default(), |_, _| {});
+        let params = SimParams {
             fast_forward: true,
-            ..SetupOptions::default()
+            ..SimParams::default()
         };
-        let fast = run_table1_with(8192, 1, opts, false, |_, _| {});
+        let fast = run_table1(8192, 1, params, |_, _| {});
         for (s, f) in stepped.iter().zip(&fast) {
             assert_eq!(s.cycles, f.cycles, "{}: fast-forward perturbed timing", s.label);
             assert_eq!(s.requests, f.requests);
@@ -218,8 +184,12 @@ mod tests {
     fn checked_run_is_clean_and_cycle_identical_to_unchecked() {
         // The invariant checker must neither fire on a clean run nor
         // perturb simulated time (it only observes).
-        let plain = run_table1(8192, 1, |_, _| {});
-        let checked = run_table1_checked(8192, 1, 1, true, |_, _| {});
+        let plain = run_table1(8192, 1, SimParams::default(), |_, _| {});
+        let params = SimParams {
+            check_invariants: true,
+            ..SimParams::default()
+        };
+        let checked = run_table1(8192, 1, params, |_, _| {});
         for (p, c) in plain.iter().zip(&checked) {
             assert_eq!(c.invariant_violations, 0, "{}: violations", c.label);
             assert_eq!(p.cycles, c.cycles, "{}: checker perturbed timing", c.label);

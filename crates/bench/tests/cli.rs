@@ -1,0 +1,118 @@
+//! The command-line contract of the bench binaries: one shared usage
+//! block, uniform exit status 2 for unknown, missing and malformed
+//! arguments, and `hmcsim`'s *defaults < config file < flags* precedence.
+
+use std::process::{Command, Output};
+
+use hmc_core::SimParams;
+use hmc_types::{DeviceConfig, InterconnectKind, TimingKind};
+
+const BINS: [(&str, &str); 7] = [
+    ("bench_emit", env!("CARGO_BIN_EXE_bench_emit")),
+    ("figure3", env!("CARGO_BIN_EXE_figure3")),
+    ("figure5", env!("CARGO_BIN_EXE_figure5")),
+    ("hmcsim", env!("CARGO_BIN_EXE_hmcsim")),
+    ("latency", env!("CARGO_BIN_EXE_latency")),
+    ("sweep", env!("CARGO_BIN_EXE_sweep")),
+    ("table1", env!("CARGO_BIN_EXE_table1")),
+];
+
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin).args(args).output().expect("binary runs")
+}
+
+fn assert_usage_error(name: &str, bin: &str, args: &[&str]) {
+    let out = run(bin, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+    assert!(
+        stderr.starts_with(&format!("{name}: ")),
+        "{name} {args:?}: {stderr}"
+    );
+}
+
+#[test]
+fn every_binary_prints_the_shared_usage_and_rejects_bad_arguments() {
+    for (name, bin) in BINS {
+        let help = run(bin, &["--help"]);
+        assert!(help.status.success(), "{name} --help");
+        let text = String::from_utf8_lossy(&help.stdout);
+        assert!(
+            text.starts_with(&format!("usage: {name}")),
+            "{name}: {text}"
+        );
+        assert!(
+            text.contains(SimParams::USAGE),
+            "{name} --help lacks the shared block"
+        );
+        assert_usage_error(name, bin, &["--no-such-flag"]);
+        assert_usage_error(name, bin, &["--threads"]);
+        assert_usage_error(name, bin, &["--threads", "zebra"]);
+        assert_usage_error(name, bin, &["--timing", "fast"]);
+    }
+}
+
+#[test]
+fn sweep_no_longer_swallows_malformed_values() {
+    let sweep = env!("CARGO_BIN_EXE_sweep");
+    assert_usage_error("sweep", sweep, &["--requests", "abc"]);
+    assert_usage_error("sweep", sweep, &["--seed", "x"]);
+    assert_usage_error("sweep", sweep, &["--jobs", "0"]);
+}
+
+/// Simulated cycles of one `hmcsim --requests 2000` run with `extra`.
+fn hmcsim_cycles(extra: &[&str]) -> u64 {
+    let mut args = vec!["--requests", "2000"];
+    args.extend_from_slice(extra);
+    let out = run(env!("CARGO_BIN_EXE_hmcsim"), &args);
+    assert!(
+        out.status.success(),
+        "hmcsim {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .find_map(|l| l.strip_prefix("cycles")?.trim().parse().ok())
+        .expect("hmcsim prints a cycles line")
+}
+
+#[test]
+fn config_file_axes_are_honoured_and_flags_override_them() {
+    let dir = std::env::temp_dir().join(format!("hmc_bench_cli_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, config: DeviceConfig| {
+        let path = dir.join(name);
+        std::fs::write(&path, serde_json::to_string(&config).unwrap()).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let preset = DeviceConfig::paper_4link_8bank_2gb;
+    let ddr = write("ddr.json", preset().with_timing(TimingKind::Ddr));
+    let ring = write(
+        "ring.json",
+        preset().with_interconnect(InterconnectKind::Ring),
+    );
+
+    let default = hmcsim_cycles(&[]);
+    let by_flag = hmcsim_cycles(&["--timing", "ddr"]);
+    assert_ne!(by_flag, default, "the DDR backend changes the cycle count");
+    assert_eq!(hmcsim_cycles(&["--config-file", &ddr]), by_flag);
+    // An explicit flag wins over the file, wherever it sits.
+    assert_eq!(
+        hmcsim_cycles(&["--config-file", &ddr, "--timing", "classic"]),
+        default
+    );
+    assert_eq!(
+        hmcsim_cycles(&["--timing", "classic", "--config-file", &ddr]),
+        default
+    );
+
+    let by_flag = hmcsim_cycles(&["--interconnect", "ring"]);
+    assert_ne!(by_flag, default, "the ring fabric changes the cycle count");
+    assert_eq!(hmcsim_cycles(&["--config-file", &ring]), by_flag);
+    assert_eq!(
+        hmcsim_cycles(&["--config-file", &ring, "--interconnect", "crossbar"]),
+        default
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}

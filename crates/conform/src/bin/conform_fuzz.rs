@@ -1,18 +1,9 @@
 //! `conform-fuzz` — the deterministic conformance fuzz campaign.
 //!
-//! ```text
-//! conform-fuzz [--streams N] [--len N] [--seed HEX] [--full-sweep]
-//!              [--fast-forward] [--timing classic|ddr|both]
-//!              [--interconnect crossbar|ring|mesh|all]
-//!              [--arbitration round-robin|oldest-first|locality-aware]
-//!              [--repro-dir DIR] [--demo-corruption]
-//!              [--hammer] [--demo-hammer] [--hammer-threshold N]
-//!              [--flip-prob PPM] [--retention CYCLES]
-//!              [--mitigation none|trr|elevated]
-//!              [--link-errors] [--link-error-rate PPM]
-//!              [--link-retry-limit N] [--link-retry-cycles N]
-//!              [--retrain-cycles N] [--link-fault-seed HEX]
-//! ```
+//! `conform-fuzz --help` prints the synopsis (`USAGE` below) and the
+//! shared simulation-axis flags (`SimParams::USAGE`); every stream runs
+//! under them, with the thread count and engine mode swept and the
+//! invariant checker always armed.
 //!
 //! Runs `N` seeded command streams differentially through the serial
 //! engine, the sharded engine — each also in event-driven fast-forward
@@ -55,120 +46,70 @@ use std::process::ExitCode;
 use hmc_conform::{campaign, hammer_demo, shrink_case, write_repro, CampaignConfig};
 use hmc_conform::fuzz::campaign_with_corruption;
 use hmc_conform::CorruptSpec;
-use hmc_types::{ArbitrationKind, CellFaultConfig, InterconnectKind, LinkFaultConfig, TimingKind};
+use hmc_core::{Args, SimParams};
+use hmc_types::{InterconnectKind, TimingKind};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: conform-fuzz [--streams N] [--len N] [--seed HEX] [--full-sweep]\n\
-         \x20                  [--fast-forward] [--timing classic|ddr|both]\n\
-         \x20                  [--interconnect crossbar|ring|mesh|all]\n\
-         \x20                  [--arbitration round-robin|oldest-first|locality-aware]\n\
-         \x20                  [--repro-dir DIR] [--demo-corruption]\n\
-         \x20                  [--hammer] [--demo-hammer] [--hammer-threshold N]\n\
-         \x20                  [--flip-prob PPM] [--retention CYCLES]\n\
-         \x20                  [--mitigation none|trr|elevated]\n\
-         \x20                  [--link-errors] [--link-error-rate PPM]\n\
-         \x20                  [--link-retry-limit N] [--link-retry-cycles N]\n\
-         \x20                  [--retrain-cycles N] [--link-fault-seed HEX]"
-    );
-    std::process::exit(2)
-}
+const USAGE: &str = "\
+usage: conform-fuzz [--streams N] [--len N] [--seed HEX] [--full-sweep]
+                    [--fast-forward] [--timing both] [--interconnect all]
+                    [--repro-dir DIR] [--demo-corruption]
+                    [--hammer] [--demo-hammer] [--link-errors]
+                    [simulation axes]";
 
 fn main() -> ExitCode {
     let mut cfg = CampaignConfig::default();
     let mut repro_dir = PathBuf::from(".");
     let mut demo_corruption = false;
     let mut demo_hammer = false;
-    let mut timings: Vec<TimingKind> = vec![TimingKind::Classic];
-    let mut fabrics: Vec<InterconnectKind> = vec![InterconnectKind::Crossbar];
+    let mut all_timings = false;
+    let mut all_fabrics = false;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().unwrap_or_else(|| {
-            eprintln!("{name} needs a value");
-            usage()
-        });
-        match arg.as_str() {
-            "--streams" => cfg.streams = value("--streams").parse().unwrap_or_else(|_| usage()),
-            "--len" => cfg.stream_len = value("--len").parse().unwrap_or_else(|_| usage()),
+    let mut args = Args::from_env("conform-fuzz", USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--streams" => cfg.streams = args.value(&flag),
+            "--len" => cfg.stream_len = args.value(&flag),
             "--seed" => {
-                let v = value("--seed");
-                let v = v.trim_start_matches("0x");
-                cfg.base_seed = u64::from_str_radix(v, 16).unwrap_or_else(|_| usage());
+                let v: String = args.value(&flag);
+                cfg.base_seed = u64::from_str_radix(v.trim_start_matches("0x"), 16)
+                    .unwrap_or_else(|_| args.die(format_args!("--seed needs a hex value, got {v:?}")));
             }
             "--full-sweep" => cfg.full_sweep = true,
+            // Here the flag forces an idle gap onto every stream; the
+            // engine mode itself is always swept.
             "--fast-forward" => cfg.fast_forward = true,
-            "--timing" => {
-                let v = value("--timing");
-                timings = match v.as_str() {
-                    "both" => TimingKind::ALL.to_vec(),
-                    other => match TimingKind::by_name(other) {
-                        Some(k) => vec![k],
-                        None => {
-                            eprintln!("--timing needs `classic`, `ddr`, or `both`");
-                            usage()
-                        }
-                    },
-                };
+            // The sweep spellings; single values fall through to the
+            // shared parser.
+            "--timing" if args.peek() == Some("both") => {
+                args.next_flag();
+                all_timings = true;
             }
-            "--interconnect" => {
-                let v = value("--interconnect");
-                fabrics = match v.as_str() {
-                    "all" => InterconnectKind::ALL.to_vec(),
-                    other => match InterconnectKind::by_name(other) {
-                        Some(k) => vec![k],
-                        None => {
-                            eprintln!("--interconnect needs `crossbar`, `ring`, `mesh`, or `all`");
-                            usage()
-                        }
-                    },
-                };
+            "--interconnect" if args.peek() == Some("all") => {
+                args.next_flag();
+                all_fabrics = true;
             }
-            "--arbitration" => {
-                let v = value("--arbitration");
-                cfg.arbitration = match ArbitrationKind::by_name(&v) {
-                    Some(a) => a,
-                    None => {
-                        eprintln!(
-                            "--arbitration needs `round-robin`, `oldest-first`, \
-                             or `locality-aware`"
-                        );
-                        usage()
-                    }
-                };
-            }
-            "--repro-dir" => repro_dir = PathBuf::from(value("--repro-dir")),
+            "--repro-dir" => repro_dir = args.value(&flag),
             "--demo-corruption" => demo_corruption = true,
             "--hammer" => cfg.hammer = true,
             "--demo-hammer" => demo_hammer = true,
             "--link-errors" => cfg.link_errors = true,
-            "--help" | "-h" => usage(),
-            other => {
-                let v = args.next();
-                match CellFaultConfig::apply_flag(&mut cfg.cell_faults, other, v.as_deref())
-                    .and_then(|hit| {
-                        if hit {
-                            Ok(true)
-                        } else {
-                            LinkFaultConfig::apply_flag(&mut cfg.link_faults, other, v.as_deref())
-                        }
-                    }) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        eprintln!("unknown argument {other:?}");
-                        usage()
-                    }
-                    Err(e) => {
-                        eprintln!("{e}");
-                        usage()
-                    }
-                }
-            }
+            _ => args.axis(&flag),
         }
     }
+    cfg.params = args.params_over(SimParams::default());
+    let timings = if all_timings {
+        TimingKind::ALL.to_vec()
+    } else {
+        vec![cfg.params.timing.kind]
+    };
+    let fabrics = if all_fabrics {
+        InterconnectKind::ALL.to_vec()
+    } else {
+        vec![cfg.params.interconnect.kind]
+    };
 
     // Any link-fault parameter implies the axis itself.
-    if cfg.link_faults.is_some() {
+    if cfg.params.link_faults.is_some() {
         cfg.link_errors = true;
     }
 
@@ -183,11 +124,9 @@ fn main() -> ExitCode {
     let mut responses_checked = 0u64;
     for kind in &timings {
         for fabric in &fabrics {
-            let cfg = CampaignConfig {
-                timing: *kind,
-                interconnect: *fabric,
-                ..cfg.clone()
-            };
+            let mut cfg = cfg.clone();
+            cfg.params.timing.kind = *kind;
+            cfg.params.interconnect.kind = *fabric;
             println!(
                 "conform-fuzz: {} streams x {} ops, base seed {:#x}, {} thread sweep, \
                  {} timing, {} fabric ({} arbitration){}",
@@ -197,11 +136,11 @@ fn main() -> ExitCode {
                 if cfg.full_sweep { "full" } else { "rotating" },
                 kind.name(),
                 fabric.name(),
-                cfg.arbitration.name(),
+                cfg.params.interconnect.arbitration.name(),
                 if cfg.hammer { ", hammer axis armed" } else { "" },
             );
             if cfg.link_errors {
-                let lf = cfg.link_faults.unwrap_or_else(hmc_conform::default_link_faults);
+                let lf = cfg.params.link_faults.unwrap_or_else(hmc_conform::default_link_faults);
                 println!(
                     "link-retry axis armed: error rate {} ppm, retry limit {}, \
                      retry {} cycles, retrain {} cycles",
@@ -222,8 +161,8 @@ fn main() -> ExitCode {
                         case.label,
                         case.map.name(),
                         case.seed,
-                        case.timing.name(),
-                        case.interconnect.name(),
+                        case.params.timing.kind.name(),
+                        case.params.interconnect.kind.name(),
                     );
                     eprintln!("shrinking…");
                     let shrunk = shrink_case(&case);
@@ -258,7 +197,7 @@ fn main() -> ExitCode {
 /// across the full thread × engine-mode sweep), then the same stream
 /// completing clean under TRR.
 fn run_hammer_demo(cfg: &CampaignConfig) -> ExitCode {
-    match hammer_demo(cfg.base_seed, cfg.cell_faults) {
+    match hammer_demo(cfg.base_seed, cfg.params.cell_faults) {
         Ok(report) => {
             println!(
                 "hammer detection: {} injected bit flips, {} flagged by the oracle \

@@ -6,11 +6,11 @@
 //! four address-map kinds, so a `(base seed, stream index)` pair names
 //! one exact `(preset, map, ops)` case forever.
 
+use hmc_core::SimParams;
 use hmc_types::cellfault::{CellFaultConfig, Mitigation};
 use hmc_types::{
-    AddressMap, ArbitrationKind, BankFirstMap, BankId, BlockSize, CustomMap, DecodedAddr,
-    DeviceConfig, Field, InterconnectKind, LinearMap, LinkFaultConfig, LowInterleaveMap,
-    MapGeometry, TimingKind, VaultId,
+    AddressMap, BankFirstMap, BankId, BlockSize, CustomMap, DecodedAddr, DeviceConfig, Field,
+    LinearMap, LinkFaultConfig, LowInterleaveMap, MapGeometry, VaultId,
 };
 use hmc_workloads::{MemOp, OpKind};
 
@@ -169,35 +169,25 @@ pub struct CampaignConfig {
     /// onto every stream, instead of the default rotation (the axis on
     /// every stream, gaps on two of every three).
     pub fast_forward: bool,
-    /// Vault timing backend every stream runs under. Classic by
-    /// default, so pinned-seed campaigns from before the backend axis
-    /// existed keep their exact behaviour.
-    pub timing: TimingKind,
-    /// Interconnect fabric every stream runs on. Crossbar by default,
-    /// so pinned-seed campaigns from before the fabric axis existed
-    /// keep their exact behaviour.
-    pub interconnect: InterconnectKind,
-    /// Arbitration policy for buffered fabrics (crossbar ignores it).
-    pub arbitration: ArbitrationKind,
+    /// The simulation axes every stream runs under (see
+    /// [`FuzzCase::params`]). Its fault blocks parameterize the `hammer`
+    /// and `link_errors` axes below and stay off until those arm them;
+    /// each stream re-seeds them with its own stream seed.
+    pub params: SimParams,
     /// Arm the RowHammer fault axis: every stream runs with cell-fault
     /// injection installed (TRR-mitigated by default, so the oracle
     /// stays exact), and every second stream carries an appended
     /// adversarial hammer burst that actually crosses the threshold.
     /// Off by default — pinned-seed campaigns keep their behaviour.
+    /// `params.cell_faults` overrides [`default_hammer_faults`].
     pub hammer: bool,
-    /// Cell-fault parameters for the hammer axis ([`CellFaultConfig`]
-    /// defaults with threshold 64, 20% flip odds, and TRR when `None`).
-    /// Each stream re-seeds the config with its own stream seed.
-    pub cell_faults: Option<CellFaultConfig>,
     /// Arm the link-error axis: every stream runs with the retry
-    /// protocol under fire ([`default_link_faults`] unless overridden),
+    /// protocol under fire ([`default_link_faults`] unless
+    /// `params.link_faults` overrides them),
     /// the oracle predicting the exact poisoned tag set at issue time,
     /// and the poisoned-op sets included in the differential compare.
     /// Off by default — pinned-seed campaigns keep their behaviour.
     pub link_errors: bool,
-    /// Link-fault parameters for the `link_errors` axis. Each stream
-    /// re-seeds the config with its own stream seed.
-    pub link_faults: Option<LinkFaultConfig>,
 }
 
 impl Default for CampaignConfig {
@@ -208,13 +198,9 @@ impl Default for CampaignConfig {
             base_seed: 0xC0FF_EE00,
             full_sweep: false,
             fast_forward: false,
-            timing: TimingKind::Classic,
-            interconnect: InterconnectKind::Crossbar,
-            arbitration: ArbitrationKind::RoundRobin,
+            params: SimParams::default(),
             hammer: false,
-            cell_faults: None,
             link_errors: false,
-            link_faults: None,
         }
     }
 }
@@ -330,10 +316,11 @@ pub fn case_for_stream(cfg: &CampaignConfig, i: usize) -> FuzzCase {
     let map = MapKind::ALL[(i / presets.len()) % MapKind::ALL.len()];
     let seed = cfg.base_seed ^ Lcg::new(i as u64).next_u64();
     let ops = gen_stream(seed, cfg.stream_len, device);
-    let mut case = FuzzCase::new(label, device.clone(), map, seed, ops)
-        .with_timing(cfg.timing)
-        .with_interconnect(cfg.interconnect)
-        .with_arbitration(cfg.arbitration);
+    let mut case = FuzzCase::new(label, device.clone(), map, seed, ops).with_params(SimParams {
+        cell_faults: None,
+        link_faults: None,
+        ..cfg.params
+    });
     if !cfg.full_sweep {
         // Rotate the parallel engine's thread count; serial always runs.
         case.threads = vec![1, THREAD_SWEEP[1 + i % (THREAD_SWEEP.len() - 1)]];
@@ -347,15 +334,15 @@ pub fn case_for_stream(cfg: &CampaignConfig, i: usize) -> FuzzCase {
         case.gap_cycles = 200 + gap.below(4_000);
     }
     if cfg.link_errors {
-        let base = cfg.link_faults.unwrap_or_else(default_link_faults);
-        case.link_faults = Some(base.with_seed(seed));
+        let base = cfg.params.link_faults.unwrap_or_else(default_link_faults);
+        case.params.link_faults = Some(base.with_seed(seed));
     }
     if cfg.hammer {
-        let base = cfg.cell_faults.unwrap_or_else(default_hammer_faults);
+        let base = cfg.params.cell_faults.unwrap_or_else(default_hammer_faults);
         // Every stream runs with the axis armed (the counting path must
         // be deterministic even without crossings); every second stream
         // carries a real adversarial burst that crosses the threshold.
-        case.cell_faults = Some(base.with_seed(seed));
+        case.params.cell_faults = Some(base.with_seed(seed));
         if i % 2 == 1 {
             let pairs = crossing_pairs(base.hammer_threshold);
             let (mut burst, barrier) = hammer_burst(&case.config, map, seed, pairs);
@@ -415,7 +402,7 @@ pub fn hammer_demo(
     let (ops, barrier) = hammer_burst(&device, MapKind::LowInterleave, seed, pairs);
     let mut case = FuzzCase::new("small", device, MapKind::LowInterleave, seed, ops);
     case.barrier = Some(barrier);
-    case.cell_faults = Some(armed);
+    case.params.cell_faults = Some(armed);
 
     let (outcome, tally) = run_case_lenient(&case)?;
     let [_, bit_flips, _, _] = outcome.reference.fault_stats;
@@ -436,9 +423,8 @@ pub fn hammer_demo(
         });
     }
 
-    let mitigated = case
-        .clone()
-        .with_cell_faults(Some(armed.with_mitigation(Mitigation::Trr)));
+    let mut mitigated = case.clone();
+    mitigated.params.cell_faults = Some(armed.with_mitigation(Mitigation::Trr));
     let trr_outcome = run_case(&mitigated)?;
     let [_, trr_flips, trr_refreshes, _] = trr_outcome.reference.fault_stats;
     if trr_flips != 0 || trr_refreshes == 0 {
@@ -636,7 +622,7 @@ mod tests {
         let cfg = CampaignConfig { streams: 8, hammer: true, ..Default::default() };
         for i in 0..8 {
             let case = case_for_stream(&cfg, i);
-            let faults = case.cell_faults.expect("hammer campaigns arm every stream");
+            let faults = case.params.cell_faults.expect("hammer campaigns arm every stream");
             assert_eq!(faults.seed, case.seed, "per-stream fault seed");
             assert_eq!(faults.mitigation, Mitigation::Trr, "campaign default is TRR");
             if i % 2 == 1 {
@@ -652,7 +638,7 @@ mod tests {
         let plain = CampaignConfig { streams: 8, ..Default::default() };
         for i in 0..8 {
             let case = case_for_stream(&plain, i);
-            assert!(case.cell_faults.is_none() && case.barrier.is_none());
+            assert!(case.params.cell_faults.is_none() && case.barrier.is_none());
         }
     }
 
@@ -661,13 +647,13 @@ mod tests {
         let cfg = CampaignConfig { streams: 6, link_errors: true, ..Default::default() };
         for i in 0..6 {
             let case = case_for_stream(&cfg, i);
-            let lf = case.link_faults.expect("link-error campaigns arm every stream");
+            let lf = case.params.link_faults.expect("link-error campaigns arm every stream");
             assert_eq!(lf.seed, case.seed, "per-stream fault seed");
             assert_eq!(lf.error_rate_ppm, default_link_faults().error_rate_ppm);
         }
         // The default campaign stays exactly as before the axis existed.
         let plain = CampaignConfig { streams: 6, ..Default::default() };
-        assert!((0..6).all(|i| case_for_stream(&plain, i).link_faults.is_none()));
+        assert!((0..6).all(|i| case_for_stream(&plain, i).params.link_faults.is_none()));
     }
 
     #[test]

@@ -12,13 +12,10 @@
 //! violations, full quiesce with link tokens back at their initial
 //! allotment) and all runs produce bit-identical observation streams.
 
-use hmc_core::fault::{predicts_poison, FaultConfig};
-use hmc_core::{decode_response, topology, HmcSim, NocParams, TimingParams};
+use hmc_core::fault::predicts_poison;
+use hmc_core::{decode_response, topology, HmcSim, SimParams};
 use hmc_host::{Pending, TagPool};
-use hmc_types::{
-    ArbitrationKind, CellFaultConfig, Cycle, DeviceConfig, HmcError, InterconnectKind, LinkFaultConfig,
-    LinkId, Packet, TimingKind,
-};
+use hmc_types::{Cycle, DeviceConfig, HmcError, InterconnectKind, LinkId, Packet, TimingKind};
 use hmc_workloads::{MemOp, OpKind};
 
 use crate::fuzz::{Lcg, MapKind};
@@ -80,32 +77,20 @@ pub struct FuzzCase {
     pub gap_every: u64,
     /// Length of each injected idle gap in cycles.
     pub gap_cycles: u64,
-    /// Vault timing backend every engine run uses. One case runs one
-    /// backend — cycle counts are only comparable within a backend —
-    /// so the cross-backend axis is a second `run_case` with the other
-    /// kind (see [`run_case_cross_timing`]).
-    pub timing: TimingKind,
-    /// Intra-cube interconnect fabric every engine run uses. Like the
-    /// timing axis, one case runs one fabric (cycle counts are only
-    /// comparable within a fabric); the cross-fabric axis is
-    /// [`run_case_cross_interconnect`].
-    pub interconnect: InterconnectKind,
-    /// Arbitration policy for buffered fabrics (ignored by the
-    /// crossbar, which has no contended hop buffers).
-    pub arbitration: ArbitrationKind,
-    /// Cell-fault injection armed for every engine run (`None` = off,
-    /// the default — pinned-seed campaigns from before the fault axis
-    /// existed keep their exact behaviour). Flip decisions are
-    /// stateless hashes, so the fault stream is part of the case and
-    /// every engine run must reproduce it bit-identically.
-    pub cell_faults: Option<CellFaultConfig>,
-    /// Link-error injection armed for every engine run (`None` = off,
-    /// the default). Corruption fates are stateless hashes of the
-    /// per-link send sequence, so the harness mirrors each link's send
-    /// counter and calls [`hmc_core::fault::predicts_poison`] at issue
-    /// time: the oracle knows the exact poisoned tag set before the
-    /// engine does, and every engine run must deliver it bit-for-bit.
-    pub link_faults: Option<LinkFaultConfig>,
+    /// The simulation axes every engine run uses — timing backend,
+    /// fabric, fault blocks and the rest — except `threads`,
+    /// `fast_forward` and `check_invariants`, which the sweep sets per
+    /// run. Defaults keep pinned-seed campaigns from before each axis
+    /// existed on their exact behaviour. One case runs one backend and
+    /// one fabric (cycle counts are only comparable within them); the
+    /// cross axes are [`run_case_cross_timing`] and
+    /// [`run_case_cross_interconnect`]. Fault decisions are stateless
+    /// hashes, so an armed fault stream is part of the case: every
+    /// engine run must reproduce it bit-identically, and for link
+    /// faults the harness mirrors each link's send counter and calls
+    /// [`hmc_core::fault::predicts_poison`] at issue time, so the oracle
+    /// knows the exact poisoned tag set before the engine does.
+    pub params: SimParams,
     /// Drain barrier: before issuing the op at this index, injection
     /// pauses until every outstanding response has returned. Hammer
     /// cases place it between the hammer burst and the victim
@@ -128,42 +113,14 @@ impl FuzzCase {
             fast_forward: true,
             gap_every: 0,
             gap_cycles: 0,
-            timing: TimingKind::Classic,
-            interconnect: InterconnectKind::Crossbar,
-            arbitration: ArbitrationKind::RoundRobin,
-            cell_faults: None,
-            link_faults: None,
+            params: SimParams::default(),
             barrier: None,
         }
     }
 
-    /// The same case under another timing backend (builder style).
-    pub fn with_timing(mut self, timing: TimingKind) -> Self {
-        self.timing = timing;
-        self
-    }
-
-    /// The same case on another interconnect fabric (builder style).
-    pub fn with_interconnect(mut self, kind: InterconnectKind) -> Self {
-        self.interconnect = kind;
-        self
-    }
-
-    /// The same case under another arbitration policy (builder style).
-    pub fn with_arbitration(mut self, arb: ArbitrationKind) -> Self {
-        self.arbitration = arb;
-        self
-    }
-
-    /// The same case with cell-fault injection armed (builder style).
-    pub fn with_cell_faults(mut self, faults: Option<CellFaultConfig>) -> Self {
-        self.cell_faults = faults;
-        self
-    }
-
-    /// The same case with link-error injection armed (builder style).
-    pub fn with_link_faults(mut self, faults: Option<LinkFaultConfig>) -> Self {
-        self.link_faults = faults;
+    /// The same case under other simulation axes (builder style).
+    pub fn with_params(mut self, params: SimParams) -> Self {
+        self.params = params;
         self
     }
 }
@@ -279,8 +236,8 @@ fn run_engine_inner(
     fast_forward: bool,
     lenient: bool,
 ) -> Result<(EngineRun, MismatchTally), Failure> {
-    let timing = case.timing;
-    let fabric = case.interconnect;
+    let timing = case.params.timing.kind;
+    let fabric = case.params.interconnect.kind;
     let fail = |description: String| Failure {
         threads,
         description: format!(
@@ -291,21 +248,18 @@ fn run_engine_inner(
         ),
     };
 
-    let mut config = case.config.clone();
-    // The case's fault axes win over anything baked into the preset.
-    config.cell_faults = case.cell_faults.or(config.cell_faults);
-    config.link_faults = case.link_faults.or(config.link_faults);
-    let mut sim = HmcSim::new(1, config)
+    let mut sim = HmcSim::new(1, case.config.clone())
         .map_err(|e| fail(format!("sim construction: {e}")))?
-        .with_threads(threads)
-        .with_fast_forward(fast_forward)
-        .with_timing(TimingParams::of(case.timing))
-        .with_interconnect(NocParams::of(case.interconnect).with_arbitration(case.arbitration));
+        .with_params(SimParams {
+            threads,
+            fast_forward,
+            check_invariants: true,
+            ..case.params
+        });
     sim.set_address_map(case.map.make(case.config.geometry()))
         .map_err(|e| fail(format!("address map: {e}")))?;
     let host_id = sim.host_cube_id(0);
     topology::build_simple(&mut sim, host_id).map_err(|e| fail(format!("topology: {e}")))?;
-    sim.set_check_invariants(true);
 
     let block = case.config.block_size.bytes() as u64;
     let links = case.config.num_links;
@@ -313,8 +267,7 @@ fn run_engine_inner(
     // the same sequence onto accepted packets (stalled sends consume
     // nothing), so `predicts_poison` over (link, seq) tells the oracle
     // at issue time which packets the retry protocol will abandon.
-    let link_fault_cfg: Option<FaultConfig> =
-        case.link_faults.or(case.config.link_faults).map(FaultConfig::from);
+    let link_fault_cfg = case.params.link_faults;
     let mut send_seq = vec![0u64; links as usize];
     let mut poisoned_ops = Vec::new();
     let mut tags = TagPool::new();
@@ -572,8 +525,8 @@ fn run_case_inner(case: &FuzzCase, lenient: bool) -> Result<(CaseOutcome, Mismat
                         "{t}-thread {mode} run ({} timing, {} fabric) diverges from serial \
                          stepped ({} vs {} completions, {} vs {} cycles, fault stats \
                          {:?} vs {:?}): {at}",
-                        case.timing.name(),
-                        case.interconnect.name(),
+                        case.params.timing.kind.name(),
+                        case.params.interconnect.kind.name(),
                         run.observations.len(),
                         reference.observations.len(),
                         run.cycles,
@@ -623,8 +576,13 @@ pub struct CrossTimingOutcome {
 /// Cycle counts are excluded from the comparison and surfaced as
 /// [`CrossTimingOutcome::latency_delta`] instead.
 pub fn run_case_cross_timing(case: &FuzzCase) -> Result<CrossTimingOutcome, Failure> {
-    let classic = run_case(&case.clone().with_timing(TimingKind::Classic))?;
-    let ddr = run_case(&case.clone().with_timing(TimingKind::Ddr))?;
+    let under = |kind| {
+        let mut case = case.clone();
+        case.params.timing.kind = kind;
+        run_case(&case)
+    };
+    let classic = under(TimingKind::Classic)?;
+    let ddr = under(TimingKind::Ddr)?;
     let a = functional_observations(&classic.reference);
     let b = functional_observations(&ddr.reference);
     if a != b {
@@ -675,9 +633,14 @@ pub struct CrossInterconnectOutcome {
 /// comparison (buffered fabrics add hop latency) and surfaced as the
 /// per-fabric deltas instead.
 pub fn run_case_cross_interconnect(case: &FuzzCase) -> Result<CrossInterconnectOutcome, Failure> {
-    let crossbar = run_case(&case.clone().with_interconnect(InterconnectKind::Crossbar))?;
-    let ring = run_case(&case.clone().with_interconnect(InterconnectKind::Ring))?;
-    let mesh = run_case(&case.clone().with_interconnect(InterconnectKind::Mesh))?;
+    let on = |kind| {
+        let mut case = case.clone();
+        case.params.interconnect.kind = kind;
+        run_case(&case)
+    };
+    let crossbar = on(InterconnectKind::Crossbar)?;
+    let ring = on(InterconnectKind::Ring)?;
+    let mesh = on(InterconnectKind::Mesh)?;
     let reference = functional_observations(&crossbar.reference);
     for (fabric, run) in [("ring", &ring), ("mesh", &mesh)] {
         let got = functional_observations(&run.reference);
@@ -713,7 +676,8 @@ pub fn run_case_cross_interconnect(case: &FuzzCase) -> Result<CrossInterconnectO
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmc_types::BlockSize;
+    use hmc_core::NocParams;
+    use hmc_types::{ArbitrationKind, BlockSize, CellFaultConfig, LinkFaultConfig};
 
     fn tiny_case(ops: Vec<MemOp>) -> FuzzCase {
         let mut case = FuzzCase::new(
@@ -809,7 +773,7 @@ mod tests {
         ];
         let mut case = tiny_case(ops);
         case.threads = vec![1, 2, 8];
-        case.cell_faults = Some(CellFaultConfig::default());
+        case.params.cell_faults = Some(CellFaultConfig::default());
         let out = run_case(&case).unwrap();
         assert_eq!(out.checked, 4);
         let [activations, flips, trr, decays] = out.reference.fault_stats;
@@ -889,9 +853,8 @@ mod tests {
         ];
         for kind in [InterconnectKind::Ring, InterconnectKind::Mesh] {
             for arb in ArbitrationKind::ALL {
-                let mut case = tiny_case(ops.clone())
-                    .with_interconnect(kind)
-                    .with_arbitration(arb);
+                let mut case = tiny_case(ops.clone());
+                case.params.interconnect = NocParams::of(kind).with_arbitration(arb);
                 case.threads = vec![1, 2, 8];
                 case.gap_every = 2;
                 case.gap_cycles = 500;
@@ -920,7 +883,7 @@ mod tests {
             .collect();
         let mut case = tiny_case(ops);
         case.threads = vec![1, 2, 8];
-        case.link_faults = Some(
+        case.params.link_faults = Some(
             LinkFaultConfig::default()
                 .with_error_rate_ppm(800_000)
                 .with_retry_limit(1)

@@ -92,12 +92,13 @@ pub fn write_repro(case: &FuzzCase, failure: &Failure, path: &Path) -> std::io::
     writeln!(out, "# preset: {}", case.label)?;
     writeln!(out, "# map: {}", case.map.name())?;
     writeln!(out, "# seed: {:#x}", case.seed)?;
-    writeln!(out, "# timing: {}", case.timing.name())?;
+    let params = &case.params;
+    writeln!(out, "# timing: {}", params.timing.kind.name())?;
     writeln!(
         out,
         "# interconnect: {} ({} arbitration)",
-        case.interconnect.name(),
-        case.arbitration.name()
+        params.interconnect.kind.name(),
+        params.interconnect.arbitration.name()
     )?;
     writeln!(out, "# fast-forward axis: {}", case.fast_forward)?;
     if case.gap_every > 0 {
@@ -110,7 +111,7 @@ pub fn write_repro(case: &FuzzCase, failure: &Failure, path: &Path) -> std::io::
     if let Some(c) = case.corrupt {
         writeln!(out, "# corrupt: addr={:#x} xor={:#x}", c.addr, c.xor)?;
     }
-    if let Some(f) = case.cell_faults {
+    if let Some(f) = params.cell_faults {
         writeln!(
             out,
             "# cell-faults: threshold={} flip={}ppm retention={} window={} \
@@ -123,7 +124,7 @@ pub fn write_repro(case: &FuzzCase, failure: &Failure, path: &Path) -> std::io::
             f.seed
         )?;
     }
-    if let Some(f) = case.link_faults {
+    if let Some(f) = params.link_faults {
         writeln!(
             out,
             "# link-faults: rate={}ppm retry-limit={} retry={} retrain={} seed={:#x}",

@@ -10,8 +10,17 @@ use hmc_conform::{
     campaign, hammer_demo, run_case, run_case_cross_interconnect, run_case_cross_timing,
     shrink_case, write_repro, CampaignConfig, CorruptSpec, FuzzCase, MapKind,
 };
+use hmc_core::{NocParams, SimParams, TimingParams};
 use hmc_types::{ArbitrationKind, DeviceConfig, InterconnectKind, TimingKind};
 use hmc_workloads::{OpKind, Replay, Workload};
+
+fn axes(timing: TimingKind, interconnect: NocParams) -> SimParams {
+    SimParams {
+        timing: TimingParams::of(timing),
+        interconnect,
+        ..SimParams::default()
+    }
+}
 
 /// Enough streams to hit every (preset, map) pair once: 4 presets
 /// rotate fastest, maps every 4 streams -> 16 streams covers the grid.
@@ -160,7 +169,7 @@ fn ddr_campaign_with_pinned_seed_is_clean() {
         base_seed: 0xC0FF_EE02,
         full_sweep: false,
         fast_forward: false,
-        timing: TimingKind::Ddr,
+        params: axes(TimingKind::Ddr, NocParams::default()),
         ..CampaignConfig::default()
     };
     let report = campaign(&cfg);
@@ -185,7 +194,7 @@ fn ddr_full_thread_sweep_passes_stepped_and_fast_forward() {
         base_seed: 0xFADE,
         full_sweep: true,
         fast_forward: true,
-        timing: TimingKind::Ddr,
+        params: axes(TimingKind::Ddr, NocParams::default()),
         ..CampaignConfig::default()
     };
     let report = campaign(&cfg);
@@ -294,7 +303,7 @@ fn ring_campaign_with_pinned_seed_is_clean() {
         streams: 16,
         stream_len: 32,
         base_seed: 0xC0FF_EE03,
-        interconnect: InterconnectKind::Ring,
+        params: axes(TimingKind::Classic, NocParams::of(InterconnectKind::Ring)),
         ..CampaignConfig::default()
     };
     let report = campaign(&cfg);
@@ -317,8 +326,10 @@ fn mesh_campaign_with_pinned_seed_is_clean() {
         streams: 16,
         stream_len: 32,
         base_seed: 0xC0FF_EE04,
-        interconnect: InterconnectKind::Mesh,
-        arbitration: ArbitrationKind::OldestFirst,
+        params: axes(
+            TimingKind::Classic,
+            NocParams::of(InterconnectKind::Mesh).with_arbitration(ArbitrationKind::OldestFirst),
+        ),
         ..CampaignConfig::default()
     };
     let report = campaign(&cfg);

@@ -1054,15 +1054,14 @@ impl HmcSim {
 
 #[cfg(test)]
 mod tests {
-    use crate::fault::FaultConfig;
     use crate::noc::NocParams;
     use crate::params::{RefreshParams, SimParams};
     use crate::queue::QueueEntry;
     use crate::sim::HmcSim;
     use crate::timing::TimingParams;
     use hmc_types::{
-        ArbitrationKind, BlockSize, Command, DdrTimings, DeviceConfig, InterconnectKind, LinkId,
-        Packet, TimingKind,
+        ArbitrationKind, BlockSize, Command, DdrTimings, DeviceConfig, InterconnectKind,
+        LinkFaultConfig, LinkId, Packet, TimingKind,
     };
 
     fn sim_with(params: SimParams) -> HmcSim {
@@ -1207,11 +1206,7 @@ mod tests {
     #[test]
     fn retry_timer_blocks_until_its_expiry_cycle() {
         let mut s = sim_with(ff_params());
-        s.enable_fault_injection(FaultConfig {
-            packet_error_rate: 0.0,
-            retry_cycles: 8,
-            ..FaultConfig::default()
-        });
+        s.set_link_faults(Some(LinkFaultConfig::default()));
         s.send(0, 0, read_packet(0, 1, 0)).unwrap();
         {
             let e = s.devices[0].xbars[0].rqst.get_mut(0).unwrap();
@@ -1245,7 +1240,7 @@ mod tests {
     #[test]
     fn retraining_link_sleeps_until_its_window_lapses() {
         let mut s = sim_with(ff_params());
-        s.enable_fault_injection(FaultConfig::default());
+        s.set_link_faults(Some(LinkFaultConfig::default()));
         s.clock_batch(1).unwrap();
         {
             let link = &mut s.devices[0].links[0];
@@ -1441,16 +1436,16 @@ mod tests {
 
     #[test]
     fn faulty_links_stay_bit_identical_under_fast_forward() {
-        let faults = FaultConfig {
-            packet_error_rate: 0.3,
-            retry_cycles: 11,
-            seed: 0xDEAD_BEEF,
-            ..FaultConfig::default()
-        };
+        let faults = Some(
+            LinkFaultConfig::default()
+                .with_error_rate_ppm(300_000)
+                .with_retry_cycles(11)
+                .with_seed(0xDEAD_BEEF),
+        );
         let mut stepped = sim_with(SimParams::default());
         let mut fast = sim_with(ff_params());
-        stepped.enable_fault_injection(faults);
-        fast.enable_fault_injection(faults);
+        stepped.set_link_faults(faults);
+        fast.set_link_faults(faults);
         let a = bursty_run(&mut stepped, 6, 8, 250);
         let b = bursty_run(&mut fast, 6, 8, 250);
         assert_eq!(a, b, "retry timers must fire identically across jumps");

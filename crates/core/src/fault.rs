@@ -11,11 +11,11 @@
 //! detects the corruption (the CRC check the real logic layer performs),
 //! raises a [`LinkRetry`](hmc_trace::EventKind::LinkRetry) trace event —
 //! the observable face of the spec's StartRetry/IRTRY exchange — and
-//! stalls the link head for [`FaultConfig::retry_cycles`] while the peer
+//! stalls the link head for [`LinkFaultConfig::retry_cycles`] while the peer
 //! retransmits in order from its retry buffer. A packet whose every
-//! transmission through [`FaultConfig::retry_limit`] retries stays
+//! transmission through [`LinkFaultConfig::retry_limit`] retries stays
 //! corrupt exhausts the protocol: the link goes down for a
-//! [`FaultConfig::retrain_cycles`] retraining window and the request is
+//! [`LinkFaultConfig::retrain_cycles`] retraining window and the request is
 //! aborted with a poisoned-`ERRSTAT`
 //! ([`ResponseStatus::LinkPoisoned`](hmc_types::ResponseStatus))
 //! response, so the host always sees a typed failure rather than a
@@ -29,50 +29,7 @@
 //! stepped/fast-forward engine modes, and predictable at issue time
 //! ([`predicts_poison`]) by the conformance oracle.
 
-use hmc_types::{Cycle, LinkFaultConfig};
-
-/// Error-injection configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultConfig {
-    /// Probability that one transmission attempt is corrupted in link
-    /// transit (0.0–1.0). Off by default: error simulation, like every
-    /// other injection subsystem, is explicit opt-in.
-    pub packet_error_rate: f64,
-    /// Retransmission penalty in cycles charged per detected corruption.
-    pub retry_cycles: Cycle,
-    /// Retransmission attempts after the initial transmission before the
-    /// link gives up and poisons the request.
-    pub retry_limit: u32,
-    /// Cycles the link spends retraining (no packets move) after a
-    /// retry exhaustion.
-    pub retrain_cycles: Cycle,
-    /// Deterministic seed for the corruption stream.
-    pub seed: u64,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            packet_error_rate: 0.0,
-            retry_cycles: 8,
-            retry_limit: 3,
-            retrain_cycles: 64,
-            seed: 0x5eed_cafe,
-        }
-    }
-}
-
-impl From<LinkFaultConfig> for FaultConfig {
-    fn from(c: LinkFaultConfig) -> Self {
-        FaultConfig {
-            packet_error_rate: c.error_rate(),
-            retry_cycles: c.retry_cycles,
-            retry_limit: c.retry_limit,
-            retrain_cycles: c.retrain_cycles,
-            seed: c.seed,
-        }
-    }
-}
+use hmc_types::LinkFaultConfig;
 
 /// SplitMix64 finalizer — deterministic, seedable, cheap.
 fn mix(v: u64) -> u64 {
@@ -98,14 +55,14 @@ fn transmission_draw(seed: u64, cube: u8, link: u8, send_seq: u64, attempt: u32)
 /// A pure function of its arguments: independent of thread count,
 /// engine mode, and simulation history.
 pub fn transmission_corrupt(
-    config: &FaultConfig,
+    config: &LinkFaultConfig,
     cube: u8,
     link: u8,
     send_seq: u64,
     attempt: u32,
 ) -> bool {
     hits(
-        config.packet_error_rate,
+        config.error_rate(),
         transmission_draw(config.seed, cube, link, send_seq, attempt),
     )
 }
@@ -115,7 +72,7 @@ pub fn transmission_corrupt(
 /// initial transmission *and* every one of the `retry_limit` allowed
 /// retransmissions is corrupt. The conformance oracle uses this to
 /// predict the exact poisoned tag set at issue time.
-pub fn predicts_poison(config: &FaultConfig, cube: u8, link: u8, send_seq: u64) -> bool {
+pub fn predicts_poison(config: &LinkFaultConfig, cube: u8, link: u8, send_seq: u64) -> bool {
     (0..=config.retry_limit).all(|a| transmission_corrupt(config, cube, link, send_seq, a))
 }
 
@@ -134,7 +91,7 @@ fn hits(rate: f64, draw: u64) -> bool {
 #[derive(Debug, Clone)]
 pub struct FaultState {
     /// The active configuration.
-    pub config: FaultConfig,
+    pub config: LinkFaultConfig,
     /// Transmission attempts corrupted in transit so far (initial sends
     /// and retransmissions both count).
     pub injected: u64,
@@ -146,15 +103,7 @@ pub struct FaultState {
 
 impl FaultState {
     /// Initialize from a configuration.
-    ///
-    /// # Panics
-    /// Panics if the error rate is outside `[0, 1]` or non-finite.
-    pub fn new(config: FaultConfig) -> Self {
-        assert!(
-            config.packet_error_rate.is_finite()
-                && (0.0..=1.0).contains(&config.packet_error_rate),
-            "packet error rate must be a probability"
-        );
+    pub fn new(config: LinkFaultConfig) -> Self {
         FaultState {
             config,
             injected: 0,
@@ -191,28 +140,14 @@ mod tests {
     fn default_rate_is_off() {
         // Error simulation is opt-in, like every other injection
         // subsystem: the default config must inject nothing.
-        assert_eq!(FaultConfig::default().packet_error_rate, 0.0);
-        let mut f = FaultState::new(FaultConfig::default());
+        let mut f = FaultState::new(LinkFaultConfig::default());
         assert!((0..10_000u64).all(|seq| !f.roll_attempt(0, 0, seq, 0)));
         assert_eq!(f.injected, 0);
     }
 
     #[test]
-    fn zero_rate_never_fires() {
-        let mut f = FaultState::new(FaultConfig {
-            packet_error_rate: 0.0,
-            ..FaultConfig::default()
-        });
-        assert!((0..10_000u64).all(|seq| !f.roll_attempt(1, 2, seq, 0)));
-        assert_eq!(f.injected, 0);
-    }
-
-    #[test]
     fn unit_rate_always_fires() {
-        let mut f = FaultState::new(FaultConfig {
-            packet_error_rate: 1.0,
-            ..FaultConfig::default()
-        });
+        let mut f = FaultState::new(LinkFaultConfig::default().with_error_rate_ppm(1_000_000));
         assert!((0..1_000u64).all(|seq| f.roll_attempt(1, 0, seq, 0)));
         assert_eq!(f.injected, 1_000);
     }
@@ -230,10 +165,7 @@ mod tests {
 
     #[test]
     fn intermediate_rates_are_roughly_calibrated() {
-        let cfg = FaultConfig {
-            packet_error_rate: 0.1,
-            ..FaultConfig::default()
-        };
+        let cfg = LinkFaultConfig::default().with_error_rate_ppm(100_000);
         let hits = (0..100_000u64)
             .filter(|&seq| transmission_corrupt(&cfg, 1, 0, seq, 0))
             .count();
@@ -245,10 +177,7 @@ mod tests {
 
     #[test]
     fn streams_are_pure_functions_of_their_key() {
-        let cfg = FaultConfig {
-            packet_error_rate: 0.5,
-            ..FaultConfig::default()
-        };
+        let cfg = LinkFaultConfig::default().with_error_rate_ppm(500_000);
         for seq in 0..1_000u64 {
             // Same key, same fate — regardless of evaluation order.
             assert_eq!(
@@ -266,7 +195,7 @@ mod tests {
             (0..256u64).map(|s| transmission_corrupt(&cfg, 1, 0, s, 1)).collect();
         assert_ne!(by_link, retry);
         // Different seeds produce different streams.
-        let reseeded = FaultConfig { seed: 0xDEAD_BEEF, ..cfg };
+        let reseeded = cfg.with_seed(0xDEAD_BEEF);
         let other: Vec<bool> =
             (0..256u64).map(|s| transmission_corrupt(&reseeded, 1, 0, s, 0)).collect();
         assert_ne!(by_link, other);
@@ -274,11 +203,9 @@ mod tests {
 
     #[test]
     fn poison_prediction_matches_attempt_fates() {
-        let cfg = FaultConfig {
-            packet_error_rate: 0.6,
-            retry_limit: 2,
-            ..FaultConfig::default()
-        };
+        let cfg = LinkFaultConfig::default()
+            .with_error_rate_ppm(600_000)
+            .with_retry_limit(2);
         let mut poisoned = 0usize;
         for seq in 0..10_000u64 {
             let all_corrupt =
@@ -289,34 +216,9 @@ mod tests {
         // 0.6^3 ≈ 21.6% of requests should exhaust three attempts.
         assert!((1_500..2_900).contains(&poisoned), "got {poisoned}/10000");
         // Unit rate poisons everything; zero rate nothing.
-        let always = FaultConfig { packet_error_rate: 1.0, ..cfg };
+        let always = cfg.with_error_rate_ppm(1_000_000);
         assert!(predicts_poison(&always, 1, 0, 7));
-        let never = FaultConfig { packet_error_rate: 0.0, ..cfg };
+        let never = cfg.with_error_rate_ppm(0);
         assert!(!predicts_poison(&never, 1, 0, 7));
-    }
-
-    #[test]
-    fn link_fault_config_converts() {
-        let lf = LinkFaultConfig::default()
-            .with_error_rate_ppm(250_000)
-            .with_retry_cycles(4)
-            .with_retry_limit(1)
-            .with_retrain_cycles(32)
-            .with_seed(99);
-        let fc = FaultConfig::from(lf);
-        assert!((fc.packet_error_rate - 0.25).abs() < 1e-12);
-        assert_eq!(fc.retry_cycles, 4);
-        assert_eq!(fc.retry_limit, 1);
-        assert_eq!(fc.retrain_cycles, 32);
-        assert_eq!(fc.seed, 99);
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn out_of_range_rate_rejected() {
-        FaultState::new(FaultConfig {
-            packet_error_rate: 1.5,
-            ..FaultConfig::default()
-        });
     }
 }

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod api;
+pub mod args;
 pub mod builder;
 pub mod device;
 pub(crate) mod engine;
@@ -53,9 +54,10 @@ pub mod vault;
 pub mod xbar;
 
 pub use api::{hmcsim_clock, hmcsim_init, hmcsim_link_config, hmcsim_recv, hmcsim_send, LinkType};
+pub use args::Args;
 pub use builder::{build_mem_request, decode_response, ResponseInfo};
 pub use device::Device;
-pub use fault::{FaultConfig, FaultState};
+pub use fault::FaultState;
 pub use inspect::{DeviceSnapshot, QueueLocation};
 pub use invariants::InvariantState;
 pub use link::{Endpoint, Link};

@@ -8,8 +8,12 @@
 //! behaviour used for the paper-shape experiments, and the ablation
 //! benches sweep them.
 
-use hmc_types::{CellFaultConfig, LinkFaultConfig};
+use hmc_types::{
+    ArbitrationKind, CellFaultConfig, DeviceConfig, HmcError, InterconnectKind, LinkFaultConfig,
+    Result, TimingKind,
+};
 
+use crate::args::Args;
 use crate::noc::NocParams;
 use crate::timing::TimingParams;
 
@@ -177,6 +181,90 @@ impl Default for SimParams {
 }
 
 impl SimParams {
+    /// The flags [`SimParams::apply_flag`] understands — the one usage
+    /// block every binary prints under its own synopsis.
+    pub const USAGE: &'static str = "\
+simulation axes (the same flags on every binary):
+  --threads N             clock-engine worker threads (1 = serial, 0 = auto)
+  --fast-forward          jump provably dead cycles instead of stepping them
+  --check                 run the protocol invariant checker every cycle
+  --timing KIND           vault timing backend: classic | ddr
+  --interconnect KIND     intra-cube fabric: crossbar | ring | mesh
+  --arbitration KIND      ring/mesh hop arbitration:
+                          round-robin | oldest-first | locality-aware
+  --serialize-flits N     FLITs one link direction moves per cycle
+  --stall-queue           in-order vaults: stall at the first bank conflict
+  --hammer-threshold N    cell faults (any of these four flags arms them):
+  --flip-prob PPM           activations per disturbance, flip odds,
+  --retention CYCLES        retention horizon, and
+  --mitigation KIND         none | trr | elevated
+  --link-error-rate PPM   link faults (any of these five flags arms them):
+  --link-retry-limit N      corruption odds per transmission, retransmissions
+  --link-retry-cycles N     before poisoning, cycles per retry,
+  --retrain-cycles N        cycles a link retrains after exhaustion,
+  --link-fault-seed HEX     and the corruption-stream seed";
+
+    /// `self` with the axes a [`DeviceConfig`] carries laid over it: the
+    /// config's timing backend, fabric and arbitration policy replace
+    /// `self`'s, and its fault blocks win where it has them.
+    /// [`crate::HmcSim::new`] seeds its parameters this way from the
+    /// defaults.
+    pub fn with_device_axes(mut self, config: &DeviceConfig) -> Self {
+        self.timing.kind = config.timing;
+        self.interconnect.kind = config.interconnect;
+        self.interconnect.arbitration = config.arbitration;
+        self.cell_faults = config.cell_faults.or(self.cell_faults);
+        self.link_faults = config.link_faults.or(self.link_faults);
+        self
+    }
+
+    /// Apply one command-line flag, pulling its value (if it takes one)
+    /// from `args`. Returns `Ok(false)` — with `self` and `args`
+    /// untouched — when `flag` is not a simulation axis, and an error
+    /// when its value is missing or malformed. This is the only parser
+    /// of these flags in the workspace; see [`SimParams::USAGE`].
+    pub fn apply_flag(&mut self, flag: &str, args: &mut Args) -> Result<bool> {
+        match flag {
+            "--threads" => self.threads = args.try_value(flag)?,
+            "--fast-forward" => self.fast_forward = true,
+            "--check" => self.check_invariants = true,
+            "--stall-queue" => self.conflict_policy = ConflictPolicy::StallQueue,
+            "--serialize-flits" => {
+                let flits: usize = args.try_value(flag)?;
+                if flits == 0 {
+                    return Err(HmcError::InvalidConfig(format!("{flag} must be at least 1")));
+                }
+                self.link_flits_per_cycle = Some(flits);
+            }
+            "--timing" => {
+                self.timing.kind = args.try_named(flag, TimingKind::by_name, "`classic` or `ddr`")?
+            }
+            "--interconnect" => {
+                self.interconnect.kind = args.try_named(
+                    flag,
+                    InterconnectKind::by_name,
+                    "`crossbar`, `ring`, or `mesh`",
+                )?
+            }
+            "--arbitration" => {
+                self.interconnect.arbitration = args.try_named(
+                    flag,
+                    ArbitrationKind::by_name,
+                    "`round-robin`, `oldest-first`, or `locality-aware`",
+                )?
+            }
+            _ => {
+                let hit = CellFaultConfig::apply_flag(&mut self.cell_faults, flag, args.peek())?
+                    || LinkFaultConfig::apply_flag(&mut self.link_faults, flag, args.peek())?;
+                if hit {
+                    args.next_flag();
+                }
+                return Ok(hit);
+            }
+        }
+        Ok(true)
+    }
+
     /// Resolve the vault window for a device with `banks` banks per vault.
     pub fn window_for(&self, banks: u16) -> usize {
         self.vault_window.unwrap_or(banks as usize).max(1)
@@ -330,6 +418,130 @@ mod tests {
             duration: 9,
         };
         assert_eq!(r.window_edge_after(123), u64::MAX);
+    }
+
+    /// Apply one flag (plus its value, if given) to a fresh default.
+    fn flag(argv: &[&str]) -> (Result<bool>, SimParams, Option<String>) {
+        let mut args = Args::new("t", "", argv[1..].iter().map(|s| s.to_string()).collect());
+        let mut p = SimParams::default();
+        let hit = p.apply_flag(argv[0], &mut args);
+        (hit, p, args.next_flag())
+    }
+
+    #[test]
+    fn apply_flag_sets_exactly_the_named_axis() {
+        let d = SimParams::default();
+        let cell = CellFaultConfig::default();
+        let link = LinkFaultConfig::default();
+        let table: Vec<(&[&str], SimParams)> = vec![
+            (&["--threads", "4"], SimParams { threads: 4, ..d }),
+            (&["--fast-forward"], SimParams { fast_forward: true, ..d }),
+            (&["--check"], SimParams { check_invariants: true, ..d }),
+            (
+                &["--stall-queue"],
+                SimParams { conflict_policy: ConflictPolicy::StallQueue, ..d },
+            ),
+            (
+                &["--serialize-flits", "2"],
+                SimParams { link_flits_per_cycle: Some(2), ..d },
+            ),
+            (
+                &["--timing", "ddr"],
+                SimParams { timing: TimingParams::of(TimingKind::Ddr), ..d },
+            ),
+            (
+                &["--interconnect", "mesh"],
+                SimParams { interconnect: NocParams::of(InterconnectKind::Mesh), ..d },
+            ),
+            (
+                &["--arbitration", "oldest-first"],
+                SimParams {
+                    interconnect: d.interconnect.with_arbitration(ArbitrationKind::OldestFirst),
+                    ..d
+                },
+            ),
+            (
+                &["--hammer-threshold", "64"],
+                SimParams { cell_faults: Some(cell.with_hammer_threshold(64)), ..d },
+            ),
+            (
+                &["--flip-prob", "5000"],
+                SimParams { cell_faults: Some(cell.with_flip_prob_ppm(5_000)), ..d },
+            ),
+            (
+                &["--retention", "900"],
+                SimParams { cell_faults: Some(cell.with_retention(900)), ..d },
+            ),
+            (
+                &["--mitigation", "trr"],
+                SimParams {
+                    cell_faults: Some(cell.with_mitigation(hmc_types::Mitigation::Trr)),
+                    ..d
+                },
+            ),
+            (
+                &["--link-error-rate", "20000"],
+                SimParams { link_faults: Some(link.with_error_rate_ppm(20_000)), ..d },
+            ),
+            (
+                &["--link-retry-limit", "1"],
+                SimParams { link_faults: Some(link.with_retry_limit(1)), ..d },
+            ),
+            (
+                &["--link-retry-cycles", "4"],
+                SimParams { link_faults: Some(link.with_retry_cycles(4)), ..d },
+            ),
+            (
+                &["--retrain-cycles", "32"],
+                SimParams { link_faults: Some(link.with_retrain_cycles(32)), ..d },
+            ),
+            (
+                &["--link-fault-seed", "0xBEEF"],
+                SimParams { link_faults: Some(link.with_seed(0xBEEF)), ..d },
+            ),
+        ];
+        for (argv, want) in &table {
+            // A trailing token proves the flag consumed its value and
+            // nothing more.
+            let mut with_tail = argv.to_vec();
+            with_tail.push("--next");
+            let (hit, got, rest) = flag(&with_tail);
+            assert!(hit.unwrap(), "{argv:?} is a simulation axis");
+            assert_eq!(got, *want, "{argv:?}");
+            assert_eq!(rest.as_deref(), Some("--next"), "{argv:?}");
+            // Every flag in the table is in the usage block.
+            assert!(SimParams::USAGE.contains(argv[0]), "{} undocumented", argv[0]);
+            if argv.len() == 2 {
+                assert!(flag(&argv[..1]).0.is_err(), "{}: missing value", argv[0]);
+                assert!(flag(&[argv[0], "zebra"]).0.is_err(), "{}: bad value", argv[0]);
+            }
+        }
+        assert!(flag(&["--serialize-flits", "0"]).0.is_err());
+    }
+
+    #[test]
+    fn apply_flag_leaves_unknown_flags_alone() {
+        let (hit, p, rest) = flag(&["--requests", "5"]);
+        assert!(!hit.unwrap());
+        assert_eq!(p, SimParams::default());
+        assert_eq!(rest.as_deref(), Some("5"), "the value is not consumed");
+    }
+
+    #[test]
+    fn device_axes_overlay_keeps_engine_axes_and_fills_fault_blocks() {
+        let server = SimParams {
+            fast_forward: true,
+            timing: TimingParams::of(TimingKind::Ddr),
+            link_faults: Some(LinkFaultConfig::default().with_error_rate_ppm(7)),
+            ..SimParams::default()
+        };
+        let p = server.with_device_axes(&DeviceConfig::small());
+        assert!(p.fast_forward);
+        assert_eq!(p.timing.kind, TimingKind::Classic, "the config names its backend");
+        assert_eq!(p.link_faults, server.link_faults, "an unset fault block inherits");
+        let own = LinkFaultConfig::default().with_error_rate_ppm(9);
+        let p = server.with_device_axes(&DeviceConfig::small().with_link_faults(Some(own)));
+        assert_eq!(p.link_faults, Some(own), "the config's own block wins");
     }
 
     #[test]

@@ -104,9 +104,7 @@ pub struct HmcSim {
     /// path (the `None` default installs none at all).
     pub(crate) applied_cellfaults: Option<Option<hmc_types::CellFaultConfig>>,
     /// The link-fault configuration [`HmcSim::ensure_link_faults`] last
-    /// installed; `None` until the first clock. A manually installed
-    /// [`HmcSim::enable_fault_injection`] state is left alone unless the
-    /// parameter actually changes.
+    /// installed; `None` until the first send or clock.
     pub(crate) applied_linkfaults: Option<Option<hmc_types::LinkFaultConfig>>,
 }
 
@@ -146,16 +144,9 @@ impl HmcSim {
         }
         let devices = (0..num_devices).map(|i| Device::new(i, &config)).collect();
         let map: Arc<dyn AddressMap> = Arc::new(config.default_map()?);
-        // The config's timing backend choice seeds the sim parameters;
-        // `with_params`/`with_timing` can still override it before clocking.
-        let params = SimParams {
-            timing: crate::timing::TimingParams::of(config.timing),
-            interconnect: crate::noc::NocParams::of(config.interconnect)
-                .with_arbitration(config.arbitration),
-            cell_faults: config.cell_faults,
-            link_faults: config.link_faults,
-            ..SimParams::default()
-        };
+        // The config's axes seed the sim parameters; `with_params` and
+        // the per-axis builders can still override them before clocking.
+        let params = SimParams::default().with_device_axes(&config);
         Ok(HmcSim {
             config,
             params,
@@ -351,26 +342,12 @@ impl HmcSim {
 
     /// Install the link-fault state when [`SimParams::link_faults`]
     /// changed since the last clock. No-op on the steady-state hot path.
-    /// A state installed manually through
-    /// [`HmcSim::enable_fault_injection`] survives as long as the
-    /// parameter never changes (the legacy API predates the config).
     pub(crate) fn ensure_link_faults(&mut self) {
         let sig = self.params.link_faults;
         if self.applied_linkfaults == Some(sig) {
             return;
         }
-        match sig {
-            Some(cfg) => {
-                self.faults = Some(crate::fault::FaultState::new(cfg.into()));
-            }
-            // Only clear on an actual Some -> None transition so a
-            // manually enabled state is not clobbered at first clock.
-            None => {
-                if self.applied_linkfaults.is_some() {
-                    self.faults = None;
-                }
-            }
-        }
+        self.faults = sig.map(crate::fault::FaultState::new);
         self.applied_linkfaults = Some(sig);
     }
 
@@ -392,19 +369,8 @@ impl HmcSim {
         self.tracer = tracer;
     }
 
-    /// Enable link-level error simulation (§IV requirement 5): packets
-    /// crossing host links are corrupted with the configured probability
-    /// and recovered by the crossbar retry model.
-    pub fn enable_fault_injection(&mut self, config: crate::fault::FaultConfig) {
-        self.faults = Some(crate::fault::FaultState::new(config));
-    }
-
-    /// Disable error simulation.
-    pub fn disable_fault_injection(&mut self) {
-        self.faults = None;
-    }
-
-    /// Error-simulation statistics, when enabled.
+    /// Link-error statistics, once [`SimParams::link_faults`] has armed
+    /// (at the first send or clock after it is set).
     pub fn fault_state(&self) -> Option<&crate::fault::FaultState> {
         self.faults.as_ref()
     }

@@ -14,7 +14,9 @@ use hmc_workloads::{MemOp, Workload};
 
 use crate::host::Host;
 
-/// Driver options.
+/// Driver options. The run loop only reads the simulation it is handed:
+/// engine mode, invariant checking, timing backend, fabric and fault
+/// axes are the caller's `SimParams`, set on the sim before the run.
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
     /// Device the workload targets.
@@ -23,32 +25,6 @@ pub struct RunConfig {
     pub max_cycles: u64,
     /// Progress callback interval in cycles (0 = no callbacks).
     pub progress_every: u64,
-    /// Enable the engine's protocol invariant checker for the run
-    /// (`SimParams::check_invariants`); violations found are counted in
-    /// [`RunReport::invariant_violations`].
-    pub check_invariants: bool,
-    /// Arm the engine's event-driven fast-forward mode for the run
-    /// (`SimParams::fast_forward`). The driver's own loop steps
-    /// cycle-by-cycle — its inject/drain granularity *is* the schedule —
-    /// so the mode only pays off for callers that batch-clock the same
-    /// sim before or after the run (bench harnesses, serve pumps).
-    /// Reports are bit-identical either way.
-    pub fast_forward: bool,
-    /// Select the vault timing backend for the run
-    /// (`SimParams::timing`). `None` leaves whatever backend the sim
-    /// already has — the classic constant-time model unless the caller
-    /// chose otherwise.
-    pub timing: Option<hmc_core::TimingParams>,
-    /// Select the intra-cube interconnect fabric for the run
-    /// (`SimParams::interconnect`). `None` leaves whatever fabric the
-    /// sim already has — the direct crossbar unless the caller chose
-    /// otherwise.
-    pub interconnect: Option<hmc_core::NocParams>,
-    /// Enable cell-level fault injection for the run
-    /// (`SimParams::cell_faults`): RowHammer disturbance and retention
-    /// decay. `None` leaves whatever the sim already has — off unless
-    /// the caller chose otherwise.
-    pub cell_faults: Option<hmc_types::CellFaultConfig>,
 }
 
 impl Default for RunConfig {
@@ -57,11 +33,6 @@ impl Default for RunConfig {
             target_cube: 0,
             max_cycles: 1 << 34,
             progress_every: 0,
-            check_invariants: false,
-            fast_forward: false,
-            timing: None,
-            interconnect: None,
-            cell_faults: None,
         }
     }
 }
@@ -87,8 +58,8 @@ pub struct RunReport {
     pub max_latency: Cycle,
     /// Requests per cycle (throughput).
     pub throughput: f64,
-    /// Protocol invariant violations observed (always zero unless
-    /// [`RunConfig::check_invariants`] was set).
+    /// Protocol invariant violations observed (always zero unless the
+    /// sim runs with `SimParams::check_invariants` set).
     pub invariant_violations: u64,
 }
 
@@ -150,21 +121,6 @@ where
     W: Workload + ?Sized,
     F: FnMut(Cycle, u64),
 {
-    if cfg.check_invariants {
-        sim.set_check_invariants(true);
-    }
-    if cfg.fast_forward {
-        sim.set_fast_forward(true);
-    }
-    if let Some(timing) = cfg.timing {
-        sim.set_timing(timing);
-    }
-    if let Some(noc) = cfg.interconnect {
-        sim.set_interconnect(noc);
-    }
-    if cfg.cell_faults.is_some() {
-        sim.set_cell_faults(cfg.cell_faults);
-    }
     let start_violations = sim.total_invariant_violations();
     let start_cycle = sim.current_clock();
     let start_stats = host.stats;
@@ -351,12 +307,8 @@ mod tests {
         s.reset();
         let mut h2 = Host::attach(&s, s.host_cube_id(0)).unwrap();
         let mut w2 = RandomAccess::new(11, 1 << 24, BlockSize::B64, 50, 1_200);
-        let cfg = RunConfig {
-            fast_forward: true,
-            ..RunConfig::default()
-        };
-        let fast = run_workload(&mut s, &mut h2, &mut w2, cfg).unwrap();
-        assert!(s.fast_forward(), "the run must arm the engine mode");
+        s.set_fast_forward(true);
+        let fast = run_workload(&mut s, &mut h2, &mut w2, RunConfig::default()).unwrap();
         assert_eq!(stepped, fast);
     }
 

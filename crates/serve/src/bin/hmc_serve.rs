@@ -1,18 +1,15 @@
 //! `hmc-serve` — the simulation service daemon.
 //!
-//! ```text
-//! hmc-serve [--socket PATH] [--listen ADDR] [--max-sessions N]
-//!           [--threads N] [--inflight N] [--responses N] [--slice N]
-//!           [--idle-timeout SECS] [--drain-timeout SECS] [--fast-forward]
-//!           [--link-error-rate PPM] [--link-retry-limit N]
-//!           [--retrain-cycles N] [--link-retry-cycles N]
-//!           [--link-fault-seed S]
-//! ```
-//!
-//! The link-fault flags put the whole daemon into degraded-link mode:
-//! every session whose config does not arm its own `link_faults` block
-//! inherits the server's, so retry-exhausted requests come back to
-//! clients as poisoned error frames.
+//! `hmc-serve --help` prints the synopsis (`USAGE` below) and the shared
+//! simulation-axis flags (`SimParams::USAGE`). `--threads` is the worker
+//! pool here; every session's device is built under the shared axes, with the session's own config
+//! laid on top. So `--fast-forward` arms every device's fast-forward
+//! mode, and the link-fault flags put the whole daemon into
+//! degraded-link mode — every session whose config does not arm its own
+//! `link_faults` block inherits the server's, and retry-exhausted
+//! requests come back to clients as poisoned error frames. The timing
+//! backend and the fabric are always the session config's to name
+//! (`loadgen` forwards them), so those flags are refused here.
 //!
 //! At least one of `--socket` (Unix-domain) or `--listen` (TCP) is
 //! required. SIGTERM and SIGINT trigger the graceful drain: stop
@@ -24,8 +21,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use hmc_serve::{DrainOutcome, Server, ServerConfig, SessionLimits};
-use hmc_types::LinkFaultConfig;
+use hmc_core::{Args, SimParams};
+use hmc_serve::{DrainOutcome, Server, ServerConfig};
+use hmc_types::DeviceConfig;
 
 // No libc crate in this workspace: bind the two POSIX symbols the daemon
 // needs directly. The handler only sets an atomic flag — the one thing
@@ -43,139 +41,60 @@ extern "C" fn on_signal(_signum: i32) {
     SHUTDOWN_REQUESTED.store(true, Ordering::Release);
 }
 
-struct Options {
-    socket: Option<PathBuf>,
-    listen: Option<String>,
-    max_sessions: usize,
-    threads: usize,
-    inflight: usize,
-    responses: usize,
-    slice: u64,
-    idle_timeout: u64,
-    drain_timeout: u64,
-    fast_forward: bool,
-    link_faults: Option<LinkFaultConfig>,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        let d = ServerConfig::default();
-        let l = SessionLimits::default();
-        Options {
-            socket: None,
-            listen: None,
-            max_sessions: d.max_sessions,
-            threads: d.threads,
-            inflight: l.inflight_limit,
-            responses: l.response_limit,
-            slice: l.slice_cycles,
-            idle_timeout: 300,
-            drain_timeout: 30,
-            fast_forward: l.fast_forward,
-            link_faults: None,
-        }
-    }
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: hmc-serve [--socket PATH] [--listen ADDR] [--max-sessions N] \
-         [--threads N] [--inflight N] [--responses N] [--slice N] \
-         [--idle-timeout SECS (0 = never)] [--drain-timeout SECS] \
-         [--fast-forward] [--link-error-rate PPM] [--link-retry-limit N] \
-         [--retrain-cycles N] [--link-retry-cycles N] [--link-fault-seed S]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_options() -> Options {
-    let mut o = Options::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut next = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("hmc-serve: {flag} needs a value");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--socket" => o.socket = Some(PathBuf::from(next("--socket"))),
-            "--listen" => o.listen = Some(next("--listen")),
-            "--max-sessions" => {
-                o.max_sessions = next("--max-sessions").parse().unwrap_or_else(|_| usage())
-            }
-            "--threads" => o.threads = next("--threads").parse().unwrap_or_else(|_| usage()),
-            "--inflight" => o.inflight = next("--inflight").parse().unwrap_or_else(|_| usage()),
-            "--responses" => o.responses = next("--responses").parse().unwrap_or_else(|_| usage()),
-            "--slice" => o.slice = next("--slice").parse().unwrap_or_else(|_| usage()),
-            "--idle-timeout" => {
-                o.idle_timeout = next("--idle-timeout").parse().unwrap_or_else(|_| usage())
-            }
-            "--drain-timeout" => {
-                o.drain_timeout = next("--drain-timeout").parse().unwrap_or_else(|_| usage())
-            }
-            "--fast-forward" => o.fast_forward = true,
-            "--help" | "-h" => usage(),
-            other => {
-                let value = args.next();
-                match LinkFaultConfig::apply_flag(&mut o.link_faults, other, value.as_deref()) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        eprintln!("hmc-serve: unknown argument {other}");
-                        usage()
-                    }
-                    Err(e) => {
-                        eprintln!("hmc-serve: {e}");
-                        usage()
-                    }
-                }
-            }
-        }
-    }
-    if o.socket.is_none() && o.listen.is_none() {
-        eprintln!("hmc-serve: need --socket and/or --listen");
-        usage()
-    }
-    if o.max_sessions == 0 || o.inflight == 0 || o.responses == 0 || o.slice == 0 {
-        eprintln!("hmc-serve: --max-sessions/--inflight/--responses/--slice must be nonzero");
-        usage()
-    }
-    o
-}
+const USAGE: &str = "\
+usage: hmc-serve [--socket PATH] [--listen ADDR] [--max-sessions N]
+                 [--threads N] [--inflight N] [--responses N] [--slice N]
+                 [--idle-timeout SECS (0 = never)] [--drain-timeout SECS]
+                 [simulation axes]";
 
 fn main() {
-    let o = parse_options();
-    let cfg = ServerConfig {
-        max_sessions: o.max_sessions,
-        threads: o.threads,
-        limits: SessionLimits {
-            inflight_limit: o.inflight,
-            response_limit: o.responses,
-            slice_cycles: o.slice,
-            fast_forward: o.fast_forward,
-        },
-        idle_timeout: if o.idle_timeout == 0 {
-            None
-        } else {
-            Some(Duration::from_secs(o.idle_timeout))
-        },
-        link_faults: o.link_faults,
-        ..ServerConfig::default()
-    };
+    let mut socket: Option<PathBuf> = None;
+    let mut listen: Option<String> = None;
+    let mut cfg = ServerConfig::default();
+    let mut idle_timeout: u64 = 300;
+    let mut drain_timeout: u64 = 30;
+    let mut args = Args::from_env("hmc-serve", USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--socket" => socket = Some(args.value(&flag)),
+            "--listen" => listen = Some(args.value(&flag)),
+            "--max-sessions" => cfg.max_sessions = args.value(&flag),
+            // The worker pool, not the per-device clock engine.
+            "--threads" => cfg.threads = args.value(&flag),
+            "--inflight" => cfg.limits.inflight_limit = args.value(&flag),
+            "--responses" => cfg.limits.response_limit = args.value(&flag),
+            "--slice" => cfg.limits.slice_cycles = args.value(&flag),
+            "--idle-timeout" => idle_timeout = args.value(&flag),
+            "--drain-timeout" => drain_timeout = args.value(&flag),
+            _ => args.axis(&flag),
+        }
+    }
+    if socket.is_none() && listen.is_none() {
+        args.die("need --socket and/or --listen");
+    }
+    let l = cfg.limits;
+    if cfg.max_sessions == 0
+        || l.inflight_limit == 0
+        || l.response_limit == 0
+        || l.slice_cycles == 0
+    {
+        args.die("--max-sessions/--inflight/--responses/--slice must be nonzero");
+    }
+    cfg.params = args.params_over(SimParams::default());
+    if cfg.params.with_device_axes(&DeviceConfig::small()) != cfg.params {
+        args.die(
+            "--timing/--interconnect/--arbitration belong to the session config, not the server",
+        );
+    }
+    cfg.idle_timeout = (idle_timeout > 0).then(|| Duration::from_secs(idle_timeout));
 
     let mut server = Server::new(cfg);
-    if let Some(path) = &o.socket {
-        server.bind_uds(path).unwrap_or_else(|e| {
-            eprintln!("hmc-serve: {e}");
-            std::process::exit(2);
-        });
+    if let Some(path) = &socket {
+        server.bind_uds(path).unwrap_or_else(|e| args.die(e));
         eprintln!("hmc-serve: listening on {}", path.display());
     }
-    if let Some(addr) = &o.listen {
-        let local = server.bind_tcp(addr).unwrap_or_else(|e| {
-            eprintln!("hmc-serve: {e}");
-            std::process::exit(2);
-        });
+    if let Some(addr) = &listen {
+        let local = server.bind_tcp(addr).unwrap_or_else(|e| args.die(e));
         eprintln!("hmc-serve: listening on tcp {local}");
     }
 
@@ -197,18 +116,22 @@ fn main() {
 
     eprintln!(
         "hmc-serve: ready ({} worker(s), {} session cap{})",
-        o.threads.max(1),
-        o.max_sessions,
-        if o.fast_forward { ", fast-forward" } else { "" }
+        cfg.threads.max(1),
+        cfg.max_sessions,
+        if cfg.params.fast_forward {
+            ", fast-forward"
+        } else {
+            ""
+        }
     );
-    if let Some(f) = &o.link_faults {
+    if let Some(f) = &cfg.params.link_faults {
         eprintln!(
             "hmc-serve: degraded-link mode: {} ppm error rate, retry limit {}, \
              retrain {} cycles",
             f.error_rate_ppm, f.retry_limit, f.retrain_cycles
         );
     }
-    match server.run(Duration::from_secs(o.drain_timeout)) {
+    match server.run(Duration::from_secs(drain_timeout)) {
         DrainOutcome::Drained => {
             eprintln!("hmc-serve: drained cleanly");
             std::process::exit(0);

@@ -1,17 +1,11 @@
 //! `loadgen` — concurrent load generator for `hmc-serve`.
 //!
-//! ```text
-//! loadgen (--socket PATH | --connect ADDR) [--sessions N] [--requests N]
-//!         [--workload random|stream|gups|chase|stencil|hotspot|hammer]
-//!         [--preset NAME] [--seed S] [--read-pct P] [--block BYTES]
-//!         [--batch N] [--poll-max N] [--idle-gap CYCLES]
-//!         [--idle-every OPS] [--hot-quad Q] [--hot-pct P]
-//!         [--interconnect crossbar|ring|mesh]
-//!         [--arbitration round-robin|oldest-first|locality-aware]
-//!         [--hammer-threshold N] [--flip-prob PPM] [--retention CYCLES]
-//!         [--mitigation none|trr|elevated]
-//!         [--json FILE]
-//! ```
+//! `loadgen --help` prints the synopsis (`USAGE` below) and the shared
+//! simulation-axis flags (`SimParams::USAGE`). The ones a device config
+//! carries — timing
+//! backend, fabric, arbitration, and the cell- and link-fault blocks —
+//! ride to the server in each session's `DeviceConfig` JSON; the
+//! engine-side ones are `hmc-serve`'s to set and are refused here.
 //!
 //! Each session runs on its own thread with its own connection: open a
 //! session, submit the workload in batches (BUSY backpressure is polled
@@ -33,23 +27,21 @@
 //!
 //! `--workload hotspot` concentrates `--hot-pct` percent of each
 //! session's requests on the vaults of quad `--hot-quad` (via the
-//! preset's address geometry). Combined with `--interconnect ring|mesh`
-//! — which opens each session from the preset's config with the
-//! buffered NoC fabric enabled server-side — cross-quad hops and
-//! arbitration pressure show up directly in the latency percentiles.
+//! preset's address geometry). Combined with `--interconnect ring|mesh`,
+//! cross-quad hops and arbitration pressure show up directly in the
+//! latency percentiles.
 //!
 //! `--workload hammer` runs the geometry-aware double-sided RowHammer
 //! stream against one bank of each session's device. Passing any
 //! cell-fault flag (`--hammer-threshold`, `--flip-prob`, `--retention`,
-//! `--mitigation`) arms injection server-side: the flags ride into the
-//! session's `DeviceConfig` JSON, and the closing stats frame reports
-//! the device's activation/bit-flip/TRR/retention counters, which the
-//! report aggregates — an adversarial end-to-end corruption probe.
+//! `--mitigation`) arms injection server-side, and the closing stats
+//! frame reports the device's activation/bit-flip/TRR/retention
+//! counters, which the report aggregates — an adversarial end-to-end
+//! corruption probe.
 //!
-//! The link-fault flags (`--link-error-rate PPM`, `--link-retry-limit`,
-//! `--retrain-cycles`, `--link-retry-cycles`, `--link-fault-seed`) arm
-//! the link-retry protocol the same way: transmission corruption rides
-//! into each session's device, retry-exhausted requests come back as
+//! The link-fault flags arm the link-retry protocol the same way:
+//! transmission corruption rides into each session's device,
+//! retry-exhausted requests come back as
 //! poisoned error responses (counted under `errors` and
 //! `poisoned_responses`), and the report carries the per-session
 //! retry/retrain/poison counters. BUSY backpressure is absorbed with a
@@ -60,14 +52,21 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use hmc_core::{Args, SimParams};
 use hmc_serve::{busy_reason_label, workload_to_wire, Client, RetryPolicy, SubmitResult};
 use hmc_trace::{percentile_sorted, LatencyPercentiles};
-use hmc_types::{
-    ArbitrationKind, BlockSize, CellFaultConfig, DeviceConfig, InterconnectKind, LinkFaultConfig,
-    WireOp,
-};
+use hmc_types::{BlockSize, DeviceConfig, WireOp};
 use hmc_workloads::WorkloadSpec;
 use serde::Serialize;
+
+const USAGE: &str = "\
+usage: loadgen (--socket PATH | --connect ADDR) [--sessions N] [--requests N]
+               [--workload random|stream|gups|chase|stencil|hotspot|hammer]
+               [--preset 4l8b|4l16b|8l8b|8l16b|small] [--seed S] [--read-pct P]
+               [--block BYTES] [--batch N] [--poll-max N]
+               [--idle-gap CYCLES (0 = closed-loop)] [--idle-every OPS]
+               [--hot-quad Q] [--hot-pct P] [--retry-attempts N]
+               [--retry-base-ms MS] [--json FILE] [simulation axes]";
 
 struct Options {
     socket: Option<PathBuf>,
@@ -75,6 +74,8 @@ struct Options {
     sessions: usize,
     requests: u64,
     workload: String,
+    /// The preset with the command line's device axes stamped on.
+    config: DeviceConfig,
     preset: String,
     seed: u32,
     read_pct: u8,
@@ -85,150 +86,83 @@ struct Options {
     idle_every: u64,
     hot_quad: u8,
     hot_pct: u8,
-    interconnect: InterconnectKind,
-    arbitration: ArbitrationKind,
-    cell_faults: Option<CellFaultConfig>,
-    link_faults: Option<LinkFaultConfig>,
+    params: SimParams,
     retry_attempts: u32,
     retry_base_ms: u64,
     json: Option<PathBuf>,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            socket: None,
-            connect: None,
-            sessions: 4,
-            requests: 20_000,
-            workload: "random".into(),
-            preset: "small".into(),
-            seed: 1,
-            read_pct: 50,
-            block: 64,
-            batch: 1024,
-            poll_max: 512,
-            idle_gap: 0,
-            idle_every: 32,
-            hot_quad: 0,
-            hot_pct: hmc_workloads::DEFAULT_HOT_PCT,
-            interconnect: InterconnectKind::Crossbar,
-            arbitration: ArbitrationKind::RoundRobin,
-            cell_faults: None,
-            link_faults: None,
-            retry_attempts: RetryPolicy::default().max_attempts,
-            retry_base_ms: RetryPolicy::default().base_delay_ms,
-            json: None,
-        }
-    }
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: loadgen (--socket PATH | --connect ADDR) [--sessions N] \
-         [--requests N] [--workload random|stream|gups|chase|stencil|hotspot|hammer] \
-         [--preset 4l8b|4l16b|8l8b|8l16b|small] [--seed S] [--read-pct P] \
-         [--block BYTES] [--batch N] [--poll-max N] \
-         [--idle-gap CYCLES (0 = closed-loop)] [--idle-every OPS] \
-         [--hot-quad Q] [--hot-pct P] [--interconnect crossbar|ring|mesh] \
-         [--arbitration round-robin|oldest-first|locality-aware] \
-         [--hammer-threshold N] [--flip-prob PPM] [--retention CYCLES] \
-         [--mitigation none|trr|elevated] \
-         [--link-error-rate PPM] [--link-retry-limit N] [--retrain-cycles N] \
-         [--link-retry-cycles N] [--link-fault-seed S] \
-         [--retry-attempts N] [--retry-base-ms MS] [--json FILE]"
-    );
-    std::process::exit(2);
-}
-
 fn parse_options() -> Options {
-    let mut o = Options::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut next = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("loadgen: {flag} needs a value");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--socket" => o.socket = Some(PathBuf::from(next("--socket"))),
-            "--connect" => o.connect = Some(next("--connect")),
-            "--sessions" => o.sessions = next("--sessions").parse().unwrap_or_else(|_| usage()),
-            "--requests" => o.requests = next("--requests").parse().unwrap_or_else(|_| usage()),
-            "--workload" => o.workload = next("--workload"),
-            "--preset" => o.preset = next("--preset"),
-            "--seed" => o.seed = next("--seed").parse().unwrap_or_else(|_| usage()),
-            "--read-pct" => o.read_pct = next("--read-pct").parse().unwrap_or_else(|_| usage()),
-            "--block" => o.block = next("--block").parse().unwrap_or_else(|_| usage()),
-            "--batch" => o.batch = next("--batch").parse().unwrap_or_else(|_| usage()),
-            "--poll-max" => o.poll_max = next("--poll-max").parse().unwrap_or_else(|_| usage()),
-            "--idle-gap" => o.idle_gap = next("--idle-gap").parse().unwrap_or_else(|_| usage()),
-            "--idle-every" => {
-                o.idle_every = next("--idle-every").parse().unwrap_or_else(|_| usage())
-            }
-            "--hot-quad" => o.hot_quad = next("--hot-quad").parse().unwrap_or_else(|_| usage()),
-            "--hot-pct" => o.hot_pct = next("--hot-pct").parse().unwrap_or_else(|_| usage()),
-            "--interconnect" => {
-                o.interconnect = InterconnectKind::by_name(&next("--interconnect"))
-                    .unwrap_or_else(|| {
-                        eprintln!("loadgen: --interconnect needs `crossbar`, `ring`, or `mesh`");
-                        usage()
-                    })
-            }
-            "--arbitration" => {
-                o.arbitration =
-                    ArbitrationKind::by_name(&next("--arbitration")).unwrap_or_else(|| {
-                        eprintln!(
-                            "loadgen: --arbitration needs `round-robin`, `oldest-first`, \
-                             or `locality-aware`"
-                        );
-                        usage()
-                    })
-            }
-            "--json" => o.json = Some(PathBuf::from(next("--json"))),
-            "--retry-attempts" => {
-                o.retry_attempts = next("--retry-attempts").parse().unwrap_or_else(|_| usage())
-            }
-            "--retry-base-ms" => {
-                o.retry_base_ms = next("--retry-base-ms").parse().unwrap_or_else(|_| usage())
-            }
-            "--help" | "-h" => usage(),
-            flag => {
-                let value = args.next();
-                let hit = CellFaultConfig::apply_flag(&mut o.cell_faults, flag, value.as_deref())
-                    .and_then(|hit| {
-                        if hit {
-                            Ok(true)
-                        } else {
-                            LinkFaultConfig::apply_flag(&mut o.link_faults, flag, value.as_deref())
-                        }
-                    });
-                match hit {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        eprintln!("loadgen: unknown argument {flag}");
-                        usage()
-                    }
-                    Err(e) => {
-                        eprintln!("loadgen: {e}");
-                        usage()
-                    }
-                }
-            }
+    let mut o = Options {
+        socket: None,
+        connect: None,
+        sessions: 4,
+        requests: 20_000,
+        workload: "random".into(),
+        config: DeviceConfig::small(),
+        preset: "small".into(),
+        seed: 1,
+        read_pct: 50,
+        block: 64,
+        batch: 1024,
+        poll_max: 512,
+        idle_gap: 0,
+        idle_every: 32,
+        hot_quad: 0,
+        hot_pct: hmc_workloads::DEFAULT_HOT_PCT,
+        params: SimParams::default(),
+        retry_attempts: RetryPolicy::default().max_attempts,
+        retry_base_ms: RetryPolicy::default().base_delay_ms,
+        json: None,
+    };
+    let mut args = Args::from_env("loadgen", USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--socket" => o.socket = Some(args.value(&flag)),
+            "--connect" => o.connect = Some(args.value(&flag)),
+            "--sessions" => o.sessions = args.value(&flag),
+            "--requests" => o.requests = args.value(&flag),
+            "--workload" => o.workload = args.value(&flag),
+            "--preset" => o.preset = args.value(&flag),
+            "--seed" => o.seed = args.value(&flag),
+            "--read-pct" => o.read_pct = args.value(&flag),
+            "--block" => o.block = args.value(&flag),
+            "--batch" => o.batch = args.value(&flag),
+            "--poll-max" => o.poll_max = args.value(&flag),
+            "--idle-gap" => o.idle_gap = args.value(&flag),
+            "--idle-every" => o.idle_every = args.value(&flag),
+            "--hot-quad" => o.hot_quad = args.value(&flag),
+            "--hot-pct" => o.hot_pct = args.value(&flag),
+            "--json" => o.json = Some(args.value(&flag)),
+            "--retry-attempts" => o.retry_attempts = args.value(&flag),
+            "--retry-base-ms" => o.retry_base_ms = args.value(&flag),
+            _ => args.axis(&flag),
         }
     }
     if o.socket.is_none() && o.connect.is_none() {
-        eprintln!("loadgen: need --socket or --connect");
-        usage()
+        args.die("need --socket or --connect");
     }
     if o.sessions == 0 || o.batch == 0 {
-        eprintln!("loadgen: --sessions and --batch must be nonzero");
-        usage()
+        args.die("--sessions and --batch must be nonzero");
     }
     if o.idle_gap > 0 && o.idle_every == 0 {
-        eprintln!("loadgen: --idle-every must be nonzero with --idle-gap");
-        usage()
+        args.die("--idle-every must be nonzero with --idle-gap");
+    }
+    o.params = args.params_over(SimParams::default());
+    let p = &o.params;
+    o.config = DeviceConfig::by_name(&o.preset)
+        .unwrap_or_else(|| args.die(format_args!("unknown preset {:?}", o.preset)))
+        .with_timing(p.timing.kind)
+        .with_interconnect(p.interconnect.kind)
+        .with_arbitration(p.interconnect.arbitration)
+        .with_cell_faults(p.cell_faults)
+        .with_link_faults(p.link_faults);
+    // Only what the session config carries reaches the server.
+    if SimParams::default().with_device_axes(&o.config) != o.params {
+        args.die(
+            "--threads/--fast-forward/--check/--serialize-flits/--stall-queue are \
+             server-side; pass them to hmc-serve",
+        );
     }
     o
 }
@@ -309,23 +243,12 @@ fn drive_session(o: &Options, index: usize) -> Result<SessionOutcome, String> {
     }
     .map_err(|e| format!("session {index}: {e}"))?;
 
-    // A non-default fabric or armed cell faults ride in on the preset's
-    // config JSON: the DeviceConfig carries interconnect/arbitration and
-    // the fault block, so the server builds the session's device with
-    // the buffered NoC and/or injection enabled.
-    let session = if o.interconnect == InterconnectKind::Crossbar
-        && o.cell_faults.is_none()
-        && o.link_faults.is_none()
-    {
+    // Non-default axes ride in on the preset's config JSON, so the
+    // server builds the session's device with them enabled.
+    let session = if o.params == SimParams::default() {
         client.open_session_preset(&o.preset, 0, 0)
     } else {
-        let cfg = DeviceConfig::by_name(&o.preset)
-            .ok_or_else(|| format!("session {index}: unknown preset {:?}", o.preset))?
-            .with_interconnect(o.interconnect)
-            .with_arbitration(o.arbitration)
-            .with_cell_faults(o.cell_faults)
-            .with_link_faults(o.link_faults);
-        let json = serde_json::to_string(&cfg)
+        let json = serde_json::to_string(&o.config)
             .map_err(|e| format!("session {index}: config json: {e}"))?;
         client.open_session_json(&json, 0, 0)
     }
@@ -333,10 +256,9 @@ fn drive_session(o: &Options, index: usize) -> Result<SessionOutcome, String> {
 
     // Distinct seeds per session: concurrent identical streams would
     // still be valid, but distinct ones exercise the device mix better.
-    let device = DeviceConfig::by_name(&o.preset);
-    let capacity = device.as_ref().map(|c| c.capacity_bytes).unwrap_or(1 << 31);
+    let capacity = o.config.capacity_bytes;
     let block = BlockSize::from_bytes(o.block).map_err(|e| format!("--block: {e}"))?;
-    let mut spec = WorkloadSpec::new(
+    let spec = WorkloadSpec::new(
         &o.workload,
         o.seed.wrapping_add(index as u32),
         capacity.min(2 << 30),
@@ -344,11 +266,9 @@ fn drive_session(o: &Options, index: usize) -> Result<SessionOutcome, String> {
     )
     .with_block(block)
     .with_read_pct(o.read_pct)
-    .with_hotspot(o.hot_quad, o.hot_pct);
+    .with_hotspot(o.hot_quad, o.hot_pct)
     // Quad-aware generators need the preset's address geometry.
-    if let Some(cfg) = &device {
-        spec = spec.with_geometry(cfg.geometry());
-    }
+    .with_geometry(o.config.geometry());
     let mut workload = spec.build().map_err(|e| e.to_string())?;
     let mut ops = workload_to_wire(workload.as_mut());
     let mut idle_gaps = 0u64;
@@ -551,8 +471,8 @@ fn main() {
         sessions: o.sessions as u64,
         workload: o.workload.clone(),
         preset: o.preset.clone(),
-        interconnect: o.interconnect.name().into(),
-        arbitration: o.arbitration.name().into(),
+        interconnect: o.params.interconnect.kind.name().into(),
+        arbitration: o.params.interconnect.arbitration.name().into(),
         requests_per_session: o.requests,
         idle_gap_cycles: o.idle_gap,
         idle_every_ops: o.idle_every,
@@ -612,7 +532,7 @@ fn main() {
             report.total_busy_retries, report.total_backoff_ms
         );
     }
-    if o.link_faults.is_some() {
+    if o.params.link_faults.is_some() {
         eprintln!(
             "loadgen: link faults: {} retries, {} retrains, {} poisoned responses",
             report.total_link_retries,
@@ -620,7 +540,7 @@ fn main() {
             report.total_poisoned_responses
         );
     }
-    if o.cell_faults.is_some() {
+    if o.params.cell_faults.is_some() {
         eprintln!(
             "loadgen: cell faults: {} activations, {} bit flips, {} TRR refreshes, \
              {} retention decays",

@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use hmc_core::SimParams;
 use hmc_types::{DeviceConfig, Frame, HmcError, Result, WireErrorCode, WireOp};
 
 use crate::session::{PumpOutcome, SessionLimits, SessionState};
@@ -28,10 +29,13 @@ pub struct ServerConfig {
     pub idle_timeout: Option<Duration>,
     /// Suggested client retry delay carried in BUSY frames.
     pub retry_hint_ms: u32,
-    /// Server-wide link-fault default: applied to every opened session
-    /// whose own `DeviceConfig` leaves `link_faults` unset (a session
-    /// config that arms its own faults wins). `None` leaves links clean.
-    pub link_faults: Option<hmc_types::LinkFaultConfig>,
+    /// Server-wide simulation parameters every session's device is
+    /// built under. The session's own `DeviceConfig` is laid over them
+    /// (`SimParams::with_device_axes`): it always names its timing
+    /// backend and fabric, and a fault block it arms wins over the
+    /// server's — so a `link_faults` block here is the daemon-wide
+    /// degraded-link default.
+    pub params: SimParams,
 }
 
 impl Default for ServerConfig {
@@ -42,7 +46,7 @@ impl Default for ServerConfig {
             limits: SessionLimits::default(),
             idle_timeout: Some(Duration::from_secs(300)),
             retry_hint_ms: 2,
-            link_faults: None,
+            params: SimParams::default(),
         }
     }
 }
@@ -159,7 +163,7 @@ impl SessionManager {
         if self.draining() {
             return Self::error(WireErrorCode::ShuttingDown, "server is draining");
         }
-        let mut config: DeviceConfig = if !preset.is_empty() {
+        let config: DeviceConfig = if !preset.is_empty() {
             match DeviceConfig::by_name(preset) {
                 Some(c) => c,
                 None => {
@@ -179,11 +183,6 @@ impl SessionManager {
         } else {
             return Self::error(WireErrorCode::BadConfig, "no preset and no config body");
         };
-        if config.link_faults.is_none() {
-            // Daemon-wide degraded-link mode: sessions inherit the
-            // server's fault block unless they brought their own.
-            config.link_faults = self.inner.cfg.link_faults;
-        }
 
         let defaults = self.inner.cfg.limits;
         let clamp = |requested: u32, default: usize| -> usize {
@@ -197,10 +196,9 @@ impl SessionManager {
             inflight_limit: clamp(inflight_limit, defaults.inflight_limit),
             response_limit: clamp(response_limit, defaults.response_limit),
             slice_cycles: defaults.slice_cycles,
-            fast_forward: defaults.fast_forward,
         };
 
-        let state = match SessionState::new(config, limits) {
+        let state = match SessionState::with_params(config, limits, self.inner.cfg.params) {
             Ok(s) => s,
             Err(e) => return Self::error(WireErrorCode::BadConfig, e.to_string()),
         };

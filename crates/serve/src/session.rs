@@ -11,14 +11,14 @@
 //! reserved for the idle settle phase, where only posted traffic (which
 //! carries no tags) is still draining, and for client-scheduled
 //! [`SessionOp::Idle`] gaps, whose span is part of the submitted stream
-//! and therefore deterministic too. Sessions opened with
-//! [`SessionLimits::fast_forward`] arm the engine's event-driven
-//! fast-forward mode, which turns those batched advances over dead
-//! cycles into O(1) jumps without changing any observable.
+//! and therefore deterministic too. Sessions built under server
+//! parameters with `SimParams::fast_forward` set arm the engine's
+//! event-driven fast-forward mode, which turns those batched advances
+//! over dead cycles into O(1) jumps without changing any observable.
 
 use std::collections::VecDeque;
 
-use hmc_core::{topology, HmcSim};
+use hmc_core::{topology, HmcSim, SimParams};
 use hmc_host::Host;
 use hmc_types::{
     BlockSize, CubeId, DeviceConfig, HmcError, Result, WireOp, WireResponse, WireStats,
@@ -37,11 +37,6 @@ pub struct SessionLimits {
     /// Cycles one scheduling quantum may execute before the worker yields
     /// the session back to the run queue.
     pub slice_cycles: u64,
-    /// Arm the engine's event-driven fast-forward mode for this session's
-    /// device. Responses and stats stay bit-identical (the pump's
-    /// schedule does not change); batched advances — idle gaps and the
-    /// posted-settle phase — get cheap when every stage is quiescent.
-    pub fast_forward: bool,
 }
 
 impl Default for SessionLimits {
@@ -50,7 +45,6 @@ impl Default for SessionLimits {
             inflight_limit: 4096,
             response_limit: 8192,
             slice_cycles: 4096,
-            fast_forward: false,
         }
     }
 }
@@ -156,8 +150,21 @@ pub struct SessionState {
 impl SessionState {
     /// Build a fresh single-device session from a validated config.
     pub fn new(config: DeviceConfig, limits: SessionLimits) -> Result<SessionState> {
+        SessionState::with_params(config, limits, SimParams::default())
+    }
+
+    /// [`SessionState::new`] under server-wide simulation parameters.
+    /// Precedence is *defaults < server parameters < session config*:
+    /// the axes a `DeviceConfig` carries (timing backend, fabric, and
+    /// its fault blocks when set) are laid over `params`.
+    pub fn with_params(
+        config: DeviceConfig,
+        limits: SessionLimits,
+        params: SimParams,
+    ) -> Result<SessionState> {
         config.validate()?;
-        let mut sim = HmcSim::new(1, config)?.with_fast_forward(limits.fast_forward);
+        let params = params.with_device_axes(&config);
+        let mut sim = HmcSim::new(1, config)?.with_params(params);
         let host_id = sim.host_cube_id(0);
         topology::build_simple(&mut sim, host_id)?;
         let host = Host::attach(&sim, host_id)?;
@@ -530,10 +537,13 @@ mod tests {
     #[test]
     fn fast_forward_sessions_are_bit_identical_to_stepped() {
         let run = |fast_forward: bool| {
-            let mut s = small_session(SessionLimits {
+            let params = SimParams {
                 fast_forward,
-                ..SessionLimits::default()
-            });
+                ..SimParams::default()
+            };
+            let mut s =
+                SessionState::with_params(DeviceConfig::small(), SessionLimits::default(), params)
+                    .unwrap();
             let mut ops = Vec::new();
             for i in 0u64..24 {
                 ops.push(WireOp {

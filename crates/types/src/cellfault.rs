@@ -226,38 +226,31 @@ impl CellFaultConfig {
         flag: &str,
         value: Option<&str>,
     ) -> Result<bool> {
-        if !matches!(
-            flag,
-            "--hammer-threshold" | "--flip-prob" | "--retention" | "--mitigation"
-        ) {
-            return Ok(false);
-        }
+        type Setter = fn(&mut CellFaultConfig, &str) -> bool;
+        let (set, what): (Setter, &str) = match flag {
+            "--hammer-threshold" => (
+                |c, v| v.parse().map(|x| c.hammer_threshold = x).is_ok(),
+                "an activation count",
+            ),
+            "--flip-prob" => (
+                |c, v| v.parse().map(|x| c.flip_prob_ppm = x).is_ok(),
+                "a ppm value",
+            ),
+            "--retention" => (
+                |c, v| v.parse().map(|x| c.retention_cycles = x).is_ok(),
+                "a cycle count",
+            ),
+            "--mitigation" => (
+                |c, v| Mitigation::by_name(v).map(|x| c.mitigation = x).is_some(),
+                "`none`, `trr`, or `elevated`",
+            ),
+            _ => return Ok(false),
+        };
         let v = value
             .ok_or_else(|| HmcError::InvalidConfig(format!("{flag} needs a value")))?;
         let mut cfg = slot.unwrap_or_default();
-        match flag {
-            "--hammer-threshold" => {
-                cfg.hammer_threshold = v.parse().map_err(|_| {
-                    HmcError::InvalidConfig(format!("{flag} needs an activation count, got {v:?}"))
-                })?;
-            }
-            "--flip-prob" => {
-                cfg.flip_prob_ppm = v.parse().map_err(|_| {
-                    HmcError::InvalidConfig(format!("{flag} needs a ppm value, got {v:?}"))
-                })?;
-            }
-            "--retention" => {
-                cfg.retention_cycles = v.parse().map_err(|_| {
-                    HmcError::InvalidConfig(format!("{flag} needs a cycle count, got {v:?}"))
-                })?;
-            }
-            _ => {
-                cfg.mitigation = Mitigation::by_name(v).ok_or_else(|| {
-                    HmcError::InvalidConfig(format!(
-                        "{flag} needs `none`, `trr`, or `elevated`, got {v:?}"
-                    ))
-                })?;
-            }
+        if !set(&mut cfg, v) {
+            return Err(HmcError::InvalidConfig(format!("{flag} needs {what}, got {v:?}")));
         }
         *slot = Some(cfg);
         Ok(true)

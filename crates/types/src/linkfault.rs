@@ -164,46 +164,39 @@ impl LinkFaultConfig {
         flag: &str,
         value: Option<&str>,
     ) -> Result<bool> {
-        if !matches!(
-            flag,
-            "--link-error-rate"
-                | "--link-retry-limit"
-                | "--retrain-cycles"
-                | "--link-retry-cycles"
-                | "--link-fault-seed"
-        ) {
-            return Ok(false);
-        }
+        type Setter = fn(&mut LinkFaultConfig, &str) -> bool;
+        let (set, what): (Setter, &str) = match flag {
+            "--link-error-rate" => (
+                |c, v| v.parse().map(|x| c.error_rate_ppm = x).is_ok(),
+                "a ppm value",
+            ),
+            "--link-retry-limit" => (
+                |c, v| v.parse().map(|x| c.retry_limit = x).is_ok(),
+                "an attempt count",
+            ),
+            "--retrain-cycles" => (
+                |c, v| v.parse().map(|x| c.retrain_cycles = x).is_ok(),
+                "a cycle count",
+            ),
+            "--link-retry-cycles" => (
+                |c, v| v.parse().map(|x| c.retry_cycles = x).is_ok(),
+                "a cycle count",
+            ),
+            "--link-fault-seed" => (
+                |c, v| {
+                    u64::from_str_radix(v.trim_start_matches("0x"), 16)
+                        .map(|x| c.seed = x)
+                        .is_ok()
+                },
+                "a hex seed",
+            ),
+            _ => return Ok(false),
+        };
         let v = value
             .ok_or_else(|| HmcError::InvalidConfig(format!("{flag} needs a value")))?;
         let mut cfg = slot.unwrap_or_default();
-        match flag {
-            "--link-error-rate" => {
-                cfg.error_rate_ppm = v.parse().map_err(|_| {
-                    HmcError::InvalidConfig(format!("{flag} needs a ppm value, got {v:?}"))
-                })?;
-            }
-            "--link-retry-limit" => {
-                cfg.retry_limit = v.parse().map_err(|_| {
-                    HmcError::InvalidConfig(format!("{flag} needs an attempt count, got {v:?}"))
-                })?;
-            }
-            "--retrain-cycles" => {
-                cfg.retrain_cycles = v.parse().map_err(|_| {
-                    HmcError::InvalidConfig(format!("{flag} needs a cycle count, got {v:?}"))
-                })?;
-            }
-            "--link-retry-cycles" => {
-                cfg.retry_cycles = v.parse().map_err(|_| {
-                    HmcError::InvalidConfig(format!("{flag} needs a cycle count, got {v:?}"))
-                })?;
-            }
-            _ => {
-                let hex = v.trim_start_matches("0x");
-                cfg.seed = u64::from_str_radix(hex, 16).map_err(|_| {
-                    HmcError::InvalidConfig(format!("{flag} needs a hex seed, got {v:?}"))
-                })?;
-            }
+        if !set(&mut cfg, v) {
+            return Err(HmcError::InvalidConfig(format!("{flag} needs {what}, got {v:?}")));
         }
         *slot = Some(cfg);
         Ok(true)

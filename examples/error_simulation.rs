@@ -5,17 +5,14 @@
 
 use hmc_sim::prelude::*;
 
-fn run(rate: f64) -> (RunReport, u64, u64, u64) {
+fn run(ppm: u32) -> (RunReport, u64, u64, u64) {
     let config = DeviceConfig::paper_4link_8bank_2gb().with_storage_mode(StorageMode::TimingOnly);
-    let mut sim = HmcSim::new(1, config).expect("config");
-    if rate > 0.0 {
-        sim.enable_fault_injection(FaultConfig {
-            packet_error_rate: rate,
-            retry_cycles: 8,
-            seed: 0xbad1,
-            ..FaultConfig::default()
-        });
-    }
+    let faults = LinkFaultConfig::default()
+        .with_error_rate_ppm(ppm)
+        .with_seed(0xbad1);
+    let mut sim = HmcSim::new(1, config)
+        .expect("config")
+        .with_link_faults((ppm > 0).then_some(faults));
     let host_id = sim.host_cube_id(0);
     topology::build_simple(&mut sim, host_id).expect("topology");
     let mut host = Host::attach(&sim, host_id).expect("host");
@@ -35,12 +32,12 @@ fn main() {
         "{:>10} {:>10} {:>10} {:>10} {:>12} {:>12} {:>10}",
         "error rate", "cycles", "req/cyc", "latency", "corruptions", "recovered", "poisoned"
     );
-    let (clean, _, _, _) = run(0.0);
-    for rate in [0.0, 1e-4, 1e-3, 1e-2, 0.05, 0.2] {
-        let (report, injected, detected, poisoned) = run(rate);
+    let (clean, _, _, _) = run(0);
+    for ppm in [0, 100, 1_000, 10_000, 50_000, 200_000] {
+        let (report, injected, detected, poisoned) = run(ppm);
         println!(
             "{:>10} {:>10} {:>10.2} {:>10.1} {:>12} {:>12} {:>10}",
-            format!("{rate:.0e}"),
+            format!("{ppm} ppm"),
             report.cycles,
             report.throughput,
             report.mean_latency,

@@ -71,14 +71,14 @@ pub use hmc_workloads;
 /// The most common imports for driving a simulation.
 pub mod prelude {
     pub use hmc_core::builder::{decode_response, ResponseInfo};
-    pub use hmc_core::{topology, ConflictPolicy, FaultConfig, HmcSim, SimParams};
+    pub use hmc_core::{topology, ConflictPolicy, HmcSim, SimParams};
     pub use hmc_host::{run_workload, Host, LinkSelection, RunConfig, RunReport};
     pub use hmc_trace::{
         CountingSink, SeriesCollector, SharedSink, TraceSink, Tracer, Verbosity,
     };
     pub use hmc_types::{
-        BlockSize, Command, CubeId, Cycle, DeviceConfig, HmcError, LinkId, Packet, PhysAddr,
-        Result, StorageMode, VaultId,
+        BlockSize, Command, CubeId, Cycle, DeviceConfig, HmcError, LinkFaultConfig, LinkId, Packet,
+        PhysAddr, Result, StorageMode, VaultId,
     };
     pub use hmc_workloads::{
         Gups, MemOp, Mixed, OpKind, PointerChase, RandomAccess, Replay, Stencil, Stream,

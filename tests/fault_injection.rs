@@ -2,10 +2,12 @@
 //! and retransmission penalties, plus the live-register behaviours (IBTC
 //! mirrors tokens; AC switches address-map modes).
 
-use hmc_sim::hmc_core::{regs, topology, FaultConfig, HmcSim};
+use hmc_sim::hmc_core::{regs, topology, HmcSim};
 use hmc_sim::hmc_host::{run_workload, Host, RunConfig};
 use hmc_sim::hmc_trace::{CountingSink, EventKind, SharedSink, Tracer, Verbosity};
-use hmc_sim::hmc_types::{BlockSize, Command, DeviceConfig, Packet, StorageMode};
+use hmc_sim::hmc_types::{
+    BlockSize, Command, DeviceConfig, LinkFaultConfig, Packet, StorageMode,
+};
 use hmc_sim::hmc_workloads::RandomAccess;
 
 fn sim() -> HmcSim {
@@ -26,15 +28,15 @@ fn corrupted_packets_are_detected_and_recovered() {
     let mut s = sim();
     let sink = SharedSink::new(CountingSink::default());
     s.set_tracer(Tracer::new(Verbosity::Stalls, Box::new(sink.clone())));
-    s.enable_fault_injection(FaultConfig {
-        packet_error_rate: 0.25,
+    s.set_link_faults(Some(LinkFaultConfig {
+        error_rate_ppm: 250_000,
         retry_cycles: 4,
         // Effectively unbounded retries: this test is about recovery,
         // not exhaustion (0.25^1000 never happens).
         retry_limit: 1_000,
         seed: 42,
-        ..FaultConfig::default()
-    });
+        ..LinkFaultConfig::default()
+    }));
     let host_id = s.host_cube_id(0);
     let mut host = Host::attach(&s, host_id).unwrap();
     let mut w = RandomAccess::new(1, 1 << 28, BlockSize::B64, 50, 2_000);
@@ -67,13 +69,13 @@ fn retry_exhaustion_poisons_every_abandoned_request() {
     let mut s = sim();
     let sink = SharedSink::new(CountingSink::default());
     s.set_tracer(Tracer::new(Verbosity::Stalls, Box::new(sink.clone())));
-    s.enable_fault_injection(FaultConfig {
-        packet_error_rate: 0.35,
+    s.set_link_faults(Some(LinkFaultConfig {
+        error_rate_ppm: 350_000,
         retry_cycles: 3,
         retry_limit: 1,
         retrain_cycles: 16,
         seed: 0x000B_AD11,
-    });
+    }));
     let host_id = s.host_cube_id(0);
     let mut host = Host::attach(&s, host_id).unwrap();
     let mut w = RandomAccess::new(3, 1 << 28, BlockSize::B64, 50, 2_000);
@@ -110,15 +112,14 @@ fn retry_exhaustion_poisons_every_abandoned_request() {
 
 #[test]
 fn lossy_links_cost_cycles() {
-    let run = |rate: f64| {
+    let run = |ppm: u32| {
         let mut s = sim();
-        if rate > 0.0 {
-            s.enable_fault_injection(FaultConfig {
-                packet_error_rate: rate,
-                retry_cycles: 8,
-                seed: 7,
-                ..FaultConfig::default()
-            });
+        if ppm > 0 {
+            s.set_link_faults(Some(
+                LinkFaultConfig::default()
+                    .with_error_rate_ppm(ppm)
+                    .with_seed(7),
+            ));
         }
         let host_id = s.host_cube_id(0);
         let mut host = Host::attach(&s, host_id).unwrap();
@@ -127,8 +128,8 @@ fn lossy_links_cost_cycles() {
             .unwrap()
             .cycles
     };
-    let clean = run(0.0);
-    let lossy = run(0.2);
+    let clean = run(0);
+    let lossy = run(200_000);
     assert!(
         lossy > clean,
         "20% packet loss ({lossy} cycles) must be slower than clean ({clean})"
@@ -138,12 +139,7 @@ fn lossy_links_cost_cycles() {
 #[test]
 fn zero_rate_fault_injection_is_a_noop() {
     let mut s = sim();
-    s.enable_fault_injection(FaultConfig {
-        packet_error_rate: 0.0,
-        retry_cycles: 8,
-        seed: 1,
-        ..FaultConfig::default()
-    });
+    s.set_link_faults(Some(LinkFaultConfig::default().with_seed(1)));
     let host_id = s.host_cube_id(0);
     let mut host = Host::attach(&s, host_id).unwrap();
     let mut w = RandomAccess::new(1, 1 << 28, BlockSize::B64, 50, 500);

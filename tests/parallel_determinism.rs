@@ -4,9 +4,9 @@
 //! tests drive identical seeded workloads through `threads = 1` and
 //! `threads = 4` simulations and compare everything observable.
 
-use hmc_sim::hmc_core::{topology, FaultConfig, HmcSim};
+use hmc_sim::hmc_core::{topology, HmcSim};
 use hmc_sim::hmc_trace::{CountingSink, EventKind, SharedSink, Tracer, Verbosity};
-use hmc_sim::hmc_types::{BlockSize, Command, DeviceConfig, Packet};
+use hmc_sim::hmc_types::{BlockSize, Command, DeviceConfig, LinkFaultConfig, Packet};
 
 /// One observed response: delivery cycle, link, tag, first payload word.
 type Observation = (u64, u8, u16, u64);
@@ -41,14 +41,14 @@ fn run_with_faults(
     threads: usize,
     requests: u64,
     seed: u64,
-    faults: Option<FaultConfig>,
+    faults: Option<LinkFaultConfig>,
 ) -> (RunResult, (u64, u64, u64)) {
-    let mut sim = HmcSim::new(1, cfg).unwrap().with_threads(threads);
+    let mut sim = HmcSim::new(1, cfg)
+        .unwrap()
+        .with_threads(threads)
+        .with_link_faults(faults);
     let host = sim.host_cube_id(0);
     topology::build_simple(&mut sim, host).unwrap();
-    if let Some(f) = faults {
-        sim.enable_fault_injection(f);
-    }
     let counting = SharedSink::new(CountingSink::default());
     sim.set_tracer(Tracer::new(Verbosity::Full, Box::new(counting.clone())));
 
@@ -158,11 +158,11 @@ fn fault_injection_is_bit_identical_across_one_two_four_eight_threads() {
     // corruption rolls) and the retry/retransmission timing path; all of
     // it must stay on the deterministic serial schedule regardless of
     // shard count. Compare full observable state across 1/2/4/8 threads.
-    let faults = FaultConfig {
-        packet_error_rate: 0.02,
+    let faults = LinkFaultConfig {
+        error_rate_ppm: 20_000,
         retry_cycles: 6,
         seed: 0xFA_0175,
-        ..FaultConfig::default()
+        ..LinkFaultConfig::default()
     };
     let cfg = DeviceConfig::small();
     let (reference, ref_faults) =
@@ -202,8 +202,8 @@ fn retry_exhaustion_is_bit_identical_across_threads() {
     // links actually go down: the exhaustion aborts, poisoned error
     // responses, and retraining windows must all land on the identical
     // cycles regardless of shard count.
-    let faults = FaultConfig {
-        packet_error_rate: 0.3,
+    let faults = LinkFaultConfig {
+        error_rate_ppm: 300_000,
         retry_cycles: 5,
         retry_limit: 1,
         retrain_cycles: 24,

@@ -225,22 +225,14 @@ fn million_request_run_returns_every_token_and_drains_every_queue() {
 
 #[test]
 fn invariant_checked_soak_reports_zero_violations() {
-    // The same stack with the protocol invariant checker armed through
-    // the driver flag: a clean run must report exactly zero violations.
+    // The same stack with the protocol invariant checker armed on the
+    // sim: a clean run must report exactly zero violations.
     let (mut sim, mut host) = build(
         DeviceConfig::paper_4link_16bank_4gb().with_storage_mode(StorageMode::Functional),
     );
+    sim.set_check_invariants(true);
     let mut w = mixed_workload(13);
-    let report = run_workload(
-        &mut sim,
-        &mut host,
-        &mut w,
-        RunConfig {
-            check_invariants: true,
-            ..RunConfig::default()
-        },
-    )
-    .unwrap();
+    let report = run_workload(&mut sim, &mut host, &mut w, RunConfig::default()).unwrap();
     assert_eq!(report.completed, 7_000);
     assert_eq!(
         report.invariant_violations, 0,
