@@ -32,7 +32,7 @@ use std::collections::HashMap;
 use hmc_types::{CubeId, LinkId, Packet, PhysAddr, MAX_PACKET_FLITS};
 
 use crate::link::Endpoint;
-use crate::queue::QueueEntry;
+use crate::queue::{QueueEntry, NO_ROUTE};
 use crate::sim::HmcSim;
 
 /// Recorded violations are capped so a hard failure loop cannot grow the
@@ -260,7 +260,7 @@ impl HmcSim {
         for d in &self.devices {
             let di = d.id;
             for (li, x) in d.xbars.iter().enumerate() {
-                for (name, q) in [("rqst", &x.rqst), ("rsp", &x.rsp)] {
+                for (name, q) in [("rqst", &*x.rqst), ("rsp", &x.rsp)] {
                     if q.len() > q.depth() {
                         found.push(format!(
                             "queue depth: dev {di} xbar {li} {name} holds {} of {} slots",
@@ -270,6 +270,36 @@ impl HmcSim {
                     }
                     for e in q.iter() {
                         check_entry(&mut found, &format!("dev {di} xbar {li} {name}"), e);
+                    }
+                }
+                // Route keys: a keyed slot is skipped by the crossbar walk
+                // on the key alone, so the memo must still be what a fresh
+                // classification would say, and the packet must be one
+                // the link-retry code has no business with.
+                for (slot, e) in x.rqst.iter().enumerate() {
+                    let key = x.rqst.route_key(slot);
+                    if key == NO_ROUTE {
+                        continue;
+                    }
+                    let fresh = PhysAddr::new(e.packet.addr())
+                        .and_then(|a| self.map.decode(a))
+                        .ok()
+                        .map(|d| (d.vault, d.bank, d.row));
+                    let stored = (e.dest_vault, e.dest_bank, e.dest_row);
+                    if fresh != Some(stored) || key != e.dest_vault {
+                        found.push(format!(
+                            "route key: dev {di} xbar {li} slot {slot} keyed {key} with stored \
+                             route {stored:?}, but the address map decodes {fresh:?} \
+                             (tag {:#x}, cycle {clock})",
+                            e.packet.tag()
+                        ));
+                    }
+                    if e.corrupt || e.retry_gated(clock) {
+                        found.push(format!(
+                            "route key: dev {di} xbar {li} slot {slot} is keyed but corrupt \
+                             or retry-gated (tag {:#x}, cycle {clock})",
+                            e.packet.tag()
+                        ));
                     }
                 }
             }
@@ -413,6 +443,49 @@ mod tests {
             .invariant_violations()
             .iter()
             .any(|v| v.contains("token conservation")));
+    }
+
+    #[test]
+    fn stale_or_unclean_route_keys_are_flagged() {
+        let mut s = HmcSim::new(1, DeviceConfig::small().with_queue_depths(16, 2))
+            .unwrap()
+            .with_params(SimParams {
+                check_invariants: true,
+                ..SimParams::default()
+            });
+        let host = s.host_cube_id(0);
+        topology::build_simple(&mut s, host).unwrap();
+        // Ten reads to vault 0 (vault bits sit above the 128-byte block
+        // offset) against a two-slot vault queue: two cycles in, the
+        // tail is stalled at the crossbar and keyed.
+        for tag in 0..10 {
+            s.send(0, 0, read((tag as u64) << 11, tag, 0)).unwrap();
+        }
+        s.clock().unwrap();
+        s.clock().unwrap();
+        let rqst = &s.devices[0].xbars[0].rqst;
+        assert_ne!(rqst.route_key(0), NO_ROUTE, "stalled head is keyed");
+        let head = rqst.get(0).unwrap();
+        let (vault, bank, row) = (head.dest_vault, head.dest_bank, head.dest_row);
+        assert_eq!(s.total_invariant_violations(), 0, "a real memo is clean");
+
+        // A memo the address map no longer agrees with…
+        s.devices[0].xbars[0]
+            .rqst
+            .set_route(0, vault + 1, bank, row);
+        s.inv_check_cycle();
+        assert!(s.invariant_violations()[0].contains("route key"));
+        // …and a keyed packet the link-retry code still owns.
+        let flagged = s.total_invariant_violations();
+        s.devices[0].xbars[0].rqst.set_route(0, vault, bank, row);
+        s.devices[0].xbars[0].rqst.get_mut(0).unwrap().corrupt = true;
+        s.inv_check_cycle();
+        assert_eq!(s.total_invariant_violations(), flagged + 1);
+        assert!(s
+            .invariant_violations()
+            .last()
+            .unwrap()
+            .contains("corrupt or retry-gated"));
     }
 
     #[test]

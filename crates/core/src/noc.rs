@@ -380,6 +380,35 @@ pub enum NocEvent {
     },
 }
 
+/// "No such index" in the per-destination order tables.
+const NO_INDEX: u32 = u32::MAX;
+
+/// A segment-buffer slot. Every slot holds a packet except while the
+/// scan of its own buffer is running: a winner is moved out of its slot
+/// (not cloned) the moment it hops or delivers, and the vacated slots
+/// are squeezed out when the scan ends.
+type Slot = Option<NocEntry>;
+
+fn live(slot: &Slot) -> &NocEntry {
+    slot.as_ref()
+        .expect("segment slots are vacant only inside their own buffer's scan")
+}
+
+/// Reusable buffers of the rotation escape, so that a saturated fabric
+/// rotating every cycle allocates nothing.
+#[derive(Debug, Default)]
+struct RotateScratch {
+    /// Per quad: the packet it would move if its next segment had room
+    /// (buffer index, next quad).
+    cand: Vec<Option<(usize, QuadId)>>,
+    /// Per quad: 0 unvisited, 1 on the current path, 2 done.
+    state: Vec<u8>,
+    /// Quads on the wait-for path being walked.
+    path: Vec<usize>,
+    /// Members of the cycle being rotated, lifted out of their buffers.
+    moving: Vec<(usize, QuadId, NocEntry)>,
+}
+
 /// Buffered-fabric state for one device: per-quad, per-class segment
 /// FIFOs plus arbitration bookkeeping. Lives as `Device::noc`; `None`
 /// there means the crossbar fabric (no buffering, original engine
@@ -395,13 +424,21 @@ pub struct NocState {
     /// One bounded FIFO per quad segment per traffic class, plane-major
     /// (`class.index() * num_quads + quad`), preallocated to
     /// `buffer_depth` so the steady state never allocates.
-    buffers: Vec<VecDeque<NocEntry>>,
+    buffers: Vec<VecDeque<Slot>>,
     /// Round-robin scan origin per buffer (pre-compaction index space).
     rr_next: Vec<usize>,
     /// Scratch: candidate scan order for one quad (indices).
     scratch_order: Vec<u32>,
-    /// Scratch: positions moved out of the current quad this cycle.
-    scratch_moved: Vec<u32>,
+    /// Scratch: indices vacated in the current quad's scan.
+    scratch_vacated: Vec<u32>,
+    /// Scratch, per destination order key: the earliest index in the
+    /// buffer being scanned that still holds a packet for that
+    /// destination ([`NO_INDEX`] when none does).
+    first: Vec<u32>,
+    /// Scratch, per buffer index: the next later index bound for the
+    /// same destination.
+    next_same: Vec<u32>,
+    rotate_scratch: RotateScratch,
     /// Events staged by `advance`, drained by the engine afterwards.
     events: Vec<NocEvent>,
 }
@@ -418,20 +455,32 @@ impl NocState {
             InterconnectKind::Mesh => Topology::Mesh(MeshTopology::for_quads(num_quads)),
         };
         let depth = (params.buffer_depth as usize).max(1);
+        let nq = num_quads as usize;
         Some(NocState {
             topology,
             arbitration: params.arbitration,
             buffer_depth: depth,
             quad_drain: (params.quad_drain as usize).max(1),
             num_vaults,
-            num_quads: num_quads as usize,
-            buffers: (0..2 * num_quads as usize)
+            num_quads: nq,
+            buffers: (0..2 * nq)
                 .map(|_| VecDeque::with_capacity(depth))
                 .collect(),
-            rr_next: vec![0; 2 * num_quads as usize],
+            rr_next: vec![0; 2 * nq],
             scratch_order: Vec::with_capacity(depth),
-            scratch_moved: Vec::with_capacity(depth),
-            events: Vec::new(),
+            scratch_vacated: Vec::with_capacity(depth),
+            // Order keys: vaults, then egress links (link id == quad id).
+            first: vec![NO_INDEX; num_vaults as usize + nq],
+            next_same: Vec::with_capacity(depth),
+            rotate_scratch: RotateScratch {
+                cand: Vec::with_capacity(nq),
+                state: Vec::with_capacity(nq),
+                path: Vec::with_capacity(nq),
+                moving: Vec::with_capacity(nq),
+            },
+            // One advance stages at most one event per buffered packet
+            // plus one rotation hop per quad, on each plane.
+            events: Vec::with_capacity(2 * nq * (depth + 1)),
         })
     }
 
@@ -479,25 +528,24 @@ impl NocState {
             "caller checks has_room before inject"
         );
         debug_assert_ne!(dest.quad(), quad, "local traffic bypasses the NoC");
-        self.buffers[dest.class().index() * self.num_quads + quad as usize].push_back(NocEntry {
-            entry,
-            dest,
-            moved_at: clock,
-        });
+        self.buffers[dest.class().index() * self.num_quads + quad as usize].push_back(Some(
+            NocEntry {
+                entry,
+                dest,
+                moved_at: clock,
+            },
+        ));
     }
 
-    /// Pop the next staged trace event, oldest first.
-    pub fn pop_event(&mut self) -> Option<NocEvent> {
-        if self.events.is_empty() {
-            None
-        } else {
-            Some(self.events.remove(0))
-        }
+    /// Hand over the trace events staged by [`NocState::advance`], oldest
+    /// first, in one pass (the staging buffer keeps its capacity).
+    pub fn drain_events(&mut self) -> impl Iterator<Item = NocEvent> + '_ {
+        self.events.drain(..)
     }
 
     /// Iterate over every buffered packet (invariant sweeps).
     pub fn entries(&self) -> impl Iterator<Item = &NocEntry> {
-        self.buffers.iter().flat_map(|b| b.iter())
+        self.buffers.iter().flat_map(|b| b.iter().map(live))
     }
 
     /// Run one NoC sub-cycle. For each virtual-channel plane (requests,
@@ -512,7 +560,9 @@ impl NocState {
     /// Per-destination FIFO order is enforced: a packet may move only if
     /// no earlier-positioned packet with the same destination is still
     /// in its buffer. With deterministic routing this preserves global
-    /// per-stream order regardless of arbitration policy.
+    /// per-stream order regardless of arbitration policy. The check is a
+    /// table lookup (`index_destinations`), so one buffer's
+    /// scan is linear in its occupancy.
     ///
     /// If a plane's pass moves nothing while packets sit stalled on
     /// full segment buffers, the cycle-rotation escape runs (see the
@@ -545,15 +595,14 @@ impl NocState {
                     continue;
                 }
                 self.build_scan_order(bi, len, q as QuadId);
+                self.index_destinations(bi);
                 let order = std::mem::take(&mut self.scratch_order);
-                let mut moved = std::mem::take(&mut self.scratch_moved);
-                moved.clear();
+                self.scratch_vacated.clear();
                 let mut budget = self.quad_drain;
-                let mut last_winner: Option<u32> = None;
                 for &iu in order.iter() {
                     let i = iu as usize;
                     let (dest, moved_at, tag) = {
-                        let e = &self.buffers[bi][i];
+                        let e = live(&self.buffers[bi][i]);
                         (e.dest, e.moved_at, e.entry.packet.tag())
                     };
                     // One segment per cycle: skip packets that hopped
@@ -564,12 +613,8 @@ impl NocState {
                     }
                     // Per-destination FIFO: an earlier same-destination
                     // packet still present holds this one in place.
-                    let key = dest.order_key(self.num_vaults);
-                    let held = (0..i).any(|j| {
-                        !moved.contains(&(j as u32))
-                            && self.buffers[bi][j].dest.order_key(self.num_vaults) == key
-                    });
-                    if held {
+                    let key = dest.order_key(self.num_vaults) as usize;
+                    if self.first[key] != iu {
                         continue;
                     }
                     if budget == 0 {
@@ -580,28 +625,31 @@ impl NocState {
                     if dest_quad == q as QuadId {
                         // Arrived: deliver into the vault request queue
                         // or the egress crossbar response queue.
-                        let mut e = self.buffers[bi][i].entry.clone();
-                        e.arrival_cycle = clock;
+                        let mut e = self.buffers[bi][i]
+                            .take()
+                            .expect("live slot read above")
+                            .entry;
+                        let arrived = std::mem::replace(&mut e.arrival_cycle, clock);
                         let res = match dest {
                             NocDest::ToVault(v) => deliver_vault(v, e),
                             NocDest::ToLink(l) => deliver_link(l, e),
                         };
-                        match res {
-                            Ok(()) => {
-                                budget -= 1;
-                                moved.push(iu);
-                                last_winner = Some(iu);
-                                plane_moves += 1;
+                        if let Err(mut refused) = res {
+                            // Refused: the packet stays exactly as it was.
+                            refused.arrival_cycle = arrived;
+                            self.buffers[bi][i] = Some(NocEntry {
+                                entry: refused,
+                                dest,
+                                moved_at,
+                            });
+                            delta.stalls += 1;
+                            if record_stalls {
+                                self.events.push(NocEvent::Stall {
+                                    quad: q as QuadId,
+                                    tag,
+                                });
                             }
-                            Err(_) => {
-                                delta.stalls += 1;
-                                if record_stalls {
-                                    self.events.push(NocEvent::Stall {
-                                        quad: q as QuadId,
-                                        tag,
-                                    });
-                                }
-                            }
+                            continue;
                         }
                     } else {
                         let next = self.topology.next_hop(q as QuadId, dest_quad) as usize;
@@ -617,13 +665,9 @@ impl NocState {
                             }
                             continue;
                         }
-                        let mut e = self.buffers[bi][i].clone();
+                        let mut e = self.buffers[bi][i].take().expect("live slot read above");
                         e.moved_at = clock;
-                        self.buffers[base + next].push_back(e);
-                        budget -= 1;
-                        moved.push(iu);
-                        last_winner = Some(iu);
-                        plane_moves += 1;
+                        self.buffers[base + next].push_back(Some(e));
                         delta.hops += 1;
                         if record_hops {
                             self.events.push(NocEvent::Hop {
@@ -633,26 +677,51 @@ impl NocState {
                             });
                         }
                     }
+                    // The packet left: its successor for the same
+                    // destination (necessarily still here — it was held
+                    // until now) becomes the earliest.
+                    self.first[key] = self.next_same[i];
+                    self.scratch_vacated.push(iu);
+                    budget -= 1;
+                    plane_moves += 1;
                 }
-                // Compact the quad's buffer, highest index first so
-                // earlier removals do not shift later ones, so
-                // subsequent quads see true occupancy when forwarding
-                // into this buffer.
-                moved.sort_unstable();
-                for &iu in moved.iter().rev() {
-                    self.buffers[bi].remove(iu as usize);
-                }
-                if let Some(w) = last_winner {
-                    self.rr_next[bi] = (w as usize + 1) % len.max(1);
+                if let Some(&w) = self.scratch_vacated.last() {
+                    self.rr_next[bi] = (w as usize + 1) % len;
+                    // Squeeze out the vacated slots, highest index first
+                    // so earlier removals do not shift later ones, so
+                    // subsequent quads see true occupancy when forwarding
+                    // into this buffer. Winners are few and mostly near
+                    // the head, where a removal shifts next to nothing.
+                    self.scratch_vacated.sort_unstable();
+                    for &iu in self.scratch_vacated.iter().rev() {
+                        self.buffers[bi].remove(iu as usize);
+                    }
                 }
                 self.scratch_order = order;
-                self.scratch_moved = moved;
             }
             if plane_moves == 0 && plane_fwd_stalls > 0 {
                 delta.hops += self.rotate(class, clock, record_hops);
             }
         }
         delta
+    }
+
+    /// Build the per-destination order tables for buffer `bi` in one
+    /// reverse pass: `first[key]` is the earliest index bound for the
+    /// destination with order key `key`, `next_same[i]` the next index
+    /// after `i` with `i`'s destination. A packet at `i` is FIFO-held
+    /// iff `first[key] != i`; when it leaves, `first[key]` advances to
+    /// `next_same[i]`.
+    fn index_destinations(&mut self, bi: usize) {
+        let buf = &self.buffers[bi];
+        self.first.fill(NO_INDEX);
+        self.next_same.clear();
+        self.next_same.resize(buf.len(), NO_INDEX);
+        for (i, slot) in buf.iter().enumerate().rev() {
+            let key = live(slot).dest.order_key(self.num_vaults) as usize;
+            self.next_same[i] = self.first[key];
+            self.first[key] = i as u32;
+        }
     }
 
     /// Deadlock escape for one virtual-channel plane (see the module
@@ -667,15 +736,21 @@ impl NocState {
     fn rotate(&mut self, class: NocClass, clock: Cycle, record_hops: bool) -> u64 {
         let nq = self.num_quads;
         let base = class.index() * nq;
+        let RotateScratch {
+            mut cand,
+            mut state,
+            mut path,
+            mut moving,
+        } = std::mem::take(&mut self.rotate_scratch);
         // The packet each quad would move if its next segment had room:
         // the first (index order) entry that is aged, not FIFO-held,
         // and not yet at its destination quad. In a zero-move pass such
         // an entry is necessarily stalled on a full next buffer.
-        let mut cand: Vec<Option<(usize, QuadId)>> = vec![None; nq];
+        cand.clear();
+        cand.resize(nq, None);
         for (q, slot) in cand.iter_mut().enumerate() {
-            let b = &self.buffers[base + q];
-            for i in 0..b.len() {
-                let e = &b[i];
+            self.index_destinations(base + q);
+            for (i, e) in self.buffers[base + q].iter().map(live).enumerate() {
                 if e.moved_at >= clock {
                     continue;
                 }
@@ -683,8 +758,7 @@ impl NocState {
                 if dest_quad == q as QuadId {
                     continue;
                 }
-                let key = e.dest.order_key(self.num_vaults);
-                if (0..i).any(|j| b[j].dest.order_key(self.num_vaults) == key) {
+                if self.first[e.dest.order_key(self.num_vaults) as usize] != i as u32 {
                     continue;
                 }
                 let next = self.topology.next_hop(q as QuadId, dest_quad);
@@ -697,12 +771,13 @@ impl NocState {
         // Walk the wait-for edges quad → next(candidate) to find
         // cycles; rotate each disjoint cycle found once.
         let mut hops = 0u64;
-        let mut state = vec![0u8; nq]; // 0 unvisited, 1 on path, 2 done
+        state.clear();
+        state.resize(nq, 0u8);
         for start in 0..nq {
             if state[start] != 0 {
                 continue;
             }
-            let mut path: Vec<usize> = Vec::new();
+            path.clear();
             let mut q = start;
             let cycle_head = loop {
                 if state[q] == 1 {
@@ -717,16 +792,18 @@ impl NocState {
             };
             if let Some(head) = cycle_head {
                 let pos = path.iter().position(|&p| p == head).expect("head is on path");
-                let mut moving = Vec::with_capacity(path.len() - pos);
                 for &p in &path[pos..] {
                     let (i, next) = cand[p].expect("cycle members have candidates");
-                    let mut e = self.buffers[base + p].remove(i).expect("candidate index valid");
+                    let mut e = self.buffers[base + p]
+                        .remove(i)
+                        .flatten()
+                        .expect("candidate index valid");
                     e.moved_at = clock;
                     moving.push((p, next, e));
                 }
-                for (p, next, e) in moving {
+                for (p, next, e) in moving.drain(..) {
                     let tag = e.entry.packet.tag();
-                    self.buffers[base + next as usize].push_back(e);
+                    self.buffers[base + next as usize].push_back(Some(e));
                     hops += 1;
                     if record_hops {
                         self.events.push(NocEvent::Hop {
@@ -744,6 +821,12 @@ impl NocState {
                 state[q] = 2;
             }
         }
+        self.rotate_scratch = RotateScratch {
+            cand,
+            state,
+            path,
+            moving,
+        };
         hops
     }
 
@@ -754,28 +837,22 @@ impl NocState {
         self.scratch_order.clear();
         match self.arbitration {
             ArbitrationKind::RoundRobin => {
-                let start = self.rr_next[bi] % len;
-                for k in 0..len {
-                    self.scratch_order.push(((start + k) % len) as u32);
-                }
+                let start = (self.rr_next[bi] % len) as u32;
+                self.scratch_order.extend(start..len as u32);
+                self.scratch_order.extend(0..start);
             }
             ArbitrationKind::OldestFirst => {
                 self.scratch_order.extend(0..len as u32);
                 let buf = &self.buffers[bi];
                 self.scratch_order
-                    .sort_by_key(|&i| (buf[i as usize].entry.entry_cycle, i));
+                    .sort_unstable_by_key(|&i| (live(&buf[i as usize]).entry.entry_cycle, i));
             }
             ArbitrationKind::LocalityAware => {
-                for i in 0..len as u32 {
-                    if self.buffers[bi][i as usize].dest.quad() == quad {
-                        self.scratch_order.push(i);
-                    }
-                }
-                for i in 0..len as u32 {
-                    if self.buffers[bi][i as usize].dest.quad() != quad {
-                        self.scratch_order.push(i);
-                    }
-                }
+                let buf = &self.buffers[bi];
+                let local = |i: &u32| live(&buf[*i as usize]).dest.quad() == quad;
+                self.scratch_order.extend((0..len as u32).filter(local));
+                self.scratch_order
+                    .extend((0..len as u32).filter(|i| !local(i)));
             }
         }
     }
@@ -887,12 +964,10 @@ mod tests {
         assert_eq!(delivered, vec![(12u16, 7u16)]);
         assert_eq!(noc.occupancy(), 0);
         // Three hop events were staged (plus none for the delivery).
-        let mut hop_events = 0;
-        while let Some(ev) = noc.pop_event() {
-            if matches!(ev, NocEvent::Hop { .. }) {
-                hop_events += 1;
-            }
-        }
+        let hop_events = noc
+            .drain_events()
+            .filter(|ev| matches!(ev, NocEvent::Hop { .. }))
+            .count();
         assert_eq!(hop_events, 3);
     }
 
@@ -1107,5 +1182,323 @@ mod tests {
         );
         assert_eq!(delivered, vec![2], "local delivery should win the budget");
         assert_eq!(d.arb_losses, 1, "the through-packet lost arbitration");
+    }
+
+    // ---- differential check against the pre-table advance pass ----
+
+    impl NocState {
+        /// The advance pass as it stood before the per-destination order
+        /// tables: the FIFO hold is the quadratic "any earlier entry,
+        /// not yet moved, with my destination" predicate, winners are
+        /// cloned out and their originals removed afterwards, and the
+        /// rotation escape allocates as it goes.
+        fn advance_reference<FV, FL>(
+            &mut self,
+            clock: Cycle,
+            mut deliver_vault: FV,
+            mut deliver_link: FL,
+        ) -> NocDelta
+        where
+            FV: FnMut(VaultId, QueueEntry) -> Result<(), QueueEntry>,
+            FL: FnMut(LinkId, QueueEntry) -> Result<(), QueueEntry>,
+        {
+            let mut delta = NocDelta::default();
+            let nv = self.num_vaults;
+            for class in NocClass::ALL {
+                let base = class.index() * self.num_quads;
+                let mut plane_moves = 0u64;
+                let mut plane_fwd_stalls = 0u64;
+                for q in 0..self.num_quads {
+                    let bi = base + q;
+                    let len = self.buffers[bi].len();
+                    if len == 0 {
+                        continue;
+                    }
+                    self.build_scan_order(bi, len, q as QuadId);
+                    let order = self.scratch_order.clone();
+                    let mut moved: Vec<u32> = Vec::new();
+                    let mut budget = self.quad_drain;
+                    let mut last_winner = None;
+                    for &iu in &order {
+                        let i = iu as usize;
+                        let e = live(&self.buffers[bi][i]).clone();
+                        let tag = e.entry.packet.tag();
+                        if e.moved_at >= clock {
+                            continue;
+                        }
+                        let key = e.dest.order_key(nv);
+                        let held = (0..i).any(|j| {
+                            !moved.contains(&(j as u32))
+                                && live(&self.buffers[bi][j]).dest.order_key(nv) == key
+                        });
+                        if held {
+                            continue;
+                        }
+                        if budget == 0 {
+                            delta.arb_losses += 1;
+                            continue;
+                        }
+                        let dest_quad = e.dest.quad();
+                        if dest_quad == q as QuadId {
+                            let mut out = e.entry;
+                            out.arrival_cycle = clock;
+                            let res = match e.dest {
+                                NocDest::ToVault(v) => deliver_vault(v, out),
+                                NocDest::ToLink(l) => deliver_link(l, out),
+                            };
+                            if res.is_err() {
+                                delta.stalls += 1;
+                                self.events.push(NocEvent::Stall {
+                                    quad: q as QuadId,
+                                    tag,
+                                });
+                                continue;
+                            }
+                        } else {
+                            let next = self.topology.next_hop(q as QuadId, dest_quad) as usize;
+                            if self.buffers[base + next].len() >= self.buffer_depth {
+                                delta.stalls += 1;
+                                plane_fwd_stalls += 1;
+                                self.events.push(NocEvent::Stall {
+                                    quad: q as QuadId,
+                                    tag,
+                                });
+                                continue;
+                            }
+                            self.buffers[base + next].push_back(Some(NocEntry {
+                                moved_at: clock,
+                                ..e
+                            }));
+                            delta.hops += 1;
+                            self.events.push(NocEvent::Hop {
+                                from_quad: q as QuadId,
+                                to_quad: next as QuadId,
+                                tag,
+                            });
+                        }
+                        budget -= 1;
+                        moved.push(iu);
+                        last_winner = Some(iu);
+                        plane_moves += 1;
+                    }
+                    moved.sort_unstable();
+                    for &iu in moved.iter().rev() {
+                        self.buffers[bi].remove(iu as usize);
+                    }
+                    if let Some(w) = last_winner {
+                        self.rr_next[bi] = (w as usize + 1) % len;
+                    }
+                }
+                if plane_moves == 0 && plane_fwd_stalls > 0 {
+                    delta.hops += self.rotate_reference(class, clock);
+                }
+            }
+            delta
+        }
+
+        fn rotate_reference(&mut self, class: NocClass, clock: Cycle) -> u64 {
+            let nq = self.num_quads;
+            let nv = self.num_vaults;
+            let base = class.index() * nq;
+            let mut cand: Vec<Option<(usize, QuadId)>> = vec![None; nq];
+            for (q, slot) in cand.iter_mut().enumerate() {
+                let b = &self.buffers[base + q];
+                for i in 0..b.len() {
+                    let e = live(&b[i]);
+                    if e.moved_at >= clock || e.dest.quad() == q as QuadId {
+                        continue;
+                    }
+                    let key = e.dest.order_key(nv);
+                    if (0..i).any(|j| live(&b[j]).dest.order_key(nv) == key) {
+                        continue;
+                    }
+                    let next = self.topology.next_hop(q as QuadId, e.dest.quad());
+                    if self.buffers[base + next as usize].len() >= self.buffer_depth {
+                        *slot = Some((i, next));
+                    }
+                    break;
+                }
+            }
+            let mut hops = 0u64;
+            let mut state = vec![0u8; nq];
+            for start in 0..nq {
+                if state[start] != 0 {
+                    continue;
+                }
+                let mut path: Vec<usize> = Vec::new();
+                let mut q = start;
+                let cycle_head = loop {
+                    if state[q] == 1 {
+                        break Some(q);
+                    }
+                    if state[q] == 2 || cand[q].is_none() {
+                        break None;
+                    }
+                    state[q] = 1;
+                    path.push(q);
+                    q = cand[q].unwrap().1 as usize;
+                };
+                if let Some(head) = cycle_head {
+                    let pos = path.iter().position(|&p| p == head).unwrap();
+                    let mut moving = Vec::new();
+                    for &p in &path[pos..] {
+                        let (i, next) = cand[p].unwrap();
+                        let mut e = self.buffers[base + p].remove(i).flatten().unwrap();
+                        e.moved_at = clock;
+                        moving.push((p, next, e));
+                    }
+                    for (p, next, e) in moving {
+                        self.events.push(NocEvent::Hop {
+                            from_quad: p as QuadId,
+                            to_quad: next,
+                            tag: e.entry.packet.tag(),
+                        });
+                        self.buffers[base + next as usize].push_back(Some(e));
+                        hops += 1;
+                    }
+                }
+                for &p in &path {
+                    state[p] = 2;
+                }
+                if state[q] == 0 {
+                    state[q] = 2;
+                }
+            }
+            hops
+        }
+
+        /// `(tag, moved_at)` of every slot of every buffer, plus the
+        /// round-robin origins: everything `advance` may change.
+        fn snapshot(&self) -> (Vec<Vec<(u16, Cycle)>>, Vec<usize>) {
+            let buffers = self
+                .buffers
+                .iter()
+                .map(|b| {
+                    b.iter()
+                        .map(|s| (live(s).entry.packet.tag(), live(s).moved_at))
+                        .collect()
+                })
+                .collect();
+            (buffers, self.rr_next.clone())
+        }
+    }
+
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    /// Fill every buffer of both planes of a fresh fabric to a random
+    /// level (often full) with cross-quad packets of random age.
+    fn random_fabric(params: &NocParams, quads: u8, seed: u64) -> NocState {
+        let mut rng = Lcg(seed);
+        let num_vaults = quads as u16 * 4;
+        let mut noc = NocState::new(params, quads, num_vaults).unwrap();
+        let mut tag = 0u16;
+        for q in 0..quads {
+            for response in [false, true] {
+                let fill = rng.below(params.buffer_depth as u64 + 2).min(params.buffer_depth as u64);
+                for _ in 0..fill {
+                    let dest_quad = (q + 1 + rng.below(quads as u64 - 1) as u8) % quads;
+                    let dest = if response {
+                        NocDest::ToLink(dest_quad)
+                    } else {
+                        // Few distinct vaults per quad, so same-destination
+                        // runs (the FIFO hold) are common.
+                        NocDest::ToVault(dest_quad as u16 * 4 + rng.below(2) as u16)
+                    };
+                    let mut e = test_entry(tag);
+                    e.entry_cycle = rng.below(4);
+                    noc.inject(q, dest, e, 0);
+                    tag += 1;
+                }
+            }
+        }
+        noc
+    }
+
+    /// A delivery queue for the differential test: logs what it accepts.
+    /// Mode 0 accepts everything, 1 refuses everything, 2 refuses a
+    /// destination- and clock-dependent third. Links log as 100 + id.
+    struct Sink {
+        mode: u64,
+        clock: Cycle,
+        log: std::cell::RefCell<Vec<(u16, u16, Cycle)>>,
+    }
+
+    impl Sink {
+        fn offer(&self, dest: u16, e: QueueEntry) -> Result<(), QueueEntry> {
+            let refuse = match self.mode {
+                0 => false,
+                1 => true,
+                _ => (dest as u64 + self.clock).is_multiple_of(3),
+            };
+            if refuse {
+                return Err(e);
+            }
+            self.log
+                .borrow_mut()
+                .push((dest, e.packet.tag(), e.arrival_cycle));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn table_driven_advance_matches_the_quadratic_reference() {
+        for kind in [InterconnectKind::Ring, InterconnectKind::Mesh] {
+            for arb in ArbitrationKind::ALL {
+                for (quads, depth, drain) in [(4u8, 3u16, 1u16), (4, 6, 4), (8, 2, 2)] {
+                    for mode in 0..3u64 {
+                        for seed in 0..12u64 {
+                            let mut params = NocParams::of(kind).with_arbitration(arb);
+                            params.buffer_depth = depth;
+                            params.quad_drain = drain;
+                            let mut new = random_fabric(&params, quads, seed);
+                            let mut old = random_fabric(&params, quads, seed);
+                            assert_eq!(new.snapshot(), old.snapshot());
+                            for clock in 1..=10u64 {
+                                let sink = |mode| Sink {
+                                    mode,
+                                    clock,
+                                    log: Default::default(),
+                                };
+                                let (got, want) = (sink(mode), sink(mode));
+                                let d_new = new.advance(
+                                    clock,
+                                    |v, e| got.offer(v, e),
+                                    |l, e| got.offer(100 + l as u16, e),
+                                    true,
+                                    true,
+                                );
+                                let d_old = old.advance_reference(
+                                    clock,
+                                    |v, e| want.offer(v, e),
+                                    |l, e| want.offer(100 + l as u16, e),
+                                );
+                                let ctx = format!(
+                                    "{kind:?}/{} quads {quads} depth {depth} drain {drain} \
+                                     mode {mode} seed {seed} clock {clock}",
+                                    arb.name()
+                                );
+                                assert_eq!(got.log, want.log, "delivered order: {ctx}");
+                                assert_eq!(d_new, d_old, "delta: {ctx}");
+                                assert!(
+                                    new.drain_events().eq(old.drain_events()),
+                                    "event list: {ctx}"
+                                );
+                                assert_eq!(new.snapshot(), old.snapshot(), "buffers: {ctx}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -5,9 +5,13 @@
 //! queue slots … in order to act as a registered input or output logic
 //! stage" (paper §IV.A). The C implementation scans fixed slot arrays with
 //! valid bits; this port keeps the slot *semantics* (fixed depth ≥ 1, FIFO
-//! arrival order, one packet per slot) in a ring buffer so a clock tick
-//! costs O(occupied slots), which the 33.5-million-request Table I runs
-//! require.
+//! arrival order, one packet per slot) in a ring buffer. A vault or
+//! response queue tick costs O(occupied slots). A crossbar request queue
+//! is a [`RoutedQueue`], which additionally carries one *route key* per
+//! slot, so its tick costs a key scan over the occupied slots plus full
+//! slow-path visits only for the packets that move and the first blocked
+//! packet of each route class — not one per stalled slot, which is what
+//! a congested fabric is made of.
 
 use std::collections::VecDeque;
 
@@ -101,6 +105,11 @@ impl QueueEntry {
         self.retry_until > clock
     }
 }
+
+/// Route key of a slot the crossbar walk has not classified (or whose
+/// classification is not memoizable: flow, MODE, remote, erroneous,
+/// corrupt or retry-gated packets).
+pub const NO_ROUTE: u16 = u16::MAX;
 
 /// A fixed-depth FIFO of queue slots.
 #[derive(Debug)]
@@ -214,6 +223,125 @@ impl PacketQueue {
     /// Drop every entry (device reset).
     pub fn clear(&mut self) {
         self.slots.clear();
+    }
+}
+
+/// A crossbar request queue: a [`PacketQueue`] whose slots each carry a
+/// *route key* — a dense `u16` beside the ~200-byte entry in which the
+/// crossbar request walk memoizes "clean local memory request for vault
+/// *v*" (the key is *v*; [`NO_ROUTE`] on arrival), so a later walk can
+/// tell a stalled slot is still stalled without touching the entry.
+/// Reads go straight through to the queue ([`Deref`](std::ops::Deref));
+/// every operation that moves slots is redefined here to move the keys
+/// with them, so the two can never fall out of step. Being a type of
+/// its own, it costs the vault and response queues nothing.
+#[derive(Debug)]
+pub struct RoutedQueue {
+    queue: PacketQueue,
+    keys: VecDeque<u16>,
+}
+
+impl std::ops::Deref for RoutedQueue {
+    type Target = PacketQueue;
+
+    fn deref(&self) -> &PacketQueue {
+        &self.queue
+    }
+}
+
+impl RoutedQueue {
+    /// Create a queue of `depth` slots (see [`PacketQueue::new`]).
+    pub fn new(depth: usize) -> Self {
+        RoutedQueue {
+            queue: PacketQueue::new(depth),
+            keys: VecDeque::with_capacity(depth),
+        }
+    }
+
+    /// Enqueue at the tail (see [`PacketQueue::push`]); the new slot is
+    /// unclassified.
+    #[allow(clippy::result_large_err)]
+    pub fn push(&mut self, entry: QueueEntry) -> Result<(), QueueEntry> {
+        self.queue.push(entry)?;
+        self.keys.push_back(NO_ROUTE);
+        Ok(())
+    }
+
+    /// Dequeue from the head.
+    pub fn pop(&mut self) -> Option<QueueEntry> {
+        self.keys.pop_front();
+        self.queue.pop()
+    }
+
+    /// Mutable peek at slot `i` (0 = head).
+    pub fn get_mut(&mut self, i: usize) -> Option<&mut QueueEntry> {
+        self.queue.get_mut(i)
+    }
+
+    /// Remove slot `i` (0 = head), preserving the order of the rest.
+    pub fn remove(&mut self, i: usize) -> Option<QueueEntry> {
+        self.keys.remove(i);
+        self.queue.remove(i)
+    }
+
+    /// Re-insert an entry at the head, unclassified.
+    pub fn push_front(&mut self, entry: QueueEntry) {
+        self.queue.push_front(entry);
+        self.keys.push_front(NO_ROUTE);
+    }
+
+    /// Drop every entry (device reset).
+    pub fn clear(&mut self) {
+        self.queue.clear();
+        self.keys.clear();
+    }
+
+    /// Route key of slot `i` ([`NO_ROUTE`] when unclassified or when
+    /// there is no such slot).
+    pub fn route_key(&self, i: usize) -> u16 {
+        self.keys.get(i).copied().unwrap_or(NO_ROUTE)
+    }
+
+    /// The first slot at or after `from` that a stall-aware walk must
+    /// visit — one with no route key, or whose keyed vault `blocked`
+    /// does not hold back — or [`len`](PacketQueue::len) when every
+    /// remaining slot is keyed and blocked. Reads the keys only.
+    pub fn next_unblocked(&self, from: usize, blocked: impl Fn(VaultId) -> bool) -> usize {
+        let mut i = from;
+        while let Some(&key) = self.keys.get(i) {
+            if key == NO_ROUTE || !blocked(key) {
+                break;
+            }
+            i += 1;
+        }
+        i
+    }
+
+    /// Memoize slot `i`'s route: the key, and the decoded coordinates in
+    /// the entry, are written together so they can never disagree.
+    ///
+    /// # Panics
+    /// Panics if there is no slot `i`.
+    pub fn set_route(&mut self, i: usize, vault: VaultId, bank: BankId, row: u64) {
+        self.keys[i] = vault;
+        let e = &mut self.queue.slots[i];
+        e.dest_vault = vault;
+        e.dest_bank = bank;
+        e.dest_row = row;
+    }
+
+    /// Forget every memoized route (the address map changed): keyed
+    /// slots return to [`NO_ROUTE`] and their entries to undecoded, so
+    /// the next walk re-decodes them under the new map.
+    pub fn forget_routes(&mut self) {
+        for (key, e) in self.keys.iter_mut().zip(self.queue.slots.iter_mut()) {
+            if *key != NO_ROUTE {
+                *key = NO_ROUTE;
+                e.dest_vault = UNDECODED;
+                e.dest_bank = UNDECODED;
+                e.dest_row = 0;
+            }
+        }
     }
 }
 
@@ -348,5 +476,89 @@ mod tests {
         assert!(q.get(3).is_none());
         let tags: Vec<u16> = q.iter().map(|e| e.packet.tag()).collect();
         assert_eq!(tags, vec![0, 1, 2]);
+    }
+
+    /// `(tag, route key)` of every slot, head first.
+    fn keyed(q: &RoutedQueue) -> Vec<(u16, u16)> {
+        (0..q.len())
+            .map(|i| (q.get(i).unwrap().packet.tag(), q.route_key(i)))
+            .collect()
+    }
+
+    #[test]
+    fn route_keys_stay_in_lock_step_with_their_slots() {
+        let mut q = RoutedQueue::new(8);
+        for t in 0..5 {
+            q.push(entry(t)).unwrap();
+        }
+        assert!(
+            keyed(&q).iter().all(|&(_, k)| k == NO_ROUTE),
+            "NO_ROUTE on arrival"
+        );
+        for i in 1..5 {
+            q.set_route(i, 10 + i as u16, i as u16, 100 + i as u64);
+        }
+        assert_eq!(
+            keyed(&q),
+            [(0, NO_ROUTE), (1, 11), (2, 12), (3, 13), (4, 14)]
+        );
+        let e = q.get(3).unwrap();
+        assert_eq!((e.dest_vault, e.dest_bank, e.dest_row), (13, 3, 103));
+
+        assert_eq!(q.remove(2).unwrap().packet.tag(), 2);
+        assert_eq!(keyed(&q), [(0, NO_ROUTE), (1, 11), (3, 13), (4, 14)]);
+        assert_eq!(q.pop().unwrap().packet.tag(), 0);
+        assert_eq!(keyed(&q), [(1, 11), (3, 13), (4, 14)]);
+        q.push_front(entry(9));
+        q.push(entry(7)).unwrap();
+        assert_eq!(
+            keyed(&q),
+            [(9, NO_ROUTE), (1, 11), (3, 13), (4, 14), (7, NO_ROUTE)]
+        );
+        assert!(q.remove(5).is_none(), "out of range removes nothing");
+        assert_eq!(keyed(&q).len(), 5);
+
+        // A pre-decoded but unkeyed entry keeps its coordinates; keyed
+        // ones go back to undecoded.
+        q.get_mut(0).unwrap().dest_vault = 3;
+        q.forget_routes();
+        assert!(keyed(&q).iter().all(|&(_, k)| k == NO_ROUTE));
+        assert_eq!(q.get(0).unwrap().dest_vault, 3);
+        assert!((1..5).all(|i| !q.get(i).unwrap().is_decoded()));
+
+        q.set_route(1, 4, 0, 0);
+        q.clear();
+        q.push(entry(5)).unwrap();
+        assert_eq!(keyed(&q), [(5, NO_ROUTE)], "clear drops the keys too");
+    }
+
+    #[test]
+    fn next_unblocked_passes_over_keyed_blocked_slots_only() {
+        let mut q = RoutedQueue::new(8);
+        for t in 0..5 {
+            q.push(entry(t)).unwrap();
+        }
+        for (i, vault) in [(1, 11), (2, 12), (4, 11)] {
+            q.set_route(i, vault, 0, 0);
+        }
+        // Slots: unkeyed, 11, 12, unkeyed, 11.
+        assert_eq!(
+            q.next_unblocked(0, |_| true),
+            0,
+            "unkeyed slots are always visited"
+        );
+        assert_eq!(q.next_unblocked(1, |_| true), 3);
+        assert_eq!(
+            q.next_unblocked(1, |v| v == 11),
+            2,
+            "vault 12 is not held back"
+        );
+        assert_eq!(q.next_unblocked(1, |_| false), 1);
+        assert_eq!(
+            q.next_unblocked(4, |v| v == 11),
+            5,
+            "len() when nothing is left"
+        );
+        assert_eq!(q.next_unblocked(5, |_| true), 5);
     }
 }

@@ -360,8 +360,20 @@ impl HmcSim {
                 self.config.geometry()
             )));
         }
-        self.map = Arc::from(map);
+        self.install_map(Arc::from(map));
         Ok(())
+    }
+
+    /// The one place the address map is replaced. Route keys memoize a
+    /// decode under the old map, so every crossbar request queue forgets
+    /// them here and waiting packets are routed afresh under the new one.
+    fn install_map(&mut self, map: Arc<dyn AddressMap>) {
+        self.map = map;
+        for d in &mut self.devices {
+            for x in &mut d.xbars {
+                x.rqst.forget_routes();
+            }
+        }
     }
 
     /// Install a tracer (verbosity + sink).
@@ -724,7 +736,7 @@ impl HmcSim {
                 _ => None,
             };
             if let Some(map) = new_map {
-                self.map = map;
+                self.install_map(map);
             }
             self.ac_mode = ac;
         }

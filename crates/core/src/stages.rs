@@ -26,13 +26,78 @@
 
 use hmc_trace::{EventKind, TraceEvent};
 use hmc_types::packet::ResponseStatus;
-use hmc_types::{Command, CubeId, LinkId, Packet, PhysAddr, QuadId, VaultId};
+use hmc_types::{AddressMap, BankId, Command, CubeId, LinkId, Packet, PhysAddr, QuadId, VaultId};
 
 use crate::link::Endpoint;
 use crate::noc::{NocClass, NocDest, NocEvent};
 use crate::quad::Quad;
-use crate::queue::{QueueEntry, UNDECODED};
+use crate::queue::{QueueEntry, NO_ROUTE};
 use crate::sim::HmcSim;
+
+/// What the crossbar does with a request packet: the route unit of the
+/// stage-1/2 walk. A pure function of the packet, the cube it sits in
+/// and the address map — no queue occupancy, clock or link state — so
+/// the answer for a packet that stays put can only change when the
+/// address map does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// Undecodable command field: retired with a `CommandError` response.
+    BadCommand,
+    /// Flow-control packet (NULL/PRET/TRET/IRTRY): retires at the crossbar.
+    Flow(Command),
+    /// Bound for another cube: forwarded along the chain.
+    Remote(CubeId),
+    /// MODE_READ / MODE_WRITE: executed at the logic layer.
+    Mode(Command),
+    /// Memory request whose address the map rejects: retired with an
+    /// `AddressError` response.
+    BadAddress,
+    /// Memory request for a vault of this cube.
+    Local {
+        /// Destination vault.
+        vault: VaultId,
+        /// Destination bank within the vault.
+        bank: BankId,
+        /// Destination DRAM row.
+        row: u64,
+    },
+}
+
+/// Classify the request in `e`, resident in cube `dev_id`. The checks run
+/// in the order the crossbar applies them: a bad command wins over
+/// everything, flow packets retire wherever they are, a remote packet is
+/// forwarded without its address ever being looked at, and only a local
+/// non-MODE request is decoded (reusing coordinates already stored in
+/// the entry).
+pub(crate) fn classify(e: &QueueEntry, dev_id: CubeId, map: &dyn AddressMap) -> Route {
+    let Ok(cmd) = e.packet.cmd() else {
+        return Route::BadCommand;
+    };
+    if cmd.is_flow() {
+        return Route::Flow(cmd);
+    }
+    if e.dest_cube != dev_id {
+        return Route::Remote(e.dest_cube);
+    }
+    if cmd.is_mode() {
+        return Route::Mode(cmd);
+    }
+    if e.is_decoded() {
+        return Route::Local {
+            vault: e.dest_vault,
+            bank: e.dest_bank,
+            row: e.dest_row,
+        };
+    }
+    match PhysAddr::new(e.packet.addr()).and_then(|a| map.decode(a)) {
+        Ok(d) => Route::Local {
+            vault: d.vault,
+            bank: d.bank,
+            row: d.row,
+        },
+        Err(_) => Route::BadAddress,
+    }
+}
 
 impl HmcSim {
     /// Stage 1: crossbar transactions on child devices (devices without a
@@ -60,10 +125,22 @@ impl HmcSim {
     /// honouring pass-ahead weak ordering (a stalled packet may be passed
     /// by later packets bound for other vaults or cubes, never by packets
     /// of its own stream, §III.C).
+    ///
+    /// The walk is stall-aware: a local memory request that stalls is
+    /// memoized as a route key beside its slot
+    /// ([`RoutedQueue`](crate::queue::RoutedQueue)),
+    /// and a later visit skips the slot on the key alone once its class
+    /// (its vault, or NoC injection) has been found blocked in the same
+    /// walk. DESIGN.md "crossbar walk" gives the three rules that keep
+    /// this bit-identical to visiting every slot.
     fn process_xbar_requests(&mut self, di: usize) {
         let dev_id = di as CubeId;
         let num_links = self.config.num_links as usize;
         let max_drain = self.params.xbar_drain_per_cycle;
+        // Buffered NoC fabrics carry cross-quad requests through per-quad
+        // segment buffers; local requests (and every request under the
+        // crossbar fabric) take the original direct push.
+        let buffered = self.devices[di].noc.is_some();
 
         // Optional SERDES serialization: each link direction moves at
         // most this many FLITs per cycle when configured. A zero budget
@@ -123,6 +200,9 @@ impl HmcSim {
             // into, so capacity claimed by this walk is not double-booked.
             let mut remote_free: [[Option<usize>; 8]; 8] = [[None; 8]; 8];
             debug_assert!(forwards.is_empty());
+            // Which latch holds a local request back: NoC injection for a
+            // cross-quad vault on a buffered fabric, else the vault's bit.
+            let rides_noc = |vault: VaultId| buffered && (l as QuadId) != Quad::of_vault(vault);
 
             loop {
                 if drained >= max_drain {
@@ -131,22 +211,34 @@ impl HmcSim {
                 if drained_flits >= budget {
                     break;
                 }
-                if idx >= self.devices[di].xbars[l].rqst.len() {
+                // Stall-aware skip: a keyed slot is a clean local memory
+                // request for the keyed vault, and when its class is
+                // already latched blocked in this walk the slow path
+                // below would do `idx += 1; continue` with no side
+                // effect — so pass over such slots on their keys alone.
+                // The first blocked packet of each class still takes the
+                // slow path, which is what latches the class and emits
+                // the stall.
+                let rqst = &self.devices[di].xbars[l].rqst;
+                idx = rqst.next_unblocked(idx, |vault| {
+                    if rides_noc(vault) {
+                        noc_blocked
+                    } else {
+                        blocked_vaults & (1u64 << (vault & 0x3f)) != 0
+                    }
+                });
+                if idx >= rqst.len() {
                     break;
                 }
+                let key = rqst.route_key(idx);
 
-                let (cmd_res, dest, tag, addr, flits, hops, decoded_vault, decoded_bank, decoded_row) = {
-                    let e = self.devices[di].xbars[l].rqst.get(idx).expect("idx checked");
+                let (tag, flits, corrupt, gated) = {
+                    let e = rqst.get(idx).expect("idx checked");
                     (
-                        e.packet.cmd(),
-                        e.dest_cube,
                         e.packet.tag(),
-                        e.packet.addr(),
                         e.packet.lng() as u32,
-                        e.hops,
-                        e.dest_vault,
-                        e.dest_bank,
-                        e.dest_row,
+                        e.corrupt,
+                        e.retry_gated(self.clock),
                     )
                 };
 
@@ -159,14 +251,6 @@ impl HmcSim {
                 // a poisoned response while the link goes down to
                 // retrain.
                 if self.faults.is_some() {
-                    let (corrupt, gated, posted) = {
-                        let e = self.devices[di].xbars[l].rqst.get(idx).expect("idx checked");
-                        (
-                            e.corrupt,
-                            e.retry_gated(self.clock),
-                            e.packet.cmd().map(|c| c.is_posted()).unwrap_or(false),
-                        )
-                    };
                     if gated {
                         // Retransmission in flight: the packet (and, to
                         // preserve stream order, everything behind it on
@@ -177,10 +261,13 @@ impl HmcSim {
                     if corrupt {
                         let cfg = self.faults.as_ref().expect("checked").config;
                         let clock = self.clock;
-                        let (next_attempt, send_seq) = {
-                            let e =
-                                self.devices[di].xbars[l].rqst.get(idx).expect("idx checked");
-                            (e.attempt + 1, e.send_seq)
+                        let (next_attempt, send_seq, posted) = {
+                            let e = rqst.get(idx).expect("idx checked");
+                            (
+                                e.attempt + 1,
+                                e.send_seq,
+                                e.packet.cmd().map(|c| c.is_posted()).unwrap_or(false),
+                            )
                         };
                         // Retry exhaustion with no response slot free:
                         // hold everything as-is (no counters, no events)
@@ -228,9 +315,7 @@ impl HmcSim {
                         // response and take the link down. Delivery is
                         // guaranteed — the full-response-queue case broke
                         // out above before anything mutated.
-                        let entry =
-                            self.devices[di].xbars[l].rqst.remove(idx).expect("present");
-                        self.return_link_tokens(di, l, flits);
+                        let entry = self.take_xbar_request(di, l, idx, flits);
                         self.faults.as_mut().expect("checked").record_poison();
                         self.emit(TraceEvent::LinkDown {
                             cube: dev_id,
@@ -250,151 +335,133 @@ impl HmcSim {
                     }
                 }
 
-                let cmd = match cmd_res {
-                    Ok(c) => c,
-                    Err(_) => {
-                        let entry = self.devices[di].xbars[l].rqst.remove(idx).expect("present");
-                        self.return_link_tokens(di, l, flits);
+                let route = classify(
+                    rqst.get(idx).expect("idx checked"),
+                    dev_id,
+                    self.map.as_ref(),
+                );
+                let (vault, bank, row) = match route {
+                    Route::Local { vault, bank, row } => (vault, bank, row),
+                    Route::BadCommand => {
+                        let entry = self.take_xbar_request(di, l, idx, flits);
                         self.xbar_error_response(di, l, entry, ResponseStatus::CommandError);
                         drained += 1;
-                    drained_flits += flits as usize;
+                        drained_flits += flits as usize;
+                        continue;
+                    }
+                    // Flow-control packets retire at the crossbar.
+                    Route::Flow(cmd) => {
+                        let entry = self.take_xbar_request(di, l, idx, flits);
+                        self.process_flow_packet(di, l, cmd, &entry);
+                        drained += 1;
+                        drained_flits += flits as usize;
+                        continue;
+                    }
+                    // Packets for other cubes: chaining forward.
+                    Route::Remote(dest) => {
+                        if blocked_cubes & (1u8 << (dest & 0x7)) != 0 {
+                            idx += 1;
+                            continue;
+                        }
+                        let hops = rqst.get(idx).expect("idx checked").hops;
+                        if hops + 1 > self.params.hop_budget {
+                            let entry = self.take_xbar_request(di, l, idx, flits);
+                            self.emit(TraceEvent::Zombie {
+                                cube: dev_id,
+                                tag,
+                                hops: hops + 1,
+                            });
+                            self.xbar_error_response(di, l, entry, ResponseStatus::Zombie);
+                            drained += 1;
+                            drained_flits += flits as usize;
+                            continue;
+                        }
+                        let next = self
+                            .routes
+                            .as_ref()
+                            .expect("routes built before clocking")
+                            .next_hop(dev_id, dest);
+                        let (r, rl) = match next.map(|n| self.devices[di].links[n as usize].remote)
+                        {
+                            Some(Endpoint::Device(r, rl)) => (r as usize, rl as usize),
+                            _ => {
+                                // No route, or the route terminates at a
+                                // host: requests cannot be delivered to
+                                // hosts.
+                                let entry = self.take_xbar_request(di, l, idx, flits);
+                                self.emit(TraceEvent::Misroute {
+                                    cube: dev_id,
+                                    link: l as LinkId,
+                                    dest_cube: dest,
+                                    tag,
+                                });
+                                self.xbar_error_response(di, l, entry, ResponseStatus::Misroute);
+                                drained += 1;
+                                drained_flits += flits as usize;
+                                continue;
+                            }
+                        };
+                        let free = match &mut remote_free[r][rl] {
+                            Some(f) => f,
+                            slot @ None => {
+                                *slot = Some(self.devices[r].xbars[rl].rqst.free_slots());
+                                slot.as_mut().expect("just set")
+                            }
+                        };
+                        if *free == 0 {
+                            blocked_cubes |= 1u8 << (dest & 0x7);
+                            idx += 1;
+                            continue;
+                        }
+                        *free -= 1;
+                        let mut entry = self.take_xbar_request(di, l, idx, flits);
+                        entry.hops += 1;
+                        entry.arrival_cycle = self.clock;
+                        entry.arrival_link = rl as LinkId;
+                        let next_link = next.expect("matched Device endpoint");
+                        self.emit(TraceEvent::Forwarded {
+                            cube: dev_id,
+                            link: next_link,
+                            next_cube: r as CubeId,
+                            dest_cube: dest,
+                            tag,
+                        });
+                        forwards.push((entry, r, rl));
+                        drained += 1;
+                        drained_flits += flits as usize;
+                        continue;
+                    }
+                    // MODE register accesses: logic-layer operations.
+                    Route::Mode(cmd) => {
+                        if self.devices[di].xbars[l].rsp.is_full() {
+                            idx += 1;
+                            continue;
+                        }
+                        let entry = self.take_xbar_request(di, l, idx, flits);
+                        self.execute_mode_access(di, l, cmd, entry);
+                        drained += 1;
+                        drained_flits += flits as usize;
+                        continue;
+                    }
+                    Route::BadAddress => {
+                        let entry = self.take_xbar_request(di, l, idx, flits);
+                        self.xbar_error_response(di, l, entry, ResponseStatus::AddressError);
+                        drained += 1;
+                        drained_flits += flits as usize;
                         continue;
                     }
                 };
-
-                // Flow-control packets retire at the crossbar.
-                if cmd.is_flow() {
-                    let entry = self.devices[di].xbars[l].rqst.remove(idx).expect("present");
-                    self.return_link_tokens(di, l, flits);
-                    self.process_flow_packet(di, l, cmd, &entry);
-                    drained += 1;
-                    drained_flits += flits as usize;
-                    continue;
-                }
-
-                // ---- packets for other cubes: chaining forward ----
-                if dest != dev_id {
-                    if blocked_cubes & (1u8 << (dest & 0x7)) != 0 {
-                        idx += 1;
-                        continue;
-                    }
-                    if hops + 1 > self.params.hop_budget {
-                        let entry = self.devices[di].xbars[l].rqst.remove(idx).expect("present");
-                        self.return_link_tokens(di, l, flits);
-                        self.emit(TraceEvent::Zombie {
-                            cube: dev_id,
-                            tag,
-                            hops: hops + 1,
-                        });
-                        self.xbar_error_response(di, l, entry, ResponseStatus::Zombie);
-                        drained += 1;
-                    drained_flits += flits as usize;
-                        continue;
-                    }
-                    let next = self
-                        .routes
-                        .as_ref()
-                        .expect("routes built before clocking")
-                        .next_hop(dev_id, dest);
-                    let (r, rl) = match next.map(|n| self.devices[di].links[n as usize].remote) {
-                        Some(Endpoint::Device(r, rl)) => (r as usize, rl as usize),
-                        _ => {
-                            // No route, or the route terminates at a host:
-                            // requests cannot be delivered to hosts.
-                            let entry =
-                                self.devices[di].xbars[l].rqst.remove(idx).expect("present");
-                            self.return_link_tokens(di, l, flits);
-                            self.emit(TraceEvent::Misroute {
-                                cube: dev_id,
-                                link: l as LinkId,
-                                dest_cube: dest,
-                                tag,
-                            });
-                            self.xbar_error_response(di, l, entry, ResponseStatus::Misroute);
-                            drained += 1;
-                    drained_flits += flits as usize;
-                            continue;
-                        }
-                    };
-                    let free = match &mut remote_free[r][rl] {
-                        Some(f) => f,
-                        slot @ None => {
-                            *slot = Some(self.devices[r].xbars[rl].rqst.free_slots());
-                            slot.as_mut().expect("just set")
-                        }
-                    };
-                    if *free == 0 {
-                        blocked_cubes |= 1u8 << (dest & 0x7);
-                        idx += 1;
-                        continue;
-                    }
-                    *free -= 1;
-                    let mut entry = self.devices[di].xbars[l].rqst.remove(idx).expect("present");
-                    self.return_link_tokens(di, l, flits);
-                    entry.hops += 1;
-                    entry.arrival_cycle = self.clock;
-                    entry.arrival_link = rl as LinkId;
-                    let next_link = next.expect("matched Device endpoint");
-                    self.emit(TraceEvent::Forwarded {
-                        cube: dev_id,
-                        link: next_link,
-                        next_cube: r as CubeId,
-                        dest_cube: dest,
-                        tag,
-                    });
-                    forwards.push((entry, r, rl));
-                    drained += 1;
-                    drained_flits += flits as usize;
-                    continue;
-                }
-
-                // ---- MODE register accesses: logic-layer operations ----
-                if cmd.is_mode() {
-                    if self.devices[di].xbars[l].rsp.is_full() {
-                        idx += 1;
-                        continue;
-                    }
-                    let entry = self.devices[di].xbars[l].rqst.remove(idx).expect("present");
-                    self.return_link_tokens(di, l, flits);
-                    self.execute_mode_access(di, l, cmd, entry);
-                    drained += 1;
-                    drained_flits += flits as usize;
-                    continue;
-                }
 
                 // ---- memory requests for this device ----
-                let (vault, bank, row) = if decoded_vault != UNDECODED {
-                    (decoded_vault, decoded_bank, decoded_row)
-                } else {
-                    match PhysAddr::new(addr).and_then(|a| self.map.decode(a)) {
-                        Ok(d) => (d.vault, d.bank, d.row),
-                        Err(_) => {
-                            let entry =
-                                self.devices[di].xbars[l].rqst.remove(idx).expect("present");
-                            self.return_link_tokens(di, l, flits);
-                            self.xbar_error_response(di, l, entry, ResponseStatus::AddressError);
-                            drained += 1;
-                    drained_flits += flits as usize;
-                            continue;
-                        }
-                    }
-                };
-                // Buffered NoC fabrics carry cross-quad requests through
-                // per-quad segment buffers; local requests (and every
-                // request under the crossbar fabric) take the original
-                // direct push.
                 let dest_quad = Quad::of_vault(vault);
-                let via_noc = (l as QuadId) != dest_quad && self.devices[di].noc.is_some();
-                if via_noc {
-                    if noc_blocked {
-                        idx += 1;
-                        continue;
-                    }
-                    if !self.devices[di]
-                        .noc
-                        .as_ref()
-                        .expect("via_noc")
-                        .has_room(l as QuadId, NocClass::Request)
+                let via_noc = rides_noc(vault);
+                let stalled = if via_noc {
+                    if !noc_blocked
+                        && !self.devices[di]
+                            .noc
+                            .as_ref()
+                            .expect("via_noc")
+                            .has_room(l as QuadId, NocClass::Request)
                     {
                         self.stats.noc_stalls += 1;
                         self.emit(TraceEvent::NocStall {
@@ -403,29 +470,38 @@ impl HmcSim {
                             tag,
                         });
                         noc_blocked = true;
-                        idx += 1;
-                        continue;
                     }
+                    noc_blocked
                 } else {
-                    if blocked_vaults & (1u64 << (vault & 0x3f)) != 0 {
-                        idx += 1;
-                        continue;
-                    }
-                    if self.devices[di].vaults[vault as usize].rqst.is_full() {
+                    let bit = 1u64 << (vault & 0x3f);
+                    if blocked_vaults & bit == 0
+                        && self.devices[di].vaults[vault as usize].rqst.is_full()
+                    {
                         self.emit(TraceEvent::XbarRqstStall {
                             cube: dev_id,
                             link: l as LinkId,
                             vault,
                             tag,
                         });
-                        blocked_vaults |= 1u64 << (vault & 0x3f);
-                        idx += 1;
-                        continue;
+                        blocked_vaults |= bit;
                     }
+                    blocked_vaults & bit != 0
+                };
+                if stalled {
+                    // Memoize the classification for the cycles this
+                    // packet waits: decoded once, not once per stalled
+                    // cycle. Never for a corrupt or retry-gated packet —
+                    // those must keep reaching the link-retry code above.
+                    if key == NO_ROUTE && !corrupt && !gated {
+                        self.devices[di].xbars[l]
+                            .rqst
+                            .set_route(idx, vault, bank, row);
+                    }
+                    idx += 1;
+                    continue;
                 }
 
-                let mut entry = self.devices[di].xbars[l].rqst.remove(idx).expect("present");
-                self.return_link_tokens(di, l, flits);
+                let mut entry = self.take_xbar_request(di, l, idx, flits);
                 entry.dest_vault = vault;
                 entry.dest_bank = bank;
                 entry.dest_row = row;
@@ -458,14 +534,13 @@ impl HmcSim {
                         .expect("fullness checked above");
                 }
                 drained += 1;
-                    drained_flits += flits as usize;
+                drained_flits += flits as usize;
             }
 
             if flit_budget.is_some() {
                 // Oversized final packets leave a beat debt for later
                 // cycles so long-run throughput honours the line rate.
-                self.devices[di].links[l].flit_debt =
-                    drained_flits.saturating_sub(budget) as u32;
+                self.devices[di].links[l].flit_debt = drained_flits.saturating_sub(budget) as u32;
             }
             for (entry, r, rl) in forwards.drain(..) {
                 self.devices[r].xbars[rl]
@@ -710,30 +785,25 @@ impl HmcSim {
         self.stats.noc_stalls += delta.stalls;
         self.stats.noc_arb_losses += delta.arb_losses;
         if record_hops || record_stalls {
-            while let Some(ev) = self
-                .devices[di]
-                .noc
-                .as_mut()
-                .expect("checked above")
-                .pop_event()
-            {
-                match ev {
+            for ev in noc.drain_events() {
+                let event = match ev {
                     NocEvent::Hop {
                         from_quad,
                         to_quad,
                         tag,
-                    } => self.emit(TraceEvent::NocHop {
+                    } => TraceEvent::NocHop {
                         cube: dev_id,
                         from_quad,
                         to_quad,
                         tag,
-                    }),
-                    NocEvent::Stall { quad, tag } => self.emit(TraceEvent::NocStall {
+                    },
+                    NocEvent::Stall { quad, tag } => TraceEvent::NocStall {
                         cube: dev_id,
                         quad,
                         tag,
-                    }),
-                }
+                    },
+                };
+                self.tracer.emit(clock, event);
             }
         }
     }
@@ -755,6 +825,17 @@ impl HmcSim {
         let _ = self.devices[di]
             .registers
             .set_internal(regs::ERR, count.saturating_add(n));
+    }
+
+    /// Retire slot `idx` of link `l`'s crossbar request queue and hand
+    /// its link-layer tokens back.
+    fn take_xbar_request(&mut self, di: usize, l: usize, idx: usize, flits: u32) -> QueueEntry {
+        let entry = self.devices[di].xbars[l]
+            .rqst
+            .remove(idx)
+            .expect("slot present");
+        self.return_link_tokens(di, l, flits);
+        entry
     }
 
     /// Return link-layer flow-control tokens when a packet retires from a
@@ -933,5 +1014,110 @@ impl HmcSim {
             .rsp
             .push(resp)
             .expect("poison slot checked by caller");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hmc_types::{BankFirstMap, BlockSize, DeviceConfig, LinearMap, LowInterleaveMap};
+
+    const DEV: CubeId = 1;
+
+    fn rd(cub: CubeId, addr: u64) -> QueueEntry {
+        let p = Packet::request(Command::Rd(BlockSize::B64), cub, addr, 1, 0, &[]).unwrap();
+        QueueEntry::new(p, 9, cub, 0)
+    }
+
+    fn default_map() -> LowInterleaveMap {
+        LowInterleaveMap::new(DeviceConfig::small().geometry()).unwrap()
+    }
+
+    #[test]
+    fn flow_packets_retire_whatever_cube_they_name() {
+        for cmd in [Command::Null, Command::Pret, Command::Tret, Command::Irtry] {
+            for cub in [DEV, DEV + 1] {
+                let e = QueueEntry::new(Packet::flow(cmd, cub, 3).unwrap(), 9, cub, 0);
+                assert_eq!(classify(&e, DEV, &default_map()), Route::Flow(cmd));
+            }
+        }
+    }
+
+    #[test]
+    fn mode_accesses_are_local_logic_layer_operations() {
+        let reg = crate::register::regs::GC as u64;
+        let read = Packet::request(Command::ModeRead, DEV, reg, 1, 0, &[]).unwrap();
+        let write = Packet::request(Command::ModeWrite, DEV, reg, 2, 0, &[0u8; 16]).unwrap();
+        for (p, cmd) in [(read, Command::ModeRead), (write, Command::ModeWrite)] {
+            let e = QueueEntry::new(p.clone(), 9, DEV, 0);
+            assert_eq!(classify(&e, DEV, &default_map()), Route::Mode(cmd));
+            // Bound for another cube, a MODE packet is forwarded like any other.
+            let e = QueueEntry::new(p, 9, DEV + 1, 0);
+            assert_eq!(classify(&e, DEV, &default_map()), Route::Remote(DEV + 1));
+        }
+    }
+
+    #[test]
+    fn remote_requests_are_forwarded_without_decoding_their_address() {
+        let bad_addr = (1 << 34) - 64;
+        assert_eq!(
+            classify(&rd(DEV + 2, bad_addr), DEV, &default_map()),
+            Route::Remote(DEV + 2)
+        );
+        assert_eq!(
+            classify(&rd(DEV, bad_addr), DEV, &default_map()),
+            Route::BadAddress
+        );
+    }
+
+    #[test]
+    fn an_undecodable_command_wins_over_every_other_field() {
+        for cub in [DEV, DEV + 1] {
+            let mut e = rd(cub, (1 << 34) - 64);
+            e.packet.header = (e.packet.header & !0x3f) | 0x3f; // undefined CMD
+            e.packet.seal();
+            assert_eq!(classify(&e, DEV, &default_map()), Route::BadCommand);
+        }
+    }
+
+    #[test]
+    fn local_requests_decode_under_whichever_map_is_installed() {
+        let g = DeviceConfig::small().geometry();
+        let maps: [Box<dyn AddressMap>; 3] = [
+            Box::new(LowInterleaveMap::new(g).unwrap()),
+            Box::new(BankFirstMap::new(g).unwrap()),
+            Box::new(LinearMap::new(g).unwrap()),
+        ];
+        let mut seen = Vec::new();
+        for map in &maps {
+            for addr in [0x0, 0x1880, 0x2_4000, 0x1234_5680] {
+                let d = map.decode(PhysAddr::new(addr).unwrap()).unwrap();
+                let want = Route::Local {
+                    vault: d.vault,
+                    bank: d.bank,
+                    row: d.row,
+                };
+                assert_eq!(classify(&rd(DEV, addr), DEV, map.as_ref()), want);
+                seen.push(want);
+            }
+        }
+        assert_ne!(seen[..4], seen[4..8], "the maps must actually differ");
+        assert_ne!(seen[..4], seen[8..], "the maps must actually differ");
+    }
+
+    #[test]
+    fn stored_coordinates_are_reused_not_decoded_again() {
+        let mut e = rd(DEV, 0x1880);
+        e.dest_vault = 7;
+        e.dest_bank = 3;
+        e.dest_row = 42;
+        assert_eq!(
+            classify(&e, DEV, &default_map()),
+            Route::Local {
+                vault: 7,
+                bank: 3,
+                row: 42
+            }
+        );
     }
 }

@@ -8,7 +8,7 @@
 
 use hmc_types::LinkId;
 
-use crate::queue::{PacketQueue, QueueEntry};
+use crate::queue::{PacketQueue, QueueEntry, RoutedQueue};
 
 /// The crossbar logic stage attached to one link: a request queue (host →
 /// vaults) and a response queue (vaults → host).
@@ -17,7 +17,7 @@ pub struct Crossbar {
     /// The link this crossbar unit serves.
     pub link: LinkId,
     /// Request (inbound) queue.
-    pub rqst: PacketQueue,
+    pub rqst: RoutedQueue,
     /// Response (outbound) queue.
     pub rsp: PacketQueue,
 }
@@ -28,7 +28,7 @@ impl Crossbar {
     pub fn new(link: LinkId, depth: usize) -> Self {
         Crossbar {
             link,
-            rqst: PacketQueue::new(depth),
+            rqst: RoutedQueue::new(depth),
             rsp: PacketQueue::new(depth),
         }
     }
