@@ -5,6 +5,8 @@
 //! engine modes, prints a stepped-vs-fast-forward comparison table, and
 //! writes one JSON record per run plus one summary per shape into the
 //! output directory. CI archives the files as the performance trajectory.
+//! A shape whose two legs disagree on simulated cycles, requests or
+//! responses gets no speed-up and no files, and the run exits nonzero.
 //!
 //! Usage:
 //!   bench_emit [--out DIR] [--workload dense|bursty|sparse|all]
@@ -116,7 +118,14 @@ fn main() {
             point.timing.kind = *timing;
             point.interconnect.kind = *fabric;
             for shape in &shapes {
-                let (stepped, fast, summary) = compare(*shape, point);
+                let (stepped, fast, summary) = match compare(*shape, point) {
+                    Ok(legs) => legs,
+                    Err(mismatch) => {
+                        eprintln!("bench_emit: {mismatch}");
+                        failed = true;
+                        continue;
+                    }
+                };
                 println!(
                     "{:<8} {:<8} {:<9} {:>16.3e} {:>16.3e} {:>8.2}x",
                     summary.workload,

@@ -255,23 +255,46 @@ pub fn measure(shape: WorkloadShape, params: SimParams) -> BenchRecord {
     finished(shape.name, mode, &sim, start.elapsed(), requests, responses)
 }
 
-/// Measure one shape stepped and fast-forward under otherwise identical
-/// `params`, and fold the comparison.
-pub fn compare(shape: WorkloadShape, params: SimParams) -> (BenchRecord, BenchRecord, BenchSummary) {
-    let [stepped, fast] = [false, true].map(|fast_forward| {
-        measure(shape, SimParams { fast_forward, ..params })
-    });
-    let summary = BenchSummary {
+/// Fold a stepped and a fast-forward record of one shape into their
+/// comparison. A speed-up only means something between runs that
+/// simulated the same thing, so this refuses — naming the shape and the
+/// counts — when the two legs disagree on simulated cycles, requests or
+/// responses.
+pub fn summarize(stepped: &BenchRecord, fast: &BenchRecord) -> Result<BenchSummary, String> {
+    let span = |r: &BenchRecord| (r.simulated_cycles, r.requests, r.responses);
+    if span(stepped) != span(fast) {
+        return Err(format!(
+            "{}: stepped and fast-forward legs simulated different things \
+             (cycles, requests, responses): {:?} vs {:?}",
+            stepped.workload,
+            span(stepped),
+            span(fast)
+        ));
+    }
+    Ok(BenchSummary {
         schema: SCHEMA.into(),
-        workload: shape.name.into(),
+        workload: stepped.workload.clone(),
         timing: stepped.timing.clone(),
         interconnect: stepped.interconnect.clone(),
         threads: stepped.threads,
         stepped_cycles_per_sec: stepped.cycles_per_sec,
         fast_forward_cycles_per_sec: fast.cycles_per_sec,
         speedup: fast.cycles_per_sec / stepped.cycles_per_sec.max(f64::MIN_POSITIVE),
-    };
-    (stepped, fast, summary)
+    })
+}
+
+/// Measure one shape stepped and fast-forward under otherwise identical
+/// `params`, and fold the comparison ([`summarize`], whose refusal is
+/// the error).
+pub fn compare(
+    shape: WorkloadShape,
+    params: SimParams,
+) -> Result<(BenchRecord, BenchRecord, BenchSummary), String> {
+    let [stepped, fast] = [false, true].map(|fast_forward| {
+        measure(shape, SimParams { fast_forward, ..params })
+    });
+    let summary = summarize(&stepped, &fast)?;
+    Ok((stepped, fast, summary))
 }
 
 /// Requests in the measured hammer shape: enough double-sided
@@ -469,7 +492,7 @@ mod tests {
     use hmc_types::{LinkFaultConfig, TimingKind};
 
     fn stepped_and_fast(params: SimParams) -> (BenchRecord, BenchRecord) {
-        let (stepped, fast, _) = compare(tiny(), params);
+        let (stepped, fast, _) = compare(tiny(), params).unwrap();
         (stepped, fast)
     }
 
@@ -548,8 +571,25 @@ mod tests {
     }
 
     #[test]
+    fn legs_that_simulated_different_things_get_no_speedup() {
+        let (stepped, fast, _) = compare(tiny(), SimParams::default()).unwrap();
+        let doctor: [fn(&mut BenchRecord); 3] = [
+            |r| r.simulated_cycles += 1,
+            |r| r.requests -= 1,
+            |r| r.responses -= 1,
+        ];
+        for edit in doctor {
+            let mut other = fast.clone();
+            edit(&mut other);
+            let refusal = summarize(&stepped, &other).unwrap_err();
+            assert!(refusal.starts_with("sparse: "), "names the shape: {refusal}");
+        }
+        assert!(summarize(&stepped, &fast).is_ok());
+    }
+
+    #[test]
     fn records_round_trip_through_json() {
-        let (stepped, fast, summary) = compare(tiny(), SimParams::default());
+        let (stepped, fast, summary) = compare(tiny(), SimParams::default()).unwrap();
         for r in [&stepped, &fast] {
             let json = serde_json::to_string(r).unwrap();
             let back: BenchRecord = serde_json::from_str(&json).unwrap();

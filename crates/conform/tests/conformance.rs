@@ -6,6 +6,7 @@
 use std::io::BufReader;
 
 use hmc_conform::fuzz::{campaign_with_corruption, case_for_stream, gen_stream};
+use hmc_conform::harness::THREAD_SWEEP;
 use hmc_conform::{
     campaign, hammer_demo, run_case, run_case_cross_interconnect, run_case_cross_timing,
     shrink_case, write_repro, CampaignConfig, CorruptSpec, FuzzCase, MapKind,
@@ -342,4 +343,49 @@ fn mesh_campaign_with_pinned_seed_is_clean() {
         );
     }
     assert_eq!(report.streams_run, 16);
+}
+
+/// A [`gen_stream`] stream folded onto rows of one bank in each of two
+/// neighbouring vaults (under the low-interleave map; two hot spots
+/// under any map): block `b` of the generator's working set becomes row
+/// `b / 2` of block column `b % 2`, offsets kept. Two owner links each
+/// pour a crossbar queue's worth of requests at one four-slot vault
+/// queue, which is what fills it.
+fn hot_bank_stream(seed: u64, len: usize, device: &DeviceConfig) -> Vec<hmc_workloads::MemOp> {
+    let block = device.block_size.bytes() as u64;
+    let row_stride = block * u64::from(device.num_vaults) * u64::from(device.banks_per_vault);
+    let mut ops = gen_stream(seed, len, device);
+    for op in &mut ops {
+        let (b, offset) = (op.addr / block, op.addr % block);
+        op.addr = (b % 2) * block + (b / 2) * row_stride + offset;
+    }
+    ops
+}
+
+#[test]
+fn hot_bank_streams_fill_small_vault_queues_under_fast_forward() {
+    // The campaign presets have 64-slot vault queues, which 48-op
+    // streams never fill, so the fast-forward horizon's rule for a
+    // crossbar stalled on a full vault queue never sees campaign
+    // traffic. These streams do fill `small()`'s four slots, and every
+    // gap starts with requests waiting at the crossbar. Swept like a
+    // campaign — serial plus a rotating 2/4/8 threads, each stepped and
+    // fast-forward, oracle and invariants on — under both backends.
+    let device = DeviceConfig::small();
+    for timing in [TimingKind::Ddr, TimingKind::Classic] {
+        for i in 0..100u64 {
+            let seed = 0xC0FF_EE07 ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let map = MapKind::ALL[i as usize % MapKind::ALL.len()];
+            let ops = hot_bank_stream(seed, 48, &device);
+            let mut case = FuzzCase::new("small", device.clone(), map, seed, ops)
+                .with_params(axes(timing, NocParams::default()));
+            case.threads = vec![1, THREAD_SWEEP[1 + i as usize % 3]];
+            case.gap_every = 1 + i % 3;
+            case.gap_cycles = 100 + seed % 300;
+            let out = run_case(&case).unwrap_or_else(|f| {
+                panic!("{timing:?} stream {i} / {} (seed {seed:#x}): {f}", map.name())
+            });
+            assert!(out.checked > 0);
+        }
+    }
 }

@@ -39,11 +39,14 @@ use std::sync::Arc;
 
 use hmc_trace::{EventKind, EventStage, TraceEvent};
 use hmc_types::address::AddressMap;
-use hmc_types::{CubeId, Cycle, LinkId, Result, VaultId};
+use hmc_types::{CubeId, Cycle, LinkId, QuadId, Result, VaultId};
 
+use crate::device::Device;
 use crate::link::Endpoint;
 use crate::params::{ConflictPolicy, RefreshParams};
-use crate::queue::{QueueEntry, UNDECODED};
+use crate::quad::Quad;
+use crate::queue::{QueueEntry, NO_ROUTE, UNDECODED};
+use crate::register::regs;
 use crate::routing::RouteTable;
 use crate::sim::{HmcSim, MAX_CUBES};
 use crate::timing::RowOutcome;
@@ -85,6 +88,21 @@ impl Default for CycleInputs {
             fault_events: false,
         }
     }
+}
+
+/// One gate's verdict on the upcoming cycles, as folded by
+/// [`HmcSim::quiescent_horizon`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Gate {
+    /// The next cycle may do observable work and must run stepped.
+    Live,
+    /// Provably idle for this many cycles (at least one); the cycle
+    /// after them may be live.
+    Held(u64),
+    /// Idle for as long as every other gate is: nothing here can change
+    /// before some other gate's edge fires, so it contributes no wake-up
+    /// edge of its own.
+    Inert,
 }
 
 /// Reusable per-simulation scratch buffers (owned by [`HmcSim`]).
@@ -533,48 +551,41 @@ impl HmcSim {
     /// be emitted. Zero means the next cycle may do observable work and
     /// must run stepped.
     ///
-    /// A cycle is *dead* exactly when, for every device:
+    /// A device with packets in flight on a buffered NoC is live. Apart
+    /// from that the predicate is three per-unit gates, each answering
+    /// [`Gate::Live`], [`Gate::Held`] for a computable number of cycles,
+    /// or [`Gate::Inert`] (idle until another gate's edge fires):
     ///
-    /// * each non-empty crossbar request queue is gated for the whole
-    ///   cycle — its link's FLIT debt covers the cycle's beat budget
-    ///   (walk skipped outright) or its head entry is held by a link
-    ///   retransmission timer (walk breaks at the head) — and the gate
-    ///   provably holds until a computable future cycle;
-    /// * each crossbar response queue holds only entries parked in
-    ///   host-deliverable position (waiting on a host `recv`, which only
-    ///   the host can trigger);
-    /// * each vault response queue is empty (any entry would be planned
-    ///   and committed by stage 5) and no pending response's data-ready
-    ///   edge has arrived;
-    /// * every entry in each non-empty vault request queue's scan window
-    ///   is provably held — by the bank this vault currently holds under
-    ///   refresh, or by the vault's timing backend
-    ///   ([`crate::timing::VaultTiming::blocked_until`]: always live for
-    ///   the classic backend, exact tRP/tRAS/tCCD/refresh edges for DDR)
-    ///   — and, when bank-conflict tracing is enabled, the window holds
-    ///   at most one entry, because stage 3 re-emits `BankConflict` every
-    ///   cycle for same-bank window pairs.
+    /// * [`HmcSim::xbar_rqst_gate`], per link — retraining window, FLIT
+    ///   debt, retry timer, and the inert stage-1/2 walk over requests
+    ///   that all wait on full vault queues;
+    /// * [`HmcSim::xbar_rsp_gate`], per link — responses parked for a
+    ///   host `recv`;
+    /// * [`HmcSim::vault_gate`], per vault — response queue, pending
+    ///   data-ready edges, and the stage-3/4 scan window held by refresh
+    ///   or by the timing backend's exact bank edges.
     ///
-    /// The returned horizon is the minimum over all gates' wake-up edges
-    /// (debt paydown completion, retry-timer expiry, the next
+    /// The returned horizon is the minimum over all `Held` spans (debt
+    /// paydown completion, retry-timer and retraining expiry, the next
     /// [`RefreshParams::window_edge_after`], timing-backend retry edges,
     /// pending data-ready cycles), clamped to `max` and to the remaining
-    /// `u64` clock range. Everything the walks *would* do in dead cycles
-    /// (FLIT-debt decay) is replayed exactly by
+    /// `u64` clock range: the jump lands on the earliest edge, never past
+    /// it, and that cycle runs stepped. Everything the walks *would* do
+    /// in dead cycles (FLIT-debt decay) is replayed exactly by
     /// [`HmcSim::fast_forward_jump`].
     pub(crate) fn quiescent_horizon(&self, max: u64) -> u64 {
-        let max = max.min(u64::MAX - self.clock);
-        if max == 0 {
+        let mut horizon = max.min(u64::MAX - self.clock);
+        if horizon == 0 {
             return 0;
         }
-        let mut horizon = max;
-        let flit_budget = self.params.link_flits_per_cycle.map(|f| f.max(1));
-        let faults_on = self.faults.is_some();
-        let conflicts_enabled = self.tracer.enabled(EventKind::BankConflict);
-        let window = self.params.window_for(self.config.banks_per_vault);
-        let banks = self.config.banks_per_vault;
-        let num_links = self.config.num_links as usize;
-
+        let mut fold = |gate: Gate| match gate {
+            Gate::Live => false,
+            Gate::Held(dead) => {
+                horizon = horizon.min(dead);
+                true
+            }
+            Gate::Inert => true,
+        };
         for dev in &self.devices {
             // Packets in flight between quads on a buffered NoC move (or
             // at least contend) every cycle: the device is live until the
@@ -583,116 +594,185 @@ impl HmcSim {
             if dev.noc.as_ref().is_some_and(|n| n.occupancy() > 0) {
                 return 0;
             }
-            for l in 0..num_links {
-                let xbar = &dev.xbars[l];
-                // A link down for retraining skips its request walk
-                // outright until the window lapses — and the first walk
-                // after expiry records the completed retraining (the
-                // `LinkRetrain` event), which is observable work.
-                if faults_on && dev.links[l].retraining {
-                    let until = dev.links[l].retrain_until;
-                    if until <= self.clock {
-                        return 0;
-                    }
-                    horizon = horizon.min(until - self.clock);
-                } else if !xbar.rqst.is_empty() {
-                    let debt_dead = flit_budget
-                        .map(|f| dev.links[l].debt_dead_cycles(f))
-                        .unwrap_or(0);
-                    let retry_dead = if faults_on {
-                        match xbar.rqst.front() {
-                            Some(e) if e.retry_gated(self.clock) => e.retry_until - self.clock,
-                            _ => 0,
-                        }
-                    } else {
-                        0
-                    };
-                    // Debt gating skips the walk outright; once the debt
-                    // is sub-budget the walk runs and breaks on the
-                    // retry-gated head (zeroing the residual debt), so
-                    // the link sleeps until the *later* of the two edges.
-                    let dead = debt_dead.max(retry_dead);
-                    if dead == 0 {
-                        return 0;
-                    }
-                    horizon = horizon.min(dead);
-                }
-                if !xbar.rsp.is_empty() {
-                    let remote = dev.links[l].remote;
-                    if !xbar.rsp_all_parked(|e| remote == Endpoint::Host(e.dest_cube)) {
-                        return 0;
-                    }
+            for l in 0..self.config.num_links as usize {
+                if !fold(self.xbar_rqst_gate(dev, l)) || !fold(self.xbar_rsp_gate(dev, l)) {
+                    return 0;
                 }
             }
             for quad in &dev.quads {
                 for vi in quad.vault_range() {
-                    let vault = &dev.vaults[vi];
-                    if !vault.rsp.is_empty() {
+                    if !fold(self.vault_gate(dev, vi)) {
                         return 0;
-                    }
-                    // Pending responses wake the vault exactly when the
-                    // earliest data-ready edge arrives (DDR backend; the
-                    // classic backend keeps `pending` empty).
-                    if let Some(ready) = vault.pending_min_ready() {
-                        if ready <= self.clock {
-                            return 0;
-                        }
-                        horizon = horizon.min(ready - self.clock);
-                    }
-                    if vault.rqst.is_empty() {
-                        continue;
-                    }
-                    if conflicts_enabled && window.min(vault.rqst.len()) > 1 {
-                        // Stage 3 would re-emit BankConflict each cycle.
-                        return 0;
-                    }
-                    // Every entry the stage-4 walk would scan must be
-                    // provably held, either by this vault's refreshed
-                    // bank (until the refresh window edge) or by the
-                    // timing backend (until its exact retry edge). The
-                    // classic backend never blocks between cycles, which
-                    // reduces this to the original requirement: the whole
-                    // window parked on the bank under refresh.
-                    let refreshed_bank = self
-                        .params
-                        .refresh
-                        .and_then(|r| r.bank_under_refresh(self.clock, vi as u16, banks));
-                    for i in 0..window.min(vault.rqst.len()) {
-                        let e = vault.rqst.get(i).expect("i bounded");
-                        if !e.is_decoded() {
-                            // Defensive: never fast-forward past an
-                            // undecoded entry.
-                            return 0;
-                        }
-                        let refreshed = refreshed_bank == Some(e.dest_bank);
-                        let timing_edge =
-                            vault
-                                .timing
-                                .blocked_until(e.dest_bank, e.dest_row, self.clock);
-                        if !refreshed && timing_edge.is_none() {
-                            // Issuable now (or a per-cycle VaultRspStall
-                            // event would fire): the cycle is live.
-                            return 0;
-                        }
-                        let mut edge = timing_edge.unwrap_or(0);
-                        if refreshed {
-                            edge = edge.max(
-                                self.params
-                                    .refresh
-                                    .expect("refreshed_bank implies refresh")
-                                    .window_edge_after(self.clock),
-                            );
-                        }
-                        let dead = edge.saturating_sub(self.clock);
-                        if dead == 0 {
-                            return 0;
-                        }
-                        horizon = horizon.min(dead);
                     }
                 }
             }
         }
         horizon
+    }
+
+    /// The link / crossbar-request gate of link `l`: what the stage-1/2
+    /// walk over this link's request queue does in the upcoming cycles.
+    ///
+    /// * A link down for retraining skips its walk outright until the
+    ///   window lapses — and the first walk after expiry records the
+    ///   completed retraining (the `LinkRetrain` event), which is
+    ///   observable work: held until just short of that walk.
+    /// * An empty queue's walk does nothing (inert).
+    /// * FLIT debt covering the cycle's beat budget skips the walk
+    ///   outright; once the debt is sub-budget the walk runs and breaks
+    ///   on a retry-gated head (zeroing the residual debt), so the link
+    ///   is held until the *later* of the two edges.
+    /// * Otherwise the walk runs, and is *inert* exactly when it visits
+    ///   nothing but stalled requests it cannot move and would not report:
+    ///   1. every slot carries a route key — a clean local memory
+    ///      request, never corrupt or retry-gated (`check_invariants`
+    ///      re-proves that every cycle). An unkeyed slot keeps the queue
+    ///      live, so the cycle that memoizes a newly stalled packet still
+    ///      runs stepped;
+    ///   2. every keyed slot takes the direct path (a NoC-riding slot
+    ///      bumps `stats.noc_stalls` every cycle it waits) and its
+    ///      destination vault's request queue is full;
+    ///   3. the tracer does not record `XbarRqstStall`, which the walk
+    ///      re-emits every cycle for the first stalled packet per vault.
+    ///
+    ///   Such a walk leaves every slot and latch as it found them and
+    ///   only zeroes sub-budget FLIT debt, which
+    ///   [`Link::decay_flit_debt`](crate::link::Link::decay_flit_debt)
+    ///   reproduces. It needs no edge of its own: a vault queue stops
+    ///   being full only when stage 4 issues from it, and every entry in
+    ///   that (non-empty) vault's scan window already contributes its
+    ///   exact edge through [`HmcSim::vault_gate`]. The one thing that
+    ///   un-keys a slot without any packet moving is an address-map swap:
+    ///   `set_address_map` forgets the keys at once, and an AC-register
+    ///   write not yet applied holds the walk inert for exactly one more
+    ///   cycle — the stage-6 edge that applies it.
+    fn xbar_rqst_gate(&self, dev: &Device, l: usize) -> Gate {
+        let link = &dev.links[l];
+        let rqst = &dev.xbars[l].rqst;
+        let faults_on = self.faults.is_some();
+        if faults_on && link.retraining {
+            return match link.retrain_until.saturating_sub(self.clock) {
+                0 => Gate::Live,
+                dead => Gate::Held(dead),
+            };
+        }
+        if rqst.is_empty() {
+            return Gate::Inert;
+        }
+        let debt_dead = self
+            .params
+            .link_flits_per_cycle
+            .map_or(0, |f| link.debt_dead_cycles(f.max(1)));
+        let retry_dead = match rqst.front() {
+            Some(e) if faults_on && e.retry_gated(self.clock) => e.retry_until - self.clock,
+            _ => 0,
+        };
+        let dead = debt_dead.max(retry_dead);
+        if dead > 0 {
+            return Gate::Held(dead);
+        }
+        let buffered = dev.noc.is_some();
+        let inert = !self.tracer.enabled(EventKind::XbarRqstStall)
+            && rqst.route_keys().all(|vault| {
+                vault != NO_ROUTE
+                    && !(buffered && l as QuadId != Quad::of_vault(vault))
+                    && dev.vaults[vault as usize].rqst.is_full()
+            });
+        if !inert {
+            Gate::Live
+        } else if self.ac_swap_pending() {
+            Gate::Held(1)
+        } else {
+            Gate::Inert
+        }
+    }
+
+    /// True when a write to the AC register has not yet reached the
+    /// address map: the next stage-6 edge installs the selected map and
+    /// forgets every route key (`HmcSim::install_map`), so the cycle
+    /// after it routes the waiting requests afresh.
+    fn ac_swap_pending(&self) -> bool {
+        self.devices[0].registers.read(regs::AC).unwrap_or(0) != self.ac_mode
+    }
+
+    /// The crossbar-response gate of link `l`: inert when the response
+    /// queue holds only entries parked in host-deliverable position
+    /// (waiting on a host `recv`, which only the host can trigger), live
+    /// when the stage-5 forward walk would move or stall-report one.
+    fn xbar_rsp_gate(&self, dev: &Device, l: usize) -> Gate {
+        let remote = dev.links[l].remote;
+        if dev.xbars[l].rsp_all_parked(|e| remote == Endpoint::Host(e.dest_cube)) {
+            Gate::Inert
+        } else {
+            Gate::Live
+        }
+    }
+
+    /// The vault gate of vault `vi`: what [`tick_vault`] and the stage-5
+    /// drain do in the upcoming cycles.
+    ///
+    /// * Any queued response is live (stage 5 would plan and commit it).
+    /// * Pending responses wake the vault exactly when the earliest
+    ///   data-ready edge arrives (DDR backend; the classic backend keeps
+    ///   `pending` empty).
+    /// * Every entry the stage-4 walk would scan must be provably held,
+    ///   either by the bank this vault currently has under refresh (until
+    ///   the refresh window edge) or by the timing backend
+    ///   ([`crate::timing::VaultTiming::blocked_until`]: an exact
+    ///   tRP/tRAS/tCCD/refresh/park edge under DDR; the classic backend
+    ///   never blocks between cycles, which leaves only the
+    ///   refresh-parked window). An issuable entry is live — it issues,
+    ///   or stage 4 reports `VaultRspStall` for it every cycle. Under
+    ///   [`ConflictPolicy::StallQueue`] the walk breaks at its first held
+    ///   entry, so that entry's edge is the only one.
+    /// * When bank-conflict tracing is enabled the window may hold at
+    ///   most one entry, because stage 3 re-emits `BankConflict` every
+    ///   cycle for same-bank window pairs.
+    fn vault_gate(&self, dev: &Device, vi: usize) -> Gate {
+        let vault = &dev.vaults[vi];
+        if !vault.rsp.is_empty() {
+            return Gate::Live;
+        }
+        // The earliest cycle at which anything here can change.
+        let mut wake = vault.pending_min_ready().unwrap_or(u64::MAX);
+        let banks = self.config.banks_per_vault;
+        let window = self.params.window_for(banks).min(vault.rqst.len());
+        if window > 1 && self.tracer.enabled(EventKind::BankConflict) {
+            return Gate::Live;
+        }
+        let refresh = self.params.refresh;
+        let refreshed_bank =
+            refresh.and_then(|r| r.bank_under_refresh(self.clock, vi as u16, banks));
+        for i in 0..window {
+            let e = vault.rqst.get(i).expect("i bounded");
+            if !e.is_decoded() {
+                // Defensive: never fast-forward past an undecoded entry.
+                return Gate::Live;
+            }
+            let timing_edge = vault
+                .timing
+                .blocked_until(e.dest_bank, e.dest_row, self.clock);
+            let refresh_edge = (refreshed_bank == Some(e.dest_bank)).then(|| {
+                refresh
+                    .expect("refreshed_bank implies refresh")
+                    .window_edge_after(self.clock)
+            });
+            // Held until the later of the two; issuable now when neither.
+            let Some(edge) = timing_edge.max(refresh_edge) else {
+                return Gate::Live;
+            };
+            wake = wake.min(edge);
+            if self.params.conflict_policy == ConflictPolicy::StallQueue {
+                break;
+            }
+        }
+        if wake <= self.clock {
+            Gate::Live
+        } else if wake == u64::MAX {
+            Gate::Inert
+        } else {
+            Gate::Held(wake - self.clock)
+        }
     }
 
     /// Jump the clock across `dead` cycles proven quiescent by
@@ -1054,11 +1134,15 @@ impl HmcSim {
 
 #[cfg(test)]
 mod tests {
+    use super::Gate;
     use crate::noc::NocParams;
-    use crate::params::{RefreshParams, SimParams};
+    use crate::params::{ConflictPolicy, RefreshParams, SimParams};
     use crate::queue::QueueEntry;
+    use crate::register::regs;
     use crate::sim::HmcSim;
     use crate::timing::TimingParams;
+    use crate::xbar::Crossbar;
+    use hmc_trace::{EventKind, NullSink, Tracer, Verbosity};
     use hmc_types::{
         ArbitrationKind, BlockSize, Command, DdrTimings, DeviceConfig, InterconnectKind,
         LinkFaultConfig, LinkId, Packet, TimingKind,
@@ -1564,4 +1648,272 @@ mod tests {
         assert_eq!(s.quiescent_horizon(100), 0, "in-flight hops are live work");
     }
 
+    /// Stepped DDR: these tests call the horizon and the jump directly,
+    /// and `clock_batch` on such a sim is the stepped reference.
+    fn ddr_params() -> SimParams {
+        SimParams {
+            timing: TimingParams::of(TimingKind::Ddr),
+            ..SimParams::default()
+        }
+    }
+
+    /// Row `i` of vault 0, bank 0 under `small()`'s default map.
+    fn row_addr(i: u16) -> u64 {
+        u64::from(i) * 0x1_0000
+    }
+
+    /// The state `bursty_ff_ddr` spends its gaps in: twelve reads to
+    /// rows of one bank sent over links 0 and 1, clocked stepped until
+    /// vault 0's four-slot request queue is full of row misses (the
+    /// issued head's bank still paying command spacing) and everything
+    /// left in the two crossbar request queues is keyed.
+    fn stalled_on_full_vault(params: SimParams) -> HmcSim {
+        let mut s = sim_with(params);
+        for i in 0..12u16 {
+            let link = (i % 2) as LinkId;
+            s.send(0, link, read_packet(row_addr(i), i, link)).unwrap();
+        }
+        let settled = |s: &HmcSim| {
+            let dev = &s.devices[0];
+            let keyed = |x: &Crossbar| x.rqst.route_keys().all(|k| k == 0);
+            dev.vaults[0].rqst.is_full() && dev.xbars.iter().all(keyed)
+        };
+        while !settled(&s) {
+            assert!(s.current_clock() < 8, "the burst never settled");
+            s.clock_batch(1).unwrap();
+        }
+        let dev = &s.devices[0];
+        assert!(!dev.xbars[0].rqst.is_empty() && !dev.xbars[1].rqst.is_empty());
+        s
+    }
+
+    /// The edge vault 0's head entry waits for.
+    fn head_edge(s: &HmcSim) -> u64 {
+        let vault = &s.devices[0].vaults[0];
+        let e = vault.rqst.front().unwrap();
+        vault
+            .timing
+            .blocked_until(e.dest_bank, e.dest_row, s.clock)
+            .expect("the head's bank is busy")
+    }
+
+    #[test]
+    fn xbar_walk_stalled_on_a_full_vault_sleeps_until_the_bank_edge() {
+        let mut s = stalled_on_full_vault(ddr_params());
+        let t = DdrTimings::default();
+        let edge = head_edge(&s);
+        assert_eq!(edge, t.t_rcd + t.t_ccd, "ACT at cycle 0, then tRCD + tCCD");
+        let dev = &s.devices[0];
+        assert_eq!(s.xbar_rqst_gate(dev, 0), Gate::Inert);
+        assert_eq!(s.xbar_rqst_gate(dev, 1), Gate::Inert);
+        assert_eq!(s.xbar_rqst_gate(dev, 2), Gate::Inert, "an empty queue");
+        assert_eq!(s.xbar_rsp_gate(dev, 0), Gate::Inert);
+        assert_eq!(s.vault_gate(dev, 0), Gate::Held(edge - s.clock));
+        assert_eq!(s.vault_gate(dev, 1), Gate::Inert, "an empty vault");
+        assert_eq!(s.quiescent_horizon(10_000), edge - s.clock);
+
+        // The jump lands exactly where the stepped engine next does
+        // something, and leaves what the stepped engine leaves.
+        let mut stepped = stalled_on_full_vault(ddr_params());
+        let dead = edge - s.clock;
+        s.fast_forward_jump(dead);
+        stepped.clock_batch(dead).unwrap();
+        assert_eq!(s.current_clock(), stepped.current_clock());
+        assert_eq!(s.stats(), stepped.stats());
+        for (a, b) in s.devices[0].xbars.iter().zip(&stepped.devices[0].xbars) {
+            assert_eq!(a.rqst.len(), b.rqst.len());
+        }
+        // The head is a row conflict: from the bank edge it waits out
+        // tRAS, but the issued read's data comes back first — the next
+        // jump stops there, where the vault releases the response.
+        let data_ready = t.t_rcd + t.t_cas;
+        assert_eq!(s.quiescent_horizon(10_000), data_ready - edge);
+        s.fast_forward_jump(data_ready - edge);
+        assert_eq!(s.quiescent_horizon(10_000), 0, "the response releases");
+    }
+
+    #[test]
+    fn any_broken_inert_condition_keeps_the_crossbar_live() {
+        // An unkeyed slot at the tail: the walk has yet to look at it.
+        let mut s = stalled_on_full_vault(ddr_params());
+        s.send(0, 1, read_packet(row_addr(12), 12, 1)).unwrap();
+        assert_eq!(s.xbar_rqst_gate(&s.devices[0], 0), Gate::Inert);
+        assert_eq!(s.xbar_rqst_gate(&s.devices[0], 1), Gate::Live);
+        assert_eq!(s.quiescent_horizon(10_000), 0);
+
+        // A keyed slot whose vault has a free slot moves this cycle.
+        let mut s = stalled_on_full_vault(ddr_params());
+        s.devices[0].vaults[0].rqst.pop().unwrap();
+        assert_eq!(s.xbar_rqst_gate(&s.devices[0], 0), Gate::Live);
+        assert_eq!(s.xbar_rqst_gate(&s.devices[0], 1), Gate::Live);
+        assert_eq!(s.quiescent_horizon(10_000), 0);
+
+        // A tracer that records XbarRqstStall hears from the walk every
+        // cycle.
+        let mut s = stalled_on_full_vault(ddr_params());
+        s.set_tracer(Tracer::new(
+            Verbosity::threshold_for(EventKind::XbarRqstStall),
+            Box::new(NullSink),
+        ));
+        assert_eq!(s.xbar_rqst_gate(&s.devices[0], 0), Gate::Live);
+        assert_eq!(s.quiescent_horizon(10_000), 0);
+    }
+
+    #[test]
+    fn a_keyed_slot_that_rides_the_noc_keeps_the_crossbar_live() {
+        let mut s = sim_with(SimParams {
+            interconnect: NocParams::of(InterconnectKind::Mesh),
+            ..ddr_params()
+        });
+        s.ensure_timing();
+        s.ensure_noc();
+        // Vault 0 (quad 0) full behind a busy bank, and one keyed request
+        // for it on link 0 (same quad: direct push) and on link 1 (cross
+        // quad: would inject into the empty mesh this cycle).
+        let _ = s.devices[0].vaults[0].timing.try_issue(0, 0, 0);
+        for i in 1..=4u16 {
+            let mut e = QueueEntry::new(read_packet(row_addr(i), i, 0), 1, 0, 0);
+            (e.dest_vault, e.dest_bank, e.dest_row) = (0, 0, u64::from(i));
+            s.devices[0].vaults[0].rqst.push(e).unwrap();
+        }
+        for link in 0..2u8 {
+            let e = QueueEntry::new(read_packet(row_addr(9), 9, link), 1, 0, 0);
+            let rqst = &mut s.devices[0].xbars[link as usize].rqst;
+            rqst.push(e).unwrap();
+            rqst.set_route(0, 0, 0, 9);
+        }
+        assert_eq!(s.xbar_rqst_gate(&s.devices[0], 0), Gate::Inert);
+        assert_eq!(s.xbar_rqst_gate(&s.devices[0], 1), Gate::Live);
+        assert_eq!(s.quiescent_horizon(10_000), 0);
+    }
+
+    #[test]
+    fn link_retry_state_behind_keyed_slots_keeps_the_crossbar_live() {
+        for (corrupt, retry_for) in [(true, 0), (false, 50)] {
+            let mut s = stalled_on_full_vault(ddr_params());
+            s.set_link_faults(Some(LinkFaultConfig::default()));
+            assert_eq!(
+                s.xbar_rqst_gate(&s.devices[0], 1),
+                Gate::Inert,
+                "armed faults alone change nothing: keyed slots are clean"
+            );
+            s.send(0, 1, read_packet(row_addr(12), 12, 1)).unwrap();
+            let clock = s.clock;
+            let rqst = &mut s.devices[0].xbars[1].rqst;
+            let tail = rqst.len() - 1;
+            let e = rqst.get_mut(tail).unwrap();
+            e.corrupt = corrupt;
+            e.retry_until = clock + retry_for;
+            // Never keyed, so the walk must reach it: it detects the
+            // corruption, or breaks on the timer — which holds the link
+            // only from the head of the queue.
+            assert_eq!(s.xbar_rqst_gate(&s.devices[0], 1), Gate::Live);
+            assert_eq!(s.quiescent_horizon(10_000), 0);
+        }
+    }
+
+    #[test]
+    fn an_address_map_swap_wakes_the_stalled_crossbar() {
+        // `set_address_map` forgets the route keys at once.
+        let mut s = stalled_on_full_vault(ddr_params());
+        let map = hmc_types::LowInterleaveMap::new(s.config.geometry()).unwrap();
+        s.set_address_map(Box::new(map)).unwrap();
+        assert_eq!(s.xbar_rqst_gate(&s.devices[0], 0), Gate::Live);
+        assert_eq!(s.quiescent_horizon(10_000), 0);
+
+        // An AC-register write reaches the map at the next stage-6 edge:
+        // that one cycle is still inert, the one after routes afresh.
+        let mut s = stalled_on_full_vault(ddr_params());
+        s.jtag_reg_write(0, regs::AC, 1).unwrap();
+        assert_eq!(s.xbar_rqst_gate(&s.devices[0], 0), Gate::Held(1));
+        assert_eq!(s.quiescent_horizon(10_000), 1);
+        s.fast_forward_jump(1);
+        assert_eq!(s.xbar_rqst_gate(&s.devices[0], 0), Gate::Live);
+        assert_eq!(s.quiescent_horizon(10_000), 0);
+    }
+
+    #[test]
+    fn jumping_an_inert_walk_settles_flit_debt_like_the_stepped_walk() {
+        let params = SimParams {
+            link_flits_per_cycle: Some(2),
+            ..ddr_params()
+        };
+        let mut fast = stalled_on_full_vault(params);
+        let mut stepped = stalled_on_full_vault(params);
+        // Residual debt below the beat budget: the walk runs, moves
+        // nothing, and its trailing store zeroes the debt.
+        fast.devices[0].links[1].flit_debt = 1;
+        stepped.devices[0].links[1].flit_debt = 1;
+        assert_eq!(fast.xbar_rqst_gate(&fast.devices[0], 1), Gate::Inert);
+        let dead = fast.quiescent_horizon(10_000);
+        assert_eq!(dead, head_edge(&fast) - fast.clock);
+        fast.fast_forward_jump(dead);
+        stepped.clock_batch(dead).unwrap();
+        assert_eq!(stepped.devices[0].links[1].flit_debt, 0);
+        assert_eq!(fast.devices[0].links[1].flit_debt, 0);
+        assert_eq!(fast.current_clock(), stepped.current_clock());
+
+        // Debt that covers the budget skips the walk: held, not inert.
+        fast.devices[0].links[1].flit_debt = 5;
+        assert_eq!(fast.xbar_rqst_gate(&fast.devices[0], 1), Gate::Held(2));
+    }
+
+    /// Vault 2 with bank 1 busy on row 0: a row-conflict head for bank
+    /// 1 and an issuable request for bank 2 behind it.
+    fn held_head_issuable_tail(policy: ConflictPolicy) -> HmcSim {
+        let mut s = sim_with(SimParams {
+            conflict_policy: policy,
+            ..ddr_params()
+        });
+        s.ensure_timing();
+        let _ = s.devices[0].vaults[2].timing.try_issue(1, 0, 0);
+        for (tag, bank, row) in [(1u16, 1u16, 3u64), (2, 2, 0)] {
+            let mut e = QueueEntry::new(read_packet(0, tag, 0), 1, 0, 0);
+            (e.dest_vault, e.dest_bank, e.dest_row) = (2, bank, row);
+            s.devices[0].vaults[2].rqst.push(e).unwrap();
+        }
+        s
+    }
+
+    #[test]
+    fn in_order_vault_sleeps_on_its_held_head_alone() {
+        let t = DdrTimings::default();
+        // Out of order, the tail passes the held head: live.
+        let s = held_head_issuable_tail(ConflictPolicy::SkipConflicting);
+        assert_eq!(s.vault_gate(&s.devices[0], 2), Gate::Live);
+        // In order, stage 4 breaks at the held head and never looks at
+        // the tail: the head's edge is the only one.
+        let s = held_head_issuable_tail(ConflictPolicy::StallQueue);
+        let edge = t.t_rcd + t.t_ccd;
+        assert_eq!(s.vault_gate(&s.devices[0], 2), Gate::Held(edge));
+        assert_eq!(s.quiescent_horizon(1_000), edge);
+    }
+
+    #[test]
+    fn stall_queue_fast_forward_matches_stepped_behind_a_held_head() {
+        let run = |fast_forward: bool| {
+            let mut s = sim_with(SimParams {
+                fast_forward,
+                conflict_policy: ConflictPolicy::StallQueue,
+                ..ddr_params()
+            });
+            let mut got = Vec::new();
+            for burst in 0..6u16 {
+                // Two rows of one bank (the second waits out tRAS/tRP at
+                // the head of the vault queue), then other banks behind.
+                let addrs = [row_addr(burst), row_addr(burst + 7), 0x800, 0x1000];
+                for (i, &addr) in addrs.iter().enumerate() {
+                    let tag = burst * 4 + i as u16;
+                    s.send(0, 0, read_packet(addr, tag, 0)).unwrap();
+                }
+                s.clock_batch(200).unwrap();
+                while let Ok((p, lat)) = s.recv_with_latency(0, 0) {
+                    got.push((p.tag(), lat));
+                }
+            }
+            assert_eq!(got.len(), 24, "every read answers within its gap");
+            (got, s.current_clock(), s.stats())
+        };
+        assert_eq!(run(false), run(true));
+    }
 }

@@ -302,6 +302,11 @@ impl RoutedQueue {
         self.keys.get(i).copied().unwrap_or(NO_ROUTE)
     }
 
+    /// Every slot's route key, head to tail. Reads the keys only.
+    pub fn route_keys(&self) -> impl Iterator<Item = u16> + '_ {
+        self.keys.iter().copied()
+    }
+
     /// The first slot at or after `from` that a stall-aware walk must
     /// visit — one with no route key, or whose keyed vault `blocked`
     /// does not hold back — or [`len`](PacketQueue::len) when every
