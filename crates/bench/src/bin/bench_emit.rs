@@ -80,7 +80,6 @@ fn main() {
         }
     }
     let params = args.params_over(SimParams::default());
-    let threads = params.threads;
     let timings = if all_timings {
         TimingKind::ALL.to_vec()
     } else {
@@ -102,14 +101,8 @@ fn main() {
         .unwrap_or_else(|e| args.die(format_args!("{}: {e}", out.display())));
 
     println!(
-        "{:<8} {:<8} {:<9} {:>16} {:>16} {:>9}  (cycles/sec, {threads} thread{})",
-        "workload",
-        "timing",
-        "fabric",
-        "stepped",
-        "fast-forward",
-        "speedup",
-        if threads == 1 { "" } else { "s" }
+        "{:<8} {:<8} {:<9} {:>16} {:>16} {:>9}  (cycles/sec)",
+        "workload", "timing", "fabric", "stepped", "fast-forward", "speedup",
     );
     let mut failed = false;
     for timing in &timings {
@@ -161,7 +154,7 @@ fn main() {
     }
     if hammer {
         let cfg = params.cell_faults.unwrap_or_default();
-        let (off, on, summary) = hammer_overhead(threads, cfg);
+        let (off, on, summary) = hammer_overhead(cfg);
         println!(
             "{:<8} {:<8} {:<9} {:>16.3e} {:>16.3e} {:>8} cycle overhead ({} bit flips armed)",
             "hammer",

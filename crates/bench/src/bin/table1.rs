@@ -9,9 +9,8 @@
 //! `--full` is shorthand for `--scale 1` (the paper's exact request
 //! count; takes a few minutes per configuration). The simulation axes
 //! are the shared flags of `SimParams::USAGE` (`--help` lists them):
-//! cycle counts are bit-identical across `--threads` and
-//! `--fast-forward`, and `--check` fails the run on any protocol
-//! invariant violation.
+//! cycle counts are bit-identical with and without `--fast-forward`,
+//! and `--check` fails the run on any protocol invariant violation.
 
 use hmc_bench::table1::{format_table, run_table1};
 use hmc_core::{Args, SimParams};
@@ -35,9 +34,7 @@ fn main() {
     let check = params.check_invariants;
 
     eprintln!(
-        "Running Table I at 1/{scale} scale (seed {seed}, {} threads, {} timing, \
-         {} fabric{}) ...",
-        params.threads,
+        "Running Table I at 1/{scale} scale (seed {seed}, {} timing, {} fabric{}) ...",
         params.timing.kind.name(),
         params.interconnect.kind.name(),
         if check { ", invariants checked" } else { "" }

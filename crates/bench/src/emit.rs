@@ -1,17 +1,20 @@
 //! `BENCH_*.json` emitter: machine-readable engine-throughput records.
 //!
 //! Each record captures one measured run — workload shape, engine mode,
-//! thread count, simulated cycles, wall time and the derived cycles/sec —
+//! simulated cycles, wall time and the derived cycles/sec —
 //! so CI can archive a trajectory of engine performance over time and
 //! EXPERIMENTS.md tables can be regenerated from artifacts instead of
 //! prose. Every record also stamps the host's logical CPU count so
 //! trajectory comparisons can tell apart runs taken on differently
 //! sized machines. Files are named
-//! `BENCH_<workload>_<mode>_<timing>[_<fabric>]_t<threads>.json` (the
-//! fabric segment appears only for buffered ring/mesh runs, keeping
-//! crossbar file names stable); the summary comparing stepped against
+//! `BENCH_<workload>_<mode>_<timing>[_<fabric>]_t1.json` (the fabric
+//! segment appears only for buffered ring/mesh runs, keeping crossbar
+//! file names stable); the summary comparing stepped against
 //! fast-forward for one workload under one timing backend is
-//! `BENCH_summary_<workload>_<timing>[_<fabric>]_t<threads>.json`.
+//! `BENCH_summary_<workload>_<timing>[_<fabric>]_t1.json`. The `_t1`
+//! suffix and every record's `"threads": 1` date from a thread axis the
+//! engine no longer has; both are literals now, kept so the committed
+//! `results/` trajectory and CI's artifact names stay comparable.
 //!
 //! The workload shapes mirror the engine's differential tests: rounds of
 //! (send a burst of reads, batch-clock a gap, drain responses). `dense`
@@ -95,7 +98,7 @@ pub struct BenchRecord {
     /// records).
     #[serde(default)]
     pub arbitration: String,
-    /// Worker threads (1 = serial engine).
+    /// Always 1 (schema field from the former thread axis).
     pub threads: u64,
     /// Logical CPU count of the host that took the measurement
     /// (`std::thread::available_parallelism`); 0 on records written
@@ -132,7 +135,7 @@ pub struct BenchSummary {
     /// records).
     #[serde(default)]
     pub interconnect: String,
-    /// Worker threads both runs used.
+    /// Always 1 (schema field from the former thread axis).
     pub threads: u64,
     /// Stepped-mode simulated cycles per second.
     pub stepped_cycles_per_sec: f64,
@@ -194,7 +197,7 @@ fn finished(
         timing: params.timing.kind.name().into(),
         interconnect: params.interconnect.kind.name().into(),
         arbitration: params.interconnect.arbitration.name().into(),
-        threads: params.threads.max(1) as u64,
+        threads: 1,
         num_cpus: host_num_cpus(),
         simulated_cycles,
         wall_ns,
@@ -276,7 +279,7 @@ pub fn summarize(stepped: &BenchRecord, fast: &BenchRecord) -> Result<BenchSumma
         workload: stepped.workload.clone(),
         timing: stepped.timing.clone(),
         interconnect: stepped.interconnect.clone(),
-        threads: stepped.threads,
+        threads: 1,
         stepped_cycles_per_sec: stepped.cycles_per_sec,
         fast_forward_cycles_per_sec: fast.cycles_per_sec,
         speedup: fast.cycles_per_sec / stepped.cycles_per_sec.max(f64::MIN_POSITIVE),
@@ -367,7 +370,7 @@ pub struct HammerOverheadSummary {
     pub schema: String,
     /// Always `hammer`.
     pub workload: String,
-    /// Worker threads both runs used.
+    /// Always 1 (schema field from the former thread axis).
     pub threads: u64,
     /// Simulated cycles with cell faults unconfigured.
     pub off_simulated_cycles: u64,
@@ -386,23 +389,16 @@ pub struct HammerOverheadSummary {
 /// Run the hammer shape with faults off and with injection armed
 /// (mitigation stripped so timing is comparable), and fold the
 /// comparison.
-pub fn hammer_overhead(
-    threads: usize,
-    cfg: CellFaultConfig,
-) -> (BenchRecord, BenchRecord, HammerOverheadSummary) {
-    let off_params = SimParams {
-        threads,
-        ..SimParams::default()
-    };
-    let (off, _) = measure_hammer(off_params);
+pub fn hammer_overhead(cfg: CellFaultConfig) -> (BenchRecord, BenchRecord, HammerOverheadSummary) {
+    let (off, _) = measure_hammer(SimParams::default());
     let (on, bit_flips_on) = measure_hammer(SimParams {
         cell_faults: Some(cfg.with_mitigation(Mitigation::None)),
-        ..off_params
+        ..SimParams::default()
     });
     let summary = HammerOverheadSummary {
         schema: SCHEMA.into(),
         workload: "hammer".into(),
-        threads: threads.max(1) as u64,
+        threads: 1,
         off_simulated_cycles: off.simulated_cycles,
         on_simulated_cycles: on.simulated_cycles,
         simulated_cycle_overhead: on.simulated_cycles as i64 - off.simulated_cycles as i64,
@@ -413,18 +409,13 @@ pub fn hammer_overhead(
     (off, on, summary)
 }
 
-/// File name for a hammer overhead summary:
-/// `BENCH_hammer_overhead_t<threads>.json`.
-pub fn hammer_summary_file_name(summary: &HammerOverheadSummary) -> String {
-    format!("BENCH_hammer_overhead_t{}.json", summary.threads)
-}
-
-/// Write one hammer overhead summary into `dir`, returning the path.
+/// Write one hammer overhead summary into `dir` as
+/// `BENCH_hammer_overhead_t1.json`, returning the path.
 pub fn write_hammer_summary(
     dir: &Path,
     summary: &HammerOverheadSummary,
 ) -> std::io::Result<PathBuf> {
-    let path = dir.join(hammer_summary_file_name(summary));
+    let path = dir.join("BENCH_hammer_overhead_t1.json");
     let json = serde_json::to_string_pretty(summary)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
     std::fs::write(&path, json + "\n")?;
@@ -443,27 +434,25 @@ fn fabric_segment(interconnect: &str) -> String {
 }
 
 /// File name for a record:
-/// `BENCH_<workload>_<mode>_<timing>[_<fabric>]_t<threads>.json`.
+/// `BENCH_<workload>_<mode>_<timing>[_<fabric>]_t1.json`.
 pub fn record_file_name(record: &BenchRecord) -> String {
     format!(
-        "BENCH_{}_{}_{}{}_t{}.json",
+        "BENCH_{}_{}_{}{}_t1.json",
         record.workload,
         record.mode,
         record.timing,
         fabric_segment(&record.interconnect),
-        record.threads
     )
 }
 
 /// File name for a summary:
-/// `BENCH_summary_<workload>_<timing>[_<fabric>]_t<threads>.json`.
+/// `BENCH_summary_<workload>_<timing>[_<fabric>]_t1.json`.
 pub fn summary_file_name(summary: &BenchSummary) -> String {
     format!(
-        "BENCH_summary_{}_{}{}_t{}.json",
+        "BENCH_summary_{}_{}{}_t1.json",
         summary.workload,
         summary.timing,
         fabric_segment(&summary.interconnect),
-        summary.threads
     )
 }
 
@@ -619,7 +608,7 @@ mod tests {
         let cfg = CellFaultConfig::default()
             .with_hammer_threshold(64)
             .with_flip_prob_ppm(1_000_000);
-        let (off, on, summary) = hammer_overhead(1, cfg);
+        let (off, on, summary) = hammer_overhead(cfg);
         assert_eq!(off.workload, "hammer");
         assert_eq!(off.mode, "faults-off");
         assert_eq!(on.mode, "faults-on");
@@ -630,7 +619,6 @@ mod tests {
         assert_eq!(off.simulated_cycles, on.simulated_cycles);
         assert_eq!(off.responses, on.responses);
         assert!(summary.bit_flips_on > 0, "armed run must actually flip bits");
-        assert!(hammer_summary_file_name(&summary).contains("hammer_overhead"));
     }
 
     #[test]

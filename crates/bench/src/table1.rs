@@ -43,8 +43,8 @@ pub struct Table1Row {
 }
 
 /// Run the Table I experiment at `1/scale` of the paper's request count
-/// under `params`. Cycle counts are bit-identical across thread counts
-/// and engine modes; with `params.check_invariants` set the violations
+/// under `params`. Cycle counts are bit-identical across engine
+/// modes; with `params.check_invariants` set the violations
 /// found are reported per row in [`Table1Row::invariant_violations`].
 ///
 /// `progress` is invoked as `(config_index, cycles_elapsed)` during runs.

@@ -46,9 +46,18 @@ fn every_binary_prints_the_shared_usage_and_rejects_bad_arguments() {
             "{name} --help lacks the shared block"
         );
         assert_usage_error(name, bin, &["--no-such-flag"]);
-        assert_usage_error(name, bin, &["--threads"]);
-        assert_usage_error(name, bin, &["--threads", "zebra"]);
+        assert_usage_error(name, bin, &["--serialize-flits"]);
+        assert_usage_error(name, bin, &["--serialize-flits", "zebra"]);
         assert_usage_error(name, bin, &["--timing", "fast"]);
+        // The engine has no thread axis: `hmc-serve --threads` (its
+        // worker pool) is the only `--threads` in the workspace.
+        let out = run(bin, &["--threads", "4"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("{name}: unknown argument --threads")),
+            "{name}: {stderr}"
+        );
     }
 }
 
@@ -74,6 +83,37 @@ fn hmcsim_cycles(extra: &[&str]) -> u64 {
         .lines()
         .find_map(|l| l.strip_prefix("cycles")?.trim().parse().ok())
         .expect("hmcsim prints a cycles line")
+}
+
+/// `core::report` and `trace::power` have one consumer each, both here.
+#[test]
+fn hmcsim_prints_a_utilization_row_per_vault_and_an_energy_total() {
+    let out = run(
+        env!("CARGO_BIN_EXE_hmcsim"),
+        &["--requests", "2000", "--utilization", "--energy"],
+    );
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    let rows: Vec<&str> = text
+        .lines()
+        .skip_while(|l| !l.starts_with("vault "))
+        .skip(1)
+        .take_while(|l| !l.trim().is_empty())
+        .collect();
+    let vaults = DeviceConfig::paper_4link_8bank_2gb().num_vaults as usize;
+    assert_eq!(rows.len(), vaults, "{text}");
+    for (v, row) in rows.iter().enumerate() {
+        let first = row.split_whitespace().next().unwrap();
+        assert_eq!(first.parse(), Ok(v), "{row}");
+    }
+    let total: u64 = text
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("total")?.trim().strip_suffix("pJ"))
+        .expect("hmcsim --energy prints a total line")
+        .trim()
+        .parse()
+        .expect("picojoules");
+    assert!(total > 0);
 }
 
 #[test]

@@ -2,13 +2,13 @@
 //!
 //! `conform-fuzz --help` prints the synopsis (`USAGE` below) and the
 //! shared simulation-axis flags (`SimParams::USAGE`); every stream runs
-//! under them, with the thread count and engine mode swept and the
-//! invariant checker always armed.
+//! under them, with the engine mode swept and the invariant checker
+//! always armed.
 //!
-//! Runs `N` seeded command streams differentially through the serial
-//! engine, the sharded engine — each also in event-driven fast-forward
-//! mode — and the functional oracle, rotating over the four paper
-//! presets and four address maps. `--fast-forward` forces a seeded
+//! Runs `N` seeded command streams differentially through the engine
+//! stepped, the engine in event-driven fast-forward mode, and the
+//! functional oracle, rotating over the four paper presets and four
+//! address maps. `--fast-forward` forces a seeded
 //! idle gap (the fast-forward engine's jump fodder) onto every stream
 //! instead of the default two-of-three rotation. `--timing` selects
 //! the vault timing backend the streams run under — `both` runs the
@@ -25,7 +25,7 @@
 //! stay oracle-clean) and appends a threshold-crossing adversarial
 //! burst to every second stream: the seeded fault stream — counters,
 //! crossings, targeted refreshes, bank parks — must then be
-//! bit-identical across the whole thread × engine-mode sweep.
+//! bit-identical in both engine modes.
 //! `--demo-hammer` runs the fault-injection detection demo instead:
 //! an unmitigated burst whose every flipped bit the oracle must flag
 //! end to end, then the same stream completing clean under TRR. The
@@ -50,11 +50,10 @@ use hmc_core::{Args, SimParams};
 use hmc_types::{InterconnectKind, TimingKind};
 
 const USAGE: &str = "\
-usage: conform-fuzz [--streams N] [--len N] [--seed HEX] [--full-sweep]
-                    [--fast-forward] [--timing both] [--interconnect all]
-                    [--repro-dir DIR] [--demo-corruption]
-                    [--hammer] [--demo-hammer] [--link-errors]
-                    [simulation axes]";
+usage: conform-fuzz [--streams N] [--len N] [--seed HEX] [--fast-forward]
+                    [--timing both] [--interconnect all] [--repro-dir DIR]
+                    [--demo-corruption] [--hammer] [--demo-hammer]
+                    [--link-errors] [simulation axes]";
 
 fn main() -> ExitCode {
     let mut cfg = CampaignConfig::default();
@@ -74,7 +73,6 @@ fn main() -> ExitCode {
                 cfg.base_seed = u64::from_str_radix(v.trim_start_matches("0x"), 16)
                     .unwrap_or_else(|_| args.die(format_args!("--seed needs a hex value, got {v:?}")));
             }
-            "--full-sweep" => cfg.full_sweep = true,
             // Here the flag forces an idle gap onto every stream; the
             // engine mode itself is always swept.
             "--fast-forward" => cfg.fast_forward = true,
@@ -128,12 +126,11 @@ fn main() -> ExitCode {
             cfg.params.timing.kind = *kind;
             cfg.params.interconnect.kind = *fabric;
             println!(
-                "conform-fuzz: {} streams x {} ops, base seed {:#x}, {} thread sweep, \
+                "conform-fuzz: {} streams x {} ops, base seed {:#x}, \
                  {} timing, {} fabric ({} arbitration){}",
                 cfg.streams,
                 cfg.stream_len,
                 cfg.base_seed,
-                if cfg.full_sweep { "full" } else { "rotating" },
                 kind.name(),
                 fabric.name(),
                 cfg.params.interconnect.arbitration.name(),
@@ -194,8 +191,8 @@ fn main() -> ExitCode {
 /// Fault-injection self-test: an unmitigated adversarial hammer burst
 /// whose every flipped bit the oracle must flag end to end (tallied
 /// bits equal the engine's `bit_flips` counter exactly, bit-identical
-/// across the full thread × engine-mode sweep), then the same stream
-/// completing clean under TRR.
+/// stepped and fast-forward), then the same stream completing clean
+/// under TRR.
 fn run_hammer_demo(cfg: &CampaignConfig) -> ExitCode {
     match hammer_demo(cfg.base_seed, cfg.params.cell_faults) {
         Ok(report) => {

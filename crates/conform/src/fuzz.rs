@@ -14,9 +14,7 @@ use hmc_types::{
 };
 use hmc_workloads::{MemOp, OpKind};
 
-use crate::harness::{
-    owner_link, run_case, run_case_lenient, CorruptSpec, Failure, FuzzCase, THREAD_SWEEP,
-};
+use crate::harness::{owner_link, run_case, run_case_lenient, CorruptSpec, Failure, FuzzCase};
 
 /// A 64-bit linear congruential generator (Knuth's MMIX multiplier)
 /// with a splitmix-style output mix — deterministic, seedable, and
@@ -159,12 +157,6 @@ pub struct CampaignConfig {
     pub stream_len: usize,
     /// Base seed; stream `i` uses `base_seed ^ splitmix(i)`.
     pub base_seed: u64,
-    /// Sweep every stream over all of 1/2/4/8 threads instead of the
-    /// default rotation (serial + one parallel count per stream). A
-    /// full sweep also forces the fast-forward axis on every stream,
-    /// giving the complete {1,2,4,8} threads × {stepped, fast-forward}
-    /// grid.
-    pub full_sweep: bool,
     /// Force the stepped-vs-fast-forward axis and a seeded idle gap
     /// onto every stream, instead of the default rotation (the axis on
     /// every stream, gaps on two of every three).
@@ -196,7 +188,6 @@ impl Default for CampaignConfig {
             streams: 64,
             stream_len: 48,
             base_seed: 0xC0FF_EE00,
-            full_sweep: false,
             fast_forward: false,
             params: SimParams::default(),
             hammer: false,
@@ -224,7 +215,7 @@ pub fn default_link_faults() -> LinkFaultConfig {
 /// enough for the appended bursts to cross it, aggressive flip odds,
 /// and TRR armed — so the oracle stays exact while the whole fault
 /// machinery (counting, crossings, targeted refresh, bank parking) is
-/// exercised on every engine configuration.
+/// exercised in both engine modes.
 pub fn default_hammer_faults() -> CellFaultConfig {
     CellFaultConfig::default()
         .with_hammer_threshold(64)
@@ -307,9 +298,9 @@ impl CampaignReport {
     }
 }
 
-/// Build the case for stream `i` of a campaign: preset, map, and
-/// thread sweep all derive from the stream index, so every preset ×
-/// map × thread-count combination is exercised on a fixed schedule.
+/// Build the case for stream `i` of a campaign: preset and map derive
+/// from the stream index, so every preset × map combination is
+/// exercised on a fixed schedule.
 pub fn case_for_stream(cfg: &CampaignConfig, i: usize) -> FuzzCase {
     let presets = DeviceConfig::paper_configs();
     let (label, device) = &presets[i % presets.len()];
@@ -321,10 +312,6 @@ pub fn case_for_stream(cfg: &CampaignConfig, i: usize) -> FuzzCase {
         link_faults: None,
         ..cfg.params
     });
-    if !cfg.full_sweep {
-        // Rotate the parallel engine's thread count; serial always runs.
-        case.threads = vec![1, THREAD_SWEEP[1 + i % (THREAD_SWEEP.len() - 1)]];
-    }
     // The fast-forward axis runs on every stream; idle gaps (the jumps
     // that make the axis bite) rotate onto two of every three streams
     // with seeded shape, unless forced everywhere.
@@ -373,12 +360,12 @@ pub struct HammerDemoReport {
 /// of `--demo-corruption`, proving the oracle catches *every* injected
 /// flip end to end:
 ///
-/// 1. An adversarial burst runs unmitigated through the full thread ×
-///    engine-mode sweep in detection mode. Every run must observe the
-///    bit-identical corruption, and the oracle's flagged-bit tally must
-///    equal the engine's `bit_flips` counter exactly — 100% detection.
-/// 2. The same stream re-runs under TRR through the *strict* sweep: it
-///    must complete clean, with zero flips and at least one targeted
+/// 1. An adversarial burst runs unmitigated, stepped and fast-forward,
+///    in detection mode. Both runs must observe the bit-identical
+///    corruption, and the oracle's flagged-bit tally must equal the
+///    engine's `bit_flips` counter exactly — 100% detection.
+/// 2. The same stream re-runs under TRR in *strict* mode: it must
+///    complete clean, with zero flips and at least one targeted
 ///    refresh.
 ///
 /// `faults` overrides the axis parameters (threshold, flip odds); the
@@ -408,13 +395,11 @@ pub fn hammer_demo(
     let [_, bit_flips, _, _] = outcome.reference.fault_stats;
     if bit_flips == 0 {
         return Err(Failure {
-            threads: 0,
             description: "demo burst crossed no hammer threshold (no bits flipped)".into(),
         });
     }
     if tally.bits != bit_flips {
         return Err(Failure {
-            threads: 0,
             description: format!(
                 "detection gap: engine flipped {bit_flips} victim bits but the oracle \
                  flagged {} across {} responses",
@@ -429,7 +414,6 @@ pub fn hammer_demo(
     let [_, trr_flips, trr_refreshes, _] = trr_outcome.reference.fault_stats;
     if trr_flips != 0 || trr_refreshes == 0 {
         return Err(Failure {
-            threads: 0,
             description: format!(
                 "TRR leg flipped {trr_flips} bits with {trr_refreshes} targeted refreshes"
             ),
@@ -556,18 +540,12 @@ mod tests {
     #[test]
     fn case_schedule_covers_presets_maps_and_threads() {
         let cfg = CampaignConfig { streams: 16, ..Default::default() };
-        let mut labels = std::collections::HashSet::new();
-        let mut maps = std::collections::HashSet::new();
-        let mut threads = std::collections::HashSet::new();
+        let mut pairs = std::collections::HashSet::new();
         for i in 0..16 {
             let case = case_for_stream(&cfg, i);
-            labels.insert(case.label.clone());
-            maps.insert(case.map.name());
-            threads.extend(case.threads.iter().copied());
+            pairs.insert((case.label.clone(), case.map.name()));
         }
-        assert_eq!(labels.len(), 4, "all four paper presets");
-        assert_eq!(maps.len(), 4, "all four map kinds");
-        assert!(threads.contains(&2) && threads.contains(&4) && threads.contains(&8));
+        assert_eq!(pairs.len(), 16, "every paper preset under every map kind");
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! The differential conformance harness.
 //!
 //! Runs one fuzz case — a seeded operation stream against one device
-//! preset and one address map — through the serial engine and the
-//! sharded parallel engine at each requested thread count, each
-//! optionally crossed with the engine's event-driven fast-forward mode
-//! (the stepped-vs-fast-forward axis), with the protocol invariant
-//! checker armed and the functional [`Oracle`] checking every response.
+//! preset and one address map — through the engine stepped and, when
+//! the case arms the axis, again in event-driven fast-forward mode, with
+//! the protocol invariant checker armed and the functional [`Oracle`]
+//! checking every response.
 //! Cases may also batch-clock seeded idle gaps mid-stream, which is
 //! where fast-forward actually jumps. A case passes only when every
 //! engine run is internally clean (oracle agreement, zero invariant
@@ -20,9 +19,6 @@ use hmc_workloads::{MemOp, OpKind};
 
 use crate::fuzz::{Lcg, MapKind};
 use crate::oracle::Oracle;
-
-/// Thread counts every case runs at (1 = the serial engine).
-pub const THREAD_SWEEP: &[usize] = &[1, 2, 4, 8];
 
 /// Tag value reserved for posted (no-response) requests.
 const POSTED_TAG: u16 = 0x1ff;
@@ -65,10 +61,9 @@ pub struct FuzzCase {
     pub ops: Vec<MemOp>,
     /// Optional seeded corruption (conformance-of-the-checker tests).
     pub corrupt: Option<CorruptSpec>,
-    /// Thread counts to sweep (defaults to [`THREAD_SWEEP`]).
-    pub threads: Vec<usize>,
-    /// Also run every swept engine in fast-forward mode and demand
-    /// bit-identical observations (the stepped-vs-fast-forward axis).
+    /// Also run the case in fast-forward mode and demand observations
+    /// bit-identical to the stepped run (the stepped-vs-fast-forward
+    /// axis).
     pub fast_forward: bool,
     /// Batch-clock an idle gap every this many injection rounds
     /// (0 = no gaps). Gaps are part of the case, so every engine run
@@ -78,9 +73,8 @@ pub struct FuzzCase {
     /// Length of each injected idle gap in cycles.
     pub gap_cycles: u64,
     /// The simulation axes every engine run uses — timing backend,
-    /// fabric, fault blocks and the rest — except `threads`,
-    /// `fast_forward` and `check_invariants`, which the sweep sets per
-    /// run. Defaults keep pinned-seed campaigns from before each axis
+    /// fabric, fault blocks and the rest — except `fast_forward` and
+    /// `check_invariants`, which the harness sets per run. Defaults keep pinned-seed campaigns from before each axis
     /// existed on their exact behaviour. One case runs one backend and
     /// one fabric (cycle counts are only comparable within them); the
     /// cross axes are [`run_case_cross_timing`] and
@@ -99,8 +93,8 @@ pub struct FuzzCase {
 }
 
 impl FuzzCase {
-    /// A case over `ops` with the full thread sweep, the fast-forward
-    /// axis armed, no gaps and no corruption.
+    /// A case over `ops` with the fast-forward axis armed, no gaps and
+    /// no corruption.
     pub fn new(label: &str, config: DeviceConfig, map: MapKind, seed: u64, ops: Vec<MemOp>) -> Self {
         FuzzCase {
             label: label.to_string(),
@@ -109,7 +103,6 @@ impl FuzzCase {
             seed,
             ops,
             corrupt: None,
-            threads: THREAD_SWEEP.to_vec(),
             fast_forward: true,
             gap_every: 0,
             gap_cycles: 0,
@@ -141,7 +134,7 @@ pub struct EngineRun {
     /// flips, TRR refreshes, retention decays]`. All zero when the
     /// fault axis is off; when armed, part of the cross-engine
     /// comparison — the fault stream itself must be bit-identical
-    /// across thread counts and engine modes.
+    /// across engine modes.
     pub fault_stats: [u64; 4],
     /// Link-retry counters at quiesce: `[retries, retrains, poisoned
     /// responses]`. All zero when link errors are off; when armed, part
@@ -149,7 +142,7 @@ pub struct EngineRun {
     pub link_stats: [u64; 3],
     /// Op indices (sorted) whose response came back poisoned — exactly
     /// the set [`hmc_core::fault::predicts_poison`] predicted at issue
-    /// time, compared bit-for-bit across the engine sweep.
+    /// time, compared bit-for-bit across the engine modes.
     pub poisoned: Vec<u32>,
 }
 
@@ -162,31 +155,26 @@ pub struct MismatchTally {
     pub bits: u64,
 }
 
-/// The result of a full (all-engines) case run.
+/// The result of a full (both engine modes) case run.
 #[derive(Debug, Clone)]
 pub struct CaseOutcome {
-    /// The serial engine's run (the reference).
+    /// The stepped run (the reference).
     pub reference: EngineRun,
     /// Responses checked by the oracle in the reference run.
     pub checked: u64,
 }
 
-/// A conformance failure: which engine configuration diverged and how.
+/// A conformance failure.
 #[derive(Debug, Clone)]
 pub struct Failure {
-    /// Thread count of the diverging run (0 = cross-engine comparison).
-    pub threads: usize,
-    /// Human-readable description of the divergence.
+    /// Human-readable description: which run failed or diverged (engine
+    /// mode, timing backend, fabric) and how.
     pub description: String,
 }
 
 impl std::fmt::Display for Failure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.threads == 0 {
-            write!(f, "cross-engine divergence: {}", self.description)
-        } else {
-            write!(f, "[{} thread(s)] {}", self.threads, self.description)
-        }
+        f.write_str(&self.description)
     }
 }
 
@@ -211,11 +199,11 @@ pub fn mode_name(fast_forward: bool) -> &'static str {
     }
 }
 
-/// Run one case at one thread count in one engine mode. Internally
-/// checks the oracle on every response, the invariant checker every
-/// cycle, and full quiesce at the end.
-pub fn run_engine(case: &FuzzCase, threads: usize, fast_forward: bool) -> Result<EngineRun, Failure> {
-    run_engine_inner(case, threads, fast_forward, false).map(|(run, _)| run)
+/// Run one case in one engine mode. Internally checks the oracle on
+/// every response, the invariant checker every cycle, and full quiesce
+/// at the end.
+pub fn run_engine(case: &FuzzCase, fast_forward: bool) -> Result<EngineRun, Failure> {
+    run_engine_inner(case, fast_forward, false).map(|(run, _)| run)
 }
 
 /// Like [`run_engine`], but oracle read-data mismatches are tolerated
@@ -224,22 +212,19 @@ pub fn run_engine(case: &FuzzCase, threads: usize, fast_forward: bool) -> Result
 /// what the case exists to observe.
 pub fn run_engine_lenient(
     case: &FuzzCase,
-    threads: usize,
     fast_forward: bool,
 ) -> Result<(EngineRun, MismatchTally), Failure> {
-    run_engine_inner(case, threads, fast_forward, true)
+    run_engine_inner(case, fast_forward, true)
 }
 
 fn run_engine_inner(
     case: &FuzzCase,
-    threads: usize,
     fast_forward: bool,
     lenient: bool,
 ) -> Result<(EngineRun, MismatchTally), Failure> {
     let timing = case.params.timing.kind;
     let fabric = case.params.interconnect.kind;
     let fail = |description: String| Failure {
-        threads,
         description: format!(
             "[{} mode, {} timing, {} fabric] {description}",
             mode_name(fast_forward),
@@ -251,7 +236,6 @@ fn run_engine_inner(
     let mut sim = HmcSim::new(1, case.config.clone())
         .map_err(|e| fail(format!("sim construction: {e}")))?
         .with_params(SimParams {
-            threads,
             fast_forward,
             check_invariants: true,
             ..case.params
@@ -471,71 +455,57 @@ fn run_engine_inner(
     ))
 }
 
-/// Run one case through the full engine sweep: the serial stepped
-/// reference first, then every requested thread count crossed with the
-/// engine-mode axis (stepped, and fast-forward when the case arms it),
-/// comparing bit-for-bit.
+/// Run one case in both engine modes: the stepped reference first, then
+/// (when the case arms the axis) fast-forward, comparing bit-for-bit.
 pub fn run_case(case: &FuzzCase) -> Result<CaseOutcome, Failure> {
     run_case_inner(case, false).map(|(out, _)| out)
 }
 
 /// [`run_case`] in detection mode: every engine run tolerates (and
-/// tallies) oracle read-data mismatches, and the full sweep must still
+/// tallies) oracle read-data mismatches, and the two modes must still
 /// agree bit-for-bit — corrupted words included, since deterministic
 /// fault injection makes even the corruption reproducible. Returns the
-/// serial stepped reference's tally alongside the outcome.
+/// stepped reference's tally alongside the outcome.
 pub fn run_case_lenient(case: &FuzzCase) -> Result<(CaseOutcome, MismatchTally), Failure> {
     run_case_inner(case, true)
 }
 
 fn run_case_inner(case: &FuzzCase, lenient: bool) -> Result<(CaseOutcome, MismatchTally), Failure> {
-    let (reference, tally) = run_engine_inner(case, 1, false, lenient)?;
+    let (reference, tally) = run_engine_inner(case, false, lenient)?;
     let checked = reference.observations.len() as u64;
-    let modes: &[bool] = if case.fast_forward {
-        &[false, true]
-    } else {
-        &[false]
-    };
-    for &t in case.threads.iter() {
-        for &ff in modes {
-            if t <= 1 && !ff {
-                continue; // the reference itself
-            }
-            let (run, _) = run_engine_inner(case, t, ff, lenient)?;
-            if run != reference {
-                let mode = mode_name(ff);
-                let at = run
-                    .observations
-                    .iter()
-                    .zip(&reference.observations)
-                    .position(|(a, b)| a != b)
-                    .map_or_else(
-                        || "stream lengths, cycle counts, or fault stats differ".to_string(),
-                        |i| {
-                            format!(
-                                "first divergence at completion #{i}: \
-                                 serial stepped {:?}, {t}-thread {mode} {:?}",
-                                reference.observations[i], run.observations[i]
-                            )
-                        },
-                    );
-                return Err(Failure {
-                    threads: 0,
-                    description: format!(
-                        "{t}-thread {mode} run ({} timing, {} fabric) diverges from serial \
-                         stepped ({} vs {} completions, {} vs {} cycles, fault stats \
-                         {:?} vs {:?}): {at}",
-                        case.params.timing.kind.name(),
-                        case.params.interconnect.kind.name(),
-                        run.observations.len(),
-                        reference.observations.len(),
-                        run.cycles,
-                        reference.cycles,
-                        run.fault_stats,
-                        reference.fault_stats,
-                    ),
-                });
-            }
+    if case.fast_forward {
+        let (run, _) = run_engine_inner(case, true, lenient)?;
+        if run != reference {
+            let at = run
+                .observations
+                .iter()
+                .zip(&reference.observations)
+                .position(|(a, b)| a != b)
+                .map_or_else(
+                    || "stream lengths, cycle counts, or fault stats differ".to_string(),
+                    |i| {
+                        format!(
+                            "first divergence at completion #{i}: \
+                             stepped {:?}, fast-forward {:?}",
+                            reference.observations[i], run.observations[i]
+                        )
+                    },
+                );
+            return Err(Failure {
+                description: format!(
+                    "fast-forward run ({} timing, {} fabric) diverges from stepped \
+                     ({} vs {} completions, {} vs {} cycles, fault stats \
+                     {:?} vs {:?}): {at}",
+                    case.params.timing.kind.name(),
+                    case.params.interconnect.kind.name(),
+                    run.observations.len(),
+                    reference.observations.len(),
+                    run.cycles,
+                    reference.cycles,
+                    run.fault_stats,
+                    reference.fault_stats,
+                ),
+            });
         }
     }
     Ok((CaseOutcome { reference, checked }, tally))
@@ -560,19 +530,18 @@ pub fn functional_observations(run: &EngineRun) -> Vec<(u32, LinkId, u64)> {
 /// The outcome of one case run under both timing backends.
 #[derive(Debug, Clone)]
 pub struct CrossTimingOutcome {
-    /// The classic backend's full-sweep run.
+    /// The classic backend's run.
     pub classic: CaseOutcome,
-    /// The DDR backend's full-sweep run.
+    /// The DDR backend's run.
     pub ddr: CaseOutcome,
-    /// `ddr cycles − classic cycles` for the serial stepped reference —
+    /// `ddr cycles − classic cycles` for the stepped reference —
     /// reported, never asserted: the backends are *supposed* to differ
     /// here.
     pub latency_delta: i64,
 }
 
-/// Run one case under both timing backends — each through the full
-/// thread × engine-mode sweep of [`run_case`] — and demand the
-/// functional observation streams (op, link, data) agree bit-for-bit.
+/// Run one case under both timing backends — each through both engine
+/// modes of [`run_case`] — and demand the functional observation streams (op, link, data) agree bit-for-bit.
 /// Cycle counts are excluded from the comparison and surfaced as
 /// [`CrossTimingOutcome::latency_delta`] instead.
 pub fn run_case_cross_timing(case: &FuzzCase) -> Result<CrossTimingOutcome, Failure> {
@@ -595,7 +564,6 @@ pub fn run_case_cross_timing(case: &FuzzCase) -> Result<CrossTimingOutcome, Fail
                 |i| format!("first divergence at op-sorted #{i}: classic {:?}, ddr {:?}", a[i], b[i]),
             );
         return Err(Failure {
-            threads: 0,
             description: format!(
                 "cross-backend functional divergence (classic vs ddr): {at}"
             ),
@@ -612,13 +580,13 @@ pub fn run_case_cross_timing(case: &FuzzCase) -> Result<CrossTimingOutcome, Fail
 /// The outcome of one case run on every interconnect fabric.
 #[derive(Debug, Clone)]
 pub struct CrossInterconnectOutcome {
-    /// The crossbar fabric's full-sweep run (the reference fabric).
+    /// The crossbar fabric's run (the reference fabric).
     pub crossbar: CaseOutcome,
-    /// The ring fabric's full-sweep run.
+    /// The ring fabric's run.
     pub ring: CaseOutcome,
-    /// The mesh fabric's full-sweep run.
+    /// The mesh fabric's run.
     pub mesh: CaseOutcome,
-    /// `ring cycles − crossbar cycles` for the serial stepped reference
+    /// `ring cycles − crossbar cycles` for the stepped reference
     /// — reported, never asserted: buffered hops are *supposed* to cost
     /// cycles.
     pub ring_delta: i64,
@@ -626,9 +594,8 @@ pub struct CrossInterconnectOutcome {
     pub mesh_delta: i64,
 }
 
-/// Run one case on every interconnect fabric — each through the full
-/// thread × engine-mode sweep of [`run_case`] — and demand the
-/// functional observation streams (op, link, data) agree bit-for-bit
+/// Run one case on every interconnect fabric — each through both
+/// engine modes of [`run_case`] — and demand the functional observation streams (op, link, data) agree bit-for-bit
 /// with the crossbar reference. Cycle counts are excluded from the
 /// comparison (buffered fabrics add hop latency) and surfaced as the
 /// per-fabric deltas instead.
@@ -655,7 +622,6 @@ pub fn run_case_cross_interconnect(case: &FuzzCase) -> Result<CrossInterconnectO
                 },
             );
             return Err(Failure {
-                threads: 0,
                 description: format!(
                     "cross-fabric functional divergence (crossbar vs {fabric}): {at}"
                 ),
@@ -680,15 +646,7 @@ mod tests {
     use hmc_types::{ArbitrationKind, BlockSize, CellFaultConfig, LinkFaultConfig};
 
     fn tiny_case(ops: Vec<MemOp>) -> FuzzCase {
-        let mut case = FuzzCase::new(
-            "tiny",
-            DeviceConfig::small(),
-            MapKind::LowInterleave,
-            7,
-            ops,
-        );
-        case.threads = vec![1, 2];
-        case
+        FuzzCase::new("tiny", DeviceConfig::small(), MapKind::LowInterleave, 7, ops)
     }
 
     #[test]
@@ -772,7 +730,6 @@ mod tests {
             MemOp::read(9 * block, BlockSize::B16),
         ];
         let mut case = tiny_case(ops);
-        case.threads = vec![1, 2, 8];
         case.params.cell_faults = Some(CellFaultConfig::default());
         let out = run_case(&case).unwrap();
         assert_eq!(out.checked, 4);
@@ -793,7 +750,6 @@ mod tests {
             MemOp::read(3 * block, BlockSize::B16),
         ];
         let mut case = tiny_case(ops);
-        case.threads = vec![1, 4];
         case.gap_every = 2;
         case.gap_cycles = 5_000;
         assert!(case.fast_forward, "the axis defaults on");
@@ -806,11 +762,9 @@ mod tests {
     #[test]
     fn failure_reports_carry_the_engine_mode() {
         let f = Failure {
-            threads: 3,
             description: format!("[{} mode] boom", mode_name(true)),
         };
         assert!(format!("{f}").contains("fast-forward"));
-        assert!(format!("{f}").contains("[3 thread(s)]"));
         assert_eq!(mode_name(false), "stepped");
     }
 
@@ -827,7 +781,6 @@ mod tests {
             MemOp::read(14 * block, BlockSize::B16),
         ];
         let mut case = tiny_case(ops);
-        case.threads = vec![1, 4];
         case.gap_every = 3;
         case.gap_cycles = 1_000;
         let out = run_case_cross_interconnect(&case).unwrap();
@@ -855,7 +808,6 @@ mod tests {
             for arb in ArbitrationKind::ALL {
                 let mut case = tiny_case(ops.clone());
                 case.params.interconnect = NocParams::of(kind).with_arbitration(arb);
-                case.threads = vec![1, 2, 8];
                 case.gap_every = 2;
                 case.gap_cycles = 500;
                 let out = run_case(&case)
@@ -869,8 +821,7 @@ mod tests {
     fn link_errors_poison_predicted_ops_bit_identically_across_the_sweep() {
         // Most packets corrupt, one retry allowed: a solid fraction of
         // ops exhaust and must come back poisoned — predicted exactly
-        // by the oracle at issue time, identically at every thread
-        // count and in both engine modes.
+        // by the oracle at issue time, identically in both engine modes.
         let block = 128u64;
         let ops: Vec<MemOp> = (0..16u64)
             .map(|i| {
@@ -882,7 +833,6 @@ mod tests {
             })
             .collect();
         let mut case = tiny_case(ops);
-        case.threads = vec![1, 2, 8];
         case.params.link_faults = Some(
             LinkFaultConfig::default()
                 .with_error_rate_ppm(800_000)

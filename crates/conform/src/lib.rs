@@ -7,11 +7,11 @@
 //! that knows what the memory semantics of §II's command set must
 //! produce, but nothing about queues, crossbars, or clock domains. A
 //! deterministic fuzzer generates seeded command streams, the harness
-//! drives the same stream through the serial engine, the sharded
-//! parallel engine at several thread counts, and the oracle, and any
-//! divergence — wrong read data, wrong response class, lost or
-//! duplicated tags, engines disagreeing with each other, leaked link
-//! tokens, protocol-invariant violations — fails the stream. Failing
+//! drives the same stream through the engine stepped, the engine in
+//! fast-forward mode, and the oracle, and any divergence — wrong read
+//! data, wrong response class, lost or duplicated tags, the two engine
+//! modes disagreeing with each other, leaked link tokens,
+//! protocol-invariant violations — fails the stream. Failing
 //! streams are [shrunk](shrink) to a minimal reproduction and written
 //! as a replay trace loadable by `hmc_workloads::Replay`.
 //!

@@ -177,7 +177,6 @@ mod tests {
             })
             .expect("some small seed yields a W->R pair in 40 ops");
         let mut case = FuzzCase::new("small", device, MapKind::LowInterleave, seed, ops);
-        case.threads = vec![1, 2];
         case.corrupt = Some(CorruptSpec { addr, xor: 0xdead_beef });
 
         let report = shrink_case(&case);
@@ -194,7 +193,7 @@ mod tests {
         let device = DeviceConfig::small();
         let ops = gen_stream(3, 8, &device);
         let case = FuzzCase::new("small", device, MapKind::Linear, 3, ops.clone());
-        let failure = Failure { threads: 1, description: "synthetic".into() };
+        let failure = Failure { description: "synthetic".into() };
         let path = std::env::temp_dir().join("hmc_conform_repro_test.csv");
         write_repro(&case, &failure, &path).unwrap();
         let text = std::fs::read(&path).unwrap();

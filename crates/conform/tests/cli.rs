@@ -26,6 +26,9 @@ fn bad_arguments_exit_2() {
         &["--seed", "xyz"],
         &["--timing", "fast"],
         &["--link-retry-limit"],
+        // Neither the engine nor the campaign has a thread axis.
+        &["--threads", "8"],
+        &["--full-sweep"],
     ] {
         let out = Command::new(BIN).args(args).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);

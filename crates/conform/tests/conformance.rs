@@ -6,7 +6,6 @@
 use std::io::BufReader;
 
 use hmc_conform::fuzz::{campaign_with_corruption, case_for_stream, gen_stream};
-use hmc_conform::harness::THREAD_SWEEP;
 use hmc_conform::{
     campaign, hammer_demo, run_case, run_case_cross_interconnect, run_case_cross_timing,
     shrink_case, write_repro, CampaignConfig, CorruptSpec, FuzzCase, MapKind,
@@ -30,7 +29,6 @@ fn mini_campaign() -> CampaignConfig {
         streams: 16,
         stream_len: 32,
         base_seed: 0xD1FF_5EED,
-        full_sweep: false,
         fast_forward: false,
         ..CampaignConfig::default()
     }
@@ -57,7 +55,6 @@ fn full_thread_sweep_passes_on_one_stream_per_preset() {
         streams: 4,
         stream_len: 32,
         base_seed: 0xFADE,
-        full_sweep: true,
         fast_forward: false,
         ..CampaignConfig::default()
     };
@@ -120,8 +117,7 @@ fn posted_only_streams_quiesce_on_every_preset() {
                 size: hmc_types::BlockSize::B32,
             })
             .collect();
-        let mut case = FuzzCase::new(label, device, MapKind::LowInterleave, 1, ops);
-        case.threads = vec![1, 4];
+        let case = FuzzCase::new(label, device, MapKind::LowInterleave, 1, ops);
         let out = run_case(&case).unwrap_or_else(|f| panic!("{label}: {f}"));
         assert_eq!(out.checked, 0, "posted ops owe no responses");
     }
@@ -143,13 +139,11 @@ fn campaign_schedule_is_reproducible() {
 
 #[test]
 fn forced_fast_forward_campaign_is_clean() {
-    // Every stream gapped, every engine run doubled across the
-    // stepped/fast-forward axis.
+    // Every stream gapped, so every fast-forward run really jumps.
     let cfg = CampaignConfig {
         streams: 8,
         stream_len: 24,
         base_seed: 0x0FF0_FF00,
-        full_sweep: false,
         fast_forward: true,
         ..CampaignConfig::default()
     };
@@ -161,14 +155,13 @@ fn forced_fast_forward_campaign_is_clean() {
 #[test]
 fn ddr_campaign_with_pinned_seed_is_clean() {
     // The DDR backend through the full harness: oracle agreement,
-    // invariant checks, thread sweep, fast-forward axis, quiesce — all
+    // invariant checks, fast-forward axis, quiesce — all
     // under the cycle-accurate state machine, at a pinned seed so this
     // is the same guard every CI run executes.
     let cfg = CampaignConfig {
         streams: 16,
         stream_len: 32,
         base_seed: 0xC0FF_EE02,
-        full_sweep: false,
         fast_forward: false,
         params: axes(TimingKind::Ddr, NocParams::default()),
         ..CampaignConfig::default()
@@ -187,13 +180,12 @@ fn ddr_campaign_with_pinned_seed_is_clean() {
 
 #[test]
 fn ddr_full_thread_sweep_passes_stepped_and_fast_forward() {
-    // The acceptance sweep: DdrTiming at 1/2/4/8 threads, each crossed
-    // with the stepped and fast-forward engine modes, bit-identical.
+    // DdrTiming with every stream gapped: stepped and fast-forward
+    // engine modes, bit-identical.
     let cfg = CampaignConfig {
         streams: 4,
         stream_len: 32,
         base_seed: 0xFADE,
-        full_sweep: true,
         fast_forward: true,
         params: axes(TimingKind::Ddr, NocParams::default()),
         ..CampaignConfig::default()
@@ -214,8 +206,7 @@ fn backends_agree_functionally_on_every_preset_and_map() {
         for (mi, map) in MapKind::ALL.into_iter().enumerate() {
             let seed = 0x5EED_0000 + (pi * 4 + mi) as u64;
             let ops = gen_stream(seed, 24, device);
-            let mut case = FuzzCase::new(label, device.clone(), map, seed, ops);
-            case.threads = vec![1, 4];
+            let case = FuzzCase::new(label, device.clone(), map, seed, ops);
             let out = run_case_cross_timing(&case)
                 .unwrap_or_else(|f| panic!("{label} / {}: {f}", map.name()));
             assert!(out.classic.checked > 0);
@@ -242,8 +233,7 @@ fn fabrics_agree_functionally_on_every_preset_and_map() {
         for (mi, map) in MapKind::ALL.into_iter().enumerate() {
             let seed = 0xFAB0_0000 + (pi * 4 + mi) as u64;
             let ops = gen_stream(seed, 24, device);
-            let mut case = FuzzCase::new(label, device.clone(), map, seed, ops);
-            case.threads = vec![1, 4];
+            let case = FuzzCase::new(label, device.clone(), map, seed, ops);
             let out = run_case_cross_interconnect(&case)
                 .unwrap_or_else(|f| panic!("{label} / {}: {f}", map.name()));
             assert!(out.crossbar.checked > 0);
@@ -264,7 +254,7 @@ fn hammer_campaign_with_pinned_seed_is_clean() {
     // seed — the CI hammer leg's guard. Every stream runs with fault
     // injection armed (TRR-mitigated), every second stream carries a
     // threshold-crossing adversarial burst, and the seeded fault
-    // stream must be bit-identical across the thread × mode sweep.
+    // stream must be bit-identical stepped and fast-forward.
     let cfg = CampaignConfig {
         streams: 8,
         stream_len: 24,
@@ -368,9 +358,9 @@ fn hot_bank_streams_fill_small_vault_queues_under_fast_forward() {
     // streams never fill, so the fast-forward horizon's rule for a
     // crossbar stalled on a full vault queue never sees campaign
     // traffic. These streams do fill `small()`'s four slots, and every
-    // gap starts with requests waiting at the crossbar. Swept like a
-    // campaign — serial plus a rotating 2/4/8 threads, each stepped and
-    // fast-forward, oracle and invariants on — under both backends.
+    // gap starts with requests waiting at the crossbar. Run like a
+    // campaign — stepped and fast-forward, oracle and invariants on —
+    // under both backends.
     let device = DeviceConfig::small();
     for timing in [TimingKind::Ddr, TimingKind::Classic] {
         for i in 0..100u64 {
@@ -379,7 +369,6 @@ fn hot_bank_streams_fill_small_vault_queues_under_fast_forward() {
             let ops = hot_bank_stream(seed, 48, &device);
             let mut case = FuzzCase::new("small", device.clone(), map, seed, ops)
                 .with_params(axes(timing, NocParams::default()));
-            case.threads = vec![1, THREAD_SWEEP[1 + i as usize % 3]];
             case.gap_every = 1 + i % 3;
             case.gap_cycles = 100 + seed % 300;
             let out = run_case(&case).unwrap_or_else(|f| {

@@ -164,7 +164,7 @@ mod tests {
         assert_eq!(scale, 4);
         let mut base = SimParams::default();
         base.timing.kind = TimingKind::Ddr;
-        base.threads = 3;
+        base.link_flits_per_cycle = Some(3);
         let p = a.params_over(base);
         assert_eq!(
             p.timing.kind,
@@ -172,6 +172,10 @@ mod tests {
             "the last flag wins over the base"
         );
         assert!(p.check_invariants);
-        assert_eq!(p.threads, 3, "axes no flag named keep the base's value");
+        assert_eq!(
+            p.link_flits_per_cycle,
+            Some(3),
+            "axes no flag named keep the base's value"
+        );
     }
 }

@@ -1,62 +1,48 @@
-//! The sharded clock engine.
+//! The clock engine.
 //!
-//! The six sub-cycle stages of paper §IV.C interact with shared device
-//! state (links, crossbars, registers) in stages 1, 2, the crossbar half
-//! of 5, and 6 — those always run on the calling thread. Stages 3
-//! (bank-conflict recognition), 4 (vault processing), and the per-vault
-//! half of stage 5 (response egress selection) touch only one vault's
-//! queues plus read-only routing state, so they are embarrassingly
-//! parallel per vault. This module partitions the vaults of all devices
-//! into contiguous shards over the flat vault index and runs the vault
-//! phase of each shard on a worker thread (`std::thread::scope`),
-//! merging per-shard results in vault-index order.
+//! One call to [`HmcSim::clock`] runs the six sub-cycle stages of paper
+//! §IV.C once, in order, on the calling thread ([`HmcSim::clock_cycle`]):
+//! the crossbar request walks of stages 1 and 2 and the NoC sub-stage
+//! ([`crate::stages`]), stages 3 and 4 for every vault in flat vault
+//! order ([`tick_vault`]), the root-first response registration of
+//! stage 5, and the stage-6 clock update. [`HmcSim::clock_batch`] is the
+//! only loop over cycles; with [`SimParams::fast_forward`] set it asks
+//! [`HmcSim::quiescent_horizon`] before each cycle how many upcoming
+//! cycles are provably dead and jumps them instead of stepping them.
+//! DESIGN.md "One cycle path" records why there is no second,
+//! intra-cycle-parallel engine.
 //!
-//! **Determinism.** The parallel engine is bit-identical to the serial
-//! one by construction, not by testing alone:
+//! **Why vault events are staged.** [`tick_vault`] visits a vault once
+//! and runs its stage 3 and its stage 4 back to back, but the trace
+//! (paper §IV.E) lists a cycle's events in sub-cycle order: every
+//! vault's stage-3 conflicts before any vault's stage-4 completions. The
+//! walk therefore stages the two kinds into separate [`EventStage`]
+//! buffers and the cycle flushes conflicts, then completions, before
+//! stage 5 emits anything. Nothing else is staged: counters and the
+//! error register are updated where the event happens.
 //!
-//! * vault work never reads or writes another vault's state, so the
-//!   per-vault results are independent of shard scheduling;
-//! * trace events are staged into per-shard [`EventStage`] buffers and
-//!   flushed at one merge point in flat vault order — all stage-3
-//!   conflicts first, then all stage-4 completions, exactly the serial
-//!   emission order;
-//! * the shared halves of stage 5 commit the workers' *egress plans*
-//!   serially in the paper's root-first device order, so crossbar
-//!   capacity is claimed in the same sequence as the serial engine;
-//! * error-register bumps are staged as per-device counts and applied
-//!   at the merge point (saturating adds commute).
+//! **Zero-allocation hot path.** The per-cycle buffers (the two event
+//! stages and the stage-1/2 forward staging) live in [`EngineScratch`]
+//! and are reused with retained capacity; the steady-state `clock()`
+//! performs no heap allocation (`tests/zero_alloc.rs`).
 //!
-//! **Zero-allocation hot path.** Every per-cycle buffer (event stages,
-//! drain plans, forward staging, the vault shells that ferry vault
-//! ownership to workers) lives in [`EngineScratch`] or inside the
-//! long-lived shard jobs and is reused with retained capacity; the
-//! steady-state serial `clock()` performs no heap allocation. The
-//! parallel path additionally pays one channel hand-off per shard per
-//! cycle (the bounded rendezvous buffers are preallocated).
-
-use std::sync::mpsc::sync_channel;
-use std::sync::Arc;
+//! [`SimParams::fast_forward`]: crate::params::SimParams::fast_forward
 
 use hmc_trace::{EventKind, EventStage, TraceEvent};
 use hmc_types::address::AddressMap;
-use hmc_types::{CubeId, Cycle, LinkId, QuadId, Result, VaultId};
+use hmc_types::{CubeId, Cycle, QuadId, Result, VaultId};
 
 use crate::device::Device;
 use crate::link::Endpoint;
 use crate::params::{ConflictPolicy, RefreshParams};
 use crate::quad::Quad;
 use crate::queue::{QueueEntry, NO_ROUTE, UNDECODED};
-use crate::register::regs;
-use crate::routing::RouteTable;
-use crate::sim::{HmcSim, MAX_CUBES};
+use crate::register::{regs, RegisterFile};
+use crate::sim::{HmcSim, SimStats};
 use crate::timing::RowOutcome;
 use crate::vault::{Execution, Vault};
 
-/// Links per device are bounded by the specification's four- and
-/// eight-link configurations.
-pub(crate) const MAX_LINKS: usize = 8;
-
-/// Read-only per-cycle inputs shared by every shard.
+/// Read-only per-cycle inputs of [`tick_vault`], resolved once per cycle.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CycleInputs {
     clock: Cycle,
@@ -68,26 +54,9 @@ pub(crate) struct CycleInputs {
     banks: u16,
     policy: ConflictPolicy,
     refresh: Option<RefreshParams>,
-    rsp_drain: usize,
     /// RowHammerFlip/TargetedRefresh trace events are enabled on the
     /// sink; the `SimStats` fault counters bump regardless.
     fault_events: bool,
-}
-
-impl Default for CycleInputs {
-    fn default() -> Self {
-        CycleInputs {
-            clock: 0,
-            conflicts_enabled: false,
-            row_events: false,
-            window: 1,
-            banks: 0,
-            policy: ConflictPolicy::SkipConflicting,
-            refresh: None,
-            rsp_drain: 1,
-            fault_events: false,
-        }
-    }
 }
 
 /// One gate's verdict on the upcoming cycles, as folded by
@@ -112,113 +81,14 @@ pub(crate) struct EngineScratch {
     pub(crate) conflicts: EventStage,
     /// Stage-4 completion/stall/error events, staged in flat vault order.
     pub(crate) completions: EventStage,
-    /// Stage-5 egress plans, flat in vault order.
-    pub(crate) plans: Vec<Option<LinkId>>,
-    /// One planned-entry count per vault, flat vault order.
-    pub(crate) plan_counts: Vec<u32>,
-    /// Per flat vault: `(offset, len)` into `plans`.
-    pub(crate) plan_index: Vec<(u32, u32)>,
-    /// Per-device error-register bumps staged during the vault phase.
-    pub(crate) err_bumps: [u64; MAX_CUBES],
-    /// Row-buffer outcome counts staged during the vault phase:
-    /// `[hits, misses, precharges]` (all zero under the classic backend).
-    pub(crate) row_counts: [u64; 3],
-    /// Cell-fault counts staged during the vault phase:
-    /// `[activations, bit flips, TRR refreshes, retention decays]`
-    /// (all zero unless cell faults are configured).
-    pub(crate) fault_counts: [u64; 4],
-    /// Per-device vault shells: empty `Vec`s that swap with
-    /// `Device::vaults` so vault ownership can move to workers and back
-    /// without reallocating.
-    pub(crate) shells: Vec<Vec<Vault>>,
     /// Stage-1/2 deferred chain-forward staging.
     pub(crate) forwards: Vec<(QueueEntry, usize, usize)>,
 }
 
-impl EngineScratch {
-    fn reset_cycle(&mut self) {
-        self.conflicts.clear();
-        self.completions.clear();
-        self.plans.clear();
-        self.plan_counts.clear();
-        self.err_bumps = [0; MAX_CUBES];
-        self.row_counts = [0; 3];
-        self.fault_counts = [0; 4];
-    }
-}
-
-/// A contiguous run of one device's vaults owned by a shard job while
-/// the vault phase runs.
-#[derive(Debug)]
-struct Piece {
-    dev: usize,
-    first_vault: usize,
-    vaults: Vec<Vault>,
-}
-
-/// Everything one worker needs for one cycle's vault phase. Jobs own
-/// their data (vaults move in and out each cycle), so the channel
-/// hand-off carries no borrows of the simulation object and the main
-/// thread keeps full access to links/crossbars/registers between the
-/// send and receive points.
-struct ShardJob {
-    pieces: Vec<Piece>,
-    conflicts: EventStage,
-    completions: EventStage,
-    plans: Vec<Option<LinkId>>,
-    plan_counts: Vec<u32>,
-    err_bumps: [u64; MAX_CUBES],
-    row_counts: [u64; 3],
-    fault_counts: [u64; 4],
-    inputs: CycleInputs,
-    map: Arc<dyn AddressMap>,
-    routes: RouteTable,
-    remotes: [[Endpoint; MAX_LINKS]; MAX_CUBES],
-}
-
-/// Run the vault phase for every vault a job owns, in flat vault order.
-fn run_shard(job: &mut ShardJob) {
-    job.conflicts.clear();
-    job.completions.clear();
-    job.plans.clear();
-    job.plan_counts.clear();
-    job.err_bumps = [0; MAX_CUBES];
-    job.row_counts = [0; 3];
-    job.fault_counts = [0; 4];
-    let inputs = job.inputs;
-    for piece in &mut job.pieces {
-        let dev_id = piece.dev as CubeId;
-        let remotes = &job.remotes[piece.dev];
-        for (k, vault) in piece.vaults.iter_mut().enumerate() {
-            tick_vault(
-                vault,
-                dev_id,
-                piece.first_vault + k,
-                &inputs,
-                job.map.as_ref(),
-                &mut job.conflicts,
-                &mut job.completions,
-                &mut job.err_bumps,
-                &mut job.row_counts,
-                &mut job.fault_counts,
-            );
-            plan_vault_drain(
-                vault,
-                dev_id,
-                &inputs,
-                &job.routes,
-                remotes,
-                &mut job.plans,
-                &mut job.plan_counts,
-            );
-        }
-    }
-}
-
 /// Stages 3 and 4 for one vault: bank-conflict recognition over the
 /// spatial window (trace only, §IV.C.3), then the windowed request walk
-/// (§IV.C.4). Identical code serves the serial and parallel engines;
-/// trace events and error-register bumps are staged, not emitted.
+/// (§IV.C.4). Trace events are staged, not emitted (see the module doc);
+/// `stats` and the device's error register are updated in place.
 ///
 /// Timing decisions inside the walk are delegated to the vault's
 /// [`crate::timing::VaultTiming`] backend: a bank that already issued
@@ -227,19 +97,18 @@ fn run_shard(job: &mut ShardJob) {
 /// original `used`-bitmask check; an admitted packet's grant carries the
 /// data-ready cycle (`execute` parks late data in `Vault::pending`) and
 /// the row-buffer outcome (staged as RowHit/RowMiss/Precharge events and
-/// counted into `row_counts`).
+/// counted into `stats`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn tick_vault(
     vault: &mut Vault,
+    registers: &mut RegisterFile,
     dev_id: CubeId,
     vi: usize,
     inputs: &CycleInputs,
     map: &dyn AddressMap,
     conflicts: &mut EventStage,
     completions: &mut EventStage,
-    err_bumps: &mut [u64; MAX_CUBES],
-    row_counts: &mut [u64; 3],
-    fault_counts: &mut [u64; 4],
+    stats: &mut SimStats,
 ) {
     // Release pending responses whose data became ready, before the walk
     // (their freed capacity admits new requests this cycle).
@@ -342,31 +211,28 @@ pub(crate) fn tick_vault(
         let grant = vault.timing.try_issue(bank, row, inputs.clock);
         match grant.outcome {
             RowOutcome::None => {}
-            RowOutcome::Hit => row_counts[0] += 1,
-            RowOutcome::Miss => row_counts[1] += 1,
-            RowOutcome::Conflict => row_counts[1] += 1,
+            RowOutcome::Hit => stats.row_hits += 1,
+            RowOutcome::Miss | RowOutcome::Conflict => stats.row_misses += 1,
         }
         if grant.pre_cycle.is_some() {
-            row_counts[2] += 1;
+            stats.precharges += 1;
         }
         // ---- cell-fault hook: retention decay before the access reads
         // data, then hammer accounting on every row activation (any
         // non-Hit outcome opens the row; classic's None counts too).
-        // Flip decisions are stateless hashes, so staging order here
-        // matches the serial engine by the same argument as row_counts.
         if vault.faults.is_some() {
             let Vault {
                 faults, mem, timing, ..
             } = &mut *vault;
             let f = faults.as_mut().expect("checked above");
             let decayed = f.on_access(bank, row, inputs.clock, mem);
-            fault_counts[3] += decayed;
+            stats.retention_decays += decayed;
             if grant.outcome != RowOutcome::Hit {
                 let out = f.on_activation(bank, row, inputs.clock, mem);
-                fault_counts[0] += 1;
-                fault_counts[1] += out.flip_count;
+                stats.hammer_activations += 1;
+                stats.bit_flips += out.flip_count;
                 if out.trr {
-                    fault_counts[2] += 1;
+                    stats.trr_refreshes += 1;
                     if let Some(until) = out.park_until {
                         timing.park_bank(bank, until);
                     }
@@ -428,7 +294,7 @@ pub(crate) fn tick_vault(
                     tag,
                     status: status.encode(),
                 });
-                err_bumps[dev_id as usize] += 1;
+                registers.count_error_response();
             }
         }
         match cmd {
@@ -457,39 +323,8 @@ pub(crate) fn tick_vault(
     }
 }
 
-/// The per-vault half of stage 5: choose the egress crossbar for up to
-/// `rsp_drain` head entries of the vault response queue. Pure routing —
-/// the commit (capacity checks and the actual moves) replays the plan
-/// serially on the main thread so crossbar slots are claimed in the
-/// serial engine's order.
-pub(crate) fn plan_vault_drain(
-    vault: &Vault,
-    dev_id: CubeId,
-    inputs: &CycleInputs,
-    routes: &RouteTable,
-    remotes: &[Endpoint; MAX_LINKS],
-    plans: &mut Vec<Option<LinkId>>,
-    plan_counts: &mut Vec<u32>,
-) {
-    let n = inputs.rsp_drain.min(vault.rsp.len());
-    for idx in 0..n {
-        let e = vault.rsp.get(idx).expect("idx bounded");
-        // Prefer the link the request arrived on when it reaches the
-        // destination host directly (SLID association).
-        let direct = (e.arrival_link as usize) < MAX_LINKS
-            && remotes[e.arrival_link as usize] == Endpoint::Host(e.dest_cube);
-        let egress = if direct {
-            Some(e.arrival_link)
-        } else {
-            routes.next_hop(dev_id, e.dest_cube)
-        };
-        plans.push(egress);
-    }
-    plan_counts.push(n as u32);
-}
-
 impl HmcSim {
-    /// Snapshot the per-cycle read-only inputs of the vault phase.
+    /// Resolve the per-cycle read-only inputs of [`tick_vault`].
     fn cycle_inputs(&self) -> CycleInputs {
         CycleInputs {
             clock: self.clock,
@@ -499,7 +334,6 @@ impl HmcSim {
             banks: self.config.banks_per_vault,
             policy: self.params.conflict_policy,
             refresh: self.params.refresh,
-            rsp_drain: self.params.rsp_drain_per_cycle,
             fault_events: self.tracer.enabled(EventKind::RowHammerFlip)
                 || self.tracer.enabled(EventKind::TargetedRefresh),
         }
@@ -508,10 +342,8 @@ impl HmcSim {
     /// Advance the simulation by `cycles` clock cycles.
     ///
     /// Results are bit-identical to calling [`HmcSim::clock`] `cycles`
-    /// times regardless of [`crate::params::SimParams::threads`] and
-    /// [`crate::params::SimParams::fast_forward`]; batching exists so the
-    /// parallel engine can amortize its per-batch worker spawn over many
-    /// cycles, and so the fast-forward engine has a span of cycles to
+    /// times, with or without [`crate::params::SimParams::fast_forward`];
+    /// batching exists so the fast-forward mode has a span of cycles to
     /// jump across.
     pub fn clock_batch(&mut self, cycles: u64) -> Result<()> {
         self.ensure_routes()?;
@@ -519,29 +351,21 @@ impl HmcSim {
         self.ensure_noc();
         self.ensure_cell_faults();
         self.ensure_link_faults();
-        let total_vaults: usize = self.devices.iter().map(|d| d.vaults.len()).sum();
-        let shards = self.params.resolved_threads().min(total_vaults).max(1);
-        if shards <= 1 {
-            if self.params.fast_forward {
-                let mut done = 0u64;
-                while done < cycles {
-                    let dead = self.quiescent_horizon(cycles - done);
-                    if dead > 0 {
-                        self.fast_forward_jump(dead);
-                        done += dead;
-                    } else {
-                        self.clock_cycle_serial();
-                        done += 1;
-                    }
-                }
+        let mut done = 0u64;
+        while done < cycles {
+            let dead = if self.params.fast_forward {
+                self.quiescent_horizon(cycles - done)
             } else {
-                for _ in 0..cycles {
-                    self.clock_cycle_serial();
-                }
+                0
+            };
+            if dead > 0 {
+                self.fast_forward_jump(dead);
+                done += dead;
+            } else {
+                self.clock_cycle();
+                done += 1;
             }
-            return Ok(());
         }
-        self.clock_batch_parallel(cycles, shards);
         Ok(())
     }
 
@@ -711,7 +535,7 @@ impl HmcSim {
     /// The vault gate of vault `vi`: what [`tick_vault`] and the stage-5
     /// drain do in the upcoming cycles.
     ///
-    /// * Any queued response is live (stage 5 would plan and commit it).
+    /// * Any queued response is live (stage 5 would route or stall it).
     /// * Pending responses wake the vault exactly when the earliest
     ///   data-ready edge arrives (DDR backend; the classic backend keeps
     ///   `pending` empty).
@@ -815,83 +639,43 @@ impl HmcSim {
         }
     }
 
-    /// One serial cycle: the same vault-phase code as the parallel
-    /// engine, run inline as a single shard.
-    pub(crate) fn clock_cycle_serial(&mut self) {
+    /// One clock cycle: the six sub-cycle stages of §IV.C in order.
+    pub(crate) fn clock_cycle(&mut self) {
         self.stage1_child_xbar_requests();
         self.stage2_root_xbar_requests();
         // NoC sub-stage (buffered fabrics only): move in-flight packets
-        // one segment and deliver arrivals before the vault phase reads
-        // its queues.
+        // one segment and deliver arrivals before stages 3 and 4 read
+        // the vault queues.
         for di in 0..self.devices.len() {
             self.noc_advance(di);
         }
 
+        // ---- stages 3 and 4, every vault in flat order ----
         let inputs = self.cycle_inputs();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.reset_cycle();
-
-        // ---- vault phase: stages 3, 4, and the stage-5 plans ----
-        {
-            let map = self.map.as_ref();
-            let routes = self.routes.as_ref().expect("routes built before clocking");
-            for (di, dev) in self.devices.iter_mut().enumerate() {
-                let dev_id = di as CubeId;
-                let mut remotes = [Endpoint::Unconnected; MAX_LINKS];
-                for (li, l) in dev.links.iter().enumerate().take(MAX_LINKS) {
-                    remotes[li] = l.remote;
-                }
-                for (vi, vault) in dev.vaults.iter_mut().enumerate() {
-                    tick_vault(
-                        vault,
-                        dev_id,
-                        vi,
-                        &inputs,
-                        map,
-                        &mut scratch.conflicts,
-                        &mut scratch.completions,
-                        &mut scratch.err_bumps,
-                        &mut scratch.row_counts,
-                        &mut scratch.fault_counts,
-                    );
-                    plan_vault_drain(
-                        vault,
-                        dev_id,
-                        &inputs,
-                        routes,
-                        &remotes,
-                        &mut scratch.plans,
-                        &mut scratch.plan_counts,
-                    );
-                }
+        let scratch = &mut self.scratch;
+        for (di, dev) in self.devices.iter_mut().enumerate() {
+            let Device {
+                vaults, registers, ..
+            } = dev;
+            for (vi, vault) in vaults.iter_mut().enumerate() {
+                tick_vault(
+                    vault,
+                    registers,
+                    di as CubeId,
+                    vi,
+                    &inputs,
+                    self.map.as_ref(),
+                    &mut scratch.conflicts,
+                    &mut scratch.completions,
+                    &mut self.stats,
+                );
             }
         }
-
-        // ---- merge: conflicts, then completions, then register bumps ----
+        // Sub-cycle order in the trace: conflicts, then completions.
         scratch.conflicts.flush_into(&mut self.tracer, self.clock);
         scratch.completions.flush_into(&mut self.tracer, self.clock);
-        for di in 0..self.devices.len() {
-            if scratch.err_bumps[di] > 0 {
-                self.bump_error_register_by(di, scratch.err_bumps[di]);
-            }
-        }
-        self.stats.row_hits += scratch.row_counts[0];
-        self.stats.row_misses += scratch.row_counts[1];
-        self.stats.precharges += scratch.row_counts[2];
-        self.stats.hammer_activations += scratch.fault_counts[0];
-        self.stats.bit_flips += scratch.fault_counts[1];
-        self.stats.trr_refreshes += scratch.fault_counts[2];
-        self.stats.retention_decays += scratch.fault_counts[3];
 
         // ---- stage 5: roots first, then children (§IV.C.5) ----
-        let total_vaults: usize = self.devices.iter().map(|d| d.vaults.len()).sum();
-        scratch.plan_index.resize(total_vaults, (0, 0));
-        let mut off = 0u32;
-        for (flat, &count) in scratch.plan_counts.iter().enumerate() {
-            scratch.plan_index[flat] = (off, count);
-            off += count;
-        }
-        let vpd = self.devices[0].vaults.len();
         for root_pass in [true, false] {
             for di in 0..self.devices.len() {
                 if self.devices[di].is_root() != root_pass {
@@ -899,236 +683,15 @@ impl HmcSim {
                 }
                 self.forward_xbar_responses(di);
                 for vi in 0..self.devices[di].vaults.len() {
-                    let (start, len) = scratch.plan_index[di * vpd + vi];
-                    let plan = &scratch.plans[start as usize..(start + len) as usize];
-                    self.commit_vault_drain(di, vi, plan);
+                    self.drain_vault_responses(di, vi);
                 }
             }
         }
 
-        self.scratch = scratch;
         self.stage6_update_clock();
         if self.params.check_invariants {
             self.inv_check_cycle();
         }
-    }
-
-    /// The parallel batch engine: one `thread::scope` hosts `shards`
-    /// persistent workers for the whole batch; each cycle, vault
-    /// ownership ping-pongs to the workers through bounded channels and
-    /// the results merge back in shard (= flat vault) order.
-    fn clock_batch_parallel(&mut self, cycles: u64, shards: usize) {
-        let nd = self.devices.len();
-        let vpd = self.devices[0].vaults.len();
-        let total = nd * vpd;
-
-        // Contiguous, balanced shard ranges over the flat vault index.
-        let base = total / shards;
-        let extra = total % shards;
-        let mut ranges = Vec::with_capacity(shards);
-        let mut start = 0usize;
-        for w in 0..shards {
-            let len = base + usize::from(w < extra);
-            ranges.push((start, start + len));
-            start += len;
-        }
-
-        // Static routing snapshots shared with workers (owned copies, so
-        // jobs carry no borrows of `self`). Topology cannot change while
-        // clocking; the address map is refreshed every cycle because the
-        // AC register may swap it at a stage-6 edge mid-batch.
-        let routes = self.routes.as_ref().expect("routes built").clone();
-        let mut remotes = [[Endpoint::Unconnected; MAX_LINKS]; MAX_CUBES];
-        for (di, d) in self.devices.iter().enumerate() {
-            for (li, l) in d.links.iter().enumerate().take(MAX_LINKS) {
-                remotes[di][li] = l.remote;
-            }
-        }
-
-        // Flat vault index -> (shard, piece) for the distribute step, and
-        // (offset, len) plan slices for the commit step.
-        let mut piece_of = vec![(0u32, 0u32); total];
-        let mut held: Vec<Option<ShardJob>> = Vec::with_capacity(shards);
-        for (w, &(s, e)) in ranges.iter().enumerate() {
-            let mut pieces = Vec::new();
-            let mut f = s;
-            while f < e {
-                let di = f / vpd;
-                let vi = f % vpd;
-                let n = (e - f).min(vpd - vi);
-                for k in 0..n {
-                    piece_of[f + k] = (w as u32, pieces.len() as u32);
-                }
-                pieces.push(Piece {
-                    dev: di,
-                    first_vault: vi,
-                    vaults: Vec::with_capacity(n),
-                });
-                f += n;
-            }
-            held.push(Some(ShardJob {
-                pieces,
-                conflicts: EventStage::new(),
-                completions: EventStage::new(),
-                plans: Vec::new(),
-                plan_counts: Vec::new(),
-                err_bumps: [0; MAX_CUBES],
-                row_counts: [0; 3],
-                fault_counts: [0; 4],
-                inputs: CycleInputs::default(),
-                map: self.map.clone(),
-                routes: routes.clone(),
-                remotes,
-            }));
-        }
-        let mut plan_index = vec![(0u32, 0u32, 0u32); total];
-        self.scratch.shells.resize_with(nd, Vec::new);
-
-        std::thread::scope(|s| {
-            let mut to_worker = Vec::with_capacity(shards);
-            let mut from_worker = Vec::with_capacity(shards);
-            for _ in 0..shards {
-                let (jtx, jrx) = sync_channel::<ShardJob>(1);
-                let (rtx, rrx) = sync_channel::<ShardJob>(1);
-                to_worker.push(jtx);
-                from_worker.push(rrx);
-                s.spawn(move || {
-                    while let Ok(mut job) = jrx.recv() {
-                        run_shard(&mut job);
-                        if rtx.send(job).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-
-            let mut done = 0u64;
-            while done < cycles {
-                // Fast-forward composes with sharding: the horizon scan
-                // and jump run on the coordinating thread while workers
-                // stay parked on their channel `recv`; stepped cycles
-                // resume the ping-pong unchanged.
-                if self.params.fast_forward {
-                    let dead = self.quiescent_horizon(cycles - done);
-                    if dead > 0 {
-                        self.fast_forward_jump(dead);
-                        done += dead;
-                        continue;
-                    }
-                }
-                self.stage1_child_xbar_requests();
-                self.stage2_root_xbar_requests();
-                // NoC sub-stage on the coordinating thread, before vault
-                // ownership moves to the workers: fabric state never
-                // crosses a thread boundary, so the shard count cannot
-                // perturb it.
-                for di in 0..nd {
-                    self.noc_advance(di);
-                }
-                let inputs = self.cycle_inputs();
-
-                // Move every vault out of its device and into its
-                // shard's job (shells and piece buffers retain capacity
-                // across cycles, so this is swap + moves, no allocation).
-                {
-                    let devices = &mut self.devices;
-                    let shells = &mut self.scratch.shells;
-                    for (di, dev) in devices.iter_mut().enumerate() {
-                        std::mem::swap(&mut dev.vaults, &mut shells[di]);
-                    }
-                    for (di, shell) in shells.iter_mut().enumerate() {
-                        for (vi, v) in shell.drain(..).enumerate() {
-                            let (w, p) = piece_of[di * vpd + vi];
-                            held[w as usize]
-                                .as_mut()
-                                .expect("job held between cycles")
-                                .pieces[p as usize]
-                                .vaults
-                                .push(v);
-                        }
-                    }
-                }
-
-                for (w, tx) in to_worker.iter().enumerate() {
-                    let mut job = held[w].take().expect("job held between cycles");
-                    job.inputs = inputs;
-                    job.map = self.map.clone();
-                    tx.send(job).expect("worker alive for the batch");
-                }
-                for (w, rx) in from_worker.iter().enumerate() {
-                    held[w] = Some(rx.recv().expect("worker alive for the batch"));
-                }
-
-                // Restore vault ownership in flat order (shards and the
-                // pieces within them ascend, so each device's vaults
-                // return in index order).
-                for job in held.iter_mut().map(|j| j.as_mut().expect("held")) {
-                    for piece in &mut job.pieces {
-                        for v in piece.vaults.drain(..) {
-                            self.devices[piece.dev].vaults.push(v);
-                        }
-                    }
-                }
-
-                // Merge in shard order: all conflicts, then all
-                // completions — the serial emission order.
-                let clock = self.clock;
-                for job in held.iter_mut().map(|j| j.as_mut().expect("held")) {
-                    job.conflicts.flush_into(&mut self.tracer, clock);
-                }
-                for job in held.iter_mut().map(|j| j.as_mut().expect("held")) {
-                    job.completions.flush_into(&mut self.tracer, clock);
-                }
-                for job in held.iter().map(|j| j.as_ref().expect("held")) {
-                    for (di, &n) in job.err_bumps.iter().enumerate().take(nd) {
-                        if n > 0 {
-                            self.bump_error_register_by(di, n);
-                        }
-                    }
-                    self.stats.row_hits += job.row_counts[0];
-                    self.stats.row_misses += job.row_counts[1];
-                    self.stats.precharges += job.row_counts[2];
-                    self.stats.hammer_activations += job.fault_counts[0];
-                    self.stats.bit_flips += job.fault_counts[1];
-                    self.stats.trr_refreshes += job.fault_counts[2];
-                    self.stats.retention_decays += job.fault_counts[3];
-                }
-
-                // Stage 5: commit the workers' egress plans serially in
-                // root-first device order.
-                for (w, job) in held.iter().enumerate() {
-                    let job = job.as_ref().expect("held");
-                    let (start_flat, _) = ranges[w];
-                    let mut off = 0u32;
-                    for (k, &count) in job.plan_counts.iter().enumerate() {
-                        plan_index[start_flat + k] = (w as u32, off, count);
-                        off += count;
-                    }
-                }
-                for root_pass in [true, false] {
-                    for di in 0..nd {
-                        if self.devices[di].is_root() != root_pass {
-                            continue;
-                        }
-                        self.forward_xbar_responses(di);
-                        for vi in 0..vpd {
-                            let (w, start, len) = plan_index[di * vpd + vi];
-                            let job = held[w as usize].as_ref().expect("held");
-                            let plan =
-                                &job.plans[start as usize..(start + len) as usize];
-                            self.commit_vault_drain(di, vi, plan);
-                        }
-                    }
-                }
-
-                self.stage6_update_clock();
-                if self.params.check_invariants {
-                    self.inv_check_cycle();
-                }
-                done += 1;
-            }
-            drop(to_worker); // workers observe the hangup and exit
-        });
     }
 }
 
@@ -1384,26 +947,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_fast_forward_matches_serial_stepped() {
-        let params = SimParams {
-            refresh: Some(RefreshParams {
-                interval: 64,
-                duration: 6,
-            }),
-            ..SimParams::default()
-        };
-        let mut serial = sim_with(params);
-        let mut sharded_ff = sim_with(SimParams {
-            fast_forward: true,
-            threads: 4,
-            ..params
-        });
-        let a = bursty_run(&mut serial, 5, 16, 300);
-        let b = bursty_run(&mut sharded_ff, 5, 16, 300);
-        assert_eq!(a, b, "fast-forward composes with the sharded engine");
-    }
-
-    #[test]
     fn ddr_timing_edges_gate_the_horizon_exactly() {
         let t = DdrTimings::default();
         let mut s = sim_with(SimParams {
@@ -1498,27 +1041,6 @@ mod tests {
     }
 
     #[test]
-    fn ddr_sharded_fast_forward_matches_serial_stepped() {
-        let params = SimParams {
-            timing: TimingParams::of(TimingKind::Ddr),
-            refresh: Some(RefreshParams {
-                interval: 64,
-                duration: 6,
-            }),
-            ..SimParams::default()
-        };
-        let mut serial = sim_with(params);
-        let mut sharded_ff = sim_with(SimParams {
-            fast_forward: true,
-            threads: 4,
-            ..params
-        });
-        let a = bursty_run(&mut serial, 5, 16, 300);
-        let b = bursty_run(&mut sharded_ff, 5, 16, 300);
-        assert_eq!(a, b, "DDR fast-forward composes with the sharded engine");
-    }
-
-    #[test]
     fn faulty_links_stay_bit_identical_under_fast_forward() {
         let faults = Some(
             LinkFaultConfig::default()
@@ -1590,24 +1112,6 @@ mod tests {
         let b = bursty_run(&mut fast, 5, 12, 300);
         assert_eq!(a, b, "jumps must account for in-flight mesh hops");
         assert!(stepped.stats().noc_hops > 0);
-    }
-
-    #[test]
-    fn noc_fabrics_stay_deterministic_across_thread_counts() {
-        for kind in [InterconnectKind::Ring, InterconnectKind::Mesh] {
-            let params = noc_params(kind, ArbitrationKind::RoundRobin);
-            let mut serial = sim_with(params);
-            let baseline = bursty_run(&mut serial, 4, 12, 250);
-            for threads in [2, 4, 8] {
-                let mut sharded = sim_with(SimParams { threads, ..params });
-                let run = bursty_run(&mut sharded, 4, 12, 250);
-                assert_eq!(
-                    baseline, run,
-                    "{} fabric must be bit-identical with {threads} threads",
-                    kind.name()
-                );
-            }
-        }
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! `(seed, cube, link, send_seq, attempt)` — the same discipline as
 //! `hmc_mem::cellfault` — where `send_seq` is the link's monotonic send
 //! sequence number. The fault stream is therefore a pure function of the
-//! injected workload: bit-identical across thread counts and
-//! stepped/fast-forward engine modes, and predictable at issue time
+//! injected workload: bit-identical in stepped and fast-forward runs,
+//! and predictable at issue time
 //! ([`predicts_poison`]) by the conformance oracle.
 
 use hmc_types::LinkFaultConfig;
@@ -52,8 +52,8 @@ fn transmission_draw(seed: u64, cube: u8, link: u8, send_seq: u64, attempt: u32)
 /// retransmission) of the packet holding slot `send_seq` in the link's
 /// monotonic send order is corrupted under `config`.
 ///
-/// A pure function of its arguments: independent of thread count,
-/// engine mode, and simulation history.
+/// A pure function of its arguments: independent of engine mode and
+/// simulation history.
 pub fn transmission_corrupt(
     config: &LinkFaultConfig,
     cube: u8,

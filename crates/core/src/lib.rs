@@ -35,7 +35,6 @@ pub mod builder;
 pub mod device;
 pub(crate) mod engine;
 pub mod fault;
-pub mod inspect;
 pub mod invariants;
 pub mod jtag;
 pub mod link;
@@ -58,7 +57,6 @@ pub use args::Args;
 pub use builder::{build_mem_request, decode_response, ResponseInfo};
 pub use device::Device;
 pub use fault::FaultState;
-pub use inspect::{DeviceSnapshot, QueueLocation};
 pub use invariants::InvariantState;
 pub use link::{Endpoint, Link};
 pub use noc::{Interconnect, MeshTopology, NocParams, NocState, RingTopology, Topology};

@@ -62,11 +62,9 @@
 //!    packet logs both the stall it suffered and the hop the rotation
 //!    granted in the same cycle.
 //!
-//! Because all NoC state lives on the [`crate::Device`] and the advance
-//! sub-stage runs on the main thread in both the serial and sharded
-//! engines, determinism across thread counts holds by construction. The
-//! fast-forward engine treats any non-empty NoC as live: the quiescent
-//! horizon collapses to zero while packets are in flight between quads.
+//! All NoC state lives on the [`crate::Device`]. Fast-forward treats
+//! any non-empty NoC as live: the quiescent horizon collapses to zero
+//! while packets are in flight between quads.
 
 use std::collections::VecDeque;
 

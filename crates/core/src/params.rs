@@ -110,11 +110,6 @@ pub struct SimParams {
     pub conflict_policy: ConflictPolicy,
     /// Optional periodic DRAM refresh (`None` = the paper's model).
     pub refresh: Option<RefreshParams>,
-    /// Worker threads for the sharded clock engine. `1` (the default)
-    /// runs the fully serial engine; `0` resolves to the machine's
-    /// available parallelism; `N > 1` shards vault processing across `N`
-    /// scoped threads. All settings produce bit-identical simulations.
-    pub threads: usize,
     /// Run the protocol invariant checker every cycle: queue-slot
     /// validity, per-link token conservation, tag uniqueness while in
     /// flight, CRC validity of egress packets, and per-stream order
@@ -169,7 +164,6 @@ impl Default for SimParams {
             link_flits_per_cycle: None,
             conflict_policy: ConflictPolicy::SkipConflicting,
             refresh: None,
-            threads: 1,
             check_invariants: false,
             fast_forward: false,
             timing: TimingParams::default(),
@@ -185,7 +179,6 @@ impl SimParams {
     /// block every binary prints under its own synopsis.
     pub const USAGE: &'static str = "\
 simulation axes (the same flags on every binary):
-  --threads N             clock-engine worker threads (1 = serial, 0 = auto)
   --fast-forward          jump provably dead cycles instead of stepping them
   --check                 run the protocol invariant checker every cycle
   --timing KIND           vault timing backend: classic | ddr
@@ -225,7 +218,6 @@ simulation axes (the same flags on every binary):
     /// of these flags in the workspace; see [`SimParams::USAGE`].
     pub fn apply_flag(&mut self, flag: &str, args: &mut Args) -> Result<bool> {
         match flag {
-            "--threads" => self.threads = args.try_value(flag)?,
             "--fast-forward" => self.fast_forward = true,
             "--check" => self.check_invariants = true,
             "--stall-queue" => self.conflict_policy = ConflictPolicy::StallQueue,
@@ -269,17 +261,6 @@ simulation axes (the same flags on every binary):
     pub fn window_for(&self, banks: u16) -> usize {
         self.vault_window.unwrap_or(banks as usize).max(1)
     }
-
-    /// Resolve the worker-thread count: `0` means auto-detect from the
-    /// machine's available parallelism, anything else is taken as-is.
-    pub fn resolved_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -293,23 +274,6 @@ mod tests {
         assert!(p.rsp_drain_per_cycle >= 1);
         assert!(p.hop_budget >= 2);
         assert_eq!(p.conflict_policy, ConflictPolicy::SkipConflicting);
-        assert_eq!(p.threads, 1);
-    }
-
-    #[test]
-    fn thread_resolution() {
-        let p = SimParams::default();
-        assert_eq!(p.resolved_threads(), 1);
-        let p = SimParams {
-            threads: 4,
-            ..SimParams::default()
-        };
-        assert_eq!(p.resolved_threads(), 4);
-        let p = SimParams {
-            threads: 0,
-            ..SimParams::default()
-        };
-        assert!(p.resolved_threads() >= 1);
     }
 
     #[test]
@@ -434,7 +398,6 @@ mod tests {
         let cell = CellFaultConfig::default();
         let link = LinkFaultConfig::default();
         let table: Vec<(&[&str], SimParams)> = vec![
-            (&["--threads", "4"], SimParams { threads: 4, ..d }),
             (&["--fast-forward"], SimParams { fast_forward: true, ..d }),
             (&["--check"], SimParams { check_invariants: true, ..d }),
             (
@@ -525,6 +488,8 @@ mod tests {
         assert!(!hit.unwrap());
         assert_eq!(p, SimParams::default());
         assert_eq!(rest.as_deref(), Some("5"), "the value is not consumed");
+        let (hit, ..) = flag(&["--threads", "4"]);
+        assert!(!hit.unwrap(), "the engine has no thread axis");
     }
 
     #[test]

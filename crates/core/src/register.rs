@@ -196,6 +196,13 @@ impl RegisterFile {
         Ok(())
     }
 
+    /// Count one error response in the global error register (RO from
+    /// the host's perspective; updated device-side, saturating).
+    pub(crate) fn count_error_response(&mut self) {
+        let count = self.read(regs::ERR).unwrap_or(0);
+        let _ = self.set_internal(regs::ERR, count.saturating_add(1));
+    }
+
     /// Clock edge: self-clear RWS registers written since the last edge.
     pub fn tick(&mut self) {
         for r in &mut self.regs {

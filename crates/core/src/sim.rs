@@ -7,8 +7,6 @@
 //! order to simulate architectural characteristics such as non-uniform
 //! memory access" (§IV.A) — objects are fully independent values here.
 
-use std::sync::Arc;
-
 use hmc_types::address::AddressMap;
 use hmc_types::{CubeId, Cycle, DeviceConfig, HmcError, LinkId, Packet, Result};
 use hmc_trace::{TraceEvent, Tracer};
@@ -78,7 +76,7 @@ pub struct HmcSim {
     pub(crate) config: DeviceConfig,
     pub(crate) params: SimParams,
     pub(crate) devices: Vec<Device>,
-    pub(crate) map: Arc<dyn AddressMap>,
+    pub(crate) map: Box<dyn AddressMap>,
     pub(crate) routes: Option<RouteTable>,
     pub(crate) clock: Cycle,
     pub(crate) tracer: Tracer,
@@ -143,7 +141,7 @@ impl HmcSim {
             ));
         }
         let devices = (0..num_devices).map(|i| Device::new(i, &config)).collect();
-        let map: Arc<dyn AddressMap> = Arc::new(config.default_map()?);
+        let map: Box<dyn AddressMap> = Box::new(config.default_map()?);
         // The config's axes seed the sim parameters; `with_params` and
         // the per-axis builders can still override them before clocking.
         let params = SimParams::default().with_device_axes(&config);
@@ -173,11 +171,12 @@ impl HmcSim {
         self
     }
 
-    /// Set the worker-thread count of the sharded clock engine (builder
-    /// style). `1` = serial, `0` = auto-detect, `N > 1` = that many
-    /// shards; every setting is bit-identical (see [`SimParams::threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.params.threads = threads;
+    // Wart: the one caller is `benchmark/src/host_driven.rs` (its
+    // `core.shard_t2_over_t1` metric), frozen outside `benchmark` PRs.
+    // Delete this with ROADMAP item 2(f); nothing in the workspace may
+    // call it.
+    #[doc(hidden)]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -360,14 +359,14 @@ impl HmcSim {
                 self.config.geometry()
             )));
         }
-        self.install_map(Arc::from(map));
+        self.install_map(map);
         Ok(())
     }
 
     /// The one place the address map is replaced. Route keys memoize a
     /// decode under the old map, so every crossbar request queue forgets
     /// them here and waiting packets are routed afresh under the new one.
-    fn install_map(&mut self, map: Arc<dyn AddressMap>) {
+    fn install_map(&mut self, map: Box<dyn AddressMap>) {
         self.map = map;
         for d in &mut self.devices {
             for x in &mut d.xbars {
@@ -638,7 +637,7 @@ impl HmcSim {
         // request tail, re-sealed) and its monotonic send sequence — the
         // stable key under which every transmission attempt's fate is a
         // pure function of the fault seed, making the corruption stream
-        // identical across thread counts and engine modes.
+        // identical in stepped and fast-forward runs.
         if let Some(faults) = self.faults.as_mut() {
             let (wire, seq) = self.devices[dev as usize].links[link as usize].next_send_seq();
             entry.packet.set_seq(wire);
@@ -695,11 +694,9 @@ impl HmcSim {
     /// Advance the simulation by one clock cycle: the six sub-cycle
     /// stages of Figure 3 in order (paper §IV.C).
     ///
-    /// With [`SimParams::threads`] above one the vault stages run on the
-    /// sharded engine; results are bit-identical either way. Prefer
-    /// [`HmcSim::clock_batch`] when clocking many cycles between host
-    /// interactions — the parallel engine amortizes its worker start-up
-    /// over the batch.
+    /// Prefer [`HmcSim::clock_batch`] when clocking many cycles between
+    /// host interactions: it gives [`SimParams::fast_forward`] a span to
+    /// jump across.
     pub fn clock(&mut self) -> Result<()> {
         self.clock_batch(1)
     }
@@ -722,16 +719,16 @@ impl HmcSim {
         let ac = self.devices[0].registers.read(regs::AC).unwrap_or(0);
         if ac != self.ac_mode {
             let geometry = self.config.geometry();
-            let new_map: Option<Arc<dyn AddressMap>> = match ac {
+            let new_map: Option<Box<dyn AddressMap>> = match ac {
                 0 => hmc_types::LowInterleaveMap::new(geometry)
                     .ok()
-                    .map(|m| Arc::new(m) as Arc<dyn AddressMap>),
+                    .map(|m| Box::new(m) as Box<dyn AddressMap>),
                 1 => hmc_types::BankFirstMap::new(geometry)
                     .ok()
-                    .map(|m| Arc::new(m) as Arc<dyn AddressMap>),
+                    .map(|m| Box::new(m) as Box<dyn AddressMap>),
                 2 => hmc_types::LinearMap::new(geometry)
                     .ok()
-                    .map(|m| Arc::new(m) as Arc<dyn AddressMap>),
+                    .map(|m| Box::new(m) as Box<dyn AddressMap>),
                 // Unknown modes leave the current map in place.
                 _ => None,
             };
@@ -798,6 +795,13 @@ mod tests {
 
     fn read_packet(addr: u64, tag: u16, link: LinkId) -> Packet {
         Packet::request(Command::Rd(BlockSize::B64), 0, addr, tag, link, &[]).unwrap()
+    }
+
+    /// The serve worker pool moves whole sessions across threads.
+    #[test]
+    fn a_simulation_can_move_to_another_thread() {
+        fn assert_send<T: Send>() {}
+        assert_send::<HmcSim>();
     }
 
     #[test]

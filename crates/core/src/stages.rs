@@ -18,11 +18,11 @@
 //! interface to a memory bank inside one sub-cycle; it moves crossbar →
 //! vault queue in stage 1/2 and vault queue → bank in stage 4.
 //!
-//! This module owns the stages that touch shared device state: the
-//! crossbar walks of stages 1 and 2, the crossbar half of stage 5, and
-//! the helpers they share. The per-vault stages (3, 4, and the vault
-//! half of 5) live in [`crate::engine`], which runs them either inline
-//! (serial) or sharded across worker threads.
+//! This module owns the stages that move packets between queues: the
+//! crossbar walks of stages 1 and 2, the NoC sub-stage, stage 5, and the
+//! helpers they share. Stages 3 and 4 — the per-vault bank walk — and
+//! the cycle loop that calls everything in order live in
+//! [`crate::engine`].
 
 use hmc_trace::{EventKind, TraceEvent};
 use hmc_types::packet::ResponseStatus;
@@ -667,99 +667,87 @@ impl HmcSim {
         }
     }
 
-    /// The crossbar half of stage 5 for one vault: commit the egress
-    /// plan computed by [`crate::engine::plan_vault_drain`], moving up to
-    /// one plan's worth of responses from the vault response queue into
-    /// crossbar response queues. Crossbar capacity is checked here, at
-    /// commit time, in root-first device order — exactly where and when
-    /// the serial engine checked it.
-    pub(crate) fn commit_vault_drain(&mut self, di: usize, vi: usize, plan: &[Option<LinkId>]) {
+    /// Stage 5 for one vault: register up to
+    /// [`rsp_drain_per_cycle`](crate::params::SimParams::rsp_drain_per_cycle)
+    /// head entries of the vault response queue with their egress
+    /// crossbar response queue, routing each as it reaches the head. The
+    /// queue is FIFO: a head that cannot move (egress queue or NoC
+    /// segment full) holds everything behind it for the cycle.
+    pub(crate) fn drain_vault_responses(&mut self, di: usize, vi: usize) {
         let dev_id = di as CubeId;
-        for &egress in plan {
+        let vault_quad = Quad::of_vault(vi as VaultId);
+        let clock = self.clock;
+        for _ in 0..self.params.rsp_drain_per_cycle {
+            let dev = &mut self.devices[di];
+            let Some(head) = dev.vaults[vi].rsp.front() else {
+                break;
+            };
+            let (tag, arrival_link, dest) = (head.packet.tag(), head.arrival_link, head.dest_cube);
+            // Prefer the link the request arrived on when it reaches the
+            // destination host directly (SLID association).
+            let direct = dev
+                .links
+                .get(arrival_link as usize)
+                .is_some_and(|l| l.remote == Endpoint::Host(dest));
+            let egress = if direct {
+                Some(arrival_link)
+            } else {
+                self.routes
+                    .as_ref()
+                    .expect("routes built before clocking")
+                    .next_hop(dev_id, dest)
+            };
             let Some(e_link) = egress else {
                 // Unreachable host: retire the response as misrouted.
-                let Some(entry) = self.devices[di].vaults[vi].rsp.pop() else {
-                    break;
-                };
+                dev.vaults[vi].rsp.pop();
                 self.emit(TraceEvent::Misroute {
                     cube: dev_id,
-                    link: entry.arrival_link,
-                    dest_cube: entry.dest_cube,
-                    tag: entry.packet.tag(),
+                    link: arrival_link,
+                    dest_cube: dest,
+                    tag,
                 });
                 continue;
             };
-            let e_link = e_link as usize;
             // Buffered NoC fabrics carry cross-quad responses through the
             // vault's quad segment; same-quad responses (and everything
             // under the crossbar fabric) push directly.
-            let vault_quad = Quad::of_vault(vi as VaultId);
-            let via_noc =
-                (e_link as QuadId) != vault_quad && self.devices[di].noc.is_some();
-            if via_noc {
-                if !self
-                    .devices[di]
-                    .noc
-                    .as_ref()
-                    .expect("via_noc")
-                    .has_room(vault_quad, NocClass::Response)
-                {
-                    let tag = self.devices[di].vaults[vi]
-                        .rsp
-                        .front()
-                        .map(|e| e.packet.tag())
-                        .unwrap_or(0);
-                    self.stats.noc_stalls += 1;
-                    self.emit(TraceEvent::NocStall {
-                        cube: dev_id,
-                        quad: vault_quad,
-                        tag,
-                    });
-                    break; // FIFO head-of-line: keep response order
+            if e_link as QuadId != vault_quad {
+                if let Some(noc) = dev.noc.as_mut() {
+                    if !noc.has_room(vault_quad, NocClass::Response) {
+                        self.stats.noc_stalls += 1;
+                        self.emit(TraceEvent::NocStall {
+                            cube: dev_id,
+                            quad: vault_quad,
+                            tag,
+                        });
+                        break;
+                    }
+                    let entry = dev.vaults[vi].rsp.pop().expect("head present");
+                    noc.inject(vault_quad, NocDest::ToLink(e_link), entry, clock);
+                    continue;
                 }
-                let Some(entry) = self.devices[di].vaults[vi].rsp.pop() else {
-                    break;
-                };
-                let clock = self.clock;
-                self.devices[di].noc.as_mut().expect("via_noc").inject(
-                    vault_quad,
-                    NocDest::ToLink(e_link as LinkId),
-                    entry,
-                    clock,
-                );
-                continue;
             }
-            if self.devices[di].xbars[e_link].rsp.is_full() {
-                let tag = self.devices[di].vaults[vi]
-                    .rsp
-                    .front()
-                    .map(|e| e.packet.tag())
-                    .unwrap_or(0);
+            let egress_rsp = &mut dev.xbars[e_link as usize].rsp;
+            if egress_rsp.is_full() {
                 self.emit(TraceEvent::XbarRspStall {
                     cube: dev_id,
-                    link: e_link as LinkId,
+                    link: e_link,
                     tag,
                 });
-                break; // FIFO head-of-line: keep response order
-            }
-            let Some(mut entry) = self.devices[di].vaults[vi].rsp.pop() else {
                 break;
-            };
-            entry.arrival_cycle = self.clock;
-            self.devices[di].xbars[e_link]
-                .rsp
-                .push(entry)
-                .expect("fullness checked");
+            }
+            let mut entry = dev.vaults[vi].rsp.pop().expect("head present");
+            entry.arrival_cycle = clock;
+            egress_rsp.push(entry).expect("fullness checked");
         }
     }
 
     /// The NoC sub-stage: advance each buffered fabric one segment step,
     /// delivering arrived cross-quad requests into vault request queues
     /// and arrived cross-quad responses into egress crossbar response
-    /// queues. Runs on the main thread between stage 2 and the vault
-    /// phase in both the serial and sharded engines — NoC state never
-    /// crosses a thread boundary, so every thread count is bit-identical
-    /// by construction. No-op (one branch) under the crossbar fabric.
+    /// queues. Runs between stage 2 and stage 3, so arrivals are visible
+    /// to this cycle's vault walk. No-op (one branch) under the crossbar
+    /// fabric.
     // The delivery closures echo `PacketQueue::push`'s refused-entry
     // return, which carries the same large-variant trade-off.
     #[allow(clippy::result_large_err)]
@@ -809,23 +797,6 @@ impl HmcSim {
     }
 
     // ----------------------------------------------------------- helpers
-
-    /// Count an error response in the device's global error register
-    /// (RO from the host's perspective; updated device-side).
-    fn bump_error_register(&mut self, di: usize) {
-        self.bump_error_register_by(di, 1);
-    }
-
-    /// Apply `n` error-register increments at once (the sharded engine
-    /// stages per-device counts during the vault phase; saturating adds
-    /// commute, so a single add of the staged count is exact).
-    pub(crate) fn bump_error_register_by(&mut self, di: usize, n: u64) {
-        use crate::register::regs;
-        let count = self.devices[di].registers.read(regs::ERR).unwrap_or(0);
-        let _ = self.devices[di]
-            .registers
-            .set_internal(regs::ERR, count.saturating_add(n));
-    }
 
     /// Retire slot `idx` of link `l`'s crossbar request queue and hand
     /// its link-layer tokens back.
@@ -960,7 +931,7 @@ impl HmcSim {
             tag,
             status: status.encode(),
         });
-        self.bump_error_register(di);
+        self.devices[di].registers.count_error_response();
         if posted {
             return;
         }
@@ -989,7 +960,7 @@ impl HmcSim {
     fn poison_response(&mut self, di: usize, l: usize, entry: QueueEntry) {
         let posted = entry.packet.cmd().map(|c| c.is_posted()).unwrap_or(false);
         let tag = entry.packet.tag();
-        self.bump_error_register(di);
+        self.devices[di].registers.count_error_response();
         if posted {
             return;
         }
@@ -1020,7 +991,12 @@ impl HmcSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmc_types::{BankFirstMap, BlockSize, DeviceConfig, LinearMap, LowInterleaveMap};
+    use crate::noc::NocParams;
+    use crate::params::SimParams;
+    use hmc_trace::{SharedSink, Tracer, VecSink, Verbosity};
+    use hmc_types::{
+        BankFirstMap, BlockSize, DeviceConfig, InterconnectKind, LinearMap, LowInterleaveMap,
+    };
 
     const DEV: CubeId = 1;
 
@@ -1119,5 +1095,146 @@ mod tests {
                 row: 42
             }
         );
+    }
+
+    // ---- stage 5: the vault response drain ----
+    //
+    // The expected moves and events below were captured from the
+    // plan-then-commit implementation this function replaced.
+
+    const HOST: CubeId = 1;
+    /// Vault 1 sits in quad 0: link 0 is its own quad, link 2 is not.
+    const VAULT: usize = 1;
+
+    fn rsp(tag: u16, arrival_link: LinkId, dest: CubeId) -> QueueEntry {
+        let status = ResponseStatus::Ok;
+        let p = Packet::response(Command::RdResponse, tag, arrival_link, status, &[0; 16]).unwrap();
+        let mut e = QueueEntry::new(p, 0, dest, 0);
+        e.arrival_link = arrival_link;
+        e
+    }
+
+    /// A one-device sim at clock 9 whose vault 1 holds, in order, a
+    /// response for link 0 (routable), one for link 2 (whose crossbar
+    /// response queue is full, and on a mesh whose quad-0 response
+    /// segment is full too), and one for a host nobody is wired to.
+    fn blocked_drain(
+        kind: InterconnectKind,
+        rsp_drain_per_cycle: usize,
+    ) -> (HmcSim, SharedSink<VecSink>) {
+        let mut interconnect = NocParams::of(kind);
+        interconnect.buffer_depth = 2;
+        let mut sim = HmcSim::new(1, DeviceConfig::small())
+            .unwrap()
+            .with_params(SimParams {
+                rsp_drain_per_cycle,
+                interconnect,
+                ..SimParams::default()
+            });
+        for l in 0..4 {
+            sim.connect_host(0, l, HOST).unwrap();
+        }
+        sim.ensure_routes().unwrap();
+        sim.ensure_noc();
+        sim.clock = 9;
+        let sink = SharedSink::new(VecSink::default());
+        sim.set_tracer(Tracer::new(Verbosity::Full, Box::new(sink.handle())));
+        let dev = &mut sim.devices[0];
+        while !dev.xbars[2].rsp.is_full() {
+            dev.xbars[2].rsp.push(rsp(100, 2, HOST)).unwrap();
+        }
+        if let Some(noc) = dev.noc.as_mut() {
+            while noc.has_room(0, NocClass::Response) {
+                noc.inject(0, NocDest::ToLink(3), rsp(200, 3, HOST), 9);
+            }
+        }
+        for e in [rsp(1, 0, HOST), rsp(2, 2, HOST), rsp(3, 1, 5)] {
+            dev.vaults[VAULT].rsp.push(e).unwrap();
+        }
+        (sim, sink)
+    }
+
+    /// One stage-5 pass over the vault: the tags left in its response
+    /// queue and the events the pass raised.
+    fn drain_pass(sim: &mut HmcSim, sink: &SharedSink<VecSink>) -> (Vec<u16>, Vec<TraceEvent>) {
+        sim.drain_vault_responses(0, VAULT);
+        let q = &sim.devices[0].vaults[VAULT].rsp;
+        let left = (0..q.len())
+            .map(|i| q.get(i).unwrap().packet.tag())
+            .collect();
+        let events = sink.0.lock().records.drain(..).map(|r| r.event).collect();
+        (left, events)
+    }
+
+    const MISROUTE: TraceEvent = TraceEvent::Misroute {
+        cube: 0,
+        link: 1,
+        dest_cube: 5,
+        tag: 3,
+    };
+
+    #[test]
+    fn a_full_egress_queue_holds_the_vault_response_queue_in_order() {
+        let stall = TraceEvent::XbarRspStall {
+            cube: 0,
+            link: 2,
+            tag: 2,
+        };
+        // One response per cycle: the routable head goes, the next one
+        // stalls (and says so) every cycle it waits.
+        let (mut sim, sink) = blocked_drain(InterconnectKind::Crossbar, 1);
+        assert_eq!(drain_pass(&mut sim, &sink), (vec![2, 3], vec![]));
+        assert_eq!(drain_pass(&mut sim, &sink), (vec![2, 3], vec![stall]));
+        assert_eq!(drain_pass(&mut sim, &sink), (vec![2, 3], vec![stall]));
+        sim.devices[0].xbars[2].rsp.pop().unwrap();
+        assert_eq!(drain_pass(&mut sim, &sink), (vec![3], vec![]));
+        assert_eq!(drain_pass(&mut sim, &sink), (vec![], vec![MISROUTE]));
+        assert_eq!(drain_pass(&mut sim, &sink), (vec![], vec![]));
+
+        // Four per cycle: the same stall ends the pass early, and the
+        // unreachable response behind it waits its turn.
+        let (mut sim, sink) = blocked_drain(InterconnectKind::Crossbar, 4);
+        assert_eq!(drain_pass(&mut sim, &sink), (vec![2, 3], vec![stall]));
+        assert_eq!(drain_pass(&mut sim, &sink), (vec![2, 3], vec![stall]));
+        sim.devices[0].xbars[2].rsp.pop().unwrap();
+        assert_eq!(drain_pass(&mut sim, &sink), (vec![], vec![MISROUTE]));
+
+        let dev = &sim.devices[0];
+        assert_eq!(dev.xbars[0].rsp.len(), 1);
+        assert_eq!(dev.xbars[0].rsp.front().unwrap().arrival_cycle, 9);
+        assert!(dev.xbars[2].rsp.is_full(), "tag 2 took the freed slot");
+        assert_eq!(sim.stats.noc_stalls, 0);
+    }
+
+    #[test]
+    fn a_full_noc_segment_holds_cross_quad_responses_on_a_mesh() {
+        let stall = TraceEvent::NocStall {
+            cube: 0,
+            quad: 0,
+            tag: 2,
+        };
+        for (per_cycle, first_pass) in [(1, vec![]), (4, vec![stall])] {
+            let (mut sim, sink) = blocked_drain(InterconnectKind::Mesh, per_cycle);
+            // The same-quad head pushes straight into crossbar 0; the
+            // cross-quad response needs the full quad-0 segment.
+            assert_eq!(
+                drain_pass(&mut sim, &sink),
+                (vec![2, 3], first_pass.clone())
+            );
+            assert_eq!(drain_pass(&mut sim, &sink), (vec![2, 3], vec![stall]));
+            let stalls = 1 + first_pass.len() as u64;
+            assert_eq!(sim.stats.noc_stalls, stalls, "one bump per stalled pass");
+            assert_eq!(sim.devices[0].xbars[0].rsp.len(), 1);
+
+            // With room in the segment it rides the NoC — crossbar 2
+            // being full is the fabric's problem at delivery, not stage 5's.
+            sim.devices[0].noc.as_mut().unwrap().clear();
+            if per_cycle == 1 {
+                assert_eq!(drain_pass(&mut sim, &sink), (vec![3], vec![]));
+            }
+            assert_eq!(drain_pass(&mut sim, &sink), (vec![], vec![MISROUTE]));
+            assert_eq!(sim.devices[0].noc.as_ref().unwrap().occupancy(), 1);
+            assert_eq!(sim.stats.noc_stalls, stalls);
+        }
     }
 }

@@ -25,8 +25,7 @@
 //!
 //! `try_issue` must only be called at a cycle where `blocked_until`
 //! returned `None`. Both backends are deterministic and carry no
-//! interior mutability, so the sharded engine can move them across
-//! threads with the vault they belong to.
+//! interior mutability.
 //!
 //! Refresh is normalized lazily: rather than a per-cycle hook (which
 //! fast-forward would skip), [`DdrTiming`] derives the most recent

@@ -91,8 +91,8 @@ pub struct Vault {
     /// The timing backend deciding when requests issue and data returns.
     pub timing: Box<dyn VaultTiming>,
     /// Cell-fault injection state (RowHammer + retention), installed by
-    /// the simulation when `SimParams::cell_faults` is set. Lives inside
-    /// the vault so it shards with the vault across worker threads.
+    /// the simulation when `SimParams::cell_faults` is set. One per
+    /// vault: it tracks that vault's rows and writes into `mem`.
     pub faults: Option<Box<CellFaultState>>,
     /// Operation counters.
     pub stats: VaultStats,

@@ -1,9 +1,8 @@
 //! Deterministic cell-level fault injection: RowHammer disturbance and
 //! retention decay, layered on the bank model.
 //!
-//! The design goal is bit-identical fault streams across every engine
-//! configuration (serial, 1/2/4/8-thread sharded, stepped, fast-forward),
-//! achieved by two rules:
+//! The design goal is bit-identical fault streams in stepped and
+//! fast-forward runs, achieved by two rules:
 //!
 //! 1. **No per-cycle work.** Activation counters are *lazily window-
 //!    normalized*: each tracked row stores the refresh-window index it
@@ -13,11 +12,10 @@
 //! 2. **No sequential RNG.** Every flip decision is a pure function of
 //!    `(seed, axis, vault, bank, row, window, crossing, word, bit)`
 //!    hashed through a SplitMix64-style mixer. Order of evaluation is
-//!    irrelevant, so thread count and engine mode cannot perturb the
-//!    stream.
+//!    irrelevant, so the engine mode cannot perturb the stream.
 //!
-//! One [`CellFaultState`] lives inside each vault (it shards with the
-//! vault across worker threads); the engine calls [`CellFaultState::on_access`]
+//! One [`CellFaultState`] lives inside each vault; the engine calls
+//! [`CellFaultState::on_access`]
 //! for the retention axis and [`CellFaultState::on_activation`] when the
 //! timing backend reports a row activation, and turns the returned
 //! [`ActivationOutcome`] into trace events, statistics, and TRR bank
@@ -114,9 +112,8 @@ pub struct ActivationOutcome {
 /// Per-vault cell-fault injection state.
 ///
 /// Holds only the sparse activation/decay tracking map — flip decisions
-/// themselves are stateless hashes — so cloning, resetting, and moving
-/// the state across shard threads is cheap and cannot perturb the
-/// fault stream.
+/// themselves are stateless hashes — so cloning and resetting the
+/// state is cheap and cannot perturb the fault stream.
 #[derive(Debug, Clone)]
 pub struct CellFaultState {
     cfg: CellFaultConfig,
@@ -448,8 +445,7 @@ mod tests {
     #[test]
     fn streams_are_order_independent() {
         // The same set of activations in a different interleaving must
-        // produce the same flips — the stateless-hash property that
-        // makes thread count irrelevant.
+        // produce the same flips — the stateless-hash property.
         let run = |pairs: &[(BankId, u64)]| -> u64 {
             let (mut cf, mut mem) = state(hammer_cfg());
             let mut flips = 0;

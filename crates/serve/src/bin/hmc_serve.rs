@@ -1,9 +1,10 @@
 //! `hmc-serve` — the simulation service daemon.
 //!
 //! `hmc-serve --help` prints the synopsis (`USAGE` below) and the shared
-//! simulation-axis flags (`SimParams::USAGE`). `--threads` is the worker
-//! pool here; every session's device is built under the shared axes, with the session's own config
-//! laid on top. So `--fast-forward` arms every device's fast-forward
+//! simulation-axis flags (`SimParams::USAGE`). `--threads` sizes the
+//! worker pool — sessions run in parallel, each simulation on one thread
+//! at a time; every session's device is built under the shared axes,
+//! with the session's own config laid on top. So `--fast-forward` arms every device's fast-forward
 //! mode, and the link-fault flags put the whole daemon into
 //! degraded-link mode — every session whose config does not arm its own
 //! `link_faults` block inherits the server's, and retry-exhausted
@@ -59,7 +60,6 @@ fn main() {
             "--socket" => socket = Some(args.value(&flag)),
             "--listen" => listen = Some(args.value(&flag)),
             "--max-sessions" => cfg.max_sessions = args.value(&flag),
-            // The worker pool, not the per-device clock engine.
             "--threads" => cfg.threads = args.value(&flag),
             "--inflight" => cfg.limits.inflight_limit = args.value(&flag),
             "--responses" => cfg.limits.response_limit = args.value(&flag),

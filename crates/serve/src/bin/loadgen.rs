@@ -160,7 +160,7 @@ fn parse_options() -> Options {
     // Only what the session config carries reaches the server.
     if SimParams::default().with_device_axes(&o.config) != o.params {
         args.die(
-            "--threads/--fast-forward/--check/--serialize-flits/--stall-queue are \
+            "--fast-forward/--check/--serialize-flits/--stall-queue are \
              server-side; pass them to hmc-serve",
         );
     }

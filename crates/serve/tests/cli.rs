@@ -52,6 +52,36 @@ fn bad_arguments_exit_2() {
     assert_usage_error("loadgen", BINS[1].1, &["--sessions", "-1"]);
 }
 
+/// `--threads` sizes `hmc-serve`'s worker pool and is no simulation
+/// axis: `loadgen`, which has no pool, does not know the flag.
+#[test]
+fn threads_belongs_to_the_worker_pool_alone() {
+    // Accepted and parsed: the only complaint left is the missing socket.
+    let out = Command::new(BINS[0].1)
+        .args(["--threads", "4"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("need --socket"), "{stderr}");
+
+    let out = Command::new(BINS[1].1)
+        .args([
+            "--socket",
+            "/nonexistent/hmc-cli-test.sock",
+            "--threads",
+            "4",
+        ])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("loadgen: unknown argument --threads"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn each_side_refuses_the_axes_it_cannot_apply() {
     let sock = ["--socket", "/nonexistent/hmc-cli-test.sock"];
@@ -75,6 +105,6 @@ fn each_side_refuses_the_axes_it_cannot_apply() {
     assert_usage_error(
         "loadgen",
         BINS[1].1,
-        &[&sock[..], &["--threads", "4"]].concat(),
+        &[&sock[..], &["--stall-queue"]].concat(),
     );
 }

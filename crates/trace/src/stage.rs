@@ -1,11 +1,12 @@
 //! Deterministic trace-event staging.
 //!
-//! The sharded clock engine processes vaults concurrently, but trace
-//! streams must stay bit-identical to the serial engine (paper §IV.E
-//! traces are part of the experiment output). Workers therefore stage
-//! events into per-shard [`EventStage`] buffers and the engine flushes
-//! them in vault-index order at a single merge point. The buffer is
-//! reusable — `flush_into`/`clear` retain capacity — so steady-state
+//! The clock engine walks each vault once per cycle, running its stage 3
+//! and stage 4 back to back, but a trace (paper §IV.E — part of the
+//! experiment output) lists a cycle's events in sub-cycle order: every
+//! vault's stage-3 conflicts before any vault's stage-4 completions.
+//! The engine therefore stages each kind into its own [`EventStage`]
+//! and flushes the two in that order once the walk is done. The buffer
+//! is reusable — `flush_into`/`clear` retain capacity — so steady-state
 //! clocking performs no per-cycle heap allocation.
 
 use hmc_types::Cycle;

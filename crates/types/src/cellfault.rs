@@ -104,7 +104,7 @@ pub struct CellFaultConfig {
     pub trr_cost: u32,
     /// Seed of the deterministic flip streams. Flip decisions are pure
     /// functions of (seed, vault, bank, row, window, crossing, bit), so
-    /// they are independent of thread count and engine mode.
+    /// they are independent of evaluation order and engine mode.
     pub seed: u64,
 }
 

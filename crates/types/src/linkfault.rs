@@ -16,9 +16,8 @@
 //! device-config JSON, and the serve wire protocol. Corruption
 //! decisions are stateless hashes of
 //! `(seed, cube, link, send_seq, attempt)`, so the fault stream is
-//! bit-identical across thread counts and stepped/fast-forward engine
-//! modes. The live retry state lives in `hmc_core` next to the link
-//! queues it governs.
+//! bit-identical in stepped and fast-forward runs. The live retry
+//! state lives in `hmc_core` next to the link queues it governs.
 
 use serde::{Deserialize, Serialize};
 
@@ -52,7 +51,7 @@ pub struct LinkFaultConfig {
     /// Seed of the deterministic corruption streams. Corruption
     /// decisions are pure functions of
     /// `(seed, cube, link, send_seq, attempt)`, so they are independent
-    /// of thread count and engine mode.
+    /// of engine mode.
     pub seed: u64,
 }
 

@@ -111,6 +111,70 @@ fn retry_exhaustion_poisons_every_abandoned_request() {
 }
 
 #[test]
+fn retry_exhaustion_is_bit_identical_stepped_and_fast_forward() {
+    // A retry budget tight enough that links go down: exhaustion aborts,
+    // poisoned responses and retraining windows must land on the same
+    // cycles whether dead cycles are stepped or jumped. The host visits
+    // every 40 cycles, so retry timers (5) and retraining windows (24)
+    // run out inside batches the device otherwise sits idle in.
+    let faults = LinkFaultConfig {
+        error_rate_ppm: 300_000,
+        retry_cycles: 5,
+        retry_limit: 1,
+        retrain_cycles: 24,
+        seed: 0x0015_04ED,
+    };
+    const REQUESTS: u64 = 1_000;
+    let run = |fast_forward: bool| {
+        let mut s = HmcSim::new(1, DeviceConfig::small())
+            .unwrap()
+            .with_fast_forward(fast_forward)
+            .with_link_faults(Some(faults));
+        let host = s.host_cube_id(0);
+        topology::build_simple(&mut s, host).unwrap();
+        let counting = SharedSink::new(CountingSink::default());
+        s.set_tracer(Tracer::new(Verbosity::Full, Box::new(counting.clone())));
+        let blocks = s.config().capacity_bytes / 64;
+        let mut sent = 0u64;
+        let mut seen = Vec::new();
+        while (seen.len() as u64) < REQUESTS {
+            'inject: for link in 0..4u8 {
+                loop {
+                    if sent == REQUESTS {
+                        break 'inject;
+                    }
+                    let addr = sent.wrapping_mul(0x9e37_79b9) % blocks * 64;
+                    let tag = (sent % 0x1ff) as u16;
+                    let cmd = Command::Rd(BlockSize::B64);
+                    let p = Packet::request(cmd, 0, addr, tag, link, &[]).unwrap();
+                    match s.send(0, link, p) {
+                        Ok(()) => sent += 1,
+                        Err(e) if e.is_stall() => break,
+                        Err(e) => panic!("send failed: {e}"),
+                    }
+                }
+            }
+            s.clock_batch(40).unwrap();
+            for link in 0..4u8 {
+                while let Ok(p) = s.recv(0, link) {
+                    seen.push((s.current_clock(), link, p.tag()));
+                }
+            }
+            assert!(s.current_clock() < 1_000_000, "the run did not converge");
+        }
+        let f = s.fault_state().unwrap();
+        let fault_counts = (f.injected, f.detected, f.poisoned);
+        let counters = &counting.0.lock().counters;
+        let events: Vec<u64> = EventKind::ALL.iter().map(|&k| counters.get(k)).collect();
+        (seen, events, s.current_clock(), fault_counts)
+    };
+    let stepped = run(false);
+    let (_, _, poisoned) = stepped.3;
+    assert!(poisoned > 0, "the tight retry budget must actually poison");
+    assert_eq!(stepped, run(true));
+}
+
+#[test]
 fn lossy_links_cost_cycles() {
     let run = |ppm: u32| {
         let mut s = sim();

@@ -4,9 +4,8 @@
 //! wait. These tests drive the traffic that lives in that state — the
 //! benchmark's `bursty_ff_ddr` shape: 16 reads to rows of one bank over
 //! four links into `small()`'s four-slot vault queues, then a gap of
-//! about 512 cycles — through the stepped engine, the fast-forward
-//! engine and the sharded fast-forward engine, and demand that nothing
-//! observable differs.
+//! about 512 cycles — through the engine stepped and in fast-forward
+//! mode, and demand that nothing observable differs.
 
 use hmc_sim::hmc_core::{regs, topology, HmcSim, RefreshParams, SimParams, SimStats, TimingParams};
 use hmc_sim::hmc_trace::{EventKind, SharedSink, TraceRecord, Tracer, VecSink, Verbosity};
@@ -110,7 +109,7 @@ fn run(params: SimParams, scenario: Scenario) -> Outcome {
     assert_eq!(
         sim.invariant_violations(),
         &[] as &[String],
-        "invariants must hold on every engine"
+        "invariants must hold in every engine mode"
     );
     let trace = std::mem::take(&mut sink.0.lock().records);
     Outcome {
@@ -121,21 +120,18 @@ fn run(params: SimParams, scenario: Scenario) -> Outcome {
     }
 }
 
-/// The stepped serial run is the reference; fast-forward at 1/2/4/8
-/// threads must reproduce it exactly.
+/// The stepped run is the reference; fast-forward must reproduce it
+/// exactly.
 fn assert_engines_agree(base: SimParams, scenario: Scenario) -> Outcome {
     let stepped = run(base, scenario);
-    for threads in [1, 2, 4, 8] {
-        let fast = run(
-            SimParams {
-                fast_forward: true,
-                threads,
-                ..base
-            },
-            scenario,
-        );
-        assert_eq!(stepped, fast, "fast-forward at {threads} thread(s)");
-    }
+    let fast = run(
+        SimParams {
+            fast_forward: true,
+            ..base
+        },
+        scenario,
+    );
+    assert_eq!(stepped, fast, "fast-forward");
     stepped
 }
 
