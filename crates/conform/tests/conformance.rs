@@ -10,7 +10,7 @@ use hmc_conform::{
     campaign, hammer_demo, run_case, run_case_cross_interconnect, run_case_cross_timing,
     shrink_case, write_repro, CampaignConfig, CorruptSpec, FuzzCase, MapKind,
 };
-use hmc_core::{NocParams, SimParams, TimingParams};
+use hmc_core::{NocParams, RefreshParams, SimParams, TimingParams};
 use hmc_types::{ArbitrationKind, DeviceConfig, InterconnectKind, TimingKind};
 use hmc_workloads::{OpKind, Replay, Workload};
 
@@ -373,6 +373,43 @@ fn hot_bank_streams_fill_small_vault_queues_under_fast_forward() {
             case.gap_cycles = 100 + seed % 300;
             let out = run_case(&case).unwrap_or_else(|f| {
                 panic!("{timing:?} stream {i} / {} (seed {seed:#x}): {f}", map.name())
+            });
+            assert!(out.checked > 0);
+        }
+    }
+}
+
+#[test]
+fn hot_bank_streams_stay_conformant_under_periodic_refresh() {
+    // No campaign leg sets `SimParams::refresh`, so nothing compared a
+    // fast-forward run with a stepped one while refresh windows rotated
+    // through busy banks — where a window closes the row a queued row
+    // conflict was waiting out tRAS on, and the request must issue at
+    // the window's end, not at the stale tRAS edge. The same hot-bank
+    // streams, a different refresh schedule per stream.
+    let device = DeviceConfig::small();
+    for timing in [TimingKind::Ddr, TimingKind::Classic] {
+        for i in 0..40u64 {
+            let seed = 0xC0FF_EE08 ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let map = MapKind::ALL[i as usize % MapKind::ALL.len()];
+            let refresh = RefreshParams {
+                interval: 16 + 4 * (i % 13),
+                duration: 1 + i % 8,
+            };
+            let ops = hot_bank_stream(seed, 48, &device);
+            let params = SimParams {
+                refresh: Some(refresh),
+                ..axes(timing, NocParams::default())
+            };
+            let mut case =
+                FuzzCase::new("small", device.clone(), map, seed, ops).with_params(params);
+            case.gap_every = 1 + i % 3;
+            case.gap_cycles = 100 + seed % 300;
+            let out = run_case(&case).unwrap_or_else(|f| {
+                panic!(
+                    "{timing:?} stream {i} / {} / {refresh:?} (seed {seed:#x}): {f}",
+                    map.name()
+                )
             });
             assert!(out.checked > 0);
         }

@@ -185,7 +185,9 @@ mod tests {
         use hmc_types::{BlockSize, Command, Packet};
         let p = Packet::request(Command::Rd(BlockSize::B16), 0, 0, 0, 0, &[]).unwrap();
         d.xbars[0].rqst.push(QueueEntry::new(p.clone(), 4, 0, 0)).unwrap();
-        d.vaults[3].rqst.push(QueueEntry::new(p, 4, 0, 0)).unwrap();
+        d.vaults[3]
+            .push_request(QueueEntry::new(p, 4, 0, 0), 8)
+            .unwrap();
         assert_eq!(d.total_occupancy(), 2);
         d.reset();
         assert_eq!(d.total_occupancy(), 0);

@@ -39,7 +39,7 @@ use crate::quad::Quad;
 use crate::queue::{QueueEntry, NO_ROUTE, UNDECODED};
 use crate::register::{regs, RegisterFile};
 use crate::sim::{HmcSim, SimStats};
-use crate::timing::RowOutcome;
+use crate::timing::{RowOutcome, TimingParams, VaultTiming};
 use crate::vault::{Execution, Vault};
 
 /// Read-only per-cycle inputs of [`tick_vault`], resolved once per cycle.
@@ -57,6 +57,19 @@ pub(crate) struct CycleInputs {
     /// RowHammerFlip/TargetedRefresh trace events are enabled on the
     /// sink; the `SimStats` fault counters bump regardless.
     fault_events: bool,
+}
+
+/// Everything outside a vault and the clock that [`tick_vault`] reads: a
+/// cached sleep edge ([`Vault::wake_at`]) holds only while none of it
+/// changes. See [`HmcSim::ensure_vault_edges`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct VaultEdgeSig {
+    window: usize,
+    policy: ConflictPolicy,
+    conflicts_enabled: bool,
+    refresh: Option<RefreshParams>,
+    timing: TimingParams,
+    cell_faults: Option<hmc_types::CellFaultConfig>,
 }
 
 /// One gate's verdict on the upcoming cycles, as folded by
@@ -85,19 +98,109 @@ pub(crate) struct EngineScratch {
     pub(crate) forwards: Vec<(QueueEntry, usize, usize)>,
 }
 
+/// The banks a stage-4 walk of vault `vault` finds latched before it has
+/// looked at any entry: the one under periodic refresh, out of service
+/// for the whole cycle (optional extension; `None` = paper model).
+fn refresh_latch(inputs: &CycleInputs, vault: VaultId) -> u64 {
+    inputs
+        .refresh
+        .and_then(|r| r.bank_under_refresh(inputs.clock, vault, inputs.banks))
+        .map_or(0, |b| 1u64 << (b & 0x3f))
+}
+
+/// Stage 4's per-entry hold rule, written once for the walk that acts on
+/// it ([`tick_vault`]) and the scan that only predicts it
+/// ([`idle_edge`]). `None`: the entry's bank can take it this cycle.
+/// `Some(edge)`: it is held, and its bank is now in `latched`, so no
+/// younger packet to the same bank can overtake it this cycle —
+/// `blocked_until` is row-dependent under DDR (a row hit would be
+/// admissible while a row conflict waits out tRAS), and per-(link,
+/// vault, bank) delivery order must hold regardless. The edge is the
+/// timing backend's (already issued this cycle under classic; paying
+/// command spacing under DDR) for the first held entry of a bank, and
+/// [`Cycle::MAX`] for one that found its bank latched already — by
+/// refresh, by a response stall, or by that elder — and waits on
+/// whatever latched it.
+fn hold_edge(
+    timing: &dyn VaultTiming,
+    latched: &mut u64,
+    bank: u16,
+    row: u64,
+    clock: Cycle,
+) -> Option<Cycle> {
+    let bit = 1u64 << (bank & 0x3f);
+    if *latched & bit != 0 {
+        return Some(Cycle::MAX);
+    }
+    let edge = timing.blocked_until(bank, row, clock)?;
+    *latched |= bit;
+    Some(edge)
+}
+
+/// The cycle a vault whose tick found nothing to do sleeps until — the
+/// three terms of [`Vault::wake_at`]: `held`, the minimum [`hold_edge`]
+/// over the entries the walk scanned (all of them held, or the tick
+/// would have acted); the head of `pending`, the next data-ready edge;
+/// and, with periodic refresh configured and anything queued, the next
+/// edge of its schedule: a window that opens or closes re-answers
+/// `blocked_until` (it parks the bank, or closes the row a tRAS wait was
+/// counted from) and moves the stage-4 refresh bit.
+fn sleep_edge(vault: &Vault, held: Cycle, inputs: &CycleInputs) -> Cycle {
+    let mut edge = held.min(vault.pending_min_ready().unwrap_or(Cycle::MAX));
+    if !vault.rqst.is_empty() {
+        if let Some(r) = inputs.refresh {
+            edge = edge.min(r.window_edge_after(inputs.clock));
+        }
+    }
+    edge
+}
+
+/// What the next [`tick_vault`] of an awake vault would do, without
+/// doing it: `None` when it would release, issue or stage something,
+/// else the edge that tick would go to sleep on. Pure; the fast-forward
+/// horizon asks it about vaults that just acted or just received an
+/// arrival, and `check_invariants` re-derives every cached edge with it.
+pub(crate) fn idle_edge(vault: &Vault, inputs: &CycleInputs) -> Option<Cycle> {
+    if vault
+        .pending_min_ready()
+        .is_some_and(|ready| ready <= inputs.clock)
+    {
+        return None;
+    }
+    let window = inputs.window.min(vault.rqst.len());
+    if inputs.restages_conflicts(window) {
+        return None;
+    }
+    let timing = vault.timing.as_ref();
+    let mut latched = refresh_latch(inputs, vault.id);
+    let mut held = Cycle::MAX;
+    for e in vault.rqst.iter().take(window) {
+        // An issuable entry issues, or stage 4 reports `VaultRspStall`
+        // for it every cycle.
+        let edge = hold_edge(timing, &mut latched, e.dest_bank, e.dest_row, inputs.clock)?;
+        held = held.min(edge);
+        if inputs.policy == ConflictPolicy::StallQueue {
+            break;
+        }
+    }
+    Some(sleep_edge(vault, held, inputs))
+}
+
 /// Stages 3 and 4 for one vault: bank-conflict recognition over the
 /// spatial window (trace only, §IV.C.3), then the windowed request walk
 /// (§IV.C.4). Trace events are staged, not emitted (see the module doc);
 /// `stats` and the device's error register are updated in place.
 ///
+/// A sleeping vault ([`Vault::asleep`]) returns at once. A tick that
+/// releases, issues or stages anything leaves the vault awake; one that
+/// does not has learnt, entry by entry, when that can first change, and
+/// puts the vault to sleep until then ([`sleep_edge`]).
+///
 /// Timing decisions inside the walk are delegated to the vault's
-/// [`crate::timing::VaultTiming`] backend: a bank that already issued
-/// this cycle (classic) or is paying DDR command spacing answers
-/// `blocked_until(..) != None` and its packet stalls exactly like the
-/// original `used`-bitmask check; an admitted packet's grant carries the
-/// data-ready cycle (`execute` parks late data in `Vault::pending`) and
-/// the row-buffer outcome (staged as RowHit/RowMiss/Precharge events and
-/// counted into `stats`).
+/// [`crate::timing::VaultTiming`] backend through [`hold_edge`]; an
+/// admitted packet's grant carries the data-ready cycle (`execute` parks
+/// late data in `Vault::pending`) and the row-buffer outcome (staged as
+/// RowHit/RowMiss/Precharge events and counted into `stats`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn tick_vault(
     vault: &mut Vault,
@@ -110,17 +213,19 @@ pub(crate) fn tick_vault(
     completions: &mut EventStage,
     stats: &mut SimStats,
 ) {
+    if vault.asleep(inputs.clock) {
+        return;
+    }
     // Release pending responses whose data became ready, before the walk
     // (their freed capacity admits new requests this cycle).
-    if !vault.pending.is_empty() {
-        vault.release_ready(inputs.clock);
-    }
+    let mut acted = vault.release_ready(inputs.clock);
 
     // ---- stage 3: recognize bank conflicts (no state modified) ----
-    if inputs.conflicts_enabled {
+    let window = inputs.window.min(vault.rqst.len());
+    if inputs.restages_conflicts(window) {
+        acted = true;
         let mut seen: u64 = 0;
-        for idx in 0..inputs.window.min(vault.rqst.len()) {
-            let e = vault.rqst.get(idx).expect("idx bounded");
+        for e in vault.rqst.iter().take(window) {
             let bank = e.dest_bank;
             if bank == UNDECODED {
                 continue;
@@ -141,14 +246,8 @@ pub(crate) fn tick_vault(
     }
 
     // ---- stage 4: windowed request walk ----
-    let mut blocked: u64 = 0;
-    // A bank under periodic refresh is out of service for the whole
-    // cycle (optional extension; None = paper model).
-    if let Some(r) = inputs.refresh {
-        if let Some(b) = r.bank_under_refresh(inputs.clock, vi as u16, inputs.banks) {
-            blocked |= 1u64 << (b & 0x3f);
-        }
-    }
+    let mut latched = refresh_latch(inputs, vault.id);
+    let mut held = Cycle::MAX;
     let mut idx = 0usize;
     let mut scanned = 0usize;
     loop {
@@ -165,29 +264,18 @@ pub(crate) fn tick_vault(
             (e.dest_bank, e.dest_row, e.packet.cmd())
         };
         scanned += 1;
-        let bit = 1u64 << (bank & 0x3f);
-        if (blocked & bit != 0)
-            || vault
-                .timing
-                .blocked_until(bank, row, inputs.clock)
-                .is_some()
-        {
-            // The bank is held — refresh or response-stall for the rest
-            // of the cycle, or the timing backend (already issued this
-            // cycle under classic; paying command spacing under DDR).
-            // Window conflicts are traced by stage 3. The bank bit is
-            // latched so no younger packet to the same bank can overtake
-            // a timing-stalled elder this cycle: `blocked_until` is
-            // row-dependent under DDR (a row hit would be admissible
-            // while a row conflict waits out tRAS), and per-(link,
-            // vault, bank) delivery order must hold regardless.
-            blocked |= bit;
+        let timing = vault.timing.as_ref();
+        if let Some(edge) = hold_edge(timing, &mut latched, bank, row, inputs.clock) {
+            // Window conflicts are traced by stage 3.
+            held = held.min(edge);
             if inputs.policy == ConflictPolicy::StallQueue {
                 break;
             }
             idx += 1;
             continue;
         }
+        // From here the tick issues the entry or reports its stall.
+        acted = true;
         let cmd = cmd_res.ok();
         let needs_rsp = cmd.map(Vault::needs_response).unwrap_or(true);
         if needs_rsp && vault.rsp_capacity_full() {
@@ -197,7 +285,7 @@ pub(crate) fn tick_vault(
                 vault: vi as VaultId,
                 tag,
             });
-            blocked |= bit;
+            latched |= 1u64 << (bank & 0x3f);
             if inputs.policy == ConflictPolicy::StallQueue {
                 break;
             }
@@ -321,11 +409,25 @@ pub(crate) fn tick_vault(
             _ => {}
         }
     }
+    vault.wake_at = if acted {
+        0
+    } else {
+        sleep_edge(vault, held, inputs)
+    };
+}
+
+impl CycleInputs {
+    /// Stage 3 re-emits `BankConflict` every cycle for same-bank pairs
+    /// among the `window` entries it scans, so with that event recorded
+    /// a window of more than one entry is never idle.
+    fn restages_conflicts(&self, window: usize) -> bool {
+        self.conflicts_enabled && window > 1
+    }
 }
 
 impl HmcSim {
     /// Resolve the per-cycle read-only inputs of [`tick_vault`].
-    fn cycle_inputs(&self) -> CycleInputs {
+    pub(crate) fn cycle_inputs(&self) -> CycleInputs {
         CycleInputs {
             clock: self.clock,
             conflicts_enabled: self.tracer.enabled(EventKind::BankConflict),
@@ -337,6 +439,32 @@ impl HmcSim {
             fault_events: self.tracer.enabled(EventKind::RowHammerFlip)
                 || self.tracer.enabled(EventKind::TargetedRefresh),
         }
+    }
+
+    /// Wake every vault when anything its tick reads from outside the
+    /// vault changed since the last clock — the scan window, the conflict
+    /// policy, whether stage 3's `BankConflict` is recorded, refresh, the
+    /// timing backend (reinstalled with power-on bank state) or the
+    /// cell-fault state — so a `set_tracer` or parameter change between
+    /// clock calls cannot leave a vault sleeping on an edge derived under
+    /// the old rules. No-op on the steady-state hot path.
+    fn ensure_vault_edges(&mut self) {
+        let inputs = self.cycle_inputs();
+        let sig = VaultEdgeSig {
+            window: inputs.window,
+            policy: inputs.policy,
+            conflicts_enabled: inputs.conflicts_enabled,
+            refresh: inputs.refresh,
+            timing: self.params.timing,
+            cell_faults: self.params.cell_faults,
+        };
+        if self.applied_edges == Some(sig) {
+            return;
+        }
+        for v in self.devices.iter_mut().flat_map(|d| &mut d.vaults) {
+            v.wake();
+        }
+        self.applied_edges = Some(sig);
     }
 
     /// Advance the simulation by `cycles` clock cycles.
@@ -351,6 +479,7 @@ impl HmcSim {
         self.ensure_noc();
         self.ensure_cell_faults();
         self.ensure_link_faults();
+        self.ensure_vault_edges();
         let mut done = 0u64;
         while done < cycles {
             let dead = if self.params.fast_forward {
@@ -385,9 +514,10 @@ impl HmcSim {
     ///   that all wait on full vault queues;
     /// * [`HmcSim::xbar_rsp_gate`], per link — responses parked for a
     ///   host `recv`;
-    /// * [`HmcSim::vault_gate`], per vault — response queue, pending
-    ///   data-ready edges, and the stage-3/4 scan window held by refresh
-    ///   or by the timing backend's exact bank edges.
+    /// * [`HmcSim::vault_gate`], per vault — response queue, and the
+    ///   vault's sleep edge: pending data-ready cycles and the stage-3/4
+    ///   scan window held by refresh or by the timing backend's bank
+    ///   edges.
     ///
     /// The returned horizon is the minimum over all `Held` spans (debt
     /// paydown completion, retry-timer and retraining expiry, the next
@@ -410,6 +540,7 @@ impl HmcSim {
             }
             Gate::Inert => true,
         };
+        let inputs = self.cycle_inputs();
         for dev in &self.devices {
             // Packets in flight between quads on a buffered NoC move (or
             // at least contend) every cycle: the device is live until the
@@ -425,7 +556,7 @@ impl HmcSim {
             }
             for quad in &dev.quads {
                 for vi in quad.vault_range() {
-                    if !fold(self.vault_gate(dev, vi)) {
+                    if !fold(self.vault_gate(dev, vi, &inputs)) {
                         return 0;
                     }
                 }
@@ -536,63 +667,30 @@ impl HmcSim {
     /// drain do in the upcoming cycles.
     ///
     /// * Any queued response is live (stage 5 would route or stall it).
-    /// * Pending responses wake the vault exactly when the earliest
-    ///   data-ready edge arrives (DDR backend; the classic backend keeps
-    ///   `pending` empty).
-    /// * Every entry the stage-4 walk would scan must be provably held,
-    ///   either by the bank this vault currently has under refresh (until
-    ///   the refresh window edge) or by the timing backend
-    ///   ([`crate::timing::VaultTiming::blocked_until`]: an exact
-    ///   tRP/tRAS/tCCD/refresh/park edge under DDR; the classic backend
-    ///   never blocks between cycles, which leaves only the
-    ///   refresh-parked window). An issuable entry is live — it issues,
-    ///   or stage 4 reports `VaultRspStall` for it every cycle. Under
-    ///   [`ConflictPolicy::StallQueue`] the walk breaks at its first held
-    ///   entry, so that entry's edge is the only one.
-    /// * When bank-conflict tracing is enabled the window may hold at
-    ///   most one entry, because stage 3 re-emits `BankConflict` every
-    ///   cycle for same-bank window pairs.
-    fn vault_gate(&self, dev: &Device, vi: usize) -> Gate {
+    /// * A sleeping vault answers from its cached edge
+    ///   ([`Vault::wake_at`]) in constant time: held until then, or inert
+    ///   when it is empty.
+    /// * An awake vault — it acted last cycle, or a request just arrived
+    ///   inside its scan window — is asked what its next tick would do
+    ///   ([`idle_edge`], the same hold rule the tick applies): live when
+    ///   it would release, issue or stage anything, else held until the
+    ///   edge that tick would cache.
+    fn vault_gate(&self, dev: &Device, vi: usize, inputs: &CycleInputs) -> Gate {
         let vault = &dev.vaults[vi];
         if !vault.rsp.is_empty() {
             return Gate::Live;
         }
-        // The earliest cycle at which anything here can change.
-        let mut wake = vault.pending_min_ready().unwrap_or(u64::MAX);
-        let banks = self.config.banks_per_vault;
-        let window = self.params.window_for(banks).min(vault.rqst.len());
-        if window > 1 && self.tracer.enabled(EventKind::BankConflict) {
-            return Gate::Live;
-        }
-        let refresh = self.params.refresh;
-        let refreshed_bank =
-            refresh.and_then(|r| r.bank_under_refresh(self.clock, vi as u16, banks));
-        for i in 0..window {
-            let e = vault.rqst.get(i).expect("i bounded");
-            if !e.is_decoded() {
-                // Defensive: never fast-forward past an undecoded entry.
-                return Gate::Live;
+        let wake = if vault.asleep(self.clock) {
+            vault.wake_at
+        } else {
+            match idle_edge(vault, inputs) {
+                Some(edge) => edge,
+                None => return Gate::Live,
             }
-            let timing_edge = vault
-                .timing
-                .blocked_until(e.dest_bank, e.dest_row, self.clock);
-            let refresh_edge = (refreshed_bank == Some(e.dest_bank)).then(|| {
-                refresh
-                    .expect("refreshed_bank implies refresh")
-                    .window_edge_after(self.clock)
-            });
-            // Held until the later of the two; issuable now when neither.
-            let Some(edge) = timing_edge.max(refresh_edge) else {
-                return Gate::Live;
-            };
-            wake = wake.min(edge);
-            if self.params.conflict_policy == ConflictPolicy::StallQueue {
-                break;
-            }
-        }
+        };
         if wake <= self.clock {
             Gate::Live
-        } else if wake == u64::MAX {
+        } else if wake == Cycle::MAX {
             Gate::Inert
         } else {
             Gate::Held(wake - self.clock)
@@ -732,6 +830,17 @@ mod tests {
         Packet::request(Command::Rd(BlockSize::B64), 0, addr, tag, link, &[]).unwrap()
     }
 
+    /// Hand `e` to vault `vault` of device 0 the way stage 2 and the NoC
+    /// do.
+    fn deliver(s: &mut HmcSim, vault: usize, e: QueueEntry) {
+        let window = s.params.window_for(s.config.banks_per_vault);
+        s.devices[0].vaults[vault].push_request(e, window).unwrap();
+    }
+
+    fn vault_gate(s: &HmcSim, vault: usize) -> Gate {
+        s.vault_gate(&s.devices[0], vault, &s.cycle_inputs())
+    }
+
     /// Drive `sim` through the same bursty schedule every differential
     /// test uses: `bursts` rounds of (send `k` reads, batch-clock a long
     /// mostly-dead gap, drain all responses). Returns every received
@@ -825,7 +934,7 @@ mod tests {
         let mut e = QueueEntry::new(read_packet(0, 9, 0), 1, 0, 0);
         e.dest_vault = vault;
         e.dest_bank = bank;
-        s.devices[0].vaults[vault as usize].rqst.push(e).unwrap();
+        deliver(&mut s, vault as usize, e);
 
         // Entire (single-entry) window parked on the refreshed bank:
         // dead until the window edge at cycle 10.
@@ -964,7 +1073,7 @@ mod tests {
         e.dest_vault = vault as u16;
         e.dest_bank = 1;
         e.dest_row = 0;
-        s.devices[0].vaults[vault].rqst.push(e).unwrap();
+        deliver(&mut s, vault, e);
         let ready = t.t_rcd + t.t_ccd;
         assert_eq!(s.quiescent_horizon(1_000), ready);
 
@@ -1005,7 +1114,7 @@ mod tests {
         e.dest_vault = vault;
         e.dest_bank = bank;
         e.dest_row = 0;
-        s.devices[0].vaults[vault as usize].rqst.push(e).unwrap();
+        deliver(&mut s, vault as usize, e);
         // The stage-4 refresh bit and the DDR shadow state agree: the
         // bank is parked until the window edge, and the horizon lands
         // exactly there.
@@ -1212,8 +1321,8 @@ mod tests {
         assert_eq!(s.xbar_rqst_gate(dev, 1), Gate::Inert);
         assert_eq!(s.xbar_rqst_gate(dev, 2), Gate::Inert, "an empty queue");
         assert_eq!(s.xbar_rsp_gate(dev, 0), Gate::Inert);
-        assert_eq!(s.vault_gate(dev, 0), Gate::Held(edge - s.clock));
-        assert_eq!(s.vault_gate(dev, 1), Gate::Inert, "an empty vault");
+        assert_eq!(vault_gate(&s, 0), Gate::Held(edge - s.clock));
+        assert_eq!(vault_gate(&s, 1), Gate::Inert, "an empty vault");
         assert_eq!(s.quiescent_horizon(10_000), edge - s.clock);
 
         // The jump lands exactly where the stepped engine next does
@@ -1278,7 +1387,7 @@ mod tests {
         for i in 1..=4u16 {
             let mut e = QueueEntry::new(read_packet(row_addr(i), i, 0), 1, 0, 0);
             (e.dest_vault, e.dest_bank, e.dest_row) = (0, 0, u64::from(i));
-            s.devices[0].vaults[0].rqst.push(e).unwrap();
+            deliver(&mut s, 0, e);
         }
         for link in 0..2u8 {
             let e = QueueEntry::new(read_packet(row_addr(9), 9, link), 1, 0, 0);
@@ -1374,7 +1483,7 @@ mod tests {
         for (tag, bank, row) in [(1u16, 1u16, 3u64), (2, 2, 0)] {
             let mut e = QueueEntry::new(read_packet(0, tag, 0), 1, 0, 0);
             (e.dest_vault, e.dest_bank, e.dest_row) = (2, bank, row);
-            s.devices[0].vaults[2].rqst.push(e).unwrap();
+            deliver(&mut s, 2, e);
         }
         s
     }
@@ -1384,12 +1493,12 @@ mod tests {
         let t = DdrTimings::default();
         // Out of order, the tail passes the held head: live.
         let s = held_head_issuable_tail(ConflictPolicy::SkipConflicting);
-        assert_eq!(s.vault_gate(&s.devices[0], 2), Gate::Live);
+        assert_eq!(vault_gate(&s, 2), Gate::Live);
         // In order, stage 4 breaks at the held head and never looks at
         // the tail: the head's edge is the only one.
         let s = held_head_issuable_tail(ConflictPolicy::StallQueue);
         let edge = t.t_rcd + t.t_ccd;
-        assert_eq!(s.vault_gate(&s.devices[0], 2), Gate::Held(edge));
+        assert_eq!(vault_gate(&s, 2), Gate::Held(edge));
         assert_eq!(s.quiescent_horizon(1_000), edge);
     }
 
@@ -1419,5 +1528,234 @@ mod tests {
             (got, s.current_clock(), s.stats())
         };
         assert_eq!(run(false), run(true));
+    }
+    // ------------------------------------------------ the sleeping vault
+
+    /// Vault 0, bank `bank`, row `row` under `small()`'s default map.
+    fn bank_row_addr(bank: u16, row: u64) -> u64 {
+        row << 14 | u64::from(bank) << 11
+    }
+
+    /// Reads to the given (bank, row)s of vault 0, tagged by position,
+    /// sent on link 0 and clocked until the crossbar has handed them all
+    /// over and vault 0's tick has found nothing left to do: under DDR
+    /// the head of each bank has issued and the rest wait on its edges.
+    fn vault0_asleep(params: SimParams, reads: &[(u16, u64)]) -> HmcSim {
+        let mut s = sim_with(SimParams {
+            check_invariants: true,
+            ..params
+        });
+        for (tag, &(bank, row)) in reads.iter().enumerate() {
+            let p = read_packet(bank_row_addr(bank, row), tag as u16, 0);
+            s.send(0, 0, p).unwrap();
+        }
+        while !(s.devices[0].xbars[0].rqst.is_empty() && s.devices[0].vaults[0].asleep(s.clock)) {
+            assert!(s.current_clock() < 8, "vault 0 never went to sleep");
+            s.clock().unwrap();
+        }
+        s
+    }
+
+    fn assert_clean(s: &HmcSim) {
+        assert_eq!(s.invariant_violations(), &[] as &[String]);
+    }
+
+    #[test]
+    fn a_vault_with_nothing_issuable_sleeps_until_its_first_bank_edge() {
+        let t = DdrTimings::default();
+        // Row 0 issues at cycle 0; row 1 waits on the bank, row 2 is
+        // latched behind row 1 and adds no edge of its own.
+        let s = vault0_asleep(ddr_params(), &[(0, 0), (0, 1), (0, 2)]);
+        let vault = &s.devices[0].vaults[0];
+        assert_eq!(vault.rqst.len(), 2);
+        assert_eq!(vault.wake_at, t.t_rcd + t.t_ccd);
+        assert_eq!(vault_gate(&s, 0), Gate::Held(vault.wake_at - s.clock));
+        // An empty vault sleeps without an edge.
+        assert_eq!(s.devices[0].vaults[1].wake_at, u64::MAX);
+        assert_eq!(vault_gate(&s, 1), Gate::Inert);
+        assert_clean(&s);
+    }
+
+    #[test]
+    fn an_arrival_wakes_a_sleeping_vault_only_inside_its_scan_window() {
+        let params = SimParams {
+            vault_window: Some(2),
+            ..ddr_params()
+        };
+        // One held entry in a window of two: a read for an idle bank
+        // lands inside the window and issues the cycle it is delivered.
+        let mut s = vault0_asleep(params, &[(0, 0), (0, 1)]);
+        assert_eq!(s.devices[0].vaults[0].rqst.len(), 1);
+        let misses = s.stats.row_misses;
+        s.send(0, 0, read_packet(bank_row_addr(1, 0), 9, 0))
+            .unwrap();
+        s.clock().unwrap();
+        assert_eq!(s.stats.row_misses, misses + 1, "issued on delivery");
+        assert_clean(&s);
+
+        // Two held entries fill the window: the same read lands beyond
+        // it, where stage 4 will not look before the window moves — the
+        // vault is not even woken to re-derive the edge it has.
+        let mut s = vault0_asleep(params, &[(0, 0), (0, 1), (0, 2)]);
+        let (misses, edge) = (s.stats.row_misses, s.devices[0].vaults[0].wake_at);
+        let mut e = QueueEntry::new(read_packet(bank_row_addr(1, 0), 9, 0), 1, 0, s.clock);
+        (e.dest_vault, e.dest_bank, e.dest_row) = (0, 1, 0);
+        deliver(&mut s, 0, e);
+        assert_eq!(s.devices[0].vaults[0].wake_at, edge);
+        s.clock().unwrap();
+        assert_eq!(s.devices[0].vaults[0].rqst.len(), 3);
+        assert_eq!(s.stats.row_misses, misses);
+        assert_clean(&s);
+    }
+
+    #[test]
+    fn a_response_becoming_data_ready_wakes_the_vault_exactly_then() {
+        let t = DdrTimings::default();
+        let mut s = vault0_asleep(ddr_params(), &[(0, 0)]);
+        let ready_at = t.t_rcd + t.t_cas;
+        assert!(s.devices[0].vaults[0].rqst.is_empty());
+        assert_eq!(s.devices[0].vaults[0].wake_at, ready_at);
+        s.clock_batch(ready_at - s.clock).unwrap();
+        assert!(s.recv(0, 0).is_err(), "cycle {ready_at} has not run yet");
+        s.clock().unwrap();
+        assert_eq!(s.recv(0, 0).unwrap().tag(), 0);
+        assert_clean(&s);
+    }
+
+    #[test]
+    fn in_order_vault_caches_its_held_head_edge_alone() {
+        let t = DdrTimings::default();
+        let params = SimParams {
+            conflict_policy: ConflictPolicy::StallQueue,
+            ..ddr_params()
+        };
+        // Behind the held head sits a read for an idle bank: out of
+        // order it would have issued, in order it is never looked at.
+        let s = vault0_asleep(params, &[(0, 0), (0, 1), (1, 0)]);
+        assert_eq!(s.devices[0].vaults[0].rqst.len(), 2);
+        assert_eq!(s.devices[0].vaults[0].wake_at, t.t_rcd + t.t_ccd);
+        assert_eq!(s.stats.row_misses, 1);
+        assert_clean(&s);
+    }
+
+    #[test]
+    fn a_change_to_anything_the_tick_reads_wakes_every_vault() {
+        type Change = fn(&mut HmcSim);
+        let changes: [(&str, Change); 6] = [
+            ("BankConflict tracing", |s| {
+                let level = Verbosity::threshold_for(EventKind::BankConflict);
+                s.set_tracer(Tracer::new(level, Box::new(NullSink)));
+            }),
+            ("vault_window", |s| s.params.vault_window = Some(1)),
+            ("conflict_policy", |s| {
+                s.params.conflict_policy = ConflictPolicy::StallQueue
+            }),
+            ("refresh", |s| {
+                s.params.refresh = Some(RefreshParams {
+                    interval: 64,
+                    duration: 6,
+                })
+            }),
+            ("timing", |s| s.set_timing(TimingParams::default())),
+            ("cell faults", |s| {
+                s.set_cell_faults(Some(hmc_types::CellFaultConfig::default()))
+            }),
+        ];
+        for (what, change) in changes {
+            let mut s = vault0_asleep(ddr_params(), &[(0, 0), (0, 1), (0, 2)]);
+            change(&mut s);
+            // Zero cycles: only the clock-entry checks run.
+            s.clock_batch(0).unwrap();
+            let dev = &s.devices[0];
+            assert!(dev.vaults.iter().all(|v| !v.asleep(s.clock)), "{what}");
+            // Whatever the new rules make of the queue, the edges the
+            // vaults go back to sleep on are derived under them.
+            s.clock_batch(40).unwrap();
+            assert_eq!(s.invariant_violations(), &[] as &[String], "{what}");
+        }
+    }
+
+    #[test]
+    fn newly_recorded_bank_conflicts_are_reported_from_the_next_cycle() {
+        // Rows 1 and 2 wait in one window on one bank, asleep; stage 3
+        // re-reports the pair every cycle from the moment it is recorded.
+        let mut s = vault0_asleep(ddr_params(), &[(0, 0), (0, 1), (0, 2)]);
+        let sink = hmc_trace::SharedSink::new(hmc_trace::VecSink::default());
+        let level = Verbosity::threshold_for(EventKind::BankConflict);
+        s.set_tracer(Tracer::new(level, Box::new(sink.clone())));
+        let first = s.clock;
+        s.clock_batch(3).unwrap();
+        let conflicts: Vec<u64> = sink
+            .0
+            .lock()
+            .records
+            .iter()
+            .filter(|r| r.event.kind() == EventKind::BankConflict)
+            .map(|r| r.cycle)
+            .collect();
+        assert_eq!(conflicts, [first, first + 1, first + 2]);
+    }
+
+    #[test]
+    fn a_timing_backend_swap_reissues_what_the_old_one_held() {
+        let mut s = vault0_asleep(ddr_params(), &[(0, 0), (0, 1)]);
+        // Classic installs with every bank free: the held read goes now.
+        s.set_timing(TimingParams::default());
+        s.clock().unwrap();
+        assert!(s.devices[0].vaults[0].rqst.is_empty());
+        assert_clean(&s);
+    }
+
+    #[test]
+    fn a_trr_park_moves_the_edge_the_vault_sleeps_on() {
+        let t = DdrTimings::default();
+        let trr = hmc_types::CellFaultConfig {
+            hammer_threshold: 1,
+            mitigation: hmc_types::Mitigation::Trr,
+            trr_cost: 100,
+            ..hmc_types::CellFaultConfig::default()
+        };
+        // The first activation crosses the threshold: the bank is parked
+        // for a targeted refresh from the cycle it issued (0), well past
+        // its command spacing. The park lands after the walk looked at
+        // the bank, so the edge must come from the tick after.
+        let s = vault0_asleep(
+            SimParams {
+                cell_faults: Some(trr),
+                ..ddr_params()
+            },
+            &[(0, 0), (0, 1)],
+        );
+        assert_eq!(s.stats.trr_refreshes, 1);
+        assert!(100 > t.t_rcd + t.t_cas, "the park outlasts the data edge");
+        assert_eq!(s.devices[0].vaults[0].wake_at, t.t_rcd + t.t_cas);
+        // The release leaves the vault awake; the tick after it finds
+        // only the parked bank.
+        let mut s = s;
+        s.clock_batch(t.t_rcd + t.t_cas + 2 - s.clock).unwrap();
+        assert_eq!(s.devices[0].vaults[0].wake_at, 100, "then the park");
+        s.clock_batch(100 - s.clock).unwrap();
+        assert_eq!(s.stats.row_misses, 1, "cycle 100 has not run yet");
+        s.clock().unwrap();
+        assert_eq!(s.stats.row_misses, 2, "issued at the park edge");
+        assert_clean(&s);
+    }
+
+    #[test]
+    fn a_skipped_invalidation_is_an_invariant_violation() {
+        // A push behind `push_request`'s back: the vault sleeps on with
+        // an issuable request inside its window.
+        let mut s = vault0_asleep(ddr_params(), &[(0, 0), (0, 1)]);
+        let mut e = QueueEntry::new(read_packet(bank_row_addr(1, 0), 9, 0), 1, 0, s.clock);
+        (e.dest_vault, e.dest_bank, e.dest_row) = (0, 1, 0);
+        s.devices[0].vaults[0].rqst.push(e).unwrap();
+        s.clock().unwrap();
+        assert!(s.invariant_violations()[0].contains("sleep edge"));
+
+        // An edge later than the one a fresh scan derives.
+        let mut s = vault0_asleep(ddr_params(), &[(0, 0), (0, 1)]);
+        s.devices[0].vaults[0].wake_at += 1;
+        s.clock().unwrap();
+        assert!(s.invariant_violations()[0].contains("sleep edge"));
     }
 }

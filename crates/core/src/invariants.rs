@@ -21,7 +21,11 @@
 //! * **stream-order preservation** — responses for requests that entered
 //!   on the same link and target the same vault and bank are delivered
 //!   in issue order (the §III.C link→bank stream-order guarantee; weak
-//!   ordering may only reorder *across* streams).
+//!   ordering may only reorder *across* streams);
+//! * **memo validity** — what the engine skips work on is still what a
+//!   fresh look would say: every crossbar route key decodes as stored,
+//!   and every sleeping vault's next tick would do nothing before its
+//!   cached edge.
 //!
 //! Violations are recorded, not panicked, so differential harnesses (the
 //! `hmc-conform` crate) can shrink a failing input down to a minimal
@@ -238,6 +242,7 @@ impl HmcSim {
         let banks = self.config.banks_per_vault;
         let vaults = self.config.num_vaults;
         let clock = self.clock;
+        let inputs = self.cycle_inputs();
         let check_entry = |found: &mut Vec<String>, what: &str, e: &QueueEntry| {
             let flits = e.packet.lng();
             if flits == 0 || flits > MAX_PACKET_FLITS {
@@ -304,6 +309,20 @@ impl HmcSim {
                 }
             }
             for v in &d.vaults {
+                // Sleep edges: a sleeping vault's tick is skipped on the
+                // cached edge alone, so a fresh scan must still find
+                // nothing to release, issue or stage, and no edge earlier
+                // than the one cached.
+                if v.asleep(clock) {
+                    let fresh = crate::engine::idle_edge(v, &inputs);
+                    if fresh.is_none_or(|edge| edge < v.wake_at) {
+                        found.push(format!(
+                            "sleep edge: dev {di} vault {} sleeps until {} but a fresh scan \
+                             says {fresh:?} (None = work to do now; cycle {clock})",
+                            v.id, v.wake_at
+                        ));
+                    }
+                }
                 for (name, q) in [("rqst", &v.rqst), ("rsp", &v.rsp)] {
                     if q.len() > q.depth() {
                         found.push(format!(

@@ -5,9 +5,12 @@
 //! queue slots … in order to act as a registered input or output logic
 //! stage" (paper §IV.A). The C implementation scans fixed slot arrays with
 //! valid bits; this port keeps the slot *semantics* (fixed depth ≥ 1, FIFO
-//! arrival order, one packet per slot) in a ring buffer. A vault or
-//! response queue tick costs O(occupied slots). A crossbar request queue
-//! is a [`RoutedQueue`], which additionally carries one *route key* per
+//! arrival order, one packet per slot) in a ring buffer. A response
+//! queue tick costs O(occupied slots). A vault request queue's tick
+//! walks its scan window only while something there can issue: a tick
+//! that finds every entry held caches the earliest cycle that can change
+//! (`Vault::wake_at`) and the ticks before it cost one compare. A
+//! crossbar request queue is a [`RoutedQueue`], which additionally carries one *route key* per
 //! slot, so its tick costs a key scan over the occupied slots plus full
 //! slow-path visits only for the packets that move and the first blocked
 //! packet of each route class — not one per stalled slot, which is what

@@ -104,6 +104,10 @@ pub struct HmcSim {
     /// The link-fault configuration [`HmcSim::ensure_link_faults`] last
     /// installed; `None` until the first send or clock.
     pub(crate) applied_linkfaults: Option<Option<hmc_types::LinkFaultConfig>>,
+    /// Everything outside a vault that its cached sleep edge was derived
+    /// under; `None` until the first clock. See
+    /// `HmcSim::ensure_vault_edges`.
+    pub(crate) applied_edges: Option<crate::engine::VaultEdgeSig>,
 }
 
 impl std::fmt::Debug for HmcSim {
@@ -162,6 +166,7 @@ impl HmcSim {
             applied_noc: None,
             applied_cellfaults: None,
             applied_linkfaults: None,
+            applied_edges: None,
         })
     }
 

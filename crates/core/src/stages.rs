@@ -137,6 +137,7 @@ impl HmcSim {
         let dev_id = di as CubeId;
         let num_links = self.config.num_links as usize;
         let max_drain = self.params.xbar_drain_per_cycle;
+        let vault_window = self.params.window_for(self.config.banks_per_vault);
         // Buffered NoC fabrics carry cross-quad requests through per-quad
         // segment buffers; local requests (and every request under the
         // crossbar fabric) take the original direct push.
@@ -529,8 +530,7 @@ impl HmcSim {
                     );
                 } else {
                     self.devices[di].vaults[vault as usize]
-                        .rqst
-                        .push(entry)
+                        .push_request(entry, vault_window)
                         .expect("fullness checked above");
                 }
                 drained += 1;
@@ -756,6 +756,7 @@ impl HmcSim {
         let clock = self.clock;
         let record_hops = self.tracer.enabled(EventKind::NocHop);
         let record_stalls = self.tracer.enabled(EventKind::NocStall);
+        let vault_window = self.params.window_for(self.config.banks_per_vault);
         let crate::device::Device {
             noc, vaults, xbars, ..
         } = &mut self.devices[di];
@@ -764,7 +765,7 @@ impl HmcSim {
         };
         let delta = noc.advance(
             clock,
-            |v, e| vaults[v as usize].rqst.push(e),
+            |v, e| vaults[v as usize].push_request(e, vault_window),
             |l, e| xbars[l as usize].rsp.push(e),
             record_hops,
             record_stalls,

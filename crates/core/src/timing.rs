@@ -15,9 +15,17 @@
 //!
 //! 1. [`VaultTiming::blocked_until`] — a **pure** admission query: may
 //!    bank `bank` accept an access to `row` at `cycle`? `None` means
-//!    issuable now; `Some(edge)` names the earliest cycle worth retrying
-//!    (the fast-forward horizon jumps straight to the minimum such edge,
-//!    so edges must be exact, not conservative).
+//!    issuable now; `Some(edge)`, with `edge > cycle`, is a lower bound
+//!    on the first cycle at which the answer can change, given that
+//!    nothing issues to the bank and the periodic-refresh schedule does
+//!    not change state in between. It may be early (at `edge` the answer
+//!    may be a later edge: a row conflict is first held until the bank
+//!    is ready, then until tRAS allows the PRE) but never late: a vault
+//!    sleeps, and the fast-forward horizon jumps, straight to the
+//!    minimum such edge. Refresh is the caller's term: a window that
+//!    opens on the bank before `edge` parks it and closes its row, which
+//!    re-answers the query, so with refresh configured the caller also
+//!    wakes at the next `RefreshParams::window_edge_after`.
 //! 2. [`VaultTiming::try_issue`] — commits the access and returns an
 //!    [`IssueGrant`]: when the data is ready, the row-buffer outcome, and
 //!    the implied PRE/ACT/RD-or-WR command cycles (the property tests
@@ -94,9 +102,11 @@ pub struct IssueGrant {
 /// data returns, and how refresh interacts with bank state.
 pub trait VaultTiming: Send + std::fmt::Debug {
     /// Pure admission query: `None` if bank `bank` can accept an access
-    /// to `row` at `cycle`, else the earliest cycle worth retrying.
-    /// Must not mutate state (the fast-forward horizon calls this
-    /// without issuing).
+    /// to `row` at `cycle`, else a cycle after `cycle` before which the
+    /// answer cannot become `None` while nothing issues to the bank and
+    /// no refresh window opens or closes — possibly early, never late
+    /// (see the module contract). Must not mutate state: sleeping vaults
+    /// and the fast-forward horizon rely on it without issuing.
     fn blocked_until(&self, bank: u16, row: u64, cycle: Cycle) -> Option<Cycle>;
 
     /// Commit an access at `cycle` (only after `blocked_until` returned
@@ -105,8 +115,8 @@ pub trait VaultTiming: Send + std::fmt::Debug {
 
     /// Hold bank `bank` out of service until `until` — the cost of an
     /// out-of-band refresh such as TRR targeted refresh. The park must
-    /// surface through [`VaultTiming::blocked_until`] as an exact edge
-    /// (so fast-forward horizons stay correct); parking never shortens
+    /// surface through [`VaultTiming::blocked_until`] (its edges are
+    /// what vaults sleep on); parking never shortens
     /// an existing busy period. The default ignores the request (a
     /// zero-cost refresh).
     fn park_bank(&mut self, bank: u16, until: Cycle) {

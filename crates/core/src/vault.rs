@@ -12,6 +12,8 @@
 //! equivalent and constant time as long as their bank addressing does not
 //! conflict" (§IV.C.4), registering responses in the vault response queue.
 
+use std::collections::VecDeque;
+
 use hmc_mem::{CellFaultState, VaultMemory};
 use hmc_types::address::AddressMap;
 use hmc_types::packet::ResponseStatus;
@@ -77,13 +79,17 @@ pub struct PendingRsp {
 pub struct Vault {
     /// Vault index on the device.
     pub id: VaultId,
-    /// Request queue (from the crossbar).
+    /// Request queue (from the crossbar). Arrivals enter through
+    /// [`Vault::push_request`] and nothing else, so a sleeping vault
+    /// hears of every one that matters.
     pub rqst: PacketQueue,
     /// Response queue (toward the crossbar).
     pub rsp: PacketQueue,
-    /// Responses issued but not yet data-ready (always empty under the
-    /// classic backend, which returns data the cycle it issues).
-    pub pending: Vec<PendingRsp>,
+    /// Responses issued but not yet data-ready, ordered by (`ready_at`,
+    /// issue order) so the head is the next to release (always empty
+    /// under the classic backend, which returns data the cycle it
+    /// issues).
+    pub pending: VecDeque<PendingRsp>,
     /// Issue-order counter for `pending` tie-breaks.
     pub pending_seq: u64,
     /// The bank stack.
@@ -96,6 +102,18 @@ pub struct Vault {
     pub faults: Option<Box<CellFaultState>>,
     /// Operation counters.
     pub stats: VaultStats,
+    /// The cached sleep edge: a lower bound on the first cycle at which
+    /// this vault's stage-3/4 tick can release, issue or stage anything,
+    /// given that no request arrives inside its scan window first. While
+    /// the clock is short of it the tick returns at once and the
+    /// fast-forward horizon reads it instead of scanning. `0` is awake
+    /// (the next tick runs its walk), [`Cycle::MAX`] asleep with no edge
+    /// of its own (an empty vault). Like
+    /// [`VaultTiming::blocked_until`], whose edges it is the minimum of,
+    /// it may be early — the vault wakes, finds nothing and sleeps again
+    /// — but never late. Written by the tick that found nothing to do,
+    /// dropped by [`Vault::wake`]; DESIGN.md "The sleeping vault".
+    pub(crate) wake_at: Cycle,
 }
 
 impl Vault {
@@ -107,13 +125,40 @@ impl Vault {
             id,
             rqst: PacketQueue::new(depth),
             rsp: PacketQueue::new(depth),
-            pending: Vec::with_capacity(depth),
+            pending: VecDeque::with_capacity(depth),
             pending_seq: 0,
             mem,
             timing: Box::new(ClassicTiming::new()),
             faults: None,
             stats: VaultStats::default(),
+            wake_at: 0,
         }
+    }
+
+    /// Enqueue a request arriving from the crossbar or the NoC; a full
+    /// queue hands the entry back. An arrival that lands inside the
+    /// `window` slots stage 4 scans per cycle wakes a sleeping vault: it
+    /// may be issuable at once. One that lands beyond the window changes
+    /// nothing the walk reads before the window's own edge, so the vault
+    /// sleeps on.
+    // The refused entry comes back by value, as from `PacketQueue::push`.
+    #[allow(clippy::result_large_err)]
+    pub fn push_request(&mut self, entry: QueueEntry, window: usize) -> Result<(), QueueEntry> {
+        if self.rqst.len() < window {
+            self.wake();
+        }
+        self.rqst.push(entry)
+    }
+
+    /// Drop the cached sleep edge: the next tick runs its walk.
+    pub(crate) fn wake(&mut self) {
+        self.wake_at = 0;
+    }
+
+    /// True while the stage-3/4 tick at `clock` has provably nothing to
+    /// do (see [`Vault::wake_at`]).
+    pub(crate) fn asleep(&self, clock: Cycle) -> bool {
+        clock < self.wake_at
     }
 
     /// True when registering another response would overflow the
@@ -124,59 +169,30 @@ impl Vault {
         self.rsp.len() + self.pending.len() >= self.rsp.depth()
     }
 
-    /// Earliest `ready_at` among pending responses (fast-forward edge).
+    /// Earliest `ready_at` among pending responses (the data-ready term
+    /// of the sleep edge).
     pub fn pending_min_ready(&self) -> Option<Cycle> {
-        self.pending.iter().map(|p| p.ready_at).min()
+        self.pending.front().map(|p| p.ready_at)
     }
 
     /// Move every pending response whose data is ready at `clock` into
-    /// the response queue, in (`ready_at`, issue order). Runs at the
-    /// start of the vault's stage-4 tick, before new issues.
-    pub fn release_ready(&mut self, clock: Cycle) {
-        while !self.pending.is_empty() && !self.rsp.is_full() {
-            let mut best: Option<usize> = None;
-            for (i, p) in self.pending.iter().enumerate() {
-                if p.ready_at > clock {
-                    continue;
-                }
-                best = match best {
-                    None => Some(i),
-                    Some(j) => {
-                        let pj = &self.pending[j];
-                        if (p.ready_at, p.seq) < (pj.ready_at, pj.seq) {
-                            Some(i)
-                        } else {
-                            Some(j)
-                        }
-                    }
-                };
-            }
-            let Some(i) = best else { break };
-            let mut p = self.pending.remove(i);
+    /// the response queue, in (`ready_at`, issue order), while it has
+    /// room. Runs at the start of the vault's stage-4 tick, before new
+    /// issues. True when anything moved.
+    pub fn release_ready(&mut self, clock: Cycle) -> bool {
+        let mut released = false;
+        while !self.rsp.is_full() && self.pending.front().is_some_and(|p| p.ready_at <= clock) {
+            let mut p = self.pending.pop_front().expect("front checked");
             p.entry.arrival_cycle = clock;
             let _ = self.rsp.push(p.entry);
+            released = true;
         }
+        released
     }
 
     /// True when the addressed command will need a response slot.
     pub fn needs_response(cmd: Command) -> bool {
         cmd.response_command().is_some()
-    }
-
-    /// True when every request in the head `window` slots of the request
-    /// queue is decoded to `bank` — i.e. the whole per-cycle scan window
-    /// is parked behind one blocked bank and a stage-4 walk cannot make
-    /// progress. Undecoded entries count as *not* parked (defensive: the
-    /// crossbar decodes before enqueueing, but an undecoded entry must
-    /// never be fast-forwarded past). Empty queues are trivially parked.
-    pub fn rqst_window_parked_on(&self, bank: hmc_types::BankId, window: usize) -> bool {
-        let n = window.min(self.rqst.len());
-        (0..n).all(|i| {
-            self.rqst
-                .get(i)
-                .map(|e| e.is_decoded() && e.dest_bank == bank)
-                .unwrap_or(false)
-        })
     }
 
     /// Execute one request packet against this vault's banks.
@@ -401,11 +417,17 @@ impl Vault {
             // response until `release_ready` moves it into the queue.
             let seq = self.pending_seq;
             self.pending_seq += 1;
-            self.pending.push(PendingRsp {
-                ready_at: data_ready,
-                seq,
-                entry: e,
-            });
+            // `seq` only grows, so behind every entry due no later keeps
+            // the (`ready_at`, `seq`) order.
+            let at = self.pending.partition_point(|p| p.ready_at <= data_ready);
+            self.pending.insert(
+                at,
+                PendingRsp {
+                    ready_at: data_ready,
+                    seq,
+                    entry: e,
+                },
+            );
             return;
         }
         // Stage 4 verified a free slot before executing a command that
@@ -427,6 +449,7 @@ impl Vault {
             faults.reset();
         }
         self.stats = VaultStats::default();
+        self.wake();
     }
 }
 
@@ -464,35 +487,6 @@ mod tests {
     /// Pop the response `execute` just registered in the vault queue.
     fn take_rsp(v: &mut Vault) -> QueueEntry {
         v.rsp.pop().expect("a response entry was registered")
-    }
-
-    #[test]
-    fn window_parking_requires_every_slot_on_the_blocked_bank() {
-        let mut v = vault();
-        assert!(v.rqst_window_parked_on(3, 8), "empty queue is parked");
-        let mut a = request(Command::Rd(BlockSize::B64), 0, 1, &[]);
-        a.dest_vault = 0;
-        a.dest_bank = 3;
-        let mut b = request(Command::Rd(BlockSize::B64), 0, 2, &[]);
-        b.dest_vault = 0;
-        b.dest_bank = 3;
-        v.rqst.push(a).unwrap();
-        v.rqst.push(b).unwrap();
-        assert!(v.rqst_window_parked_on(3, 8));
-        assert!(!v.rqst_window_parked_on(4, 8), "different blocked bank");
-        // A window shorter than the queue only inspects the head slots.
-        let mut c = request(Command::Rd(BlockSize::B64), 0, 3, &[]);
-        c.dest_vault = 0;
-        c.dest_bank = 5;
-        v.rqst.push(c).unwrap();
-        assert!(v.rqst_window_parked_on(3, 2));
-        assert!(!v.rqst_window_parked_on(3, 3), "entry on bank 5 in window");
-        // Undecoded entries are never parked.
-        let mut u = v.rqst.pop().unwrap();
-        u.dest_vault = crate::queue::UNDECODED;
-        u.dest_bank = crate::queue::UNDECODED;
-        v.rqst.push_front(u);
-        assert!(!v.rqst_window_parked_on(3, 1));
     }
 
     #[test]
@@ -651,7 +645,9 @@ mod tests {
         let mut v = vault();
         let m = map();
         v.execute(request(Command::Wr(BlockSize::B16), 0, 1, &[1; 16]), &m, 0, 0, 0);
+        v.wake_at = 99;
         v.reset();
+        assert!(!v.asleep(0), "no sleep edge survives a reset");
         assert_eq!(v.stats, VaultStats::default());
         let exec = v.execute(request(Command::Rd(BlockSize::B16), 0, 2, &[]), &m, 0, 0, 0);
         assert_eq!(exec, Execution::Responded);
@@ -681,6 +677,40 @@ mod tests {
         assert_eq!(first.entry_cycle, 0, "latency origin preserved");
         assert_eq!(v.rsp.pop().unwrap().packet.tag(), 1);
         assert!(v.pending.is_empty());
+    }
+
+    #[test]
+    fn pending_stays_ordered_by_ready_cycle_then_issue_order() {
+        let mut v = vault();
+        let m = map();
+        // Issue order 0..4 with ready cycles 30, 10, 20, 10.
+        for (tag, ready) in [(0u16, 30u64), (1, 10), (2, 20), (3, 10)] {
+            let rd = request(Command::Rd(BlockSize::B16), 0, tag, &[]);
+            v.execute(rd, &m, 0, 0, ready);
+        }
+        let order: Vec<u16> = v.pending.iter().map(|p| p.entry.packet.tag()).collect();
+        assert_eq!(order, [1, 3, 2, 0]);
+        assert_eq!(v.pending_min_ready(), Some(10));
+        assert!(!v.release_ready(9));
+        assert!(v.release_ready(20));
+        let released: Vec<u16> = v.rsp.iter().map(|e| e.packet.tag()).collect();
+        assert_eq!(released, [1, 3, 2], "ties release in issue order");
+        assert_eq!(v.pending_min_ready(), Some(30));
+    }
+
+    #[test]
+    fn push_request_wakes_only_for_an_arrival_inside_the_window() {
+        let mut v = vault();
+        let rd = |tag| request(Command::Rd(BlockSize::B16), 0, tag, &[]);
+        v.wake_at = 50;
+        v.push_request(rd(1), 2).unwrap();
+        assert!(!v.asleep(0), "slot 0 of a two-slot window");
+        v.push_request(rd(2), 2).unwrap();
+        v.wake_at = 50;
+        v.push_request(rd(3), 2).unwrap();
+        assert!(v.asleep(0), "slot 2 is beyond it");
+        v.push_request(rd(4), 2).unwrap();
+        assert!(v.push_request(rd(5), 2).is_err(), "depth 4: handed back");
     }
 
     #[test]

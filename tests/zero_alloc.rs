@@ -10,8 +10,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hmc_sim::hmc_core::{topology, HmcSim, NocParams};
-use hmc_sim::hmc_types::{BlockSize, Command, DeviceConfig, InterconnectKind, Packet, StorageMode};
+use hmc_sim::hmc_core::{topology, HmcSim, NocParams, TimingParams};
+use hmc_sim::hmc_types::{
+    BlockSize, Command, DeviceConfig, InterconnectKind, Packet, StorageMode, TimingKind,
+};
 
 struct CountingAllocator;
 
@@ -78,9 +80,10 @@ fn round(sim: &mut HmcSim, rng: &mut Lcg, tag: &mut u16, capacity: u64, num_link
 
 /// Warm a single-device simulator up under `round`s of saturating
 /// traffic, then count the allocations of an identical measured phase.
-fn steady_state_allocations(interconnect: NocParams) -> u64 {
+fn steady_state_allocations(timing: TimingKind, interconnect: NocParams) -> u64 {
     let cfg = DeviceConfig::paper_4link_8bank_2gb().with_storage_mode(StorageMode::TimingOnly);
     let mut sim = HmcSim::new(1, cfg).unwrap();
+    sim.set_timing(TimingParams::of(timing));
     sim.set_interconnect(interconnect);
     let host = sim.host_cube_id(0);
     topology::build_simple(&mut sim, host).unwrap();
@@ -101,36 +104,48 @@ fn steady_state_allocations(interconnect: NocParams) -> u64 {
         round(&mut sim, &mut rng, &mut tag, capacity, num_links);
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let stats = sim.stats();
     if interconnect.kind != InterconnectKind::Crossbar {
-        let stats = sim.stats();
         assert!(
             stats.noc_hops > 0 && stats.noc_stalls > 0,
             "the buffered leg must actually saturate its fabric"
         );
     }
+    assert_eq!(
+        stats.row_misses > 0,
+        timing == TimingKind::Ddr,
+        "the DDR leg must run the row-buffer model, the others must not"
+    );
     after - before
 }
 
 /// The crossbar, and a ring and a mesh whose two-slot segment buffers
 /// stay packed (three quarters of the random traffic is cross-quad), so
 /// the NoC advance pass, its stalls and its rotation escape all run
-/// every cycle. One test, three legs in turn: the allocation counter is
+/// every cycle; then the crossbar again under the DDR backend, where
+/// every response waits in the vault's data-ready queue (an ordered
+/// insert that must stay inside its initial capacity) and vaults sleep
+/// and wake. One test, four legs in turn: the allocation counter is
 /// process-wide, so concurrent tests would count each other's work.
 #[test]
 fn steady_state_serial_clock_allocates_nothing() {
-    for kind in [
-        InterconnectKind::Crossbar,
-        InterconnectKind::Ring,
-        InterconnectKind::Mesh,
+    for (timing, kind) in [
+        (TimingKind::Classic, InterconnectKind::Crossbar),
+        (TimingKind::Classic, InterconnectKind::Ring),
+        (TimingKind::Classic, InterconnectKind::Mesh),
+        (TimingKind::Ddr, InterconnectKind::Crossbar),
     ] {
-        let allocations = steady_state_allocations(NocParams {
-            buffer_depth: 2,
-            ..NocParams::of(kind)
-        });
+        let allocations = steady_state_allocations(
+            timing,
+            NocParams {
+                buffer_depth: 2,
+                ..NocParams::of(kind)
+            },
+        );
         assert_eq!(
             allocations, 0,
-            "steady-state clock() must not touch the allocator on the {kind:?} fabric \
-             ({allocations} allocations in 256 loaded cycles)"
+            "steady-state clock() must not touch the allocator under {timing:?} timing on \
+             the {kind:?} fabric ({allocations} allocations in 256 loaded cycles)"
         );
     }
 }
