@@ -105,6 +105,22 @@ impl Device {
             + self.noc.as_ref().map_or(0, |n| n.occupancy())
     }
 
+    /// Every slot of the device a packet can occupy — the bound on
+    /// [`Device::total_occupancy`] (a vault's not-yet-ready responses
+    /// count against its response queue's slots).
+    pub fn packet_slots(&self) -> usize {
+        self.xbars
+            .iter()
+            .map(|x| x.rqst.depth() + x.rsp.depth())
+            .sum::<usize>()
+            + self
+                .vaults
+                .iter()
+                .map(|v| v.rqst.depth() + v.rsp.depth())
+                .sum::<usize>()
+            + self.noc.as_ref().map_or(0, |n| n.capacity())
+    }
+
     /// Return the device to its reset state: queues emptied, registers at
     /// power-on values, banks cleared, link tokens refilled. Topology
     /// wiring is preserved.

@@ -23,8 +23,10 @@
 //!
 //! **Zero-allocation hot path.** The per-cycle buffers (the two event
 //! stages and the stage-1/2 forward staging) live in [`EngineScratch`]
-//! and are reused with retained capacity; the steady-state `clock()`
-//! performs no heap allocation (`tests/zero_alloc.rs`).
+//! and are reused with retained capacity, and a packet's body is the one
+//! its request arrived in, recycled when it leaves ([`BodyPool`]); the
+//! steady-state `clock()` performs no heap allocation
+//! (`tests/zero_alloc.rs`).
 //!
 //! [`SimParams::fast_forward`]: crate::params::SimParams::fast_forward
 
@@ -36,7 +38,7 @@ use crate::device::Device;
 use crate::link::Endpoint;
 use crate::params::{ConflictPolicy, RefreshParams};
 use crate::quad::Quad;
-use crate::queue::{QueueEntry, NO_ROUTE, UNDECODED};
+use crate::queue::{BodyPool, QueueEntry, NO_ROUTE, UNDECODED};
 use crate::register::{regs, RegisterFile};
 use crate::sim::{HmcSim, SimStats};
 use crate::timing::{RowOutcome, TimingParams, VaultTiming};
@@ -212,6 +214,7 @@ pub(crate) fn tick_vault(
     conflicts: &mut EventStage,
     completions: &mut EventStage,
     stats: &mut SimStats,
+    bodies: &mut BodyPool,
 ) {
     if vault.asleep(inputs.clock) {
         return;
@@ -256,13 +259,12 @@ pub(crate) fn tick_vault(
         }
         // Packets are removed mid-walk, so bounds are rechecked every
         // iteration.
-        let (bank, row, cmd_res) = {
-            if idx >= vault.rqst.len() {
-                break;
-            }
-            let e = vault.rqst.get(idx).expect("idx checked");
-            (e.dest_bank, e.dest_row, e.packet.cmd())
+        // The hold rule reads the slot's header alone; the body is not
+        // touched until the entry is admitted.
+        let Some(e) = vault.rqst.get(idx) else {
+            break;
         };
+        let (bank, row) = (e.dest_bank, e.dest_row);
         scanned += 1;
         let timing = vault.timing.as_ref();
         if let Some(edge) = hold_edge(timing, &mut latched, bank, row, inputs.clock) {
@@ -276,10 +278,11 @@ pub(crate) fn tick_vault(
         }
         // From here the tick issues the entry or reports its stall.
         acted = true;
-        let cmd = cmd_res.ok();
+        let packet = &vault.rqst.get(idx).expect("idx checked").packet;
+        let cmd = packet.cmd().ok();
+        let tag = packet.tag();
         let needs_rsp = cmd.map(Vault::needs_response).unwrap_or(true);
         if needs_rsp && vault.rsp_capacity_full() {
-            let tag = vault.rqst.get(idx).expect("idx checked").packet.tag();
             completions.stage(TraceEvent::VaultRspStall {
                 cube: dev_id,
                 vault: vi as VaultId,
@@ -294,7 +297,6 @@ pub(crate) fn tick_vault(
         }
 
         let entry = vault.rqst.remove(idx).expect("idx checked");
-        let tag = entry.packet.tag();
         let bytes = entry.packet.data_bytes() as u32;
         let grant = vault.timing.try_issue(bank, row, inputs.clock);
         match grant.outcome {
@@ -374,7 +376,7 @@ pub(crate) fn tick_vault(
                 },
             });
         }
-        match vault.execute(entry, map, dev_id, inputs.clock, grant.data_ready) {
+        match vault.execute(entry, map, dev_id, inputs.clock, grant.data_ready, bodies) {
             Execution::Done | Execution::Responded => {}
             Execution::RespondedError(status) => {
                 completions.stage(TraceEvent::ErrorResponse {
@@ -766,6 +768,7 @@ impl HmcSim {
                     &mut scratch.conflicts,
                     &mut scratch.completions,
                     &mut self.stats,
+                    &mut self.bodies,
                 );
             }
         }
@@ -1598,7 +1601,9 @@ mod tests {
         // vault is not even woken to re-derive the edge it has.
         let mut s = vault0_asleep(params, &[(0, 0), (0, 1), (0, 2)]);
         let (misses, edge) = (s.stats.row_misses, s.devices[0].vaults[0].wake_at);
-        let mut e = QueueEntry::new(read_packet(bank_row_addr(1, 0), 9, 0), 1, 0, s.clock);
+        // (In one of the sim's own bodies: the checker counts them.)
+        let body = s.bodies.take(read_packet(bank_row_addr(1, 0), 9, 0));
+        let mut e = QueueEntry::with_body(body, 1, 0, s.clock);
         (e.dest_vault, e.dest_bank, e.dest_row) = (0, 1, 0);
         deliver(&mut s, 0, e);
         assert_eq!(s.devices[0].vaults[0].wake_at, edge);

@@ -25,7 +25,10 @@
 //! * **memo validity** — what the engine skips work on is still what a
 //!   fresh look would say: every crossbar route key decodes as stored,
 //!   and every sleeping vault's next tick would do nothing before its
-//!   cached edge.
+//!   cached edge;
+//! * **body conservation** — every packet body the simulation created is
+//!   on its free list or resident in a slot: no path that retires an
+//!   entry forgets to recycle its body.
 //!
 //! Violations are recorded, not panicked, so differential harnesses (the
 //! `hmc-conform` crate) can shrink a failing input down to a minimal
@@ -365,6 +368,17 @@ impl HmcSim {
                 }
             }
         }
+        // Packet bodies: every one the pool created is on its free list or
+        // in a slot — an entry that died without giving its body back (or
+        // one that entered a queue around the pool) shows here.
+        let resident = self.total_occupancy() + self.scratch.forwards.len();
+        let (created, free) = (self.bodies.created(), self.bodies.free());
+        if created != (free + resident) as u64 {
+            found.push(format!(
+                "packet bodies: {created} created, but {free} free + {resident} resident \
+                 (cycle {clock})"
+            ));
+        }
         if !found.is_empty() {
             let state = self.inv_state();
             for msg in found {
@@ -505,6 +519,45 @@ mod tests {
             .last()
             .unwrap()
             .contains("corrupt or retry-gated"));
+    }
+
+    #[test]
+    fn a_packet_body_that_is_not_recycled_is_flagged() {
+        let mut s = sim();
+        s.send(0, 0, read(0, 1, 0)).unwrap();
+        while s.devices[0].xbars[0].rsp.is_empty() {
+            s.clock().unwrap();
+        }
+        assert_eq!(s.total_invariant_violations(), 0, "one body, resident");
+        // Retire the response around `recv`: its body is freed, not
+        // given back.
+        drop(s.devices[0].xbars[0].rsp.pop());
+        s.clock().unwrap();
+        assert_eq!(s.total_invariant_violations(), 1);
+        assert!(s.invariant_violations()[0]
+            .contains("packet bodies: 1 created, but 0 free + 0 resident"));
+        // The next request finds the free list empty and creates another.
+        s.send(0, 0, read(64, 2, 0)).unwrap();
+        s.clock().unwrap();
+        assert!(s.invariant_violations()[1]
+            .contains("packet bodies: 2 created, but 0 free + 1 resident"));
+
+        // The same retirement through `recv`, and through a reset, is clean.
+        let mut s = sim();
+        s.send(0, 0, read(0, 1, 0)).unwrap();
+        s.send(0, 1, read(64, 2, 1)).unwrap();
+        while s.recv(0, 0).is_err() {
+            s.clock().unwrap();
+        }
+        s.reset();
+        s.send(0, 0, read(0, 3, 0)).unwrap();
+        s.clock().unwrap();
+        assert_eq!(s.invariant_violations(), &[] as &[String]);
+        assert_eq!(
+            s.packet_bodies_created(),
+            1,
+            "the one `recv` recycled; reset freed the other"
+        );
     }
 
     #[test]

@@ -499,6 +499,11 @@ impl NocState {
         self.buffers.iter().map(|b| b.len()).sum()
     }
 
+    /// Total segment slots: the bound on [`NocState::occupancy`].
+    pub fn capacity(&self) -> usize {
+        self.buffers.len() * self.buffer_depth
+    }
+
     /// Drop all in-flight packets and bookkeeping (device reset).
     pub fn clear(&mut self) {
         for b in &mut self.buffers {
@@ -857,9 +862,6 @@ impl NocState {
 }
 
 #[cfg(test)]
-// Delivery closures echo `PacketQueue::push`'s refused-entry return,
-// which carries the same large-variant trade-off.
-#[allow(clippy::result_large_err)]
 mod tests {
     use super::*;
 

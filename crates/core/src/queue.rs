@@ -5,7 +5,11 @@
 //! queue slots … in order to act as a registered input or output logic
 //! stage" (paper §IV.A). The C implementation scans fixed slot arrays with
 //! valid bits; this port keeps the slot *semantics* (fixed depth ≥ 1, FIFO
-//! arrival order, one packet per slot) in a ring buffer. A response
+//! arrival order, one packet per slot) in a ring buffer of 64-byte
+//! [`QueueEntry`] headers, each owning its nine-FLIT packet body on the
+//! heap: a slot moves from queue to queue as four stores, and the body is
+//! written at `send`, rewritten in place into the response, read at
+//! `recv` and recycled ([`BodyPool`]). A response
 //! queue tick costs O(occupied slots). A vault request queue's tick
 //! walks its scan window only while something there can issue: a tick
 //! that finds every entry held caches the earliest cycle that can change
@@ -18,17 +22,27 @@
 
 use std::collections::VecDeque;
 
-use hmc_types::{BankId, CubeId, Cycle, LinkId, Packet, VaultId};
+use hmc_types::packet::ResponseStatus;
+use hmc_types::{BankId, Command, CubeId, Cycle, LinkId, Packet, VaultId};
 
 /// Sentinel for "not yet decoded" vault/bank coordinates.
 pub const UNDECODED: u16 = u16::MAX;
 
 /// A packet occupying a queue slot, with the simulator-side metadata that
 /// the C implementation keeps alongside each slot.
+///
+/// The slot is split in two. What every stage moves from queue to queue is
+/// this 64-byte header; the packet itself — "sufficient storage for the
+/// largest possible packet with nine FLITs" (§IV.A), 144 bytes — is a body
+/// on the heap that is written once when the request is sent, rewritten in
+/// place when the request becomes its response
+/// ([`QueueEntry::into_response`]), read once when the host receives it,
+/// and then recycled through the simulation's [`BodyPool`]. DESIGN.md
+/// "Write-once packet bodies".
 #[derive(Debug, Clone)]
 pub struct QueueEntry {
     /// The packet itself (always sized for the maximal nine-FLIT packet).
-    pub packet: Packet,
+    pub packet: Box<Packet>,
     /// Cycle at which the packet entered the *device* (latency tracking).
     pub entry_cycle: Cycle,
     /// Cycle at which the packet entered *this queue*.
@@ -66,9 +80,24 @@ pub struct QueueEntry {
     pub send_seq: u64,
 }
 
+// A slot moves between queues as four 16-byte stores; past 64 bytes it
+// becomes a `memmove` call again.
+const _: () = assert!(std::mem::size_of::<QueueEntry>() <= 64);
+
 impl QueueEntry {
-    /// Wrap a packet with fresh metadata.
+    /// Wrap a packet with fresh metadata, in a body of its own.
     pub fn new(packet: Packet, src_cube: CubeId, dest_cube: CubeId, cycle: Cycle) -> Self {
+        Self::with_body(Box::new(packet), src_cube, dest_cube, cycle)
+    }
+
+    /// Wrap a packet already in its body (see [`BodyPool::take`]) with
+    /// fresh metadata.
+    pub fn with_body(
+        packet: Box<Packet>,
+        src_cube: CubeId,
+        dest_cube: CubeId,
+        cycle: Cycle,
+    ) -> Self {
         QueueEntry {
             packet,
             entry_cycle: cycle,
@@ -84,6 +113,36 @@ impl QueueEntry {
             retry_until: 0,
             attempt: 0,
             send_seq: 0,
+        }
+    }
+
+    /// Turn this request into the response `device` owes for it at
+    /// `cycle`, reusing its body ([`Packet::make_response`]). The one
+    /// statement of what a response inherits from its request: the
+    /// device-entry stamp, so host-observed latency spans the whole round
+    /// trip, and the arrival link, so it leaves on the link the request
+    /// came in on (the link-stream association of §III.C). It travels
+    /// back to the cube the request came from; everything else — hop
+    /// count, decoded coordinates, link-retry state — starts afresh.
+    ///
+    /// # Panics
+    /// Panics if `cmd` is not a response command.
+    pub fn into_response(
+        self,
+        cmd: Command,
+        status: ResponseStatus,
+        data: &[u8],
+        device: CubeId,
+        cycle: Cycle,
+    ) -> QueueEntry {
+        let mut packet = self.packet;
+        packet
+            .make_response(cmd, status, data)
+            .expect("responses are built from response commands");
+        QueueEntry {
+            entry_cycle: self.entry_cycle,
+            arrival_link: self.arrival_link,
+            ..QueueEntry::with_body(packet, device, self.src_cube, cycle)
         }
     }
 
@@ -106,6 +165,70 @@ impl QueueEntry {
     /// span as dead time).
     pub fn retry_gated(&self, clock: Cycle) -> bool {
         self.retry_until > clock
+    }
+}
+
+/// The simulation's packet bodies: one free list, owned by
+/// [`HmcSim`](crate::sim::HmcSim). A body is created the first time the
+/// list is empty and recycled for ever after, so the steady state
+/// allocates nothing and the resident set follows the live high-water
+/// mark — nothing is created ahead of use. Every place an entry dies
+/// hands its body back with [`BodyPool::give`]; one that is dropped
+/// instead is simply freed. Nothing the simulation computes depends on
+/// which body a packet lands in; only `check_invariants` counts them
+/// (`packet bodies:`), so that a path that starts leaking is noticed.
+#[derive(Debug, Default)]
+pub struct BodyPool {
+    // Boxes, not packets: a body moves between the list and an entry as
+    // one pointer, and it is the allocation itself that is recycled.
+    #[allow(clippy::vec_box)]
+    free: Vec<Box<Packet>>,
+    created: u64,
+}
+
+impl BodyPool {
+    /// Size the free list for `slots` bodies in all, so that it never
+    /// grows while bodies come and go: the device's queue slots bound how
+    /// many are alive at once. Reserves room for pointers only; no body
+    /// is created before a packet needs it.
+    pub fn reserve(&mut self, slots: usize) {
+        self.free.reserve(slots.saturating_sub(self.free.len()));
+    }
+
+    /// A body holding `packet`: a recycled one, else a new one.
+    pub fn take(&mut self, packet: Packet) -> Box<Packet> {
+        match self.free.pop() {
+            Some(mut body) => {
+                *body = packet;
+                body
+            }
+            None => {
+                self.created += 1;
+                Box::new(packet)
+            }
+        }
+    }
+
+    /// Recycle the body of an entry that has left the simulation.
+    pub fn give(&mut self, body: Box<Packet>) {
+        self.free.push(body);
+    }
+
+    /// Bodies created and not [forgotten](BodyPool::forget).
+    pub fn created(&self) -> u64 {
+        self.created
+    }
+
+    /// Bodies waiting on the free list.
+    pub fn free(&self) -> usize {
+        self.free.len()
+    }
+
+    /// `dropped` resident bodies were freed along with the queues that
+    /// held them (a device reset, a fabric swapped out under traffic):
+    /// they are no longer anyone's to give back.
+    pub fn forget(&mut self, dropped: usize) {
+        self.created = self.created.saturating_sub(dropped as u64);
     }
 }
 
@@ -162,10 +285,6 @@ impl PacketQueue {
 
     /// Enqueue at the tail; returns the entry back on overflow so the
     /// caller can leave it in its upstream queue (a stall).
-    ///
-    /// The large `Err` payload is deliberate: a rejected entry is the
-    /// common stall path and must hand the packet back without boxing.
-    #[allow(clippy::result_large_err)]
     pub fn push(&mut self, entry: QueueEntry) -> Result<(), QueueEntry> {
         if self.is_full() {
             return Err(entry);
@@ -230,7 +349,7 @@ impl PacketQueue {
 }
 
 /// A crossbar request queue: a [`PacketQueue`] whose slots each carry a
-/// *route key* — a dense `u16` beside the ~200-byte entry in which the
+/// *route key* — a dense `u16` beside the entry in which the
 /// crossbar request walk memoizes "clean local memory request for vault
 /// *v*" (the key is *v*; [`NO_ROUTE`] on arrival), so a later walk can
 /// tell a stalled slot is still stalled without touching the entry.
@@ -263,7 +382,6 @@ impl RoutedQueue {
 
     /// Enqueue at the tail (see [`PacketQueue::push`]); the new slot is
     /// unclassified.
-    #[allow(clippy::result_large_err)]
     pub fn push(&mut self, entry: QueueEntry) -> Result<(), QueueEntry> {
         self.queue.push(entry)?;
         self.keys.push_back(NO_ROUTE);
@@ -443,6 +561,108 @@ mod tests {
         assert_eq!(e.hops, 0);
         assert!(!e.is_decoded());
         assert_eq!(e.dest_vault, UNDECODED);
+    }
+
+    /// Every field of an entry, the packet by value.
+    #[allow(clippy::type_complexity)]
+    fn fields(
+        e: &QueueEntry,
+    ) -> (
+        Packet,
+        (Cycle, Cycle, LinkId),
+        (CubeId, CubeId, u32),
+        (VaultId, BankId, u64),
+        (bool, Cycle, u32, u64),
+    ) {
+        (
+            (*e.packet).clone(),
+            (e.entry_cycle, e.arrival_cycle, e.arrival_link),
+            (e.src_cube, e.dest_cube, e.hops),
+            (e.dest_vault, e.dest_bank, e.dest_row),
+            (e.corrupt, e.retry_until, e.attempt, e.send_seq),
+        )
+    }
+
+    #[test]
+    fn a_response_built_in_place_is_the_entry_built_afresh() {
+        let payload: Vec<u8> = (0..128u8).map(|i| i.wrapping_mul(37) | 1).collect();
+        let mut responses = vec![
+            (Command::WrResponse, ResponseStatus::Ok, 0),
+            (Command::ModeReadResponse, ResponseStatus::Ok, 16),
+            (Command::ModeWriteResponse, ResponseStatus::Ok, 0),
+        ];
+        responses
+            .extend(BlockSize::ALL.map(|bs| (Command::RdResponse, ResponseStatus::Ok, bs.bytes())));
+        responses.extend(ResponseStatus::ALL.map(|s| (Command::ErrorResponse, s, 0)));
+
+        let (host, device) = (6, 1);
+        for cmd in Command::all().into_iter().filter(|c| c.is_request()) {
+            for (tag, slid) in [(0, 0), (1, 7), (0x155, 2), (0x1ff, 5)] {
+                for &(rsp, status, len) in &responses {
+                    let data = &payload[..cmd.request_data_bytes()];
+                    let p = Packet::request(cmd, device, 0x40, tag, slid, data).unwrap();
+                    // A request that has been everywhere: forwarded,
+                    // routed, corrupted and retried.
+                    let request = QueueEntry {
+                        entry_cycle: 11,
+                        arrival_cycle: 12,
+                        arrival_link: 3,
+                        hops: 2,
+                        dest_vault: 5,
+                        dest_bank: 4,
+                        dest_row: 77,
+                        corrupt: true,
+                        retry_until: 99,
+                        attempt: 2,
+                        send_seq: 1234,
+                        ..QueueEntry::new(p, host, device, 11)
+                    };
+                    let body: *const Packet = &*request.packet;
+                    let answer = &payload[128 - len..];
+                    let got = request.into_response(rsp, status, answer, device, 40);
+                    assert!(std::ptr::eq(&*got.packet, body), "the same body, rewritten");
+
+                    // What the four call sites used to spell out.
+                    let fresh = Packet::response(rsp, tag, slid, status, answer).unwrap();
+                    let mut want = QueueEntry::new(fresh, device, host, 40);
+                    want.entry_cycle = 11;
+                    want.arrival_link = 3;
+                    assert_eq!(
+                        fields(&got),
+                        fields(&want),
+                        "{cmd:?} answered by {rsp:?}/{status:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_pool_hands_back_the_bodies_it_was_given() {
+        let mut pool = BodyPool::default();
+        pool.reserve(4);
+        let a = pool.take(entry(1).packet.as_ref().clone());
+        let b = pool.take(entry(2).packet.as_ref().clone());
+        assert_eq!((pool.created(), pool.free()), (2, 0));
+        let (a_at, b_at): (*const Packet, *const Packet) = (&*a, &*b);
+        pool.give(a);
+        pool.give(b);
+        assert_eq!((pool.created(), pool.free()), (2, 2));
+        // Last in, first out; the recycled body holds the new packet.
+        let c = pool.take(entry(3).packet.as_ref().clone());
+        assert!(std::ptr::eq(&*c, b_at));
+        assert_eq!(c.tag(), 3);
+        let d = pool.take(entry(4).packet.as_ref().clone());
+        assert!(std::ptr::eq(&*d, a_at));
+        assert_eq!(
+            (pool.created(), pool.free()),
+            (2, 0),
+            "nothing new was needed"
+        );
+        // Two residents dropped with their queue, not given back.
+        drop((c, d));
+        pool.forget(2);
+        assert_eq!((pool.created(), pool.free()), (0, 0));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::device::Device;
 use crate::engine::EngineScratch;
 use crate::link::Endpoint;
 use crate::params::SimParams;
-use crate::queue::QueueEntry;
+use crate::queue::{BodyPool, QueueEntry};
 use crate::routing::RouteTable;
 
 /// The 3-bit CUB field bounds the ID space shared by devices and hosts.
@@ -84,6 +84,9 @@ pub struct HmcSim {
     pub(crate) ac_mode: u64,
     pub(crate) faults: Option<crate::fault::FaultState>,
     pub(crate) scratch: EngineScratch,
+    /// Every packet body not resident in a queue: the free list they are
+    /// taken from at `send` and returned to wherever an entry dies.
+    pub(crate) bodies: BodyPool,
     /// Invariant-checker state; `None` until the first hook fires with
     /// [`SimParams::check_invariants`] set (zero-cost when off).
     pub(crate) inv: Option<Box<crate::invariants::InvariantState>>,
@@ -144,7 +147,9 @@ impl HmcSim {
                 "banks_per_vault above 64 is not supported by the vault scheduler".into(),
             ));
         }
-        let devices = (0..num_devices).map(|i| Device::new(i, &config)).collect();
+        let devices: Vec<Device> = (0..num_devices).map(|i| Device::new(i, &config)).collect();
+        let mut bodies = BodyPool::default();
+        bodies.reserve(devices.iter().map(Device::packet_slots).sum());
         let map: Box<dyn AddressMap> = Box::new(config.default_map()?);
         // The config's axes seed the sim parameters; `with_params` and
         // the per-axis builders can still override them before clocking.
@@ -161,6 +166,7 @@ impl HmcSim {
             ac_mode: 0,
             faults: None,
             scratch: EngineScratch::default(),
+            bodies,
             inv: None,
             applied_timing: None,
             applied_noc: None,
@@ -257,8 +263,14 @@ impl HmcSim {
         let quads = self.config.num_quads();
         let vaults = self.config.num_vaults;
         for d in &mut self.devices {
+            // Packets in flight on the old fabric go with it.
+            self.bodies
+                .forget(d.noc.as_ref().map_or(0, |n| n.occupancy()));
             d.noc = crate::noc::NocState::new(&sig, quads, vaults);
         }
+        // The fabric's segment slots hold bodies too.
+        self.bodies
+            .reserve(self.devices.iter().map(Device::packet_slots).sum());
         self.applied_noc = Some(sig);
     }
 
@@ -449,6 +461,13 @@ impl HmcSim {
         self.map.as_ref()
     }
 
+    /// Packet bodies created so far. A body is recycled when its entry
+    /// leaves the simulation, so in the steady state this stops moving
+    /// (`tests/zero_alloc.rs`).
+    pub fn packet_bodies_created(&self) -> u64 {
+        self.bodies.created()
+    }
+
     /// True when no packet is resident in any queue of any device.
     pub fn is_idle(&self) -> bool {
         self.devices.iter().all(|d| d.total_occupancy() == 0)
@@ -635,7 +654,7 @@ impl HmcSim {
         if self.params.check_invariants {
             self.inv_record_send(dev, link, host, &packet);
         }
-        let mut entry = QueueEntry::new(packet, host, dest, self.clock);
+        let mut entry = QueueEntry::with_body(self.bodies.take(packet), host, dest, self.clock);
         entry.arrival_link = link;
         // Error simulation: the packet may be corrupted in SERDES
         // transit. The link hands out its wire SEQ (stamped into the
@@ -688,7 +707,9 @@ impl HmcSim {
                     self.inv_check_recv(dev, link, &entry);
                 }
                 let latency = self.clock.saturating_sub(entry.entry_cycle);
-                Ok((entry.packet, latency))
+                let packet = (*entry.packet).clone();
+                self.bodies.give(entry.packet);
+                Ok((packet, latency))
             }
             None => Err(HmcError::NoResponse { cube: dev, link }),
         }
@@ -751,6 +772,8 @@ impl HmcSim {
     /// Reset every device to its power-on state and zero the clock.
     /// Topology wiring is preserved.
     pub fn reset(&mut self) {
+        // The resident bodies go with the queues (freed, not recycled).
+        self.bodies.forget(self.total_occupancy());
         for d in &mut self.devices {
             d.reset();
         }

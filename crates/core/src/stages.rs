@@ -26,7 +26,7 @@
 
 use hmc_trace::{EventKind, TraceEvent};
 use hmc_types::packet::ResponseStatus;
-use hmc_types::{AddressMap, BankId, Command, CubeId, LinkId, Packet, PhysAddr, QuadId, VaultId};
+use hmc_types::{AddressMap, BankId, Command, CubeId, LinkId, PhysAddr, QuadId, VaultId};
 
 use crate::link::Endpoint;
 use crate::noc::{NocClass, NocDest, NocEvent};
@@ -353,7 +353,7 @@ impl HmcSim {
                     // Flow-control packets retire at the crossbar.
                     Route::Flow(cmd) => {
                         let entry = self.take_xbar_request(di, l, idx, flits);
-                        self.process_flow_packet(di, l, cmd, &entry);
+                        self.process_flow_packet(di, l, cmd, entry);
                         drained += 1;
                         drained_flits += flits as usize;
                         continue;
@@ -601,6 +601,7 @@ impl HmcSim {
                         dest_cube: dest,
                         tag: entry.packet.tag(),
                     });
+                    self.bodies.give(entry.packet);
                     moved += 1;
                     continue;
                 };
@@ -641,6 +642,7 @@ impl HmcSim {
                                 dest_cube: entry.dest_cube,
                                 tag: entry.packet.tag(),
                             });
+                            self.bodies.give(entry.packet);
                             moved += 1;
                         }
                     }
@@ -699,7 +701,8 @@ impl HmcSim {
             };
             let Some(e_link) = egress else {
                 // Unreachable host: retire the response as misrouted.
-                dev.vaults[vi].rsp.pop();
+                let entry = dev.vaults[vi].rsp.pop().expect("head present");
+                self.bodies.give(entry.packet);
                 self.emit(TraceEvent::Misroute {
                     cube: dev_id,
                     link: arrival_link,
@@ -748,9 +751,6 @@ impl HmcSim {
     /// queues. Runs between stage 2 and stage 3, so arrivals are visible
     /// to this cycle's vault walk. No-op (one branch) under the crossbar
     /// fabric.
-    // The delivery closures echo `PacketQueue::push`'s refused-entry
-    // return, which carries the same large-variant trade-off.
-    #[allow(clippy::result_large_err)]
     pub(crate) fn noc_advance(&mut self, di: usize) {
         let dev_id = di as CubeId;
         let clock = self.clock;
@@ -826,7 +826,7 @@ impl HmcSim {
 
     /// Retire a flow-control packet at the crossbar (§IV requirement 5:
     /// all packet variations are supported).
-    fn process_flow_packet(&mut self, di: usize, l: usize, cmd: Command, entry: &QueueEntry) {
+    fn process_flow_packet(&mut self, di: usize, l: usize, cmd: Command, entry: QueueEntry) {
         match cmd {
             Command::Tret | Command::Pret => {
                 let rtc = entry.packet.rtc() as u32;
@@ -841,6 +841,7 @@ impl HmcSim {
             // which this model treats as a no-op.
             _ => {}
         }
+        self.bodies.give(entry.packet);
     }
 
     /// Execute an in-band MODE_READ / MODE_WRITE register access at the
@@ -849,40 +850,27 @@ impl HmcSim {
         let dev_id = di as CubeId;
         let reg = entry.packet.addr() as u32;
         let tag = entry.packet.tag();
-        let slid = entry.packet.slid();
         let write = cmd == Command::ModeWrite;
 
-        let result: Result<Packet, ResponseStatus> = if write {
+        // The register data a MODE_READ returns: one FLIT, value first.
+        let mut data = [0u8; 16];
+        let failed = |status| (Command::ErrorResponse, status, &[][..]);
+        let (rsp, status, data) = if write {
             let value = entry.packet.data_words().first().copied().unwrap_or(0);
             match self.devices[di].registers.write(reg, value) {
-                Ok(()) => Ok(Packet::response(
-                    Command::ModeWriteResponse,
-                    tag,
-                    slid,
-                    ResponseStatus::Ok,
-                    &[],
-                )
-                .expect("mode write response construction cannot fail")),
+                Ok(()) => (Command::ModeWriteResponse, ResponseStatus::Ok, &[][..]),
                 Err(hmc_types::HmcError::RegisterAccess(msg)) if msg.contains("read-only") => {
-                    Err(ResponseStatus::CommandError)
+                    failed(ResponseStatus::CommandError)
                 }
-                Err(_) => Err(ResponseStatus::AddressError),
+                Err(_) => failed(ResponseStatus::AddressError),
             }
         } else {
             match self.devices[di].registers.read(reg) {
                 Ok(v) => {
-                    let mut data = [0u8; 16];
                     data[..8].copy_from_slice(&v.to_le_bytes());
-                    Ok(Packet::response(
-                        Command::ModeReadResponse,
-                        tag,
-                        slid,
-                        ResponseStatus::Ok,
-                        &data,
-                    )
-                    .expect("mode read response construction cannot fail"))
+                    (Command::ModeReadResponse, ResponseStatus::Ok, &data[..])
                 }
-                Err(_) => Err(ResponseStatus::AddressError),
+                Err(_) => failed(ResponseStatus::AddressError),
             }
         };
 
@@ -892,22 +880,14 @@ impl HmcSim {
             write,
             tag,
         });
-
-        let packet = match result {
-            Ok(p) => p,
-            Err(status) => {
-                self.emit(TraceEvent::ErrorResponse {
-                    cube: dev_id,
-                    tag,
-                    status: status.encode(),
-                });
-                Packet::response(Command::ErrorResponse, tag, slid, status, &[])
-                    .expect("error response construction cannot fail")
-            }
-        };
-        let mut resp = QueueEntry::new(packet, dev_id, entry.src_cube, self.clock);
-        resp.entry_cycle = entry.entry_cycle;
-        resp.arrival_link = entry.arrival_link;
+        if !status.is_ok() {
+            self.emit(TraceEvent::ErrorResponse {
+                cube: dev_id,
+                tag,
+                status: status.encode(),
+            });
+        }
+        let resp = entry.into_response(rsp, status, data, dev_id, self.clock);
         self.devices[di].xbars[l]
             .rsp
             .push(resp)
@@ -934,22 +914,16 @@ impl HmcSim {
         });
         self.devices[di].registers.count_error_response();
         if posted {
+            self.bodies.give(entry.packet);
             return;
         }
-        let packet = Packet::response(
-            Command::ErrorResponse,
-            tag,
-            entry.packet.slid(),
-            status,
-            &[],
-        )
-        .expect("error response construction cannot fail");
-        let mut resp = QueueEntry::new(packet, di as CubeId, entry.src_cube, self.clock);
-        resp.entry_cycle = entry.entry_cycle;
-        resp.arrival_link = entry.arrival_link;
+        let cube = di as CubeId;
+        let resp = entry.into_response(Command::ErrorResponse, status, &[], cube, self.clock);
         // Best effort: if the response queue is full the error is dropped;
         // the trace event above still records the failure.
-        let _ = self.devices[di].xbars[l].rsp.push(resp);
+        if let Err(dropped) = self.devices[di].xbars[l].rsp.push(resp) {
+            self.bodies.give(dropped.packet);
+        }
     }
 
     /// Generate the poisoned response for a request that exhausted the
@@ -963,6 +937,7 @@ impl HmcSim {
         let tag = entry.packet.tag();
         self.devices[di].registers.count_error_response();
         if posted {
+            self.bodies.give(entry.packet);
             return;
         }
         self.emit(TraceEvent::PoisonedResponse {
@@ -971,17 +946,8 @@ impl HmcSim {
             tag,
         });
         self.stats.poisoned_responses += 1;
-        let packet = Packet::response(
-            Command::ErrorResponse,
-            tag,
-            entry.packet.slid(),
-            ResponseStatus::LinkPoisoned,
-            &[],
-        )
-        .expect("poisoned response construction cannot fail");
-        let mut resp = QueueEntry::new(packet, di as CubeId, entry.src_cube, self.clock);
-        resp.entry_cycle = entry.entry_cycle;
-        resp.arrival_link = entry.arrival_link;
+        let (cmd, status) = (Command::ErrorResponse, ResponseStatus::LinkPoisoned);
+        let resp = entry.into_response(cmd, status, &[], di as CubeId, self.clock);
         self.devices[di].xbars[l]
             .rsp
             .push(resp)
@@ -997,6 +963,7 @@ mod tests {
     use hmc_trace::{SharedSink, Tracer, VecSink, Verbosity};
     use hmc_types::{
         BankFirstMap, BlockSize, DeviceConfig, InterconnectKind, LinearMap, LowInterleaveMap,
+        Packet,
     };
 
     const DEV: CubeId = 1;
@@ -1205,6 +1172,7 @@ mod tests {
         assert_eq!(dev.xbars[0].rsp.front().unwrap().arrival_cycle, 9);
         assert!(dev.xbars[2].rsp.is_full(), "tag 2 took the freed slot");
         assert_eq!(sim.stats.noc_stalls, 0);
+        assert_eq!(sim.bodies.free(), 1, "the misrouted body came back");
     }
 
     #[test]
@@ -1236,6 +1204,7 @@ mod tests {
             assert_eq!(drain_pass(&mut sim, &sink), (vec![], vec![MISROUTE]));
             assert_eq!(sim.devices[0].noc.as_ref().unwrap().occupancy(), 1);
             assert_eq!(sim.stats.noc_stalls, stalls);
+            assert_eq!(sim.bodies.free(), 1, "the misrouted body came back");
         }
     }
 }

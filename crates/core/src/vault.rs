@@ -17,9 +17,9 @@ use std::collections::VecDeque;
 use hmc_mem::{CellFaultState, VaultMemory};
 use hmc_types::address::AddressMap;
 use hmc_types::packet::ResponseStatus;
-use hmc_types::{Command, CubeId, Cycle, HmcError, Packet, PhysAddr, VaultId};
+use hmc_types::{Command, CubeId, Cycle, PhysAddr, VaultId};
 
-use crate::queue::{PacketQueue, QueueEntry};
+use crate::queue::{BodyPool, PacketQueue, QueueEntry};
 use crate::timing::{ClassicTiming, VaultTiming};
 
 /// Largest data payload a packet can carry (eight 16-byte data FLITs of
@@ -141,8 +141,6 @@ impl Vault {
     /// may be issuable at once. One that lands beyond the window changes
     /// nothing the walk reads before the window's own edge, so the vault
     /// sleeps on.
-    // The refused entry comes back by value, as from `PacketQueue::push`.
-    #[allow(clippy::result_large_err)]
     pub fn push_request(&mut self, entry: QueueEntry, window: usize) -> Result<(), QueueEntry> {
         if self.rqst.len() < window {
             self.wake();
@@ -199,12 +197,14 @@ impl Vault {
     ///
     /// The caller (stage 4) has already verified bank availability and —
     /// for non-posted commands — a free response-queue slot; any owed
-    /// response is registered directly in [`Vault::rsp`]. Failures (bad
-    /// address, bad command) produce error response entries rather than
-    /// simulator errors, mirroring the device's error response packets
-    /// (§IV.C). The hot path is allocation-free: read/write payloads
-    /// stage through a stack buffer sized for the maximal nine-FLIT
-    /// packet.
+    /// response is built in the request's own body
+    /// ([`QueueEntry::into_response`]) and registered directly in
+    /// [`Vault::rsp`], and a request that owes none gives its body back
+    /// to `bodies`. Failures (bad address, bad command) produce error
+    /// response entries rather than simulator errors, mirroring the
+    /// device's error response packets (§IV.C). The hot path is
+    /// allocation-free: read/write payloads stage through a stack buffer
+    /// sized for the maximal nine-FLIT packet.
     ///
     /// `data_ready` is the timing backend's grant for this access: the
     /// cycle the response data becomes available. The classic backend
@@ -218,200 +218,133 @@ impl Vault {
         device: CubeId,
         cycle: Cycle,
         data_ready: Cycle,
+        bodies: &mut BodyPool,
     ) -> Execution {
-        let cmd = match entry.packet.cmd() {
-            Ok(c) => c,
-            Err(_) => {
-                self.stats.errors += 1;
-                return self.error_response(
-                    &entry,
-                    ResponseStatus::CommandError,
-                    device,
-                    cycle,
-                    data_ready,
-                );
-            }
-        };
-        let addr = match PhysAddr::new(entry.packet.addr()) {
-            Ok(a) => a,
-            Err(_) => {
-                self.stats.errors += 1;
-                return self.error_response(
-                    &entry,
-                    ResponseStatus::AddressError,
-                    device,
-                    cycle,
-                    data_ready,
-                );
-            }
-        };
-        let decoded = match map.decode(addr) {
-            Ok(d) => d,
-            Err(_) => {
-                self.stats.errors += 1;
-                return self.error_response(
-                    &entry,
-                    ResponseStatus::AddressError,
-                    device,
-                    cycle,
-                    data_ready,
-                );
+        let cmd = entry.packet.cmd().ok();
+        let decoded = PhysAddr::new(entry.packet.addr()).and_then(|a| map.decode(a));
+        let (cmd, decoded) = match (cmd, decoded) {
+            (Some(cmd), Ok(decoded)) => (cmd, decoded),
+            (cmd, _) => {
+                let status = match cmd {
+                    None => ResponseStatus::CommandError,
+                    Some(_) => ResponseStatus::AddressError,
+                };
+                return self.error_response(entry, cmd, status, device, cycle, data_ready, bodies);
             }
         };
 
-        let outcome: Result<Option<Packet>, HmcError> = match cmd {
+        // What the banks did, and the payload of the response owed for it.
+        let mut buf = [0u8; MAX_BLOCK_BYTES];
+        let mut data: &[u8] = &[];
+        let outcome = match cmd {
             Command::Rd(bs) => {
-                let mut buf = [0u8; MAX_BLOCK_BYTES];
                 let buf = &mut buf[..bs.bytes()];
-                self.mem.read(decoded, buf).map(|()| {
-                    self.stats.reads += 1;
-                    Some(
-                        Packet::response(
-                            Command::RdResponse,
-                            entry.packet.tag(),
-                            entry.packet.slid(),
-                            ResponseStatus::Ok,
-                            buf,
-                        )
-                        .expect("read response construction cannot fail"),
-                    )
-                })
+                let read = self.mem.read(decoded, buf);
+                self.stats.reads += read.is_ok() as u64;
+                data = buf;
+                read
             }
             Command::Wr(_) | Command::PostedWr(_) => {
-                let mut buf = [0u8; MAX_BLOCK_BYTES];
                 let n = entry.packet.copy_data_to(&mut buf);
-                self.mem.write(decoded, &buf[..n]).map(|()| {
-                    self.stats.writes += 1;
-                    if cmd.is_posted() {
-                        None
-                    } else {
-                        Some(self.write_response(&entry))
-                    }
-                })
+                let written = self.mem.write(decoded, &buf[..n]);
+                self.stats.writes += written.is_ok() as u64;
+                written
             }
             Command::TwoAdd8 | Command::PostedTwoAdd8 => {
                 let ops = entry.packet.data_words();
-                let (op0, op1) = (ops[0], ops[1]);
-                self.mem.two_add8(decoded, op0, op1).map(|_| {
-                    self.stats.atomics += 1;
-                    if cmd.is_posted() {
-                        None
-                    } else {
-                        Some(self.write_response(&entry))
-                    }
-                })
+                let added = self.mem.two_add8(decoded, ops[0], ops[1]).map(drop);
+                self.stats.atomics += added.is_ok() as u64;
+                added
             }
             Command::Add16 | Command::PostedAdd16 => {
                 let ops = entry.packet.data_words();
                 let op = (ops[0] as u128) | ((ops[1] as u128) << 64);
-                self.mem.add16(decoded, op).map(|_| {
-                    self.stats.atomics += 1;
-                    if cmd.is_posted() {
-                        None
-                    } else {
-                        Some(self.write_response(&entry))
-                    }
-                })
+                let added = self.mem.add16(decoded, op).map(drop);
+                self.stats.atomics += added.is_ok() as u64;
+                added
             }
             Command::Bwr | Command::PostedBwr => {
                 let ops = entry.packet.data_words();
-                let (data, mask) = (ops[0], ops[1]);
-                self.mem.bit_write(decoded, data, mask).map(|_| {
-                    self.stats.atomics += 1;
-                    if cmd.is_posted() {
-                        None
-                    } else {
-                        Some(self.write_response(&entry))
-                    }
-                })
+                let (bits, mask) = (ops[0], ops[1]);
+                let written = self.mem.bit_write(decoded, bits, mask).map(drop);
+                self.stats.atomics += written.is_ok() as u64;
+                written
             }
             // MODE accesses are logic-layer operations handled at the
             // crossbar; one arriving here is a protocol violation.
             _ => {
-                self.stats.errors += 1;
+                let status = ResponseStatus::CommandError;
                 return self.error_response(
-                    &entry,
-                    ResponseStatus::CommandError,
+                    entry,
+                    Some(cmd),
+                    status,
                     device,
                     cycle,
                     data_ready,
+                    bodies,
                 );
             }
         };
+        if outcome.is_err() {
+            let status = ResponseStatus::InternalError;
+            return self.error_response(
+                entry,
+                Some(cmd),
+                status,
+                device,
+                cycle,
+                data_ready,
+                bodies,
+            );
+        }
 
-        match outcome {
-            Ok(None) => {
-                self.stats.processed += 1;
+        self.stats.processed += 1;
+        match cmd.response_command() {
+            // Posted: the request is done and so is its body.
+            None => {
+                bodies.give(entry.packet);
                 Execution::Done
             }
-            Ok(Some(packet)) => {
-                self.stats.processed += 1;
-                self.register_response(packet, &entry, device, cycle, data_ready);
+            Some(rsp) => {
+                let rsp = entry.into_response(rsp, ResponseStatus::Ok, data, device, cycle);
+                self.register_response(rsp, cycle, data_ready, bodies);
                 Execution::Responded
-            }
-            Err(_) => {
-                self.stats.errors += 1;
-                self.error_response(&entry, ResponseStatus::InternalError, device, cycle, data_ready)
             }
         }
     }
 
-    fn write_response(&self, request: &QueueEntry) -> Packet {
-        Packet::response(
-            Command::WrResponse,
-            request.packet.tag(),
-            request.packet.slid(),
-            ResponseStatus::Ok,
-            &[],
-        )
-        .expect("write response construction cannot fail")
-    }
-
+    /// Fail `request` with `status`. `cmd` is its command when that much
+    /// decoded.
+    #[allow(clippy::too_many_arguments)]
     fn error_response(
         &mut self,
-        request: &QueueEntry,
+        request: QueueEntry,
+        cmd: Option<Command>,
         status: ResponseStatus,
         device: CubeId,
         cycle: Cycle,
         data_ready: Cycle,
+        bodies: &mut BodyPool,
     ) -> Execution {
+        self.stats.errors += 1;
         // Posted requests owe no response even on failure; the error is
         // only visible through traces and the EDR registers.
-        let posted = request
-            .packet
-            .cmd()
-            .map(|c| c.is_posted())
-            .unwrap_or(false);
-        if posted {
+        if cmd.is_some_and(Command::is_posted) {
+            bodies.give(request.packet);
             return Execution::Done;
         }
-        let packet = Packet::response(
-            Command::ErrorResponse,
-            request.packet.tag(),
-            request.packet.slid(),
-            status,
-            &[],
-        )
-        .expect("error response construction cannot fail");
-        self.register_response(packet, request, device, cycle, data_ready);
+        let rsp = request.into_response(Command::ErrorResponse, status, &[], device, cycle);
+        self.register_response(rsp, cycle, data_ready, bodies);
         Execution::RespondedError(status)
     }
 
     fn register_response(
         &mut self,
-        packet: Packet,
-        request: &QueueEntry,
-        device: CubeId,
+        e: QueueEntry,
         cycle: Cycle,
         data_ready: Cycle,
+        bodies: &mut BodyPool,
     ) {
-        let mut e = QueueEntry::new(packet, device, request.src_cube, cycle);
-        // The response inherits the request's device-entry stamp so
-        // host-observed latency spans the whole round trip.
-        e.entry_cycle = request.entry_cycle;
-        // Responses exit the device on the link the request arrived on,
-        // preserving the link-stream association (§III.C).
-        e.arrival_link = request.arrival_link;
         if data_ready > cycle {
             // Timed backends: the data lands later; park the finished
             // response until `release_ready` moves it into the queue.
@@ -433,7 +366,9 @@ impl Vault {
         // Stage 4 verified a free slot before executing a command that
         // owes a response, so this cannot overflow in the engine; a
         // direct caller that ignored the contract just loses the entry.
-        let _ = self.rsp.push(e);
+        if let Err(lost) = self.rsp.push(e) {
+            bodies.give(lost.packet);
+        }
     }
 
     /// Drop queue contents and counters; reset banks and the timing
@@ -457,7 +392,7 @@ impl Vault {
 mod tests {
     use super::*;
     use hmc_types::config::StorageMode;
-    use hmc_types::{BlockSize, LowInterleaveMap, MapGeometry};
+    use hmc_types::{BlockSize, LowInterleaveMap, MapGeometry, Packet};
 
     fn map() -> LowInterleaveMap {
         LowInterleaveMap::new(MapGeometry {
@@ -484,6 +419,18 @@ mod tests {
         e
     }
 
+    /// [`Vault::execute`] as device 0, with nowhere for a retired body to
+    /// go but the allocator.
+    fn execute(
+        v: &mut Vault,
+        entry: QueueEntry,
+        map: &LowInterleaveMap,
+        cycle: Cycle,
+        data_ready: Cycle,
+    ) -> Execution {
+        v.execute(entry, map, 0, cycle, data_ready, &mut BodyPool::default())
+    }
+
     /// Pop the response `execute` just registered in the vault queue.
     fn take_rsp(v: &mut Vault) -> QueueEntry {
         v.rsp.pop().expect("a response entry was registered")
@@ -496,7 +443,13 @@ mod tests {
         let data = [0x5au8; 64];
         // Vault 0 addresses: low-interleave places vault bits just above
         // the 128-byte offset, so address 0 targets vault 0, bank 0.
-        let exec = v.execute(request(Command::Wr(BlockSize::B64), 0, 1, &data), &m, 0, 5, 5);
+        let exec = execute(
+            &mut v,
+            request(Command::Wr(BlockSize::B64), 0, 1, &data),
+            &m,
+            5,
+            5,
+        );
         assert_eq!(exec, Execution::Responded);
         let e = take_rsp(&mut v);
         assert_eq!(e.packet.cmd().unwrap(), Command::WrResponse);
@@ -505,7 +458,13 @@ mod tests {
         assert_eq!(e.src_cube, 0);
         assert_eq!(e.dest_cube, 6, "response returns to the host");
         assert_eq!(e.arrival_link, 2);
-        let exec = v.execute(request(Command::Rd(BlockSize::B64), 0, 2, &[]), &m, 0, 6, 6);
+        let exec = execute(
+            &mut v,
+            request(Command::Rd(BlockSize::B64), 0, 2, &[]),
+            &m,
+            6,
+            6,
+        );
         assert_eq!(exec, Execution::Responded);
         let e = take_rsp(&mut v);
         assert_eq!(e.packet.cmd().unwrap(), Command::RdResponse);
@@ -520,10 +479,10 @@ mod tests {
     fn posted_writes_complete_silently() {
         let mut v = vault();
         let m = map();
-        let exec = v.execute(
+        let exec = execute(
+            &mut v,
             request(Command::PostedWr(BlockSize::B32), 0, 3, &[1u8; 32]),
             &m,
-            0,
             0,
             0,
         );
@@ -539,10 +498,16 @@ mod tests {
         let mut payload = [0u8; 16];
         payload[..8].copy_from_slice(&10u64.to_le_bytes());
         payload[8..].copy_from_slice(&20u64.to_le_bytes());
-        v.execute(request(Command::TwoAdd8, 0, 1, &payload), &m, 0, 0, 0);
-        v.execute(request(Command::TwoAdd8, 0, 2, &payload), &m, 0, 0, 0);
+        execute(&mut v, request(Command::TwoAdd8, 0, 1, &payload), &m, 0, 0);
+        execute(&mut v, request(Command::TwoAdd8, 0, 2, &payload), &m, 0, 0);
         v.rsp.clear();
-        let exec = v.execute(request(Command::Rd(BlockSize::B16), 0, 3, &[]), &m, 0, 0, 0);
+        let exec = execute(
+            &mut v,
+            request(Command::Rd(BlockSize::B16), 0, 3, &[]),
+            &m,
+            0,
+            0,
+        );
         assert_eq!(exec, Execution::Responded);
         let bytes = take_rsp(&mut v).packet.data_as_bytes();
         assert_eq!(u64::from_le_bytes(bytes[..8].try_into().unwrap()), 20);
@@ -557,12 +522,24 @@ mod tests {
         // Seed memory with u64::MAX in the low word so +1 carries.
         let mut seed = [0u8; 16];
         seed[..8].copy_from_slice(&u64::MAX.to_le_bytes());
-        v.execute(request(Command::Wr(BlockSize::B16), 0, 1, &seed), &m, 0, 0, 0);
+        execute(
+            &mut v,
+            request(Command::Wr(BlockSize::B16), 0, 1, &seed),
+            &m,
+            0,
+            0,
+        );
         let mut op = [0u8; 16];
         op[0] = 1;
-        v.execute(request(Command::Add16, 0, 2, &op), &m, 0, 0, 0);
+        execute(&mut v, request(Command::Add16, 0, 2, &op), &m, 0, 0);
         v.rsp.clear();
-        let exec = v.execute(request(Command::Rd(BlockSize::B16), 0, 3, &[]), &m, 0, 0, 0);
+        let exec = execute(
+            &mut v,
+            request(Command::Rd(BlockSize::B16), 0, 3, &[]),
+            &m,
+            0,
+            0,
+        );
         assert_eq!(exec, Execution::Responded);
         let bytes = take_rsp(&mut v).packet.data_as_bytes();
         let val = u128::from_le_bytes(bytes.try_into().unwrap());
@@ -575,13 +552,25 @@ mod tests {
         let m = map();
         let mut seed = [0u8; 16];
         seed[..8].copy_from_slice(&0xffff_ffff_ffff_ffffu64.to_le_bytes());
-        v.execute(request(Command::Wr(BlockSize::B16), 0, 1, &seed), &m, 0, 0, 0);
+        execute(
+            &mut v,
+            request(Command::Wr(BlockSize::B16), 0, 1, &seed),
+            &m,
+            0,
+            0,
+        );
         let mut op = [0u8; 16];
         op[..8].copy_from_slice(&0u64.to_le_bytes()); // data
         op[8..].copy_from_slice(&0x0000_0000_ffff_ffffu64.to_le_bytes()); // mask
-        v.execute(request(Command::Bwr, 0, 2, &op), &m, 0, 0, 0);
+        execute(&mut v, request(Command::Bwr, 0, 2, &op), &m, 0, 0);
         v.rsp.clear();
-        let exec = v.execute(request(Command::Rd(BlockSize::B16), 0, 3, &[]), &m, 0, 0, 0);
+        let exec = execute(
+            &mut v,
+            request(Command::Rd(BlockSize::B16), 0, 3, &[]),
+            &m,
+            0,
+            0,
+        );
         assert_eq!(exec, Execution::Responded);
         let bytes = take_rsp(&mut v).packet.data_as_bytes();
         assert_eq!(
@@ -596,7 +585,13 @@ mod tests {
         let m = map();
         // Beyond the 16-vault x 8-bank x 64-row x 128-byte capacity.
         let over = m.geometry().capacity_bytes();
-        let exec = v.execute(request(Command::Rd(BlockSize::B16), over, 7, &[]), &m, 0, 0, 0);
+        let exec = execute(
+            &mut v,
+            request(Command::Rd(BlockSize::B16), over, 7, &[]),
+            &m,
+            0,
+            0,
+        );
         assert_eq!(
             exec,
             Execution::RespondedError(ResponseStatus::AddressError)
@@ -614,7 +609,7 @@ mod tests {
     fn mode_commands_at_a_vault_are_command_errors() {
         let mut v = vault();
         let m = map();
-        let exec = v.execute(request(Command::ModeRead, 0, 1, &[]), &m, 0, 0, 0);
+        let exec = execute(&mut v, request(Command::ModeRead, 0, 1, &[]), &m, 0, 0);
         assert_eq!(
             exec,
             Execution::RespondedError(ResponseStatus::CommandError)
@@ -628,10 +623,10 @@ mod tests {
         let mut v = vault();
         let m = map();
         let over = m.geometry().capacity_bytes();
-        let exec = v.execute(
+        let exec = execute(
+            &mut v,
             request(Command::PostedWr(BlockSize::B16), over, 1, &[0u8; 16]),
             &m,
-            0,
             0,
             0,
         );
@@ -644,12 +639,24 @@ mod tests {
     fn reset_restores_fresh_vault() {
         let mut v = vault();
         let m = map();
-        v.execute(request(Command::Wr(BlockSize::B16), 0, 1, &[1; 16]), &m, 0, 0, 0);
+        execute(
+            &mut v,
+            request(Command::Wr(BlockSize::B16), 0, 1, &[1; 16]),
+            &m,
+            0,
+            0,
+        );
         v.wake_at = 99;
         v.reset();
         assert!(!v.asleep(0), "no sleep edge survives a reset");
         assert_eq!(v.stats, VaultStats::default());
-        let exec = v.execute(request(Command::Rd(BlockSize::B16), 0, 2, &[]), &m, 0, 0, 0);
+        let exec = execute(
+            &mut v,
+            request(Command::Rd(BlockSize::B16), 0, 2, &[]),
+            &m,
+            0,
+            0,
+        );
         assert_eq!(exec, Execution::Responded);
         assert_eq!(take_rsp(&mut v).packet.data_as_bytes(), vec![0u8; 16]);
     }
@@ -659,13 +666,25 @@ mod tests {
         let mut v = vault();
         let m = map();
         // Grant data at cycle 20: the response parks in `pending`.
-        let exec = v.execute(request(Command::Rd(BlockSize::B16), 0, 1, &[]), &m, 0, 10, 20);
+        let exec = execute(
+            &mut v,
+            request(Command::Rd(BlockSize::B16), 0, 1, &[]),
+            &m,
+            10,
+            20,
+        );
         assert_eq!(exec, Execution::Responded);
         assert!(v.rsp.is_empty());
         assert_eq!(v.pending.len(), 1);
         assert_eq!(v.pending_min_ready(), Some(20));
         // A later issue with an earlier ready time releases first.
-        v.execute(request(Command::Rd(BlockSize::B16), 0, 2, &[]), &m, 0, 11, 15);
+        execute(
+            &mut v,
+            request(Command::Rd(BlockSize::B16), 0, 2, &[]),
+            &m,
+            11,
+            15,
+        );
         assert!(!v.rsp_capacity_full());
         v.release_ready(14);
         assert!(v.rsp.is_empty(), "nothing ready before its cycle");
@@ -686,7 +705,7 @@ mod tests {
         // Issue order 0..4 with ready cycles 30, 10, 20, 10.
         for (tag, ready) in [(0u16, 30u64), (1, 10), (2, 20), (3, 10)] {
             let rd = request(Command::Rd(BlockSize::B16), 0, tag, &[]);
-            v.execute(rd, &m, 0, 0, ready);
+            execute(&mut v, rd, &m, 0, ready);
         }
         let order: Vec<u16> = v.pending.iter().map(|p| p.entry.packet.tag()).collect();
         assert_eq!(order, [1, 3, 2, 0]);
@@ -718,15 +737,21 @@ mod tests {
         let mut v = vault(); // depth 4
         let m = map();
         for tag in 0..3 {
-            v.execute(
+            execute(
+                &mut v,
                 request(Command::Rd(BlockSize::B16), 0, tag, &[]),
                 &m,
-                0,
                 0,
                 100,
             );
         }
-        v.execute(request(Command::Rd(BlockSize::B16), 0, 9, &[]), &m, 0, 0, 0);
+        execute(
+            &mut v,
+            request(Command::Rd(BlockSize::B16), 0, 9, &[]),
+            &m,
+            0,
+            0,
+        );
         assert_eq!(v.pending.len(), 3);
         assert_eq!(v.rsp.len(), 1);
         assert!(v.rsp_capacity_full());

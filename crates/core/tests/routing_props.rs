@@ -18,10 +18,6 @@
 //! deadlock-freedom claim the virtual-channel planes and the rotation
 //! escape exist to uphold).
 
-// The NoC delivery closures echo `PacketQueue::push`'s refused-entry
-// return, which carries the same large-variant trade-off.
-#![allow(clippy::result_large_err)]
-
 use std::collections::VecDeque;
 
 use hmc_core::noc::{NocClass, NocDest};

@@ -183,6 +183,39 @@ pub enum Command {
     ErrorResponse,
 }
 
+/// [`Command::decode`] as a table over the 6-bit code space; `None` marks
+/// an undefined encoding. Must agree with [`Command::encode`] — the unit
+/// tests check all 256 `u8` inputs against the specification's match.
+const DECODE: [Option<Command>; 64] = {
+    let mut t = [None; 64];
+    t[0x00] = Some(Command::Null);
+    t[0x01] = Some(Command::Pret);
+    t[0x02] = Some(Command::Tret);
+    t[0x03] = Some(Command::Irtry);
+    t[0x10] = Some(Command::ModeWrite);
+    t[0x11] = Some(Command::Bwr);
+    t[0x12] = Some(Command::TwoAdd8);
+    t[0x13] = Some(Command::Add16);
+    t[0x21] = Some(Command::PostedBwr);
+    t[0x22] = Some(Command::PostedTwoAdd8);
+    t[0x23] = Some(Command::PostedAdd16);
+    t[0x28] = Some(Command::ModeRead);
+    t[0x38] = Some(Command::RdResponse);
+    t[0x39] = Some(Command::WrResponse);
+    t[0x3a] = Some(Command::ModeReadResponse);
+    t[0x3b] = Some(Command::ModeWriteResponse);
+    t[0x3e] = Some(Command::ErrorResponse);
+    let mut ord = 0;
+    while ord < BlockSize::ALL.len() {
+        let bs = BlockSize::ALL[ord];
+        t[0x08 + ord] = Some(Command::Wr(bs));
+        t[0x18 + ord] = Some(Command::PostedWr(bs));
+        t[0x30 + ord] = Some(Command::Rd(bs));
+        ord += 1;
+    }
+    t
+};
+
 impl Command {
     /// Encode to the 6-bit wire `CMD` value.
     pub fn encode(self) -> u8 {
@@ -210,31 +243,15 @@ impl Command {
         }
     }
 
-    /// Decode a 6-bit wire `CMD` value.
+    /// Decode a 6-bit wire `CMD` value: one load from [`DECODE`]. Every
+    /// queue walk asks this of every packet it acts on, so it must inline
+    /// and must not build its error until a code is actually unknown.
+    #[inline]
     pub fn decode(code: u8) -> Result<Self> {
-        Ok(match code {
-            0x00 => Command::Null,
-            0x01 => Command::Pret,
-            0x02 => Command::Tret,
-            0x03 => Command::Irtry,
-            0x08..=0x0f => Command::Wr(BlockSize::from_ordinal(code - 0x08)?),
-            0x10 => Command::ModeWrite,
-            0x11 => Command::Bwr,
-            0x12 => Command::TwoAdd8,
-            0x13 => Command::Add16,
-            0x18..=0x1f => Command::PostedWr(BlockSize::from_ordinal(code - 0x18)?),
-            0x21 => Command::PostedBwr,
-            0x22 => Command::PostedTwoAdd8,
-            0x23 => Command::PostedAdd16,
-            0x28 => Command::ModeRead,
-            0x30..=0x37 => Command::Rd(BlockSize::from_ordinal(code - 0x30)?),
-            0x38 => Command::RdResponse,
-            0x39 => Command::WrResponse,
-            0x3a => Command::ModeReadResponse,
-            0x3b => Command::ModeWriteResponse,
-            0x3e => Command::ErrorResponse,
-            other => return Err(HmcError::UnknownCommand(other)),
-        })
+        match DECODE.get(code as usize) {
+            Some(&Some(cmd)) => Ok(cmd),
+            _ => Err(HmcError::UnknownCommand(code)),
+        }
     }
 
     /// All commands, one per variant (block-sized commands at every size).
@@ -441,6 +458,52 @@ mod tests {
             assert!(code < 64, "{cmd:?} encoding must fit 6 bits");
             assert_eq!(Command::decode(code).unwrap(), cmd, "roundtrip {cmd:?}");
         }
+    }
+
+    /// The decoder as the specification's table reads (the match
+    /// [`Command::decode`] was before it became a lookup).
+    fn decode_reference(code: u8) -> Result<Command> {
+        Ok(match code {
+            0x00 => Command::Null,
+            0x01 => Command::Pret,
+            0x02 => Command::Tret,
+            0x03 => Command::Irtry,
+            0x08..=0x0f => Command::Wr(BlockSize::from_ordinal(code - 0x08)?),
+            0x10 => Command::ModeWrite,
+            0x11 => Command::Bwr,
+            0x12 => Command::TwoAdd8,
+            0x13 => Command::Add16,
+            0x18..=0x1f => Command::PostedWr(BlockSize::from_ordinal(code - 0x18)?),
+            0x21 => Command::PostedBwr,
+            0x22 => Command::PostedTwoAdd8,
+            0x23 => Command::PostedAdd16,
+            0x28 => Command::ModeRead,
+            0x30..=0x37 => Command::Rd(BlockSize::from_ordinal(code - 0x30)?),
+            0x38 => Command::RdResponse,
+            0x39 => Command::WrResponse,
+            0x3a => Command::ModeReadResponse,
+            0x3b => Command::ModeWriteResponse,
+            0x3e => Command::ErrorResponse,
+            other => return Err(HmcError::UnknownCommand(other)),
+        })
+    }
+
+    #[test]
+    fn the_decode_table_answers_every_byte_as_the_match_did() {
+        let mut defined = 0;
+        for code in 0..=u8::MAX {
+            match (Command::decode(code), decode_reference(code)) {
+                (Ok(got), Ok(want)) => {
+                    assert_eq!(got, want, "code {code:#x}");
+                    defined += 1;
+                }
+                (Err(HmcError::UnknownCommand(got)), Err(HmcError::UnknownCommand(want))) => {
+                    assert_eq!((got, want), (code, code));
+                }
+                (got, want) => panic!("code {code:#x}: table {got:?}, match {want:?}"),
+            }
+        }
+        assert_eq!(defined, Command::all().len(), "no code decodes twice");
     }
 
     #[test]

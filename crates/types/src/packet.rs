@@ -96,6 +96,17 @@ pub enum ResponseStatus {
 }
 
 impl ResponseStatus {
+    /// Every status, in encoding order.
+    pub const ALL: [ResponseStatus; 7] = [
+        ResponseStatus::Ok,
+        ResponseStatus::CommandError,
+        ResponseStatus::AddressError,
+        ResponseStatus::Misroute,
+        ResponseStatus::Zombie,
+        ResponseStatus::LinkPoisoned,
+        ResponseStatus::InternalError,
+    ];
+
     /// Wire encoding (7-bit field).
     pub fn encode(self) -> u8 {
         match self {
@@ -348,10 +359,18 @@ impl Packet {
     pub fn set_data_bytes(&mut self, bytes: &[u8]) {
         assert!(bytes.len() <= MAX_DATA_WORDS * 8, "payload too large");
         self.data = [0; MAX_DATA_WORDS];
-        for (i, chunk) in bytes.chunks(8).enumerate() {
+        // Whole words convert with a fixed-size load each; only a ragged
+        // tail (never on a wire payload, which is whole FLITs) pays for a
+        // variable-length copy.
+        let mut words = bytes.chunks_exact(8);
+        for (word, chunk) in self.data.iter_mut().zip(&mut words) {
+            *word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
             let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.data[i] = u64::from_le_bytes(word);
+            word[..tail.len()].copy_from_slice(tail);
+            self.data[bytes.len() / 8] = u64::from_le_bytes(word);
         }
     }
 
@@ -368,9 +387,10 @@ impl Packet {
     /// # Panics
     /// Panics if `out` is shorter than the live payload.
     pub fn copy_data_to(&self, out: &mut [u8]) -> usize {
+        // The live payload is whole FLITs, so whole words: no remainder.
         let n = self.data_bytes();
-        for (chunk, w) in out[..n].chunks_mut(8).zip(self.data_words()) {
-            chunk.copy_from_slice(&w.to_le_bytes()[..chunk.len()]);
+        for (chunk, w) in out[..n].chunks_exact_mut(8).zip(self.data_words()) {
+            chunk.copy_from_slice(&w.to_le_bytes());
         }
         n
     }
@@ -470,24 +490,47 @@ impl Packet {
         status: ResponseStatus,
         data: &[u8],
     ) -> Result<Packet> {
+        let mut p = Packet::default();
+        p.set_tag(tag);
+        p.set_slid(slid);
+        p.make_response(cmd, status, data)?;
+        Ok(p)
+    }
+
+    /// Turn this request into its response, in place: the response keeps
+    /// the request's tag and echoes its source link, and everything else
+    /// — header, tail, payload — is rewritten and sealed. Every payload
+    /// word past `data` is cleared, so the result equals what
+    /// [`Packet::response`] builds from the same tag and link, word for
+    /// word, whatever the request carried (a nine-FLIT write answered by
+    /// a one-FLIT `WR_RS` keeps none of its data).
+    pub fn make_response(
+        &mut self,
+        cmd: Command,
+        status: ResponseStatus,
+        data: &[u8],
+    ) -> Result<()> {
         if !cmd.is_response() {
             return Err(HmcError::InvalidPacket(format!(
                 "{} is not a response command",
                 cmd.mnemonic()
             )));
         }
-        let mut p = Packet::default();
-        p.set_cmd(cmd);
-        p.set_tag(tag);
+        // Read what the response inherits before overwriting it.
+        let (tag, slid) = (self.tag(), self.slid());
+        self.header = 0;
+        self.tail = 0;
+        self.set_cmd(cmd);
+        self.set_tag(tag);
         let flits = crate::flit::flits_for_data(data.len());
-        p.set_lng(flits);
-        p.set_dln(flits);
-        p.set_errstat(status);
-        p.set_response_slid(slid);
-        p.set_dinv(!status.is_ok());
-        p.set_data_bytes(data);
-        p.seal();
-        Ok(p)
+        self.set_lng(flits);
+        self.set_dln(flits);
+        self.set_errstat(status);
+        self.set_response_slid(slid);
+        self.set_dinv(!status.is_ok());
+        self.set_data_bytes(data);
+        self.seal();
+        Ok(())
     }
 
     // -------------------------------------------------------------- display
@@ -768,15 +811,7 @@ mod tests {
 
     #[test]
     fn response_status_roundtrip() {
-        for s in [
-            ResponseStatus::Ok,
-            ResponseStatus::CommandError,
-            ResponseStatus::AddressError,
-            ResponseStatus::Misroute,
-            ResponseStatus::Zombie,
-            ResponseStatus::LinkPoisoned,
-            ResponseStatus::InternalError,
-        ] {
+        for s in ResponseStatus::ALL {
             assert_eq!(ResponseStatus::decode(s.encode()).unwrap(), s);
         }
         assert!(ResponseStatus::decode(0x50).is_err());

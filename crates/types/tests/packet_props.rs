@@ -10,6 +10,63 @@ use hmc_types::{
     ResponseStatus,
 };
 
+/// `Packet::set_data_bytes` as it was when it copied every chunk of up to
+/// eight bytes through a variable-length `copy_from_slice`.
+fn set_data_bytes_reference(p: &mut Packet, bytes: &[u8]) {
+    p.data = [0; 16];
+    for (i, chunk) in bytes.chunks(8).enumerate() {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        p.data[i] = u64::from_le_bytes(word);
+    }
+}
+
+/// `Packet::copy_data_to` of the same vintage.
+fn copy_data_to_reference(p: &Packet, out: &mut [u8]) -> usize {
+    let n = p.data_bytes();
+    for (chunk, w) in out[..n].chunks_mut(8).zip(p.data_words()) {
+        chunk.copy_from_slice(&w.to_le_bytes()[..chunk.len()]);
+    }
+    n
+}
+
+/// `Packet::response` as it was when it built every response in a fresh
+/// packet: the reference the in-place rewrite must reproduce word for word.
+fn response_reference(
+    cmd: Command,
+    tag: u16,
+    slid: u8,
+    status: ResponseStatus,
+    data: &[u8],
+) -> Packet {
+    let mut p = Packet::default();
+    p.set_cmd(cmd);
+    p.set_tag(tag);
+    let flits = hmc_types::flit::flits_for_data(data.len());
+    p.set_lng(flits);
+    p.set_dln(flits);
+    p.set_errstat(status);
+    p.set_response_slid(slid);
+    p.set_dinv(!status.is_ok());
+    set_data_bytes_reference(&mut p, data);
+    p.seal();
+    p
+}
+
+/// Every response the simulator builds: read data of each block size,
+/// the three fixed-shape completions, and an error of each status.
+fn every_response(payload: &[u8]) -> Vec<(Command, ResponseStatus, &[u8])> {
+    let ok = ResponseStatus::Ok;
+    let mut all = vec![
+        (Command::WrResponse, ok, &payload[..0]),
+        (Command::ModeReadResponse, ok, &payload[..16]),
+        (Command::ModeWriteResponse, ok, &payload[..0]),
+    ];
+    all.extend(BlockSize::ALL.map(|bs| (Command::RdResponse, ok, &payload[..bs.bytes()])));
+    all.extend(ResponseStatus::ALL.map(|status| (Command::ErrorResponse, status, &payload[..0])));
+    all
+}
+
 proptest! {
     // ---------------------------------------------------------- packets
 
@@ -71,6 +128,67 @@ proptest! {
         let mut out = p.data_as_bytes();
         out.truncate(len);
         prop_assert_eq!(out, data);
+    }
+
+    #[test]
+    fn payload_conversion_matches_the_per_chunk_reference(
+        bytes in prop::collection::vec(any::<u8>(), 128..129),
+        stale in any::<u64>(),
+        lng in 0usize..16,
+    ) {
+        // Every length, ragged ones included, not a sample of them.
+        for len in 0..=128 {
+            // bytes -> words, whole-packet equality, from a packet whose
+            // sixteen words all held something else.
+            let mut dirty = Packet {
+                data: [stale; 16],
+                ..Packet::default()
+            };
+            dirty.set_lng(lng);
+            let (mut got, mut want) = (dirty.clone(), dirty);
+            got.set_data_bytes(&bytes[..len]);
+            set_data_bytes_reference(&mut want, &bytes[..len]);
+            prop_assert_eq!(&got, &want, "length {}", len);
+            // words -> bytes, at every LNG the 4-bit field can claim.
+            let (mut out, mut out_ref) = ([0xa5u8; 130], [0xa5u8; 130]);
+            let n = got.copy_data_to(&mut out);
+            prop_assert_eq!(n, copy_data_to_reference(&want, &mut out_ref));
+            prop_assert_eq!(out, out_ref);
+        }
+    }
+
+    #[test]
+    fn a_request_rewritten_in_place_is_the_response_built_afresh(
+        tag in 0u16..512,
+        slid in 0u8..8,
+        cub in 0u8..8,
+        addr in 0u64..(1 << 34),
+        bytes in prop::collection::vec(any::<u8>(), 256..257),
+        stale in any::<u64>(),
+    ) {
+        let (payload, answer) = bytes.split_at(128);
+        for cmd in Command::all().into_iter().filter(|c| c.is_request()) {
+            let data = &payload[..cmd.request_data_bytes()];
+            let mut request = Packet::request(cmd, cub, addr, tag, slid, data).unwrap();
+            // Dead words past the payload are not on the wire and may hold
+            // anything (`send` accepts them); give the FRP/RRP/SEQ fields,
+            // which a response tail lays out differently, something too.
+            for w in &mut request.data[data.len() / 8..] {
+                *w = stale;
+            }
+            request.set_seq(5);
+            request.set_frp(0x1a5);
+            request.set_rrp(0x0f3);
+            request.seal();
+            for (rsp, status, data) in every_response(answer) {
+                let mut got = request.clone();
+                got.make_response(rsp, status, data).unwrap();
+                let want = response_reference(rsp, tag, slid, status, data);
+                prop_assert_eq!(&got, &want, "{:?} answered by {:?}/{:?}", cmd, rsp, status);
+                prop_assert_eq!(&Packet::response(rsp, tag, slid, status, data).unwrap(), &want);
+                got.validate().unwrap();
+            }
+        }
     }
 
     #[test]

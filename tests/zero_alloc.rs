@@ -6,13 +6,27 @@
 //! A counting global allocator wraps the system allocator; after a
 //! warm-up phase grows every reusable buffer to its steady-state
 //! capacity, an identical measured phase must allocate nothing.
+//!
+//! The warm-up is not a fixed number of rounds. Packet bodies are created
+//! the first time one is needed and recycled for ever after, so the
+//! simulation allocates exactly as often as its live packet count reaches
+//! a new high — and under random saturating traffic it keeps finding
+//! slightly fuller states for a long time: on the ring leg, first-use
+//! bodies still turn up in rounds 4,864..6,400 (2 + 2, after nine clean
+//! 256-round windows). So the warm-up first raises the body population
+//! to its ceiling — a window in which the host sends but never receives
+//! backs every queue up to its last slot — and then runs windows of the
+//! measured traffic until a whole one allocates nothing, giving up at a
+//! cap: an allocation made per cycle, the thing this test exists to
+//! catch, never converges. The window after that is the measured one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hmc_sim::hmc_core::{topology, HmcSim, NocParams, TimingParams};
+use hmc_sim::hmc_core::{regs, topology, HmcSim, NocParams, TimingParams};
 use hmc_sim::hmc_types::{
-    BlockSize, Command, DeviceConfig, InterconnectKind, Packet, StorageMode, TimingKind,
+    BlockSize, Command, DeviceConfig, InterconnectKind, LinkFaultConfig, Packet, StorageMode,
+    TimingKind,
 };
 
 struct CountingAllocator;
@@ -52,60 +66,128 @@ impl Lcg {
     }
 }
 
+/// What a leg sends besides the saturating 50/50 RD64/WR64 stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mix {
+    /// Nothing else: every request is answered and received.
+    Plain,
+    /// The packets that die inside the device: a quarter of the stream
+    /// is posted writes (half of the writes), and every round adds a
+    /// MODE_READ, answered in place at the crossbar, and a NULL flow
+    /// packet, retired there.
+    Internal,
+}
+
+/// Rounds per allocation-counting window, warm-up and measured alike.
+const WINDOW: usize = 256;
+/// Warm-up rounds after which a leg that still allocates has failed.
+const WARMUP_CAP: usize = 8192;
+
+/// Send `packet` on `link`, using up `tag` when it is accepted; false on
+/// back-pressure.
+fn try_send(sim: &mut HmcSim, link: u8, packet: Packet, tag: &mut u16) -> bool {
+    match sim.send(0, link, packet) {
+        Ok(()) => {
+            *tag = if *tag >= 0x1ff { 1 } else { *tag + 1 };
+            true
+        }
+        Err(e) if e.is_stall() => false,
+        Err(e) => panic!("send failed: {e}"),
+    }
+}
+
 /// One harness round: inject mixed reads/writes round-robin until
-/// back-pressure, clock once, drain all responses.
-fn round(sim: &mut HmcSim, rng: &mut Lcg, tag: &mut u16, capacity: u64, num_links: u8) {
-    for link in 0..num_links {
+/// back-pressure, clock once, and — unless the host is `deaf` — drain
+/// all responses.
+fn round(sim: &mut HmcSim, rng: &mut Lcg, tag: &mut u16, mix: Mix, deaf: bool) {
+    let capacity = sim.config().capacity_bytes;
+    let data = [0x5au8; 64];
+    let request = |cmd: Command, addr: u64, tag: u16, link: u8| {
+        let payload = &data[..cmd.request_data_bytes()];
+        Packet::request(cmd, 0, addr, tag, link, payload).unwrap()
+    };
+    if mix == Mix::Internal {
+        let mode_read = request(Command::ModeRead, regs::GC as u64, *tag, 0);
+        try_send(sim, 0, mode_read, tag);
+        try_send(sim, 0, Packet::flow(Command::Null, 0, 0).unwrap(), tag);
+    }
+    for link in 0..sim.config().num_links {
         loop {
             let addr = (rng.next() % (capacity / 64)) * 64;
-            let write = rng.next().is_multiple_of(2);
-            let packet = if write {
-                let data = [0x5au8; 64];
-                Packet::request(Command::Wr(BlockSize::B64), 0, addr, *tag, link, &data).unwrap()
-            } else {
-                Packet::request(Command::Rd(BlockSize::B64), 0, addr, *tag, link, &[]).unwrap()
+            let cmd = match (rng.next() % 4, mix) {
+                (0, Mix::Internal) => Command::PostedWr(BlockSize::B64),
+                (0 | 2, _) => Command::Wr(BlockSize::B64),
+                _ => Command::Rd(BlockSize::B64),
             };
-            match sim.send(0, link, packet) {
-                Ok(()) => *tag = if *tag >= 0x1ff { 1 } else { *tag + 1 },
-                Err(e) if e.is_stall() => break,
-                Err(e) => panic!("send failed: {e}"),
+            if !try_send(sim, link, request(cmd, addr, *tag, link), tag) {
+                break;
             }
         }
     }
     sim.clock().unwrap();
-    for link in 0..num_links {
+    if deaf {
+        return;
+    }
+    for link in 0..sim.config().num_links {
         while sim.recv(0, link).is_ok() {}
     }
 }
 
+/// One configuration of the simulator under saturating traffic.
+#[derive(Debug, Clone, Copy)]
+struct Leg {
+    timing: TimingKind,
+    fabric: InterconnectKind,
+    mix: Mix,
+    link_faults: Option<LinkFaultConfig>,
+}
+
 /// Warm a single-device simulator up under `round`s of saturating
-/// traffic, then count the allocations of an identical measured phase.
-fn steady_state_allocations(timing: TimingKind, interconnect: NocParams) -> u64 {
+/// traffic until a window of them allocates nothing, then count the
+/// allocations — and the packet bodies created — in the next window;
+/// then drain it and check that no body went missing on the way.
+fn steady_state_allocations(leg: Leg) -> (u64, u64) {
     let cfg = DeviceConfig::paper_4link_8bank_2gb().with_storage_mode(StorageMode::TimingOnly);
     let mut sim = HmcSim::new(1, cfg).unwrap();
-    sim.set_timing(TimingParams::of(timing));
-    sim.set_interconnect(interconnect);
+    sim.set_timing(TimingParams::of(leg.timing));
+    sim.set_interconnect(NocParams {
+        buffer_depth: 2,
+        ..NocParams::of(leg.fabric)
+    });
+    sim.set_link_faults(leg.link_faults);
     let host = sim.host_cube_id(0);
     topology::build_simple(&mut sim, host).unwrap();
 
-    let capacity = sim.config().capacity_bytes;
-    let num_links = sim.config().num_links;
     let mut rng = Lcg(0xFEED);
     let mut tag: u16 = 1;
+    let mut window = |sim: &mut HmcSim, deaf: bool| {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..WINDOW {
+            round(sim, &mut rng, &mut tag, leg.mix, deaf);
+        }
+        ALLOCATIONS.load(Ordering::Relaxed) - before
+    };
 
-    // Warm-up: grow every reusable buffer (event stages, drain plans,
-    // queue-backed structures) to steady-state capacity.
-    for _ in 0..256 {
-        round(&mut sim, &mut rng, &mut tag, capacity, num_links);
+    // Warm-up. First the packet-body population: a window in which the
+    // host receives nothing backs every queue up to its last slot, which
+    // is as many bodies as the device can ever hold. Then every reusable
+    // buffer (event stages, queue-backed structures): windows of the
+    // measured traffic until one of them allocates nothing.
+    window(&mut sim, true);
+    let mut warmed = 0;
+    while window(&mut sim, false) > 0 {
+        warmed += WINDOW;
+        assert!(
+            warmed < WARMUP_CAP,
+            "{leg:?} still allocates after {warmed} warm-up rounds: that is per-cycle \
+             allocation, not a buffer growing to its steady-state capacity"
+        );
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..256 {
-        round(&mut sim, &mut rng, &mut tag, capacity, num_links);
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let bodies = sim.packet_bodies_created();
+    let allocations = window(&mut sim, false);
     let stats = sim.stats();
-    if interconnect.kind != InterconnectKind::Crossbar {
+    if leg.fabric != InterconnectKind::Crossbar {
         assert!(
             stats.noc_hops > 0 && stats.noc_stalls > 0,
             "the buffered leg must actually saturate its fabric"
@@ -113,10 +195,31 @@ fn steady_state_allocations(timing: TimingKind, interconnect: NocParams) -> u64 
     }
     assert_eq!(
         stats.row_misses > 0,
-        timing == TimingKind::Ddr,
+        leg.timing == TimingKind::Ddr,
         "the DDR leg must run the row-buffer model, the others must not"
     );
-    after - before
+    assert_eq!(
+        stats.poisoned_responses > 0,
+        leg.link_faults.is_some(),
+        "the degraded-link leg must actually exhaust retries, the others must not"
+    );
+    let created = sim.packet_bodies_created() - bodies;
+
+    // The warm-up left more bodies free than the measured traffic uses,
+    // so a path that loses one now and then would not have to allocate
+    // for a long while. Count them instead: once the device has drained,
+    // the invariant checker's first sweep must find every body created
+    // back on the free list.
+    while !sim.is_idle() {
+        sim.clock().unwrap();
+        for link in 0..sim.config().num_links {
+            while sim.recv(0, link).is_ok() {}
+        }
+    }
+    sim.set_check_invariants(true);
+    sim.clock().unwrap();
+    assert_eq!(sim.invariant_violations(), &[] as &[String], "{leg:?}");
+    (allocations, created)
 }
 
 /// The crossbar, and a ring and a mesh whose two-slot segment buffers
@@ -125,27 +228,47 @@ fn steady_state_allocations(timing: TimingKind, interconnect: NocParams) -> u64 
 /// every cycle; then the crossbar again under the DDR backend, where
 /// every response waits in the vault's data-ready queue (an ordered
 /// insert that must stay inside its initial capacity) and vaults sleep
-/// and wake. One test, four legs in turn: the allocation counter is
-/// process-wide, so concurrent tests would count each other's work.
+/// and wake. The last two legs are about packet bodies: traffic whose
+/// entries die inside the device instead of at `recv` ([`Mix::Internal`]),
+/// first on clean links and then on links bad enough that one packet in
+/// eleven exhausts its retries and is poisoned — wherever an entry dies,
+/// its body must come back, or some later `send` allocates a new one. One
+/// test, six legs in turn: the allocation counter is process-wide, so
+/// concurrent tests would count each other's work.
 #[test]
 fn steady_state_serial_clock_allocates_nothing() {
-    for (timing, kind) in [
-        (TimingKind::Classic, InterconnectKind::Crossbar),
-        (TimingKind::Classic, InterconnectKind::Ring),
-        (TimingKind::Classic, InterconnectKind::Mesh),
-        (TimingKind::Ddr, InterconnectKind::Crossbar),
+    let plain = |timing, fabric| Leg {
+        timing,
+        fabric,
+        mix: Mix::Plain,
+        link_faults: None,
+    };
+    let internal = Leg {
+        mix: Mix::Internal,
+        ..plain(TimingKind::Classic, InterconnectKind::Crossbar)
+    };
+    let poisoning = LinkFaultConfig::default()
+        .with_error_rate_ppm(300_000)
+        .with_retry_limit(1)
+        .with_retry_cycles(2)
+        .with_retrain_cycles(4);
+    for leg in [
+        plain(TimingKind::Classic, InterconnectKind::Crossbar),
+        plain(TimingKind::Classic, InterconnectKind::Ring),
+        plain(TimingKind::Classic, InterconnectKind::Mesh),
+        plain(TimingKind::Ddr, InterconnectKind::Crossbar),
+        internal,
+        Leg {
+            link_faults: Some(poisoning),
+            ..internal
+        },
     ] {
-        let allocations = steady_state_allocations(
-            timing,
-            NocParams {
-                buffer_depth: 2,
-                ..NocParams::of(kind)
-            },
-        );
+        let (allocations, bodies) = steady_state_allocations(leg);
         assert_eq!(
-            allocations, 0,
-            "steady-state clock() must not touch the allocator under {timing:?} timing on \
-             the {kind:?} fabric ({allocations} allocations in 256 loaded cycles)"
+            (allocations, bodies),
+            (0, 0),
+            "steady-state clock() must not touch the allocator in {leg:?} ({allocations} \
+             allocations, {bodies} packet bodies created in {WINDOW} loaded cycles)"
         );
     }
 }
