@@ -1,71 +1,103 @@
-//! Microbenchmarks of the memory substrate: sparse-store reads/writes,
-//! bank operations with row-buffer accounting, and atomics.
+//! Microbenchmarks of the memory substrate, driven as the vault
+//! controller drives it: 64-byte `Bank` reads and writes and GUPS dual
+//! adds, on rows that are new, resident or never touched.
+//!
+//! One iteration is a batch of [`BATCH`] calls (the report's `elem/s` is
+//! calls per second). The spread cases take a new row every call, [`STRIDE`]
+//! rows on from the last; the whole run makes fewer calls than the bank has
+//! rows, so no row repeats.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use hmc_mem::{Bank, SparseStore};
+use hmc_mem::Bank;
 use hmc_types::config::StorageMode;
 
-fn bench_sparse_store(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sparse_store");
-    g.throughput(Throughput::Bytes(64));
-    g.bench_function("write_64B_hot_page", |b| {
-        let mut s = SparseStore::new(1 << 30);
-        let data = [0xa5u8; 64];
-        let mut offset = 0u64;
-        b.iter(|| {
-            offset = (offset + 64) % 4096; // stay on one page
-            s.write(black_box(offset), &data)
-        })
-    });
-    g.bench_function("write_64B_page_spread", |b| {
-        let mut s = SparseStore::new(1 << 30);
-        let data = [0xa5u8; 64];
-        let mut offset = 0u64;
-        b.iter(|| {
-            offset = (offset + 4096 + 64) % (1 << 26); // new page each time
-            s.write(black_box(offset), &data)
-        })
-    });
-    g.bench_function("read_64B_resident", |b| {
-        let mut s = SparseStore::new(1 << 30);
-        s.write(0, &[1u8; 4096]);
-        let mut buf = [0u8; 64];
-        b.iter(|| s.read(black_box(512), &mut buf))
-    });
-    g.bench_function("read_64B_unallocated", |b| {
-        let s = SparseStore::new(1 << 30);
-        let mut buf = [0u8; 64];
-        b.iter(|| s.read(black_box(1 << 29), &mut buf))
-    });
-    g.finish();
+const BATCH: u64 = 1024;
+const BLOCK: u32 = 128;
+/// A 64 MiB bank.
+const ROWS: u64 = (64 << 20) / BLOCK as u64;
+/// Odd, so a walk visits every row; 33 rows are 4,224 bytes, so
+/// neighbouring calls never share a 4 KiB page either — the case the
+/// paged store's `write_64B_page_spread` measured.
+const STRIDE: u64 = 33;
+
+fn new_bank(mode: StorageMode) -> Bank {
+    Bank::new(ROWS, BLOCK, 16, mode)
 }
 
-fn bench_bank_ops(c: &mut Criterion) {
+fn bench_bank(c: &mut Criterion) {
     let mut g = c.benchmark_group("bank");
+    g.throughput(Throughput::Elements(BATCH));
+    let data = [0xa5u8; 64];
+
     for (name, mode) in [
-        ("functional", StorageMode::Functional),
-        ("timing_only", StorageMode::TimingOnly),
+        ("write_64B_row_spread", StorageMode::Functional),
+        ("write_64B_timing_only", StorageMode::TimingOnly),
     ] {
-        g.bench_function(format!("write_64B_{name}"), |b| {
-            let mut bank = Bank::new(1 << 16, 128, 16, mode);
-            let data = [0x3cu8; 64];
-            let mut row = 0u64;
+        let mut bank = new_bank(mode);
+        let mut row = 0u64;
+        g.bench_function(name, |b| {
             b.iter(|| {
-                row = (row + 1) & 0xffff;
-                bank.write(black_box(row), 0, &data).unwrap()
+                for _ in 0..BATCH {
+                    row = (row + STRIDE) % ROWS;
+                    bank.write(black_box(row), 0, &data).unwrap();
+                }
             })
         });
     }
-    g.bench_function("two_add8", |b| {
-        let mut bank = Bank::new(1 << 16, 128, 16, StorageMode::Functional);
+    {
+        let mut bank = new_bank(StorageMode::Functional);
+        let mut offset = 0u32;
+        g.bench_function("write_64B_hot_row", |b| {
+            b.iter(|| {
+                for _ in 0..BATCH {
+                    offset ^= 64;
+                    bank.write(black_box(7), offset, &data).unwrap();
+                }
+            })
+        });
+    }
+    {
+        // Every STRIDE-th row of the first RESIDENT strides holds data; the
+        // rows between them were never touched.
+        const RESIDENT: u64 = 4096;
+        let mut bank = new_bank(StorageMode::Functional);
+        for i in 0..RESIDENT {
+            bank.write(i * STRIDE, 0, &[1u8; BLOCK as usize]).unwrap();
+        }
         let mut row = 0u64;
-        b.iter(|| {
-            row = (row + 1) & 0xffff;
-            bank.two_add8(black_box(row), 0, 3, 5).unwrap()
-        })
-    });
+        let mut buf = [0u8; 64];
+        g.bench_function("read_64B_resident", |b| {
+            b.iter(|| {
+                for _ in 0..BATCH {
+                    row = (row + 1) % RESIDENT;
+                    bank.read(black_box(row * STRIDE), 64, &mut buf).unwrap();
+                }
+            })
+        });
+        g.bench_function("read_64B_untouched", |b| {
+            b.iter(|| {
+                for _ in 0..BATCH {
+                    row = (row + 1) % RESIDENT;
+                    bank.read(black_box(row * STRIDE + 1), 64, &mut buf)
+                        .unwrap();
+                }
+            })
+        });
+    }
+    {
+        let mut bank = new_bank(StorageMode::Functional);
+        let mut row = 0u64;
+        g.bench_function("two_add8_spread", |b| {
+            b.iter(|| {
+                for _ in 0..BATCH {
+                    row = (row + STRIDE) % ROWS;
+                    black_box(bank.two_add8(black_box(row), 16, 3, 5).unwrap());
+                }
+            })
+        });
+    }
     g.finish();
 }
 
-criterion_group!(benches, bench_sparse_store, bench_bank_ops);
+criterion_group!(benches, bench_bank);
 criterion_main!(benches);

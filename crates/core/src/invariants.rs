@@ -522,6 +522,35 @@ mod tests {
     }
 
     #[test]
+    fn a_device_is_reset_through_the_sim() {
+        fn with_traffic_in_flight() -> HmcSim {
+            let mut s = sim();
+            for tag in 0..6 {
+                let link = (tag % 4) as u8;
+                s.send(0, link, read(tag as u64 * 64, tag, link)).unwrap();
+            }
+            s.clock().unwrap();
+            assert_eq!(s.total_occupancy(), 6);
+            assert_eq!(s.total_invariant_violations(), 0);
+            s
+        }
+        let mut s = with_traffic_in_flight();
+        s.reset_device(0).unwrap();
+        assert_eq!(s.current_clock(), 1, "one device, not the simulation");
+        s.clock().unwrap();
+        assert_eq!(s.invariant_violations(), &[] as &[String]);
+        assert_eq!(s.packet_bodies_created(), 0, "the six went with the queues");
+        assert!(s.reset_device(1).is_err());
+
+        // Around the sim, the pool still counts the freed bodies as owed.
+        let mut s = with_traffic_in_flight();
+        s.device_mut(0).unwrap().reset();
+        s.clock().unwrap();
+        assert!(s.invariant_violations()[0]
+            .contains("packet bodies: 6 created, but 0 free + 0 resident"));
+    }
+
+    #[test]
     fn a_packet_body_that_is_not_recycled_is_flagged() {
         let mut s = sim();
         s.send(0, 0, read(0, 1, 0)).unwrap();

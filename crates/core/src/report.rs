@@ -201,7 +201,11 @@ mod tests {
         for v in &r.vaults {
             assert_eq!(v.controller.processed, 2, "vault {}", v.vault);
         }
-        assert!(r.resident_bytes > 0, "functional mode materializes pages");
+        assert_eq!(
+            r.resident_bytes,
+            32 * 128,
+            "functional mode materializes one 128-byte row per block written"
+        );
     }
 
     #[test]

@@ -448,7 +448,9 @@ impl HmcSim {
             .ok_or_else(|| HmcError::cube_range(id, self.num_devices()))
     }
 
-    /// Mutable device access (tests, fault injection).
+    /// Mutable device access (tests, fault injection). A device is reset
+    /// through [`HmcSim::reset_device`], not `device_mut(id)?.reset()`:
+    /// the bodies its queues hold belong to the simulation's pool.
     pub fn device_mut(&mut self, id: CubeId) -> Result<&mut Device> {
         let n = self.num_devices();
         self.devices
@@ -769,13 +771,26 @@ impl HmcSim {
 
     // ------------------------------------------------------------- misc
 
+    /// Reset one device to its power-on state ([`Device::reset`]); the
+    /// clock, the statistics and every other device are untouched.
+    /// Requests resident in the device are dropped unanswered.
+    pub fn reset_device(&mut self, id: CubeId) -> Result<()> {
+        let n = self.num_devices();
+        let d = self
+            .devices
+            .get_mut(id as usize)
+            .ok_or_else(|| HmcError::cube_range(id, n))?;
+        // The resident bodies go with the queues (freed, not recycled).
+        self.bodies.forget(d.total_occupancy());
+        d.reset();
+        Ok(())
+    }
+
     /// Reset every device to its power-on state and zero the clock.
     /// Topology wiring is preserved.
     pub fn reset(&mut self) {
-        // The resident bodies go with the queues (freed, not recycled).
-        self.bodies.forget(self.total_occupancy());
-        for d in &mut self.devices {
-            d.reset();
+        for id in 0..self.num_devices() {
+            self.reset_device(id).expect("id is below num_devices");
         }
         self.clock = 0;
         self.stats = SimStats::default();

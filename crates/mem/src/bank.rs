@@ -1,8 +1,8 @@
 //! Bank storage and row-buffer modelling.
 //!
 //! "Once within a bank layer, the DRAM is organized traditionally using
-//! rows and columns" (paper §III.A). A [`Bank`] owns a sparse byte store
-//! covering its capacity, a block of DRAM dies for access accounting, and a
+//! rows and columns" (paper §III.A). A [`Bank`] owns a sparse store of the
+//! rows it has touched, a block of DRAM dies for access accounting, and a
 //! simple open-row tracker that distinguishes row-buffer hits from misses —
 //! useful for the extended utilization traces.
 
@@ -10,7 +10,7 @@ use hmc_types::config::StorageMode;
 use hmc_types::{HmcError, Result};
 
 use crate::dram::DramBlock;
-use crate::storage::SparseStore;
+use crate::storage::RowStore;
 
 /// Aggregate operation counters for one bank.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -33,7 +33,7 @@ pub struct Bank {
     rows: u64,
     block_bytes: u32,
     mode: StorageMode,
-    store: SparseStore,
+    store: RowStore,
     drams: DramBlock,
     open_row: Option<u64>,
     stats: BankStats,
@@ -43,14 +43,13 @@ impl Bank {
     /// Create a bank of `rows` rows of `block_bytes` each, with
     /// `drams_per_bank` dies, in the given storage mode.
     pub fn new(rows: u64, block_bytes: u32, drams_per_bank: u16, mode: StorageMode) -> Self {
-        let capacity = rows * block_bytes as u64;
         Bank {
             rows,
             block_bytes,
             mode,
-            // Timing-only banks never materialize pages, but the store is
-            // cheap to construct (it is just a capacity + empty map).
-            store: SparseStore::new(capacity),
+            // Timing-only banks never materialize a row, and an empty
+            // store allocates nothing.
+            store: RowStore::new(block_bytes),
             drams: DramBlock::new(drams_per_bank),
             open_row: None,
             stats: BankStats::default(),
@@ -121,9 +120,13 @@ impl Bank {
         self.touch_row(row);
         self.stats.reads += 1;
         self.drams.record_access(base, buf.len());
-        match self.mode {
-            StorageMode::Functional => self.store.read(base, buf),
-            StorageMode::TimingOnly => buf.fill(0),
+        let cell = match self.mode {
+            StorageMode::Functional => self.store.row(row),
+            StorageMode::TimingOnly => None,
+        };
+        match cell {
+            Some(cell) => buf.copy_from_slice(&cell[offset as usize..][..buf.len()]),
+            None => buf.fill(0),
         }
         Ok(())
     }
@@ -135,59 +138,77 @@ impl Bank {
         self.stats.writes += 1;
         self.drams.record_access(base, data.len());
         if self.mode == StorageMode::Functional {
-            self.store.write(base, data);
+            self.store.row_mut(row)[offset as usize..][..data.len()].copy_from_slice(data);
         }
         Ok(())
+    }
+
+    /// The shared body of the atomics: account one `N`-byte
+    /// read-modify-write at `(row, offset)` and, on a functional bank,
+    /// replace those bytes by `f(old)`. Returns the old bytes (zeros in
+    /// timing-only mode).
+    fn atomic<const N: usize>(
+        &mut self,
+        row: u64,
+        offset: u32,
+        f: impl FnOnce([u8; N]) -> [u8; N],
+    ) -> Result<[u8; N]> {
+        let base = self.check_span(row, offset, N)?;
+        self.touch_row(row);
+        self.stats.atomics += 1;
+        self.drams.record_access(base, N);
+        Ok(match self.mode {
+            StorageMode::Functional => self.update(row, offset as usize, f),
+            StorageMode::TimingOnly => [0; N],
+        })
+    }
+
+    /// Replace the `N` bytes at `at` of `row`'s cell by `f(old)`, in place
+    /// and with one cell lookup; `at + N <= block_bytes` is the caller's.
+    fn update<const N: usize>(
+        &mut self,
+        row: u64,
+        at: usize,
+        f: impl FnOnce([u8; N]) -> [u8; N],
+    ) -> [u8; N] {
+        let bytes = &mut self.store.row_mut(row)[at..at + N];
+        let mut old = [0u8; N];
+        old.copy_from_slice(bytes);
+        bytes.copy_from_slice(&f(old));
+        old
     }
 
     /// Dual 8-byte add-immediate (2ADD8): adds `op0` to the u64 at
     /// `(row, offset)` and `op1` to the u64 at `(row, offset + 8)`,
     /// wrapping. Returns the two original values.
     pub fn two_add8(&mut self, row: u64, offset: u32, op0: u64, op1: u64) -> Result<(u64, u64)> {
-        let base = self.check_span(row, offset, 16)?;
-        self.touch_row(row);
-        self.stats.atomics += 1;
-        self.drams.record_access(base, 16);
-        if self.mode == StorageMode::TimingOnly {
-            return Ok((0, 0));
-        }
-        let old0 = self.store.read_u64(base);
-        let old1 = self.store.read_u64(base + 8);
-        self.store.write_u64(base, old0.wrapping_add(op0));
-        self.store.write_u64(base + 8, old1.wrapping_add(op1));
-        Ok((old0, old1))
+        // The two little-endian words are the halves of one little-endian
+        // u128.
+        let halves = |v: u128| (v as u64, (v >> 64) as u64);
+        let old = self.atomic(row, offset, |old: [u8; 16]| {
+            let (old0, old1) = halves(u128::from_le_bytes(old));
+            let new = old0.wrapping_add(op0) as u128 | (old1.wrapping_add(op1) as u128) << 64;
+            new.to_le_bytes()
+        })?;
+        Ok(halves(u128::from_le_bytes(old)))
     }
 
     /// Single 16-byte add-immediate (ADD16): 128-bit add of `op` to the
     /// 16 bytes at `(row, offset)`, wrapping. Returns the original value.
     pub fn add16(&mut self, row: u64, offset: u32, op: u128) -> Result<u128> {
-        let base = self.check_span(row, offset, 16)?;
-        self.touch_row(row);
-        self.stats.atomics += 1;
-        self.drams.record_access(base, 16);
-        if self.mode == StorageMode::TimingOnly {
-            return Ok(0);
-        }
-        let mut buf = [0u8; 16];
-        self.store.read(base, &mut buf);
-        let old = u128::from_le_bytes(buf);
-        self.store.write(base, &old.wrapping_add(op).to_le_bytes());
-        Ok(old)
+        let old = self.atomic(row, offset, |old| {
+            u128::from_le_bytes(old).wrapping_add(op).to_le_bytes()
+        })?;
+        Ok(u128::from_le_bytes(old))
     }
 
     /// Bit write (BWR): 8 bytes of write data qualified by an 8-byte mask;
     /// only mask-set bits are updated. Returns the original value.
     pub fn bit_write(&mut self, row: u64, offset: u32, data: u64, mask: u64) -> Result<u64> {
-        let base = self.check_span(row, offset, 8)?;
-        self.touch_row(row);
-        self.stats.atomics += 1;
-        self.drams.record_access(base, 8);
-        if self.mode == StorageMode::TimingOnly {
-            return Ok(0);
-        }
-        let old = self.store.read_u64(base);
-        self.store.write_u64(base, (old & !mask) | (data & mask));
-        Ok(old)
+        let old = self.atomic(row, offset, |old| {
+            ((u64::from_le_bytes(old) & !mask) | (data & mask)).to_le_bytes()
+        })?;
+        Ok(u64::from_le_bytes(old))
     }
 
     /// XOR `xor` into the 64-bit little-endian word at index `word` of
@@ -202,9 +223,9 @@ impl Bank {
             return;
         }
         if self.mode == StorageMode::Functional {
-            let base = row * self.block_bytes as u64 + offset;
-            let old = self.store.read_u64(base);
-            self.store.write_u64(base, old ^ xor);
+            self.update(row, offset as usize, |old| {
+                (u64::from_le_bytes(old) ^ xor).to_le_bytes()
+            });
         }
     }
 
@@ -272,6 +293,59 @@ mod tests {
         b.write(0, 96, &[0u8; 32]).unwrap();
     }
 
+    /// A span past the bank's capacity used to abort inside the store;
+    /// it is refused here, typed, before storage is reached.
+    #[test]
+    fn out_of_range_read_is_a_typed_error() {
+        let mut b = Bank::new(4, 32, 16, StorageMode::Functional);
+        let mut buf = [0x77u8; 20];
+        for row in [4, u64::MAX] {
+            assert!(matches!(
+                b.read(row, 0, &mut buf),
+                Err(HmcError::OutOfRange {
+                    what: "row",
+                    limit: 4,
+                    ..
+                })
+            ));
+        }
+        // The last row holds bytes 96..128: 20 bytes at 26 would leave it.
+        assert!(matches!(
+            b.read(3, 26, &mut buf),
+            Err(HmcError::InvalidAddress { addr: 122, .. })
+        ));
+        assert!(matches!(
+            b.read(3, u32::MAX, &mut buf),
+            Err(HmcError::InvalidAddress { .. })
+        ));
+        assert_eq!(buf, [0x77; 20], "a refused read leaves the buffer alone");
+        assert_eq!(b.stats(), BankStats::default(), "and is not an access");
+    }
+
+    #[test]
+    fn out_of_range_write_is_a_typed_error() {
+        let mut b = Bank::new(4, 32, 16, StorageMode::Functional);
+        assert!(matches!(
+            b.write(4, 0, &[1; 20]),
+            Err(HmcError::OutOfRange { what: "row", .. })
+        ));
+        assert!(matches!(
+            b.write(3, 26, &[1; 20]),
+            Err(HmcError::InvalidAddress { .. })
+        ));
+        assert!(matches!(
+            b.two_add8(3, 24, 1, 1),
+            Err(HmcError::InvalidAddress { .. })
+        ));
+        assert!(matches!(b.add16(4, 0, 1), Err(HmcError::OutOfRange { .. })));
+        assert!(matches!(
+            b.bit_write(3, 25, 1, 1),
+            Err(HmcError::InvalidAddress { .. })
+        ));
+        assert_eq!(b.stats(), BankStats::default());
+        assert_eq!(b.resident_bytes(), 0, "a refused call materializes nothing");
+    }
+
     #[test]
     fn row_buffer_hit_miss_accounting() {
         let mut b = bank();
@@ -329,6 +403,27 @@ mod tests {
     }
 
     #[test]
+    fn word_updates_roundtrip_in_place() {
+        let mut b = bank();
+        assert_eq!(
+            b.update(9, 40, |_: [u8; 8]| 0x0123_4567_89ab_cdefu64.to_le_bytes()),
+            [0; 8]
+        );
+        let old = b.update(9, 40, |old: [u8; 8]| {
+            (u64::from_le_bytes(old) + 1).to_le_bytes()
+        });
+        assert_eq!(u64::from_le_bytes(old), 0x0123_4567_89ab_cdef);
+        let mut buf = [0u8; 16];
+        b.read(9, 40, &mut buf).unwrap();
+        assert_eq!(
+            u64::from_le_bytes(buf[..8].try_into().unwrap()),
+            0x0123_4567_89ab_cdf0
+        );
+        assert_eq!(buf[8..], [0u8; 8], "the next word is untouched");
+        assert_eq!(b.resident_bytes(), 128, "two updates, one cell");
+    }
+
+    #[test]
     fn timing_only_skips_data_but_counts() {
         let mut b = Bank::new(64, 128, 16, StorageMode::TimingOnly);
         b.write(0, 0, &[0xee; 32]).unwrap();
@@ -337,7 +432,7 @@ mod tests {
         assert_eq!(buf, [0u8; 32], "timing-only reads return zeros");
         assert_eq!(b.stats().writes, 1);
         assert_eq!(b.stats().reads, 1);
-        assert_eq!(b.resident_bytes(), 0, "no pages materialized");
+        assert_eq!(b.resident_bytes(), 0, "no rows materialized");
         assert_eq!(b.two_add8(0, 0, 1, 1).unwrap(), (0, 0));
         assert_eq!(b.add16(0, 0, 1).unwrap(), 0);
         assert_eq!(b.bit_write(0, 0, 1, 1).unwrap(), 0);
@@ -361,7 +456,7 @@ mod tests {
         // Timing-only banks ignore the data entirely.
         let mut t = Bank::new(64, 128, 16, StorageMode::TimingOnly);
         t.corrupt_word(0, 0, u64::MAX);
-        assert_eq!(t.resident_bytes(), 0, "no pages materialized");
+        assert_eq!(t.resident_bytes(), 0, "no rows materialized");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! This module models the *accounting* side of the DRAM layer: which dies a
 //! column fetch touches and how many fetches an access requires. Actual
-//! bytes live in the bank's [`SparseStore`](crate::storage::SparseStore).
+//! bytes live in the bank's [`RowStore`](crate::storage::RowStore).
 
 /// Bytes delivered by one column fetch (§III.A).
 pub const COLUMN_FETCH_BYTES: usize = 32;

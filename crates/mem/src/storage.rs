@@ -1,118 +1,90 @@
-//! Sparse paged byte storage.
+//! Sparse row-granular byte storage.
 //!
 //! HMC devices reach 8 GB; a simulator cannot eagerly allocate that much
-//! host memory per bank. [`SparseStore`] allocates fixed-size pages on first
-//! write and reads zero-fill for untouched regions — matching a freshly
-//! reset device whose DRAM content is architecturally undefined (we define
-//! it as zero for determinism).
+//! host memory per bank. [`RowStore`] materialises one zeroed cell of
+//! `cell_bytes` (the bank's block size, ≤ 128) per *touched row* and reads
+//! an untouched row as absent — matching a freshly reset device whose DRAM
+//! content is architecturally undefined (we define it as zero for
+//! determinism).
+//!
+//! The row is the granule because it is the unit no access can leave:
+//! [`Bank`](crate::bank::Bank) proves `offset + len <= block_bytes` with a
+//! typed error before it reaches storage, so every operation is one lookup
+//! and works in place on one cell. A random 64-byte write therefore costs
+//! one cell, not a zero-filled 4 KiB page around it. The store hands out
+//! whole cells and takes any `u64` as a row number, so no call can be
+//! driven out of range.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
-/// Size of a backing page in bytes.
-pub const PAGE_BYTES: usize = 4096;
+/// Cells carved from one zeroed allocation. Cells come from chunks, not
+/// from a box each, so dropping or resetting a bank is one `free` per 64
+/// rows rather than one per row (a quarter-million of them at the end of
+/// a functional run); chunks stay small because every bank holds a partly
+/// used one.
+const CHUNK_CELLS: usize = 64;
 
-/// A sparse, zero-default byte store over a fixed capacity.
-#[derive(Debug, Default)]
-pub struct SparseStore {
-    capacity: u64,
-    pages: HashMap<u64, Box<[u8; PAGE_BYTES]>>,
+/// A sparse, zero-default store of fixed-size row cells.
+#[derive(Debug)]
+pub struct RowStore {
+    cell_bytes: usize,
+    /// Row number → cell number, in materialisation order.
+    cells: HashMap<u64, usize>,
+    /// `CHUNK_CELLS` cells each; [`RowStore::locate`] places cell `n`.
+    chunks: Vec<Box<[u8]>>,
 }
 
-impl SparseStore {
-    /// Create a store covering `capacity` bytes.
-    pub fn new(capacity: u64) -> Self {
-        SparseStore {
-            capacity,
-            pages: HashMap::new(),
+impl RowStore {
+    /// Create an empty store of `cell_bytes`-byte rows. Allocates nothing.
+    pub fn new(cell_bytes: u32) -> Self {
+        RowStore {
+            cell_bytes: cell_bytes as usize,
+            cells: HashMap::new(),
+            chunks: Vec::new(),
         }
     }
 
-    /// Total addressable capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
+    /// Number of rows currently materialised.
+    pub fn resident_rows(&self) -> usize {
+        self.cells.len()
     }
 
-    /// Number of pages currently materialized.
-    pub fn resident_pages(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Resident (allocated) bytes.
+    /// Bytes of the materialised rows: `resident_rows()` cells.
+    /// The unused tail of the newest chunk is not counted.
     pub fn resident_bytes(&self) -> u64 {
-        self.pages.len() as u64 * PAGE_BYTES as u64
+        self.cells.len() as u64 * self.cell_bytes as u64
     }
 
-    /// Read `buf.len()` bytes starting at `offset`; untouched bytes are zero.
-    ///
-    /// # Panics
-    /// Panics if the span exceeds capacity (callers validate addresses
-    /// before reaching storage).
-    pub fn read(&self, offset: u64, buf: &mut [u8]) {
-        assert!(
-            offset + buf.len() as u64 <= self.capacity,
-            "read span {}..{} exceeds capacity {}",
-            offset,
-            offset + buf.len() as u64,
-            self.capacity
-        );
-        let mut done = 0usize;
-        while done < buf.len() {
-            let pos = offset + done as u64;
-            let page_idx = pos / PAGE_BYTES as u64;
-            let in_page = (pos % PAGE_BYTES as u64) as usize;
-            let chunk = (PAGE_BYTES - in_page).min(buf.len() - done);
-            match self.pages.get(&page_idx) {
-                Some(page) => {
-                    buf[done..done + chunk].copy_from_slice(&page[in_page..in_page + chunk])
-                }
-                None => buf[done..done + chunk].fill(0),
-            }
-            done += chunk;
+    /// Where cell `n` lives: its chunk, and its bytes there.
+    fn locate(&self, n: usize) -> (usize, Range<usize>) {
+        let at = (n % CHUNK_CELLS) * self.cell_bytes;
+        (n / CHUNK_CELLS, at..at + self.cell_bytes)
+    }
+
+    /// The cell of `row`, or `None` if the row was never touched (it reads
+    /// as zeros). Never materialises anything.
+    pub fn row(&self, row: u64) -> Option<&[u8]> {
+        let (chunk, bytes) = self.locate(*self.cells.get(&row)?);
+        Some(&self.chunks[chunk][bytes])
+    }
+
+    /// The cell of `row`, materialised zeroed on first touch.
+    pub fn row_mut(&mut self, row: u64) -> &mut [u8] {
+        let next = self.cells.len();
+        let n = *self.cells.entry(row).or_insert(next);
+        let (chunk, bytes) = self.locate(n);
+        if chunk == self.chunks.len() {
+            self.chunks
+                .push(vec![0u8; CHUNK_CELLS * self.cell_bytes].into_boxed_slice());
         }
+        &mut self.chunks[chunk][bytes]
     }
 
-    /// Write `data` starting at `offset`, materializing pages as needed.
-    ///
-    /// # Panics
-    /// Panics if the span exceeds capacity.
-    pub fn write(&mut self, offset: u64, data: &[u8]) {
-        assert!(
-            offset + data.len() as u64 <= self.capacity,
-            "write span {}..{} exceeds capacity {}",
-            offset,
-            offset + data.len() as u64,
-            self.capacity
-        );
-        let mut done = 0usize;
-        while done < data.len() {
-            let pos = offset + done as u64;
-            let page_idx = pos / PAGE_BYTES as u64;
-            let in_page = (pos % PAGE_BYTES as u64) as usize;
-            let chunk = (PAGE_BYTES - in_page).min(data.len() - done);
-            let page = self
-                .pages
-                .entry(page_idx)
-                .or_insert_with(|| Box::new([0u8; PAGE_BYTES]));
-            page[in_page..in_page + chunk].copy_from_slice(&data[done..done + chunk]);
-            done += chunk;
-        }
-    }
-
-    /// Read a little-endian u64 at `offset`.
-    pub fn read_u64(&self, offset: u64) -> u64 {
-        let mut buf = [0u8; 8];
-        self.read(offset, &mut buf);
-        u64::from_le_bytes(buf)
-    }
-
-    /// Write a little-endian u64 at `offset`.
-    pub fn write_u64(&mut self, offset: u64, value: u64) {
-        self.write(offset, &value.to_le_bytes());
-    }
-
-    /// Drop all resident pages (device reset).
+    /// Drop all resident rows (device reset).
     pub fn clear(&mut self) {
-        self.pages.clear();
+        self.cells.clear();
+        self.chunks.clear();
     }
 }
 
@@ -122,88 +94,84 @@ mod tests {
 
     #[test]
     fn fresh_store_reads_zero() {
-        let s = SparseStore::new(1 << 20);
-        let mut buf = [0xffu8; 64];
-        s.read(12345, &mut buf);
-        assert_eq!(buf, [0u8; 64]);
-        assert_eq!(s.resident_pages(), 0, "reads must not materialize pages");
+        let s = RowStore::new(64);
+        assert!(s.row(12345).is_none(), "an untouched row is absent");
+        assert_eq!(s.resident_rows(), 0, "reads must not materialize rows");
+        assert_eq!(s.resident_bytes(), 0);
     }
 
     #[test]
     fn write_then_read_roundtrip() {
-        let mut s = SparseStore::new(1 << 20);
+        let mut s = RowStore::new(128);
         let data: Vec<u8> = (0..64u8).collect();
-        s.write(1000, &data);
-        let mut buf = [0u8; 64];
-        s.read(1000, &mut buf);
-        assert_eq!(buf.to_vec(), data);
+        s.row_mut(1000)[32..96].copy_from_slice(&data);
+        let cell = s.row(1000).unwrap();
+        assert_eq!(cell.len(), 128);
+        assert_eq!(&cell[32..96], &data[..]);
+        assert_eq!(&cell[..32], &[0u8; 32], "the rest of a new cell is zero");
+        assert_eq!(&cell[96..], &[0u8; 32]);
     }
 
     #[test]
-    fn spans_crossing_page_boundaries() {
-        let mut s = SparseStore::new(1 << 20);
-        let data: Vec<u8> = (0..=255u8).collect();
-        let offset = PAGE_BYTES as u64 - 100;
-        s.write(offset, &data);
-        assert_eq!(s.resident_pages(), 2);
-        let mut buf = vec![0u8; 256];
-        s.read(offset, &mut buf);
-        assert_eq!(buf, data);
+    fn cells_continue_across_chunk_boundaries() {
+        // 48 does not divide any power of two: a cell layout that assumed
+        // so would let the last cell of a chunk run into the next.
+        let mut s = RowStore::new(48);
+        let rows = 3 * CHUNK_CELLS as u64 + 5;
+        for row in 0..rows {
+            s.row_mut(row * 7).fill(row as u8 + 1);
+        }
+        assert_eq!(s.resident_rows(), rows as usize);
+        assert_eq!(s.resident_bytes(), rows * 48);
+        for row in 0..rows {
+            assert_eq!(s.row(row * 7).unwrap(), &[row as u8 + 1; 48][..]);
+        }
     }
 
     #[test]
     fn adjacent_writes_do_not_interfere() {
-        let mut s = SparseStore::new(1 << 20);
-        s.write(0, &[0xaa; 16]);
-        s.write(16, &[0xbb; 16]);
-        let mut buf = [0u8; 32];
-        s.read(0, &mut buf);
-        assert_eq!(&buf[..16], &[0xaa; 16]);
-        assert_eq!(&buf[16..], &[0xbb; 16]);
+        let mut s = RowStore::new(32);
+        s.row_mut(0)[..16].fill(0xaa);
+        s.row_mut(0)[16..].fill(0xbb);
+        s.row_mut(1).fill(0xcc);
+        assert_eq!(&s.row(0).unwrap()[..16], &[0xaa; 16]);
+        assert_eq!(&s.row(0).unwrap()[16..], &[0xbb; 16]);
+        assert_eq!(s.row(1).unwrap(), &[0xcc; 32][..]);
+        assert_eq!(s.resident_rows(), 2);
     }
 
     #[test]
     fn sparseness_is_preserved() {
-        let mut s = SparseStore::new(8 << 30); // 8 GiB capacity
-        s.write(0, &[1]);
-        s.write((4 << 30) + 7, &[2]);
-        s.write((8 << 30) - 1, &[3]);
-        assert_eq!(s.resident_pages(), 3);
-        assert!(s.resident_bytes() < 16 * 1024);
-        let mut b = [0u8; 1];
-        s.read((4 << 30) + 7, &mut b);
-        assert_eq!(b[0], 2);
-    }
-
-    #[test]
-    fn u64_helpers_roundtrip() {
-        let mut s = SparseStore::new(1 << 16);
-        s.write_u64(40, 0x0123_4567_89ab_cdef);
-        assert_eq!(s.read_u64(40), 0x0123_4567_89ab_cdef);
-        assert_eq!(s.read_u64(48), 0);
+        // Any u64 is a row number: the store has no range to leave.
+        let mut s = RowStore::new(128);
+        s.row_mut(0)[0] = 1;
+        s.row_mut(1 << 40)[7] = 2;
+        s.row_mut(u64::MAX)[127] = 3;
+        assert_eq!(s.resident_rows(), 3);
+        assert_eq!(s.resident_bytes(), 3 * 128);
+        assert_eq!(s.row(1 << 40).unwrap()[7], 2);
+        assert_eq!(s.row(u64::MAX).unwrap()[127], 3);
     }
 
     #[test]
     fn clear_resets_contents() {
-        let mut s = SparseStore::new(1 << 16);
-        s.write(0, &[9; 8]);
+        let mut s = RowStore::new(16);
+        s.row_mut(0).fill(9);
         s.clear();
-        assert_eq!(s.resident_pages(), 0);
-        assert_eq!(s.read_u64(0), 0);
+        assert_eq!(s.resident_rows(), 0);
+        assert!(s.row(0).is_none());
+        assert_eq!(
+            s.row_mut(0),
+            &[0u8; 16][..],
+            "a re-touched row starts zeroed"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "exceeds capacity")]
-    fn out_of_range_write_panics() {
-        let mut s = SparseStore::new(100);
-        s.write(90, &[0; 20]);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds capacity")]
-    fn out_of_range_read_panics() {
-        let s = SparseStore::new(100);
-        let mut buf = [0u8; 20];
-        s.read(90, &mut buf);
+    fn degenerate_cell_sizes_do_not_panic() {
+        let mut s = RowStore::new(0);
+        assert!(s.row_mut(5).is_empty());
+        assert_eq!(s.row(5), Some(&[][..]));
+        assert_eq!(s.resident_bytes(), 0);
     }
 }

@@ -1,42 +1,297 @@
-//! Model-based property tests of the storage substrate: the sparse store
-//! against a byte-map reference, and banks against an operation model.
+//! Model-based property tests of the storage substrate: a bank against a
+//! byte-map reference under every operation and every block size, and
+//! banks and vaults against operation models.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
-use hmc_mem::{Bank, SparseStore, VaultMemory};
+use hmc_mem::{Bank, BankStats, VaultMemory};
 use hmc_types::address::DecodedAddr;
 use hmc_types::config::StorageMode;
+use hmc_types::{BlockSize, HmcError};
+
+/// Rows of the modelled bank: enough that a long case fills its first
+/// chunk of cells and starts a second.
+const ROWS: u64 = 96;
+const DIES: u16 = 16;
+
+/// One raw operation: `kind` picks the call, and `a`, `b`, `x`, `y` are
+/// reduced against the block size under test, so one sequence drives all
+/// eight — legal spans, spans that cross their row, and rows past the end.
+type RawOp = (u8, u64, (u32, u32), (u64, u64));
+
+/// Why the model expects a call to be refused.
+#[derive(Debug, Clone, Copy)]
+enum Refused {
+    /// The row lies past the end of the bank: `HmcError::OutOfRange`.
+    Row,
+    /// The span would leave its row: `HmcError::InvalidAddress`.
+    Span,
+}
+
+/// A [`Bank`] beside the reference it must agree with: its bytes as a
+/// `(row, byte) -> u8` map (absent = 0), the rows it has materialised,
+/// and its counters. A timing-only twin takes every call too: it must
+/// count the same and hold nothing.
+struct Model {
+    block: u32,
+    bank: Bank,
+    twin: Bank,
+    bytes: HashMap<(u64, u32), u8>,
+    touched: HashSet<u64>,
+    stats: BankStats,
+    open_row: Option<u64>,
+}
+
+impl Model {
+    fn new(block: u32) -> Self {
+        Model {
+            block,
+            bank: Bank::new(ROWS, block, DIES, StorageMode::Functional),
+            twin: Bank::new(ROWS, block, DIES, StorageMode::TimingOnly),
+            bytes: HashMap::new(),
+            touched: HashSet::new(),
+            stats: BankStats::default(),
+            open_row: None,
+        }
+    }
+
+    fn get(&self, row: u64, at: u32, len: u32) -> Vec<u8> {
+        (at..at + len)
+            .map(|i| *self.bytes.get(&(row, i)).unwrap_or(&0))
+            .collect()
+    }
+
+    fn put(&mut self, row: u64, at: u32, data: &[u8]) {
+        self.touched.insert(row);
+        for (i, &b) in data.iter().enumerate() {
+            self.bytes.insert((row, at + i as u32), b);
+        }
+    }
+
+    /// The error `(row, offset, len)` must draw, if any; a legal access
+    /// is counted.
+    fn admit(&mut self, row: u64, offset: u32, len: u32) -> Option<Refused> {
+        if row >= ROWS {
+            return Some(Refused::Row);
+        }
+        if offset + len > self.block {
+            return Some(Refused::Span);
+        }
+        if self.open_row == Some(row) {
+            self.stats.row_hits += 1;
+        } else {
+            self.stats.row_misses += 1;
+            self.open_row = Some(row);
+        }
+        None
+    }
+
+    /// Both banks answered `got` / `twin` where the model expected
+    /// `refused`: the right typed error, or success.
+    fn check_outcome<T>(
+        refused: Option<Refused>,
+        got: &Result<T, HmcError>,
+        twin: &Result<T, HmcError>,
+    ) {
+        for r in [got, twin] {
+            match (refused, r) {
+                (None, Ok(_)) => {}
+                (Some(Refused::Row), Err(HmcError::OutOfRange { what: "row", .. })) => {}
+                (Some(Refused::Span), Err(HmcError::InvalidAddress { .. })) => {}
+                (want, Err(e)) => panic!("expected {want:?}, got error {e}"),
+                (want, Ok(_)) => panic!("expected {want:?}, got Ok"),
+            }
+        }
+    }
+
+    fn apply(&mut self, &(kind, row, (a, b), (x, y)): &RawOp) {
+        let block = self.block;
+        let offset = a % block;
+        match kind {
+            0 => {
+                let len = 1 + b % block;
+                let refused = self.admit(row, offset, len);
+                let mut buf = vec![0xa5u8; len as usize];
+                let mut zeros = vec![0xa5u8; len as usize];
+                let got = self.bank.read(row, offset, &mut buf);
+                let twin = self.twin.read(row, offset, &mut zeros);
+                Self::check_outcome(refused, &got, &twin);
+                if refused.is_none() {
+                    self.stats.reads += 1;
+                    assert_eq!(
+                        buf,
+                        self.get(row, offset, len),
+                        "read ({row}, {offset}, {len})"
+                    );
+                    assert!(zeros.iter().all(|&z| z == 0), "timing-only reads are zeros");
+                } else {
+                    assert!(
+                        buf.iter().all(|&v| v == 0xa5),
+                        "a refused read writes nothing"
+                    );
+                }
+            }
+            1 => {
+                let len = 1 + b % block;
+                let data: Vec<u8> = (0..len).map(|i| (x >> (i % 57)) as u8 ^ i as u8).collect();
+                let refused = self.admit(row, offset, len);
+                let got = self.bank.write(row, offset, &data);
+                let twin = self.twin.write(row, offset, &data);
+                Self::check_outcome(refused, &got, &twin);
+                if refused.is_none() {
+                    self.stats.writes += 1;
+                    self.put(row, offset, &data);
+                }
+            }
+            2 => {
+                let refused = self.admit(row, offset, 16);
+                let got = self.bank.two_add8(row, offset, x, y);
+                let twin = self.twin.two_add8(row, offset, x, y);
+                Self::check_outcome(refused, &got, &twin);
+                if refused.is_none() {
+                    self.stats.atomics += 1;
+                    let old = self.get(row, offset, 16);
+                    let old0 = u64::from_le_bytes(old[..8].try_into().unwrap());
+                    let old1 = u64::from_le_bytes(old[8..].try_into().unwrap());
+                    assert_eq!(got.unwrap(), (old0, old1));
+                    assert_eq!(twin.unwrap(), (0, 0));
+                    self.put(row, offset, &old0.wrapping_add(x).to_le_bytes());
+                    self.put(row, offset + 8, &old1.wrapping_add(y).to_le_bytes());
+                }
+            }
+            3 => {
+                let op = (x as u128) << 64 | y as u128;
+                let refused = self.admit(row, offset, 16);
+                let got = self.bank.add16(row, offset, op);
+                let twin = self.twin.add16(row, offset, op);
+                Self::check_outcome(refused, &got, &twin);
+                if refused.is_none() {
+                    self.stats.atomics += 1;
+                    let old = u128::from_le_bytes(self.get(row, offset, 16).try_into().unwrap());
+                    assert_eq!(got.unwrap(), old);
+                    assert_eq!(twin.unwrap(), 0);
+                    self.put(row, offset, &old.wrapping_add(op).to_le_bytes());
+                }
+            }
+            4 => {
+                let refused = self.admit(row, offset, 8);
+                let got = self.bank.bit_write(row, offset, x, y);
+                let twin = self.twin.bit_write(row, offset, x, y);
+                Self::check_outcome(refused, &got, &twin);
+                if refused.is_none() {
+                    self.stats.atomics += 1;
+                    let old = u64::from_le_bytes(self.get(row, offset, 8).try_into().unwrap());
+                    assert_eq!(got.unwrap(), old);
+                    assert_eq!(twin.unwrap(), 0);
+                    self.put(row, offset, &((old & !y) | (x & y)).to_le_bytes());
+                }
+            }
+            5 => {
+                // Words 0 ..= block/8 + 1: the last two lie past the row.
+                // Physics, not an access: no counter moves in either mode.
+                let word = b % (block / 8 + 2);
+                let xor = if y % 8 == 0 { 0 } else { x };
+                self.bank.corrupt_word(row, word, xor);
+                self.twin.corrupt_word(row, word, xor);
+                if row < ROWS && word * 8 + 8 <= block && xor != 0 {
+                    let old = u64::from_le_bytes(self.get(row, word * 8, 8).try_into().unwrap());
+                    self.put(row, word * 8, &(old ^ xor).to_le_bytes());
+                }
+            }
+            _ => {
+                self.bank.reset();
+                self.twin.reset();
+                self.bytes.clear();
+                self.touched.clear();
+                self.stats = BankStats::default();
+                self.open_row = None;
+            }
+        }
+        self.check_accounting();
+    }
+
+    /// Counters, row buffer and residency after every call, legal or not.
+    fn check_accounting(&self) {
+        assert_eq!(self.bank.stats(), self.stats);
+        assert_eq!(self.twin.stats(), self.stats, "both modes count alike");
+        assert_eq!(self.bank.open_row(), self.open_row);
+        assert_eq!(self.twin.open_row(), self.open_row);
+        for die in 0..DIES {
+            assert_eq!(
+                self.bank.drams().die_accesses(die),
+                self.twin.drams().die_accesses(die),
+                "die {die}"
+            );
+        }
+        assert_eq!(
+            self.bank.resident_bytes(),
+            self.touched.len() as u64 * self.block as u64,
+            "one cell per touched row, none for a read or a refused call"
+        );
+        assert_eq!(self.twin.resident_bytes(), 0);
+    }
+
+    /// Every byte of every row, touched or not, through whole-row reads.
+    fn check_image(&mut self) {
+        let before = self.bank.resident_bytes();
+        let mut buf = vec![0u8; self.block as usize];
+        for row in 0..ROWS {
+            self.bank.read(row, 0, &mut buf).unwrap();
+            assert_eq!(buf, self.get(row, 0, self.block), "row {row}");
+        }
+        assert_eq!(
+            self.bank.resident_bytes(),
+            before,
+            "reads materialise nothing"
+        );
+    }
+}
+
+fn raw_op() -> impl Strategy<Value = RawOp> {
+    (
+        // Reads and writes twice as likely as each atomic; resets rare.
+        prop::sample::select(vec![0u8, 0, 0, 0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]),
+        // One row in 25 lies past the end of the bank.
+        (0..ROWS + 4),
+        (any::<u32>(), any::<u32>()),
+        (any::<u64>(), any::<u64>()),
+    )
+}
 
 proptest! {
     #[test]
-    fn sparse_store_matches_a_byte_map(
-        ops in prop::collection::vec(
-            (any::<u32>(), prop::collection::vec(any::<u8>(), 1..64)),
-            1..60,
-        )
+    fn bank_matches_a_byte_map_for_every_block_size(
+        ops in prop::collection::vec(raw_op(), 1..160)
     ) {
-        let capacity = 1u64 << 24;
-        let mut store = SparseStore::new(capacity);
-        let mut model: HashMap<u64, u8> = HashMap::new();
-        for (offset, data) in &ops {
-            let offset = *offset as u64 % (capacity - data.len() as u64);
-            store.write(offset, data);
-            for (i, &b) in data.iter().enumerate() {
-                model.insert(offset + i as u64, b);
+        for size in BlockSize::ALL {
+            let mut model = Model::new(size.bytes() as u32);
+            for op in &ops {
+                model.apply(op);
             }
+            model.check_image();
         }
-        // Verify all written bytes plus a fringe of unwritten ones.
-        for (&addr, &expect) in &model {
-            let mut buf = [0u8; 1];
-            store.read(addr, &mut buf);
-            prop_assert_eq!(buf[0], expect, "at {}", addr);
-        }
-        let mut buf = [0u8; 1];
-        for probe in [0u64, capacity / 2, capacity - 1] {
-            store.read(probe, &mut buf);
-            prop_assert_eq!(buf[0], *model.get(&probe).unwrap_or(&0));
+    }
+
+    #[test]
+    fn small_writes_to_distinct_rows_cost_one_cell_each(
+        rows in prop::collection::vec(0u64..4096, 1..300),
+        slot in any::<u32>(),
+    ) {
+        let distinct: HashSet<u64> = rows.iter().copied().collect();
+        for size in BlockSize::ALL {
+            let block = size.bytes() as u32;
+            let mut bank = Bank::new(4096, block, DIES, StorageMode::Functional);
+            let mut buf = [0xffu8; 16];
+            for &row in &rows {
+                // Looking first costs nothing.
+                bank.read(row ^ 1, 0, &mut buf).unwrap();
+                bank.write(row, slot % (block / 16) * 16, &[0x5a; 16]).unwrap();
+            }
+            prop_assert_eq!(bank.resident_bytes(), distinct.len() as u64 * block as u64);
+            bank.reset();
+            prop_assert_eq!(bank.resident_bytes(), 0);
         }
     }
 

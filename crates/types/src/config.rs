@@ -25,7 +25,7 @@ use crate::units::{aggregate_bandwidth_gbs, LinkSpeed, GIB};
 /// Whether banks store actual data or only model timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StorageMode {
-    /// Reads and writes move real bytes through sparse backing pages.
+    /// Reads and writes move real bytes through sparse backing rows.
     Functional,
     /// Data movement is skipped; only timing/trace behaviour is modeled.
     /// Reads return zero-filled payloads. Used for the Table I runs, which
