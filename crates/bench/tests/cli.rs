@@ -7,8 +7,7 @@ use std::process::{Command, Output};
 use hmc_core::SimParams;
 use hmc_types::{DeviceConfig, InterconnectKind, TimingKind};
 
-const BINS: [(&str, &str); 7] = [
-    ("bench_emit", env!("CARGO_BIN_EXE_bench_emit")),
+const BINS: [(&str, &str); 6] = [
     ("figure3", env!("CARGO_BIN_EXE_figure3")),
     ("figure5", env!("CARGO_BIN_EXE_figure5")),
     ("hmcsim", env!("CARGO_BIN_EXE_hmcsim")),

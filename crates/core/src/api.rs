@@ -209,6 +209,10 @@ mod tests {
         assert!(hmcsim_init(1, 3, 16, 4, 8, 16, 2, 8).is_err(), "bad links");
         assert!(hmcsim_init(1, 4, 8, 4, 8, 16, 2, 8).is_err(), "bad vaults");
         assert!(hmcsim_init(1, 4, 16, 0, 8, 16, 2, 8).is_err(), "zero queue");
+        // Depths past `MAX_QUEUE_DEPTH` are refused before anything is allocated.
+        for (queue, xbar) in [(1 << 40, 8), (4, 1 << 40)] {
+            assert!(hmcsim_init(1, 4, 16, queue, 8, 16, 2, xbar).is_err());
+        }
         assert!(hmcsim_init(1, 8, 32, 4, 16, 16, 8, 8).is_ok(), "8-link ok");
     }
 

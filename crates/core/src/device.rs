@@ -93,6 +93,18 @@ impl Device {
         Quad::of_vault(vault)
     }
 
+    /// True when a packet between link `link`'s crossbar unit and `vault`
+    /// rides the buffered fabric: the device has one (ring or mesh) and
+    /// the two sit in different quads (link `l` fronts quad `l`). The
+    /// split is per packet, not per fabric — same-quad traffic on a mesh
+    /// takes the direct push. Stage 2's injection, stage 5's drain and
+    /// the fast-forward horizon's crossbar-request gate all ask here, so
+    /// the horizon cannot disagree with the walks it stands in for.
+    #[inline]
+    pub fn rides_noc(&self, link: LinkId, vault: VaultId) -> bool {
+        self.noc.is_some() && link != Quad::of_vault(vault)
+    }
+
     /// Total packets resident in all device queues (drain checks),
     /// including packets in flight between quads on a buffered NoC.
     pub fn total_occupancy(&self) -> usize {

@@ -32,12 +32,11 @@
 
 use hmc_trace::{EventKind, EventStage, TraceEvent};
 use hmc_types::address::AddressMap;
-use hmc_types::{CubeId, Cycle, QuadId, Result, VaultId};
+use hmc_types::{CubeId, Cycle, LinkId, Result, VaultId};
 
 use crate::device::Device;
 use crate::link::Endpoint;
 use crate::params::{ConflictPolicy, RefreshParams};
-use crate::quad::Quad;
 use crate::queue::{BodyPool, QueueEntry, NO_ROUTE, UNDECODED};
 use crate::register::{regs, RegisterFile};
 use crate::sim::{HmcSim, SimStats};
@@ -628,11 +627,10 @@ impl HmcSim {
         if dead > 0 {
             return Gate::Held(dead);
         }
-        let buffered = dev.noc.is_some();
         let inert = !self.tracer.enabled(EventKind::XbarRqstStall)
             && rqst.route_keys().all(|vault| {
                 vault != NO_ROUTE
-                    && !(buffered && l as QuadId != Quad::of_vault(vault))
+                    && !dev.rides_noc(l as LinkId, vault)
                     && dev.vaults[vault as usize].rqst.is_full()
             });
         if !inert {

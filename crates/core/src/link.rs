@@ -83,7 +83,8 @@ pub struct Link {
 
 impl Link {
     /// A fresh, unconnected link. Tokens cover the crossbar queue in
-    /// maximal nine-FLIT packets.
+    /// maximal nine-FLIT packets (`DeviceConfig::validate` bounds the
+    /// depth at `MAX_QUEUE_DEPTH`, so the product fits).
     pub fn new(id: LinkId, xbar_depth: usize) -> Self {
         let tokens = (xbar_depth * hmc_types::MAX_PACKET_FLITS) as u32;
         Link {

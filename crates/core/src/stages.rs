@@ -138,11 +138,6 @@ impl HmcSim {
         let num_links = self.config.num_links as usize;
         let max_drain = self.params.xbar_drain_per_cycle;
         let vault_window = self.params.window_for(self.config.banks_per_vault);
-        // Buffered NoC fabrics carry cross-quad requests through per-quad
-        // segment buffers; local requests (and every request under the
-        // crossbar fabric) take the original direct push.
-        let buffered = self.devices[di].noc.is_some();
-
         // Optional SERDES serialization: each link direction moves at
         // most this many FLITs per cycle when configured. A zero budget
         // could never drain a packet, so it is clamped to one beat.
@@ -201,10 +196,6 @@ impl HmcSim {
             // into, so capacity claimed by this walk is not double-booked.
             let mut remote_free: [[Option<usize>; 8]; 8] = [[None; 8]; 8];
             debug_assert!(forwards.is_empty());
-            // Which latch holds a local request back: NoC injection for a
-            // cross-quad vault on a buffered fabric, else the vault's bit.
-            let rides_noc = |vault: VaultId| buffered && (l as QuadId) != Quad::of_vault(vault);
-
             loop {
                 if drained >= max_drain {
                     break;
@@ -220,9 +211,12 @@ impl HmcSim {
                 // The first blocked packet of each class still takes the
                 // slow path, which is what latches the class and emits
                 // the stall.
-                let rqst = &self.devices[di].xbars[l].rqst;
+                let dev = &self.devices[di];
+                let rqst = &dev.xbars[l].rqst;
+                // Which latch holds a local request back: NoC injection
+                // for a NoC-riding packet, else the vault's bit.
                 idx = rqst.next_unblocked(idx, |vault| {
-                    if rides_noc(vault) {
+                    if dev.rides_noc(l as LinkId, vault) {
                         noc_blocked
                     } else {
                         blocked_vaults & (1u64 << (vault & 0x3f)) != 0
@@ -455,7 +449,7 @@ impl HmcSim {
 
                 // ---- memory requests for this device ----
                 let dest_quad = Quad::of_vault(vault);
-                let via_noc = rides_noc(vault);
+                let via_noc = self.devices[di].rides_noc(l as LinkId, vault);
                 let stalled = if via_noc {
                     if !noc_blocked
                         && !self.devices[di]
@@ -714,21 +708,20 @@ impl HmcSim {
             // Buffered NoC fabrics carry cross-quad responses through the
             // vault's quad segment; same-quad responses (and everything
             // under the crossbar fabric) push directly.
-            if e_link as QuadId != vault_quad {
-                if let Some(noc) = dev.noc.as_mut() {
-                    if !noc.has_room(vault_quad, NocClass::Response) {
-                        self.stats.noc_stalls += 1;
-                        self.emit(TraceEvent::NocStall {
-                            cube: dev_id,
-                            quad: vault_quad,
-                            tag,
-                        });
-                        break;
-                    }
-                    let entry = dev.vaults[vi].rsp.pop().expect("head present");
-                    noc.inject(vault_quad, NocDest::ToLink(e_link), entry, clock);
-                    continue;
+            if dev.rides_noc(e_link, vi as VaultId) {
+                let noc = dev.noc.as_mut().expect("rides_noc");
+                if !noc.has_room(vault_quad, NocClass::Response) {
+                    self.stats.noc_stalls += 1;
+                    self.emit(TraceEvent::NocStall {
+                        cube: dev_id,
+                        quad: vault_quad,
+                        tag,
+                    });
+                    break;
                 }
+                let entry = dev.vaults[vi].rsp.pop().expect("head present");
+                noc.inject(vault_quad, NocDest::ToLink(e_link), entry, clock);
+                continue;
             }
             let egress_rsp = &mut dev.xbars[e_link as usize].rsp;
             if egress_rsp.is_full() {

@@ -250,6 +250,62 @@ fn the_admission_cap_returns_busy_sessions_full() {
 }
 
 #[test]
+fn a_config_sized_to_exhaust_memory_is_refused_and_the_manager_keeps_serving() {
+    let (mgr, _workers) = SessionManager::start(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    // Before `DeviceConfig::validate` bounded the queue depths this
+    // reached `VecDeque::with_capacity` and aborted the whole process
+    // ("memory allocation of 70368744177664 bytes failed").
+    let mut hostile = DeviceConfig::small();
+    hostile.xbar_depth = 1 << 40;
+    let json = serde_json::to_string(&hostile).unwrap();
+    match mgr.open_session("", &json, 0, 0) {
+        Frame::Error { code, message } => {
+            assert_eq!(code, WireErrorCode::BadConfig as u8);
+            assert!(message.contains("xbar_depth"), "names the field: {message}");
+        }
+        other => panic!("expected BadConfig, got {other:?}"),
+    }
+    assert_eq!(mgr.active_sessions(), 0);
+
+    let Frame::SessionOpened { session } = mgr.open_session("small", "", 0, 0) else {
+        panic!("an ordinary session must still open");
+    };
+    let ops: Vec<WireOp> = (0..16)
+        .map(|i| WireOp {
+            kind: WireOp::KIND_READ,
+            addr: i * 64,
+            size_bytes: 64,
+        })
+        .collect();
+    assert!(matches!(
+        mgr.submit(session, &ops),
+        Frame::BatchAccepted { .. }
+    ));
+    let mut served = 0;
+    let until = Instant::now() + Duration::from_secs(30);
+    while served < ops.len() {
+        let Frame::Responses { items, .. } = mgr.poll(session, 0) else {
+            panic!("poll failed");
+        };
+        assert!(items.iter().all(|r| r.ok));
+        served += items.len();
+        assert!(
+            Instant::now() < until,
+            "the ordinary session never answered"
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let Frame::Closed(stats) = mgr.close(session) else {
+        panic!("close failed");
+    };
+    assert_eq!(stats.completed, ops.len() as u64);
+    mgr.stop_workers();
+}
+
+#[test]
 fn idle_sessions_are_reaped_and_busy_ones_spared() {
     let cfg = ServerConfig {
         threads: 1,

@@ -37,6 +37,19 @@ pub enum StorageMode {
 /// quad unit represents four vault units", paper §III.A).
 pub const VAULTS_PER_QUAD: u16 = 4;
 
+/// Deepest crossbar or vault queue a configuration may ask for. Every
+/// queue reserves its slots when the device is built, so an unbounded
+/// depth from a config file or a wire frame is an unbounded allocation.
+/// `u16::MAX` is the range the fabric's own buffers already have
+/// (`NocParams::buffer_depth`), keeps a link's token pool
+/// (`xbar_depth × MAX_PACKET_FLITS`) far inside `u32`, and is 128× the
+/// deepest queue any sweep in this repo builds.
+pub const MAX_QUEUE_DEPTH: usize = u16::MAX as usize;
+
+/// Most DRAM dies a bank may stack (every bank carries one counter per
+/// die). The same ceiling the vault scheduler puts on banks per vault.
+pub const MAX_DRAMS_PER_BANK: u16 = 64;
+
 /// Geometry and queue configuration of a single HMC device.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceConfig {
@@ -315,9 +328,10 @@ impl DeviceConfig {
                 self.banks_per_vault
             )));
         }
-        if !self.drams_per_bank.is_power_of_two() {
+        if !self.drams_per_bank.is_power_of_two() || self.drams_per_bank > MAX_DRAMS_PER_BANK {
             return Err(HmcError::InvalidConfig(format!(
-                "drams_per_bank must be a power of two, got {}",
+                "drams_per_bank must be a power of two no greater than \
+                 {MAX_DRAMS_PER_BANK}, got {}",
                 self.drams_per_bank
             )));
         }
@@ -339,12 +353,17 @@ impl DeviceConfig {
                 self.block_size.bytes()
             )));
         }
-        if self.xbar_depth == 0 || self.vault_depth == 0 {
+        for (field, depth) in [
+            ("xbar_depth", self.xbar_depth),
+            ("vault_depth", self.vault_depth),
+        ] {
             // §IV.A: "There must exist at least one queue slot for each
             // logical queue representation."
-            return Err(HmcError::InvalidConfig(
-                "queue depths must be at least one slot".into(),
-            ));
+            if !(1..=MAX_QUEUE_DEPTH).contains(&depth) {
+                return Err(HmcError::InvalidConfig(format!(
+                    "{field} must be 1..={MAX_QUEUE_DEPTH} slots, got {depth}"
+                )));
+            }
         }
         if !self.link_speed.legal_for_links(self.num_links) {
             return Err(HmcError::InvalidConfig(format!(
@@ -446,6 +465,34 @@ mod tests {
         let mut c = DeviceConfig::small();
         c.vault_depth = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn allocation_sizing_fields_are_bounded_by_name() {
+        type Set = fn(&mut DeviceConfig, usize);
+        let fields: [(&str, usize, Set); 3] = [
+            ("xbar_depth", MAX_QUEUE_DEPTH, |c, v| c.xbar_depth = v),
+            ("vault_depth", MAX_QUEUE_DEPTH, |c, v| c.vault_depth = v),
+            ("drams_per_bank", MAX_DRAMS_PER_BANK as usize, |c, v| {
+                c.drams_per_bank = v as u16
+            }),
+        ];
+        for (field, bound, set) in fields {
+            let mut c = DeviceConfig::small();
+            set(&mut c, bound);
+            c.validate()
+                .unwrap_or_else(|e| panic!("{field} at its bound: {e}"));
+            set(&mut c, bound + 1);
+            match c.validate() {
+                Err(HmcError::InvalidConfig(msg)) => assert!(
+                    msg.contains(field) && msg.contains(&bound.to_string()),
+                    "{field} past its bound must name the field and the limit: {msg}"
+                ),
+                other => panic!("{field} = {}: {other:?}", bound + 1),
+            }
+        }
+        // The token pool of the deepest legal crossbar queue fits `u32`.
+        assert!(u32::try_from(MAX_QUEUE_DEPTH * crate::MAX_PACKET_FLITS).is_ok());
     }
 
     #[test]

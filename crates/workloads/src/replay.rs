@@ -65,7 +65,8 @@ impl Replay {
     /// are skipped wherever they appear.
     pub fn read_csv<R: BufRead>(r: R) -> Result<Self> {
         let mut ops = Vec::new();
-        for (lineno, line) in r.lines().enumerate() {
+        // Numbered from 1, as an editor shows them.
+        for (line, lineno) in r.lines().zip(1u64..) {
             let line = line.map_err(|e| HmcError::Internal(format!("trace read: {e}")))?;
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') || line.starts_with("kind") {
@@ -83,14 +84,15 @@ impl Replay {
             let addr = parse_addr(addr).ok_or_else(|| {
                 HmcError::InvalidConfig(format!("trace line {lineno}: bad address {addr:?}"))
             })?;
-            let size: usize = size.trim().parse().map_err(|_| {
-                HmcError::InvalidConfig(format!("trace line {lineno}: bad size {size:?}"))
-            })?;
-            ops.push(MemOp {
-                kind,
-                addr,
-                size: BlockSize::from_bytes(size)?,
-            });
+            let size = size
+                .trim()
+                .parse()
+                .ok()
+                .and_then(|bytes| BlockSize::from_bytes(bytes).ok())
+                .ok_or_else(|| {
+                    HmcError::InvalidConfig(format!("trace line {lineno}: bad size {size:?}"))
+                })?;
+            ops.push(MemOp { kind, addr, size });
         }
         Ok(Replay::new(ops))
     }
@@ -211,9 +213,23 @@ mod tests {
 
     #[test]
     fn csv_parse_rejects_garbage() {
-        assert!(Replay::read_csv("kind,addr,size\nXX,0x0,64\n".as_bytes()).is_err());
-        assert!(Replay::read_csv("kind,addr,size\nRD,zzz,64\n".as_bytes()).is_err());
-        assert!(Replay::read_csv("kind,addr,size\nRD,0x0,63\n".as_bytes()).is_err());
+        // The reported line is the one an editor shows: 1-based, with
+        // header, blank and comment lines counted.
+        for (text, want) in [
+            ("XX,0x0,64\n", "trace line 1: unknown kind \"XX\""),
+            ("kind,addr,size\nXX,0x0,64\n", "trace line 2: unknown kind \"XX\""),
+            ("kind,addr,size\n\nRD,zzz,64\n", "trace line 3: bad address \"zzz\""),
+            ("kind,addr,size\nRD,0x0,63\n", "trace line 2: bad size \"63\""),
+            (
+                "# hmc-conform reproduction\n# seed: 0x5eed\nkind,addr,size\nRD,0x40,64\nWR,0x80,big\n",
+                "trace line 5: bad size \"big\"",
+            ),
+        ] {
+            match Replay::read_csv(text.as_bytes()) {
+                Err(HmcError::InvalidConfig(msg)) => assert_eq!(msg, want, "{text:?}"),
+                other => panic!("{text:?}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //! and retransmission penalties, plus the live-register behaviours (IBTC
 //! mirrors tokens; AC switches address-map modes).
 
-use hmc_sim::hmc_core::{regs, topology, HmcSim};
+use hmc_sim::hmc_core::{regs, topology, HmcSim, SimStats};
 use hmc_sim::hmc_host::{run_workload, Host, RunConfig};
 use hmc_sim::hmc_trace::{CountingSink, EventKind, SharedSink, Tracer, Verbosity};
 use hmc_sim::hmc_types::{
-    BlockSize, Command, DeviceConfig, LinkFaultConfig, Packet, StorageMode,
+    BlockSize, CellFaultConfig, Command, DeviceConfig, LinkFaultConfig, Mitigation, Packet,
+    StorageMode,
 };
-use hmc_sim::hmc_workloads::RandomAccess;
+use hmc_sim::hmc_workloads::{Hammer, RandomAccess};
 
 fn sim() -> HmcSim {
     let mut s = HmcSim::new(
@@ -210,6 +211,46 @@ fn zero_rate_fault_injection_is_a_noop() {
     let report = run_workload(&mut s, &mut host, &mut w, RunConfig::default()).unwrap();
     assert_eq!(report.completed, 500);
     assert_eq!(s.fault_state().unwrap().injected, 0);
+}
+
+#[test]
+fn an_armed_cell_fault_hook_flips_bits_without_moving_a_cycle() {
+    // The injection hook charges no cycles of its own — only the TRR
+    // mitigation spends refresh time — so with mitigation off a run that
+    // crosses the disturbance threshold many times over must simulate
+    // the identical span as one with cell faults unconfigured.
+    let armed = CellFaultConfig::default()
+        .with_hammer_threshold(64)
+        .with_flip_prob_ppm(1_000_000)
+        .with_mitigation(Mitigation::None);
+    let run = |cell_faults: Option<CellFaultConfig>, fast_forward: bool| {
+        let mut s = HmcSim::new(1, DeviceConfig::small())
+            .unwrap()
+            .with_fast_forward(fast_forward)
+            .with_cell_faults(cell_faults);
+        let host_id = s.host_cube_id(0);
+        topology::build_simple(&mut s, host_id).unwrap();
+        let mut host = Host::attach(&s, host_id).unwrap();
+        let geometry = s.config().geometry();
+        let mut w = Hammer::new(geometry, BlockSize::B64, 0, 0, geometry.rows / 2, 6_000).unwrap();
+        let report = run_workload(&mut s, &mut host, &mut w, RunConfig::default()).unwrap();
+        (report.cycles, report.completed, s.stats())
+    };
+    for fast_forward in [false, true] {
+        let (off_cycles, off_completed, off) = run(None, fast_forward);
+        let (on_cycles, on_completed, on) = run(Some(armed), fast_forward);
+        assert_eq!(off_cycles, on_cycles, "fast_forward {fast_forward}");
+        assert_eq!((off_completed, on_completed), (6_000, 6_000));
+        assert!(on.bit_flips > 0, "the armed run must actually flip bits");
+        let timing_only = SimStats {
+            hammer_activations: 0,
+            bit_flips: 0,
+            trr_refreshes: 0,
+            retention_decays: 0,
+            ..on
+        };
+        assert_eq!(off, timing_only, "fast_forward {fast_forward}");
+    }
 }
 
 #[test]
