@@ -21,7 +21,7 @@ const ROWS: u64 = (64 << 20) / BLOCK as u64;
 const STRIDE: u64 = 33;
 
 fn new_bank(mode: StorageMode) -> Bank {
-    Bank::new(ROWS, BLOCK, 16, mode)
+    Bank::new(ROWS, BLOCK, mode)
 }
 
 fn bench_bank(c: &mut Criterion) {

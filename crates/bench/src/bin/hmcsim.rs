@@ -124,6 +124,13 @@ fn main() {
         eprintln!("hmcsim: configuration written to {path}");
         return;
     }
+    // Every output file opens before the run: a path that cannot be
+    // opened fails in one line now, not in a panic after the simulation.
+    let create = |path: &String| {
+        File::create(path).unwrap_or_else(|e| o.args.die(format_args!("{path}: {e}")))
+    };
+    let trace_file = o.trace.as_ref().map(create);
+    let series_file = o.series.as_ref().map(create);
     let config = o.config.clone().with_storage_mode(StorageMode::TimingOnly);
     let sim = HmcSim::new(1, config).expect("config validates");
     // Defaults < config file < command line: the flags land on top of
@@ -134,18 +141,19 @@ fn main() {
     topology::build_simple(&mut sim, host_id).expect("topology");
 
     // Optional sinks: per-cycle series and/or a text trace file.
-    let series = o
-        .series
-        .as_ref()
-        .map(|_| SharedSink::new(SeriesCollector::new(16, sim.config().num_vaults)));
+    let series = series_file.map(|file| {
+        (
+            file,
+            SharedSink::new(SeriesCollector::new(16, sim.config().num_vaults)),
+        )
+    });
     let mut sinks = MultiSink::new();
     let mut any_sink = false;
-    if let Some(s) = &series {
+    if let Some((_, s)) = &series {
         sinks = sinks.with(Box::new(s.clone()));
         any_sink = true;
     }
-    if let Some(path) = &o.trace {
-        let file = File::create(path).expect("create trace file");
+    if let Some(file) = trace_file {
         sinks = sinks.with(Box::new(TextSink::new(BufWriter::new(file))));
         any_sink = true;
     }
@@ -259,11 +267,10 @@ fn main() {
         }
     }
 
-    if let (Some(path), Some(s)) = (&o.series, &series) {
-        let file = File::create(path).expect("create series file");
+    if let (Some(path), Some((file, s))) = (&o.series, series) {
         s.0.lock()
             .write_csv(BufWriter::new(file))
-            .expect("write series");
+            .unwrap_or_else(|e| o.args.die(format_args!("{path}: {e}")));
         eprintln!("hmcsim: series written to {path}");
     }
     sim.tracer_mut().flush();

@@ -88,6 +88,14 @@ fn main() {
         }
     }
     let axes = args.params_over(SimParams::default());
+    // Opened before the sweep: a path that cannot be opened fails in one
+    // line now, not in a panic after every point has run.
+    let mut sink: Box<dyn Write> = match &out {
+        Some(path) => Box::new(BufWriter::new(
+            File::create(path).unwrap_or_else(|e| args.die(format_args!("{path}: {e}"))),
+        )),
+        None => Box::new(std::io::stdout().lock()),
+    };
 
     // Enumerate the sweep grid first; each tuple is an independent
     // simulation, so the points run concurrently below.
@@ -140,10 +148,6 @@ fn main() {
         .map(|p| p.expect("every grid point computed"))
         .collect();
 
-    let mut sink: Box<dyn Write> = match &out {
-        Some(path) => Box::new(BufWriter::new(File::create(path).expect("create out file"))),
-        None => Box::new(std::io::stdout().lock()),
-    };
     writeln!(
         sink,
         "xbar_depth,vault_depth,window,drain,cycles,req_per_cycle,mean_latency"

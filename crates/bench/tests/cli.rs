@@ -68,6 +68,34 @@ fn sweep_no_longer_swallows_malformed_values() {
     assert_usage_error("sweep", sweep, &["--jobs", "0"]);
 }
 
+/// An output path that cannot be opened is a one-line usage error, found
+/// before the run rather than as a panic after it.
+#[test]
+fn unopenable_output_paths_fail_before_the_run() {
+    let path = "/nonexistent-dir/out.txt";
+    let hmcsim = env!("CARGO_BIN_EXE_hmcsim");
+    let sweep = env!("CARGO_BIN_EXE_sweep");
+    for (name, bin, args) in [
+        ("hmcsim", hmcsim, ["--requests", "200", "--trace", path]),
+        ("hmcsim", hmcsim, ["--requests", "200", "--series", path]),
+        ("sweep", sweep, ["--requests", "100", "--out", path]),
+    ] {
+        let out = run(bin, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("{name}: {path}: ")),
+            "{name} {args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{name} {args:?}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            !stdout.lines().any(|l| l.starts_with("cycles")),
+            "{name} {args:?} simulated first: {stdout}"
+        );
+    }
+}
+
 /// Simulated cycles of one `hmcsim --requests 2000` run with `extra`.
 fn hmcsim_cycles(extra: &[&str]) -> u64 {
     let mut args = vec!["--requests", "2000"];

@@ -49,7 +49,7 @@ pub(crate) struct CycleInputs {
     clock: Cycle,
     conflicts_enabled: bool,
     /// Row-buffer trace events (RowHit/RowMiss/Precharge) are enabled on
-    /// the sink; the `SimStats` row counters bump regardless.
+    /// the sink; the `VaultStats` row counters bump regardless.
     row_events: bool,
     window: usize,
     banks: u16,
@@ -190,7 +190,8 @@ pub(crate) fn idle_edge(vault: &Vault, inputs: &CycleInputs) -> Option<Cycle> {
 /// Stages 3 and 4 for one vault: bank-conflict recognition over the
 /// spatial window (trace only, §IV.C.3), then the windowed request walk
 /// (§IV.C.4). Trace events are staged, not emitted (see the module doc);
-/// `stats` and the device's error register are updated in place.
+/// `vault.stats`, the cell-fault counters in `stats` and the device's
+/// error register are updated in place.
 ///
 /// A sleeping vault ([`Vault::asleep`]) returns at once. A tick that
 /// releases, issues or stages anything leaves the vault awake; one that
@@ -201,7 +202,7 @@ pub(crate) fn idle_edge(vault: &Vault, inputs: &CycleInputs) -> Option<Cycle> {
 /// [`crate::timing::VaultTiming`] backend through [`hold_edge`]; an
 /// admitted packet's grant carries the data-ready cycle (`execute` parks
 /// late data in `Vault::pending`) and the row-buffer outcome (staged as
-/// RowHit/RowMiss/Precharge events and counted into `stats`).
+/// RowHit/RowMiss/Precharge events and counted into `vault.stats`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn tick_vault(
     vault: &mut Vault,
@@ -298,13 +299,14 @@ pub(crate) fn tick_vault(
         let entry = vault.rqst.remove(idx).expect("idx checked");
         let bytes = entry.packet.data_bytes() as u32;
         let grant = vault.timing.try_issue(bank, row, inputs.clock);
+        // The one count of the grant's row outcome.
         match grant.outcome {
             RowOutcome::None => {}
-            RowOutcome::Hit => stats.row_hits += 1,
-            RowOutcome::Miss | RowOutcome::Conflict => stats.row_misses += 1,
+            RowOutcome::Hit => vault.stats.row_hits += 1,
+            RowOutcome::Miss | RowOutcome::Conflict => vault.stats.row_misses += 1,
         }
         if grant.pre_cycle.is_some() {
-            stats.precharges += 1;
+            vault.stats.precharges += 1;
         }
         // ---- cell-fault hook: retention decay before the access reads
         // data, then hammer accounting on every row activation (any
@@ -377,7 +379,7 @@ pub(crate) fn tick_vault(
         }
         match vault.execute(entry, map, dev_id, inputs.clock, grant.data_ready, bodies) {
             Execution::Done | Execution::Responded => {}
-            Execution::RespondedError(status) => {
+            Execution::Failed(status) => {
                 completions.stage(TraceEvent::ErrorResponse {
                     cube: dev_id,
                     tag,
@@ -731,7 +733,6 @@ impl HmcSim {
         }
         self.stage6_update_clock();
         self.clock += dead - 1;
-        self.stats.cycles += dead - 1;
         if self.params.check_invariants {
             self.inv_check_cycle();
         }
@@ -1166,7 +1167,7 @@ mod tests {
         let b = bursty_run(&mut fast, 6, 8, 250);
         assert_eq!(a, b, "retry timers must fire identically across jumps");
         assert!(
-            stepped.fault_state().unwrap().detected > 0,
+            stepped.stats().link_retries > 0,
             "the schedule must actually exercise retries"
         );
     }
@@ -1587,18 +1588,18 @@ mod tests {
         // lands inside the window and issues the cycle it is delivered.
         let mut s = vault0_asleep(params, &[(0, 0), (0, 1)]);
         assert_eq!(s.devices[0].vaults[0].rqst.len(), 1);
-        let misses = s.stats.row_misses;
+        let misses = s.stats().row_misses;
         s.send(0, 0, read_packet(bank_row_addr(1, 0), 9, 0))
             .unwrap();
         s.clock().unwrap();
-        assert_eq!(s.stats.row_misses, misses + 1, "issued on delivery");
+        assert_eq!(s.stats().row_misses, misses + 1, "issued on delivery");
         assert_clean(&s);
 
         // Two held entries fill the window: the same read lands beyond
         // it, where stage 4 will not look before the window moves — the
         // vault is not even woken to re-derive the edge it has.
         let mut s = vault0_asleep(params, &[(0, 0), (0, 1), (0, 2)]);
-        let (misses, edge) = (s.stats.row_misses, s.devices[0].vaults[0].wake_at);
+        let (misses, edge) = (s.stats().row_misses, s.devices[0].vaults[0].wake_at);
         // (In one of the sim's own bodies: the checker counts them.)
         let body = s.bodies.take(read_packet(bank_row_addr(1, 0), 9, 0));
         let mut e = QueueEntry::with_body(body, 1, 0, s.clock);
@@ -1607,7 +1608,7 @@ mod tests {
         assert_eq!(s.devices[0].vaults[0].wake_at, edge);
         s.clock().unwrap();
         assert_eq!(s.devices[0].vaults[0].rqst.len(), 3);
-        assert_eq!(s.stats.row_misses, misses);
+        assert_eq!(s.stats().row_misses, misses);
         assert_clean(&s);
     }
 
@@ -1637,7 +1638,7 @@ mod tests {
         let s = vault0_asleep(params, &[(0, 0), (0, 1), (1, 0)]);
         assert_eq!(s.devices[0].vaults[0].rqst.len(), 2);
         assert_eq!(s.devices[0].vaults[0].wake_at, t.t_rcd + t.t_ccd);
-        assert_eq!(s.stats.row_misses, 1);
+        assert_eq!(s.stats().row_misses, 1);
         assert_clean(&s);
     }
 
@@ -1729,7 +1730,7 @@ mod tests {
             },
             &[(0, 0), (0, 1)],
         );
-        assert_eq!(s.stats.trr_refreshes, 1);
+        assert_eq!(s.stats().trr_refreshes, 1);
         assert!(100 > t.t_rcd + t.t_cas, "the park outlasts the data edge");
         assert_eq!(s.devices[0].vaults[0].wake_at, t.t_rcd + t.t_cas);
         // The release leaves the vault awake; the tick after it finds
@@ -1738,9 +1739,9 @@ mod tests {
         s.clock_batch(t.t_rcd + t.t_cas + 2 - s.clock).unwrap();
         assert_eq!(s.devices[0].vaults[0].wake_at, 100, "then the park");
         s.clock_batch(100 - s.clock).unwrap();
-        assert_eq!(s.stats.row_misses, 1, "cycle 100 has not run yet");
+        assert_eq!(s.stats().row_misses, 1, "cycle 100 has not run yet");
         s.clock().unwrap();
-        assert_eq!(s.stats.row_misses, 2, "issued at the park edge");
+        assert_eq!(s.stats().row_misses, 2, "issued at the park edge");
         assert_clean(&s);
     }
 

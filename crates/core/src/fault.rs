@@ -87,7 +87,11 @@ fn hits(rate: f64, draw: u64) -> bool {
     draw < (rate * (u64::MAX as f64)) as u64
 }
 
-/// Live error-injection state and statistics.
+/// Live error-injection state: the configuration and the one count
+/// nothing else keeps. A detection is a retry
+/// (`SimStats::link_retries`) or, on the last allowed attempt, a
+/// `LinkDown` event; the non-posted requests a `LinkDown` aborts are
+/// `SimStats::poisoned_responses`.
 #[derive(Debug, Clone)]
 pub struct FaultState {
     /// The active configuration.
@@ -95,10 +99,6 @@ pub struct FaultState {
     /// Transmission attempts corrupted in transit so far (initial sends
     /// and retransmissions both count).
     pub injected: u64,
-    /// Corruptions detected and retried by crossbars so far.
-    pub detected: u64,
-    /// Requests aborted with a poisoned response after retry exhaustion.
-    pub poisoned: u64,
 }
 
 impl FaultState {
@@ -107,8 +107,6 @@ impl FaultState {
         FaultState {
             config,
             injected: 0,
-            detected: 0,
-            poisoned: 0,
         }
     }
 
@@ -119,16 +117,6 @@ impl FaultState {
             self.injected += 1;
         }
         hit
-    }
-
-    /// Record a crossbar-side detection.
-    pub fn record_detection(&mut self) {
-        self.detected += 1;
-    }
-
-    /// Record a retry-exhaustion poisoning.
-    pub fn record_poison(&mut self) {
-        self.poisoned += 1;
     }
 }
 

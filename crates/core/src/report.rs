@@ -2,28 +2,33 @@
 //!
 //! The paper's evaluations "elicit device, vault and bank utilization
 //! trace data from within a theoretical device" (abstract). This module
-//! aggregates the counters the simulator already maintains — per-vault
-//! processed operations, per-bank reads/writes/atomics and row-buffer
-//! hits/misses, DRAM die touches, resident storage — into one structured
-//! report, plus an [`Activity`] summary that feeds
-//! the energy model.
+//! reads the one set of access counters the simulator keeps — each
+//! vault's [`VaultStats`], fed by stage 4 from the timing backend's grant
+//! — plus resident storage, into one structured report, and sums them
+//! into an [`Activity`] summary that feeds the energy model.
 
-use hmc_mem::BankStats;
 use hmc_trace::Activity;
 use hmc_types::{CubeId, VaultId};
 
 use crate::sim::HmcSim;
 use crate::vault::VaultStats;
 
-/// Utilization of one vault: controller stats plus aggregated bank stats.
+/// Utilization of one vault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VaultUtilizationReport {
     /// Vault index.
     pub vault: VaultId,
     /// Vault controller counters.
     pub controller: VaultStats,
-    /// Aggregate bank counters (reads/writes/atomics/row hits/misses).
-    pub banks: BankStats,
+}
+
+/// `hits / accesses`, 0 when there were no accesses.
+fn hit_rate(hits: u64, accesses: u64) -> f64 {
+    if accesses == 0 {
+        0.0
+    } else {
+        hits as f64 / accesses as f64
+    }
 }
 
 /// Utilization of one device.
@@ -40,31 +45,15 @@ pub struct DeviceUtilizationReport {
 impl DeviceUtilizationReport {
     /// Total operations processed by the device's vaults.
     pub fn total_processed(&self) -> u64 {
-        self.vaults.iter().map(|v| v.controller.processed).sum()
+        self.vaults.iter().map(|v| v.controller.processed()).sum()
     }
 
-    /// Aggregate bank stats across the device.
-    pub fn total_banks(&self) -> BankStats {
-        let mut t = BankStats::default();
-        for v in &self.vaults {
-            t.reads += v.banks.reads;
-            t.writes += v.banks.writes;
-            t.atomics += v.banks.atomics;
-            t.row_hits += v.banks.row_hits;
-            t.row_misses += v.banks.row_misses;
-        }
-        t
-    }
-
-    /// Row-buffer hit rate across the device (0 when no accesses).
+    /// Row-buffer hit rate across the device: hits over processed
+    /// operations (0 when none; always 0 under the classic backend,
+    /// which models no row buffer).
     pub fn row_hit_rate(&self) -> f64 {
-        let t = self.total_banks();
-        let total = t.row_hits + t.row_misses;
-        if total == 0 {
-            0.0
-        } else {
-            t.row_hits as f64 / total as f64
-        }
+        let hits = self.vaults.iter().map(|v| v.controller.row_hits).sum();
+        hit_rate(hits, self.total_processed())
     }
 
     /// Render a per-vault table.
@@ -77,20 +66,15 @@ impl DeviceUtilizationReport {
         );
         out.push_str("vault   processed     reads    writes   atomics  row-hit%\n");
         for v in &self.vaults {
-            let total_rows = v.banks.row_hits + v.banks.row_misses;
-            let hit = if total_rows == 0 {
-                0.0
-            } else {
-                v.banks.row_hits as f64 / total_rows as f64 * 100.0
-            };
+            let c = &v.controller;
             out.push_str(&format!(
                 "{:>5} {:>11} {:>9} {:>9} {:>9} {:>9.1}\n",
                 v.vault,
-                v.controller.processed,
-                v.controller.reads,
-                v.controller.writes,
-                v.controller.atomics,
-                hit
+                c.processed(),
+                c.reads,
+                c.writes,
+                c.atomics,
+                hit_rate(c.row_hits, c.processed()) * 100.0
             ));
         }
         out
@@ -110,7 +94,6 @@ impl HmcSim {
                     .map(|v| VaultUtilizationReport {
                         vault: v.id,
                         controller: v.stats,
-                        banks: v.mem.aggregate_stats(),
                     })
                     .collect(),
                 resident_bytes: d.vaults.iter().map(|v| v.mem.resident_bytes()).sum(),
@@ -123,7 +106,10 @@ impl HmcSim {
     /// Wire bytes are derived from per-command FLIT accounting at the
     /// vault level (request + response packets for each processed op) and
     /// are an approximation for multi-hop topologies, which move packets
-    /// over several links.
+    /// over several links. Every processed access that was not a row hit
+    /// activates a row — the rule the cell-fault hook applies — so under
+    /// the classic backend, which models no row buffer, each access pays
+    /// one activation.
     pub fn activity(&self) -> Activity {
         let mut wire_bytes = 0u64;
         let mut dram_bytes = 0u64;
@@ -131,18 +117,20 @@ impl HmcSim {
         let mut packets = 0u64;
         for d in &self.devices {
             for v in &d.vaults {
-                let banks = v.mem.aggregate_stats();
-                row_activations += banks.row_misses;
+                let s = &v.stats;
+                // Saturating: a grant that then failed at the bank (an
+                // error response) counts its row outcome but is not
+                // processed.
+                row_activations += s.processed().saturating_sub(s.row_hits);
                 // Controller counters give us op classes; approximate
                 // bytes with the dominant 64-byte shape when exact block
                 // sizes were mixed (the harness reports exact bytes via
                 // hmc_trace::TrafficCounts when it tracks them itself).
-                dram_bytes += (banks.reads + banks.writes) * 64 + banks.atomics * 16;
+                dram_bytes += (s.reads + s.writes) * 64 + s.atomics * 16;
                 // Request+response packet pairs for non-posted traffic.
-                packets += 2 * v.stats.processed;
-                wire_bytes += v.stats.reads * (1 + 5) * 16
-                    + v.stats.writes * (5 + 1) * 16
-                    + v.stats.atomics * (2 + 1) * 16;
+                packets += 2 * s.processed();
+                wire_bytes +=
+                    s.reads * (1 + 5) * 16 + s.writes * (5 + 1) * 16 + s.atomics * (2 + 1) * 16;
             }
         }
         Activity {
@@ -194,12 +182,10 @@ mod tests {
         assert_eq!(reports.len(), 1);
         let r = &reports[0];
         assert_eq!(r.total_processed(), 32);
-        let banks = r.total_banks();
-        assert_eq!(banks.writes, 32);
-        assert_eq!(banks.reads, 0);
         // 32 sequential blocks over 16 vaults: two writes per vault.
         for v in &r.vaults {
-            assert_eq!(v.controller.processed, 2, "vault {}", v.vault);
+            assert_eq!(v.controller.processed(), 2, "vault {}", v.vault);
+            assert_eq!(v.controller.writes, 2, "vault {}", v.vault);
         }
         assert_eq!(
             r.resident_bytes,

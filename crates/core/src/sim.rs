@@ -21,7 +21,11 @@ use crate::routing::RouteTable;
 /// The 3-bit CUB field bounds the ID space shared by devices and hosts.
 pub const MAX_CUBES: usize = 8;
 
-/// Whole-simulation counters.
+/// Whole-simulation counters, as returned by [`HmcSim::stats`].
+///
+/// `cycles` is the clock and the three row fields are sums of the
+/// per-vault counts ([`crate::VaultStats`]); the simulation stores
+/// neither a second time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Request packets accepted from hosts.
@@ -119,7 +123,7 @@ impl std::fmt::Debug for HmcSim {
             .field("devices", &self.devices.len())
             .field("clock", &self.clock)
             .field("config", &self.config)
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
@@ -436,9 +440,19 @@ impl HmcSim {
         self.clock
     }
 
-    /// Whole-simulation counters.
+    /// Whole-simulation counters: the stored ones, with `cycles` read
+    /// from the clock and the row-buffer counts summed over every vault.
     pub fn stats(&self) -> SimStats {
-        self.stats
+        let mut s = SimStats {
+            cycles: self.clock,
+            ..self.stats
+        };
+        for v in self.devices.iter().flat_map(|d| &d.vaults) {
+            s.row_hits += v.stats.row_hits;
+            s.row_misses += v.stats.row_misses;
+            s.precharges += v.stats.precharges;
+        }
+        s
     }
 
     /// Immutable device access.
@@ -766,14 +780,15 @@ impl HmcSim {
             self.ac_mode = ac;
         }
         self.clock += 1;
-        self.stats.cycles += 1;
     }
 
     // ------------------------------------------------------------- misc
 
     /// Reset one device to its power-on state ([`Device::reset`]); the
-    /// clock, the statistics and every other device are untouched.
-    /// Requests resident in the device are dropped unanswered.
+    /// clock, the statistics and every other device are untouched, except
+    /// that the device's row-buffer counts, which live in its vaults,
+    /// leave [`HmcSim::stats`] with them. Requests resident in the device
+    /// are dropped unanswered.
     pub fn reset_device(&mut self, id: CubeId) -> Result<()> {
         let n = self.num_devices();
         let d = self

@@ -266,16 +266,14 @@ impl HmcSim {
                         };
                         // Retry exhaustion with no response slot free:
                         // hold everything as-is (no counters, no events)
-                        // and rerun the abort next cycle. Checked before
-                        // the detection is recorded so a deferred abort
-                        // never double-counts.
+                        // and rerun the abort next cycle, so a deferred
+                        // abort never double-counts.
                         if next_attempt > cfg.retry_limit
                             && !posted
                             && self.devices[di].xbars[l].rsp.is_full()
                         {
                             break;
                         }
-                        self.faults.as_mut().expect("checked").record_detection();
                         if next_attempt <= cfg.retry_limit {
                             // Schedule the in-order retransmission and
                             // pre-decide its fate from the stateless
@@ -311,7 +309,6 @@ impl HmcSim {
                         // guaranteed — the full-response-queue case broke
                         // out above before anything mutated.
                         let entry = self.take_xbar_request(di, l, idx, flits);
-                        self.faults.as_mut().expect("checked").record_poison();
                         self.emit(TraceEvent::LinkDown {
                             cube: dev_id,
                             link: l as LinkId,

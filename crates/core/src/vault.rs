@@ -26,11 +26,11 @@ use crate::timing::{ClassicTiming, VaultTiming};
 /// the maximal nine-FLIT packet) — sizes the stack staging buffers.
 const MAX_BLOCK_BYTES: usize = 128;
 
-/// Per-vault operation counters.
+/// Per-vault operation counters: the one place an access is counted.
+/// Device totals, the utilization report, the energy model and the row
+/// fields of [`crate::SimStats`] are sums of these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VaultStats {
-    /// Requests fully processed by this vault.
-    pub processed: u64,
     /// Reads processed.
     pub reads: u64,
     /// Writes processed (including posted).
@@ -39,6 +39,21 @@ pub struct VaultStats {
     pub atomics: u64,
     /// Error responses generated.
     pub errors: u64,
+    /// Accesses the timing backend granted on an already-open row (DDR
+    /// backend only; the classic backend models no row buffer).
+    pub row_hits: u64,
+    /// Accesses that had to activate a row first (row misses and row
+    /// conflicts; DDR backend only).
+    pub row_misses: u64,
+    /// Precharge commands the timing backend issued (DDR backend only).
+    pub precharges: u64,
+}
+
+impl VaultStats {
+    /// Requests fully processed by this vault.
+    pub fn processed(&self) -> u64 {
+        self.reads + self.writes + self.atomics
+    }
 }
 
 /// The result of executing one request packet at a vault.
@@ -49,15 +64,15 @@ pub struct VaultStats {
 /// a heap-allocated hand-off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Execution {
-    /// The request completed; no response is owed (posted commands,
-    /// including posted failures).
+    /// The request completed; no response is owed (posted commands).
     Done,
     /// The request completed and a normal response was registered in
     /// the vault response queue.
     Responded,
-    /// The request failed and an error response with the given status
-    /// was registered in the vault response queue.
-    RespondedError(ResponseStatus),
+    /// The request failed with the given status. An error response was
+    /// registered in the vault response queue unless the command is
+    /// posted; stage 4 traces and counts the failure either way.
+    Failed(ResponseStatus),
 }
 
 /// A response whose data is not ready yet: the timing backend granted
@@ -298,7 +313,6 @@ impl Vault {
             );
         }
 
-        self.stats.processed += 1;
         match cmd.response_command() {
             // Posted: the request is done and so is its body.
             None => {
@@ -331,11 +345,11 @@ impl Vault {
         // only visible through traces and the EDR registers.
         if cmd.is_some_and(Command::is_posted) {
             bodies.give(request.packet);
-            return Execution::Done;
+        } else {
+            let rsp = request.into_response(Command::ErrorResponse, status, &[], device, cycle);
+            self.register_response(rsp, cycle, data_ready, bodies);
         }
-        let rsp = request.into_response(Command::ErrorResponse, status, &[], device, cycle);
-        self.register_response(rsp, cycle, data_ready, bodies);
-        Execution::RespondedError(status)
+        Execution::Failed(status)
     }
 
     fn register_response(
@@ -408,7 +422,7 @@ mod tests {
         Vault::new(
             0,
             4,
-            VaultMemory::from_parts(8, 64, 128, 16, StorageMode::Functional),
+            VaultMemory::from_parts(8, 64, 128, StorageMode::Functional),
         )
     }
 
@@ -470,7 +484,7 @@ mod tests {
         assert_eq!(e.packet.cmd().unwrap(), Command::RdResponse);
         assert_eq!(e.packet.data_as_bytes(), data.to_vec());
         assert_eq!(e.packet.response_slid(), 2, "SLID echoed");
-        assert_eq!(v.stats.processed, 2);
+        assert_eq!(v.stats.processed(), 2);
         assert_eq!(v.stats.reads, 1);
         assert_eq!(v.stats.writes, 1);
     }
@@ -592,17 +606,14 @@ mod tests {
             0,
             0,
         );
-        assert_eq!(
-            exec,
-            Execution::RespondedError(ResponseStatus::AddressError)
-        );
+        assert_eq!(exec, Execution::Failed(ResponseStatus::AddressError));
         let e = take_rsp(&mut v);
         assert_eq!(e.packet.cmd().unwrap(), Command::ErrorResponse);
         assert_eq!(e.packet.errstat().unwrap(), ResponseStatus::AddressError);
         assert_eq!(e.packet.tag(), 7);
         assert!(e.packet.dinv());
         assert_eq!(v.stats.errors, 1);
-        assert_eq!(v.stats.processed, 0);
+        assert_eq!(v.stats.processed(), 0);
     }
 
     #[test]
@@ -610,10 +621,7 @@ mod tests {
         let mut v = vault();
         let m = map();
         let exec = execute(&mut v, request(Command::ModeRead, 0, 1, &[]), &m, 0, 0);
-        assert_eq!(
-            exec,
-            Execution::RespondedError(ResponseStatus::CommandError)
-        );
+        assert_eq!(exec, Execution::Failed(ResponseStatus::CommandError));
         let e = take_rsp(&mut v);
         assert_eq!(e.packet.errstat().unwrap(), ResponseStatus::CommandError);
     }
@@ -630,8 +638,12 @@ mod tests {
             0,
             0,
         );
-        assert_eq!(exec, Execution::Done, "posted failure must be silent");
-        assert!(v.rsp.is_empty());
+        assert_eq!(
+            exec,
+            Execution::Failed(ResponseStatus::AddressError),
+            "stage 4 still traces and counts it"
+        );
+        assert!(v.rsp.is_empty(), "but a posted failure owes no response");
         assert_eq!(v.stats.errors, 1);
     }
 

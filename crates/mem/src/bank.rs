@@ -1,48 +1,29 @@
-//! Bank storage and row-buffer modelling.
+//! Bank storage.
 //!
 //! "Once within a bank layer, the DRAM is organized traditionally using
 //! rows and columns" (paper §III.A). A [`Bank`] owns a sparse store of the
-//! rows it has touched, a block of DRAM dies for access accounting, and a
-//! simple open-row tracker that distinguishes row-buffer hits from misses —
-//! useful for the extended utilization traces.
+//! rows it has touched and refuses spans outside its geometry. It counts
+//! nothing: an access is counted once, by its vault, and the row buffer
+//! is the timing backend's (`hmc_core::timing`).
 
 use hmc_types::config::StorageMode;
 use hmc_types::{HmcError, Result};
 
-use crate::dram::DramBlock;
 use crate::storage::RowStore;
 
-/// Aggregate operation counters for one bank.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BankStats {
-    /// Completed read operations.
-    pub reads: u64,
-    /// Completed write operations.
-    pub writes: u64,
-    /// Completed atomic (read-modify-write) operations.
-    pub atomics: u64,
-    /// Accesses that re-used the open row.
-    pub row_hits: u64,
-    /// Accesses that opened a new row.
-    pub row_misses: u64,
-}
-
-/// One memory bank: rows × block-size bytes of storage plus DRAM dies.
+/// One memory bank: rows × block-size bytes of storage.
 #[derive(Debug)]
 pub struct Bank {
     rows: u64,
     block_bytes: u32,
     mode: StorageMode,
     store: RowStore,
-    drams: DramBlock,
-    open_row: Option<u64>,
-    stats: BankStats,
 }
 
 impl Bank {
-    /// Create a bank of `rows` rows of `block_bytes` each, with
-    /// `drams_per_bank` dies, in the given storage mode.
-    pub fn new(rows: u64, block_bytes: u32, drams_per_bank: u16, mode: StorageMode) -> Self {
+    /// Create a bank of `rows` rows of `block_bytes` each, in the given
+    /// storage mode.
+    pub fn new(rows: u64, block_bytes: u32, mode: StorageMode) -> Self {
         Bank {
             rows,
             block_bytes,
@@ -50,9 +31,6 @@ impl Bank {
             // Timing-only banks never materialize a row, and an empty
             // store allocates nothing.
             store: RowStore::new(block_bytes),
-            drams: DramBlock::new(drams_per_bank),
-            open_row: None,
-            stats: BankStats::default(),
         }
     }
 
@@ -66,22 +44,7 @@ impl Bank {
         self.rows
     }
 
-    /// Operation counters.
-    pub fn stats(&self) -> BankStats {
-        self.stats
-    }
-
-    /// Per-die DRAM accounting.
-    pub fn drams(&self) -> &DramBlock {
-        &self.drams
-    }
-
-    /// The currently open row, if any.
-    pub fn open_row(&self) -> Option<u64> {
-        self.open_row
-    }
-
-    fn check_span(&self, row: u64, offset: u32, len: usize) -> Result<u64> {
+    fn check_span(&self, row: u64, offset: u32, len: usize) -> Result<()> {
         if row >= self.rows {
             return Err(HmcError::OutOfRange {
                 what: "row",
@@ -99,27 +62,14 @@ impl Bank {
                 ),
             });
         }
-        Ok(row * self.block_bytes as u64 + offset as u64)
-    }
-
-    fn touch_row(&mut self, row: u64) {
-        if self.open_row == Some(row) {
-            self.stats.row_hits += 1;
-        } else {
-            self.stats.row_misses += 1;
-            self.open_row = Some(row);
-        }
+        Ok(())
     }
 
     /// Read `buf.len()` bytes from `(row, offset)`.
     ///
-    /// In timing-only mode the buffer is zero-filled; counters and the row
-    /// buffer are updated identically in both modes.
+    /// In timing-only mode the buffer is zero-filled.
     pub fn read(&mut self, row: u64, offset: u32, buf: &mut [u8]) -> Result<()> {
-        let base = self.check_span(row, offset, buf.len())?;
-        self.touch_row(row);
-        self.stats.reads += 1;
-        self.drams.record_access(base, buf.len());
+        self.check_span(row, offset, buf.len())?;
         let cell = match self.mode {
             StorageMode::Functional => self.store.row(row),
             StorageMode::TimingOnly => None,
@@ -133,17 +83,14 @@ impl Bank {
 
     /// Write `data` to `(row, offset)`.
     pub fn write(&mut self, row: u64, offset: u32, data: &[u8]) -> Result<()> {
-        let base = self.check_span(row, offset, data.len())?;
-        self.touch_row(row);
-        self.stats.writes += 1;
-        self.drams.record_access(base, data.len());
+        self.check_span(row, offset, data.len())?;
         if self.mode == StorageMode::Functional {
             self.store.row_mut(row)[offset as usize..][..data.len()].copy_from_slice(data);
         }
         Ok(())
     }
 
-    /// The shared body of the atomics: account one `N`-byte
+    /// The shared body of the atomics: check one `N`-byte
     /// read-modify-write at `(row, offset)` and, on a functional bank,
     /// replace those bytes by `f(old)`. Returns the old bytes (zeros in
     /// timing-only mode).
@@ -153,10 +100,7 @@ impl Bank {
         offset: u32,
         f: impl FnOnce([u8; N]) -> [u8; N],
     ) -> Result<[u8; N]> {
-        let base = self.check_span(row, offset, N)?;
-        self.touch_row(row);
-        self.stats.atomics += 1;
-        self.drams.record_access(base, N);
+        self.check_span(row, offset, N)?;
         Ok(match self.mode {
             StorageMode::Functional => self.update(row, offset as usize, f),
             StorageMode::TimingOnly => [0; N],
@@ -213,10 +157,9 @@ impl Bank {
 
     /// XOR `xor` into the 64-bit little-endian word at index `word` of
     /// `row` — the cell-fault injection hook. Faults are physics, not
-    /// accesses: no counters move and the row buffer stays put. Out-of-
-    /// range coordinates are ignored, and timing-only banks skip the
-    /// data mutation (the fault subsystem still counts the flips so
-    /// both storage modes report identical fault statistics).
+    /// accesses. Out-of-range coordinates are ignored, and timing-only
+    /// banks skip the data mutation (the fault subsystem still counts the
+    /// flips so both storage modes report identical fault statistics).
     pub fn corrupt_word(&mut self, row: u64, word: u32, xor: u64) {
         let offset = word as u64 * 8;
         if xor == 0 || row >= self.rows || offset + 8 > self.block_bytes as u64 {
@@ -229,12 +172,9 @@ impl Bank {
         }
     }
 
-    /// Reset the bank: close the row, clear data and counters.
+    /// Reset the bank: clear its data.
     pub fn reset(&mut self) {
         self.store.clear();
-        self.drams.reset();
-        self.open_row = None;
-        self.stats = BankStats::default();
     }
 
     /// Resident (host-allocated) bytes backing this bank.
@@ -248,7 +188,7 @@ mod tests {
     use super::*;
 
     fn bank() -> Bank {
-        Bank::new(1024, 128, 16, StorageMode::Functional)
+        Bank::new(1024, 128, StorageMode::Functional)
     }
 
     #[test]
@@ -259,8 +199,6 @@ mod tests {
         let mut buf = [0u8; 64];
         b.read(5, 32, &mut buf).unwrap();
         assert_eq!(buf.to_vec(), data);
-        assert_eq!(b.stats().reads, 1);
-        assert_eq!(b.stats().writes, 1);
     }
 
     #[test]
@@ -297,7 +235,7 @@ mod tests {
     /// it is refused here, typed, before storage is reached.
     #[test]
     fn out_of_range_read_is_a_typed_error() {
-        let mut b = Bank::new(4, 32, 16, StorageMode::Functional);
+        let mut b = Bank::new(4, 32, StorageMode::Functional);
         let mut buf = [0x77u8; 20];
         for row in [4, u64::MAX] {
             assert!(matches!(
@@ -319,12 +257,11 @@ mod tests {
             Err(HmcError::InvalidAddress { .. })
         ));
         assert_eq!(buf, [0x77; 20], "a refused read leaves the buffer alone");
-        assert_eq!(b.stats(), BankStats::default(), "and is not an access");
     }
 
     #[test]
     fn out_of_range_write_is_a_typed_error() {
-        let mut b = Bank::new(4, 32, 16, StorageMode::Functional);
+        let mut b = Bank::new(4, 32, StorageMode::Functional);
         assert!(matches!(
             b.write(4, 0, &[1; 20]),
             Err(HmcError::OutOfRange { what: "row", .. })
@@ -342,20 +279,7 @@ mod tests {
             b.bit_write(3, 25, 1, 1),
             Err(HmcError::InvalidAddress { .. })
         ));
-        assert_eq!(b.stats(), BankStats::default());
         assert_eq!(b.resident_bytes(), 0, "a refused call materializes nothing");
-    }
-
-    #[test]
-    fn row_buffer_hit_miss_accounting() {
-        let mut b = bank();
-        b.write(3, 0, &[1; 8]).unwrap(); // miss (opens row 3)
-        b.read(3, 8, &mut [0u8; 8]).unwrap(); // hit
-        b.read(4, 0, &mut [0u8; 8]).unwrap(); // miss (opens row 4)
-        b.read(3, 0, &mut [0u8; 8]).unwrap(); // miss again
-        assert_eq!(b.stats().row_hits, 1);
-        assert_eq!(b.stats().row_misses, 3);
-        assert_eq!(b.open_row(), Some(3));
     }
 
     #[test]
@@ -371,7 +295,6 @@ mod tests {
         assert_eq!(u64::from_le_bytes(buf), 105);
         b.read(0, 8, &mut buf).unwrap();
         assert_eq!(u64::from_le_bytes(buf), 1, "wrapping add");
-        assert_eq!(b.stats().atomics, 1);
     }
 
     #[test]
@@ -425,13 +348,13 @@ mod tests {
 
     #[test]
     fn timing_only_skips_data_but_counts() {
-        let mut b = Bank::new(64, 128, 16, StorageMode::TimingOnly);
+        // No bytes, but every span is checked as on a functional bank.
+        let mut b = Bank::new(64, 128, StorageMode::TimingOnly);
         b.write(0, 0, &[0xee; 32]).unwrap();
         let mut buf = [0xffu8; 32];
         b.read(0, 0, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 32], "timing-only reads return zeros");
-        assert_eq!(b.stats().writes, 1);
-        assert_eq!(b.stats().reads, 1);
+        assert!(b.read(64, 0, &mut buf).is_err(), "spans are still checked");
         assert_eq!(b.resident_bytes(), 0, "no rows materialized");
         assert_eq!(b.two_add8(0, 0, 1, 1).unwrap(), (0, 0));
         assert_eq!(b.add16(0, 0, 1).unwrap(), 0);
@@ -442,28 +365,18 @@ mod tests {
     fn corrupt_word_flips_bits_without_side_effects() {
         let mut b = bank();
         b.write(7, 0, &0x00ff_00ff_00ff_00ffu64.to_le_bytes()).unwrap();
-        let stats_before = b.stats();
-        let open_before = b.open_row();
         b.corrupt_word(7, 0, 0x0000_0000_0000_00ff);
-        assert_eq!(b.stats(), stats_before, "faults are not accesses");
-        assert_eq!(b.open_row(), open_before, "row buffer untouched");
         let mut buf = [0u8; 8];
         b.read(7, 0, &mut buf).unwrap();
         assert_eq!(u64::from_le_bytes(buf), 0x00ff_00ff_00ff_0000);
         // Out-of-range coordinates are silently ignored.
         b.corrupt_word(4096, 0, u64::MAX);
         b.corrupt_word(0, 1024, u64::MAX);
+        assert_eq!(b.resident_bytes(), 128, "the faulted row only");
         // Timing-only banks ignore the data entirely.
-        let mut t = Bank::new(64, 128, 16, StorageMode::TimingOnly);
+        let mut t = Bank::new(64, 128, StorageMode::TimingOnly);
         t.corrupt_word(0, 0, u64::MAX);
         assert_eq!(t.resident_bytes(), 0, "no rows materialized");
-    }
-
-    #[test]
-    fn dram_accounting_tracks_accesses() {
-        let mut b = bank();
-        b.write(0, 0, &[0u8; 64]).unwrap();
-        assert_eq!(b.drams().total_accesses(), 4, "four 16-byte units");
     }
 
     #[test]
@@ -471,8 +384,7 @@ mod tests {
         let mut b = bank();
         b.write(0, 0, &[5; 8]).unwrap();
         b.reset();
-        assert_eq!(b.stats(), BankStats::default());
-        assert_eq!(b.open_row(), None);
+        assert_eq!(b.resident_bytes(), 0);
         let mut buf = [0xffu8; 8];
         b.read(0, 0, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 8]);

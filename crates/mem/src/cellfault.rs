@@ -276,7 +276,7 @@ mod tests {
     use hmc_types::config::StorageMode;
 
     fn state(cfg: CellFaultConfig) -> (CellFaultState, VaultMemory) {
-        let mem = VaultMemory::from_parts(8, 256, 128, 16, StorageMode::Functional);
+        let mem = VaultMemory::from_parts(8, 256, 128, StorageMode::Functional);
         (CellFaultState::new(cfg, 0, 256, 128), mem)
     }
 

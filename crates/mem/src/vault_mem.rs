@@ -10,7 +10,7 @@ use hmc_types::address::DecodedAddr;
 use hmc_types::config::{DeviceConfig, StorageMode};
 use hmc_types::{BankId, HmcError, Result};
 
-use crate::bank::{Bank, BankStats};
+use crate::bank::Bank;
 
 /// The memory stack of a single vault: `banks_per_vault` banks.
 #[derive(Debug)]
@@ -26,7 +26,6 @@ impl VaultMemory {
                 Bank::new(
                     config.rows_per_bank(),
                     config.block_size.bytes() as u32,
-                    config.drams_per_bank,
                     config.storage_mode,
                 )
             })
@@ -35,15 +34,9 @@ impl VaultMemory {
     }
 
     /// Build directly from raw geometry (used by unit tests).
-    pub fn from_parts(
-        num_banks: u16,
-        rows: u64,
-        block_bytes: u32,
-        drams: u16,
-        mode: StorageMode,
-    ) -> Self {
+    pub fn from_parts(num_banks: u16, rows: u64, block_bytes: u32, mode: StorageMode) -> Self {
         let banks = (0..num_banks)
-            .map(|_| Bank::new(rows, block_bytes, drams, mode))
+            .map(|_| Bank::new(rows, block_bytes, mode))
             .collect();
         VaultMemory { banks }
     }
@@ -64,7 +57,7 @@ impl VaultMemory {
             })
     }
 
-    /// Immutable bank access (stats inspection).
+    /// Immutable bank access (geometry and residency inspection).
     pub fn bank(&self, bank: BankId) -> Result<&Bank> {
         self.banks.get(bank as usize).ok_or(HmcError::OutOfRange {
             what: "bank",
@@ -107,20 +100,6 @@ impl VaultMemory {
         }
     }
 
-    /// Sum of all bank stats in the vault.
-    pub fn aggregate_stats(&self) -> BankStats {
-        let mut total = BankStats::default();
-        for b in &self.banks {
-            let s = b.stats();
-            total.reads += s.reads;
-            total.writes += s.writes;
-            total.atomics += s.atomics;
-            total.row_hits += s.row_hits;
-            total.row_misses += s.row_misses;
-        }
-        total
-    }
-
     /// Reset every bank (device reset).
     pub fn reset(&mut self) {
         for b in &mut self.banks {
@@ -139,7 +118,7 @@ mod tests {
     use super::*;
 
     fn vm() -> VaultMemory {
-        VaultMemory::from_parts(8, 256, 128, 16, StorageMode::Functional)
+        VaultMemory::from_parts(8, 256, 128, StorageMode::Functional)
     }
 
     fn at(bank: u16, row: u64, offset: u32) -> DecodedAddr {
@@ -161,8 +140,8 @@ mod tests {
         // Other banks see nothing.
         v.read(at(4, 10, 0), &mut buf).unwrap();
         assert_eq!(buf, [0u8; 16]);
-        assert_eq!(v.bank(3).unwrap().stats().writes, 1);
-        assert_eq!(v.bank(4).unwrap().stats().writes, 0);
+        assert_eq!(v.bank(3).unwrap().resident_bytes(), 128);
+        assert_eq!(v.bank(4).unwrap().resident_bytes(), 0);
     }
 
     #[test]
@@ -184,18 +163,9 @@ mod tests {
         assert_eq!(old, 0);
         let old = v.bit_write(at(2, 0, 16), 0xff, 0xff).unwrap();
         assert_eq!(old, 0);
-        assert_eq!(v.aggregate_stats().atomics, 3);
-    }
-
-    #[test]
-    fn aggregate_stats_sum_banks() {
-        let mut v = vm();
-        for bank in 0..8u16 {
-            v.write(at(bank, 0, 0), &[1; 8]).unwrap();
-        }
-        let s = v.aggregate_stats();
-        assert_eq!(s.writes, 8);
-        assert_eq!(s.row_misses, 8);
+        let mut buf = [0u8; 8];
+        v.read(at(1, 0, 0), &mut buf).unwrap();
+        assert_eq!(u64::from_le_bytes(buf), 10);
     }
 
     #[test]
@@ -214,7 +184,6 @@ mod tests {
         let mut v = vm();
         v.write(at(0, 0, 0), &[5; 8]).unwrap();
         v.reset();
-        assert_eq!(v.aggregate_stats(), BankStats::default());
         assert_eq!(v.resident_bytes(), 0);
     }
 }

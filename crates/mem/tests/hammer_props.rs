@@ -32,7 +32,7 @@ const WINDOW: u64 = 1_000;
 const ROW_BITS: u32 = BLOCK * 8;
 
 fn mem() -> VaultMemory {
-    VaultMemory::from_parts(BANKS, ROWS, BLOCK, 16, StorageMode::Functional)
+    VaultMemory::from_parts(BANKS, ROWS, BLOCK, StorageMode::Functional)
 }
 
 fn hammer_cfg(threshold: u32, ppm: u32) -> CellFaultConfig {

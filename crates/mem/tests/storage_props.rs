@@ -6,7 +6,7 @@ use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
-use hmc_mem::{Bank, BankStats, VaultMemory};
+use hmc_mem::{Bank, VaultMemory};
 use hmc_types::address::DecodedAddr;
 use hmc_types::config::StorageMode;
 use hmc_types::{BlockSize, HmcError};
@@ -14,7 +14,6 @@ use hmc_types::{BlockSize, HmcError};
 /// Rows of the modelled bank: enough that a long case fills its first
 /// chunk of cells and starts a second.
 const ROWS: u64 = 96;
-const DIES: u16 = 16;
 
 /// One raw operation: `kind` picks the call, and `a`, `b`, `x`, `y` are
 /// reduced against the block size under test, so one sequence drives all
@@ -31,29 +30,25 @@ enum Refused {
 }
 
 /// A [`Bank`] beside the reference it must agree with: its bytes as a
-/// `(row, byte) -> u8` map (absent = 0), the rows it has materialised,
-/// and its counters. A timing-only twin takes every call too: it must
-/// count the same and hold nothing.
+/// `(row, byte) -> u8` map (absent = 0) and the rows it has materialised.
+/// A timing-only twin takes every call too: it must refuse the same calls
+/// and hold nothing.
 struct Model {
     block: u32,
     bank: Bank,
     twin: Bank,
     bytes: HashMap<(u64, u32), u8>,
     touched: HashSet<u64>,
-    stats: BankStats,
-    open_row: Option<u64>,
 }
 
 impl Model {
     fn new(block: u32) -> Self {
         Model {
             block,
-            bank: Bank::new(ROWS, block, DIES, StorageMode::Functional),
-            twin: Bank::new(ROWS, block, DIES, StorageMode::TimingOnly),
+            bank: Bank::new(ROWS, block, StorageMode::Functional),
+            twin: Bank::new(ROWS, block, StorageMode::TimingOnly),
             bytes: HashMap::new(),
             touched: HashSet::new(),
-            stats: BankStats::default(),
-            open_row: None,
         }
     }
 
@@ -70,20 +65,13 @@ impl Model {
         }
     }
 
-    /// The error `(row, offset, len)` must draw, if any; a legal access
-    /// is counted.
-    fn admit(&mut self, row: u64, offset: u32, len: u32) -> Option<Refused> {
+    /// The error `(row, offset, len)` must draw, if any.
+    fn admit(&self, row: u64, offset: u32, len: u32) -> Option<Refused> {
         if row >= ROWS {
             return Some(Refused::Row);
         }
         if offset + len > self.block {
             return Some(Refused::Span);
-        }
-        if self.open_row == Some(row) {
-            self.stats.row_hits += 1;
-        } else {
-            self.stats.row_misses += 1;
-            self.open_row = Some(row);
         }
         None
     }
@@ -119,7 +107,6 @@ impl Model {
                 let twin = self.twin.read(row, offset, &mut zeros);
                 Self::check_outcome(refused, &got, &twin);
                 if refused.is_none() {
-                    self.stats.reads += 1;
                     assert_eq!(
                         buf,
                         self.get(row, offset, len),
@@ -141,7 +128,6 @@ impl Model {
                 let twin = self.twin.write(row, offset, &data);
                 Self::check_outcome(refused, &got, &twin);
                 if refused.is_none() {
-                    self.stats.writes += 1;
                     self.put(row, offset, &data);
                 }
             }
@@ -151,7 +137,6 @@ impl Model {
                 let twin = self.twin.two_add8(row, offset, x, y);
                 Self::check_outcome(refused, &got, &twin);
                 if refused.is_none() {
-                    self.stats.atomics += 1;
                     let old = self.get(row, offset, 16);
                     let old0 = u64::from_le_bytes(old[..8].try_into().unwrap());
                     let old1 = u64::from_le_bytes(old[8..].try_into().unwrap());
@@ -168,7 +153,6 @@ impl Model {
                 let twin = self.twin.add16(row, offset, op);
                 Self::check_outcome(refused, &got, &twin);
                 if refused.is_none() {
-                    self.stats.atomics += 1;
                     let old = u128::from_le_bytes(self.get(row, offset, 16).try_into().unwrap());
                     assert_eq!(got.unwrap(), old);
                     assert_eq!(twin.unwrap(), 0);
@@ -181,7 +165,6 @@ impl Model {
                 let twin = self.twin.bit_write(row, offset, x, y);
                 Self::check_outcome(refused, &got, &twin);
                 if refused.is_none() {
-                    self.stats.atomics += 1;
                     let old = u64::from_le_bytes(self.get(row, offset, 8).try_into().unwrap());
                     assert_eq!(got.unwrap(), old);
                     assert_eq!(twin.unwrap(), 0);
@@ -190,7 +173,6 @@ impl Model {
             }
             5 => {
                 // Words 0 ..= block/8 + 1: the last two lie past the row.
-                // Physics, not an access: no counter moves in either mode.
                 let word = b % (block / 8 + 2);
                 let xor = if y % 8 == 0 { 0 } else { x };
                 self.bank.corrupt_word(row, word, xor);
@@ -205,26 +187,13 @@ impl Model {
                 self.twin.reset();
                 self.bytes.clear();
                 self.touched.clear();
-                self.stats = BankStats::default();
-                self.open_row = None;
             }
         }
-        self.check_accounting();
+        self.check_residency();
     }
 
-    /// Counters, row buffer and residency after every call, legal or not.
-    fn check_accounting(&self) {
-        assert_eq!(self.bank.stats(), self.stats);
-        assert_eq!(self.twin.stats(), self.stats, "both modes count alike");
-        assert_eq!(self.bank.open_row(), self.open_row);
-        assert_eq!(self.twin.open_row(), self.open_row);
-        for die in 0..DIES {
-            assert_eq!(
-                self.bank.drams().die_accesses(die),
-                self.twin.drams().die_accesses(die),
-                "die {die}"
-            );
-        }
+    /// Residency after every call, legal or not.
+    fn check_residency(&self) {
         assert_eq!(
             self.bank.resident_bytes(),
             self.touched.len() as u64 * self.block as u64,
@@ -282,7 +251,7 @@ proptest! {
         let distinct: HashSet<u64> = rows.iter().copied().collect();
         for size in BlockSize::ALL {
             let block = size.bytes() as u32;
-            let mut bank = Bank::new(4096, block, DIES, StorageMode::Functional);
+            let mut bank = Bank::new(4096, block, StorageMode::Functional);
             let mut buf = [0xffu8; 16];
             for &row in &rows {
                 // Looking first costs nothing.
@@ -300,7 +269,7 @@ proptest! {
         writes in prop::collection::vec((0u64..32, 0u32..4, any::<u8>()), 1..40)
     ) {
         // Bank: 32 rows x 128 bytes; write 32-byte chunks at 4 offsets.
-        let mut bank = Bank::new(32, 128, 16, StorageMode::Functional);
+        let mut bank = Bank::new(32, 128, StorageMode::Functional);
         let mut model: HashMap<(u64, u32), [u8; 32]> = HashMap::new();
         for &(row, slot, val) in &writes {
             let offset = slot * 32;
@@ -313,12 +282,6 @@ proptest! {
             bank.read(row, slot * 32, &mut buf).unwrap();
             prop_assert_eq!(&buf, expect);
         }
-        // Row-buffer accounting: hits + misses == total accesses.
-        let s = bank.stats();
-        prop_assert_eq!(
-            s.row_hits + s.row_misses,
-            s.reads + s.writes + s.atomics
-        );
     }
 
     #[test]
@@ -327,7 +290,7 @@ proptest! {
         seed1 in any::<u64>(),
         adds in prop::collection::vec((any::<u64>(), any::<u64>()), 1..20)
     ) {
-        let mut bank = Bank::new(4, 128, 16, StorageMode::Functional);
+        let mut bank = Bank::new(4, 128, StorageMode::Functional);
         bank.write(0, 0, &seed0.to_le_bytes()).unwrap();
         bank.write(0, 8, &seed1.to_le_bytes()).unwrap();
         let (mut m0, mut m1) = (seed0, seed1);
@@ -349,7 +312,7 @@ proptest! {
         data in any::<u64>(),
         mask in any::<u64>(),
     ) {
-        let mut bank = Bank::new(4, 128, 16, StorageMode::Functional);
+        let mut bank = Bank::new(4, 128, StorageMode::Functional);
         bank.write(1, 0, &initial.to_le_bytes()).unwrap();
         bank.bit_write(1, 0, data, mask).unwrap();
         let mut buf = [0u8; 8];
@@ -364,7 +327,7 @@ proptest! {
     fn vault_memory_isolates_banks(
         ops in prop::collection::vec((0u16..8, 0u64..16, any::<u8>()), 1..40)
     ) {
-        let mut vm = VaultMemory::from_parts(8, 16, 128, 16, StorageMode::Functional);
+        let mut vm = VaultMemory::from_parts(8, 16, 128, StorageMode::Functional);
         let mut model: HashMap<(u16, u64), u8> = HashMap::new();
         for &(bank, row, val) in &ops {
             let at = DecodedAddr { vault: 0, bank, row, offset: 0 };
@@ -383,12 +346,10 @@ proptest! {
     fn timing_only_banks_never_allocate(
         ops in prop::collection::vec((0u64..64, any::<u8>()), 1..50)
     ) {
-        let mut bank = Bank::new(64, 128, 16, StorageMode::TimingOnly);
+        let mut bank = Bank::new(64, 128, StorageMode::TimingOnly);
         for &(row, val) in &ops {
             bank.write(row, 0, &[val; 64]).unwrap();
         }
         prop_assert_eq!(bank.resident_bytes(), 0);
-        let s = bank.stats();
-        prop_assert_eq!(s.writes, ops.len() as u64);
     }
 }

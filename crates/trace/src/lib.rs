@@ -29,4 +29,4 @@ pub use sink::{
     CountingSink, MultiSink, NullSink, SharedSink, TextSink, TraceSink, Tracer, VecSink,
     Verbosity,
 };
-pub use stats::{EventCounters, StatsSnapshot, VaultUtilization};
+pub use stats::{EventCounters, VaultUtilization};

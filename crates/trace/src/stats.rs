@@ -40,13 +40,6 @@ impl EventCounters {
         self.counts.iter().sum()
     }
 
-    /// Merge another counter set into this one.
-    pub fn merge(&mut self, other: &EventCounters) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-    }
-
     /// Iterate `(kind, count)` pairs with nonzero counts.
     pub fn nonzero(&self) -> impl Iterator<Item = (EventKind, u64)> + '_ {
         EventKind::ALL
@@ -63,44 +56,6 @@ impl EventCounters {
         }
         out
     }
-}
-
-/// A flat, serializable snapshot of one run's (or one serving session's)
-/// counters — the payload behind `hmc-serve`'s snapshot-stats frame and a
-/// convenient JSON row for benchmark reports.
-///
-/// Every field is a plain scalar so the struct serializes identically
-/// everywhere; producers fill it from `HostStats`, `SimStats`, and
-/// `LatencyStats` (all in other crates, so the assembly happens at the
-/// call site).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
-pub struct StatsSnapshot {
-    /// Simulated cycles executed.
-    pub cycles: u64,
-    /// Requests accepted by the device.
-    pub injected: u64,
-    /// Responses received and correlated.
-    pub completed: u64,
-    /// Posted (no-response) requests injected.
-    pub posted: u64,
-    /// Error responses observed.
-    pub errors: u64,
-    /// Send attempts rejected with a queue-full stall.
-    pub send_stalls: u64,
-    /// Injection attempts deferred because all 512 tags were in flight.
-    pub tag_stalls: u64,
-    /// Sends rejected for lack of link flow-control tokens.
-    pub token_stalls: u64,
-    /// Responses whose tag could not be correlated.
-    pub orphans: u64,
-    /// Requests currently awaiting responses.
-    pub outstanding: u64,
-    /// Packets resident in device queues at snapshot time.
-    pub queue_occupancy: u64,
-    /// Mean request latency in simulated cycles.
-    pub mean_latency: f64,
-    /// Maximum request latency in simulated cycles.
-    pub max_latency: u64,
 }
 
 /// Per-vault utilization tallies: the quantities Figure 5 plots per vault
@@ -194,18 +149,6 @@ mod tests {
         assert_eq!(c.get(EventKind::BankConflict), 2);
         assert_eq!(c.get(EventKind::ReadComplete), 1);
         assert_eq!(c.total(), 3);
-    }
-
-    #[test]
-    fn merge_sums_counter_sets() {
-        let mut a = EventCounters::new();
-        a.count(EventKind::Misroute);
-        let mut b = EventCounters::new();
-        b.count(EventKind::Misroute);
-        b.count(EventKind::Zombie);
-        a.merge(&b);
-        assert_eq!(a.get(EventKind::Misroute), 2);
-        assert_eq!(a.get(EventKind::Zombie), 1);
     }
 
     #[test]

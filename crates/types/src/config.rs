@@ -46,8 +46,10 @@ pub const VAULTS_PER_QUAD: u16 = 4;
 /// deepest queue any sweep in this repo builds.
 pub const MAX_QUEUE_DEPTH: usize = u16::MAX as usize;
 
-/// Most DRAM dies a bank may stack (every bank carries one counter per
-/// die). The same ceiling the vault scheduler puts on banks per vault.
+/// Most DRAM dies a bank may stack. The count sizes nothing — it is the
+/// validated geometry of `hmcsim_init`'s `num_drams` — but the bound
+/// stays so `DeviceConfig::validate` accepts exactly what it always has;
+/// it is the same ceiling the vault scheduler puts on banks per vault.
 pub const MAX_DRAMS_PER_BANK: u16 = 64;
 
 /// Geometry and queue configuration of a single HMC device.

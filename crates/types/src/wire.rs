@@ -83,9 +83,6 @@ pub struct WireResponse {
 }
 
 /// A per-session metrics snapshot as carried by `Stats`/`Closed` frames.
-///
-/// Mirrors `hmc_trace::StatsSnapshot` field-for-field; the duplication
-/// keeps `hmc-types` at the bottom of the crate graph.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WireStats {
     /// Simulated cycles executed for this session.

@@ -38,8 +38,8 @@ fn workload_against_a_remote_device_completes() {
         report.mean_latency
     );
     // The remote device did the memory work; the root did none.
-    let far: u64 = sim.device(2).unwrap().vaults.iter().map(|v| v.stats.processed).sum();
-    let near: u64 = sim.device(0).unwrap().vaults.iter().map(|v| v.stats.processed).sum();
+    let far: u64 = sim.device(2).unwrap().vaults.iter().map(|v| v.stats.processed()).sum();
+    let near: u64 = sim.device(0).unwrap().vaults.iter().map(|v| v.stats.processed()).sum();
     assert_eq!(far, 1_000);
     assert_eq!(near, 0);
 }

@@ -195,3 +195,35 @@ fn error_register_accumulates_device_side_failures() {
     }
     assert_eq!(sim.jtag_reg_read(0, err_reg).unwrap(), 3);
 }
+
+#[test]
+fn vault_failures_are_traced_and_counted_posted_or_not() {
+    // A 128-byte write on a 64-byte-block device decodes, routes and
+    // reaches its bank, which refuses the span: a vault-level failure.
+    // The posted form owes no response but is traced and counted alike.
+    let err_reg = hmc_sim::hmc_core::regs::ERR;
+    for (cmd, responds) in [
+        (Command::Wr(BlockSize::B128), true),
+        (Command::PostedWr(BlockSize::B128), false),
+    ] {
+        let mut sim =
+            HmcSim::new(1, DeviceConfig::small().with_block_size(BlockSize::B64)).unwrap();
+        let sink = SharedSink::new(CountingSink::default());
+        sim.set_tracer(Tracer::new(Verbosity::Stalls, Box::new(sink.clone())));
+        let host = sim.host_cube_id(0);
+        topology::build_simple(&mut sim, host).unwrap();
+        let req = Packet::request(cmd, 0, 0x1000, 9, 0, &[0x5a; 128]).unwrap();
+        sim.send(0, 0, req).unwrap();
+        let rsp = pump_for_response(&mut sim, 0, 16);
+        assert_eq!(rsp.is_some(), responds, "{cmd:?}");
+        if let Some(rsp) = rsp {
+            assert_eq!(rsp.errstat().unwrap(), ResponseStatus::InternalError);
+        }
+        assert_eq!(
+            sink.0.lock().counters.get(EventKind::ErrorResponse),
+            1,
+            "{cmd:?}"
+        );
+        assert_eq!(sim.jtag_reg_read(0, err_reg).unwrap(), 1, "{cmd:?}");
+    }
+}

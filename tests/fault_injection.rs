@@ -47,15 +47,16 @@ fn corrupted_packets_are_detected_and_recovered() {
     assert_eq!(report.completed, 2_000);
     assert_eq!(report.errors, 0);
 
-    let faults = s.fault_state().unwrap();
-    assert!(faults.injected > 300, "~25% of 2000 packets should corrupt");
+    let injected = s.fault_state().unwrap().injected;
+    assert!(injected > 300, "~25% of 2000 packets should corrupt");
     assert_eq!(
-        faults.injected, faults.detected,
-        "every corruption is detected exactly once"
+        injected,
+        s.stats().link_retries,
+        "every corruption is detected and retried exactly once"
     );
     assert_eq!(
         sink.0.lock().counters.get(EventKind::LinkRetry),
-        faults.detected,
+        injected,
         "each detection raises one LINK_RETRY trace event"
     );
 }
@@ -86,24 +87,24 @@ fn retry_exhaustion_poisons_every_abandoned_request() {
     assert_eq!(report.completed, 2_000);
     assert_eq!(host.stats.orphans, 0);
 
-    let faults = s.fault_state().unwrap().clone();
-    assert!(faults.poisoned > 0, "the tight cap must actually exhaust");
-    assert_eq!(report.errors, faults.poisoned, "every error is a poison");
-    assert_eq!(host.stats.poisoned, faults.poisoned);
-    assert_eq!(s.stats().poisoned_responses, faults.poisoned);
-    assert_eq!(s.stats().link_retries + faults.poisoned, faults.detected);
+    let stats = s.stats();
+    let poisoned = stats.poisoned_responses;
+    assert!(poisoned > 0, "the tight cap must actually exhaust");
+    assert_eq!(report.errors, poisoned, "every error is a poison");
+    assert_eq!(host.stats.poisoned, poisoned);
 
     let counters = &sink.0.lock().counters;
     assert_eq!(
         counters.get(EventKind::LinkDown),
-        faults.poisoned,
+        poisoned,
         "one LINK_DOWN per abandoned packet"
     );
-    assert_eq!(counters.get(EventKind::PoisonedResponse), faults.poisoned);
+    assert_eq!(counters.get(EventKind::PoisonedResponse), poisoned);
+    assert_eq!(counters.get(EventKind::LinkRetry), stats.link_retries);
     assert_eq!(
-        counters.get(EventKind::LinkRetry) + counters.get(EventKind::LinkDown),
-        faults.detected,
-        "every detection either scheduled a retry or took the link down"
+        stats.link_retries + counters.get(EventKind::LinkDown),
+        s.fault_state().unwrap().injected,
+        "every corruption either scheduled a retry or took the link down"
     );
     assert!(
         counters.get(EventKind::LinkRetrain) > 0,
@@ -163,15 +164,17 @@ fn retry_exhaustion_is_bit_identical_stepped_and_fast_forward() {
             }
             assert!(s.current_clock() < 1_000_000, "the run did not converge");
         }
-        let f = s.fault_state().unwrap();
-        let fault_counts = (f.injected, f.detected, f.poisoned);
+        let fault_counts = (s.fault_state().unwrap().injected, s.stats());
         let counters = &counting.0.lock().counters;
         let events: Vec<u64> = EventKind::ALL.iter().map(|&k| counters.get(k)).collect();
         (seen, events, s.current_clock(), fault_counts)
     };
     let stepped = run(false);
-    let (_, _, poisoned) = stepped.3;
-    assert!(poisoned > 0, "the tight retry budget must actually poison");
+    let (_, stats) = stepped.3;
+    assert!(
+        stats.poisoned_responses > 0,
+        "the tight retry budget must actually poison"
+    );
     assert_eq!(stepped, run(true));
 }
 
@@ -318,6 +321,6 @@ fn ac_map_switch_affects_routing_behaviour() {
         s.clock().unwrap();
         while s.recv(0, 0).is_ok() {}
     }
-    let v0 = s.device(0).unwrap().vaults[0].stats.processed;
+    let v0 = s.device(0).unwrap().vaults[0].stats.processed();
     assert_eq!(v0, 8, "linear map sends all sequential blocks to vault 0");
 }

@@ -258,7 +258,7 @@ fn profile_predictions_match_observed_utilization() {
 
     for (v, report) in observed.vaults.iter().enumerate() {
         assert_eq!(
-            report.controller.processed, predicted.vault_counts[v],
+            report.controller.processed(), predicted.vault_counts[v],
             "vault {v}: simulator and profiler must agree exactly"
         );
     }

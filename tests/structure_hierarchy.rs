@@ -20,12 +20,13 @@ fn four_link_hierarchy_counts_match_figure_2() {
     }
     for vault in &dev.vaults {
         assert_eq!(vault.mem.num_banks(), 8, "eight banks per vault");
-        assert_eq!(
-            vault.mem.bank(0).unwrap().drams().dies(),
-            cfg.drams_per_bank,
-            "DRAM block per bank"
-        );
     }
+    // DRAMs per bank is a validated count (`hmcsim_init`'s `num_drams`,
+    // §V.A): it sizes nothing, but an illegal one is refused.
+    assert_eq!(sim.config().drams_per_bank, 16, "DRAM block per bank");
+    let mut bad = cfg;
+    bad.drams_per_bank = 3;
+    assert!(HmcSim::new(1, bad).is_err());
 }
 
 #[test]
