@@ -13,14 +13,20 @@
 //!      -> (forward) -> [root xbar rsp] -> host
 //! ```
 //!
+//! On a buffered fabric (`--interconnect ring|mesh`) a third walk sends a
+//! read in on link 0 for a vault of quad 2, so the request and its
+//! response cross the fabric: each cycle a packet spends in a segment
+//! buffer shows as `dev0.noc.q{quad}.rqst|rsp`.
+//!
 //! Usage:
 //!   figure3 [simulation axes]
 //!
 //! The simulation axes are the shared flags of `SimParams::USAGE`
 //! (`--help` lists them); the walk runs under them.
 
+use hmc_core::noc::NocClass;
 use hmc_core::{topology, Args, HmcSim, SimParams};
-use hmc_types::{BlockSize, Command, DeviceConfig, Packet};
+use hmc_types::{BlockSize, Command, DeviceConfig, InterconnectKind, Packet};
 
 fn snapshot(sim: &HmcSim, tag: u16) -> String {
     let mut places = Vec::new();
@@ -42,6 +48,15 @@ fn snapshot(sim: &HmcSim, tag: u16) -> String {
                 places.push(format!("dev{d}.vault{}.rsp", v.id));
             }
         }
+        for (class, quad, e) in dev.noc().into_iter().flat_map(|n| n.residents()) {
+            if e.packet.tag() == tag {
+                let plane = match class {
+                    NocClass::Request => "rqst",
+                    NocClass::Response => "rsp",
+                };
+                places.push(format!("dev{d}.noc.q{quad}.{plane}"));
+            }
+        }
     }
     if places.is_empty() {
         "(in flight between stages or delivered)".into()
@@ -50,11 +65,11 @@ fn snapshot(sim: &HmcSim, tag: u16) -> String {
     }
 }
 
-fn walk(sim: &mut HmcSim, label: &str, target_dev: u8) {
+fn walk(sim: &mut HmcSim, label: &str, target_dev: u8, addr: u64) {
     println!("== {label}: read request to device {target_dev} ==");
     let tag = 42;
     let packet =
-        Packet::request(Command::Rd(BlockSize::B64), target_dev, 0x40, tag, 0, &[]).unwrap();
+        Packet::request(Command::Rd(BlockSize::B64), target_dev, addr, tag, 0, &[]).unwrap();
     sim.send(0, 0, packet).unwrap();
     println!("  cycle {:>2}: injected  -> {}", sim.current_clock(), snapshot(sim, tag));
     // Long enough for a DDR activate + column access under `--timing ddr`.
@@ -96,11 +111,20 @@ fn main() {
     let mut sim = HmcSim::new(1, cfg.clone()).unwrap().with_params(params);
     let host = sim.host_cube_id(0);
     topology::build_simple(&mut sim, host).unwrap();
-    walk(&mut sim, "single device", 0);
+    walk(&mut sim, "single device", 0, 0x40);
 
     // Two-device chain: the packet takes one chaining hop per cycle.
-    let mut sim = HmcSim::new(2, cfg).unwrap().with_params(params);
+    let mut sim = HmcSim::new(2, cfg.clone()).unwrap().with_params(params);
     let host = sim.host_cube_id(0);
     topology::build_chain(&mut sim, host).unwrap();
-    walk(&mut sim, "two-device chain", 1);
+    walk(&mut sim, "two-device chain", 1, 0x40);
+
+    // A buffered fabric carries what crosses quads: link 0 fronts quad 0,
+    // and 0x400 decodes to vault 8, in quad 2.
+    if params.interconnect.kind != InterconnectKind::Crossbar {
+        let mut sim = HmcSim::new(1, cfg).unwrap().with_params(params);
+        let host = sim.host_cube_id(0);
+        topology::build_simple(&mut sim, host).unwrap();
+        walk(&mut sim, "single device, quad-2 vault", 0, 0x400);
+    }
 }

@@ -96,6 +96,34 @@ fn unopenable_output_paths_fail_before_the_run() {
     }
 }
 
+/// `figure3` walks a request across the fabric it runs on: the crossbar
+/// prints only its two walks, and a buffered fabric adds a third whose
+/// read crosses from quad 0 to quad 2 and back. On a 2×2 mesh that is one
+/// hop each way; on the unidirectional ring it is two.
+#[test]
+fn figure3_shows_the_fabric_it_runs_on() {
+    let figure3 = env!("CARGO_BIN_EXE_figure3");
+    // Cycles whose snapshot names a NoC segment buffer.
+    let noc_cycles = |args: &[&str]| {
+        let out = run(figure3, args);
+        assert!(out.status.success(), "figure3 {args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let cycles = stdout.lines().filter(|l| l.contains("dev0.noc.q")).count();
+        (stdout, cycles)
+    };
+    let (crossbar, none) = noc_cycles(&[]);
+    assert_eq!(none, 0);
+    assert!(!crossbar.contains("quad-2 vault"), "{crossbar}");
+    let (mesh, mesh_cycles) = noc_cycles(&["--interconnect", "mesh"]);
+    assert!(mesh.contains("dev0.noc.q0.rqst"), "{mesh}");
+    assert!(mesh.contains("dev0.noc.q2.rsp"), "{mesh}");
+    let (_, ring_cycles) = noc_cycles(&["--interconnect", "ring"]);
+    assert!(
+        ring_cycles > mesh_cycles,
+        "ring {ring_cycles} vs mesh {mesh_cycles} cycles in NoC buffers"
+    );
+}
+
 /// Simulated cycles of one `hmcsim --requests 2000` run with `extra`.
 fn hmcsim_cycles(extra: &[&str]) -> u64 {
     let mut args = vec!["--requests", "2000"];

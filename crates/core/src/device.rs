@@ -14,6 +14,7 @@
 //! preserving the same allocation behaviour with safe ownership.
 
 use hmc_mem::VaultMemory;
+use hmc_types::config::VAULTS_PER_QUAD;
 use hmc_types::{CubeId, DeviceConfig, LinkId, VaultId};
 
 use crate::link::Link;
@@ -40,9 +41,19 @@ pub struct Device {
     pub registers: RegisterFile,
     /// Buffered intra-cube fabric state (ring/mesh). `None` means the
     /// paper's idealized crossbar: stage 2 and stage 5 push directly and
-    /// no NoC sub-stage runs — the pre-NoC engine, bit for bit.
-    pub noc: Option<NocState>,
+    /// no NoC sub-stage runs — the pre-NoC engine, bit for bit. Installed
+    /// only through [`Device::install_noc`], which keeps `noc_vaults` in
+    /// step with it.
+    pub(crate) noc: Option<NocState>,
+    /// Per link: bit *v* set when traffic between that link and vault *v*
+    /// rides the buffered fabric. All zero under the crossbar.
+    noc_vaults: Vec<u64>,
 }
+
+// Vault ids index the bits of a `u64` mask: the NoC-vault masks above and
+// the crossbar walk's per-walk latch. `DeviceConfig::validate` allows at
+// most eight links, one quad of vaults each.
+const _: () = assert!(8 * VAULTS_PER_QUAD as usize <= 64);
 
 impl Device {
     /// Build a device in its reset state from a validated configuration.
@@ -70,7 +81,37 @@ impl Device {
             vaults,
             registers,
             noc: None,
+            noc_vaults: vec![0; config.num_links as usize],
         }
+    }
+
+    /// Install a buffered fabric (`None`: the crossbar) and the per-link
+    /// NoC-vault masks that go with it, dropping the previous fabric and
+    /// whatever it held.
+    pub(crate) fn install_noc(&mut self, noc: Option<NocState>) {
+        let num_vaults = self.vaults.len() as VaultId;
+        debug_assert!(num_vaults <= 64, "vault ids must fit a u64 mask");
+        for (l, mask) in self.noc_vaults.iter_mut().enumerate() {
+            *mask = match noc {
+                Some(_) => (0..num_vaults)
+                    .filter(|&v| Quad::of_vault(v) as usize != l)
+                    .fold(0, |m, v| m | 1 << v),
+                None => 0,
+            };
+        }
+        self.noc = noc;
+    }
+
+    /// The buffered fabric, if the device has one (`None`: the crossbar).
+    pub fn noc(&self) -> Option<&NocState> {
+        self.noc.as_ref()
+    }
+
+    /// The vaults whose traffic with link `link` rides the buffered
+    /// fabric, as a mask (bit *v* for vault *v*); zero under the crossbar.
+    #[inline]
+    pub(crate) fn noc_vaults(&self, link: LinkId) -> u64 {
+        self.noc_vaults[link as usize]
     }
 
     /// True when any link connects to a host — a "root" device in the
@@ -97,12 +138,13 @@ impl Device {
     /// rides the buffered fabric: the device has one (ring or mesh) and
     /// the two sit in different quads (link `l` fronts quad `l`). The
     /// split is per packet, not per fabric — same-quad traffic on a mesh
-    /// takes the direct push. Stage 2's injection, stage 5's drain and
-    /// the fast-forward horizon's crossbar-request gate all ask here, so
-    /// the horizon cannot disagree with the walks it stands in for.
+    /// takes the direct push. A bit test against [`Device::noc_vaults`],
+    /// the one mask stage 2's walk, stage 5's drain and the fast-forward
+    /// horizon's crossbar-request gate all read, so the horizon cannot
+    /// disagree with the walks it stands in for.
     #[inline]
     pub fn rides_noc(&self, link: LinkId, vault: VaultId) -> bool {
-        self.noc.is_some() && link != Quad::of_vault(vault)
+        self.noc_vaults(link) >> vault & 1 != 0
     }
 
     /// Total packets resident in all device queues (drain checks),
@@ -219,6 +261,32 @@ mod tests {
         assert_eq!(d.total_occupancy(), 2);
         d.reset();
         assert_eq!(d.total_occupancy(), 0);
+    }
+
+    #[test]
+    fn noc_vault_masks_come_and_go_with_the_fabric() {
+        use crate::noc::NocParams;
+        use hmc_types::InterconnectKind;
+        let mut d = Device::new(0, &DeviceConfig::paper_8link_16bank_8gb());
+        let riders = |d: &Device| {
+            (0..8u8)
+                .flat_map(|l| (0..32u16).map(move |v| (l, v)))
+                .filter(|&(l, v)| d.rides_noc(l, v))
+                .count()
+        };
+        assert_eq!(riders(&d), 0, "the crossbar carries nothing on a NoC");
+        d.install_noc(NocState::new(&NocParams::of(InterconnectKind::Mesh), 8, 32));
+        for l in 0..8u8 {
+            for v in 0..32u16 {
+                assert_eq!(
+                    d.rides_noc(l, v),
+                    l != Quad::of_vault(v),
+                    "link {l} vault {v}"
+                );
+            }
+        }
+        d.install_noc(None);
+        assert_eq!(riders(&d), 0, "the masks go with the fabric");
     }
 
     #[test]

@@ -629,10 +629,11 @@ impl HmcSim {
         if dead > 0 {
             return Gate::Held(dead);
         }
+        let noc_vaults = dev.noc_vaults(l as LinkId);
         let inert = !self.tracer.enabled(EventKind::XbarRqstStall)
             && rqst.route_keys().all(|vault| {
                 vault != NO_ROUTE
-                    && !dev.rides_noc(l as LinkId, vault)
+                    && noc_vaults >> vault & 1 == 0
                     && dev.vaults[vault as usize].rqst.is_full()
             });
         if !inert {

@@ -24,8 +24,10 @@
 //!   ordering may only reorder *across* streams);
 //! * **memo validity** — what the engine skips work on is still what a
 //!   fresh look would say: every crossbar route key decodes as stored,
-//!   and every sleeping vault's next tick would do nothing before its
-//!   cached edge;
+//!   every sleeping vault's next tick would do nothing before its
+//!   cached edge (`sleep edge:`), and every live NoC scan memo counts
+//!   exactly the stalls and refusing targets a dry scan of its segment
+//!   derives (`noc memo:`);
 //! * **body conservation** — every packet body the simulation created is
 //!   on its free list or resident in a slot: no path that retires an
 //!   entry forgets to recycle its body.
@@ -311,6 +313,12 @@ impl HmcSim {
                     }
                 }
             }
+            // NoC scan memos: a memoized segment is not scanned while its
+            // refusing targets stay full, so the memo must still be what
+            // a dry scan of the packets it holds derives.
+            if let Some(noc) = d.noc() {
+                noc.check_memos(clock, |msg| found.push(format!("noc memo: dev {di} {msg}")));
+            }
             for v in &d.vaults {
                 // Sleep edges: a sleeping vault's tick is skipped on the
                 // cached edge alone, so a fresh scan must still find
@@ -519,6 +527,50 @@ mod tests {
             .last()
             .unwrap()
             .contains("corrupt or retry-gated"));
+    }
+
+    #[test]
+    fn a_stale_noc_memo_is_flagged() {
+        use crate::noc::NocParams;
+        use crate::timing::TimingParams;
+        use hmc_types::{InterconnectKind, TimingKind};
+        // Two-slot vault queues behind a mesh: reads from link 0 to new
+        // rows of one DDR bank of vault 12 (quad 3) pile up in the
+        // fabric, whose delivery is refused while each row miss keeps
+        // the vault queue full.
+        let mut s = HmcSim::new(1, DeviceConfig::small().with_queue_depths(32, 2))
+            .unwrap()
+            .with_params(SimParams {
+                check_invariants: true,
+                interconnect: NocParams::of(InterconnectKind::Mesh),
+                timing: TimingParams::of(TimingKind::Ddr),
+                ..SimParams::default()
+            });
+        let host = s.host_cube_id(0);
+        topology::build_simple(&mut s, host).unwrap();
+        // Vault bits sit just above the 128-byte block offset; rows far
+        // above the bank bits.
+        for tag in 0..24 {
+            s.send(0, 0, read(12 << 7 | (tag as u64) << 20, tag, 0))
+                .unwrap();
+        }
+        let mut memos = 0;
+        for _ in 0..200 {
+            s.clock().unwrap();
+            memos = s.devices[0].noc.as_mut().unwrap().corrupt_memos();
+            if memos > 0 {
+                break;
+            }
+        }
+        assert!(memos > 0, "a refused delivery leaves a memo");
+        assert_eq!(s.total_invariant_violations(), 0, "real memos are clean");
+        s.inv_check_cycle();
+        assert_eq!(s.total_invariant_violations(), memos as u64);
+        assert!(
+            s.invariant_violations()[0].starts_with("noc memo: dev 0 Request segment of quad"),
+            "{:?}",
+            s.invariant_violations()
+        );
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use device::Device;
 pub use fault::FaultState;
 pub use invariants::InvariantState;
 pub use link::{Endpoint, Link};
-pub use noc::{Interconnect, MeshTopology, NocParams, NocState, RingTopology, Topology};
+pub use noc::{Interconnect, MeshTopology, NocParams, NocSink, NocState, RingTopology, Topology};
 pub use params::{ConflictPolicy, RefreshParams, SimParams};
 pub use quad::Quad;
 pub use queue::{BodyPool, PacketQueue, QueueEntry, RoutedQueue};

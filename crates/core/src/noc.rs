@@ -317,28 +317,138 @@ impl NocDest {
         }
     }
 
-    /// A dense small index for per-destination order bookkeeping:
-    /// vaults first, then links after `num_vaults`.
-    fn order_key(self, num_vaults: u16) -> u32 {
+    /// The destination's *key*, a dense small index for per-destination
+    /// bookkeeping: vaults first, then links after `num_vaults`.
+    fn key(self, num_vaults: u16) -> u16 {
         match self {
-            NocDest::ToVault(v) => v as u32,
-            NocDest::ToLink(l) => num_vaults as u32 + l as u32,
+            NocDest::ToVault(v) => v,
+            NocDest::ToLink(l) => num_vaults + l as u16,
+        }
+    }
+
+    /// The destination with key `key` (see [`NocDest::key`]).
+    fn of_key(key: u16, num_vaults: u16) -> NocDest {
+        match key.checked_sub(num_vaults) {
+            None => NocDest::ToVault(key),
+            Some(l) => NocDest::ToLink(l as LinkId),
         }
     }
 }
 
-/// One packet in flight between quads.
-#[derive(Debug, Clone)]
-pub struct NocEntry {
-    /// The queued packet, exactly as the crossbar paths carry it.
-    pub entry: QueueEntry,
-    /// Final destination within the device.
-    pub dest: NocDest,
+/// Where [`NocState::advance`] delivers arrived packets: the device's
+/// vault request queues and egress crossbar response queues. One object
+/// answers both questions, so the probe and the delivery cannot disagree.
+pub trait NocSink {
+    /// True while `dest`'s queue cannot take another packet.
+    fn full(&self, dest: NocDest) -> bool;
+
+    /// Hand `entry` to `dest`'s queue. Called only when
+    /// [`NocSink::full`] has just said there is room.
+    fn deliver(&mut self, dest: NocDest, entry: QueueEntry);
+}
+
+/// What a scan reads of a buffered packet, kept beside its slot so that
+/// a packet the scan passes over costs no read of its entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SlotMeta {
+    /// The packet's destination key ([`NocDest::key`]).
+    key: u16,
     /// Clock of the last segment move (or injection): a packet whose
     /// `moved_at` equals the current clock already took its hop this
     /// cycle and waits for the next edge — the NoC's copy of the
     /// engine's one-stage-per-sub-cycle rule.
-    pub moved_at: Cycle,
+    moved_at: Cycle,
+}
+
+/// What one buffer's scan found when it moved nothing: every packet it
+/// could have moved was refused by a full target. While the buffer holds
+/// the same packets and every such target is still full, a scan would
+/// find exactly this again, so [`NocState::advance`] replays it instead.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct ScanMemo {
+    /// Packets refused by a full target.
+    stalls: u32,
+    /// Of those, the ones refused by a full next segment (they feed the
+    /// rotation trigger).
+    fwd_stalls: u32,
+    /// Quads whose segment on this plane refused a forward, one bit each.
+    full_segments: u64,
+    /// Destination keys whose delivery queue refused, one bit each.
+    full_sinks: u64,
+}
+
+/// The set bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (bit < 64).then_some(bit)
+    })
+}
+
+/// One quad segment buffer on one plane: a bounded FIFO of packets with
+/// each slot's [`SlotMeta`] beside it, moved in lock-step, and the memo
+/// of its last zero-move scan. Every operation that changes which
+/// packets it holds drops the memo.
+#[derive(Debug)]
+struct Segment {
+    /// Every slot holds a packet except while the scan of this buffer is
+    /// running: a winner is moved out of its slot (not cloned) the moment
+    /// it hops or delivers, and the vacated slots are squeezed out when
+    /// the scan ends.
+    slots: VecDeque<Option<QueueEntry>>,
+    meta: VecDeque<SlotMeta>,
+    memo: Option<ScanMemo>,
+}
+
+impl Segment {
+    fn with_capacity(depth: usize) -> Segment {
+        Segment {
+            slots: VecDeque::with_capacity(depth),
+            meta: VecDeque::with_capacity(depth),
+            memo: None,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.meta.len()
+    }
+
+    fn push_back(&mut self, meta: SlotMeta, entry: QueueEntry) {
+        self.memo = None;
+        self.meta.push_back(meta);
+        self.slots.push_back(Some(entry));
+    }
+
+    /// Vacate slot `i` during this buffer's scan (squeezed out after it).
+    fn take(&mut self, i: usize) -> QueueEntry {
+        self.memo = None;
+        self.slots[i]
+            .take()
+            .expect("a slot is vacated once per scan")
+    }
+
+    fn remove(&mut self, i: usize) -> (SlotMeta, Option<QueueEntry>) {
+        self.memo = None;
+        let meta = self.meta.remove(i).expect("index in range");
+        (meta, self.slots.remove(i).expect("index in range"))
+    }
+
+    fn clear(&mut self) {
+        self.memo = None;
+        self.meta.clear();
+        self.slots.clear();
+    }
+
+    /// The packet in slot `i`, outside this buffer's scan.
+    fn entry(&self, i: usize) -> &QueueEntry {
+        live(&self.slots[i])
+    }
+}
+
+fn live(slot: &Option<QueueEntry>) -> &QueueEntry {
+    slot.as_ref()
+        .expect("segment slots are vacant only inside their own buffer's scan")
 }
 
 /// Per-cycle counter deltas from one [`NocState::advance`] call, merged
@@ -381,17 +491,6 @@ pub enum NocEvent {
 /// "No such index" in the per-destination order tables.
 const NO_INDEX: u32 = u32::MAX;
 
-/// A segment-buffer slot. Every slot holds a packet except while the
-/// scan of its own buffer is running: a winner is moved out of its slot
-/// (not cloned) the moment it hops or delivers, and the vacated slots
-/// are squeezed out when the scan ends.
-type Slot = Option<NocEntry>;
-
-fn live(slot: &Slot) -> &NocEntry {
-    slot.as_ref()
-        .expect("segment slots are vacant only inside their own buffer's scan")
-}
-
 /// Reusable buffers of the rotation escape, so that a saturated fabric
 /// rotating every cycle allocates nothing.
 #[derive(Debug, Default)]
@@ -404,7 +503,7 @@ struct RotateScratch {
     /// Quads on the wait-for path being walked.
     path: Vec<usize>,
     /// Members of the cycle being rotated, lifted out of their buffers.
-    moving: Vec<(usize, QuadId, NocEntry)>,
+    moving: Vec<(usize, QuadId, SlotMeta, QueueEntry)>,
 }
 
 /// Buffered-fabric state for one device: per-quad, per-class segment
@@ -419,19 +518,26 @@ pub struct NocState {
     quad_drain: usize,
     num_vaults: u16,
     num_quads: usize,
+    /// Destination keys: `num_vaults` vaults, then one link per quad.
+    num_keys: usize,
+    /// `route[quad * num_keys + key]`: the quad a packet for `key` moves
+    /// to next from `quad` — `quad` itself once it has arrived. The
+    /// topology's `next_hop`, tabulated once.
+    route: Vec<QuadId>,
     /// One bounded FIFO per quad segment per traffic class, plane-major
     /// (`class.index() * num_quads + quad`), preallocated to
     /// `buffer_depth` so the steady state never allocates.
-    buffers: Vec<VecDeque<Slot>>,
+    segments: Vec<Segment>,
     /// Round-robin scan origin per buffer (pre-compaction index space).
     rr_next: Vec<usize>,
-    /// Scratch: candidate scan order for one quad (indices).
+    /// Scratch: oldest-first and locality-aware scan order for one quad
+    /// (indices).
     scratch_order: Vec<u32>,
     /// Scratch: indices vacated in the current quad's scan.
     scratch_vacated: Vec<u32>,
-    /// Scratch, per destination order key: the earliest index in the
-    /// buffer being scanned that still holds a packet for that
-    /// destination ([`NO_INDEX`] when none does).
+    /// Scratch, per destination key: the earliest index in the buffer
+    /// being scanned that still holds a packet for that destination
+    /// ([`NO_INDEX`] when none does).
     first: Vec<u32>,
     /// Scratch, per buffer index: the next later index bound for the
     /// same destination.
@@ -454,6 +560,17 @@ impl NocState {
         };
         let depth = (params.buffer_depth as usize).max(1);
         let nq = num_quads as usize;
+        // Keys: vaults, then egress links (link id == quad id).
+        let num_keys = num_vaults as usize + nq;
+        assert!(num_keys <= 64, "destination keys index the bits of a u64");
+        let route = (0..num_quads)
+            .flat_map(|q| {
+                (0..num_keys as u16).map(move |key| match NocDest::of_key(key, num_vaults).quad() {
+                    dest if dest == q => q,
+                    dest => topology.next_hop(q, dest),
+                })
+            })
+            .collect();
         Some(NocState {
             topology,
             arbitration: params.arbitration,
@@ -461,14 +578,13 @@ impl NocState {
             quad_drain: (params.quad_drain as usize).max(1),
             num_vaults,
             num_quads: nq,
-            buffers: (0..2 * nq)
-                .map(|_| VecDeque::with_capacity(depth))
-                .collect(),
+            num_keys,
+            route,
+            segments: (0..2 * nq).map(|_| Segment::with_capacity(depth)).collect(),
             rr_next: vec![0; 2 * nq],
             scratch_order: Vec::with_capacity(depth),
             scratch_vacated: Vec::with_capacity(depth),
-            // Order keys: vaults, then egress links (link id == quad id).
-            first: vec![NO_INDEX; num_vaults as usize + nq],
+            first: vec![NO_INDEX; num_keys],
             next_same: Vec::with_capacity(depth),
             rotate_scratch: RotateScratch {
                 cand: Vec::with_capacity(nq),
@@ -496,18 +612,18 @@ impl NocState {
     /// the device is live: drain loops must keep clocking and the
     /// fast-forward horizon must collapse to zero.
     pub fn occupancy(&self) -> usize {
-        self.buffers.iter().map(|b| b.len()).sum()
+        self.segments.iter().map(Segment::len).sum()
     }
 
     /// Total segment slots: the bound on [`NocState::occupancy`].
     pub fn capacity(&self) -> usize {
-        self.buffers.len() * self.buffer_depth
+        self.segments.len() * self.buffer_depth
     }
 
     /// Drop all in-flight packets and bookkeeping (device reset).
     pub fn clear(&mut self) {
-        for b in &mut self.buffers {
-            b.clear();
+        for s in &mut self.segments {
+            s.clear();
         }
         for r in &mut self.rr_next {
             *r = 0;
@@ -518,7 +634,7 @@ impl NocState {
     /// Whether quad `q`'s segment buffer for `class` traffic can accept
     /// another injection.
     pub fn has_room(&self, quad: QuadId, class: NocClass) -> bool {
-        self.buffers[class.index() * self.num_quads + quad as usize].len() < self.buffer_depth
+        self.segments[class.index() * self.num_quads + quad as usize].len() < self.buffer_depth
     }
 
     /// Inject a packet at `quad` bound for `dest`, onto the plane of
@@ -531,13 +647,11 @@ impl NocState {
             "caller checks has_room before inject"
         );
         debug_assert_ne!(dest.quad(), quad, "local traffic bypasses the NoC");
-        self.buffers[dest.class().index() * self.num_quads + quad as usize].push_back(Some(
-            NocEntry {
-                entry,
-                dest,
-                moved_at: clock,
-            },
-        ));
+        let meta = SlotMeta {
+            key: dest.key(self.num_vaults),
+            moved_at: clock,
+        };
+        self.segments[dest.class().index() * self.num_quads + quad as usize].push_back(meta, entry);
     }
 
     /// Hand over the trace events staged by [`NocState::advance`], oldest
@@ -546,19 +660,23 @@ impl NocState {
         self.events.drain(..)
     }
 
-    /// Iterate over every buffered packet (invariant sweeps).
-    pub fn entries(&self) -> impl Iterator<Item = &NocEntry> {
-        self.buffers.iter().flat_map(|b| b.iter().map(live))
+    /// Every buffered packet with the segment holding it: its plane and
+    /// quad, segment by segment, head first.
+    pub fn residents(&self) -> impl Iterator<Item = (NocClass, QuadId, &QueueEntry)> {
+        let nq = self.num_quads;
+        self.segments.iter().enumerate().flat_map(move |(bi, s)| {
+            let (class, quad) = (NocClass::ALL[bi / nq], (bi % nq) as QuadId);
+            s.slots.iter().map(move |slot| (class, quad, live(slot)))
+        })
     }
 
     /// Run one NoC sub-cycle. For each virtual-channel plane (requests,
     /// then responses) and each quad segment in index order, move up to
     /// `quad_drain` packets one step — forwarding to the next segment
     /// on their route, or delivering packets that have reached their
-    /// destination quad through `deliver_vault` / `deliver_link` (each
-    /// returns the packet back on a full target queue). Each plane has
-    /// its own drain budget per quad, modelling separate physical
-    /// channels.
+    /// destination quad into `sink`, which is asked first whether the
+    /// target queue is full. Each plane has its own drain budget per
+    /// quad, modelling separate physical channels.
     ///
     /// Per-destination FIFO order is enforced: a packet may move only if
     /// no earlier-positioned packet with the same destination is still
@@ -567,24 +685,25 @@ impl NocState {
     /// table lookup (`index_destinations`), so one buffer's
     /// scan is linear in its occupancy.
     ///
+    /// A buffer whose last scan moved nothing is not scanned again while
+    /// it holds the same packets and every target that refused them is
+    /// still full: that scan's stall counts are replayed instead
+    /// ([`ScanMemo`]; `NocStall` tracing, which names each stalled
+    /// packet, always scans).
+    ///
     /// If a plane's pass moves nothing while packets sit stalled on
     /// full segment buffers, the cycle-rotation escape runs (see the
     /// module docs) so a plane full of through-traffic can never wedge.
     ///
     /// `record_hops` / `record_stalls` gate event staging so disabled
     /// tracers pay nothing; counter deltas are always returned.
-    pub fn advance<FV, FL>(
+    pub fn advance(
         &mut self,
         clock: Cycle,
-        mut deliver_vault: FV,
-        mut deliver_link: FL,
+        sink: &mut impl NocSink,
         record_hops: bool,
         record_stalls: bool,
-    ) -> NocDelta
-    where
-        FV: FnMut(VaultId, QueueEntry) -> Result<(), QueueEntry>,
-        FL: FnMut(LinkId, QueueEntry) -> Result<(), QueueEntry>,
-    {
+    ) -> NocDelta {
         let mut delta = NocDelta::default();
         let num_quads = self.num_quads;
         for class in NocClass::ALL {
@@ -593,114 +712,19 @@ impl NocState {
             let mut plane_fwd_stalls = 0u64;
             for q in 0..num_quads {
                 let bi = base + q;
-                let len = self.buffers[bi].len();
-                if len == 0 {
+                if self.segments[bi].len() == 0 {
                     continue;
                 }
-                self.build_scan_order(bi, len, q as QuadId);
-                self.index_destinations(bi);
-                let order = std::mem::take(&mut self.scratch_order);
-                self.scratch_vacated.clear();
-                let mut budget = self.quad_drain;
-                for &iu in order.iter() {
-                    let i = iu as usize;
-                    let (dest, moved_at, tag) = {
-                        let e = live(&self.buffers[bi][i]);
-                        (e.dest, e.moved_at, e.entry.packet.tag())
-                    };
-                    // One segment per cycle: skip packets that hopped
-                    // into this buffer during this very advance call
-                    // (or were injected this cycle).
-                    if moved_at >= clock {
-                        continue;
-                    }
-                    // Per-destination FIFO: an earlier same-destination
-                    // packet still present holds this one in place.
-                    let key = dest.order_key(self.num_vaults) as usize;
-                    if self.first[key] != iu {
-                        continue;
-                    }
-                    if budget == 0 {
-                        delta.arb_losses += 1;
-                        continue;
-                    }
-                    let dest_quad = dest.quad();
-                    if dest_quad == q as QuadId {
-                        // Arrived: deliver into the vault request queue
-                        // or the egress crossbar response queue.
-                        let mut e = self.buffers[bi][i]
-                            .take()
-                            .expect("live slot read above")
-                            .entry;
-                        let arrived = std::mem::replace(&mut e.arrival_cycle, clock);
-                        let res = match dest {
-                            NocDest::ToVault(v) => deliver_vault(v, e),
-                            NocDest::ToLink(l) => deliver_link(l, e),
-                        };
-                        if let Err(mut refused) = res {
-                            // Refused: the packet stays exactly as it was.
-                            refused.arrival_cycle = arrived;
-                            self.buffers[bi][i] = Some(NocEntry {
-                                entry: refused,
-                                dest,
-                                moved_at,
-                            });
-                            delta.stalls += 1;
-                            if record_stalls {
-                                self.events.push(NocEvent::Stall {
-                                    quad: q as QuadId,
-                                    tag,
-                                });
-                            }
-                            continue;
-                        }
-                    } else {
-                        let next = self.topology.next_hop(q as QuadId, dest_quad) as usize;
-                        debug_assert_ne!(next, q, "next_hop must make progress");
-                        if self.buffers[base + next].len() >= self.buffer_depth {
-                            delta.stalls += 1;
-                            plane_fwd_stalls += 1;
-                            if record_stalls {
-                                self.events.push(NocEvent::Stall {
-                                    quad: q as QuadId,
-                                    tag,
-                                });
-                            }
-                            continue;
-                        }
-                        let mut e = self.buffers[bi][i].take().expect("live slot read above");
-                        e.moved_at = clock;
-                        self.buffers[base + next].push_back(Some(e));
-                        delta.hops += 1;
-                        if record_hops {
-                            self.events.push(NocEvent::Hop {
-                                from_quad: q as QuadId,
-                                to_quad: next as QuadId,
-                                tag,
-                            });
-                        }
-                    }
-                    // The packet left: its successor for the same
-                    // destination (necessarily still here — it was held
-                    // until now) becomes the earliest.
-                    self.first[key] = self.next_same[i];
-                    self.scratch_vacated.push(iu);
-                    budget -= 1;
-                    plane_moves += 1;
+                let memo = self.segments[bi].memo;
+                if let Some(m) = memo.filter(|m| !record_stalls && self.memo_holds(m, base, sink)) {
+                    delta.stalls += m.stalls as u64;
+                    plane_fwd_stalls += m.fwd_stalls as u64;
+                    continue;
                 }
-                if let Some(&w) = self.scratch_vacated.last() {
-                    self.rr_next[bi] = (w as usize + 1) % len;
-                    // Squeeze out the vacated slots, highest index first
-                    // so earlier removals do not shift later ones, so
-                    // subsequent quads see true occupancy when forwarding
-                    // into this buffer. Winners are few and mostly near
-                    // the head, where a removal shifts next to nothing.
-                    self.scratch_vacated.sort_unstable();
-                    for &iu in self.scratch_vacated.iter().rev() {
-                        self.buffers[bi].remove(iu as usize);
-                    }
-                }
-                self.scratch_order = order;
+                let (moves, fwd_stalls) =
+                    self.scan(bi, clock, sink, &mut delta, record_hops, record_stalls);
+                plane_moves += moves;
+                plane_fwd_stalls += fwd_stalls;
             }
             if plane_moves == 0 && plane_fwd_stalls > 0 {
                 delta.hops += self.rotate(class, clock, record_hops);
@@ -709,22 +733,207 @@ impl NocState {
         delta
     }
 
+    /// True when every target that refused the scan `m` memoizes (on the
+    /// plane starting at buffer `base`) would refuse again now.
+    fn memo_holds(&self, m: &ScanMemo, base: usize, sink: &impl NocSink) -> bool {
+        bits(m.full_segments).all(|q| self.segments[base + q].len() >= self.buffer_depth)
+            && bits(m.full_sinks).all(|key| sink.full(NocDest::of_key(key as u16, self.num_vaults)))
+    }
+
+    /// Scan buffer `bi` once in its arbitration order, moving what may
+    /// move and counting the rest into `delta`. Memoizes a scan that
+    /// moved nothing and skipped no packet as too fresh to move. Returns
+    /// the packets moved and the forward stalls.
+    fn scan(
+        &mut self,
+        bi: usize,
+        clock: Cycle,
+        sink: &mut impl NocSink,
+        delta: &mut NocDelta,
+        record_hops: bool,
+        record_stalls: bool,
+    ) -> (u64, u64) {
+        // Buffer `bi` is quad `q`'s segment on the plane starting at `base`.
+        let q = bi % self.num_quads;
+        let base = bi - q;
+        let len = self.segments[bi].len();
+        // Round-robin walks its two index ranges directly; the other
+        // policies sort a scratch order.
+        let round_robin = self.arbitration == ArbitrationKind::RoundRobin;
+        let start = if round_robin {
+            self.rr_next[bi] % len
+        } else {
+            self.build_scan_order(bi, len, q as QuadId);
+            0
+        };
+        self.index_destinations(bi);
+        self.scratch_vacated.clear();
+        let mut budget = self.quad_drain;
+        let mut memo = ScanMemo::default();
+        let mut saw_fresh = false;
+        for n in 0..len {
+            let i = if !round_robin {
+                self.scratch_order[n] as usize
+            } else if start + n < len {
+                start + n
+            } else {
+                start + n - len
+            };
+            let SlotMeta { key, moved_at } = self.segments[bi].meta[i];
+            // Per-destination FIFO: an earlier same-destination packet
+            // still present holds this one in place.
+            if self.first[key as usize] != i as u32 {
+                continue;
+            }
+            // One segment per cycle: skip packets that hopped into this
+            // buffer during this very advance call (or were injected
+            // this cycle).
+            if moved_at >= clock {
+                saw_fresh = true;
+                continue;
+            }
+            if budget == 0 {
+                delta.arb_losses += 1;
+                continue;
+            }
+            let next = self.route[q * self.num_keys + key as usize] as usize;
+            let refused = if next == q {
+                // Arrived: deliver into the vault request queue or the
+                // egress crossbar response queue, if it has room.
+                let dest = NocDest::of_key(key, self.num_vaults);
+                let full = sink.full(dest);
+                if full {
+                    memo.full_sinks |= 1 << key;
+                } else {
+                    let mut e = self.segments[bi].take(i);
+                    e.arrival_cycle = clock;
+                    sink.deliver(dest, e);
+                }
+                full
+            } else if self.segments[base + next].len() >= self.buffer_depth {
+                memo.full_segments |= 1 << next;
+                memo.fwd_stalls += 1;
+                true
+            } else {
+                let e = self.segments[bi].take(i);
+                if record_hops {
+                    self.events.push(NocEvent::Hop {
+                        from_quad: q as QuadId,
+                        to_quad: next as QuadId,
+                        tag: e.packet.tag(),
+                    });
+                }
+                let meta = SlotMeta {
+                    key,
+                    moved_at: clock,
+                };
+                self.segments[base + next].push_back(meta, e);
+                delta.hops += 1;
+                false
+            };
+            if refused {
+                memo.stalls += 1;
+                if record_stalls {
+                    self.events.push(NocEvent::Stall {
+                        quad: q as QuadId,
+                        tag: self.segments[bi].entry(i).packet.tag(),
+                    });
+                }
+                continue;
+            }
+            // The packet left: its successor for the same destination
+            // (necessarily still here — it was held until now) becomes
+            // the earliest.
+            self.first[key as usize] = self.next_same[i];
+            self.scratch_vacated.push(i as u32);
+            budget -= 1;
+        }
+        delta.stalls += memo.stalls as u64;
+        if let Some(&w) = self.scratch_vacated.last() {
+            self.rr_next[bi] = (w as usize + 1) % len;
+            // Squeeze out the vacated slots, highest index first so
+            // earlier removals do not shift later ones, so subsequent
+            // quads see true occupancy when forwarding into this buffer.
+            // Winners are few and mostly near the head, where a removal
+            // shifts next to nothing.
+            self.scratch_vacated.sort_unstable();
+            for &iu in self.scratch_vacated.iter().rev() {
+                self.segments[bi].remove(iu as usize);
+            }
+        } else if !saw_fresh {
+            self.segments[bi].memo = Some(memo);
+        }
+        (self.scratch_vacated.len() as u64, memo.fwd_stalls as u64)
+    }
+
     /// Build the per-destination order tables for buffer `bi` in one
-    /// reverse pass: `first[key]` is the earliest index bound for the
-    /// destination with order key `key`, `next_same[i]` the next index
+    /// reverse pass over its keys: `first[key]` is the earliest index
+    /// bound for the destination `key`, `next_same[i]` the next index
     /// after `i` with `i`'s destination. A packet at `i` is FIFO-held
     /// iff `first[key] != i`; when it leaves, `first[key]` advances to
     /// `next_same[i]`.
     fn index_destinations(&mut self, bi: usize) {
-        let buf = &self.buffers[bi];
+        let meta = &self.segments[bi].meta;
         self.first.fill(NO_INDEX);
         self.next_same.clear();
-        self.next_same.resize(buf.len(), NO_INDEX);
-        for (i, slot) in buf.iter().enumerate().rev() {
-            let key = live(slot).dest.order_key(self.num_vaults) as usize;
+        self.next_same.resize(meta.len(), NO_INDEX);
+        for (i, m) in meta.iter().enumerate().rev() {
+            let key = m.key as usize;
             self.next_same[i] = self.first[key];
             self.first[key] = i as u32;
         }
+    }
+
+    /// Re-derive every live scan memo from the packets its buffer holds,
+    /// at `clock` (the clock of the next advance), and report each one
+    /// that disagrees. The dry scan is independent of the one `advance`
+    /// runs: the first packet per destination is the only one free to
+    /// move; a memo must count each of them as refused — none too fresh
+    /// to move — and name exactly their targets. Then, whenever those
+    /// targets are all full, the memo is what a scan would find.
+    pub(crate) fn check_memos(&self, clock: Cycle, mut report: impl FnMut(String)) {
+        let nq = self.num_quads;
+        for (bi, seg) in self.segments.iter().enumerate() {
+            let Some(memo) = seg.memo else {
+                continue;
+            };
+            let q = bi % nq;
+            let (mut seen, mut fresh, mut want) = (0u64, 0usize, ScanMemo::default());
+            for m in &seg.meta {
+                if seen >> m.key & 1 != 0 {
+                    continue;
+                }
+                seen |= 1 << m.key;
+                if m.moved_at >= clock {
+                    fresh += 1;
+                    continue;
+                }
+                want.stalls += 1;
+                match self.route[q * self.num_keys + m.key as usize] {
+                    next if next as usize == q => want.full_sinks |= 1 << m.key,
+                    next => {
+                        want.fwd_stalls += 1;
+                        want.full_segments |= 1 << next;
+                    }
+                }
+            }
+            if fresh > 0 || want != memo {
+                let class = NocClass::ALL[bi / nq];
+                report(format!(
+                    "{class:?} segment of quad {q} memoizes {memo:?}, but a dry scan at cycle \
+                     {clock} derives {want:?} with {fresh} packet(s) too fresh to move"
+                ));
+            }
+        }
+    }
+
+    /// Make every live scan memo claim one stall more than its buffer
+    /// holds — the stale memo [`NocState::check_memos`] must flag — and
+    /// return how many there were.
+    #[cfg(test)]
+    pub(crate) fn corrupt_memos(&mut self) -> usize {
+        let memos = self.segments.iter_mut().filter_map(|s| s.memo.as_mut());
+        memos.map(|m| m.stalls += 1).count()
     }
 
     /// Deadlock escape for one virtual-channel plane (see the module
@@ -753,19 +962,18 @@ impl NocState {
         cand.resize(nq, None);
         for (q, slot) in cand.iter_mut().enumerate() {
             self.index_destinations(base + q);
-            for (i, e) in self.buffers[base + q].iter().map(live).enumerate() {
-                if e.moved_at >= clock {
+            for (i, m) in self.segments[base + q].meta.iter().enumerate() {
+                if m.moved_at >= clock {
                     continue;
                 }
-                let dest_quad = e.dest.quad();
-                if dest_quad == q as QuadId {
+                let next = self.route[q * self.num_keys + m.key as usize];
+                if next as usize == q {
                     continue;
                 }
-                if self.first[e.dest.order_key(self.num_vaults) as usize] != i as u32 {
+                if self.first[m.key as usize] != i as u32 {
                     continue;
                 }
-                let next = self.topology.next_hop(q as QuadId, dest_quad);
-                if self.buffers[base + next as usize].len() >= self.buffer_depth {
+                if self.segments[base + next as usize].len() >= self.buffer_depth {
                     *slot = Some((i, next));
                 }
                 break;
@@ -797,24 +1005,20 @@ impl NocState {
                 let pos = path.iter().position(|&p| p == head).expect("head is on path");
                 for &p in &path[pos..] {
                     let (i, next) = cand[p].expect("cycle members have candidates");
-                    let mut e = self.buffers[base + p]
-                        .remove(i)
-                        .flatten()
-                        .expect("candidate index valid");
-                    e.moved_at = clock;
-                    moving.push((p, next, e));
+                    let (mut m, e) = self.segments[base + p].remove(i);
+                    m.moved_at = clock;
+                    moving.push((p, next, m, e.expect("candidate slot is live")));
                 }
-                for (p, next, e) in moving.drain(..) {
-                    let tag = e.entry.packet.tag();
-                    self.buffers[base + next as usize].push_back(Some(e));
-                    hops += 1;
+                for (p, next, m, e) in moving.drain(..) {
                     if record_hops {
                         self.events.push(NocEvent::Hop {
                             from_quad: p as QuadId,
                             to_quad: next,
-                            tag,
+                            tag: e.packet.tag(),
                         });
                     }
+                    self.segments[base + next as usize].push_back(m, e);
+                    hops += 1;
                 }
             }
             for &p in &path {
@@ -834,25 +1038,21 @@ impl NocState {
     }
 
     /// Fill `scratch_order` with the indices of buffer `bi` (quad
-    /// `quad`'s segment on one plane) in the order the arbitration
-    /// policy scans them.
+    /// `quad`'s segment on one plane) in the order the oldest-first or
+    /// locality-aware policy scans them (round-robin needs no table).
     fn build_scan_order(&mut self, bi: usize, len: usize, quad: QuadId) {
         self.scratch_order.clear();
+        let seg = &self.segments[bi];
         match self.arbitration {
-            ArbitrationKind::RoundRobin => {
-                let start = (self.rr_next[bi] % len) as u32;
-                self.scratch_order.extend(start..len as u32);
-                self.scratch_order.extend(0..start);
-            }
+            ArbitrationKind::RoundRobin => unreachable!("round-robin scans its ranges directly"),
             ArbitrationKind::OldestFirst => {
                 self.scratch_order.extend(0..len as u32);
-                let buf = &self.buffers[bi];
                 self.scratch_order
-                    .sort_unstable_by_key(|&i| (live(&buf[i as usize]).entry.entry_cycle, i));
+                    .sort_unstable_by_key(|&i| (seg.entry(i as usize).entry_cycle, i));
             }
             ArbitrationKind::LocalityAware => {
-                let buf = &self.buffers[bi];
-                let local = |i: &u32| live(&buf[*i as usize]).dest.quad() == quad;
+                let route = &self.route[quad as usize * self.num_keys..];
+                let local = |i: &u32| route[seg.meta[*i as usize].key as usize] == quad;
                 self.scratch_order.extend((0..len as u32).filter(local));
                 self.scratch_order
                     .extend((0..len as u32).filter(|i| !local(i)));
@@ -934,6 +1134,43 @@ mod tests {
         QueueEntry::new(p, 9, 0, 0)
     }
 
+    /// A sink for the unit tests: vault (link) queues are full while
+    /// `refuse_vaults` (`refuse_links`) is set; accepted packets are
+    /// logged as (destination, tag).
+    #[derive(Default)]
+    struct Recorder {
+        refuse_vaults: bool,
+        refuse_links: bool,
+        got: Vec<(NocDest, u16)>,
+    }
+
+    impl Recorder {
+        fn refusing_vaults() -> Recorder {
+            Recorder {
+                refuse_vaults: true,
+                ..Recorder::default()
+            }
+        }
+
+        fn tags(&self) -> Vec<u16> {
+            self.got.iter().map(|&(_, tag)| tag).collect()
+        }
+    }
+
+    impl NocSink for Recorder {
+        fn full(&self, dest: NocDest) -> bool {
+            match dest {
+                NocDest::ToVault(_) => self.refuse_vaults,
+                NocDest::ToLink(_) => self.refuse_links,
+            }
+        }
+
+        fn deliver(&mut self, dest: NocDest, entry: QueueEntry) {
+            assert!(!self.full(dest), "delivered into a full queue");
+            self.got.push((dest, entry.packet.tag()));
+        }
+    }
+
     #[test]
     fn ring_packet_hops_toward_its_quad_and_delivers() {
         let params = NocParams::of(InterconnectKind::Ring);
@@ -943,25 +1180,16 @@ mod tests {
         noc.inject(0, NocDest::ToVault(12), test_entry(7), 0);
         assert_eq!(noc.occupancy(), 1);
 
-        let mut delivered = Vec::new();
+        let mut sink = Recorder::default();
         let mut hops = 0u64;
         for clock in 1..=4u64 {
-            let d = noc.advance(
-                clock,
-                |v, e| {
-                    delivered.push((v, e.packet.tag()));
-                    Ok(())
-                },
-                |_, _| panic!("no responses in this test"),
-                true,
-                true,
-            );
+            let d = noc.advance(clock, &mut sink, true, true);
             hops += d.hops;
             assert_eq!(d.stalls, 0);
             assert_eq!(d.arb_losses, 0);
         }
         assert_eq!(hops, 3);
-        assert_eq!(delivered, vec![(12u16, 7u16)]);
+        assert_eq!(sink.got, vec![(NocDest::ToVault(12), 7)]);
         assert_eq!(noc.occupancy(), 0);
         // Three hop events were staged (plus none for the delivery).
         let hop_events = noc
@@ -977,19 +1205,22 @@ mod tests {
         let mut noc = NocState::new(&params, 4, 16).unwrap();
         // Quad 1 is one hop from quad 0.
         noc.inject(0, NocDest::ToVault(4), test_entry(1), 0);
-        let d = noc.advance(1, |_, _| Ok(()), |_, _| unreachable!(), false, false);
+        let d = noc.advance(1, &mut Recorder::default(), false, false);
         assert_eq!(d.hops, 1);
         assert_eq!(noc.occupancy(), 1);
-        // Delivery refused: the packet stays buffered at its quad.
-        let mut refused = |_: VaultId, e: QueueEntry| -> Result<(), QueueEntry> { Err(e) };
-        let d = noc.advance(2, &mut refused, |_, _| unreachable!(), false, false);
-        assert_eq!(d.stalls, 1);
-        assert_eq!(noc.occupancy(), 1);
+        // Delivery refused: the packet stays buffered at its quad, every
+        // cycle the queue stays full.
+        for clock in 2..=4 {
+            let d = noc.advance(clock, &mut Recorder::refusing_vaults(), false, false);
+            assert_eq!(d.stalls, 1);
+            assert_eq!(noc.occupancy(), 1);
+        }
         // Accept it now.
-        let d = noc.advance(3, |_, _| Ok(()), |_, _| unreachable!(), false, false);
+        let mut sink = Recorder::default();
+        let d = noc.advance(5, &mut sink, false, false);
         assert_eq!(d.stalls, 0);
         assert_eq!(noc.occupancy(), 0);
-        let _ = d;
+        assert_eq!(sink.tags(), [1]);
     }
 
     #[test]
@@ -1001,20 +1232,11 @@ mod tests {
             let mut noc = NocState::new(&params, 4, 16).unwrap();
             noc.inject(0, NocDest::ToVault(8), test_entry(1), 0);
             noc.inject(0, NocDest::ToVault(8), test_entry(2), 0);
-            let mut delivered = Vec::new();
+            let mut sink = Recorder::default();
             for clock in 1..=8u64 {
-                noc.advance(
-                    clock,
-                    |_, e| {
-                        delivered.push(e.packet.tag());
-                        Ok(())
-                    },
-                    |_, _| unreachable!(),
-                    false,
-                    false,
-                );
+                noc.advance(clock, &mut sink, false, false);
             }
-            assert_eq!(delivered, vec![1, 2], "{} reordered", arb.name());
+            assert_eq!(sink.tags(), vec![1, 2], "{} reordered", arb.name());
         }
     }
 
@@ -1028,9 +1250,11 @@ mod tests {
         noc.inject(0, NocDest::ToVault(4), test_entry(1), 0);
         noc.inject(0, NocDest::ToVault(5), test_entry(2), 0);
         noc.inject(0, NocDest::ToVault(6), test_entry(3), 0);
-        let d = noc.advance(1, |_, _| unreachable!(), |_, _| unreachable!(), false, false);
+        let mut sink = Recorder::default();
+        let d = noc.advance(1, &mut sink, false, false);
         assert_eq!(d.hops, 1);
         assert_eq!(d.arb_losses, 2);
+        assert!(sink.got.is_empty(), "nothing has arrived yet");
     }
 
     #[test]
@@ -1058,20 +1282,11 @@ mod tests {
         noc.inject(0, NocDest::ToVault(4), test_entry(1), 0);
         noc.inject(0, NocDest::ToVault(5), test_entry(2), 0);
         noc.inject(0, NocDest::ToLink(2), test_entry(9), 0);
-        let mut delivered = Vec::new();
+        let mut sink = Recorder::refusing_vaults();
         for clock in 1..=4u64 {
-            noc.advance(
-                clock,
-                |_, e| Err(e), // vaults refuse everything
-                |l, e| {
-                    delivered.push((l, e.packet.tag()));
-                    Ok(())
-                },
-                false,
-                false,
-            );
+            noc.advance(clock, &mut sink, false, false);
         }
-        assert_eq!(delivered, vec![(2u8, 9u16)]);
+        assert_eq!(sink.got, vec![(NocDest::ToLink(2), 9)]);
     }
 
     #[test]
@@ -1094,20 +1309,11 @@ mod tests {
                 }
             }
             assert_eq!(noc.occupancy(), 8);
-            let mut delivered = 0;
+            let mut sink = Recorder::default();
             for clock in 1..=64u64 {
-                noc.advance(
-                    clock,
-                    |_, _| {
-                        delivered += 1;
-                        Ok(())
-                    },
-                    |_, _| unreachable!("request-plane only"),
-                    false,
-                    false,
-                );
+                noc.advance(clock, &mut sink, false, false);
             }
-            assert_eq!(delivered, 8, "{} wedged", arb.name());
+            assert_eq!(sink.got.len(), 8, "{} wedged", arb.name());
             assert_eq!(noc.occupancy(), 0);
         }
     }
@@ -1126,20 +1332,11 @@ mod tests {
         noc.inject(1, NocDest::ToVault(13), test_entry(2), 0);
         noc.inject(2, NocDest::ToVault(0), test_entry(3), 0);
         noc.inject(2, NocDest::ToVault(1), test_entry(4), 0);
-        let mut delivered = 0;
+        let mut sink = Recorder::default();
         for clock in 1..=16u64 {
-            noc.advance(
-                clock,
-                |_, _| {
-                    delivered += 1;
-                    Ok(())
-                },
-                |_, _| unreachable!(),
-                false,
-                false,
-            );
+            noc.advance(clock, &mut sink, false, false);
         }
-        assert_eq!(delivered, 4, "opposed streams wedged");
+        assert_eq!(sink.got.len(), 4, "opposed streams wedged");
         assert_eq!(noc.occupancy(), 0);
     }
 
@@ -1150,9 +1347,17 @@ mod tests {
         noc.inject(0, NocDest::ToVault(12), test_entry(1), 0);
         noc.inject(2, NocDest::ToLink(1), test_entry(2), 0);
         assert_eq!(noc.occupancy(), 2);
-        assert_eq!(noc.entries().count(), 2);
+        let residents: Vec<_> = noc
+            .residents()
+            .map(|(class, quad, e)| (class, quad, e.packet.tag()))
+            .collect();
+        assert_eq!(
+            residents,
+            [(NocClass::Request, 0, 1), (NocClass::Response, 2, 2)]
+        );
         noc.clear();
         assert_eq!(noc.occupancy(), 0);
+        assert_eq!(noc.residents().count(), 0);
     }
 
     #[test]
@@ -1167,41 +1372,50 @@ mod tests {
         let mut noc = NocState::new(&params, 4, 16).unwrap();
         noc.inject(0, NocDest::ToVault(13), test_entry(1), 0); // quad 3, via quad 1
         noc.inject(3, NocDest::ToVault(4), test_entry(2), 0); // quad 1, via quad 1
-        let d = noc.advance(1, |_, _| unreachable!(), |_, _| unreachable!(), false, false);
+        let d = noc.advance(1, &mut Recorder::default(), false, false);
         assert_eq!(d.hops, 2, "both packets hop into quad 1");
-        let mut delivered = Vec::new();
-        let d = noc.advance(
-            2,
-            |_, e| {
-                delivered.push(e.packet.tag());
-                Ok(())
-            },
-            |_, _| unreachable!(),
-            false,
-            false,
-        );
-        assert_eq!(delivered, vec![2], "local delivery should win the budget");
+        let mut sink = Recorder::default();
+        let d = noc.advance(2, &mut sink, false, false);
+        assert_eq!(sink.tags(), vec![2], "local delivery should win the budget");
         assert_eq!(d.arb_losses, 1, "the through-packet lost arbitration");
     }
 
     // ---- differential check against the pre-table advance pass ----
 
     impl NocState {
+        /// The order the arbitration policy scans buffer `bi` (quad
+        /// `quad`'s segment) in, from the buffer alone.
+        fn reference_order(&self, bi: usize, quad: QuadId) -> Vec<usize> {
+            let seg = &self.segments[bi];
+            let len = seg.len();
+            let dest_quad = |i: usize| NocDest::of_key(seg.meta[i].key, self.num_vaults).quad();
+            match self.arbitration {
+                ArbitrationKind::RoundRobin => {
+                    let start = self.rr_next[bi] % len;
+                    (start..len).chain(0..start).collect()
+                }
+                ArbitrationKind::OldestFirst => {
+                    let mut order: Vec<usize> = (0..len).collect();
+                    order.sort_by_key(|&i| (seg.entry(i).entry_cycle, i));
+                    order
+                }
+                ArbitrationKind::LocalityAware => {
+                    let (mut order, through): (Vec<usize>, Vec<usize>) =
+                        (0..len).partition(|&i| dest_quad(i) == quad);
+                    order.extend(through);
+                    order
+                }
+            }
+        }
+
         /// The advance pass as it stood before the per-destination order
         /// tables: the FIFO hold is the quadratic "any earlier entry,
-        /// not yet moved, with my destination" predicate, winners are
-        /// cloned out and their originals removed afterwards, and the
-        /// rotation escape allocates as it goes.
-        fn advance_reference<FV, FL>(
-            &mut self,
-            clock: Cycle,
-            mut deliver_vault: FV,
-            mut deliver_link: FL,
-        ) -> NocDelta
-        where
-            FV: FnMut(VaultId, QueueEntry) -> Result<(), QueueEntry>,
-            FL: FnMut(LinkId, QueueEntry) -> Result<(), QueueEntry>,
-        {
+        /// not yet moved, with my destination" predicate, routes come
+        /// from the topology rather than the table, winners are cloned
+        /// out and their originals removed afterwards, no scan is ever
+        /// memoized, and the rotation escape allocates as it goes. It
+        /// stages every event.
+        fn advance_reference(&mut self, clock: Cycle, sink: &mut impl NocSink) -> NocDelta {
             let mut delta = NocDelta::default();
             let nv = self.num_vaults;
             for class in NocClass::ALL {
@@ -1210,27 +1424,22 @@ mod tests {
                 let mut plane_fwd_stalls = 0u64;
                 for q in 0..self.num_quads {
                     let bi = base + q;
-                    let len = self.buffers[bi].len();
+                    let len = self.segments[bi].len();
                     if len == 0 {
                         continue;
                     }
-                    self.build_scan_order(bi, len, q as QuadId);
-                    let order = self.scratch_order.clone();
-                    let mut moved: Vec<u32> = Vec::new();
+                    let mut moved: Vec<usize> = Vec::new();
                     let mut budget = self.quad_drain;
                     let mut last_winner = None;
-                    for &iu in &order {
-                        let i = iu as usize;
-                        let e = live(&self.buffers[bi][i]).clone();
-                        let tag = e.entry.packet.tag();
-                        if e.moved_at >= clock {
+                    for i in self.reference_order(bi, q as QuadId) {
+                        let m = self.segments[bi].meta[i];
+                        let e = self.segments[bi].entry(i).clone();
+                        let tag = e.packet.tag();
+                        if m.moved_at >= clock {
                             continue;
                         }
-                        let key = e.dest.order_key(nv);
-                        let held = (0..i).any(|j| {
-                            !moved.contains(&(j as u32))
-                                && live(&self.buffers[bi][j]).dest.order_key(nv) == key
-                        });
+                        let meta = &self.segments[bi].meta;
+                        let held = (0..i).any(|j| !moved.contains(&j) && meta[j].key == m.key);
                         if held {
                             continue;
                         }
@@ -1238,15 +1447,9 @@ mod tests {
                             delta.arb_losses += 1;
                             continue;
                         }
-                        let dest_quad = e.dest.quad();
-                        if dest_quad == q as QuadId {
-                            let mut out = e.entry;
-                            out.arrival_cycle = clock;
-                            let res = match e.dest {
-                                NocDest::ToVault(v) => deliver_vault(v, out),
-                                NocDest::ToLink(l) => deliver_link(l, out),
-                            };
-                            if res.is_err() {
+                        let dest = NocDest::of_key(m.key, nv);
+                        if dest.quad() == q as QuadId {
+                            if sink.full(dest) {
                                 delta.stalls += 1;
                                 self.events.push(NocEvent::Stall {
                                     quad: q as QuadId,
@@ -1254,9 +1457,12 @@ mod tests {
                                 });
                                 continue;
                             }
+                            let mut out = e;
+                            out.arrival_cycle = clock;
+                            sink.deliver(dest, out);
                         } else {
-                            let next = self.topology.next_hop(q as QuadId, dest_quad) as usize;
-                            if self.buffers[base + next].len() >= self.buffer_depth {
+                            let next = self.topology.next_hop(q as QuadId, dest.quad()) as usize;
+                            if self.segments[base + next].len() >= self.buffer_depth {
                                 delta.stalls += 1;
                                 plane_fwd_stalls += 1;
                                 self.events.push(NocEvent::Stall {
@@ -1265,10 +1471,11 @@ mod tests {
                                 });
                                 continue;
                             }
-                            self.buffers[base + next].push_back(Some(NocEntry {
+                            let hopped = SlotMeta {
                                 moved_at: clock,
-                                ..e
-                            }));
+                                ..m
+                            };
+                            self.segments[base + next].push_back(hopped, e);
                             delta.hops += 1;
                             self.events.push(NocEvent::Hop {
                                 from_quad: q as QuadId,
@@ -1277,16 +1484,16 @@ mod tests {
                             });
                         }
                         budget -= 1;
-                        moved.push(iu);
-                        last_winner = Some(iu);
+                        moved.push(i);
+                        last_winner = Some(i);
                         plane_moves += 1;
                     }
                     moved.sort_unstable();
-                    for &iu in moved.iter().rev() {
-                        self.buffers[bi].remove(iu as usize);
+                    for &i in moved.iter().rev() {
+                        self.segments[bi].remove(i);
                     }
                     if let Some(w) = last_winner {
-                        self.rr_next[bi] = (w as usize + 1) % len;
+                        self.rr_next[bi] = (w + 1) % len;
                     }
                 }
                 if plane_moves == 0 && plane_fwd_stalls > 0 {
@@ -1302,18 +1509,17 @@ mod tests {
             let base = class.index() * nq;
             let mut cand: Vec<Option<(usize, QuadId)>> = vec![None; nq];
             for (q, slot) in cand.iter_mut().enumerate() {
-                let b = &self.buffers[base + q];
-                for i in 0..b.len() {
-                    let e = live(&b[i]);
-                    if e.moved_at >= clock || e.dest.quad() == q as QuadId {
+                let meta = &self.segments[base + q].meta;
+                for (i, m) in meta.iter().enumerate() {
+                    let dest = NocDest::of_key(m.key, nv);
+                    if m.moved_at >= clock || dest.quad() == q as QuadId {
                         continue;
                     }
-                    let key = e.dest.order_key(nv);
-                    if (0..i).any(|j| live(&b[j]).dest.order_key(nv) == key) {
+                    if meta.iter().take(i).any(|p| p.key == m.key) {
                         continue;
                     }
-                    let next = self.topology.next_hop(q as QuadId, e.dest.quad());
-                    if self.buffers[base + next as usize].len() >= self.buffer_depth {
+                    let next = self.topology.next_hop(q as QuadId, dest.quad());
+                    if self.segments[base + next as usize].len() >= self.buffer_depth {
                         *slot = Some((i, next));
                     }
                     break;
@@ -1343,17 +1549,20 @@ mod tests {
                     let mut moving = Vec::new();
                     for &p in &path[pos..] {
                         let (i, next) = cand[p].unwrap();
-                        let mut e = self.buffers[base + p].remove(i).flatten().unwrap();
-                        e.moved_at = clock;
-                        moving.push((p, next, e));
+                        let (m, e) = self.segments[base + p].remove(i);
+                        let m = SlotMeta {
+                            moved_at: clock,
+                            ..m
+                        };
+                        moving.push((p, next, m, e.unwrap()));
                     }
-                    for (p, next, e) in moving {
+                    for (p, next, m, e) in moving {
                         self.events.push(NocEvent::Hop {
                             from_quad: p as QuadId,
                             to_quad: next,
-                            tag: e.entry.packet.tag(),
+                            tag: e.packet.tag(),
                         });
-                        self.buffers[base + next as usize].push_back(Some(e));
+                        self.segments[base + next as usize].push_back(m, e);
                         hops += 1;
                     }
                 }
@@ -1367,19 +1576,31 @@ mod tests {
             hops
         }
 
-        /// `(tag, moved_at)` of every slot of every buffer, plus the
+        /// `(tag, key, moved_at)` of every slot of every buffer, plus the
         /// round-robin origins: everything `advance` may change.
-        fn snapshot(&self) -> (Vec<Vec<(u16, Cycle)>>, Vec<usize>) {
+        #[allow(clippy::type_complexity)]
+        fn snapshot(&self) -> (Vec<Vec<(u16, u16, Cycle)>>, Vec<usize>) {
             let buffers = self
-                .buffers
+                .segments
                 .iter()
-                .map(|b| {
-                    b.iter()
-                        .map(|s| (live(s).entry.packet.tag(), live(s).moved_at))
+                .map(|s| {
+                    (0..s.len())
+                        .map(|i| (s.entry(i).packet.tag(), s.meta[i].key, s.meta[i].moved_at))
                         .collect()
                 })
                 .collect();
             (buffers, self.rr_next.clone())
+        }
+
+        /// Buffers whose memo would be replayed if the advance reached
+        /// them now, with `sink` as it stands.
+        fn memos_that_hold(&self, sink: &impl NocSink) -> u64 {
+            let nq = self.num_quads;
+            let holds = |(bi, s): &(usize, &Segment)| {
+                s.memo
+                    .is_some_and(|m| self.memo_holds(&m, bi / nq * nq, sink))
+            };
+            self.segments.iter().enumerate().filter(holds).count() as u64
         }
     }
 
@@ -1424,81 +1645,185 @@ mod tests {
         noc
     }
 
+    /// Inject up to `max` cross-quad packets, tags from `tag` on, at
+    /// every segment in turn until it is full. Deterministic, so two
+    /// equal fabrics stay equal.
+    fn top_up(noc: &mut NocState, max: usize, tag: u16, clock: Cycle) {
+        let quads = noc.num_quads as u8;
+        let mut n = 0u16;
+        for response in [false, true] {
+            for q in 0..quads {
+                while (n as usize) < max {
+                    let t = tag + n;
+                    let dest_quad = (q + 1 + (t % (quads as u16 - 1)) as u8) % quads;
+                    let dest = if response {
+                        NocDest::ToLink(dest_quad)
+                    } else {
+                        NocDest::ToVault(dest_quad as u16 * 4 + t % 2)
+                    };
+                    if !noc.has_room(q, dest.class()) {
+                        break;
+                    }
+                    let mut e = test_entry(t);
+                    e.entry_cycle = clock;
+                    noc.inject(q, dest, e, clock);
+                    n += 1;
+                }
+            }
+        }
+    }
+
     /// A delivery queue for the differential test: logs what it accepts.
     /// Mode 0 accepts everything, 1 refuses everything, 2 refuses a
     /// destination- and clock-dependent third. Links log as 100 + id.
     struct Sink {
         mode: u64,
         clock: Cycle,
-        log: std::cell::RefCell<Vec<(u16, u16, Cycle)>>,
+        log: Vec<(u16, u16, Cycle)>,
     }
 
     impl Sink {
-        fn offer(&self, dest: u16, e: QueueEntry) -> Result<(), QueueEntry> {
-            let refuse = match self.mode {
+        fn new(mode: u64, clock: Cycle) -> Sink {
+            Sink {
+                mode,
+                clock,
+                log: Vec::new(),
+            }
+        }
+
+        fn id(dest: NocDest) -> u16 {
+            match dest {
+                NocDest::ToVault(v) => v,
+                NocDest::ToLink(l) => 100 + l as u16,
+            }
+        }
+    }
+
+    impl NocSink for Sink {
+        fn full(&self, dest: NocDest) -> bool {
+            match self.mode {
                 0 => false,
                 1 => true,
-                _ => (dest as u64 + self.clock).is_multiple_of(3),
-            };
-            if refuse {
-                return Err(e);
+                _ => (Sink::id(dest) as u64 + self.clock).is_multiple_of(3),
             }
-            self.log
-                .borrow_mut()
-                .push((dest, e.packet.tag(), e.arrival_cycle));
-            Ok(())
         }
+
+        fn deliver(&mut self, dest: NocDest, e: QueueEntry) {
+            assert!(!self.full(dest), "delivered into a full queue");
+            self.log
+                .push((Sink::id(dest), e.packet.tag(), e.arrival_cycle));
+        }
+    }
+
+    /// Every fabric × policy × geometry the differential tests sweep.
+    fn fabrics() -> impl Iterator<Item = (NocParams, u8)> {
+        [InterconnectKind::Ring, InterconnectKind::Mesh]
+            .into_iter()
+            .flat_map(|kind| ArbitrationKind::ALL.map(move |arb| (kind, arb)))
+            .flat_map(|(kind, arb)| {
+                [(4u8, 3u16, 1u16), (4, 6, 4), (8, 2, 2)].map(move |(quads, depth, drain)| {
+                    let mut params = NocParams::of(kind).with_arbitration(arb);
+                    params.buffer_depth = depth;
+                    params.quad_drain = drain;
+                    (params, quads)
+                })
+            })
     }
 
     #[test]
     fn table_driven_advance_matches_the_quadratic_reference() {
-        for kind in [InterconnectKind::Ring, InterconnectKind::Mesh] {
-            for arb in ArbitrationKind::ALL {
-                for (quads, depth, drain) in [(4u8, 3u16, 1u16), (4, 6, 4), (8, 2, 2)] {
-                    for mode in 0..3u64 {
-                        for seed in 0..12u64 {
-                            let mut params = NocParams::of(kind).with_arbitration(arb);
-                            params.buffer_depth = depth;
-                            params.quad_drain = drain;
-                            let mut new = random_fabric(&params, quads, seed);
-                            let mut old = random_fabric(&params, quads, seed);
-                            assert_eq!(new.snapshot(), old.snapshot());
-                            for clock in 1..=10u64 {
-                                let sink = |mode| Sink {
-                                    mode,
-                                    clock,
-                                    log: Default::default(),
-                                };
-                                let (got, want) = (sink(mode), sink(mode));
-                                let d_new = new.advance(
-                                    clock,
-                                    |v, e| got.offer(v, e),
-                                    |l, e| got.offer(100 + l as u16, e),
-                                    true,
-                                    true,
-                                );
-                                let d_old = old.advance_reference(
-                                    clock,
-                                    |v, e| want.offer(v, e),
-                                    |l, e| want.offer(100 + l as u16, e),
-                                );
-                                let ctx = format!(
-                                    "{kind:?}/{} quads {quads} depth {depth} drain {drain} \
-                                     mode {mode} seed {seed} clock {clock}",
-                                    arb.name()
-                                );
-                                assert_eq!(got.log, want.log, "delivered order: {ctx}");
-                                assert_eq!(d_new, d_old, "delta: {ctx}");
-                                assert!(
-                                    new.drain_events().eq(old.drain_events()),
-                                    "event list: {ctx}"
-                                );
-                                assert_eq!(new.snapshot(), old.snapshot(), "buffers: {ctx}");
-                            }
-                        }
+        for (params, quads) in fabrics() {
+            for mode in 0..3u64 {
+                for seed in 0..12u64 {
+                    let mut new = random_fabric(&params, quads, seed);
+                    let mut old = random_fabric(&params, quads, seed);
+                    assert_eq!(new.snapshot(), old.snapshot());
+                    for clock in 1..=10u64 {
+                        let (mut got, mut want) = (Sink::new(mode, clock), Sink::new(mode, clock));
+                        let d_new = new.advance(clock, &mut got, true, true);
+                        let d_old = old.advance_reference(clock, &mut want);
+                        let ctx = format!(
+                            "{params:?} quads {quads} mode {mode} seed {seed} clock {clock}"
+                        );
+                        assert_eq!(got.log, want.log, "delivered order: {ctx}");
+                        assert_eq!(d_new, d_old, "delta: {ctx}");
+                        assert!(
+                            new.drain_events().eq(old.drain_events()),
+                            "event list: {ctx}"
+                        );
+                        assert_eq!(new.snapshot(), old.snapshot(), "buffers: {ctx}");
                     }
                 }
             }
         }
+    }
+
+    /// Untraced, a buffer whose scan moved nothing replays its memo. Each
+    /// cycle must still match the reference — deliveries, deltas and
+    /// buffers — and stage no event, and every live memo must survive
+    /// the invariant checker's dry scan. The schedule: three refuse-all
+    /// cycles (memos recorded, then replayed), an accepting sink, an
+    /// injection, more refusals, a mixed sink, then both planes packed
+    /// full so that the refuse-all cycles after it can move nothing but
+    /// by rotation.
+    #[test]
+    fn untraced_advance_replays_memos_and_matches_the_reference() {
+        let (mut replays, mut rotations) = (0u64, 0u64);
+        for (params, quads) in fabrics() {
+            for seed in 0..8u64 {
+                let mut new = random_fabric(&params, quads, seed);
+                let mut old = random_fabric(&params, quads, seed);
+                for clock in 1..=14u64 {
+                    let mode = match clock {
+                        4 => 0,
+                        9 => 2,
+                        _ => 1,
+                    };
+                    let injected = match clock {
+                        5 => 1,
+                        10 => usize::MAX,
+                        _ => 0,
+                    };
+                    top_up(&mut new, injected, 200 + clock as u16 * 20, clock);
+                    top_up(&mut old, injected, 200 + clock as u16 * 20, clock);
+                    let (mut got, mut want) = (Sink::new(mode, clock), Sink::new(mode, clock));
+                    replays += new.memos_that_hold(&got);
+                    let d_new = new.advance(clock, &mut got, false, false);
+                    let d_old = old.advance_reference(clock, &mut want);
+                    old.events.clear();
+                    let ctx = format!("{params:?} quads {quads} seed {seed} clock {clock}");
+                    assert_eq!(got.log, want.log, "delivered order: {ctx}");
+                    assert_eq!(d_new, d_old, "delta: {ctx}");
+                    assert!(new.events.is_empty(), "untraced events: {ctx}");
+                    assert_eq!(new.snapshot(), old.snapshot(), "buffers: {ctx}");
+                    new.check_memos(clock + 1, |msg| panic!("{ctx}: {msg}"));
+                    // Every segment is full and every sink refuses: any
+                    // hop is the rotation escape's.
+                    if clock == 11 && d_new.hops > 0 {
+                        rotations += 1;
+                    }
+                }
+            }
+        }
+        assert!(replays > 500, "only {replays} memo replays");
+        assert!(rotations > 20, "only {rotations} forced rotations");
+    }
+
+    #[test]
+    fn a_stale_memo_fails_the_dry_scan() {
+        let params = NocParams::of(InterconnectKind::Ring);
+        let mut noc = NocState::new(&params, 4, 16).unwrap();
+        // Two packets for quad 1, one hop away, whose vaults then refuse.
+        noc.inject(0, NocDest::ToVault(4), test_entry(1), 0);
+        noc.inject(0, NocDest::ToVault(5), test_entry(2), 0);
+        noc.advance(1, &mut Recorder::default(), false, false);
+        noc.advance(2, &mut Recorder::refusing_vaults(), false, false);
+        let mut found = Vec::new();
+        noc.check_memos(3, |msg| found.push(msg));
+        assert_eq!(found, [] as [String; 0], "a real memo is clean");
+        assert_eq!(noc.corrupt_memos(), 1, "quad 1 stalled its delivery");
+        noc.check_memos(3, |msg| found.push(msg));
+        assert_eq!(found.len(), 1);
+        assert!(found[0].contains("Request segment of quad 1"), "{found:?}");
     }
 }

@@ -429,18 +429,28 @@ impl RoutedQueue {
     }
 
     /// The first slot at or after `from` that a stall-aware walk must
-    /// visit — one with no route key, or whose keyed vault `blocked`
-    /// does not hold back — or [`len`](PacketQueue::len) when every
-    /// remaining slot is keyed and blocked. Reads the keys only.
-    pub fn next_unblocked(&self, from: usize, blocked: impl Fn(VaultId) -> bool) -> usize {
-        let mut i = from;
-        while let Some(&key) = self.keys.get(i) {
-            if key == NO_ROUTE || !blocked(key) {
-                break;
-            }
-            i += 1;
-        }
-        i
+    /// visit — one with no route key, or whose keyed vault's bit is clear
+    /// in the `held` mask (bit *v* for vault *v*) — or
+    /// [`len`](PacketQueue::len) when every remaining slot is keyed and
+    /// held (`from` itself when it is already past the end). Reads the
+    /// keys only, as the ring buffer's two contiguous runs.
+    pub fn next_unblocked(&self, from: usize, held: u64) -> usize {
+        let visit = |&key: &u16| key == NO_ROUTE || held >> (key & 0x3f) & 1 == 0;
+        let (head, tail) = self.keys.as_slices();
+        let found = if from < head.len() {
+            head[from..]
+                .iter()
+                .position(visit)
+                .map(|p| from + p)
+                .or_else(|| tail.iter().position(visit).map(|p| head.len() + p))
+        } else {
+            let start = (from - head.len()).min(tail.len());
+            tail[start..]
+                .iter()
+                .position(visit)
+                .map(|p| head.len() + start + p)
+        };
+        found.unwrap_or(from.max(self.keys.len()))
     }
 
     /// Memoize slot `i`'s route: the key, and the decoded coordinates in
@@ -771,22 +781,94 @@ mod tests {
         }
         // Slots: unkeyed, 11, 12, unkeyed, 11.
         assert_eq!(
-            q.next_unblocked(0, |_| true),
+            q.next_unblocked(0, u64::MAX),
             0,
             "unkeyed slots are always visited"
         );
-        assert_eq!(q.next_unblocked(1, |_| true), 3);
+        assert_eq!(q.next_unblocked(1, u64::MAX), 3);
+        assert_eq!(q.next_unblocked(1, 1 << 11), 2, "vault 12 is not held back");
+        assert_eq!(q.next_unblocked(1, 0), 1);
         assert_eq!(
-            q.next_unblocked(1, |v| v == 11),
-            2,
-            "vault 12 is not held back"
-        );
-        assert_eq!(q.next_unblocked(1, |_| false), 1);
-        assert_eq!(
-            q.next_unblocked(4, |v| v == 11),
+            q.next_unblocked(4, 1 << 11),
             5,
             "len() when nothing is left"
         );
-        assert_eq!(q.next_unblocked(5, |_| true), 5);
+        assert_eq!(q.next_unblocked(5, u64::MAX), 5);
+        assert_eq!(q.next_unblocked(7, u64::MAX), 7, "past the end stays put");
+    }
+
+    /// The key scan as it stood before the mask: one `get` and one
+    /// predicate call per slot.
+    fn next_unblocked_reference(
+        q: &RoutedQueue,
+        from: usize,
+        blocked: impl Fn(VaultId) -> bool,
+    ) -> usize {
+        let mut i = from;
+        while let Some(&key) = q.keys.get(i) {
+            if key == NO_ROUTE || !blocked(key) {
+                break;
+            }
+            i += 1;
+        }
+        i
+    }
+
+    #[test]
+    fn the_mask_scan_matches_the_per_slot_scan_across_every_ring_split() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % n
+        };
+        let depth = 12;
+        let mut splits = std::collections::BTreeSet::new();
+        let mut checked = 0u64;
+        for len in 0..=depth {
+            // Rotate the ring's head through every offset, so the
+            // occupied run wraps at every possible point.
+            for offset in 0..RoutedQueue::new(depth).keys.capacity() {
+                let mut q = RoutedQueue::new(depth);
+                for _ in 0..offset {
+                    q.push(entry(0)).unwrap();
+                    q.pop().unwrap();
+                }
+                for i in 0..len {
+                    q.push(entry(i as u16)).unwrap();
+                    // A few vaults (so held runs are long) plus NO_ROUTE.
+                    match next(5) {
+                        0 => {}
+                        v => q.set_route(i, v as u16 * 7, 0, 0),
+                    }
+                }
+                let head = q.keys.as_slices().0.len();
+                splits.insert((len, head));
+                for _ in 0..8 {
+                    let held = match next(4) {
+                        0 => 0,
+                        1 => u64::MAX,
+                        _ => next(u64::MAX) | next(u64::MAX) << 31,
+                    };
+                    let blocked = |v: VaultId| held >> (v & 0x3f) & 1 != 0;
+                    for from in [0, head, head.saturating_sub(1), head + 1, len, len + 3]
+                        .into_iter()
+                        .chain((0..=len).filter(|_| next(3) == 0))
+                    {
+                        assert_eq!(
+                            q.next_unblocked(from, held),
+                            next_unblocked_reference(&q, from, blocked),
+                            "len {len}, head run {head}, from {from}, held {held:#x}, keys {:?}",
+                            q.keys
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        // Every full queue was seen split at every point.
+        assert!((1..=depth).all(|h| splits.contains(&(depth, h))));
+        assert!(checked > 10_000);
     }
 }

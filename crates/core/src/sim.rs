@@ -270,7 +270,7 @@ impl HmcSim {
             // Packets in flight on the old fabric go with it.
             self.bodies
                 .forget(d.noc.as_ref().map_or(0, |n| n.occupancy()));
-            d.noc = crate::noc::NocState::new(&sig, quads, vaults);
+            d.install_noc(crate::noc::NocState::new(&sig, quads, vaults));
         }
         // The fabric's segment slots hold bodies too.
         self.bodies

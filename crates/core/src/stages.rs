@@ -29,10 +29,12 @@ use hmc_types::packet::ResponseStatus;
 use hmc_types::{AddressMap, BankId, Command, CubeId, LinkId, PhysAddr, QuadId, VaultId};
 
 use crate::link::Endpoint;
-use crate::noc::{NocClass, NocDest, NocEvent};
+use crate::noc::{NocClass, NocDest, NocEvent, NocSink};
 use crate::quad::Quad;
 use crate::queue::{QueueEntry, NO_ROUTE};
 use crate::sim::HmcSim;
+use crate::vault::Vault;
+use crate::xbar::Crossbar;
 
 /// What the crossbar does with a request packet: the route unit of the
 /// stage-1/2 walk. A pure function of the packet, the cube it sits in
@@ -96,6 +98,33 @@ pub(crate) fn classify(e: &QueueEntry, dev_id: CubeId, map: &dyn AddressMap) -> 
             row: d.row,
         },
         Err(_) => Route::BadAddress,
+    }
+}
+
+/// Where one device's NoC delivers: its vault request queues (through
+/// [`Vault::push_request`], which wakes a sleeping vault) and its egress
+/// crossbar response queues.
+struct DeviceSink<'a> {
+    vaults: &'a mut [Vault],
+    xbars: &'a mut [Crossbar],
+    /// Stage 4's scan window ([`Vault::push_request`]).
+    window: usize,
+}
+
+impl NocSink for DeviceSink<'_> {
+    fn full(&self, dest: NocDest) -> bool {
+        match dest {
+            NocDest::ToVault(v) => self.vaults[v as usize].rqst.is_full(),
+            NocDest::ToLink(l) => self.xbars[l as usize].rsp.is_full(),
+        }
+    }
+
+    fn deliver(&mut self, dest: NocDest, entry: QueueEntry) {
+        let pushed = match dest {
+            NocDest::ToVault(v) => self.vaults[v as usize].push_request(entry, self.window),
+            NocDest::ToLink(l) => self.xbars[l as usize].rsp.push(entry),
+        };
+        pushed.expect("the fabric probes `full` before it delivers");
     }
 }
 
@@ -183,15 +212,16 @@ impl HmcSim {
             let mut drained = 0usize;
             let mut drained_flits = 0usize;
             let mut idx = 0usize;
-            // Vaults whose queues stalled a packet this walk: later
-            // packets for the same vault may not pass (stream order).
-            let mut blocked_vaults: u64 = 0;
+            // The vaults whose class stalled a packet this walk, one bit
+            // each: later packets for them may not pass (stream order). A
+            // direct-path vault latches its own bit when its queue is
+            // full. A full NoC injection buffer latches every NoC-riding
+            // vault at once: every cross-quad packet on this link injects
+            // at the same quad, so one full buffer blocks them all.
+            let noc_vaults = self.devices[di].noc_vaults(l as LinkId);
+            let mut held: u64 = 0;
             // Remote cubes whose forward path stalled this walk.
             let mut blocked_cubes: u8 = 0;
-            // Buffered-NoC injection stalled this walk: every cross-quad
-            // packet on this link injects at the same quad, so one full
-            // buffer blocks them all (stream order).
-            let mut noc_blocked = false;
             // Free-slot snapshot of remote crossbar queues we forward
             // into, so capacity claimed by this walk is not double-booked.
             let mut remote_free: [[Option<usize>; 8]; 8] = [[None; 8]; 8];
@@ -205,36 +235,21 @@ impl HmcSim {
                 }
                 // Stall-aware skip: a keyed slot is a clean local memory
                 // request for the keyed vault, and when its class is
-                // already latched blocked in this walk the slow path
-                // below would do `idx += 1; continue` with no side
-                // effect — so pass over such slots on their keys alone.
-                // The first blocked packet of each class still takes the
-                // slow path, which is what latches the class and emits
-                // the stall.
-                let dev = &self.devices[di];
-                let rqst = &dev.xbars[l].rqst;
-                // Which latch holds a local request back: NoC injection
-                // for a NoC-riding packet, else the vault's bit.
-                idx = rqst.next_unblocked(idx, |vault| {
-                    if dev.rides_noc(l as LinkId, vault) {
-                        noc_blocked
-                    } else {
-                        blocked_vaults & (1u64 << (vault & 0x3f)) != 0
-                    }
-                });
+                // already latched in `held` the slow path below would do
+                // `idx += 1; continue` with no side effect — so pass over
+                // such slots on their keys alone. The first blocked packet
+                // of each class still takes the slow path, which is what
+                // latches the class and emits the stall.
+                let rqst = &self.devices[di].xbars[l].rqst;
+                idx = rqst.next_unblocked(idx, held);
                 if idx >= rqst.len() {
                     break;
                 }
                 let key = rqst.route_key(idx);
 
-                let (tag, flits, corrupt, gated) = {
+                let (flits, corrupt, gated) = {
                     let e = rqst.get(idx).expect("idx checked");
-                    (
-                        e.packet.tag(),
-                        e.packet.lng() as u32,
-                        e.corrupt,
-                        e.retry_gated(self.clock),
-                    )
+                    (e.packet.lng() as u32, e.corrupt, e.retry_gated(self.clock))
                 };
 
                 // Error simulation: the crossbar's CRC check catches
@@ -292,6 +307,7 @@ impl HmcSim {
                             e.attempt = next_attempt;
                             e.corrupt = refate;
                             e.retry_until = clock + cfg.retry_cycles;
+                            let tag = e.packet.tag();
                             self.stats.link_retries += 1;
                             self.emit(TraceEvent::LinkRetry {
                                 cube: dev_id,
@@ -312,7 +328,7 @@ impl HmcSim {
                         self.emit(TraceEvent::LinkDown {
                             cube: dev_id,
                             link: l as LinkId,
-                            tag,
+                            tag: entry.packet.tag(),
                             attempts: next_attempt,
                         });
                         self.poison_response(di, l, entry);
@@ -360,7 +376,7 @@ impl HmcSim {
                             let entry = self.take_xbar_request(di, l, idx, flits);
                             self.emit(TraceEvent::Zombie {
                                 cube: dev_id,
-                                tag,
+                                tag: entry.packet.tag(),
                                 hops: hops + 1,
                             });
                             self.xbar_error_response(di, l, entry, ResponseStatus::Zombie);
@@ -385,7 +401,7 @@ impl HmcSim {
                                     cube: dev_id,
                                     link: l as LinkId,
                                     dest_cube: dest,
-                                    tag,
+                                    tag: entry.packet.tag(),
                                 });
                                 self.xbar_error_response(di, l, entry, ResponseStatus::Misroute);
                                 drained += 1;
@@ -416,7 +432,7 @@ impl HmcSim {
                             link: next_link,
                             next_cube: r as CubeId,
                             dest_cube: dest,
-                            tag,
+                            tag: entry.packet.tag(),
                         });
                         forwards.push((entry, r, rl));
                         drained += 1;
@@ -446,40 +462,33 @@ impl HmcSim {
 
                 // ---- memory requests for this device ----
                 let dest_quad = Quad::of_vault(vault);
-                let via_noc = self.devices[di].rides_noc(l as LinkId, vault);
-                let stalled = if via_noc {
-                    if !noc_blocked
-                        && !self.devices[di]
-                            .noc
-                            .as_ref()
-                            .expect("via_noc")
-                            .has_room(l as QuadId, NocClass::Request)
-                    {
-                        self.stats.noc_stalls += 1;
-                        self.emit(TraceEvent::NocStall {
-                            cube: dev_id,
-                            quad: l as QuadId,
-                            tag,
-                        });
-                        noc_blocked = true;
-                    }
-                    noc_blocked
-                } else {
-                    let bit = 1u64 << (vault & 0x3f);
-                    if blocked_vaults & bit == 0
-                        && self.devices[di].vaults[vault as usize].rqst.is_full()
-                    {
+                let bit = 1u64 << vault;
+                let via_noc = noc_vaults & bit != 0;
+                if held & bit == 0 {
+                    if via_noc {
+                        let noc = self.devices[di].noc.as_ref().expect("via_noc");
+                        if !noc.has_room(l as QuadId, NocClass::Request) {
+                            self.stats.noc_stalls += 1;
+                            let tag = self.xbar_rqst_tag(di, l, idx);
+                            self.emit(TraceEvent::NocStall {
+                                cube: dev_id,
+                                quad: l as QuadId,
+                                tag,
+                            });
+                            held |= noc_vaults;
+                        }
+                    } else if self.devices[di].vaults[vault as usize].rqst.is_full() {
+                        let tag = self.xbar_rqst_tag(di, l, idx);
                         self.emit(TraceEvent::XbarRqstStall {
                             cube: dev_id,
                             link: l as LinkId,
                             vault,
                             tag,
                         });
-                        blocked_vaults |= bit;
+                        held |= bit;
                     }
-                    blocked_vaults & bit != 0
-                };
-                if stalled {
+                }
+                if held & bit != 0 {
                     // Memoize the classification for the cycles this
                     // packet waits: decoded once, not once per stalled
                     // cycle. Never for a corrupt or retry-gated packet —
@@ -509,7 +518,7 @@ impl HmcSim {
                         arrival_quad,
                         dest_quad,
                         vault,
-                        tag,
+                        tag: entry.packet.tag(),
                     });
                 }
                 if via_noc {
@@ -746,20 +755,19 @@ impl HmcSim {
         let clock = self.clock;
         let record_hops = self.tracer.enabled(EventKind::NocHop);
         let record_stalls = self.tracer.enabled(EventKind::NocStall);
-        let vault_window = self.params.window_for(self.config.banks_per_vault);
+        let window = self.params.window_for(self.config.banks_per_vault);
         let crate::device::Device {
             noc, vaults, xbars, ..
         } = &mut self.devices[di];
         let Some(noc) = noc.as_mut() else {
             return;
         };
-        let delta = noc.advance(
-            clock,
-            |v, e| vaults[v as usize].push_request(e, vault_window),
-            |l, e| xbars[l as usize].rsp.push(e),
-            record_hops,
-            record_stalls,
-        );
+        let mut sink = DeviceSink {
+            vaults,
+            xbars,
+            window,
+        };
+        let delta = noc.advance(clock, &mut sink, record_hops, record_stalls);
         self.stats.noc_hops += delta.hops;
         self.stats.noc_stalls += delta.stalls;
         self.stats.noc_arb_losses += delta.arb_losses;
@@ -788,6 +796,13 @@ impl HmcSim {
     }
 
     // ----------------------------------------------------------- helpers
+
+    /// The tag of slot `idx` of link `l`'s crossbar request queue, for the
+    /// event about to report it: the walk itself never needs one.
+    fn xbar_rqst_tag(&self, di: usize, l: usize, idx: usize) -> u16 {
+        let rqst = &self.devices[di].xbars[l].rqst;
+        rqst.get(idx).expect("idx checked").packet.tag()
+    }
 
     /// Retire slot `idx` of link `l`'s crossbar request queue and hand
     /// its link-layer tokens back.
