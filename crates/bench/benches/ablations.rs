@@ -208,13 +208,14 @@ fn bench_error_rates(c: &mut Criterion) {
     g.sample_size(10);
     for (name, ppm) in [("clean", 0), ("ber_1e3", 1_000), ("ber_1e2", 10_000)] {
         let run = move || {
-            let (mut sim, mut host) = build(base_config(), None);
-            if ppm > 0 {
-                let faults = LinkFaultConfig::default()
-                    .with_error_rate_ppm(ppm)
-                    .with_seed(11);
-                sim.set_link_faults(Some(faults));
-            }
+            let faults = LinkFaultConfig::default()
+                .with_error_rate_ppm(ppm)
+                .with_seed(11);
+            let params = SimParams {
+                link_faults: (ppm > 0).then_some(faults),
+                ..SimParams::default()
+            };
+            let (mut sim, mut host) = build(base_config(), Some(params));
             cycles_of(&mut sim, &mut host, &mut random(1))
         };
         println!("error_rate/{name}: {} simulated cycles", run());

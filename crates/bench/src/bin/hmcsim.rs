@@ -222,7 +222,7 @@ fn main() {
             f.injected, s.link_retries, s.link_retrains, s.poisoned_responses
         );
     }
-    if sim.cell_faults().is_some() {
+    if params.cell_faults.is_some() {
         let s = sim.stats();
         println!(
             "cell faults       {} activations, {} bit flips, {} TRR refreshes, {} retention decays",

@@ -211,3 +211,30 @@ fn config_file_axes_are_honoured_and_flags_override_them() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A config file past a geometry bound is one line naming the field and
+/// its limit, exit 2 — the bound lives in `DeviceConfig::validate`, so
+/// nothing after parsing can refuse what parsing accepted.
+#[test]
+fn a_config_file_past_the_bank_bound_is_a_usage_error() {
+    let path = std::env::temp_dir().join(format!("hmc_bench_banks_{}.json", std::process::id()));
+    let config = DeviceConfig {
+        banks_per_vault: 128,
+        ..DeviceConfig::small()
+    };
+    std::fs::write(&path, serde_json::to_string(&config).unwrap()).unwrap();
+    let out = run(
+        env!("CARGO_BIN_EXE_hmcsim"),
+        &["--config-file", path.to_str().unwrap()],
+    );
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.starts_with("hmcsim: ")
+            && stderr.contains("banks_per_vault")
+            && stderr.contains("..=64"),
+        "{stderr}"
+    );
+}

@@ -24,7 +24,9 @@ use hmc_types::{
 };
 
 use crate::builder;
+use crate::params::SimParams;
 use crate::sim::HmcSim;
+use crate::timing::TimingParams;
 
 /// Link configuration types of `hmcsim_link_config`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,7 +140,10 @@ pub fn hmcsim_decode_memresponse(packet: &Packet) -> Result<builder::ResponseInf
 /// bit-identical to stepped execution (see
 /// [`crate::params::SimParams::fast_forward`]).
 pub fn hmcsim_set_fast_forward(sim: &mut HmcSim, enable: bool) {
-    sim.set_fast_forward(enable);
+    sim.set_params(SimParams {
+        fast_forward: enable,
+        ..*sim.params()
+    });
 }
 
 /// Select the vault timing backend by kind, keeping default DDR
@@ -146,7 +151,10 @@ pub fn hmcsim_set_fast_forward(sim: &mut HmcSim, enable: bool) {
 /// the constant-time conflict model; here it is one of the pluggable
 /// [`crate::timing::VaultTiming`] backends.
 pub fn hmcsim_set_timing(sim: &mut HmcSim, kind: TimingKind) {
-    sim.set_timing(crate::timing::TimingParams::of(kind));
+    sim.set_params(SimParams {
+        timing: TimingParams::of(kind),
+        ..*sim.params()
+    });
 }
 
 /// Side-band JTAG register read (§V.D).
@@ -228,9 +236,9 @@ mod tests {
     #[test]
     fn fast_forward_toggle_reaches_the_params() {
         let mut hmc = hmcsim_init(1, 4, 16, 4, 8, 16, 2, 8).unwrap();
-        assert!(!hmc.fast_forward(), "off by default");
+        assert!(!hmc.params().fast_forward, "off by default");
         hmcsim_set_fast_forward(&mut hmc, true);
-        assert!(hmc.fast_forward());
+        assert!(hmc.params().fast_forward);
         // The Figure 4 sequence still works with the mode on.
         let host = hmc.host_cube_id(0);
         for i in 0..4 {
@@ -243,15 +251,19 @@ mod tests {
         let response = hmcsim_recv(&mut hmc, 0, 1).expect("response well within the batch");
         assert_eq!(hmcsim_decode_memresponse(&response).unwrap().tag, 3);
         hmcsim_set_fast_forward(&mut hmc, false);
-        assert!(!hmc.fast_forward());
+        assert!(!hmc.params().fast_forward);
     }
 
     #[test]
     fn timing_backend_toggle_reaches_the_params() {
         let mut hmc = hmcsim_init(1, 4, 16, 4, 8, 16, 2, 8).unwrap();
-        assert_eq!(hmc.timing().kind, TimingKind::Classic, "classic by default");
+        assert_eq!(
+            hmc.params().timing.kind,
+            TimingKind::Classic,
+            "classic by default"
+        );
         hmcsim_set_timing(&mut hmc, TimingKind::Ddr);
-        assert_eq!(hmc.timing().kind, TimingKind::Ddr);
+        assert_eq!(hmc.params().timing.kind, TimingKind::Ddr);
         // The Figure 4 sequence still completes under the DDR backend.
         let host = hmc.host_cube_id(0);
         for i in 0..4 {

@@ -40,7 +40,7 @@ use crate::params::{ConflictPolicy, RefreshParams};
 use crate::queue::{BodyPool, QueueEntry, NO_ROUTE, UNDECODED};
 use crate::register::{regs, RegisterFile};
 use crate::sim::{HmcSim, SimStats};
-use crate::timing::{RowOutcome, TimingParams, VaultTiming};
+use crate::timing::{RowOutcome, VaultTiming};
 use crate::vault::{Execution, Vault};
 
 /// Read-only per-cycle inputs of [`tick_vault`], resolved once per cycle.
@@ -58,19 +58,6 @@ pub(crate) struct CycleInputs {
     /// RowHammerFlip/TargetedRefresh trace events are enabled on the
     /// sink; the `SimStats` fault counters bump regardless.
     fault_events: bool,
-}
-
-/// Everything outside a vault and the clock that [`tick_vault`] reads: a
-/// cached sleep edge ([`Vault::wake_at`]) holds only while none of it
-/// changes. See [`HmcSim::ensure_vault_edges`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct VaultEdgeSig {
-    window: usize,
-    policy: ConflictPolicy,
-    conflicts_enabled: bool,
-    refresh: Option<RefreshParams>,
-    timing: TimingParams,
-    cell_faults: Option<hmc_types::CellFaultConfig>,
 }
 
 /// One gate's verdict on the upcoming cycles, as folded by
@@ -435,39 +422,31 @@ impl HmcSim {
             clock: self.clock,
             conflicts_enabled: self.tracer.enabled(EventKind::BankConflict),
             row_events: self.tracer.enabled(EventKind::RowHit),
-            window: self.params.window_for(self.config.banks_per_vault),
+            window: self.params().window_for(self.config.banks_per_vault),
             banks: self.config.banks_per_vault,
-            policy: self.params.conflict_policy,
-            refresh: self.params.refresh,
+            policy: self.params().conflict_policy,
+            refresh: self.params().refresh,
             fault_events: self.tracer.enabled(EventKind::RowHammerFlip)
                 || self.tracer.enabled(EventKind::TargetedRefresh),
         }
     }
 
-    /// Wake every vault when anything its tick reads from outside the
-    /// vault changed since the last clock — the scan window, the conflict
-    /// policy, whether stage 3's `BankConflict` is recorded, refresh, the
-    /// timing backend (reinstalled with power-on bank state) or the
-    /// cell-fault state — so a `set_tracer` or parameter change between
-    /// clock calls cannot leave a vault sleeping on an edge derived under
-    /// the old rules. No-op on the steady-state hot path.
+    /// Wake every vault when whether stage 3's `BankConflict` is recorded
+    /// changed since the last clock, so a `set_tracer` or
+    /// `tracer_mut().set_verbosity` between clock calls cannot leave a
+    /// vault sleeping on an edge derived under the old rules. Everything
+    /// else a tick reads from outside its vault changes only through
+    /// [`HmcSim::set_params`], which wakes every vault itself. No-op on
+    /// the steady-state hot path.
     fn ensure_vault_edges(&mut self) {
-        let inputs = self.cycle_inputs();
-        let sig = VaultEdgeSig {
-            window: inputs.window,
-            policy: inputs.policy,
-            conflicts_enabled: inputs.conflicts_enabled,
-            refresh: inputs.refresh,
-            timing: self.params.timing,
-            cell_faults: self.params.cell_faults,
-        };
-        if self.applied_edges == Some(sig) {
+        let traced = self.tracer.enabled(EventKind::BankConflict);
+        if traced == self.edges_trace_conflicts {
             return;
         }
         for v in self.devices.iter_mut().flat_map(|d| &mut d.vaults) {
             v.wake();
         }
-        self.applied_edges = Some(sig);
+        self.edges_trace_conflicts = traced;
     }
 
     /// Advance the simulation by `cycles` clock cycles.
@@ -478,14 +457,10 @@ impl HmcSim {
     /// jump across.
     pub fn clock_batch(&mut self, cycles: u64) -> Result<()> {
         self.ensure_routes()?;
-        self.ensure_timing();
-        self.ensure_noc();
-        self.ensure_cell_faults();
-        self.ensure_link_faults();
         self.ensure_vault_edges();
         let mut done = 0u64;
         while done < cycles {
-            let dead = if self.params.fast_forward {
+            let dead = if self.params().fast_forward {
                 self.quiescent_horizon(cycles - done)
             } else {
                 0
@@ -618,7 +593,7 @@ impl HmcSim {
             return Gate::Inert;
         }
         let debt_dead = self
-            .params
+            .params()
             .link_flits_per_cycle
             .map_or(0, |f| link.debt_dead_cycles(f.max(1)));
         let retry_dead = match rqst.front() {
@@ -719,7 +694,7 @@ impl HmcSim {
     ///   jump edge (see DESIGN.md on the per-jump checking policy).
     pub(crate) fn fast_forward_jump(&mut self, dead: u64) {
         debug_assert!(dead >= 1, "zero-length jumps must run stepped");
-        if let Some(f) = self.params.link_flits_per_cycle.map(|f| f.max(1)) {
+        if let Some(f) = self.params().link_flits_per_cycle.map(|f| f.max(1)) {
             for dev in &mut self.devices {
                 for link in &mut dev.links {
                     // A retraining link's walk is skipped before its
@@ -734,7 +709,7 @@ impl HmcSim {
         }
         self.stage6_update_clock();
         self.clock += dead - 1;
-        if self.params.check_invariants {
+        if self.params().check_invariants {
             self.inv_check_cycle();
         }
     }
@@ -790,7 +765,7 @@ impl HmcSim {
         }
 
         self.stage6_update_clock();
-        if self.params.check_invariants {
+        if self.params().check_invariants {
             self.inv_check_cycle();
         }
     }
@@ -829,6 +804,14 @@ mod tests {
         }
     }
 
+    /// Fast-forward over links armed with the default (zero-rate) faults.
+    fn faulty_ff_params() -> SimParams {
+        SimParams {
+            link_faults: Some(LinkFaultConfig::default()),
+            ..ff_params()
+        }
+    }
+
     fn read_packet(addr: u64, tag: u16, link: LinkId) -> Packet {
         Packet::request(Command::Rd(BlockSize::B64), 0, addr, tag, link, &[]).unwrap()
     }
@@ -836,7 +819,7 @@ mod tests {
     /// Hand `e` to vault `vault` of device 0 the way stage 2 and the NoC
     /// do.
     fn deliver(s: &mut HmcSim, vault: usize, e: QueueEntry) {
-        let window = s.params.window_for(s.config.banks_per_vault);
+        let window = s.params().window_for(s.config.banks_per_vault);
         s.devices[0].vaults[vault].push_request(e, window).unwrap();
     }
 
@@ -953,7 +936,10 @@ mod tests {
         assert_eq!(s.quiescent_horizon(100), 0);
 
         // Without refresh configured a pending vault request is live.
-        s.params.refresh = None;
+        s.set_params(SimParams {
+            refresh: None,
+            ..*s.params()
+        });
         s.devices[0].vaults[vault as usize]
             .rqst
             .get_mut(0)
@@ -964,8 +950,7 @@ mod tests {
 
     #[test]
     fn retry_timer_blocks_until_its_expiry_cycle() {
-        let mut s = sim_with(ff_params());
-        s.set_link_faults(Some(LinkFaultConfig::default()));
+        let mut s = sim_with(faulty_ff_params());
         s.send(0, 0, read_packet(0, 1, 0)).unwrap();
         {
             let e = s.devices[0].xbars[0].rqst.get_mut(0).unwrap();
@@ -998,8 +983,7 @@ mod tests {
 
     #[test]
     fn retraining_link_sleeps_until_its_window_lapses() {
-        let mut s = sim_with(ff_params());
-        s.set_link_faults(Some(LinkFaultConfig::default()));
+        let mut s = sim_with(faulty_ff_params());
         s.clock_batch(1).unwrap();
         {
             let link = &mut s.devices[0].links[0];
@@ -1065,7 +1049,6 @@ mod tests {
             timing: TimingParams::of(TimingKind::Ddr),
             ..ff_params()
         });
-        s.ensure_timing();
         let vault = 2usize;
         // Open row 0 on bank 1 at cycle 0: a miss, ACT at 0, and the
         // bank accepts its next column access at tRCD + tCCD.
@@ -1107,7 +1090,6 @@ mod tests {
             refresh: Some(refresh),
             ..ff_params()
         });
-        s.ensure_timing();
         let vault = 3u16;
         let banks = s.config.banks_per_vault;
         let bank = refresh
@@ -1160,10 +1142,14 @@ mod tests {
                 .with_retry_cycles(11)
                 .with_seed(0xDEAD_BEEF),
         );
-        let mut stepped = sim_with(SimParams::default());
-        let mut fast = sim_with(ff_params());
-        stepped.set_link_faults(faults);
-        fast.set_link_faults(faults);
+        let mut stepped = sim_with(SimParams {
+            link_faults: faults,
+            ..SimParams::default()
+        });
+        let mut fast = sim_with(SimParams {
+            link_faults: faults,
+            ..ff_params()
+        });
         let a = bursty_run(&mut stepped, 6, 8, 250);
         let b = bursty_run(&mut fast, 6, 8, 250);
         assert_eq!(a, b, "retry timers must fire identically across jumps");
@@ -1381,8 +1367,6 @@ mod tests {
             interconnect: NocParams::of(InterconnectKind::Mesh),
             ..ddr_params()
         });
-        s.ensure_timing();
-        s.ensure_noc();
         // Vault 0 (quad 0) full behind a busy bank, and one keyed request
         // for it on link 0 (same quad: direct push) and on link 1 (cross
         // quad: would inject into the empty mesh this cycle).
@@ -1407,7 +1391,10 @@ mod tests {
     fn link_retry_state_behind_keyed_slots_keeps_the_crossbar_live() {
         for (corrupt, retry_for) in [(true, 0), (false, 50)] {
             let mut s = stalled_on_full_vault(ddr_params());
-            s.set_link_faults(Some(LinkFaultConfig::default()));
+            s.set_params(SimParams {
+                link_faults: Some(LinkFaultConfig::default()),
+                ..*s.params()
+            });
             assert_eq!(
                 s.xbar_rqst_gate(&s.devices[0], 1),
                 Gate::Inert,
@@ -1481,7 +1468,6 @@ mod tests {
             conflict_policy: policy,
             ..ddr_params()
         });
-        s.ensure_timing();
         let _ = s.devices[0].vaults[2].timing.try_issue(1, 0, 0);
         for (tag, bank, row) in [(1u16, 1u16, 3u64), (2, 2, 0)] {
             let mut e = QueueEntry::new(read_packet(0, tag, 0), 1, 0, 0);
@@ -1646,30 +1632,53 @@ mod tests {
     #[test]
     fn a_change_to_anything_the_tick_reads_wakes_every_vault() {
         type Change = fn(&mut HmcSim);
-        let changes: [(&str, Change); 6] = [
-            ("BankConflict tracing", |s| {
+        let changes: [(&str, Change); 7] = [
+            ("BankConflict tracing, new tracer", |s| {
                 let level = Verbosity::threshold_for(EventKind::BankConflict);
                 s.set_tracer(Tracer::new(level, Box::new(NullSink)));
             }),
-            ("vault_window", |s| s.params.vault_window = Some(1)),
-            ("conflict_policy", |s| {
-                s.params.conflict_policy = ConflictPolicy::StallQueue
+            ("BankConflict tracing, new verbosity", |s| {
+                let level = Verbosity::threshold_for(EventKind::BankConflict);
+                s.tracer_mut().set_verbosity(level);
             }),
-            ("refresh", |s| {
-                s.params.refresh = Some(RefreshParams {
-                    interval: 64,
-                    duration: 6,
+            ("vault_window", |s| {
+                s.set_params(SimParams {
+                    vault_window: Some(1),
+                    ..*s.params()
                 })
             }),
-            ("timing", |s| s.set_timing(TimingParams::default())),
+            ("conflict_policy", |s| {
+                s.set_params(SimParams {
+                    conflict_policy: ConflictPolicy::StallQueue,
+                    ..*s.params()
+                })
+            }),
+            ("refresh", |s| {
+                s.set_params(SimParams {
+                    refresh: Some(RefreshParams {
+                        interval: 64,
+                        duration: 6,
+                    }),
+                    ..*s.params()
+                })
+            }),
+            ("timing", |s| {
+                s.set_params(SimParams {
+                    timing: TimingParams::default(),
+                    ..*s.params()
+                })
+            }),
             ("cell faults", |s| {
-                s.set_cell_faults(Some(hmc_types::CellFaultConfig::default()))
+                s.set_params(SimParams {
+                    cell_faults: Some(hmc_types::CellFaultConfig::default()),
+                    ..*s.params()
+                })
             }),
         ];
         for (what, change) in changes {
             let mut s = vault0_asleep(ddr_params(), &[(0, 0), (0, 1), (0, 2)]);
             change(&mut s);
-            // Zero cycles: only the clock-entry checks run.
+            // Zero cycles: only the clock-entry check runs.
             s.clock_batch(0).unwrap();
             let dev = &s.devices[0];
             assert!(dev.vaults.iter().all(|v| !v.asleep(s.clock)), "{what}");
@@ -1705,7 +1714,10 @@ mod tests {
     fn a_timing_backend_swap_reissues_what_the_old_one_held() {
         let mut s = vault0_asleep(ddr_params(), &[(0, 0), (0, 1)]);
         // Classic installs with every bank free: the held read goes now.
-        s.set_timing(TimingParams::default());
+        s.set_params(SimParams {
+            timing: TimingParams::default(),
+            ..*s.params()
+        });
         s.clock().unwrap();
         assert!(s.devices[0].vaults[0].rqst.is_empty());
         assert_clean(&s);

@@ -93,15 +93,6 @@ fn stream_key(dev: CubeId, link: LinkId, vault: u16, bank: u16) -> u64 {
 }
 
 impl HmcSim {
-    /// Flip the invariant checker on or off after construction (the
-    /// builder path is [`crate::params::SimParams::check_invariants`]).
-    pub fn set_check_invariants(&mut self, on: bool) {
-        self.params.check_invariants = on;
-        if !on {
-            self.inv = None;
-        }
-    }
-
     /// Violations recorded so far (empty when the checker is off or the
     /// run is clean). At most the first 64 are retained.
     pub fn invariant_violations(&self) -> &[String] {

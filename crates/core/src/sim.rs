@@ -78,7 +78,11 @@ pub struct SimStats {
 /// One HMC-Sim simulation object.
 pub struct HmcSim {
     pub(crate) config: DeviceConfig,
-    pub(crate) params: SimParams,
+    /// The parameters the devices are built for. [`HmcSim::set_params`],
+    /// the only code that writes this field, installs every timing
+    /// backend, fabric and fault block it names; the rest of the crate
+    /// reads it through [`HmcSim::params`].
+    params: SimParams,
     pub(crate) devices: Vec<Device>,
     pub(crate) map: Box<dyn AddressMap>,
     pub(crate) routes: Option<RouteTable>,
@@ -94,27 +98,11 @@ pub struct HmcSim {
     /// Invariant-checker state; `None` until the first hook fires with
     /// [`SimParams::check_invariants`] set (zero-cost when off).
     pub(crate) inv: Option<Box<crate::invariants::InvariantState>>,
-    /// The `(timing, refresh)` signature the per-vault timing backends
-    /// were last built for; `None` until the first clock. Lets
-    /// [`HmcSim::ensure_timing`] skip re-installing boxes on the hot path.
-    pub(crate) applied_timing: Option<(crate::timing::TimingParams, Option<crate::params::RefreshParams>)>,
-    /// The interconnect parameters the per-device NoC state was last
-    /// built for; `None` until the first clock. Lets
-    /// [`HmcSim::ensure_noc`] skip rebuilding fabric state on the hot
-    /// path (the crossbar default builds none at all).
-    pub(crate) applied_noc: Option<crate::noc::NocParams>,
-    /// The cell-fault configuration the per-vault injection state was
-    /// last built for; `None` until the first clock. Lets
-    /// [`HmcSim::ensure_cell_faults`] skip reinstalling state on the hot
-    /// path (the `None` default installs none at all).
-    pub(crate) applied_cellfaults: Option<Option<hmc_types::CellFaultConfig>>,
-    /// The link-fault configuration [`HmcSim::ensure_link_faults`] last
-    /// installed; `None` until the first send or clock.
-    pub(crate) applied_linkfaults: Option<Option<hmc_types::LinkFaultConfig>>,
-    /// Everything outside a vault that its cached sleep edge was derived
-    /// under; `None` until the first clock. See
+    /// Whether the tracer recorded `BankConflict` when the vaults' cached
+    /// sleep edges were derived: the one input of a vault's tick that can
+    /// change without [`HmcSim::set_params`]. See
     /// `HmcSim::ensure_vault_edges`.
-    pub(crate) applied_edges: Option<crate::engine::VaultEdgeSig>,
+    pub(crate) edges_trace_conflicts: bool,
 }
 
 impl std::fmt::Debug for HmcSim {
@@ -146,21 +134,16 @@ impl HmcSim {
                  ({MAX_CUBES} IDs shared with hosts)"
             )));
         }
-        if config.banks_per_vault > 64 {
-            return Err(HmcError::InvalidConfig(
-                "banks_per_vault above 64 is not supported by the vault scheduler".into(),
-            ));
-        }
         let devices: Vec<Device> = (0..num_devices).map(|i| Device::new(i, &config)).collect();
         let mut bodies = BodyPool::default();
         bodies.reserve(devices.iter().map(Device::packet_slots).sum());
         let map: Box<dyn AddressMap> = Box::new(config.default_map()?);
-        // The config's axes seed the sim parameters; `with_params` and
-        // the per-axis builders can still override them before clocking.
-        let params = SimParams::default().with_device_axes(&config);
-        Ok(HmcSim {
+        let axes = SimParams::default().with_device_axes(&config);
+        let mut sim = HmcSim {
             config,
-            params,
+            // What `Device::new` builds: classic timing, the crossbar, no
+            // faults.
+            params: SimParams::default(),
             devices,
             map,
             routes: None,
@@ -172,203 +155,143 @@ impl HmcSim {
             scratch: EngineScratch::default(),
             bodies,
             inv: None,
-            applied_timing: None,
-            applied_noc: None,
-            applied_cellfaults: None,
-            applied_linkfaults: None,
-            applied_edges: None,
-        })
+            edges_trace_conflicts: false,
+        };
+        debug_assert!(
+            sim.installed_matches_params(),
+            "Device::new must build what SimParams::default() names"
+        );
+        // The config's axes install like any other change of parameters;
+        // an all-default config installs nothing.
+        sim.set_params(axes);
+        Ok(sim)
     }
 
-    /// Replace the simulation parameters (builder style, before clocking).
+    /// Whether the devices hold what `params` names: each vault's timing
+    /// backend and cell-fault state, each device's fabric and the
+    /// link-fault state. `set_params` installs only what differs from the
+    /// stored parameters, so the two must never drift apart.
+    fn installed_matches_params(&self) -> bool {
+        let p = &self.params;
+        let mesh_or_ring = p.interconnect.kind != hmc_types::InterconnectKind::Crossbar;
+        self.faults.is_some() == p.link_faults.is_some()
+            && self.devices.iter().all(|d| {
+                d.noc.is_some() == mesh_or_ring
+                    && d.vaults.iter().all(|v| {
+                        v.timing.kind() == p.timing.kind
+                            && v.faults.is_some() == p.cell_faults.is_some()
+                    })
+            })
+    }
+
+    /// Replace the simulation parameters (builder style); see
+    /// [`HmcSim::set_params`].
     pub fn with_params(mut self, params: SimParams) -> Self {
-        self.params = params;
+        self.set_params(params);
         self
     }
 
-    // Wart: the one caller is `benchmark/src/host_driven.rs` (its
-    // `core.shard_t2_over_t1` metric), frozen outside `benchmark` PRs.
-    // Delete this with ROADMAP item 2(f); nothing in the workspace may
-    // call it.
+    /// Replace the simulation parameters, installing what changed. This
+    /// is the one place a timing backend, fabric or fault block reaches
+    /// the devices, and each is rebuilt only when the parameters it is
+    /// built from differ from the current ones:
+    ///
+    /// * `(timing, refresh)`: every vault's timing backend, with power-on
+    ///   bank state (all rows closed);
+    /// * `interconnect`: every device's fabric, with empty segment
+    ///   buffers (packets in flight on the old fabric are dropped;
+    ///   packets queued in crossbars and vaults are unaffected);
+    /// * `cell_faults`: every vault's cell-fault state, with fresh (zero)
+    ///   activation tracking (already-corrupted data stays corrupted);
+    /// * `link_faults`: the link-fault state, with fresh counters
+    ///   (in-flight retry and retraining bookkeeping is preserved).
+    ///
+    /// Turning `check_invariants` off drops the checker's state. Every
+    /// vault then wakes, so no cached sleep edge outlives the rules it
+    /// was derived under. Parameters equal to the current ones change
+    /// nothing.
+    ///
+    /// Safe at any clock boundary; the next cycle runs under `params`.
+    /// An axis changed and changed back before the next clock is
+    /// installed twice, so it too restarts from power-on state.
+    pub fn set_params(&mut self, params: SimParams) {
+        if params == self.params {
+            return;
+        }
+        let old = std::mem::replace(&mut self.params, params);
+        if (params.timing, params.refresh) != (old.timing, old.refresh) {
+            let banks = self.config.banks_per_vault;
+            for v in self.devices.iter_mut().flat_map(|d| &mut d.vaults) {
+                v.timing = crate::timing::make_timing(params.timing, v.id, banks, params.refresh);
+            }
+        }
+        if params.interconnect != old.interconnect {
+            let (quads, vaults) = (self.config.num_quads(), self.config.num_vaults);
+            for d in &mut self.devices {
+                // Packets in flight on the old fabric go with it.
+                self.bodies
+                    .forget(d.noc.as_ref().map_or(0, |n| n.occupancy()));
+                d.install_noc(crate::noc::NocState::new(
+                    &params.interconnect,
+                    quads,
+                    vaults,
+                ));
+            }
+            // The fabric's segment slots hold bodies too.
+            self.bodies
+                .reserve(self.devices.iter().map(Device::packet_slots).sum());
+        }
+        if params.cell_faults != old.cell_faults {
+            let rows = self.config.rows_per_bank();
+            let block_bytes = self.config.block_size.bytes() as u32;
+            for v in self.devices.iter_mut().flat_map(|d| &mut d.vaults) {
+                v.faults = params.cell_faults.map(|cfg| {
+                    Box::new(hmc_mem::CellFaultState::new(cfg, v.id, rows, block_bytes))
+                });
+            }
+        }
+        if params.link_faults != old.link_faults {
+            self.install_link_faults();
+        }
+        if !params.check_invariants {
+            self.inv = None;
+        }
+        for v in self.devices.iter_mut().flat_map(|d| &mut d.vaults) {
+            v.wake();
+        }
+        debug_assert!(self.installed_matches_params());
+    }
+
+    /// Link-fault state for [`SimParams::link_faults`], with zeroed
+    /// counters.
+    fn install_link_faults(&mut self) {
+        self.faults = self.params.link_faults.map(crate::fault::FaultState::new);
+    }
+
+    // Warts kept for `benchmark/src/host_driven.rs`, their one caller,
+    // which changes only together with the benchmark. ROADMAP item 4(e)
+    // deletes the three together; nothing in the workspace may call them.
     #[doc(hidden)]
     pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
-    /// Enable or disable the event-driven fast-forward engine mode
-    /// (builder style). Bit-identical to stepped execution — see
-    /// [`SimParams::fast_forward`].
-    pub fn with_fast_forward(mut self, on: bool) -> Self {
-        self.params.fast_forward = on;
-        self
+    #[doc(hidden)]
+    pub fn with_timing(self, timing: crate::timing::TimingParams) -> Self {
+        let params = SimParams {
+            timing,
+            ..self.params
+        };
+        self.with_params(params)
     }
 
-    /// Switch the fast-forward engine mode on a live simulation. Safe at
-    /// any clock boundary: the mode only changes how dead cycles are
-    /// traversed, never what any cycle does.
-    pub fn set_fast_forward(&mut self, on: bool) {
-        self.params.fast_forward = on;
-    }
-
-    /// True when the fast-forward engine mode is enabled.
-    pub fn fast_forward(&self) -> bool {
-        self.params.fast_forward
-    }
-
-    /// Select the vault timing backend (builder style). See
-    /// [`crate::timing::VaultTiming`] for the backend contract.
-    pub fn with_timing(mut self, timing: crate::timing::TimingParams) -> Self {
-        self.params.timing = timing;
-        self
-    }
-
-    /// Switch the vault timing backend on a live simulation. The new
-    /// backends install at the next clock boundary with power-on bank
-    /// state (all rows closed).
-    pub fn set_timing(&mut self, timing: crate::timing::TimingParams) {
-        self.params.timing = timing;
-    }
-
-    /// The active timing backend parameters.
-    pub fn timing(&self) -> crate::timing::TimingParams {
-        self.params.timing
-    }
-
-    /// Select the intra-cube interconnect fabric (builder style). See
-    /// [`crate::noc`] for the hop and arbitration model; the crossbar
-    /// default leaves the engine's direct paths untouched.
-    pub fn with_interconnect(mut self, interconnect: crate::noc::NocParams) -> Self {
-        self.params.interconnect = interconnect;
-        self
-    }
-
-    /// Switch the interconnect fabric on a live simulation. The new
-    /// fabric installs at the next clock boundary with empty segment
-    /// buffers; packets already queued in crossbars and vaults are
-    /// unaffected.
-    pub fn set_interconnect(&mut self, interconnect: crate::noc::NocParams) {
-        self.params.interconnect = interconnect;
-    }
-
-    /// The active interconnect parameters.
-    pub fn interconnect(&self) -> crate::noc::NocParams {
-        self.params.interconnect
-    }
-
-    /// Install per-device NoC fabric state when the interconnect
-    /// parameters changed since the last clock. No-op (and no
-    /// allocation) on the steady-state hot path; the crossbar fabric
-    /// installs `None` so the engine keeps its original direct paths.
-    pub(crate) fn ensure_noc(&mut self) {
-        let sig = self.params.interconnect;
-        if self.applied_noc == Some(sig) {
-            return;
-        }
-        let quads = self.config.num_quads();
-        let vaults = self.config.num_vaults;
-        for d in &mut self.devices {
-            // Packets in flight on the old fabric go with it.
-            self.bodies
-                .forget(d.noc.as_ref().map_or(0, |n| n.occupancy()));
-            d.install_noc(crate::noc::NocState::new(&sig, quads, vaults));
-        }
-        // The fabric's segment slots hold bodies too.
-        self.bodies
-            .reserve(self.devices.iter().map(Device::packet_slots).sum());
-        self.applied_noc = Some(sig);
-    }
-
-    /// Install per-vault timing backends when the `(timing, refresh)`
-    /// parameters changed since the last clock. No-op (and no allocation)
-    /// on the steady-state hot path.
-    pub(crate) fn ensure_timing(&mut self) {
-        let sig = (self.params.timing, self.params.refresh);
-        if self.applied_timing == Some(sig) {
-            return;
-        }
-        let banks = self.config.banks_per_vault;
-        for d in &mut self.devices {
-            for v in &mut d.vaults {
-                v.timing =
-                    crate::timing::make_timing(self.params.timing, v.id, banks, self.params.refresh);
-            }
-        }
-        self.applied_timing = Some(sig);
-    }
-
-    /// Enable cell-level fault injection — RowHammer disturbance and
-    /// retention decay — on every vault (builder style). `None` keeps
-    /// the array perfect. See [`hmc_mem::cellfault`] for the model and
-    /// determinism contract.
-    pub fn with_cell_faults(mut self, faults: Option<hmc_types::CellFaultConfig>) -> Self {
-        self.params.cell_faults = faults;
-        self
-    }
-
-    /// Switch cell-fault injection on a live simulation. New state
-    /// installs at the next clock boundary with fresh (zero) activation
-    /// tracking; already-corrupted data stays corrupted.
-    pub fn set_cell_faults(&mut self, faults: Option<hmc_types::CellFaultConfig>) {
-        self.params.cell_faults = faults;
-    }
-
-    /// The active cell-fault configuration, when set.
-    pub fn cell_faults(&self) -> Option<hmc_types::CellFaultConfig> {
-        self.params.cell_faults
-    }
-
-    /// Enable link-level error simulation — the spec's retry protocol
-    /// with retransmission, retry exhaustion, poisoned responses, and
-    /// link retraining — from a wire-level configuration (builder
-    /// style). `None` keeps links perfect. See [`crate::fault`] for the
-    /// model and determinism contract.
-    pub fn with_link_faults(mut self, faults: Option<hmc_types::LinkFaultConfig>) -> Self {
-        self.params.link_faults = faults;
-        self
-    }
-
-    /// Switch link-fault injection on a live simulation. The new state
-    /// installs at the next clock boundary with fresh counters;
-    /// in-flight retry and retraining bookkeeping is preserved.
-    pub fn set_link_faults(&mut self, faults: Option<hmc_types::LinkFaultConfig>) {
-        self.params.link_faults = faults;
-    }
-
-    /// The active link-fault configuration, when set.
-    pub fn link_faults(&self) -> Option<hmc_types::LinkFaultConfig> {
-        self.params.link_faults
-    }
-
-    /// Install per-vault cell-fault state when the configuration changed
-    /// since the last clock. No-op (and no allocation) on the steady-
-    /// state hot path; the default `None` uninstalls so the engine pays
-    /// a single branch per walked packet.
-    pub(crate) fn ensure_cell_faults(&mut self) {
-        let sig = self.params.cell_faults;
-        if self.applied_cellfaults == Some(sig) {
-            return;
-        }
-        let rows = self.config.rows_per_bank();
-        let block_bytes = self.config.block_size.bytes() as u32;
-        for d in &mut self.devices {
-            for v in &mut d.vaults {
-                v.faults = sig.map(|cfg| {
-                    Box::new(hmc_mem::CellFaultState::new(cfg, v.id, rows, block_bytes))
-                });
-            }
-        }
-        self.applied_cellfaults = Some(sig);
-    }
-
-    /// Install the link-fault state when [`SimParams::link_faults`]
-    /// changed since the last clock. No-op on the steady-state hot path.
-    pub(crate) fn ensure_link_faults(&mut self) {
-        let sig = self.params.link_faults;
-        if self.applied_linkfaults == Some(sig) {
-            return;
-        }
-        self.faults = sig.map(crate::fault::FaultState::new);
-        self.applied_linkfaults = Some(sig);
+    #[doc(hidden)]
+    pub fn with_interconnect(self, interconnect: crate::noc::NocParams) -> Self {
+        let params = SimParams {
+            interconnect,
+            ..self.params
+        };
+        self.with_params(params)
     }
 
     /// Replace the address map (must match the device geometry).
@@ -401,8 +324,7 @@ impl HmcSim {
         self.tracer = tracer;
     }
 
-    /// Link-error statistics, once [`SimParams::link_faults`] has armed
-    /// (at the first send or clock after it is set).
+    /// Link-error statistics while [`SimParams::link_faults`] is set.
     pub fn fault_state(&self) -> Option<&crate::fault::FaultState> {
         self.faults.as_ref()
     }
@@ -623,9 +545,6 @@ impl HmcSim {
     /// to throttle injection (§VI.A).
     pub fn send(&mut self, dev: CubeId, link: LinkId, packet: Packet) -> Result<()> {
         self.ensure_routes()?;
-        // Config-armed link faults must cover sends that precede the
-        // first clock edge (the usual inject-then-clock loop shape).
-        self.ensure_link_faults();
         let d = self
             .devices
             .get(dev as usize)
@@ -801,8 +720,9 @@ impl HmcSim {
         Ok(())
     }
 
-    /// Reset every device to its power-on state and zero the clock.
-    /// Topology wiring is preserved.
+    /// Reset every device to its power-on state and zero the clock, the
+    /// statistics and the link-fault counters. Topology wiring and the
+    /// parameters are preserved.
     pub fn reset(&mut self) {
         for id in 0..self.num_devices() {
             self.reset_device(id).expect("id is below num_devices");
@@ -810,6 +730,7 @@ impl HmcSim {
         self.clock = 0;
         self.stats = SimStats::default();
         self.inv = None;
+        self.install_link_faults();
     }
 
     pub(crate) fn emit(&mut self, event: TraceEvent) {

@@ -165,12 +165,12 @@ impl HmcSim {
     fn process_xbar_requests(&mut self, di: usize) {
         let dev_id = di as CubeId;
         let num_links = self.config.num_links as usize;
-        let max_drain = self.params.xbar_drain_per_cycle;
-        let vault_window = self.params.window_for(self.config.banks_per_vault);
+        let max_drain = self.params().xbar_drain_per_cycle;
+        let vault_window = self.params().window_for(self.config.banks_per_vault);
         // Optional SERDES serialization: each link direction moves at
         // most this many FLITs per cycle when configured. A zero budget
         // could never drain a packet, so it is clamped to one beat.
-        let flit_budget = self.params.link_flits_per_cycle.map(|f| f.max(1));
+        let flit_budget = self.params().link_flits_per_cycle.map(|f| f.max(1));
 
         // Deferred chain-forwards stage in a reusable buffer (capacity
         // retained across cycles — the steady-state walk allocates
@@ -372,7 +372,7 @@ impl HmcSim {
                             continue;
                         }
                         let hops = rqst.get(idx).expect("idx checked").hops;
-                        if hops + 1 > self.params.hop_budget {
+                        if hops + 1 > self.params().hop_budget {
                             let entry = self.take_xbar_request(di, l, idx, flits);
                             self.emit(TraceEvent::Zombie {
                                 cube: dev_id,
@@ -559,7 +559,7 @@ impl HmcSim {
     pub(crate) fn forward_xbar_responses(&mut self, di: usize) {
         let dev_id = di as CubeId;
         let num_links = self.config.num_links as usize;
-        let max_drain = self.params.xbar_drain_per_cycle;
+        let max_drain = self.params().xbar_drain_per_cycle;
 
         for l in 0..num_links {
             let mut idx = 0usize;
@@ -679,7 +679,7 @@ impl HmcSim {
         let dev_id = di as CubeId;
         let vault_quad = Quad::of_vault(vi as VaultId);
         let clock = self.clock;
-        for _ in 0..self.params.rsp_drain_per_cycle {
+        for _ in 0..self.params().rsp_drain_per_cycle {
             let dev = &mut self.devices[di];
             let Some(head) = dev.vaults[vi].rsp.front() else {
                 break;
@@ -755,7 +755,7 @@ impl HmcSim {
         let clock = self.clock;
         let record_hops = self.tracer.enabled(EventKind::NocHop);
         let record_stalls = self.tracer.enabled(EventKind::NocStall);
-        let window = self.params.window_for(self.config.banks_per_vault);
+        let window = self.params().window_for(self.config.banks_per_vault);
         let crate::device::Device {
             noc, vaults, xbars, ..
         } = &mut self.devices[di];
@@ -1108,7 +1108,6 @@ mod tests {
             sim.connect_host(0, l, HOST).unwrap();
         }
         sim.ensure_routes().unwrap();
-        sim.ensure_noc();
         sim.clock = 9;
         let sink = SharedSink::new(VecSink::default());
         sim.set_tracer(Tracer::new(Verbosity::Full, Box::new(sink.handle())));

@@ -152,10 +152,10 @@ pub struct ClassicTiming {
     /// same `bank & 0x3f` indexing as the original walk).
     used: u64,
     cur_cycle: Cycle,
-    /// Per-bank park deadlines (TRR refresh cost); all zero — and the
+    /// Per-bank park deadlines (TRR refresh cost); absent — and the
     /// backend bit-identical to the original walk — until `park_bank`
-    /// is first called.
-    parked: [Cycle; 64],
+    /// is first called, so building a backend costs no table.
+    parked: Option<Box<[Cycle; 64]>>,
 }
 
 impl ClassicTiming {
@@ -164,7 +164,7 @@ impl ClassicTiming {
         ClassicTiming {
             used: 0,
             cur_cycle: 0,
-            parked: [0; 64],
+            parked: None,
         }
     }
 }
@@ -177,9 +177,11 @@ impl Default for ClassicTiming {
 
 impl VaultTiming for ClassicTiming {
     fn blocked_until(&self, bank: u16, _row: u64, cycle: Cycle) -> Option<Cycle> {
-        let parked = self.parked[(bank & 0x3f) as usize];
-        if cycle < parked {
-            return Some(parked);
+        if let Some(parked) = &self.parked {
+            let parked = parked[(bank & 0x3f) as usize];
+            if cycle < parked {
+                return Some(parked);
+            }
         }
         if cycle == self.cur_cycle && self.used & (1u64 << (bank & 0x3f)) != 0 {
             Some(cycle.saturating_add(1))
@@ -205,13 +207,14 @@ impl VaultTiming for ClassicTiming {
 
     fn park_bank(&mut self, bank: u16, until: Cycle) {
         let slot = (bank & 0x3f) as usize;
-        self.parked[slot] = self.parked[slot].max(until);
+        let parked = self.parked.get_or_insert_with(|| Box::new([0; 64]));
+        parked[slot] = parked[slot].max(until);
     }
 
     fn reset(&mut self) {
         self.used = 0;
         self.cur_cycle = 0;
-        self.parked = [0; 64];
+        self.parked = None;
     }
 
     fn kind(&self) -> TimingKind {

@@ -103,7 +103,7 @@ pub struct Vault {
     /// Responses issued but not yet data-ready, ordered by (`ready_at`,
     /// issue order) so the head is the next to release (always empty
     /// under the classic backend, which returns data the cycle it
-    /// issues).
+    /// issues, so it is allocated on first use rather than at build).
     pub pending: VecDeque<PendingRsp>,
     /// Issue-order counter for `pending` tie-breaks.
     pub pending_seq: u64,
@@ -140,7 +140,7 @@ impl Vault {
             id,
             rqst: PacketQueue::new(depth),
             rsp: PacketQueue::new(depth),
-            pending: VecDeque::with_capacity(depth),
+            pending: VecDeque::new(),
             pending_seq: 0,
             mem,
             timing: Box::new(ClassicTiming::new()),

@@ -211,7 +211,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmc_core::topology;
+    use hmc_core::{topology, SimParams};
     use hmc_types::{BlockSize, DeviceConfig};
     use hmc_workloads::{RandomAccess, Stream, StreamMode};
 
@@ -307,7 +307,10 @@ mod tests {
         s.reset();
         let mut h2 = Host::attach(&s, s.host_cube_id(0)).unwrap();
         let mut w2 = RandomAccess::new(11, 1 << 24, BlockSize::B64, 50, 1_200);
-        s.set_fast_forward(true);
+        s.set_params(SimParams {
+            fast_forward: true,
+            ..*s.params()
+        });
         let fast = run_workload(&mut s, &mut h2, &mut w2, RunConfig::default()).unwrap();
         assert_eq!(stepped, fast);
     }

@@ -162,7 +162,6 @@ impl SessionState {
         limits: SessionLimits,
         params: SimParams,
     ) -> Result<SessionState> {
-        config.validate()?;
         let params = params.with_device_axes(&config);
         let mut sim = HmcSim::new(1, config)?.with_params(params);
         let host_id = sim.host_cube_id(0);

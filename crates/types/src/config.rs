@@ -49,8 +49,13 @@ pub const MAX_QUEUE_DEPTH: usize = u16::MAX as usize;
 /// Most DRAM dies a bank may stack. The count sizes nothing — it is the
 /// validated geometry of `hmcsim_init`'s `num_drams` — but the bound
 /// stays so `DeviceConfig::validate` accepts exactly what it always has;
-/// it is the same ceiling the vault scheduler puts on banks per vault.
+/// it is the same ceiling as [`MAX_BANKS_PER_VAULT`].
 pub const MAX_DRAMS_PER_BANK: u16 = 64;
+
+/// Most banks a vault may have: the vault scheduler keeps its per-cycle
+/// bank sets (banks issued, latched, seen in a conflict scan) as one
+/// `u64` bit per bank.
+pub const MAX_BANKS_PER_VAULT: u16 = 64;
 
 /// Geometry and queue configuration of a single HMC device.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -324,9 +329,11 @@ impl DeviceConfig {
                 self.num_vaults
             )));
         }
-        if !self.banks_per_vault.is_power_of_two() || self.banks_per_vault < 2 {
+        if !self.banks_per_vault.is_power_of_two()
+            || !(2..=MAX_BANKS_PER_VAULT).contains(&self.banks_per_vault)
+        {
             return Err(HmcError::InvalidConfig(format!(
-                "banks_per_vault must be a power of two >= 2, got {}",
+                "banks_per_vault must be a power of two in 2..={MAX_BANKS_PER_VAULT}, got {}",
                 self.banks_per_vault
             )));
         }
@@ -472,11 +479,14 @@ mod tests {
     #[test]
     fn allocation_sizing_fields_are_bounded_by_name() {
         type Set = fn(&mut DeviceConfig, usize);
-        let fields: [(&str, usize, Set); 3] = [
+        let fields: [(&str, usize, Set); 4] = [
             ("xbar_depth", MAX_QUEUE_DEPTH, |c, v| c.xbar_depth = v),
             ("vault_depth", MAX_QUEUE_DEPTH, |c, v| c.vault_depth = v),
             ("drams_per_bank", MAX_DRAMS_PER_BANK as usize, |c, v| {
                 c.drams_per_bank = v as u16
+            }),
+            ("banks_per_vault", MAX_BANKS_PER_VAULT as usize, |c, v| {
+                c.banks_per_vault = v as u16
             }),
         ];
         for (field, bound, set) in fields {
@@ -484,13 +494,18 @@ mod tests {
             set(&mut c, bound);
             c.validate()
                 .unwrap_or_else(|e| panic!("{field} at its bound: {e}"));
-            set(&mut c, bound + 1);
-            match c.validate() {
-                Err(HmcError::InvalidConfig(msg)) => assert!(
-                    msg.contains(field) && msg.contains(&bound.to_string()),
-                    "{field} past its bound must name the field and the limit: {msg}"
-                ),
-                other => panic!("{field} = {}: {other:?}", bound + 1),
+            // One past the bound pins the edge; twice the bound is a power
+            // of two, so for the fields that must be one only the bound
+            // itself can refuse it.
+            for past in [bound + 1, 2 * bound] {
+                set(&mut c, past);
+                match c.validate() {
+                    Err(HmcError::InvalidConfig(msg)) => assert!(
+                        msg.contains(field) && msg.contains(&bound.to_string()),
+                        "{field} past its bound must name the field and the limit: {msg}"
+                    ),
+                    other => panic!("{field} = {past}: {other:?}"),
+                }
             }
         }
         // The token pool of the deepest legal crossbar queue fits `u32`.

@@ -12,7 +12,10 @@ fn run(ppm: u32) -> (RunReport, u64, u64, u64) {
         .with_seed(0xbad1);
     let mut sim = HmcSim::new(1, config)
         .expect("config")
-        .with_link_faults((ppm > 0).then_some(faults));
+        .with_params(SimParams {
+            link_faults: (ppm > 0).then_some(faults),
+            ..SimParams::default()
+        });
     let host_id = sim.host_cube_id(0);
     topology::build_simple(&mut sim, host_id).expect("topology");
     let mut host = Host::attach(&sim, host_id).expect("host");

@@ -2,7 +2,7 @@
 //! pipeline for every command class, all block sizes, and the host/driver
 //! stack.
 
-use hmc_sim::hmc_core::{decode_response, topology, HmcSim};
+use hmc_sim::hmc_core::{decode_response, topology, HmcSim, SimParams};
 use hmc_sim::hmc_host::{run_workload, Host, RunConfig};
 use hmc_sim::hmc_types::{
     BlockSize, Command, DeviceConfig, Packet, ResponseStatus, StorageMode,
@@ -258,7 +258,10 @@ fn clock_batch_matches_per_cycle_clocking() {
             let build = || {
                 let mut s = HmcSim::new(1, DeviceConfig::small())
                     .unwrap()
-                    .with_fast_forward(fast_forward);
+                    .with_params(SimParams {
+                        fast_forward,
+                        ..SimParams::default()
+                    });
                 let host = s.host_cube_id(0);
                 topology::build_simple(&mut s, host).unwrap();
                 for tag in 0..requests {

@@ -2,7 +2,7 @@
 //! and retransmission penalties, plus the live-register behaviours (IBTC
 //! mirrors tokens; AC switches address-map modes).
 
-use hmc_sim::hmc_core::{regs, topology, HmcSim, SimStats};
+use hmc_sim::hmc_core::{regs, topology, HmcSim, SimParams, SimStats};
 use hmc_sim::hmc_host::{run_workload, Host, RunConfig};
 use hmc_sim::hmc_trace::{CountingSink, EventKind, SharedSink, Tracer, Verbosity};
 use hmc_sim::hmc_types::{
@@ -24,12 +24,17 @@ fn sim() -> HmcSim {
     s
 }
 
+/// [`sim`] with link-fault injection armed.
+fn faulty_sim(faults: LinkFaultConfig) -> HmcSim {
+    sim().with_params(SimParams {
+        link_faults: Some(faults),
+        ..SimParams::default()
+    })
+}
+
 #[test]
 fn corrupted_packets_are_detected_and_recovered() {
-    let mut s = sim();
-    let sink = SharedSink::new(CountingSink::default());
-    s.set_tracer(Tracer::new(Verbosity::Stalls, Box::new(sink.clone())));
-    s.set_link_faults(Some(LinkFaultConfig {
+    let mut s = faulty_sim(LinkFaultConfig {
         error_rate_ppm: 250_000,
         retry_cycles: 4,
         // Effectively unbounded retries: this test is about recovery,
@@ -37,7 +42,9 @@ fn corrupted_packets_are_detected_and_recovered() {
         retry_limit: 1_000,
         seed: 42,
         ..LinkFaultConfig::default()
-    }));
+    });
+    let sink = SharedSink::new(CountingSink::default());
+    s.set_tracer(Tracer::new(Verbosity::Stalls, Box::new(sink.clone())));
     let host_id = s.host_cube_id(0);
     let mut host = Host::attach(&s, host_id).unwrap();
     let mut w = RandomAccess::new(1, 1 << 28, BlockSize::B64, 50, 2_000);
@@ -68,16 +75,15 @@ fn retry_exhaustion_poisons_every_abandoned_request() {
     // answer *every* request — abandoned packets come back as poisoned
     // error responses, never silent drops — and each abort takes the
     // link down for a retraining window.
-    let mut s = sim();
-    let sink = SharedSink::new(CountingSink::default());
-    s.set_tracer(Tracer::new(Verbosity::Stalls, Box::new(sink.clone())));
-    s.set_link_faults(Some(LinkFaultConfig {
+    let mut s = faulty_sim(LinkFaultConfig {
         error_rate_ppm: 350_000,
         retry_cycles: 3,
         retry_limit: 1,
         retrain_cycles: 16,
         seed: 0x000B_AD11,
-    }));
+    });
+    let sink = SharedSink::new(CountingSink::default());
+    s.set_tracer(Tracer::new(Verbosity::Stalls, Box::new(sink.clone())));
     let host_id = s.host_cube_id(0);
     let mut host = Host::attach(&s, host_id).unwrap();
     let mut w = RandomAccess::new(3, 1 << 28, BlockSize::B64, 50, 2_000);
@@ -130,8 +136,11 @@ fn retry_exhaustion_is_bit_identical_stepped_and_fast_forward() {
     let run = |fast_forward: bool| {
         let mut s = HmcSim::new(1, DeviceConfig::small())
             .unwrap()
-            .with_fast_forward(fast_forward)
-            .with_link_faults(Some(faults));
+            .with_params(SimParams {
+                fast_forward,
+                link_faults: Some(faults),
+                ..SimParams::default()
+            });
         let host = s.host_cube_id(0);
         topology::build_simple(&mut s, host).unwrap();
         let counting = SharedSink::new(CountingSink::default());
@@ -181,14 +190,15 @@ fn retry_exhaustion_is_bit_identical_stepped_and_fast_forward() {
 #[test]
 fn lossy_links_cost_cycles() {
     let run = |ppm: u32| {
-        let mut s = sim();
-        if ppm > 0 {
-            s.set_link_faults(Some(
+        let mut s = if ppm > 0 {
+            faulty_sim(
                 LinkFaultConfig::default()
                     .with_error_rate_ppm(ppm)
                     .with_seed(7),
-            ));
-        }
+            )
+        } else {
+            sim()
+        };
         let host_id = s.host_cube_id(0);
         let mut host = Host::attach(&s, host_id).unwrap();
         let mut w = RandomAccess::new(1, 1 << 28, BlockSize::B64, 50, 2_000);
@@ -206,14 +216,39 @@ fn lossy_links_cost_cycles() {
 
 #[test]
 fn zero_rate_fault_injection_is_a_noop() {
-    let mut s = sim();
-    s.set_link_faults(Some(LinkFaultConfig::default().with_seed(1)));
+    let mut s = faulty_sim(LinkFaultConfig::default().with_seed(1));
     let host_id = s.host_cube_id(0);
     let mut host = Host::attach(&s, host_id).unwrap();
     let mut w = RandomAccess::new(1, 1 << 28, BlockSize::B64, 50, 500);
     let report = run_workload(&mut s, &mut host, &mut w, RunConfig::default()).unwrap();
     assert_eq!(report.completed, 500);
     assert_eq!(s.fault_state().unwrap().injected, 0);
+}
+
+#[test]
+fn a_rerun_after_reset_counts_link_faults_like_a_fresh_sim() {
+    let faults = LinkFaultConfig::default()
+        .with_error_rate_ppm(100_000)
+        .with_retry_limit(1)
+        .with_seed(7);
+    let run = |s: &mut HmcSim| {
+        let host_id = s.host_cube_id(0);
+        let mut host = Host::attach(s, host_id).unwrap();
+        let mut w = RandomAccess::new(1, 1 << 28, BlockSize::B64, 50, 2_000);
+        run_workload(s, &mut host, &mut w, RunConfig::default()).unwrap();
+        let stats = s.stats();
+        let injected = s.fault_state().unwrap().injected;
+        (injected, stats.link_retries, stats.poisoned_responses)
+    };
+    let mut s = faulty_sim(faults);
+    let fresh = run(&mut s);
+    assert!(
+        fresh.1 > 0 && fresh.2 > 0,
+        "the run must retry and poison: {fresh:?}"
+    );
+    s.reset();
+    assert_eq!(s.fault_state().unwrap().injected, 0);
+    assert_eq!(run(&mut s), fresh);
 }
 
 #[test]
@@ -229,8 +264,11 @@ fn an_armed_cell_fault_hook_flips_bits_without_moving_a_cycle() {
     let run = |cell_faults: Option<CellFaultConfig>, fast_forward: bool| {
         let mut s = HmcSim::new(1, DeviceConfig::small())
             .unwrap()
-            .with_fast_forward(fast_forward)
-            .with_cell_faults(cell_faults);
+            .with_params(SimParams {
+                fast_forward,
+                cell_faults,
+                ..SimParams::default()
+            });
         let host_id = s.host_cube_id(0);
         topology::build_simple(&mut s, host_id).unwrap();
         let mut host = Host::attach(&s, host_id).unwrap();

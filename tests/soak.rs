@@ -2,7 +2,7 @@
 //! once — mixed workloads, replay determinism, functional-mode data
 //! integrity under concurrency, and every device configuration.
 
-use hmc_sim::hmc_core::{decode_response, topology, HmcSim};
+use hmc_sim::hmc_core::{decode_response, topology, HmcSim, SimParams};
 use hmc_sim::hmc_host::{run_workload, Host, RunConfig};
 use hmc_sim::hmc_types::{BlockSize, Command, DeviceConfig, Packet, StorageMode};
 use hmc_sim::hmc_workloads::{
@@ -230,7 +230,10 @@ fn invariant_checked_soak_reports_zero_violations() {
     let (mut sim, mut host) = build(
         DeviceConfig::paper_4link_16bank_4gb().with_storage_mode(StorageMode::Functional),
     );
-    sim.set_check_invariants(true);
+    sim.set_params(SimParams {
+        check_invariants: true,
+        ..*sim.params()
+    });
     let mut w = mixed_workload(13);
     let report = run_workload(&mut sim, &mut host, &mut w, RunConfig::default()).unwrap();
     assert_eq!(report.completed, 7_000);

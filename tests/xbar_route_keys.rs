@@ -6,7 +6,7 @@
 //! behind a keyed, blocked one on a faulty link.
 
 use hmc_sim::hmc_core::queue::NO_ROUTE;
-use hmc_sim::hmc_core::{regs, topology, HmcSim};
+use hmc_sim::hmc_core::{regs, topology, HmcSim, SimParams};
 use hmc_sim::hmc_trace::{SharedSink, TraceEvent, Tracer, VecSink, Verbosity};
 use hmc_sim::hmc_types::{
     BlockSize, Command, DeviceConfig, LinearMap, LinkFaultConfig, Packet, StorageMode,
@@ -159,10 +159,13 @@ const SET_MAP_SWAP: Golden = (
 #[test]
 fn a_retry_gated_packet_behind_keyed_blocked_ones_still_ends_the_walk() {
     let (mut sim, _sink) = congested();
-    sim.set_link_faults(Some(LinkFaultConfig {
-        error_rate_ppm: 0,
-        ..LinkFaultConfig::default()
-    }));
+    sim.set_params(SimParams {
+        link_faults: Some(LinkFaultConfig {
+            error_rate_ppm: 0,
+            ..LinkFaultConfig::default()
+        }),
+        ..*sim.params()
+    });
     // Ten requests to vault 0: two cycles in, the ones still at the
     // crossbar are stalled behind its two-slot queue and keyed.
     for k in 0..10 {

@@ -23,7 +23,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hmc_sim::hmc_core::{regs, topology, HmcSim, NocParams, TimingParams};
+use hmc_sim::hmc_core::{regs, topology, HmcSim, NocParams, SimParams, TimingParams};
 use hmc_sim::hmc_types::{
     BlockSize, Command, DeviceConfig, InterconnectKind, LinkFaultConfig, Packet, StorageMode,
     TimingKind,
@@ -148,13 +148,15 @@ struct Leg {
 /// then drain it and check that no body went missing on the way.
 fn steady_state_allocations(leg: Leg) -> (u64, u64) {
     let cfg = DeviceConfig::paper_4link_8bank_2gb().with_storage_mode(StorageMode::TimingOnly);
-    let mut sim = HmcSim::new(1, cfg).unwrap();
-    sim.set_timing(TimingParams::of(leg.timing));
-    sim.set_interconnect(NocParams {
-        buffer_depth: 2,
-        ..NocParams::of(leg.fabric)
+    let mut sim = HmcSim::new(1, cfg).unwrap().with_params(SimParams {
+        timing: TimingParams::of(leg.timing),
+        interconnect: NocParams {
+            buffer_depth: 2,
+            ..NocParams::of(leg.fabric)
+        },
+        link_faults: leg.link_faults,
+        ..SimParams::default()
     });
-    sim.set_link_faults(leg.link_faults);
     let host = sim.host_cube_id(0);
     topology::build_simple(&mut sim, host).unwrap();
 
@@ -216,7 +218,10 @@ fn steady_state_allocations(leg: Leg) -> (u64, u64) {
             while sim.recv(0, link).is_ok() {}
         }
     }
-    sim.set_check_invariants(true);
+    sim.set_params(SimParams {
+        check_invariants: true,
+        ..*sim.params()
+    });
     sim.clock().unwrap();
     assert_eq!(sim.invariant_violations(), &[] as &[String], "{leg:?}");
     (allocations, created)
