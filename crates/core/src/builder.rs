@@ -26,10 +26,46 @@ pub struct ResponseInfo {
     pub slid: LinkId,
 }
 
+impl Default for ResponseInfo {
+    /// A successful `WR_RS` for tag 0 on link 0: an empty response for
+    /// [`ResponseInfo::decode_from`] to overwrite.
+    fn default() -> Self {
+        ResponseInfo {
+            cmd: Command::WrResponse,
+            tag: 0,
+            status: ResponseStatus::Ok,
+            data_invalid: false,
+            data: Vec::new(),
+            slid: 0,
+        }
+    }
+}
+
 impl ResponseInfo {
     /// True when the response signals success.
     pub fn is_ok(&self) -> bool {
         self.status.is_ok()
+    }
+
+    /// Decode `packet` over this value, reusing its payload buffer: once
+    /// `data` has held the largest payload, decoding allocates nothing.
+    /// On error the value is left untouched.
+    pub fn decode_from(&mut self, packet: &Packet) -> Result<()> {
+        let cmd = packet.cmd()?;
+        if !cmd.is_response() {
+            return Err(HmcError::InvalidPacket(format!(
+                "{} is not a response command",
+                cmd.mnemonic()
+            )));
+        }
+        self.status = packet.errstat()?;
+        self.cmd = cmd;
+        self.tag = packet.tag();
+        self.data_invalid = packet.dinv();
+        self.slid = packet.response_slid();
+        self.data.resize(packet.data_bytes(), 0);
+        packet.copy_data_to(&mut self.data);
+        Ok(())
     }
 }
 
@@ -49,23 +85,12 @@ pub fn build_mem_request(
     Packet::request(cmd, cub, addr, tag, link, payload)
 }
 
-/// Decode a response packet into [`ResponseInfo`].
+/// Decode a response packet into a new [`ResponseInfo`]
+/// ([`ResponseInfo::decode_from`] reuses one).
 pub fn decode_response(packet: &Packet) -> Result<ResponseInfo> {
-    let cmd = packet.cmd()?;
-    if !cmd.is_response() {
-        return Err(HmcError::InvalidPacket(format!(
-            "{} is not a response command",
-            cmd.mnemonic()
-        )));
-    }
-    Ok(ResponseInfo {
-        cmd,
-        tag: packet.tag(),
-        status: packet.errstat()?,
-        data_invalid: packet.dinv(),
-        data: packet.data_as_bytes(),
-        slid: packet.response_slid(),
-    })
+    let mut info = ResponseInfo::default();
+    info.decode_from(packet)?;
+    Ok(info)
 }
 
 /// A received response paired with its observed latency — what
@@ -125,5 +150,20 @@ mod tests {
     fn decode_rejects_request_packets() {
         let p = Packet::request(Command::Rd(BlockSize::B16), 0, 0, 0, 0, &[]).unwrap();
         assert!(decode_response(&p).is_err());
+    }
+
+    #[test]
+    fn a_refused_decode_leaves_the_value_alone() {
+        let data = [7u8; 16];
+        let p = Packet::response(Command::RdResponse, 4, 1, ResponseStatus::Ok, &data).unwrap();
+        let mut info = decode_response(&p).unwrap();
+        let before = info.clone();
+        let rd = Packet::request(Command::Rd(BlockSize::B16), 0, 0, 0, 0, &[]).unwrap();
+        assert!(info.decode_from(&rd).is_err());
+        let mut bad_status = p.clone();
+        bad_status.tail |= 0x50 << 37;
+        bad_status.seal();
+        assert!(info.decode_from(&bad_status).is_err());
+        assert_eq!(info, before);
     }
 }

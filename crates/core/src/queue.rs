@@ -8,12 +8,13 @@
 //! arrival order, one packet per slot) in a ring buffer of 64-byte
 //! [`QueueEntry`] headers, each owning its nine-FLIT packet body on the
 //! heap: a slot moves from queue to queue as four stores, and the body is
-//! written at `send`, rewritten in place into the response, read at
-//! `recv` and recycled ([`BodyPool`]). A response
-//! queue tick costs O(occupied slots). A vault request queue's tick
-//! walks its scan window only while something there can issue: a tick
-//! that finds every entry held caches the earliest cycle that can change
-//! (`Vault::wake_at`) and the ticks before it cost one compare. A
+//! written at `send` (filled in place by `send_with`), rewritten in place
+//! into the response, read in place at `recv_with` and recycled
+//! ([`BodyPool`]). A response queue tick costs O(occupied slots). A
+//! vault request queue's tick walks its scan window only while something
+//! there can issue: a tick that finds every entry held caches the earliest
+//! cycle that can change (`Vault::wake_at`) and the ticks before it cost
+//! one compare. A
 //! crossbar request queue is a [`RoutedQueue`], which additionally carries one *route key* per
 //! slot, so its tick costs a key scan over the occupied slots plus full
 //! slow-path visits only for the packets that move and the first blocked
@@ -189,10 +190,12 @@ pub struct BodyPool {
 impl BodyPool {
     /// Size the free list for `slots` bodies in all, so that it never
     /// grows while bodies come and go: the device's queue slots bound how
-    /// many are alive at once. Reserves room for pointers only; no body
-    /// is created before a packet needs it.
+    /// many are alive at once, plus the one a send holds while it is
+    /// refused. Reserves room for pointers only; no body is created
+    /// before a packet needs it.
     pub fn reserve(&mut self, slots: usize) {
-        self.free.reserve(slots.saturating_sub(self.free.len()));
+        self.free
+            .reserve((slots + 1).saturating_sub(self.free.len()));
     }
 
     /// A body holding `packet`: a recycled one, else a new one.
@@ -207,6 +210,16 @@ impl BodyPool {
                 Box::new(packet)
             }
         }
+    }
+
+    /// A body as it is — still holding whatever packet it last carried,
+    /// for the caller to overwrite whole ([`Packet::fill_request`]) — or
+    /// a new, zeroed one.
+    pub fn take_any(&mut self) -> Box<Packet> {
+        self.free.pop().unwrap_or_else(|| {
+            self.created += 1;
+            Box::default()
+        })
     }
 
     /// Recycle the body of an entry that has left the simulation.
@@ -669,9 +682,18 @@ mod tests {
             (2, 0),
             "nothing new was needed"
         );
-        // Two residents dropped with their queue, not given back.
-        drop((c, d));
-        pool.forget(2);
+        // `take_any` hands a recycled body back as it was left, and makes
+        // a zeroed one when the list is empty.
+        pool.give(d);
+        let e = pool.take_any();
+        assert!(std::ptr::eq(&*e, a_at));
+        assert_eq!(e.tag(), 4, "not cleared: the filler overwrites it whole");
+        let f = pool.take_any();
+        assert_eq!(*f, Packet::default());
+        assert_eq!((pool.created(), pool.free()), (3, 0));
+        // Three residents dropped with their queue, not given back.
+        drop((c, e, f));
+        pool.forget(3);
         assert_eq!((pool.created(), pool.free()), (0, 0));
     }
 

@@ -544,6 +544,38 @@ impl HmcSim {
     /// its token pool) has no room — the signal the paper's harness uses
     /// to throttle injection (§VI.A).
     pub fn send(&mut self, dev: CubeId, link: LinkId, packet: Packet) -> Result<()> {
+        let host = self.host_link(dev, link)?;
+        let body = self.bodies.take(packet);
+        self.admit(dev, link, host, body)
+    }
+
+    /// [`HmcSim::send`] of a packet that `fill` writes straight into the
+    /// pooled body it will travel in, so nothing is built on the stack
+    /// and copied over. The body comes as its last packet left it: `fill`
+    /// must overwrite it whole, as [`Packet::fill_request`] does.
+    ///
+    /// Errors come in `send`'s order — the topology first, then `fill`'s
+    /// own, then validation, then stalls — and a refused body goes back
+    /// to the pool.
+    pub fn send_with(
+        &mut self,
+        dev: CubeId,
+        link: LinkId,
+        fill: impl FnOnce(&mut Packet) -> Result<()>,
+    ) -> Result<()> {
+        let host = self.host_link(dev, link)?;
+        let mut body = self.bodies.take_any();
+        if let Err(e) = fill(&mut body) {
+            self.bodies.give(body);
+            return Err(e);
+        }
+        self.admit(dev, link, host, body)
+    }
+
+    /// The host cube at the far end of `dev`'s link `link`, building the
+    /// routes first if the topology changed; an error unless it is a
+    /// host link.
+    fn host_link(&mut self, dev: CubeId, link: LinkId) -> Result<CubeId> {
         self.ensure_routes()?;
         let d = self
             .devices
@@ -553,43 +585,27 @@ impl HmcSim {
             .links
             .get(link as usize)
             .ok_or_else(|| HmcError::link_range(link, d.links.len() as u8))?;
-        let host = match l.remote {
-            Endpoint::Host(h) => h,
-            _ => {
-                return Err(HmcError::Topology(format!(
-                    "link {link} on device {dev} is not a host link"
-                )))
-            }
-        };
-        packet.validate()?;
-        let cmd = packet.cmd()?;
-        if cmd.is_response() {
-            return Err(HmcError::InvalidPacket(
-                "hosts send request or flow packets, not responses".into(),
-            ));
+        match l.remote {
+            Endpoint::Host(h) => Ok(h),
+            _ => Err(HmcError::Topology(format!(
+                "link {link} on device {dev} is not a host link"
+            ))),
         }
-        let flits = packet.lng() as u32;
-        let dest = packet.cub();
+    }
 
-        let d = &mut self.devices[dev as usize];
-        if self.faults.is_some() && d.links[link as usize].retrain_gated(self.clock) {
-            // The link is down, retraining after retry exhaustion: no
-            // packet enters until the window lapses (same stall signal
-            // as flow-control back-pressure, so host throttling loops
-            // need no special case).
-            return Err(HmcError::Stalled { cube: dev, link });
-        }
-        if d.xbars[link as usize].rqst.is_full() {
-            return Err(HmcError::Stalled { cube: dev, link });
-        }
-        if !d.links[link as usize].take_tokens(flits) {
-            self.stats.token_stalls += 1;
-            return Err(HmcError::Stalled { cube: dev, link });
+    /// The admission path `send` and `send_with` share: the packet in
+    /// `body` enters `dev`'s crossbar queue for `link`, or the body goes
+    /// back to the pool and the reason is returned.
+    fn admit(&mut self, dev: CubeId, link: LinkId, host: CubeId, body: Box<Packet>) -> Result<()> {
+        if let Err(e) = self.admission(dev, link, &body) {
+            self.bodies.give(body);
+            return Err(e);
         }
         if self.params.check_invariants {
-            self.inv_record_send(dev, link, host, &packet);
+            self.inv_record_send(dev, link, host, &body);
         }
-        let mut entry = QueueEntry::with_body(self.bodies.take(packet), host, dest, self.clock);
+        let dest = body.cub();
+        let mut entry = QueueEntry::with_body(body, host, dest, self.clock);
         entry.arrival_link = link;
         // Error simulation: the packet may be corrupted in SERDES
         // transit. The link hands out its wire SEQ (stamped into the
@@ -613,14 +629,57 @@ impl HmcSim {
         Ok(())
     }
 
+    /// Whether `packet` may enter `dev`'s crossbar queue for host link
+    /// `link` now: it is a valid request or flow packet, the link is not
+    /// retraining, the queue has a free slot and the link's token pool
+    /// covers it. The tokens are taken when it may.
+    fn admission(&mut self, dev: CubeId, link: LinkId, packet: &Packet) -> Result<()> {
+        packet.validate()?;
+        if packet.cmd()?.is_response() {
+            return Err(HmcError::InvalidPacket(
+                "hosts send request or flow packets, not responses".into(),
+            ));
+        }
+        let d = &mut self.devices[dev as usize];
+        if self.faults.is_some() && d.links[link as usize].retrain_gated(self.clock) {
+            // The link is down, retraining after retry exhaustion: no
+            // packet enters until the window lapses (same stall signal
+            // as flow-control back-pressure, so host throttling loops
+            // need no special case).
+            return Err(HmcError::Stalled { cube: dev, link });
+        }
+        if d.xbars[link as usize].rqst.is_full() {
+            return Err(HmcError::Stalled { cube: dev, link });
+        }
+        if !d.links[link as usize].take_tokens(packet.lng() as u32) {
+            self.stats.token_stalls += 1;
+            return Err(HmcError::Stalled { cube: dev, link });
+        }
+        Ok(())
+    }
+
     /// Receive one response packet from a host link, if available.
     pub fn recv(&mut self, dev: CubeId, link: LinkId) -> Result<Packet> {
-        self.recv_with_latency(dev, link).map(|(p, _)| p)
+        self.recv_with(dev, link, |p, _| p.clone())
     }
 
     /// Receive one response packet together with its request-to-response
     /// latency in cycles (device-entry to delivery).
     pub fn recv_with_latency(&mut self, dev: CubeId, link: LinkId) -> Result<(Packet, Cycle)> {
+        self.recv_with(dev, link, |p, latency| (p.clone(), latency))
+    }
+
+    /// Receive one response from a host link and hand it to `read` where
+    /// it lies, in its pooled body, with its request-to-response latency
+    /// in cycles; the body is recycled once `read` returns. Returns what
+    /// `read` returns, or [`HmcError::NoResponse`] when the link has no
+    /// response waiting.
+    pub fn recv_with<T>(
+        &mut self,
+        dev: CubeId,
+        link: LinkId,
+        read: impl FnOnce(&Packet, Cycle) -> T,
+    ) -> Result<T> {
         let n = self.devices.len() as u8;
         let d = self
             .devices
@@ -642,9 +701,9 @@ impl HmcSim {
                     self.inv_check_recv(dev, link, &entry);
                 }
                 let latency = self.clock.saturating_sub(entry.entry_cycle);
-                let packet = (*entry.packet).clone();
+                let out = read(&entry.packet, latency);
                 self.bodies.give(entry.packet);
-                Ok((packet, latency))
+                Ok(out)
             }
             None => Err(HmcError::NoResponse { cube: dev, link }),
         }

@@ -151,7 +151,10 @@ where
         match capture {
             Some(ref mut sink) => {
                 host.drain_with(sim, |info, latency| {
-                    sink.push(TimedResponse { info, latency })
+                    sink.push(TimedResponse {
+                        info: info.clone(),
+                        latency,
+                    })
                 })?;
             }
             None => {

@@ -12,9 +12,9 @@
 //! the potential to reduce memory latency and reduce internal memory
 //! device contention").
 
-use hmc_core::builder::{decode_response, ResponseInfo};
+use hmc_core::builder::ResponseInfo;
 use hmc_core::HmcSim;
-use hmc_types::{CubeId, Cycle, HmcError, LinkId, Packet, PhysAddr, Result};
+use hmc_types::{CubeId, Cycle, HmcError, LinkId, PhysAddr, Result};
 use hmc_workloads::MemOp;
 
 use crate::tags::{Pending, TagPool};
@@ -99,6 +99,8 @@ pub struct Host {
     /// Request-to-response latency distribution.
     pub latency: LatencyStats,
     scratch: Vec<u8>,
+    /// Every response is decoded into this one value, in place.
+    response: ResponseInfo,
 }
 
 impl Host {
@@ -127,6 +129,7 @@ impl Host {
             stats: HostStats::default(),
             latency: LatencyStats::default(),
             scratch: vec![0u8; 128],
+            response: ResponseInfo::default(),
         })
     }
 
@@ -161,8 +164,12 @@ impl Host {
     fn pick_ports(&self, sim: &HmcSim, target: CubeId, op: &MemOp) -> ([usize; 8], usize) {
         let n = self.ports.len().min(8);
         let mut order = [0usize; 8];
-        for (i, slot) in order.iter_mut().enumerate().take(n) {
-            *slot = (self.rr + i) % n;
+        // A wrap-around, not a `%` per port; `rr` lies past the window
+        // only on a host with more than eight ports.
+        let mut port = if self.rr < n { self.rr } else { self.rr % n };
+        for slot in order.iter_mut().take(n) {
+            *slot = port;
+            port = if port + 1 == n { 0 } else { port + 1 };
         }
         if self.selection == LinkSelection::LocalityAware {
             // Put the port whose link index matches the destination quad
@@ -211,11 +218,16 @@ impl Host {
             } else {
                 0x1ff
             };
-            let packet =
-                Packet::request(cmd, target, op.addr, tag, link, &self.scratch[..payload_len])?;
-            match sim.send(dev, link, packet) {
+            let payload = &self.scratch[..payload_len];
+            match sim.send_with(dev, link, |p| {
+                p.fill_request(cmd, target, op.addr, tag, link, payload)
+            }) {
                 Ok(()) => {
-                    self.rr = (port_idx + 1) % self.ports.len();
+                    self.rr = if port_idx + 1 == self.ports.len() {
+                        0
+                    } else {
+                        port_idx + 1
+                    };
                     self.stats.injected += 1;
                     if !expects_response {
                         self.stats.posted += 1;
@@ -251,36 +263,41 @@ impl Host {
     /// responses come off the links. This is how a serving session
     /// forwards device responses to a remote client without changing the
     /// drain schedule the in-process driver uses.
+    ///
+    /// Every response is decoded into the same host-owned
+    /// [`ResponseInfo`], so `capture` borrows it and clones what it keeps.
     pub fn drain_with<F>(&mut self, sim: &mut HmcSim, mut capture: F) -> Result<usize>
     where
-        F: FnMut(ResponseInfo, Cycle),
+        F: FnMut(&ResponseInfo, Cycle),
     {
         let mut drained = 0;
         for &(dev, link) in &self.ports {
             loop {
-                match sim.recv_with_latency(dev, link) {
-                    Ok((packet, latency)) => {
-                        drained += 1;
-                        let info = decode_response(&packet)?;
-                        if !info.is_ok() {
-                            self.stats.errors += 1;
-                            if info.status == hmc_types::ResponseStatus::LinkPoisoned {
-                                self.stats.poisoned += 1;
-                            }
-                        }
-                        match self.tags.complete(info.tag) {
-                            Some(_ctx) => {
-                                self.stats.completed += 1;
-                                self.latency.record(latency);
-                                capture(info, latency);
-                            }
-                            None => {
-                                self.stats.orphans += 1;
-                            }
-                        }
-                    }
+                let info = &mut self.response;
+                let latency = match sim.recv_with(dev, link, |p, latency| {
+                    info.decode_from(p).map(|()| latency)
+                }) {
+                    Ok(decoded) => decoded?,
                     Err(HmcError::NoResponse { .. }) => break,
                     Err(e) => return Err(e),
+                };
+                drained += 1;
+                let info = &self.response;
+                if !info.is_ok() {
+                    self.stats.errors += 1;
+                    if info.status == hmc_types::ResponseStatus::LinkPoisoned {
+                        self.stats.poisoned += 1;
+                    }
+                }
+                match self.tags.complete(info.tag) {
+                    Some(_ctx) => {
+                        self.stats.completed += 1;
+                        self.latency.record(latency);
+                        capture(info, latency);
+                    }
+                    None => {
+                        self.stats.orphans += 1;
+                    }
                 }
             }
         }
@@ -452,6 +469,28 @@ mod tests {
         let op = MemOp::read(0, BlockSize::B64);
         assert!(!h.try_issue(&mut s, 0, &op).unwrap(), "tag space exhausted");
         assert_eq!(s.stats().sent, 512, "the 513th never reached the device");
+    }
+
+    #[test]
+    fn a_request_that_cannot_be_built_gives_its_tag_back() {
+        let mut s = sim();
+        let mut h = Host::attach(&s, s.host_cube_id(0)).unwrap();
+        // Past the 34-bit address field: more attempts than there are tags.
+        let bad = MemOp::read(1 << 34, BlockSize::B64);
+        for _ in 0..600 {
+            let err = h.try_issue(&mut s, 0, &bad).unwrap_err();
+            assert!(matches!(err, HmcError::InvalidAddress { .. }), "{err}");
+            assert_eq!(h.outstanding(), 0);
+        }
+        assert!(h
+            .try_issue(&mut s, 0, &MemOp::read(0x40, BlockSize::B64))
+            .unwrap());
+        assert_eq!((h.outstanding(), h.stats.tag_stalls), (1, 0));
+        assert_eq!(
+            s.packet_bodies_created(),
+            1,
+            "every refused fill gave its body back for the next"
+        );
     }
 
     #[test]

@@ -18,10 +18,11 @@
 
 use std::collections::VecDeque;
 
-use hmc_core::{topology, HmcSim, SimParams};
+use hmc_core::{topology, HmcSim, ResponseInfo, SimParams};
 use hmc_host::Host;
 use hmc_types::{
-    BlockSize, CubeId, DeviceConfig, HmcError, Result, WireOp, WireResponse, WireStats,
+    BlockSize, CubeId, Cycle, DeviceConfig, HmcError, PhysAddr, Result, WireOp, WireResponse,
+    WireStats,
 };
 use hmc_workloads::{MemOp, OpKind, Workload};
 
@@ -85,8 +86,15 @@ pub fn wire_to_session_op(op: &WireOp) -> Result<SessionOp> {
 
 /// Convert a wire operation into a [`MemOp`]. Idle gaps are not memory
 /// operations and are rejected here; use [`wire_to_session_op`] for the
-/// full session vocabulary.
+/// full session vocabulary. So is an address past the 34-bit HMC address
+/// field, which no request packet can carry.
 pub fn wire_to_memop(op: &WireOp) -> Result<MemOp> {
+    if op.addr > PhysAddr::MAX {
+        return Err(HmcError::Wire(format!(
+            "address {:#x} exceeds the 34-bit HMC address field",
+            op.addr
+        )));
+    }
     let kind = match op.kind {
         WireOp::KIND_READ => OpKind::Read,
         WireOp::KIND_WRITE => OpKind::Write,
@@ -119,6 +127,17 @@ pub fn memop_to_wire(op: &MemOp) -> WireOp {
         kind,
         addr: op.addr,
         size_bytes: op.size.bytes() as u16,
+    }
+}
+
+/// The wire form of a correlated response and its latency.
+fn wire_response(info: &ResponseInfo, latency: Cycle) -> WireResponse {
+    WireResponse {
+        tag: info.tag,
+        ok: info.is_ok(),
+        status: info.status.encode(),
+        latency,
+        data: info.data.clone(),
     }
 }
 
@@ -262,13 +281,7 @@ impl SessionState {
                     self.sim.clock_batch(advance)?;
                     let responses = &mut self.responses;
                     self.host.drain_with(&mut self.sim, |info, latency| {
-                        responses.push_back(WireResponse {
-                            tag: info.tag,
-                            ok: info.is_ok(),
-                            status: info.status.encode(),
-                            latency,
-                            data: info.data,
-                        });
+                        responses.push_back(wire_response(info, latency));
                     })?;
                     *gap -= advance;
                     if *gap == 0 {
@@ -315,13 +328,7 @@ impl SessionState {
             self.sim.clock()?;
             let responses = &mut self.responses;
             self.host.drain_with(&mut self.sim, |info, latency| {
-                responses.push_back(WireResponse {
-                    tag: info.tag,
-                    ok: info.is_ok(),
-                    status: info.status.encode(),
-                    latency,
-                    data: info.data,
-                });
+                responses.push_back(wire_response(info, latency));
             })?;
             budget -= 1;
         }
@@ -508,6 +515,25 @@ mod tests {
         assert!(s.submit(&ops).is_err());
         assert_eq!(s.queue_free(), SessionLimits::default().inflight_limit);
         assert!(!s.has_work());
+
+        // An address no request packet can carry is malformed too, not a
+        // pump error after admission.
+        let ops = [
+            ops[0],
+            WireOp {
+                kind: WireOp::KIND_READ,
+                addr: 1 << 34,
+                size_bytes: 64,
+            },
+        ];
+        let err = s.submit(&ops).unwrap_err();
+        assert!(
+            matches!(&err, HmcError::Wire(m) if m.contains("0x400000000")),
+            "{err}"
+        );
+        assert_eq!(s.queue_free(), SessionLimits::default().inflight_limit);
+        assert!(!s.has_work());
+        assert_eq!(s.outstanding(), 0);
     }
 
     #[test]

@@ -306,6 +306,55 @@ fn a_config_sized_to_exhaust_memory_is_refused_and_the_manager_keeps_serving() {
 }
 
 #[test]
+fn an_out_of_range_address_is_refused_and_the_session_keeps_serving() {
+    let (mgr, _workers) = SessionManager::start(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let Frame::SessionOpened { session } = mgr.open_session("small", "", 0, 0) else {
+        panic!("open failed");
+    };
+    let read = |addr| WireOp {
+        kind: WireOp::KIND_READ,
+        addr,
+        size_bytes: 64,
+    };
+    // Admitted, this read would fail the pump, and a failed pump drops
+    // the session; refused at submit, it costs the client one batch.
+    match mgr.submit(session, &[read(0), read(1 << 34)]) {
+        Frame::Error { code, message } => {
+            assert_eq!(code, WireErrorCode::BadFrame as u8);
+            assert!(
+                message.contains("0x400000000"),
+                "names the address: {message}"
+            );
+        }
+        other => panic!("expected the batch refused, got {other:?}"),
+    }
+    let ops: Vec<WireOp> = (0..16).map(|i| read(i * 64)).collect();
+    assert!(matches!(
+        mgr.submit(session, &ops),
+        Frame::BatchAccepted { .. }
+    ));
+    let mut served = 0;
+    let until = Instant::now() + Duration::from_secs(30);
+    while served < ops.len() {
+        let Frame::Responses { items, .. } = mgr.poll(session, 0) else {
+            panic!("the session was dropped");
+        };
+        assert!(items.iter().all(|r| r.ok));
+        served += items.len();
+        assert!(Instant::now() < until, "the session never answered");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let Frame::Closed(stats) = mgr.close(session) else {
+        panic!("close failed");
+    };
+    assert_eq!((stats.completed, stats.outstanding), (ops.len() as u64, 0));
+    mgr.stop_workers();
+}
+
+#[test]
 fn idle_sessions_are_reaped_and_busy_ones_spared() {
     let cfg = ServerConfig {
         threads: 1,

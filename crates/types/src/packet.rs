@@ -48,6 +48,7 @@
 //! | 59:51  | FRP     | 9     | forward retry pointer |
 //! | 63:60  | —       | 4     | reserved |
 
+use crate::address::PhysAddr;
 use crate::command::Command;
 use crate::crc::Crc32k;
 use crate::error::{HmcError, Result};
@@ -425,6 +426,24 @@ impl Packet {
         link: LinkId,
         data: &[u8],
     ) -> Result<Packet> {
+        let mut p = Packet::default();
+        p.fill_request(cmd, cub, addr, tag, link, data)?;
+        Ok(p)
+    }
+
+    /// [`Packet::request`] written over this packet, whatever it held:
+    /// header, tail and all sixteen payload words are overwritten, so a
+    /// recycled body keeps nothing of its last packet. On error the
+    /// packet is left untouched.
+    pub fn fill_request(
+        &mut self,
+        cmd: Command,
+        cub: CubeId,
+        addr: u64,
+        tag: u16,
+        link: LinkId,
+        data: &[u8],
+    ) -> Result<()> {
         if !cmd.is_request() {
             return Err(HmcError::InvalidPacket(format!(
                 "{} is not a request command",
@@ -439,29 +458,25 @@ impl Packet {
                 data.len()
             )));
         }
-        if addr >= (1 << 34) {
-            return Err(HmcError::InvalidAddress {
-                addr,
-                reason: "exceeds the 34-bit HMC address field".into(),
-            });
-        }
+        PhysAddr::new(addr)?;
         if tag >= (1 << 9) {
             return Err(HmcError::InvalidPacket(format!(
                 "tag {tag} exceeds the 9-bit tag field"
             )));
         }
-        let mut p = Packet::default();
-        p.set_cmd(cmd);
-        p.set_cub(cub);
-        p.set_addr(addr);
-        p.set_tag(tag);
+        self.header = 0;
+        self.tail = 0;
+        self.set_cmd(cmd);
+        self.set_cub(cub);
+        self.set_addr(addr);
+        self.set_tag(tag);
         let flits = cmd.request_flits();
-        p.set_lng(flits);
-        p.set_dln(flits);
-        p.set_slid(link);
-        p.set_data_bytes(data);
-        p.seal();
-        Ok(p)
+        self.set_lng(flits);
+        self.set_dln(flits);
+        self.set_slid(link);
+        self.set_data_bytes(data);
+        self.seal();
+        Ok(())
     }
 
     /// Build a flow-control packet (NULL / PRET / TRET / IRTRY): one FLIT.
@@ -718,6 +733,19 @@ mod tests {
         assert!(matches!(err, Err(HmcError::InvalidAddress { .. })));
         let err = Packet::request(Command::Rd(BlockSize::B16), 0, 0, 512, 0, &[]);
         assert!(matches!(err, Err(HmcError::InvalidPacket(_))));
+    }
+
+    #[test]
+    fn a_refused_fill_writes_nothing() {
+        let dirty = Packet {
+            header: u64::MAX,
+            data: [0xdead_beef_dead_beef; MAX_DATA_WORDS],
+            tail: u64::MAX,
+        };
+        let mut p = dirty.clone();
+        let bad = p.fill_request(Command::Rd(BlockSize::B16), 0, 1 << 34, 0, 0, &[]);
+        assert!(matches!(bad, Err(HmcError::InvalidAddress { .. })));
+        assert_eq!(p, dirty);
     }
 
     #[test]

@@ -15,19 +15,22 @@
 //! bodies still turn up in rounds 4,864..6,400 (2 + 2, after nine clean
 //! 256-round windows). So the warm-up first raises the body population
 //! to its ceiling — a window in which the host sends but never receives
-//! backs every queue up to its last slot — and then runs windows of the
-//! measured traffic until a whole one allocates nothing, giving up at a
-//! cap: an allocation made per cycle, the thing this test exists to
+//! backs every queue up to its last slot (or, through the host model, up
+//! to its 512 tags, which bound its live packets) — and then runs windows
+//! of the measured traffic until a whole one allocates nothing, giving up
+//! at a cap: an allocation made per cycle, the thing this test exists to
 //! catch, never converges. The window after that is the measured one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hmc_sim::hmc_core::{regs, topology, HmcSim, NocParams, SimParams, TimingParams};
+use hmc_sim::hmc_host::Host;
 use hmc_sim::hmc_types::{
     BlockSize, Command, DeviceConfig, InterconnectKind, LinkFaultConfig, Packet, StorageMode,
     TimingKind,
 };
+use hmc_sim::hmc_workloads::MemOp;
 
 struct CountingAllocator;
 
@@ -66,7 +69,8 @@ impl Lcg {
     }
 }
 
-/// What a leg sends besides the saturating 50/50 RD64/WR64 stream.
+/// What a leg built from raw packets sends besides the saturating 50/50
+/// RD64/WR64 stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mix {
     /// Nothing else: every request is answered and received.
@@ -99,7 +103,7 @@ fn try_send(sim: &mut HmcSim, link: u8, packet: Packet, tag: &mut u16) -> bool {
 /// One harness round: inject mixed reads/writes round-robin until
 /// back-pressure, clock once, and — unless the host is `deaf` — drain
 /// all responses.
-fn round(sim: &mut HmcSim, rng: &mut Lcg, tag: &mut u16, mix: Mix, deaf: bool) {
+fn packet_round(sim: &mut HmcSim, rng: &mut Lcg, tag: &mut u16, mix: Mix, deaf: bool) {
     let capacity = sim.config().capacity_bytes;
     let data = [0x5au8; 64];
     let request = |cmd: Command, addr: u64, tag: u16, link: u8| {
@@ -133,13 +137,98 @@ fn round(sim: &mut HmcSim, rng: &mut Lcg, tag: &mut u16, mix: Mix, deaf: bool) {
     }
 }
 
+/// The run loop's round through the host model: `Host::try_issue` the
+/// 50/50 RD64/WR64 stream until the host reports back-pressure (keeping
+/// the refused op in `pending` for the next round), clock once, and —
+/// unless `deaf` — `Host::drain`. Every read response is decoded, payload
+/// and all.
+fn host_round(
+    sim: &mut HmcSim,
+    host: &mut Host,
+    rng: &mut Lcg,
+    pending: &mut Option<MemOp>,
+    deaf: bool,
+) {
+    let capacity = sim.config().capacity_bytes;
+    loop {
+        let op = pending.take().unwrap_or_else(|| {
+            let addr = (rng.next() % (capacity / 64)) * 64;
+            match rng.next() % 2 {
+                0 => MemOp::write(addr, BlockSize::B64),
+                _ => MemOp::read(addr, BlockSize::B64),
+            }
+        });
+        if !host.try_issue(sim, 0, &op).unwrap() {
+            *pending = Some(op);
+            break;
+        }
+    }
+    sim.clock().unwrap();
+    if !deaf {
+        host.drain(sim).unwrap();
+    }
+}
+
+/// How a leg drives the simulator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Through {
+    /// Hand-built packets through `HmcSim::send` and `HmcSim::recv`.
+    Packets(Mix),
+    /// The host model, in the run loop's inject / clock / drain shape.
+    Host,
+}
+
 /// One configuration of the simulator under saturating traffic.
 #[derive(Debug, Clone, Copy)]
 struct Leg {
     timing: TimingKind,
     fabric: InterconnectKind,
-    mix: Mix,
+    through: Through,
     link_faults: Option<LinkFaultConfig>,
+}
+
+/// A leg's injector state between rounds.
+enum Injector {
+    /// The packet mix, and the next request's tag.
+    Packets { mix: Mix, tag: u16 },
+    /// The host, and the op its last stall left over.
+    Host {
+        host: Box<Host>,
+        pending: Option<MemOp>,
+    },
+}
+
+impl Injector {
+    fn new(sim: &HmcSim, through: Through) -> Injector {
+        match through {
+            Through::Packets(mix) => Injector::Packets { mix, tag: 1 },
+            Through::Host => Injector::Host {
+                host: Box::new(Host::attach(sim, sim.host_cube_id(0)).unwrap()),
+                pending: None,
+            },
+        }
+    }
+
+    fn round(&mut self, sim: &mut HmcSim, rng: &mut Lcg, deaf: bool) {
+        match self {
+            Injector::Packets { mix, tag } => packet_round(sim, rng, tag, *mix, deaf),
+            Injector::Host { host, pending } => host_round(sim, host, rng, pending, deaf),
+        }
+    }
+
+    /// Receive every response waiting on the host links.
+    fn drain(&mut self, sim: &mut HmcSim) {
+        match self {
+            Injector::Packets { .. } => {
+                for link in 0..sim.config().num_links {
+                    while sim.recv(0, link).is_ok() {}
+                }
+            }
+            Injector::Host { host, .. } => {
+                host.drain(sim).unwrap();
+            }
+        }
+    }
 }
 
 /// Warm a single-device simulator up under `round`s of saturating
@@ -161,11 +250,11 @@ fn steady_state_allocations(leg: Leg) -> (u64, u64) {
     topology::build_simple(&mut sim, host).unwrap();
 
     let mut rng = Lcg(0xFEED);
-    let mut tag: u16 = 1;
+    let mut injector = Injector::new(&sim, leg.through);
     let mut window = |sim: &mut HmcSim, deaf: bool| {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         for _ in 0..WINDOW {
-            round(sim, &mut rng, &mut tag, leg.mix, deaf);
+            injector.round(sim, &mut rng, deaf);
         }
         ALLOCATIONS.load(Ordering::Relaxed) - before
     };
@@ -214,9 +303,7 @@ fn steady_state_allocations(leg: Leg) -> (u64, u64) {
     // back on the free list.
     while !sim.is_idle() {
         sim.clock().unwrap();
-        for link in 0..sim.config().num_links {
-            while sim.recv(0, link).is_ok() {}
-        }
+        injector.drain(&mut sim);
     }
     sim.set_params(SimParams {
         check_invariants: true,
@@ -237,19 +324,23 @@ fn steady_state_allocations(leg: Leg) -> (u64, u64) {
 /// entries die inside the device instead of at `recv` ([`Mix::Internal`]),
 /// first on clean links and then on links bad enough that one packet in
 /// eleven exhausts its retries and is poisoned — wherever an entry dies,
-/// its body must come back, or some later `send` allocates a new one. One
-/// test, six legs in turn: the allocation counter is process-wide, so
-/// concurrent tests would count each other's work.
+/// its body must come back, or some later `send` allocates a new one.
+/// The last leg is the host boundary: the plain stream through
+/// `Host::try_issue` and `Host::drain`, where every request is built in
+/// its pooled body and every response decoded into the host's one
+/// reusable `ResponseInfo`. One test, seven legs in turn: the allocation
+/// counter is process-wide, so concurrent tests would count each other's
+/// work.
 #[test]
 fn steady_state_serial_clock_allocates_nothing() {
     let plain = |timing, fabric| Leg {
         timing,
         fabric,
-        mix: Mix::Plain,
+        through: Through::Packets(Mix::Plain),
         link_faults: None,
     };
     let internal = Leg {
-        mix: Mix::Internal,
+        through: Through::Packets(Mix::Internal),
         ..plain(TimingKind::Classic, InterconnectKind::Crossbar)
     };
     let poisoning = LinkFaultConfig::default()
@@ -266,6 +357,10 @@ fn steady_state_serial_clock_allocates_nothing() {
         Leg {
             link_faults: Some(poisoning),
             ..internal
+        },
+        Leg {
+            through: Through::Host,
+            ..plain(TimingKind::Classic, InterconnectKind::Crossbar)
         },
     ] {
         let (allocations, bodies) = steady_state_allocations(leg);
