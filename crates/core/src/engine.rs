@@ -38,7 +38,7 @@ use crate::device::Device;
 use crate::link::Endpoint;
 use crate::params::{ConflictPolicy, RefreshParams};
 use crate::queue::{BodyPool, QueueEntry, NO_ROUTE, UNDECODED};
-use crate::register::{regs, RegisterFile};
+use crate::register::RegisterFile;
 use crate::sim::{HmcSim, SimStats};
 use crate::timing::{RowOutcome, VaultTiming};
 use crate::vault::{Execution, Vault};
@@ -73,6 +73,20 @@ pub(crate) enum Gate {
     /// before some other gate's edge fires, so it contributes no wake-up
     /// edge of its own.
     Inert,
+}
+
+/// A unit whose gate [`HmcSim::quiescent_horizon`] found live,
+/// remembered so the next call asks it first: busy cycles tend to come in
+/// runs, and a run is usually carried by one queue. Each names a device
+/// and a link (the crossbar gates) or a vault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LiveUnit {
+    /// [`HmcSim::xbar_rqst_gate`] of `(device, link)`.
+    Rqst(u8, u16),
+    /// [`HmcSim::xbar_rsp_gate`] of `(device, link)`.
+    Rsp(u8, u16),
+    /// [`HmcSim::vault_gate`] of `(device, vault)`.
+    Vault(u8, u16),
 }
 
 /// Reusable per-simulation scratch buffers (owned by [`HmcSim`]).
@@ -459,13 +473,20 @@ impl HmcSim {
         self.ensure_routes()?;
         self.ensure_vault_edges();
         let mut done = 0u64;
+        // Whether the last iteration jumped. The horizon clamps every
+        // jump to the earliest edge, so the cycle a jump lands on is live
+        // by construction and steps without asking the horizon again.
+        // Stepping is exact in any case: were its gates to hold once
+        // more, the landing step would cost time, not a different result.
+        let mut landed = false;
         while done < cycles {
-            let dead = if self.params().fast_forward {
+            let dead = if self.params().fast_forward && !landed {
                 self.quiescent_horizon(cycles - done)
             } else {
                 0
             };
-            if dead > 0 {
+            landed = dead > 0;
+            if landed {
                 self.fast_forward_jump(dead);
                 done += dead;
             } else {
@@ -505,21 +526,35 @@ impl HmcSim {
     /// it, and that cycle runs stepped. Everything the walks *would* do
     /// in dead cycles (FLIT-debt decay) is replayed exactly by
     /// [`HmcSim::fast_forward_jump`].
+    ///
+    /// The unit whose gate answered [`Gate::Live`] last time
+    /// ([`LiveUnit`]) is asked first, and while it stays live the scan
+    /// stops there. That cannot change the answer: the horizon is zero
+    /// exactly when some gate is live, whichever is found first.
     pub(crate) fn quiescent_horizon(&self, max: u64) -> u64 {
         let mut horizon = max.min(u64::MAX - self.clock);
         if horizon == 0 {
             return 0;
         }
-        let mut fold = |gate: Gate| match gate {
-            Gate::Live => false,
+        let inputs = self.cycle_inputs();
+        if let Some(unit) = self.live_hint.get() {
+            if self.unit_gate(unit, &inputs) == Gate::Live {
+                return 0;
+            }
+        }
+        let mut fold = |gate: Gate, unit: LiveUnit| match gate {
+            Gate::Live => {
+                self.live_hint.set(Some(unit));
+                false
+            }
             Gate::Held(dead) => {
                 horizon = horizon.min(dead);
                 true
             }
             Gate::Inert => true,
         };
-        let inputs = self.cycle_inputs();
-        for dev in &self.devices {
+        for (dev_index, dev) in self.devices.iter().enumerate() {
+            let dev_index = dev_index as u8;
             // Packets in flight between quads on a buffered NoC move (or
             // at least contend) every cycle: the device is live until the
             // fabric drains. The crossbar default has no NoC state, so
@@ -528,19 +563,32 @@ impl HmcSim {
                 return 0;
             }
             for l in 0..self.config.num_links as usize {
-                if !fold(self.xbar_rqst_gate(dev, l)) || !fold(self.xbar_rsp_gate(dev, l)) {
+                let link = l as u16;
+                if !fold(self.xbar_rqst_gate(dev, l), LiveUnit::Rqst(dev_index, link))
+                    || !fold(self.xbar_rsp_gate(dev, l), LiveUnit::Rsp(dev_index, link))
+                {
                     return 0;
                 }
             }
             for quad in &dev.quads {
                 for vi in quad.vault_range() {
-                    if !fold(self.vault_gate(dev, vi, &inputs)) {
+                    let unit = LiveUnit::Vault(dev_index, vi as u16);
+                    if !fold(self.vault_gate(dev, vi, &inputs), unit) {
                         return 0;
                     }
                 }
             }
         }
         horizon
+    }
+
+    /// The gate of one unit.
+    fn unit_gate(&self, unit: LiveUnit, inputs: &CycleInputs) -> Gate {
+        match unit {
+            LiveUnit::Rqst(d, l) => self.xbar_rqst_gate(&self.devices[d as usize], l as usize),
+            LiveUnit::Rsp(d, l) => self.xbar_rsp_gate(&self.devices[d as usize], l as usize),
+            LiveUnit::Vault(d, v) => self.vault_gate(&self.devices[d as usize], v as usize, inputs),
+        }
     }
 
     /// The link / crossbar-request gate of link `l`: what the stage-1/2
@@ -625,7 +673,7 @@ impl HmcSim {
     /// forgets every route key (`HmcSim::install_map`), so the cycle
     /// after it routes the waiting requests afresh.
     fn ac_swap_pending(&self) -> bool {
-        self.devices[0].registers.read(regs::AC).unwrap_or(0) != self.ac_mode
+        self.devices[0].registers.ac() != self.ac_mode
     }
 
     /// The crossbar-response gate of link `l`: inert when the response
@@ -683,11 +731,12 @@ impl HmcSim {
     ///   ([`crate::link::Link::decay_flit_debt`] mirrors the stepped
     ///   walk's decrement-then-zero sequence);
     /// * stage 6 runs once — its per-cycle effects are idempotent across
-    ///   dead cycles (the register tick only clears already-cleared RWS
-    ///   state, the IBTC mirror rewrites unchanged token counts, and an
-    ///   AC map swap can only trigger on the first edge since no register
-    ///   writes happen mid-jump) — and the clock/cycle counters advance
-    ///   by the full jump;
+    ///   dead cycles (the register tick is a no-op unless an RWS write is
+    ///   pending, and then clears it on the first edge; the IBTC mirror
+    ///   rewrites unchanged token counts; and an AC map swap can only
+    ///   trigger on the first edge since no register writes happen
+    ///   mid-jump) — and the clock/cycle counters advance by the full
+    ///   jump;
     /// * when invariant checking is on, the sweep runs once per jump
     ///   rather than once per skipped cycle: on a clean run both schedules
     ///   observe zero violations, and a violating state is caught at the

@@ -93,15 +93,40 @@ struct Register {
     pending_clear: bool,
 }
 
+/// Most links a device has (the 8-link configurations).
+const MAX_LINKS: usize = 8;
+
 /// The register file of one device: contiguous storage, non-linear lookup.
+///
+/// Stage 6 touches the same few registers every cycle, so their linear
+/// slots are resolved once here rather than searched per cycle, and the
+/// file counts the RWS registers waiting to self-clear so that an edge
+/// with nothing pending costs one compare.
 #[derive(Debug, Clone)]
 pub struct RegisterFile {
     regs: Vec<Register>,
+    /// Linear slot of the AC register.
+    ac_slot: usize,
+    /// Linear slot of each link's IBTC register (`num_links` used).
+    ibtc_slots: [usize; MAX_LINKS],
+    /// RWS registers with `pending_clear` set.
+    pending_clears: usize,
 }
 
 impl RegisterFile {
     /// Build the register file for a device with `num_links` links.
+    ///
+    /// # Panics
+    ///
+    /// If `num_links` exceeds 8, which [`DeviceConfig::validate`]
+    /// rejects.
+    ///
+    /// [`DeviceConfig::validate`]: hmc_types::DeviceConfig::validate
     pub fn new(num_links: u8, capacity_gb: u64, num_vaults: u16) -> Self {
+        assert!(
+            num_links as usize <= MAX_LINKS,
+            "{num_links} links exceed the {MAX_LINKS}-link maximum"
+        );
         let mut regs = Vec::new();
         let mut push = |index: u32, class: RegClass, reset: u64| {
             regs.push(Register {
@@ -136,7 +161,19 @@ impl RegisterFile {
         // Keep storage sorted by device index so linear translation is a
         // binary search over one well-aligned block.
         regs.sort_by_key(|r| r.index);
-        RegisterFile { regs }
+        let mut file = RegisterFile {
+            regs,
+            ac_slot: 0,
+            ibtc_slots: [0; MAX_LINKS],
+            pending_clears: 0,
+        };
+        file.ac_slot = file.linear_index(regs::AC).expect("AC is always present");
+        for l in 0..num_links {
+            file.ibtc_slots[l as usize] = file
+                .linear_index(regs::ibtc(l))
+                .expect("every link has an IBTC register");
+        }
+        file
     }
 
     /// Number of registers present.
@@ -183,7 +220,10 @@ impl RegisterFile {
             }
             RegClass::Rws => {
                 reg.value = value;
-                reg.pending_clear = true;
+                if !reg.pending_clear {
+                    reg.pending_clear = true;
+                    self.pending_clears += 1;
+                }
                 Ok(())
             }
         }
@@ -203,14 +243,29 @@ impl RegisterFile {
         let _ = self.set_internal(regs::ERR, count.saturating_add(1));
     }
 
+    /// The AC (address configuration) register's value.
+    pub(crate) fn ac(&self) -> u64 {
+        self.regs[self.ac_slot].value
+    }
+
+    /// Mirror link `link`'s token count into its IBTC register.
+    pub(crate) fn set_ibtc(&mut self, link: usize, tokens: u64) {
+        self.regs[self.ibtc_slots[link]].value = tokens;
+    }
+
     /// Clock edge: self-clear RWS registers written since the last edge.
+    /// Returns at once when none was written.
     pub fn tick(&mut self) {
+        if self.pending_clears == 0 {
+            return;
+        }
         for r in &mut self.regs {
             if r.pending_clear {
                 r.value = 0;
                 r.pending_clear = false;
             }
         }
+        self.pending_clears = 0;
     }
 
     /// Restore all registers to their power-on values.
@@ -219,6 +274,7 @@ impl RegisterFile {
             r.value = r.reset_value;
             r.pending_clear = false;
         }
+        self.pending_clears = 0;
     }
 
     /// Iterate `(device_index, class, value)` in linear order.
@@ -293,6 +349,64 @@ mod tests {
         assert_eq!(f.read(regs::EDR0).unwrap(), 0, "self-cleared");
         f.tick();
         assert_eq!(f.read(regs::EDR0).unwrap(), 0);
+    }
+
+    #[test]
+    fn repeated_rws_writes_clear_once_and_every_written_register_clears() {
+        let mut f = file();
+        f.write(regs::EDR0, 1).unwrap();
+        f.write(regs::EDR0, 2).unwrap();
+        assert_eq!(
+            f.pending_clears, 1,
+            "one register pending, however often written"
+        );
+        f.tick();
+        assert_eq!(f.read(regs::EDR0).unwrap(), 0);
+        assert_eq!(f.pending_clears, 0);
+        f.write(regs::EDR1, 3).unwrap();
+        f.write(regs::EDR3, 4).unwrap();
+        assert_eq!(f.pending_clears, 2);
+        f.tick();
+        assert_eq!(f.read(regs::EDR1).unwrap(), 0);
+        assert_eq!(f.read(regs::EDR3).unwrap(), 0);
+        assert_eq!(f.pending_clears, 0);
+        // RW writes never pend.
+        f.write(regs::GC, 5).unwrap();
+        assert_eq!(f.pending_clears, 0);
+    }
+
+    #[test]
+    fn reset_clears_the_pending_count() {
+        let mut f = file();
+        f.write(regs::EDR2, 9).unwrap();
+        f.reset();
+        assert_eq!(f.pending_clears, 0);
+        assert_eq!(f.read(regs::EDR2).unwrap(), 0);
+        // The next write pends afresh and clears at its edge.
+        f.write(regs::EDR2, 7).unwrap();
+        assert_eq!(f.pending_clears, 1);
+        f.tick();
+        assert_eq!(f.read(regs::EDR2).unwrap(), 0);
+    }
+
+    #[test]
+    fn resolved_slots_match_linear_translation() {
+        for links in [4u8, 8] {
+            let mut f = RegisterFile::new(links, 8, 4 * links as u16);
+            assert_eq!(f.ac_slot, f.linear_index(regs::AC).unwrap());
+            for l in 0..links {
+                assert_eq!(
+                    f.ibtc_slots[l as usize],
+                    f.linear_index(regs::ibtc(l)).unwrap()
+                );
+                f.set_ibtc(l as usize, 100 + l as u64);
+            }
+            for l in 0..links {
+                assert_eq!(f.read(regs::ibtc(l)).unwrap(), 100 + l as u64);
+            }
+            f.write(regs::AC, 2).unwrap();
+            assert_eq!(f.ac(), 2);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use hmc_types::{CubeId, Cycle, DeviceConfig, HmcError, LinkId, Packet, Result};
 use hmc_trace::{TraceEvent, Tracer};
 
 use crate::device::Device;
-use crate::engine::EngineScratch;
+use crate::engine::{EngineScratch, LiveUnit};
 use crate::link::Endpoint;
 use crate::params::SimParams;
 use crate::queue::{BodyPool, QueueEntry};
@@ -103,6 +103,10 @@ pub struct HmcSim {
     /// change without [`HmcSim::set_params`]. See
     /// `HmcSim::ensure_vault_edges`.
     pub(crate) edges_trace_conflicts: bool,
+    /// The unit `HmcSim::quiescent_horizon` last found live, asked
+    /// first on its next call. A hint only: any value gives the same
+    /// horizon.
+    pub(crate) live_hint: std::cell::Cell<Option<LiveUnit>>,
 }
 
 impl std::fmt::Debug for HmcSim {
@@ -156,6 +160,7 @@ impl HmcSim {
             bodies,
             inv: None,
             edges_trace_conflicts: false,
+            live_hint: std::cell::Cell::new(None),
         };
         debug_assert!(
             sim.installed_matches_params(),
@@ -722,13 +727,12 @@ impl HmcSim {
     }
 
     pub(crate) fn stage6_update_clock(&mut self) {
-        use crate::register::regs;
         for d in &mut self.devices {
             d.registers.tick();
             // Mirror live link token counts into the IBTC registers so
             // in-band MODE_READs observe real flow-control state.
-            for l in &d.links {
-                let _ = d.registers.set_internal(regs::ibtc(l.id), l.tokens as u64);
+            for (l, link) in d.links.iter().enumerate() {
+                d.registers.set_ibtc(l, link.tokens as u64);
             }
         }
         // The AC (address configuration) register selects among the
@@ -736,28 +740,33 @@ impl HmcSim {
         // low-interleave (default), 1 = bank-first, 2 = linear. Devices
         // are homogeneous, so device 0's AC governs the object; changes
         // take effect at the clock edge for subsequently routed packets.
-        let ac = self.devices[0].registers.read(regs::AC).unwrap_or(0);
+        let ac = self.devices[0].registers.ac();
         if ac != self.ac_mode {
-            let geometry = self.config.geometry();
-            let new_map: Option<Box<dyn AddressMap>> = match ac {
-                0 => hmc_types::LowInterleaveMap::new(geometry)
-                    .ok()
-                    .map(|m| Box::new(m) as Box<dyn AddressMap>),
-                1 => hmc_types::BankFirstMap::new(geometry)
-                    .ok()
-                    .map(|m| Box::new(m) as Box<dyn AddressMap>),
-                2 => hmc_types::LinearMap::new(geometry)
-                    .ok()
-                    .map(|m| Box::new(m) as Box<dyn AddressMap>),
-                // Unknown modes leave the current map in place.
-                _ => None,
-            };
-            if let Some(map) = new_map {
-                self.install_map(map);
-            }
-            self.ac_mode = ac;
+            self.apply_ac_mode(ac);
         }
         self.clock += 1;
+    }
+
+    /// Install the address map AC mode `ac` selects and record the mode.
+    /// Unknown modes leave the current map in place.
+    fn apply_ac_mode(&mut self, ac: u64) {
+        let geometry = self.config.geometry();
+        let new_map: Option<Box<dyn AddressMap>> = match ac {
+            0 => hmc_types::LowInterleaveMap::new(geometry)
+                .ok()
+                .map(|m| Box::new(m) as Box<dyn AddressMap>),
+            1 => hmc_types::BankFirstMap::new(geometry)
+                .ok()
+                .map(|m| Box::new(m) as Box<dyn AddressMap>),
+            2 => hmc_types::LinearMap::new(geometry)
+                .ok()
+                .map(|m| Box::new(m) as Box<dyn AddressMap>),
+            _ => None,
+        };
+        if let Some(map) = new_map {
+            self.install_map(map);
+        }
+        self.ac_mode = ac;
     }
 
     // ------------------------------------------------------------- misc
@@ -782,9 +791,17 @@ impl HmcSim {
     /// Reset every device to its power-on state and zero the clock, the
     /// statistics and the link-fault counters. Topology wiring and the
     /// parameters are preserved.
+    ///
+    /// The AC register returns to mode 0, so a map an AC write selected
+    /// gives way to the power-on low-interleave map. A map installed with
+    /// [`HmcSim::set_address_map`] while the mode is 0 survives, like the
+    /// parameters do.
     pub fn reset(&mut self) {
         for id in 0..self.num_devices() {
             self.reset_device(id).expect("id is below num_devices");
+        }
+        if self.ac_mode != 0 {
+            self.apply_ac_mode(0);
         }
         self.clock = 0;
         self.stats = SimStats::default();

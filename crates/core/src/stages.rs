@@ -133,7 +133,7 @@ impl HmcSim {
     /// host link).
     pub(crate) fn stage1_child_xbar_requests(&mut self) {
         for di in 0..self.devices.len() {
-            if !self.devices[di].is_root() {
+            if !self.devices[di].is_root() && !self.xbar_walk_idle(di) {
                 self.process_xbar_requests(di);
             }
         }
@@ -143,10 +143,20 @@ impl HmcSim {
     /// connected directly to a host interface).
     pub(crate) fn stage2_root_xbar_requests(&mut self) {
         for di in 0..self.devices.len() {
-            if self.devices[di].is_root() {
+            if self.devices[di].is_root() && !self.xbar_walk_idle(di) {
                 self.process_xbar_requests(di);
             }
         }
+    }
+
+    /// True when device `di`'s crossbar walk would do nothing at all:
+    /// every request queue is empty, and neither link-fault retraining
+    /// nor a FLIT budget is configured (a retraining window's expiry and
+    /// FLIT-debt paydown happen inside the walk, queue or no queue).
+    fn xbar_walk_idle(&self, di: usize) -> bool {
+        self.faults.is_none()
+            && self.params().link_flits_per_cycle.is_none()
+            && self.devices[di].xbars.iter().all(|x| x.rqst.is_empty())
     }
 
     /// The shared crossbar walk of stages 1 and 2: route each link's
@@ -571,9 +581,9 @@ impl HmcSim {
                 if idx >= self.devices[di].xbars[l].rsp.len() {
                     break;
                 }
-                let (dest, tag, arrived) = {
+                let (dest, arrived) = {
                     let e = self.devices[di].xbars[l].rsp.get(idx).expect("idx checked");
-                    (e.dest_cube, e.packet.tag(), e.arrival_cycle)
+                    (e.dest_cube, e.arrival_cycle)
                 };
                 // One internal stage per sub-cycle (§IV.C): an entry that
                 // already moved this cycle (re-routed from another link or
@@ -583,6 +593,8 @@ impl HmcSim {
                     continue;
                 }
                 // Deliverable where it sits: host attached to this link.
+                // Passed on its header alone (only a stall report reads
+                // an entry's tag from its body).
                 if self.devices[di].links[l].remote == Endpoint::Host(dest) {
                     idx += 1;
                     continue;
@@ -612,6 +624,7 @@ impl HmcSim {
                         Endpoint::Device(r, rl) => {
                             let (r, rl) = (r as usize, rl as usize);
                             if self.devices[r].xbars[rl].rsp.is_full() {
+                                let tag = self.xbar_rsp_tag(di, l, idx);
                                 self.emit(TraceEvent::XbarRspStall {
                                     cube: dev_id,
                                     link: l as LinkId,
@@ -649,6 +662,7 @@ impl HmcSim {
                 } else {
                     // Re-route within the device to the egress crossbar.
                     if self.devices[di].xbars[e_link].rsp.is_full() {
+                        let tag = self.xbar_rsp_tag(di, l, idx);
                         self.emit(TraceEvent::XbarRspStall {
                             cube: dev_id,
                             link: e_link as LinkId,
@@ -802,6 +816,13 @@ impl HmcSim {
     fn xbar_rqst_tag(&self, di: usize, l: usize, idx: usize) -> u16 {
         let rqst = &self.devices[di].xbars[l].rqst;
         rqst.get(idx).expect("idx checked").packet.tag()
+    }
+
+    /// The tag of entry `idx` of link `l`'s crossbar response queue, for
+    /// the stall event about to report it.
+    fn xbar_rsp_tag(&self, di: usize, l: usize, idx: usize) -> u16 {
+        let rsp = &self.devices[di].xbars[l].rsp;
+        rsp.get(idx).expect("idx checked").packet.tag()
     }
 
     /// Retire slot `idx` of link `l`'s crossbar request queue and hand

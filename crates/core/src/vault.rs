@@ -342,7 +342,8 @@ impl Vault {
     ) -> Execution {
         self.stats.errors += 1;
         // Posted requests owe no response even on failure; the error is
-        // only visible through traces and the EDR registers.
+        // only visible through traces and the ERR register, which the
+        // stage-4 walk bumps for every failure (`count_error_response`).
         if cmd.is_some_and(Command::is_posted) {
             bodies.give(request.packet);
         } else {

@@ -169,6 +169,30 @@ fn host_round(
     }
 }
 
+/// The fast-forward round: a burst of up to 16 reads round-robin over
+/// the links (cut short by back-pressure), one `clock_batch` across a
+/// gap of 64 to 575 cycles, which the engine jumps in spans and steps on
+/// the cycles those jumps land on, and — unless `deaf` — a drain.
+fn burst_round(sim: &mut HmcSim, rng: &mut Lcg, tag: &mut u16, deaf: bool) {
+    let capacity = sim.config().capacity_bytes;
+    let links = sim.config().num_links;
+    for i in 0..16u8 {
+        let link = i % links;
+        let addr = (rng.next() % (capacity / 64)) * 64;
+        let read = Packet::request(Command::Rd(BlockSize::B64), 0, addr, *tag, link, &[]).unwrap();
+        if !try_send(sim, link, read, tag) {
+            break;
+        }
+    }
+    sim.clock_batch(64 + rng.next() % 512).unwrap();
+    if deaf {
+        return;
+    }
+    for link in 0..links {
+        while sim.recv(0, link).is_ok() {}
+    }
+}
+
 /// How a leg drives the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Through {
@@ -176,6 +200,9 @@ enum Through {
     Packets(Mix),
     /// The host model, in the run loop's inject / clock / drain shape.
     Host,
+    /// Burst / gap rounds of reads ([`burst_round`]) with
+    /// `SimParams::fast_forward` on.
+    Bursts,
 }
 
 /// One configuration of the simulator under saturating traffic.
@@ -191,6 +218,8 @@ struct Leg {
 enum Injector {
     /// The packet mix, and the next request's tag.
     Packets { mix: Mix, tag: u16 },
+    /// The next read's tag.
+    Bursts { tag: u16 },
     /// The host, and the op its last stall left over.
     Host {
         host: Box<Host>,
@@ -202,6 +231,7 @@ impl Injector {
     fn new(sim: &HmcSim, through: Through) -> Injector {
         match through {
             Through::Packets(mix) => Injector::Packets { mix, tag: 1 },
+            Through::Bursts => Injector::Bursts { tag: 1 },
             Through::Host => Injector::Host {
                 host: Box::new(Host::attach(sim, sim.host_cube_id(0)).unwrap()),
                 pending: None,
@@ -212,6 +242,7 @@ impl Injector {
     fn round(&mut self, sim: &mut HmcSim, rng: &mut Lcg, deaf: bool) {
         match self {
             Injector::Packets { mix, tag } => packet_round(sim, rng, tag, *mix, deaf),
+            Injector::Bursts { tag } => burst_round(sim, rng, tag, deaf),
             Injector::Host { host, pending } => host_round(sim, host, rng, pending, deaf),
         }
     }
@@ -219,7 +250,7 @@ impl Injector {
     /// Receive every response waiting on the host links.
     fn drain(&mut self, sim: &mut HmcSim) {
         match self {
-            Injector::Packets { .. } => {
+            Injector::Packets { .. } | Injector::Bursts { .. } => {
                 for link in 0..sim.config().num_links {
                     while sim.recv(0, link).is_ok() {}
                 }
@@ -244,6 +275,7 @@ fn steady_state_allocations(leg: Leg) -> (u64, u64) {
             ..NocParams::of(leg.fabric)
         },
         link_faults: leg.link_faults,
+        fast_forward: leg.through == Through::Bursts,
         ..SimParams::default()
     });
     let host = sim.host_cube_id(0);
@@ -325,12 +357,14 @@ fn steady_state_allocations(leg: Leg) -> (u64, u64) {
 /// first on clean links and then on links bad enough that one packet in
 /// eleven exhausts its retries and is poisoned — wherever an entry dies,
 /// its body must come back, or some later `send` allocates a new one.
-/// The last leg is the host boundary: the plain stream through
-/// `Host::try_issue` and `Host::drain`, where every request is built in
-/// its pooled body and every response decoded into the host's one
-/// reusable `ResponseInfo`. One test, seven legs in turn: the allocation
-/// counter is process-wide, so concurrent tests would count each other's
-/// work.
+/// Then the host boundary: the plain stream through `Host::try_issue`
+/// and `Host::drain`, where every request is built in its pooled body
+/// and every response decoded into the host's one reusable
+/// `ResponseInfo`. The eighth leg is the fast-forward engine, run under
+/// the classic and then the DDR backend: burst / gap rounds through
+/// `clock_batch`, so the horizon, its jumps and the steps they land on
+/// all run. One test, every leg in turn: the allocation counter is
+/// process-wide, so concurrent tests would count each other's work.
 #[test]
 fn steady_state_serial_clock_allocates_nothing() {
     let plain = |timing, fabric| Leg {
@@ -361,6 +395,14 @@ fn steady_state_serial_clock_allocates_nothing() {
         Leg {
             through: Through::Host,
             ..plain(TimingKind::Classic, InterconnectKind::Crossbar)
+        },
+        Leg {
+            through: Through::Bursts,
+            ..plain(TimingKind::Classic, InterconnectKind::Crossbar)
+        },
+        Leg {
+            through: Through::Bursts,
+            ..plain(TimingKind::Ddr, InterconnectKind::Crossbar)
         },
     ] {
         let (allocations, bodies) = steady_state_allocations(leg);
