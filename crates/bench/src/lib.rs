@@ -4,8 +4,8 @@
 //! figure of the HMC-Sim paper (Table I simulated-runtime comparison,
 //! Figure 5 per-cycle trace series, the Figure 1 topology walks and the
 //! Figure 3 stage schedule), plus parameter-sweep ablations. Binaries live
-//! in `src/bin/`, criterion layer microbenches and simulated-cycle
-//! ablations in `benches/`. Nothing here times a whole workload: that is
+//! in `src/bin/`; `tests/ablations.rs` pins the simulated cycle counts of
+//! the spec-latitude ablations. Nothing here times anything: that is
 //! `benchmark/`'s job alone.
 
 #![forbid(unsafe_code)]

@@ -138,7 +138,7 @@ impl Device {
     /// rides the buffered fabric: the device has one (ring or mesh) and
     /// the two sit in different quads (link `l` fronts quad `l`). The
     /// split is per packet, not per fabric — same-quad traffic on a mesh
-    /// takes the direct push. A bit test against [`Device::noc_vaults`],
+    /// takes the direct push. A bit test against `Device::noc_vaults`,
     /// the one mask stage 2's walk, stage 5's drain and the fast-forward
     /// horizon's crossbar-request gate all read, so the horizon cannot
     /// disagree with the walks it stands in for.

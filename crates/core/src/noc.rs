@@ -688,7 +688,7 @@ impl NocState {
     /// A buffer whose last scan moved nothing is not scanned again while
     /// it holds the same packets and every target that refused them is
     /// still full: that scan's stall counts are replayed instead
-    /// ([`ScanMemo`]; `NocStall` tracing, which names each stalled
+    /// (`ScanMemo`; `NocStall` tracing, which names each stalled
     /// packet, always scans).
     ///
     /// If a plane's pass moves nothing while packets sit stalled on

@@ -6,7 +6,7 @@
 //! §IV, requirement 3). [`SimParams`] collects the knobs our
 //! implementation exposes over that latitude; the defaults reproduce the
 //! behaviour used for the paper-shape experiments, and the ablation
-//! benches sweep them.
+//! tests (`crates/bench/tests/ablations.rs`) sweep them.
 
 use hmc_types::{
     ArbitrationKind, CellFaultConfig, DeviceConfig, HmcError, InterconnectKind, LinkFaultConfig,

@@ -22,7 +22,7 @@
 //! crossbar walks of stages 1 and 2, the NoC sub-stage, stage 5, and the
 //! helpers they share. Stages 3 and 4 — the per-vault bank walk — and
 //! the cycle loop that calls everything in order live in
-//! [`crate::engine`].
+//! the `engine` module.
 
 use hmc_trace::{EventKind, TraceEvent};
 use hmc_types::packet::ResponseStatus;

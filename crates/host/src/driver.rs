@@ -10,7 +10,7 @@
 use hmc_core::builder::TimedResponse;
 use hmc_core::HmcSim;
 use hmc_types::{CubeId, Cycle, HmcError, Result};
-use hmc_workloads::{MemOp, Workload};
+use hmc_workloads::Workload;
 
 use crate::host::Host;
 
@@ -124,28 +124,9 @@ where
     let start_violations = sim.total_invariant_violations();
     let start_cycle = sim.current_clock();
     let start_stats = host.stats;
-    let mut pending: Option<MemOp> = None;
-    let mut exhausted = false;
 
     loop {
-        // Inject until a stall, tag exhaustion, or workload end.
-        loop {
-            let op = match pending.take() {
-                Some(op) => op,
-                None => match workload.next_op() {
-                    Some(op) => op,
-                    None => {
-                        exhausted = true;
-                        break;
-                    }
-                },
-            };
-            if host.try_issue(sim, cfg.target_cube, &op)? {
-                continue;
-            }
-            pending = Some(op);
-            break;
-        }
+        let exhausted = host.inject(sim, cfg.target_cube, || workload.next_op())?;
 
         sim.clock()?;
         match capture {
@@ -167,7 +148,7 @@ where
             progress(elapsed, host.stats.injected - start_stats.injected);
         }
 
-        if exhausted && pending.is_none() && host.outstanding() == 0 {
+        if exhausted && host.outstanding() == 0 {
             // Posted traffic may still be in flight inside the device;
             // drain it so back-to-back runs start clean.
             // (Posted responses never correlate, so the capture sink is

@@ -85,13 +85,37 @@ pub struct HostStats {
     pub orphans: u64,
 }
 
+/// The ports a request for one cube may leave through — a contiguous run
+/// of [`Host::ports`], which `attach` discovers device by device — and
+/// the round-robin cursor over that run.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    first: usize,
+    len: usize,
+    next: usize,
+}
+
+impl Route {
+    fn over(first: usize, end: usize) -> Route {
+        Route {
+            first,
+            len: end - first,
+            next: 0,
+        }
+    }
+}
+
 /// A host processor attached to one or more host links.
 #[derive(Debug)]
 pub struct Host {
     /// This host's cube ID.
     pub cube_id: CubeId,
     ports: Vec<(CubeId, LinkId)>,
-    rr: usize,
+    /// `routes[t]` for each device `t`, then one over every port for a
+    /// target outside the device range.
+    routes: Vec<Route>,
+    /// An op the device refused, retried before anything newer.
+    held: Option<MemOp>,
     selection: LinkSelection,
     tags: TagPool,
     /// Operation counters.
@@ -107,23 +131,34 @@ impl Host {
     /// Discover this host's links from the simulation topology.
     pub fn attach(sim: &HmcSim, cube_id: CubeId) -> Result<Self> {
         let mut ports = Vec::new();
+        let mut routes = Vec::new();
         for dev in 0..sim.num_devices() {
-            let d = sim.device(dev)?;
-            for link in &d.links {
+            let first = ports.len();
+            for link in &sim.device(dev)?.links {
                 if link.remote == hmc_core::Endpoint::Host(cube_id) {
                     ports.push((dev, link.id));
                 }
             }
+            routes.push(Route::over(first, ports.len()));
         }
         if ports.is_empty() {
             return Err(HmcError::Topology(format!(
                 "host {cube_id} has no links in this topology"
             )));
         }
+        // A cube with no port of its own (a chain behind cube 0), or a
+        // target outside the device range, is sent through every port and
+        // the devices route it onward.
+        let every = Route::over(0, ports.len());
+        for route in routes.iter_mut().filter(|r| r.len == 0) {
+            *route = every;
+        }
+        routes.push(every);
         Ok(Host {
             cube_id,
             ports,
-            rr: 0,
+            routes,
+            held: None,
             selection: LinkSelection::RoundRobin,
             tags: TagPool::new(),
             stats: HostStats::default(),
@@ -159,40 +194,31 @@ impl Host {
         n
     }
 
-    /// Port visit order for one issue, allocation-free (hot path: this
-    /// runs once per injected request — 33.5M times in a Table I run).
-    fn pick_ports(&self, sim: &HmcSim, target: CubeId, op: &MemOp) -> ([usize; 8], usize) {
-        let n = self.ports.len().min(8);
-        let mut order = [0usize; 8];
-        // A wrap-around, not a `%` per port; `rr` lies past the window
-        // only on a host with more than eight ports.
-        let mut port = if self.rr < n { self.rr } else { self.rr % n };
-        for slot in order.iter_mut().take(n) {
-            *slot = port;
-            port = if port + 1 == n { 0 } else { port + 1 };
+    /// The port a request for `target` tries first: the one on the
+    /// destination quad's link under [`LinkSelection::LocalityAware`]
+    /// (link i is closest to quad i), as a position in `route`.
+    fn preferred(&self, sim: &HmcSim, route: &Route, target: CubeId, op: &MemOp) -> Option<usize> {
+        if self.selection != LinkSelection::LocalityAware {
+            return None;
         }
-        if self.selection == LinkSelection::LocalityAware {
-            // Put the port whose link index matches the destination quad
-            // (link i is closest to quad i) and device first.
-            if let Ok(decoded) = PhysAddr::new(op.addr).and_then(|a| sim.address_map().decode(a))
-            {
-                let quad = (decoded.vault / 4) as LinkId;
-                if let Some(pos) = order[..n]
-                    .iter()
-                    .position(|&i| self.ports[i] == (target, quad))
-                {
-                    order[..=pos].rotate_right(1);
-                }
-            }
-        }
-        (order, n)
+        let decoded = PhysAddr::new(op.addr)
+            .and_then(|a| sim.address_map().decode(a))
+            .ok()?;
+        let quad = (decoded.vault / 4) as LinkId;
+        self.ports[route.first..route.first + route.len]
+            .iter()
+            .position(|&port| port == (target, quad))
     }
 
     /// Try to inject one operation toward device `target`.
     ///
-    /// Returns `Ok(true)` when the request was accepted, `Ok(false)` when
-    /// every candidate port stalled or no tag was available (retry after
-    /// clocking); genuine errors (bad topology, malformed op) propagate.
+    /// `target`'s own ports (every port when it has none) are tried
+    /// round-robin from the one after the last that accepted a request
+    /// for it, the preferred port first under
+    /// [`LinkSelection::LocalityAware`]. Returns `Ok(true)` when
+    /// the request was accepted, `Ok(false)` when every candidate port
+    /// stalled or no tag was available (retry after clocking); genuine
+    /// errors (bad topology, malformed op) propagate.
     pub fn try_issue(&mut self, sim: &mut HmcSim, target: CubeId, op: &MemOp) -> Result<bool> {
         let cmd = op.command();
         let expects_response = op.expects_response();
@@ -200,10 +226,16 @@ impl Host {
             self.stats.tag_stalls += 1;
             return Ok(false);
         }
-        let (order, num_ports) = self.pick_ports(sim, target, op);
+        let r = (target as usize).min(self.routes.len() - 1);
+        let route = self.routes[r];
+        let preferred = self.preferred(sim, &route, target, op);
+        let rotation = (route.next..route.len).chain(0..route.next);
         let payload_len = self.write_payload(op);
-        for &port_idx in &order[..num_ports] {
-            let (dev, link) = self.ports[port_idx];
+        for pos in preferred
+            .into_iter()
+            .chain(rotation.filter(|&pos| Some(pos) != preferred))
+        {
+            let (dev, link) = self.ports[route.first + pos];
             // Tag 0x1ff is reserved for posted requests (no correlation).
             let tag = if expects_response {
                 self.tags
@@ -223,11 +255,7 @@ impl Host {
                 p.fill_request(cmd, target, op.addr, tag, link, payload)
             }) {
                 Ok(()) => {
-                    self.rr = if port_idx + 1 == self.ports.len() {
-                        0
-                    } else {
-                        port_idx + 1
-                    };
+                    self.routes[r].next = if pos + 1 == route.len { 0 } else { pos + 1 };
                     self.stats.injected += 1;
                     if !expects_response {
                         self.stats.posted += 1;
@@ -250,6 +278,30 @@ impl Host {
             }
         }
         Ok(false)
+    }
+
+    /// The §VI.A inject-until-stall step: retry the held op, then draw
+    /// ops from `source` and issue them toward `target` until one stalls
+    /// (it is held for the next call), the tags run out, or `source`
+    /// returns `None`. Returns true when `source` ran dry with no op held.
+    pub fn inject<F>(&mut self, sim: &mut HmcSim, target: CubeId, mut source: F) -> Result<bool>
+    where
+        F: FnMut() -> Option<MemOp>,
+    {
+        loop {
+            let Some(op) = self.held.take().or_else(&mut source) else {
+                return Ok(true);
+            };
+            if !self.try_issue(sim, target, &op)? {
+                self.held = Some(op);
+                return Ok(false);
+            }
+        }
+    }
+
+    /// True while an op refused by [`Host::inject`] waits to be retried.
+    pub fn holds_op(&self) -> bool {
+        self.held.is_some()
     }
 
     /// Drain every pending response from all ports, correlating tags and

@@ -157,11 +157,9 @@ pub struct SessionState {
     host: Host,
     target: CubeId,
     limits: SessionLimits,
-    /// Ops admitted but not yet accepted by the device, in issue order.
+    /// Ops admitted but not yet drawn by the host, in issue order (a
+    /// stalled op waits in the host, which retries it first).
     inflight: VecDeque<SessionOp>,
-    /// The op currently being retried after a stall (mirror of the
-    /// driver's `pending` slot — it must retry *before* newer ops).
-    pending: Option<MemOp>,
     /// Completed responses awaiting a client poll.
     responses: VecDeque<WireResponse>,
 }
@@ -192,7 +190,6 @@ impl SessionState {
             target: 0,
             limits,
             inflight: VecDeque::new(),
-            pending: None,
             responses: VecDeque::new(),
         })
     }
@@ -231,7 +228,7 @@ impl SessionState {
     /// True when the session still has simulation work to do (pumping
     /// would make progress).
     pub fn has_work(&self) -> bool {
-        self.pending.is_some()
+        self.host.holds_op()
             || !self.inflight.is_empty()
             || self.host.outstanding() > 0
             || !self.sim.is_quiesced()
@@ -257,11 +254,12 @@ impl SessionState {
     /// Execute one scheduling quantum (at most `limits.slice_cycles`).
     ///
     /// Each iteration replays the driver loop exactly: inject from the
-    /// inflight queue until a stall (keeping a stalled op in `pending` so
-    /// it retries first), clock one cycle, drain — capturing correlated
-    /// responses into the session buffer. Once every tagged response is
-    /// home and the queue is dry, residual posted traffic is settled with
-    /// batched clock advances (no tags in flight, so cadence is free).
+    /// inflight queue until a stall (`Host::inject`, which holds a
+    /// stalled op and retries it first), clock one cycle, drain —
+    /// capturing correlated responses into the session buffer. Once every
+    /// tagged response is home and the queue is dry, residual posted
+    /// traffic is settled with batched clock advances (no tags in flight,
+    /// so cadence is free).
     ///
     /// An [`SessionOp::Idle`] gap at the queue head runs before anything
     /// behind it: the gap models client think time, so ops submitted
@@ -275,7 +273,7 @@ impl SessionState {
                 return Ok(PumpOutcome::Paused);
             }
             // Serve an idle gap at the queue head before injecting.
-            if self.pending.is_none() {
+            if !self.host.holds_op() {
                 if let Some(SessionOp::Idle(gap)) = self.inflight.front_mut() {
                     let advance = (*gap).min(budget);
                     self.sim.clock_batch(advance)?;
@@ -293,27 +291,17 @@ impl SessionState {
             }
             // Inject until a stall, tag exhaustion, an empty queue, or an
             // idle gap behind the memory ops.
-            loop {
-                let op = match self.pending.take() {
-                    Some(op) => op,
-                    None => match self.inflight.front() {
-                        Some(SessionOp::Mem(op)) => {
-                            let op = *op;
-                            self.inflight.pop_front();
-                            op
-                        }
-                        Some(SessionOp::Idle(_)) | None => break,
-                    },
-                };
-                if self.host.try_issue(&mut self.sim, self.target, &op)? {
-                    continue;
+            let inflight = &mut self.inflight;
+            let next_mem = || match inflight.front() {
+                Some(&SessionOp::Mem(op)) => {
+                    inflight.pop_front();
+                    Some(op)
                 }
-                self.pending = Some(op);
-                break;
-            }
+                _ => None,
+            };
+            let dry = self.host.inject(&mut self.sim, self.target, next_mem)?;
 
-            if self.pending.is_none() && self.inflight.is_empty() && self.host.outstanding() == 0
-            {
+            if dry && self.inflight.is_empty() && self.host.outstanding() == 0 {
                 if self.sim.is_quiesced() {
                     return Ok(PumpOutcome::Idle);
                 }
@@ -351,7 +339,7 @@ impl SessionState {
             orphans: hs.orphans,
             outstanding: self.host.outstanding() as u32,
             queue_occupancy: self.sim.total_occupancy() as u32,
-            inflight: (self.inflight.len() + usize::from(self.pending.is_some())) as u32,
+            inflight: (self.inflight.len() + usize::from(self.host.holds_op())) as u32,
             buffered_responses: self.responses.len() as u32,
             mean_latency: self.host.latency.mean(),
             max_latency: self.host.latency.max,

@@ -52,27 +52,6 @@ fn poll_until_idle(client: &mut Client, session: u64, deadline: Duration) -> Vec
 
 #[test]
 fn served_responses_are_bit_identical_to_the_in_process_driver() {
-    let config = DeviceConfig::small();
-    let spec = WorkloadSpec::new("random", 42, 1 << 24, 2_000);
-
-    // In-process reference: the session pump's construction mirrors this
-    // exactly (one device, simple topology, host on cube 0).
-    let mut sim = HmcSim::new(1, config.clone()).unwrap();
-    let host_id = sim.host_cube_id(0);
-    topology::build_simple(&mut sim, host_id).unwrap();
-    let mut host = Host::attach(&sim, host_id).unwrap();
-    let mut reference_workload = spec.clone().build().unwrap();
-    let (report, captured) = run_workload_captured(
-        &mut sim,
-        &mut host,
-        reference_workload.as_mut(),
-        RunConfig::default(),
-    )
-    .unwrap();
-    assert!(report.completed > 0, "reference run did no work");
-
-    // Served run: same spec, fresh workload, one batch so the inflight
-    // queue never runs dry mid-run (the determinism precondition).
     let cfg = ServerConfig {
         threads: 1,
         ..ServerConfig::default()
@@ -80,44 +59,80 @@ fn served_responses_are_bit_identical_to_the_in_process_driver() {
     let (path, server) = start_server("differential", cfg);
     let flag = server.shutdown_flag();
     let run = std::thread::spawn(move || server.run(Duration::from_secs(30)));
-
     let mut client = Client::connect_uds(&path).unwrap();
-    let mut served_workload = spec.build().unwrap();
-    let ops = workload_to_wire(served_workload.as_mut());
-    let session = client
-        .open_session_preset("small", ops.len() as u32, 0)
-        .unwrap();
-    match client.submit(session, &ops).unwrap() {
-        SubmitResult::Accepted { accepted, .. } => {
-            assert_eq!(accepted as usize, ops.len(), "batch must admit whole");
-        }
-        SubmitResult::Busy { .. } => panic!("fresh session rejected its first batch"),
-    }
-    let served = poll_until_idle(&mut client, session, Duration::from_secs(30));
-    let final_stats = client.close(session).unwrap();
 
-    assert_eq!(
-        served.len(),
-        captured.len(),
-        "served and in-process runs completed different response counts"
-    );
-    for (i, (wire, reference)) in served.iter().zip(captured.iter()).enumerate() {
-        assert_eq!(wire.tag, reference.info.tag, "tag diverged at response {i}");
+    // The second input keeps more than 512 requests in flight on the
+    // paper's 4-link device, so the host runs out of tags and retries a
+    // held op: the served run must take that retry exactly as the driver.
+    for (preset, tag_stalls) in [("small", false), ("4l8b", true)] {
+        let config = DeviceConfig::by_name(preset).unwrap();
+        let spec = WorkloadSpec::new("random", 42, 1 << 24, 2_000);
+
+        // In-process reference: the session pump's construction mirrors
+        // this exactly (one device, simple topology, host on cube 0).
+        let mut sim = HmcSim::new(1, config).unwrap();
+        let host_id = sim.host_cube_id(0);
+        topology::build_simple(&mut sim, host_id).unwrap();
+        let mut host = Host::attach(&sim, host_id).unwrap();
+        let mut reference_workload = spec.clone().build().unwrap();
+        let (report, captured) = run_workload_captured(
+            &mut sim,
+            &mut host,
+            reference_workload.as_mut(),
+            RunConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(report.completed, 2_000, "{preset}: every op answered");
+        assert_eq!(host.stats.tag_stalls > 0, tag_stalls, "{preset}");
+
+        // Served run: same spec, fresh workload, one batch so the
+        // inflight queue never runs dry mid-run (the determinism
+        // precondition).
+        let mut served_workload = spec.build().unwrap();
+        let ops = workload_to_wire(served_workload.as_mut());
+        let session = client
+            .open_session_preset(preset, ops.len() as u32, 0)
+            .unwrap();
+        match client.submit(session, &ops).unwrap() {
+            SubmitResult::Accepted { accepted, .. } => {
+                assert_eq!(accepted as usize, ops.len(), "batch must admit whole");
+            }
+            SubmitResult::Busy { .. } => panic!("fresh session rejected its first batch"),
+        }
+        let served = poll_until_idle(&mut client, session, Duration::from_secs(30));
+        let final_stats = client.close(session).unwrap();
+
         assert_eq!(
-            wire.data, reference.info.data,
-            "data diverged at response {i} (tag {})",
-            wire.tag
+            served.len(),
+            captured.len(),
+            "{preset}: served and in-process runs completed different response counts"
         );
-        assert_eq!(
-            wire.latency, reference.latency,
-            "latency diverged at response {i} (tag {})",
-            wire.tag
-        );
-        assert_eq!(wire.ok, reference.info.is_ok(), "status diverged at {i}");
+        for (i, (wire, reference)) in served.iter().zip(captured.iter()).enumerate() {
+            assert_eq!(
+                wire.tag, reference.info.tag,
+                "{preset}: tag diverged at response {i}"
+            );
+            assert_eq!(
+                wire.data, reference.info.data,
+                "{preset}: data diverged at response {i} (tag {})",
+                wire.tag
+            );
+            assert_eq!(
+                wire.latency, reference.latency,
+                "{preset}: latency diverged at response {i} (tag {})",
+                wire.tag
+            );
+            assert_eq!(
+                wire.ok,
+                reference.info.is_ok(),
+                "{preset}: status diverged at {i}"
+            );
+        }
+        assert_eq!(final_stats.completed, report.completed);
+        assert_eq!(final_stats.injected, report.injected);
+        assert_eq!(final_stats.tag_stalls, host.stats.tag_stalls);
+        assert_eq!(final_stats.orphans, 0);
     }
-    assert_eq!(final_stats.completed, report.completed);
-    assert_eq!(final_stats.injected, report.injected);
-    assert_eq!(final_stats.orphans, 0);
 
     flag.store(true, Ordering::Release);
     assert_eq!(run.join().unwrap(), DrainOutcome::Drained);

@@ -243,9 +243,10 @@ impl Command {
         }
     }
 
-    /// Decode a 6-bit wire `CMD` value: one load from [`DECODE`]. Every
-    /// queue walk asks this of every packet it acts on, so it must inline
-    /// and must not build its error until a code is actually unknown.
+    /// Decode a 6-bit wire `CMD` value: one load from the `DECODE`
+    /// table. Every queue walk asks this of every packet it acts on, so
+    /// it must inline and must not build its error until a code is
+    /// actually unknown.
     #[inline]
     pub fn decode(code: u8) -> Result<Self> {
         match DECODE.get(code as usize) {

@@ -47,15 +47,10 @@ fn run(params: SimParams, traced: bool, advance: fn(&mut HmcSim, u64)) -> Outcom
     let mut stream = RandomAccess::new(1, 2 << 30, BlockSize::B64, 50, REQUESTS);
 
     let mut responses = Vec::new();
-    let mut next = stream.next_op();
+    let mut dry = false;
     let mut deepest = 0;
-    while next.is_some() || host.outstanding() > 0 {
-        while let Some(op) = &next {
-            if !host.try_issue(&mut sim, 0, op).unwrap() {
-                break;
-            }
-            next = stream.next_op();
-        }
+    while !dry || host.outstanding() > 0 {
+        dry = host.inject(&mut sim, 0, || stream.next_op()).unwrap();
         deepest = deepest.max(host.outstanding());
         advance(&mut sim, VISIT_EVERY);
         host.drain_with(&mut sim, |info, latency| {

@@ -3,7 +3,7 @@
 //! other HMC devices" (§III.A), and hosts are ordinary cube IDs above the
 //! device range (§V.B) — so several processors can share a cube.
 
-use hmc_sim::hmc_core::HmcSim;
+use hmc_sim::hmc_core::{topology, HmcSim};
 use hmc_sim::hmc_host::{run_workload, Host, RunConfig};
 use hmc_sim::hmc_types::{BlockSize, Command, DeviceConfig, Packet, StorageMode};
 use hmc_sim::hmc_workloads::{RandomAccess, Workload};
@@ -64,28 +64,10 @@ fn two_hosts_run_workloads_concurrently() {
     let mut wb = RandomAccess::new(2, 1 << 24, BlockSize::B64, 50, 1_000);
 
     // Interleave the two drivers by hand on a shared clock.
-    let mut pending_a = None;
-    let mut pending_b = None;
     let mut safety = 0u32;
     loop {
-        for (host, workload, pending) in [
-            (&mut a, &mut wa, &mut pending_a),
-            (&mut b, &mut wb, &mut pending_b),
-        ] {
-            loop {
-                let op = match pending.take() {
-                    Some(op) => op,
-                    None => match workload.next_op() {
-                        Some(op) => op,
-                        None => break,
-                    },
-                };
-                if !host.try_issue(&mut sim, 0, &op).unwrap() {
-                    *pending = Some(op);
-                    break;
-                }
-            }
-        }
+        a.inject(&mut sim, 0, || wa.next_op()).unwrap();
+        b.inject(&mut sim, 0, || wb.next_op()).unwrap();
         sim.clock().unwrap();
         a.drain(&mut sim).unwrap();
         b.drain(&mut sim).unwrap();
@@ -156,4 +138,42 @@ fn chained_device_serves_a_second_host_through_the_chain() {
         }
     }
     assert_eq!(got.unwrap(), data.to_vec(), "host B sees host A's write");
+}
+
+#[test]
+fn simple_topology_requests_leave_through_their_target_cubes_links() {
+    // Figure 1's "simple" topology wires every link of every cube to the
+    // host, and the cubes are not chained: a request for one cube sent
+    // down another's link comes back `Misroute`. Eight links per cube
+    // gives the host sixteen ports.
+    let paper = DeviceConfig::paper_8link_8bank_4gb().with_storage_mode(StorageMode::TimingOnly);
+    for config in [DeviceConfig::small().with_queue_depths(32, 16), paper] {
+        let links = config.num_links as usize;
+        let mut sim = HmcSim::new(2, config).unwrap();
+        let host_id = sim.host_cube_id(0);
+        topology::build_simple(&mut sim, host_id).unwrap();
+        let mut host = Host::attach(&sim, host_id).unwrap();
+        assert_eq!(host.ports().len(), 2 * links);
+        for target in [1u8, 0] {
+            let mut w = RandomAccess::new(1, 1 << 24, BlockSize::B64, 50, 2_000);
+            let cfg = RunConfig {
+                target_cube: target,
+                ..RunConfig::default()
+            };
+            let report = run_workload(&mut sim, &mut host, &mut w, cfg).unwrap();
+            assert_eq!(
+                (report.errors, report.completed),
+                (0, 2_000),
+                "{links} links, cube {target}"
+            );
+            let processed: u64 = sim
+                .device(target)
+                .unwrap()
+                .vaults
+                .iter()
+                .map(|v| v.stats.processed())
+                .sum();
+            assert_eq!(processed, 2_000, "{links} links, cube {target}");
+        }
+    }
 }
