@@ -35,7 +35,7 @@ use hmc_types::address::AddressMap;
 use hmc_types::{CubeId, Cycle, LinkId, Result, VaultId};
 
 use crate::device::Device;
-use crate::link::Endpoint;
+use crate::link::{Endpoint, LinkWait};
 use crate::params::{ConflictPolicy, RefreshParams};
 use crate::queue::{BodyPool, QueueEntry, NO_ROUTE, UNDECODED};
 use crate::register::RegisterFile;
@@ -594,10 +594,11 @@ impl HmcSim {
     /// The link / crossbar-request gate of link `l`: what the stage-1/2
     /// walk over this link's request queue does in the upcoming cycles.
     ///
-    /// * A link down for retraining skips its walk outright until the
-    ///   window lapses — and the first walk after expiry records the
-    ///   completed retraining (the `LinkRetrain` event), which is
-    ///   observable work: held until just short of that walk.
+    /// * The link layer answers first ([`Link::wait`](crate::link::Link::wait)).
+    ///   A link down for retraining skips its walk until the window
+    ///   lapses, and the first walk after expiry records the completed
+    ///   retraining (the `LinkRetrain` event), which is observable work:
+    ///   held until just short of that walk.
     /// * An empty queue's walk does nothing (inert).
     /// * FLIT debt covering the cycle's beat budget skips the walk
     ///   outright; once the debt is sub-budget the walk runs and breaks
@@ -618,9 +619,9 @@ impl HmcSim {
     ///
     ///   Such a walk leaves every slot and latch as it found them and
     ///   only zeroes sub-budget FLIT debt, which
-    ///   [`Link::decay_flit_debt`](crate::link::Link::decay_flit_debt)
-    ///   reproduces. It needs no edge of its own: a vault queue stops
-    ///   being full only when stage 4 issues from it, and every entry in
+    ///   [`Link::skip_turns`](crate::link::Link::skip_turns) reproduces.
+    ///   It needs no edge of its own: a vault queue stops being full
+    ///   only when stage 4 issues from it, and every entry in
     ///   that (non-empty) vault's scan window already contributes its
     ///   exact edge through [`HmcSim::vault_gate`]. The one thing that
     ///   un-keys a slot without any packet moving is an address-map swap:
@@ -628,24 +629,19 @@ impl HmcSim {
     ///   write not yet applied holds the walk inert for exactly one more
     ///   cycle — the stage-6 edge that applies it.
     fn xbar_rqst_gate(&self, dev: &Device, l: usize) -> Gate {
-        let link = &dev.links[l];
         let rqst = &dev.xbars[l].rqst;
-        let faults_on = self.faults.is_some();
-        if faults_on && link.retraining {
-            return match link.retrain_until.saturating_sub(self.clock) {
-                0 => Gate::Live,
-                dead => Gate::Held(dead),
-            };
-        }
+        let debt_dead = match dev.links[l].wait(self.link_rules(), self.clock) {
+            LinkWait::Retrain(0) => return Gate::Live,
+            LinkWait::Retrain(dead) => return Gate::Held(dead),
+            LinkWait::Debt(dead) => dead,
+        };
         if rqst.is_empty() {
             return Gate::Inert;
         }
-        let debt_dead = self
-            .params()
-            .link_flits_per_cycle
-            .map_or(0, |f| link.debt_dead_cycles(f.max(1)));
         let retry_dead = match rqst.front() {
-            Some(e) if faults_on && e.retry_gated(self.clock) => e.retry_until - self.clock,
+            Some(e) if self.faults.is_some() && e.retry_gated(self.clock) => {
+                e.retry_until - self.clock
+            }
             _ => 0,
         };
         let dead = debt_dead.max(retry_dead);
@@ -727,9 +723,9 @@ impl HmcSim {
     /// [`HmcSim::quiescent_horizon`], reproducing exactly the state a
     /// stepped engine would reach:
     ///
-    /// * FLIT debt decays by `dead` cycles' worth of beat budget
-    ///   ([`crate::link::Link::decay_flit_debt`] mirrors the stepped
-    ///   walk's decrement-then-zero sequence);
+    /// * every link is left as `dead` turns that move nothing leave it
+    ///   ([`crate::link::Link::skip_turns`]: FLIT debt pays down, frozen
+    ///   while the link retrains);
     /// * stage 6 runs once — its per-cycle effects are idempotent across
     ///   dead cycles (the register tick is a no-op unless an RWS write is
     ///   pending, and then clears it on the first edge; the IBTC mirror
@@ -743,17 +739,10 @@ impl HmcSim {
     ///   jump edge (see DESIGN.md on the per-jump checking policy).
     pub(crate) fn fast_forward_jump(&mut self, dead: u64) {
         debug_assert!(dead >= 1, "zero-length jumps must run stepped");
-        if let Some(f) = self.params().link_flits_per_cycle.map(|f| f.max(1)) {
-            for dev in &mut self.devices {
-                for link in &mut dev.links {
-                    // A retraining link's walk is skipped before its
-                    // debt paydown, so its debt stays frozen until the
-                    // window lapses; decaying it here would diverge
-                    // from the stepped engine.
-                    if link.flit_debt > 0 && !link.retraining {
-                        link.decay_flit_debt(dead, f);
-                    }
-                }
+        let rules = self.link_rules();
+        for dev in &mut self.devices {
+            for link in &mut dev.links {
+                link.skip_turns(rules, dead);
             }
         }
         self.stage6_update_clock();
@@ -765,8 +754,7 @@ impl HmcSim {
 
     /// One clock cycle: the six sub-cycle stages of §IV.C in order.
     pub(crate) fn clock_cycle(&mut self) {
-        self.stage1_child_xbar_requests();
-        self.stage2_root_xbar_requests();
+        self.stages12_xbar_requests();
         // NoC sub-stage (buffered fabrics only): move in-flight packets
         // one segment and deliver arrivals before stages 3 and 4 read
         // the vault queues.

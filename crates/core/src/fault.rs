@@ -29,14 +29,16 @@
 //! and predictable at issue time
 //! ([`predicts_poison`]) by the conformance oracle.
 
-use hmc_types::LinkFaultConfig;
+use hmc_trace::TraceEvent;
+use hmc_types::packet::ResponseStatus;
+use hmc_types::{Command, CubeId, LinkFaultConfig, LinkId};
 
-/// SplitMix64 finalizer — deterministic, seedable, cheap.
+use crate::queue::QueueEntry;
+use crate::sim::HmcSim;
+
+/// One SplitMix64 step: the golden-ratio increment, then the finalizer.
 fn mix(v: u64) -> u64 {
-    let mut z = v.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    hmc_types::splitmix64_mix(v.wrapping_add(0x9e37_79b9_7f4a_7c15))
 }
 
 /// The uniform draw for one transmission attempt: a pure hash of the
@@ -117,6 +119,90 @@ impl FaultState {
             self.injected += 1;
         }
         hit
+    }
+}
+
+/// What the link-retry protocol makes of a packet ([`HmcSim::retry_step`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Retry {
+    /// Clean: the walk routes it.
+    Clean,
+    /// The packet holds, and so does everything behind it on this link.
+    Hold,
+    /// Retries exhausted: the packet left poisoned and the link went down.
+    Down,
+}
+
+impl HmcSim {
+    /// The link-retry protocol for the packet in slot `idx` of link `l`'s
+    /// crossbar request queue, while a fault block is installed.
+    ///
+    /// The crossbar's CRC check catches packets corrupted in transit. A
+    /// detection starts the StartRetry/IRTRY exchange: the packet and its
+    /// stream hold while the peer retransmits in order, the retransmission's
+    /// fate drawn from the stateless corruption stream. A packet out of
+    /// attempts is aborted with a poisoned response and the link goes down
+    /// to retrain. An abort that owes a response waits, counting and
+    /// tracing nothing, for a response slot ([`HmcSim::reply_blocked`]).
+    pub(crate) fn retry_step(&mut self, di: usize, l: usize, idx: usize) -> Retry {
+        let clock = self.clock;
+        let rqst = &mut self.devices[di].xbars[l].rqst;
+        let e = rqst.get_mut(idx).expect("idx checked");
+        if e.retry_gated(clock) {
+            return Retry::Hold; // retransmission in flight
+        }
+        if !e.corrupt {
+            return Retry::Clean;
+        }
+        let (cube, link, attempt) = (di as CubeId, l as LinkId, e.attempt + 1);
+        let faults = self.faults.as_mut().expect("the walk checked");
+        let cfg = faults.config;
+        if attempt <= cfg.retry_limit {
+            e.corrupt = faults.roll_attempt(cube, link, e.send_seq, attempt);
+            e.attempt = attempt;
+            e.retry_until = clock + cfg.retry_cycles;
+            let tag = e.packet.tag();
+            self.stats.link_retries += 1;
+            self.emit(TraceEvent::LinkRetry { cube, link, tag });
+            return Retry::Hold;
+        }
+        if self.reply_blocked(di, l, idx) {
+            return Retry::Hold;
+        }
+        let entry = self.take_xbar_request(di, l, idx);
+        self.emit(TraceEvent::LinkDown {
+            cube,
+            link,
+            tag: entry.packet.tag(),
+            attempts: attempt,
+        });
+        self.poison_response(di, l, entry);
+        self.devices[di].links[l].go_down(clock, cfg.retrain_cycles);
+        Retry::Down
+    }
+
+    /// The poisoned response for a request that exhausted its retries: the
+    /// caller checked a slot is free, so every non-posted request ends in
+    /// exactly one clean or poisoned response. Posted requests fail
+    /// silently.
+    fn poison_response(&mut self, di: usize, l: usize, entry: QueueEntry) {
+        self.devices[di].registers.count_error_response();
+        if entry.packet.cmd().is_ok_and(|c| c.is_posted()) {
+            self.bodies.give(entry.packet);
+            return;
+        }
+        self.emit(TraceEvent::PoisonedResponse {
+            cube: di as CubeId,
+            link: l as LinkId,
+            tag: entry.packet.tag(),
+        });
+        self.stats.poisoned_responses += 1;
+        let (cmd, status) = (Command::ErrorResponse, ResponseStatus::LinkPoisoned);
+        let resp = entry.into_response(cmd, status, &[], di as CubeId, self.clock);
+        self.devices[di].xbars[l]
+            .rsp
+            .push(resp)
+            .expect("poison slot checked by the caller");
     }
 }
 

@@ -6,7 +6,7 @@
 //! quad unit and the source and destination device identifiers (including
 //! host devices)" (paper §IV.A).
 
-use hmc_types::{CubeId, LinkId, QuadId};
+use hmc_types::{CubeId, Cycle, LinkId, QuadId};
 
 /// What sits at the far end of a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,7 +74,7 @@ pub struct Link {
     /// exhaustion. While `retrain_until > clock` the crossbar walk for
     /// this link is gated; the first walk after expiry records the
     /// completed retraining and restarts the wire SEQ.
-    pub retrain_until: hmc_types::Cycle,
+    pub retrain_until: Cycle,
     /// True while a retraining window is pending its completion record
     /// (set at link-down, cleared when the post-expiry walk emits the
     /// `LinkRetrain` event).
@@ -113,7 +113,7 @@ impl Link {
     }
 
     /// True while the link is down retraining at `clock`.
-    pub fn retrain_gated(&self, clock: hmc_types::Cycle) -> bool {
+    pub fn retrain_gated(&self, clock: Cycle) -> bool {
         self.retrain_until > clock
     }
 
@@ -162,24 +162,114 @@ impl Link {
         self.retraining = false;
     }
 
-    /// Whole cycles the crossbar walk for this link is guaranteed to be
-    /// skipped outright while accumulated FLIT debt pays down at
-    /// `flits_per_cycle` beats per cycle (the `debt >= budget` branch of
-    /// the stepped walk). The first cycle with sub-budget debt runs the
-    /// walk and is therefore not counted.
-    pub fn debt_dead_cycles(&self, flits_per_cycle: usize) -> u64 {
-        self.flit_debt as u64 / flits_per_cycle.max(1) as u64
+    /// Open this link's turn of the stage-1/2 crossbar walk at `clock`. A
+    /// retraining link skips its turns until the window lapses, and the
+    /// next turn completes the retraining (the wire SEQ restarts). FLIT
+    /// debt from oversized packets pays down first: debt covering the
+    /// beat budget skips the turn, a smaller one shrinks the budget.
+    #[inline]
+    pub(crate) fn open_turn(&mut self, rules: LinkRules, clock: Cycle) -> Turn {
+        if rules.retry && self.retrain_gated(clock) {
+            return Turn {
+                retrained: false,
+                budget: None,
+            };
+        }
+        let retrained = rules.retry && std::mem::take(&mut self.retraining);
+        if retrained {
+            self.wire_seq = 0;
+        }
+        let budget = match rules.beats {
+            None => Some(usize::MAX),
+            Some(beats) if self.flit_debt as usize >= beats => {
+                self.flit_debt -= beats as u32;
+                None
+            }
+            Some(beats) => Some(beats - self.flit_debt as usize),
+        };
+        Turn { retrained, budget }
     }
 
-    /// Pay down `cycles` cycles' worth of FLIT debt, exactly as that many
-    /// stepped walks would have: full-budget decrements while the debt
-    /// covers the budget, then a zeroing write on the first sub-budget
-    /// cycle (the stepped walk's trailing `drained - budget` store with
-    /// nothing drained). Used by fast-forward jumps over dead cycles.
-    pub fn decay_flit_debt(&mut self, cycles: u64, flits_per_cycle: usize) {
-        let paid = (flits_per_cycle.max(1) as u64).saturating_mul(cycles);
-        self.flit_debt = (self.flit_debt as u64).saturating_sub(paid) as u32;
+    /// Close a turn that moved `moved` FLITs of its `budget`: an oversized
+    /// last packet leaves the excess as debt, so long-run throughput
+    /// honours the line rate.
+    #[inline]
+    pub(crate) fn close_turn(&mut self, rules: LinkRules, budget: usize, moved: usize) {
+        if rules.beats.is_some() {
+            self.flit_debt = moved.saturating_sub(budget) as u32;
+        }
     }
+
+    /// Take the link down at `clock` after a retry exhaustion: its turns
+    /// are skipped, and host sends refused, for `cycles` cycles.
+    pub(crate) fn go_down(&mut self, clock: Cycle, cycles: u64) {
+        self.retrain_until = clock + cycles;
+        self.retraining = true;
+    }
+
+    /// How many turns from `clock` on [`Self::open_turn`] provably skips.
+    pub(crate) fn wait(&self, rules: LinkRules, clock: Cycle) -> LinkWait {
+        if rules.retry && self.retraining {
+            return LinkWait::Retrain(self.retrain_until.saturating_sub(clock));
+        }
+        LinkWait::Debt(rules.beats.map_or(0, |b| self.flit_debt as u64 / b as u64))
+    }
+
+    /// Leave the link as `turns` turns that move nothing would, for a
+    /// fast-forward jump: debt pays down a full budget per turn and the
+    /// first sub-budget turn zeroes the rest. A retraining link's debt
+    /// stays frozen; a jump never reaches the turn that ends retraining.
+    pub(crate) fn skip_turns(&mut self, rules: LinkRules, turns: u64) {
+        if let Some(beats) = rules.beats.filter(|_| !(rules.retry && self.retraining)) {
+            let paid = (beats as u64).saturating_mul(turns);
+            self.flit_debt = (self.flit_debt as u64).saturating_sub(paid) as u32;
+        }
+    }
+}
+
+/// The link-layer rules every link's turn runs under, from the installed
+/// parameters.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LinkRules {
+    /// A link-fault block is installed: links go down and retrain.
+    pub retry: bool,
+    /// FLIT beats per link direction per cycle; `None` when unserialized.
+    pub beats: Option<usize>,
+}
+
+impl LinkRules {
+    /// The rules under link faults (`retry`) and a FLIT budget. A zero
+    /// budget could never drain a packet, so it is clamped to one beat.
+    #[inline]
+    pub fn new(retry: bool, flits_per_cycle: Option<usize>) -> Self {
+        let beats = flits_per_cycle.map(|f| f.max(1));
+        LinkRules { retry, beats }
+    }
+
+    /// True when a turn has no link state to advance, so a walk over
+    /// empty request queues does nothing at all.
+    #[inline]
+    pub fn stateless(self) -> bool {
+        !self.retry && self.beats.is_none()
+    }
+}
+
+/// What one link's turn does this cycle ([`Link::open_turn`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Turn {
+    /// This turn completed a retraining window; the walk records it.
+    pub retrained: bool,
+    /// FLITs the walk may move, or `None` when the turn is skipped.
+    pub budget: Option<usize>,
+}
+
+/// How many turns a link's walk is provably skipped ([`Link::wait`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LinkWait {
+    /// Retraining; the turn after these completes it, which is observable.
+    Retrain(u64),
+    /// Paying FLIT debt; the turn after these opens.
+    Debt(u64),
 }
 
 #[cfg(test)]
@@ -234,12 +324,16 @@ mod tests {
     #[test]
     fn debt_dead_cycles_count_full_budget_skips() {
         let mut l = Link::new(0, 4);
-        assert_eq!(l.debt_dead_cycles(2), 0, "no debt, no dead cycles");
+        let two = LinkRules::new(false, Some(2));
+        assert_eq!(l.wait(two, 0), LinkWait::Debt(0), "no debt, no dead cycles");
         l.flit_debt = 5;
         // Cycles 1 and 2 are skipped (5 -> 3 -> 1); cycle 3 walks with a
         // partial budget, so only two cycles are provably dead.
-        assert_eq!(l.debt_dead_cycles(2), 2);
-        assert_eq!(l.debt_dead_cycles(0), 5, "zero budget clamps to one beat");
+        assert_eq!(l.wait(two, 0), LinkWait::Debt(2));
+        let zero = LinkRules::new(false, Some(0));
+        assert_eq!(l.wait(zero, 0), LinkWait::Debt(5), "zero budget: one beat");
+        let unserialized = LinkRules::new(false, None);
+        assert_eq!(l.wait(unserialized, 0), LinkWait::Debt(0));
     }
 
     #[test]
@@ -261,7 +355,7 @@ mod tests {
                 for cycles in [0u64, 1, 2, 3, 10] {
                     let mut l = Link::new(0, 4);
                     l.flit_debt = debt;
-                    l.decay_flit_debt(cycles, f);
+                    l.skip_turns(LinkRules::new(false, Some(f)), cycles);
                     assert_eq!(
                         l.flit_debt,
                         stepped(debt, f as u32, cycles),
@@ -269,6 +363,69 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// One turn of a link whose request queue is empty: open it, and close
+    /// it having moved nothing. True when the turn was skipped outright.
+    fn idle_turn(l: &mut Link, rules: LinkRules, clock: Cycle) -> bool {
+        let turn = l.open_turn(rules, clock);
+        if let Some(budget) = turn.budget {
+            l.close_turn(rules, budget, 0);
+        }
+        turn.budget.is_none() && !turn.retrained
+    }
+
+    #[test]
+    fn idle_turns_and_one_jump_leave_the_same_link() {
+        let mut state = 0x11_2a_7e_u64;
+        let mut draw = |n: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            hmc_types::splitmix64_mix(state) % n
+        };
+        for case in 0..4_000 {
+            let rules = LinkRules::new(draw(2) == 1, Some(1 + draw(9) as usize));
+            let clock = draw(1 << 40);
+            let mut link = Link::new(0, 8);
+            link.flit_debt = draw(40) as u32;
+            if draw(2) == 1 {
+                link.go_down(clock, draw(24));
+            }
+            let wait = link.wait(rules, clock);
+            let ctx = format!("case {case}: {rules:?} clock {clock} {wait:?} {link:?}");
+
+            // Every turn the answer calls dead really does nothing, and a
+            // retraining window's last answer is the turn that records it.
+            let (LinkWait::Retrain(dead) | LinkWait::Debt(dead)) = wait;
+            let mut probe = link.clone();
+            for t in 0..dead {
+                assert!(idle_turn(&mut probe, rules, clock + t), "{ctx}: turn {t}");
+            }
+            if let LinkWait::Retrain(_) = wait {
+                assert!(probe.open_turn(rules, clock + dead).retrained, "{ctx}");
+            }
+
+            // A jump never reaches past a retraining window; an idle
+            // walk under debt alone may be jumped for any length.
+            let longest = match wait {
+                LinkWait::Retrain(dead) => dead,
+                LinkWait::Debt(_) => 64,
+            };
+            if longest == 0 {
+                continue;
+            }
+            let turns = 1 + draw(longest);
+            let mut stepped = link.clone();
+            for t in 0..turns {
+                idle_turn(&mut stepped, rules, clock + t);
+            }
+            let mut jumped = link.clone();
+            jumped.skip_turns(rules, turns);
+            assert_eq!(
+                (stepped.flit_debt, stepped.retraining, stepped.retrain_until),
+                (jumped.flit_debt, jumped.retraining, jumped.retrain_until),
+                "{ctx}: {turns} turns"
+            );
         }
     }
 

@@ -25,10 +25,11 @@
 //! the `engine` module.
 
 use hmc_trace::{EventKind, TraceEvent};
-use hmc_types::packet::ResponseStatus;
+use hmc_types::packet::ResponseStatus::{self, AddressError, CommandError, Misroute, Zombie};
 use hmc_types::{AddressMap, BankId, Command, CubeId, LinkId, PhysAddr, QuadId, VaultId};
 
-use crate::link::Endpoint;
+use crate::fault::Retry;
+use crate::link::{Endpoint, LinkRules};
 use crate::noc::{NocClass, NocDest, NocEvent, NocSink};
 use crate::quad::Quad;
 use crate::queue::{QueueEntry, NO_ROUTE};
@@ -128,42 +129,80 @@ impl NocSink for DeviceSink<'_> {
     }
 }
 
+/// What the walk does after one crossbar request slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// The packet left its slot.
+    Moved,
+    /// The packet left and took the link down: nothing else moves on it.
+    LinkDown,
+    /// The packet stays; the walk goes on to the next slot.
+    Passed,
+    /// The packet stays, and so does everything behind it on this link.
+    Stop,
+}
+
+/// A response the crossbar generates itself.
+#[derive(Debug, Clone, Copy)]
+enum Answer {
+    /// MODE_READ / MODE_WRITE, executed at the logic layer.
+    Mode(Command),
+    /// A rejected request: bad command or address, zombie, misroute.
+    Error(ResponseStatus),
+}
+
+/// One link's flow-control latches for one walk.
+struct Walk {
+    /// [`Device::noc_vaults`](crate::device::Device::noc_vaults) of the link.
+    noc_vaults: u64,
+    /// The vaults whose class stalled a packet this walk, one bit each:
+    /// later packets for them may not pass (stream order). A direct-path
+    /// vault latches its own bit when its queue is full. A full NoC
+    /// injection buffer latches every NoC-riding vault at once: every
+    /// cross-quad packet on this link injects at the same quad.
+    held: u64,
+    /// Remote cubes whose forward path stalled this walk.
+    blocked_cubes: u8,
+    /// Free-slot snapshot of remote crossbar queues we forward into, so
+    /// capacity claimed by this walk is not double-booked.
+    remote_free: [[Option<usize>; 8]; 8],
+}
+
 impl HmcSim {
-    /// Stage 1: crossbar transactions on child devices (devices without a
-    /// host link).
-    pub(crate) fn stage1_child_xbar_requests(&mut self) {
-        for di in 0..self.devices.len() {
-            if !self.devices[di].is_root() && !self.xbar_walk_idle(di) {
-                self.process_xbar_requests(di);
+    /// Stages 1 and 2: the crossbar request walks of child devices
+    /// (without a host link), then of root devices (with one).
+    pub(crate) fn stages12_xbar_requests(&mut self) {
+        let rules = self.link_rules();
+        for root in [false, true] {
+            for di in 0..self.devices.len() {
+                // A walk over empty queues with no link state to advance
+                // would do nothing at all.
+                let dev = &self.devices[di];
+                if dev.is_root() != root
+                    || (rules.stateless() && dev.xbars.iter().all(|x| x.rqst.is_empty()))
+                {
+                    continue;
+                }
+                self.process_xbar_requests(di, rules);
             }
         }
     }
 
-    /// Stage 2: crossbar request transactions on root devices (devices
-    /// connected directly to a host interface).
-    pub(crate) fn stage2_root_xbar_requests(&mut self) {
-        for di in 0..self.devices.len() {
-            if self.devices[di].is_root() && !self.xbar_walk_idle(di) {
-                self.process_xbar_requests(di);
-            }
-        }
-    }
-
-    /// True when device `di`'s crossbar walk would do nothing at all:
-    /// every request queue is empty, and neither link-fault retraining
-    /// nor a FLIT budget is configured (a retraining window's expiry and
-    /// FLIT-debt paydown happen inside the walk, queue or no queue).
-    fn xbar_walk_idle(&self, di: usize) -> bool {
-        self.faults.is_none()
-            && self.params().link_flits_per_cycle.is_none()
-            && self.devices[di].xbars.iter().all(|x| x.rqst.is_empty())
+    /// The link-layer rules the installed parameters set for every link.
+    #[inline]
+    pub(crate) fn link_rules(&self) -> LinkRules {
+        LinkRules::new(self.faults.is_some(), self.params().link_flits_per_cycle)
     }
 
     /// The shared crossbar walk of stages 1 and 2: route each link's
     /// queued request packets to local vaults or across chained links,
     /// honouring pass-ahead weak ordering (a stalled packet may be passed
     /// by later packets bound for other vaults or cubes, never by packets
-    /// of its own stream, §III.C).
+    /// of its own stream, §III.C). The link layer opens and closes each
+    /// link's turn ([`Link::open_turn`](crate::link::Link::open_turn)),
+    /// [`HmcSim::retry_step`] vets each packet under error simulation,
+    /// and [`HmcSim::route_step`] routes it; a packet that left is
+    /// counted here alone.
     ///
     /// The walk is stall-aware: a local memory request that stalls is
     /// memoized as a route key beside its slot
@@ -172,386 +211,70 @@ impl HmcSim {
     /// (its vault, or NoC injection) has been found blocked in the same
     /// walk. DESIGN.md "crossbar walk" gives the three rules that keep
     /// this bit-identical to visiting every slot.
-    fn process_xbar_requests(&mut self, di: usize) {
-        let dev_id = di as CubeId;
-        let num_links = self.config.num_links as usize;
+    fn process_xbar_requests(&mut self, di: usize, rules: LinkRules) {
         let max_drain = self.params().xbar_drain_per_cycle;
-        let vault_window = self.params().window_for(self.config.banks_per_vault);
-        // Optional SERDES serialization: each link direction moves at
-        // most this many FLITs per cycle when configured. A zero budget
-        // could never drain a packet, so it is clamped to one beat.
-        let flit_budget = self.params().link_flits_per_cycle.map(|f| f.max(1));
-
         // Deferred chain-forwards stage in a reusable buffer (capacity
         // retained across cycles — the steady-state walk allocates
         // nothing).
         let mut forwards = std::mem::take(&mut self.scratch.forwards);
 
-        for l in 0..num_links {
-            // Link-retry protocol: a link that exhausted its retries is
-            // down, retraining — nothing moves until the window lapses,
-            // and the first walk afterward records the completed
-            // retraining and restarts the wire SEQ counter.
-            if self.faults.is_some() {
-                if self.devices[di].links[l].retrain_gated(self.clock) {
-                    continue;
-                }
-                if self.devices[di].links[l].retraining {
-                    let link = &mut self.devices[di].links[l];
-                    link.retraining = false;
-                    link.wire_seq = 0;
-                    self.stats.link_retrains += 1;
-                    self.emit(TraceEvent::LinkRetrain {
-                        cube: dev_id,
-                        link: l as LinkId,
-                    });
-                }
+        for l in 0..self.config.num_links as usize {
+            let turn = self.devices[di].links[l].open_turn(rules, self.clock);
+            if turn.retrained {
+                self.stats.link_retrains += 1;
+                self.emit(TraceEvent::LinkRetrain {
+                    cube: di as CubeId,
+                    link: l as LinkId,
+                });
             }
-            // Resolve this link's FLIT budget, paying down debt from
-            // earlier oversized packets first.
-            let budget = if let Some(f) = flit_budget {
-                let debt = self.devices[di].links[l].flit_debt as usize;
-                if debt >= f {
-                    self.devices[di].links[l].flit_debt = (debt - f) as u32;
-                    continue;
-                }
-                f - debt
-            } else {
-                usize::MAX
+            let Some(budget) = turn.budget else {
+                continue;
             };
-            let mut drained = 0usize;
-            let mut drained_flits = 0usize;
-            let mut idx = 0usize;
-            // The vaults whose class stalled a packet this walk, one bit
-            // each: later packets for them may not pass (stream order). A
-            // direct-path vault latches its own bit when its queue is
-            // full. A full NoC injection buffer latches every NoC-riding
-            // vault at once: every cross-quad packet on this link injects
-            // at the same quad, so one full buffer blocks them all.
-            let noc_vaults = self.devices[di].noc_vaults(l as LinkId);
-            let mut held: u64 = 0;
-            // Remote cubes whose forward path stalled this walk.
-            let mut blocked_cubes: u8 = 0;
-            // Free-slot snapshot of remote crossbar queues we forward
-            // into, so capacity claimed by this walk is not double-booked.
-            let mut remote_free: [[Option<usize>; 8]; 8] = [[None; 8]; 8];
+            let mut walk = Walk {
+                noc_vaults: self.devices[di].noc_vaults(l as LinkId),
+                held: 0,
+                blocked_cubes: 0,
+                remote_free: [[None; 8]; 8],
+            };
+            let (mut drained, mut drained_flits, mut idx) = (0usize, 0usize, 0usize);
             debug_assert!(forwards.is_empty());
-            loop {
-                if drained >= max_drain {
-                    break;
-                }
-                if drained_flits >= budget {
-                    break;
-                }
+            while drained < max_drain && drained_flits < budget {
                 // Stall-aware skip: a keyed slot is a clean local memory
                 // request for the keyed vault, and when its class is
-                // already latched in `held` the slow path below would do
-                // `idx += 1; continue` with no side effect — so pass over
-                // such slots on their keys alone. The first blocked packet
-                // of each class still takes the slow path, which is what
+                // already latched in `held` the route step would pass it
+                // over with no side effect — so pass over such slots on
+                // their keys alone. The first blocked packet of each
+                // class still takes the route step, which is what
                 // latches the class and emits the stall.
                 let rqst = &self.devices[di].xbars[l].rqst;
-                idx = rqst.next_unblocked(idx, held);
+                idx = rqst.next_unblocked(idx, walk.held);
                 if idx >= rqst.len() {
                     break;
                 }
-                let key = rqst.route_key(idx);
-
-                let (flits, corrupt, gated) = {
-                    let e = rqst.get(idx).expect("idx checked");
-                    (e.packet.lng() as u32, e.corrupt, e.retry_gated(self.clock))
+                let flits = rqst.get(idx).expect("idx checked").packet.lng();
+                let retry = match self.faults {
+                    Some(_) => self.retry_step(di, l, idx),
+                    None => Retry::Clean,
                 };
-
-                // Error simulation: the crossbar's CRC check catches
-                // packets corrupted in link transit. A detected
-                // corruption triggers the StartRetry/IRTRY exchange —
-                // the packet (and its stream) holds in place while the
-                // peer retransmits in order from its retry buffer — and
-                // a packet that exhausts the attempt cap is aborted with
-                // a poisoned response while the link goes down to
-                // retrain.
-                if self.faults.is_some() {
-                    if gated {
-                        // Retransmission in flight: the packet (and, to
-                        // preserve stream order, everything behind it on
-                        // this link) waits. Same gate the fast-forward
-                        // horizon models via `QueueEntry::retry_gated`.
-                        break;
-                    }
-                    if corrupt {
-                        let cfg = self.faults.as_ref().expect("checked").config;
-                        let clock = self.clock;
-                        let (next_attempt, send_seq, posted) = {
-                            let e = rqst.get(idx).expect("idx checked");
-                            (
-                                e.attempt + 1,
-                                e.send_seq,
-                                e.packet.cmd().map(|c| c.is_posted()).unwrap_or(false),
-                            )
-                        };
-                        // Retry exhaustion with no response slot free:
-                        // hold everything as-is (no counters, no events)
-                        // and rerun the abort next cycle, so a deferred
-                        // abort never double-counts.
-                        if next_attempt > cfg.retry_limit
-                            && !posted
-                            && self.devices[di].xbars[l].rsp.is_full()
-                        {
+                let step = match retry {
+                    Retry::Clean => self.route_step(di, l, idx, &mut walk, &mut forwards),
+                    Retry::Hold => Step::Stop,
+                    Retry::Down => Step::LinkDown,
+                };
+                match step {
+                    Step::Passed => idx += 1,
+                    Step::Stop => break,
+                    Step::Moved | Step::LinkDown => {
+                        drained += 1;
+                        drained_flits += flits;
+                        if step == Step::LinkDown {
                             break;
                         }
-                        if next_attempt <= cfg.retry_limit {
-                            // Schedule the in-order retransmission and
-                            // pre-decide its fate from the stateless
-                            // corruption stream (observable only once
-                            // the retry timer lapses).
-                            let refate = self.faults.as_mut().expect("checked").roll_attempt(
-                                dev_id,
-                                l as LinkId,
-                                send_seq,
-                                next_attempt,
-                            );
-                            let e = self.devices[di].xbars[l]
-                                .rqst
-                                .get_mut(idx)
-                                .expect("idx checked");
-                            e.attempt = next_attempt;
-                            e.corrupt = refate;
-                            e.retry_until = clock + cfg.retry_cycles;
-                            let tag = e.packet.tag();
-                            self.stats.link_retries += 1;
-                            self.emit(TraceEvent::LinkRetry {
-                                cube: dev_id,
-                                link: l as LinkId,
-                                tag,
-                            });
-                            // The IRTRY exchange retransmits from the
-                            // error point onward: everything behind the
-                            // corrupted packet holds too, exactly as the
-                            // `retry_gated` check does on later cycles.
-                            break;
-                        }
-                        // Retry exhaustion: abort with a poisoned
-                        // response and take the link down. Delivery is
-                        // guaranteed — the full-response-queue case broke
-                        // out above before anything mutated.
-                        let entry = self.take_xbar_request(di, l, idx, flits);
-                        self.emit(TraceEvent::LinkDown {
-                            cube: dev_id,
-                            link: l as LinkId,
-                            tag: entry.packet.tag(),
-                            attempts: next_attempt,
-                        });
-                        self.poison_response(di, l, entry);
-                        let link = &mut self.devices[di].links[l];
-                        link.retrain_until = clock + cfg.retrain_cycles;
-                        link.retraining = true;
-                        drained_flits += flits as usize;
-                        // The link is down: nothing else moves on it
-                        // this cycle (`drained` needs no bump — the walk
-                        // ends here).
-                        break;
                     }
                 }
-
-                let route = classify(
-                    rqst.get(idx).expect("idx checked"),
-                    dev_id,
-                    self.map.as_ref(),
-                );
-                let (vault, bank, row) = match route {
-                    Route::Local { vault, bank, row } => (vault, bank, row),
-                    Route::BadCommand => {
-                        let entry = self.take_xbar_request(di, l, idx, flits);
-                        self.xbar_error_response(di, l, entry, ResponseStatus::CommandError);
-                        drained += 1;
-                        drained_flits += flits as usize;
-                        continue;
-                    }
-                    // Flow-control packets retire at the crossbar.
-                    Route::Flow(cmd) => {
-                        let entry = self.take_xbar_request(di, l, idx, flits);
-                        self.process_flow_packet(di, l, cmd, entry);
-                        drained += 1;
-                        drained_flits += flits as usize;
-                        continue;
-                    }
-                    // Packets for other cubes: chaining forward.
-                    Route::Remote(dest) => {
-                        if blocked_cubes & (1u8 << (dest & 0x7)) != 0 {
-                            idx += 1;
-                            continue;
-                        }
-                        let hops = rqst.get(idx).expect("idx checked").hops;
-                        if hops + 1 > self.params().hop_budget {
-                            let entry = self.take_xbar_request(di, l, idx, flits);
-                            self.emit(TraceEvent::Zombie {
-                                cube: dev_id,
-                                tag: entry.packet.tag(),
-                                hops: hops + 1,
-                            });
-                            self.xbar_error_response(di, l, entry, ResponseStatus::Zombie);
-                            drained += 1;
-                            drained_flits += flits as usize;
-                            continue;
-                        }
-                        let next = self
-                            .routes
-                            .as_ref()
-                            .expect("routes built before clocking")
-                            .next_hop(dev_id, dest);
-                        let (r, rl) = match next.map(|n| self.devices[di].links[n as usize].remote)
-                        {
-                            Some(Endpoint::Device(r, rl)) => (r as usize, rl as usize),
-                            _ => {
-                                // No route, or the route terminates at a
-                                // host: requests cannot be delivered to
-                                // hosts.
-                                let entry = self.take_xbar_request(di, l, idx, flits);
-                                self.emit(TraceEvent::Misroute {
-                                    cube: dev_id,
-                                    link: l as LinkId,
-                                    dest_cube: dest,
-                                    tag: entry.packet.tag(),
-                                });
-                                self.xbar_error_response(di, l, entry, ResponseStatus::Misroute);
-                                drained += 1;
-                                drained_flits += flits as usize;
-                                continue;
-                            }
-                        };
-                        let free = match &mut remote_free[r][rl] {
-                            Some(f) => f,
-                            slot @ None => {
-                                *slot = Some(self.devices[r].xbars[rl].rqst.free_slots());
-                                slot.as_mut().expect("just set")
-                            }
-                        };
-                        if *free == 0 {
-                            blocked_cubes |= 1u8 << (dest & 0x7);
-                            idx += 1;
-                            continue;
-                        }
-                        *free -= 1;
-                        let mut entry = self.take_xbar_request(di, l, idx, flits);
-                        entry.hops += 1;
-                        entry.arrival_cycle = self.clock;
-                        entry.arrival_link = rl as LinkId;
-                        let next_link = next.expect("matched Device endpoint");
-                        self.emit(TraceEvent::Forwarded {
-                            cube: dev_id,
-                            link: next_link,
-                            next_cube: r as CubeId,
-                            dest_cube: dest,
-                            tag: entry.packet.tag(),
-                        });
-                        forwards.push((entry, r, rl));
-                        drained += 1;
-                        drained_flits += flits as usize;
-                        continue;
-                    }
-                    // MODE register accesses: logic-layer operations.
-                    Route::Mode(cmd) => {
-                        if self.devices[di].xbars[l].rsp.is_full() {
-                            idx += 1;
-                            continue;
-                        }
-                        let entry = self.take_xbar_request(di, l, idx, flits);
-                        self.execute_mode_access(di, l, cmd, entry);
-                        drained += 1;
-                        drained_flits += flits as usize;
-                        continue;
-                    }
-                    Route::BadAddress => {
-                        let entry = self.take_xbar_request(di, l, idx, flits);
-                        self.xbar_error_response(di, l, entry, ResponseStatus::AddressError);
-                        drained += 1;
-                        drained_flits += flits as usize;
-                        continue;
-                    }
-                };
-
-                // ---- memory requests for this device ----
-                let dest_quad = Quad::of_vault(vault);
-                let bit = 1u64 << vault;
-                let via_noc = noc_vaults & bit != 0;
-                if held & bit == 0 {
-                    if via_noc {
-                        let noc = self.devices[di].noc.as_ref().expect("via_noc");
-                        if !noc.has_room(l as QuadId, NocClass::Request) {
-                            self.stats.noc_stalls += 1;
-                            let tag = self.xbar_rqst_tag(di, l, idx);
-                            self.emit(TraceEvent::NocStall {
-                                cube: dev_id,
-                                quad: l as QuadId,
-                                tag,
-                            });
-                            held |= noc_vaults;
-                        }
-                    } else if self.devices[di].vaults[vault as usize].rqst.is_full() {
-                        let tag = self.xbar_rqst_tag(di, l, idx);
-                        self.emit(TraceEvent::XbarRqstStall {
-                            cube: dev_id,
-                            link: l as LinkId,
-                            vault,
-                            tag,
-                        });
-                        held |= bit;
-                    }
-                }
-                if held & bit != 0 {
-                    // Memoize the classification for the cycles this
-                    // packet waits: decoded once, not once per stalled
-                    // cycle. Never for a corrupt or retry-gated packet —
-                    // those must keep reaching the link-retry code above.
-                    if key == NO_ROUTE && !corrupt && !gated {
-                        self.devices[di].xbars[l]
-                            .rqst
-                            .set_route(idx, vault, bank, row);
-                    }
-                    idx += 1;
-                    continue;
-                }
-
-                let mut entry = self.take_xbar_request(di, l, idx, flits);
-                entry.dest_vault = vault;
-                entry.dest_bank = bank;
-                entry.dest_row = row;
-                entry.arrival_cycle = self.clock;
-                // "Higher latencies are detected due to the physical
-                // locality of the queue versus the destination vault"
-                // (§IV.C): the arrival link's quad is not the vault's.
-                let arrival_quad = entry.arrival_link; // quad index == link index
-                if arrival_quad != dest_quad {
-                    self.emit(TraceEvent::RouteLatency {
-                        cube: dev_id,
-                        link: l as LinkId,
-                        arrival_quad,
-                        dest_quad,
-                        vault,
-                        tag: entry.packet.tag(),
-                    });
-                }
-                if via_noc {
-                    self.devices[di].noc.as_mut().expect("via_noc").inject(
-                        l as QuadId,
-                        NocDest::ToVault(vault),
-                        entry,
-                        self.clock,
-                    );
-                } else {
-                    self.devices[di].vaults[vault as usize]
-                        .push_request(entry, vault_window)
-                        .expect("fullness checked above");
-                }
-                drained += 1;
-                drained_flits += flits as usize;
             }
 
-            if flit_budget.is_some() {
-                // Oversized final packets leave a beat debt for later
-                // cycles so long-run throughput honours the line rate.
-                self.devices[di].links[l].flit_debt = drained_flits.saturating_sub(budget) as u32;
-            }
+            self.devices[di].links[l].close_turn(rules, budget, drained_flits);
             for (entry, r, rl) in forwards.drain(..) {
                 self.devices[r].xbars[rl]
                     .rqst
@@ -561,6 +284,234 @@ impl HmcSim {
         }
 
         self.scratch.forwards = forwards;
+    }
+
+    /// Route the clean request in slot `idx` of link `l`'s crossbar queue:
+    /// to a local vault, one hop along the chain, or answered here.
+    /// Always inlined, as is [`HmcSim::route_local`]: they are the body of
+    /// the walk's hot loop, which must not pay a call per visited slot.
+    #[inline(always)]
+    fn route_step(
+        &mut self,
+        di: usize,
+        l: usize,
+        idx: usize,
+        walk: &mut Walk,
+        forwards: &mut Vec<(QueueEntry, usize, usize)>,
+    ) -> Step {
+        let dev_id = di as CubeId;
+        let rqst = &self.devices[di].xbars[l].rqst;
+        let e = rqst.get(idx).expect("idx checked");
+        let dest = match classify(e, dev_id, self.map.as_ref()) {
+            Route::Local { vault, bank, row } => {
+                return self.route_local(di, l, idx, (vault, bank, row), walk)
+            }
+            Route::Remote(dest) => dest,
+            Route::Flow(cmd) => {
+                let entry = self.take_xbar_request(di, l, idx);
+                self.process_flow_packet(di, l, cmd, entry);
+                return Step::Moved;
+            }
+            Route::Mode(cmd) => return self.answer(di, l, idx, Answer::Mode(cmd)),
+            Route::BadCommand => return self.answer(di, l, idx, Answer::Error(CommandError)),
+            Route::BadAddress => return self.answer(di, l, idx, Answer::Error(AddressError)),
+        };
+        // Packets for other cubes: chaining forward.
+        if walk.blocked_cubes & (1u8 << (dest & 0x7)) != 0 {
+            return Step::Passed;
+        }
+        if e.hops + 1 > self.params().hop_budget {
+            return self.answer(di, l, idx, Answer::Error(Zombie));
+        }
+        let routes = self.routes.as_ref().expect("routes built before clocking");
+        let next = routes.next_hop(dev_id, dest);
+        let links = &self.devices[di].links;
+        let (next_link, r, rl) = match next.map(|n| (n, links[n as usize].remote)) {
+            Some((n, Endpoint::Device(r, rl))) => (n, r as usize, rl as usize),
+            // No route, or the route ends at a host: requests cannot be
+            // delivered to hosts.
+            _ => return self.answer(di, l, idx, Answer::Error(Misroute)),
+        };
+        let free = walk.remote_free[r][rl]
+            .get_or_insert_with(|| self.devices[r].xbars[rl].rqst.free_slots());
+        if *free == 0 {
+            walk.blocked_cubes |= 1u8 << (dest & 0x7);
+            return Step::Passed;
+        }
+        *free -= 1;
+        let mut entry = self.take_xbar_request(di, l, idx);
+        entry.hops += 1;
+        entry.arrival_cycle = self.clock;
+        entry.arrival_link = rl as LinkId;
+        self.emit(TraceEvent::Forwarded {
+            cube: dev_id,
+            link: next_link,
+            next_cube: r as CubeId,
+            dest_cube: dest,
+            tag: entry.packet.tag(),
+        });
+        forwards.push((entry, r, rl));
+        Step::Moved
+    }
+
+    /// Route a memory request for vault `dest.0` of this device into the
+    /// vault's queue (or the NoC), or latch its class stalled.
+    #[inline(always)]
+    fn route_local(
+        &mut self,
+        di: usize,
+        l: usize,
+        idx: usize,
+        (vault, bank, row): (VaultId, BankId, u64),
+        walk: &mut Walk,
+    ) -> Step {
+        let dev_id = di as CubeId;
+        let bit = 1u64 << vault;
+        let via_noc = walk.noc_vaults & bit != 0;
+        if walk.held & bit == 0 {
+            if via_noc {
+                let noc = self.devices[di].noc.as_ref().expect("via_noc");
+                if !noc.has_room(l as QuadId, NocClass::Request) {
+                    self.stats.noc_stalls += 1;
+                    let tag = self.xbar_rqst_tag(di, l, idx);
+                    self.emit(TraceEvent::NocStall {
+                        cube: dev_id,
+                        quad: l as QuadId,
+                        tag,
+                    });
+                    walk.held |= walk.noc_vaults;
+                }
+            } else if self.devices[di].vaults[vault as usize].rqst.is_full() {
+                let tag = self.xbar_rqst_tag(di, l, idx);
+                self.emit(TraceEvent::XbarRqstStall {
+                    cube: dev_id,
+                    link: l as LinkId,
+                    vault,
+                    tag,
+                });
+                walk.held |= bit;
+            }
+        }
+        if walk.held & bit != 0 {
+            // Memoize the classification for the cycles this packet
+            // waits: decoded once, not once per stalled cycle. Never for
+            // a corrupt or retry-gated packet — those must keep reaching
+            // the link-retry step.
+            let rqst = &mut self.devices[di].xbars[l].rqst;
+            let e = rqst.get(idx).expect("idx checked");
+            if rqst.route_key(idx) == NO_ROUTE && !e.corrupt && !e.retry_gated(self.clock) {
+                rqst.set_route(idx, vault, bank, row);
+            }
+            return Step::Passed;
+        }
+
+        let mut entry = self.take_xbar_request(di, l, idx);
+        entry.dest_vault = vault;
+        entry.dest_bank = bank;
+        entry.dest_row = row;
+        entry.arrival_cycle = self.clock;
+        // "Higher latencies are detected due to the physical locality of
+        // the queue versus the destination vault" (§IV.C): the arrival
+        // link's quad is not the vault's.
+        let dest_quad = Quad::of_vault(vault);
+        let arrival_quad = entry.arrival_link; // quad index == link index
+        if arrival_quad != dest_quad {
+            self.emit(TraceEvent::RouteLatency {
+                cube: dev_id,
+                link: l as LinkId,
+                arrival_quad,
+                dest_quad,
+                vault,
+                tag: entry.packet.tag(),
+            });
+        }
+        if via_noc {
+            let noc = self.devices[di].noc.as_mut().expect("via_noc");
+            noc.inject(l as QuadId, NocDest::ToVault(vault), entry, self.clock);
+        } else {
+            let window = self.params().window_for(self.config.banks_per_vault);
+            self.devices[di].vaults[vault as usize]
+                .push_request(entry, window)
+                .expect("fullness checked above");
+        }
+        Step::Moved
+    }
+
+    /// Retire the request in slot `idx` of link `l`'s crossbar queue with
+    /// a response the crossbar generates itself (§V.D for MODE). The
+    /// response is owed, so the request waits in its slot, passed over
+    /// like any stalled packet, while the link's response queue is full
+    /// ([`HmcSim::reply_blocked`]). A failed posted request retires
+    /// silently.
+    fn answer(&mut self, di: usize, l: usize, idx: usize, answer: Answer) -> Step {
+        if self.reply_blocked(di, l, idx) {
+            return Step::Passed;
+        }
+        let entry = self.take_xbar_request(di, l, idx);
+        let (cube, tag) = (di as CubeId, entry.packet.tag());
+        // The register data a MODE_READ returns: one FLIT, value first.
+        let mut data = [0u8; 16];
+        let (rsp, status, len) = match answer {
+            Answer::Mode(cmd) => {
+                let (reg, write) = (entry.packet.addr() as u32, cmd == Command::ModeWrite);
+                let registers = &mut self.devices[di].registers;
+                let done = if write {
+                    let value = entry.packet.data_words().first().copied().unwrap_or(0);
+                    let done = registers.write(reg, value);
+                    done.map(|()| (Command::ModeWriteResponse, 0))
+                } else {
+                    registers.read(reg).map(|v| {
+                        data[..8].copy_from_slice(&v.to_le_bytes());
+                        (Command::ModeReadResponse, data.len())
+                    })
+                };
+                self.emit(TraceEvent::ModeAccess {
+                    cube,
+                    reg,
+                    write,
+                    tag,
+                });
+                match done {
+                    Ok((rsp, len)) => (rsp, ResponseStatus::Ok, len),
+                    Err(hmc_types::HmcError::RegisterAccess(msg))
+                        if write && msg.contains("read-only") =>
+                    {
+                        (Command::ErrorResponse, CommandError, 0)
+                    }
+                    Err(_) => (Command::ErrorResponse, AddressError, 0),
+                }
+            }
+            Answer::Error(status) => {
+                match status {
+                    ResponseStatus::Zombie => self.emit(TraceEvent::Zombie {
+                        cube,
+                        tag,
+                        hops: entry.hops + 1,
+                    }),
+                    ResponseStatus::Misroute => self.emit(TraceEvent::Misroute {
+                        cube,
+                        link: l as LinkId,
+                        dest_cube: entry.dest_cube,
+                        tag,
+                    }),
+                    _ => {}
+                }
+                self.devices[di].registers.count_error_response();
+                (Command::ErrorResponse, status, 0)
+            }
+        };
+        if !status.is_ok() {
+            let status = status.encode();
+            self.emit(TraceEvent::ErrorResponse { cube, tag, status });
+        }
+        if entry.packet.cmd().is_ok_and(|c| c.is_posted()) {
+            self.bodies.give(entry.packet);
+        } else {
+            let resp = entry.into_response(rsp, status, &data[..len], cube, self.clock);
+            let pushed = self.devices[di].xbars[l].rsp.push(resp);
+            pushed.expect("response slot checked");
+        }
+        Step::Moved
     }
 
     /// Move responses already in crossbar response queues one step: to a
@@ -607,78 +558,44 @@ impl HmcSim {
                 let Some(e_link) = next else {
                     // Zombie response: its host is unreachable.
                     let entry = self.devices[di].xbars[l].rsp.remove(idx).expect("present");
-                    self.emit(TraceEvent::Misroute {
-                        cube: dev_id,
-                        link: l as LinkId,
-                        dest_cube: dest,
-                        tag: entry.packet.tag(),
-                    });
-                    self.bodies.give(entry.packet);
+                    self.misrouted_response(di, l as LinkId, entry);
                     moved += 1;
                     continue;
                 };
+                // Cross this link to the peer device, or re-route within
+                // the device to the egress crossbar.
                 let e_link = e_link as usize;
-                if e_link == l {
-                    // This link faces the right direction: cross it.
-                    match self.devices[di].links[l].remote {
-                        Endpoint::Device(r, rl) => {
-                            let (r, rl) = (r as usize, rl as usize);
-                            if self.devices[r].xbars[rl].rsp.is_full() {
-                                let tag = self.xbar_rsp_tag(di, l, idx);
-                                self.emit(TraceEvent::XbarRspStall {
-                                    cube: dev_id,
-                                    link: l as LinkId,
-                                    tag,
-                                });
-                                idx += 1;
-                                continue;
-                            }
-                            let mut entry =
-                                self.devices[di].xbars[l].rsp.remove(idx).expect("present");
-                            entry.arrival_cycle = self.clock;
-                            entry.arrival_link = rl as LinkId;
-                            entry.hops += 1;
-                            self.devices[r].xbars[rl]
-                                .rsp
-                                .push(entry)
-                                .expect("fullness checked");
-                            moved += 1;
-                        }
-                        _ => {
-                            // Route says "this link" but it's a host link
-                            // for a different host, or unconnected.
-                            let entry =
-                                self.devices[di].xbars[l].rsp.remove(idx).expect("present");
-                            self.emit(TraceEvent::Misroute {
-                                cube: dev_id,
-                                link: l as LinkId,
-                                dest_cube: entry.dest_cube,
-                                tag: entry.packet.tag(),
-                            });
-                            self.bodies.give(entry.packet);
-                            moved += 1;
-                        }
-                    }
-                } else {
-                    // Re-route within the device to the egress crossbar.
-                    if self.devices[di].xbars[e_link].rsp.is_full() {
-                        let tag = self.xbar_rsp_tag(di, l, idx);
-                        self.emit(TraceEvent::XbarRspStall {
-                            cube: dev_id,
-                            link: e_link as LinkId,
-                            tag,
-                        });
-                        idx += 1;
+                let (r, rl) = match self.devices[di].links[l].remote {
+                    _ if e_link != l => (di, e_link),
+                    Endpoint::Device(r, rl) => (r as usize, rl as usize),
+                    _ => {
+                        // Route says "this link" but it's a host link for
+                        // a different host, or unconnected.
+                        let entry = self.devices[di].xbars[l].rsp.remove(idx).expect("present");
+                        self.misrouted_response(di, l as LinkId, entry);
+                        moved += 1;
                         continue;
                     }
-                    let mut entry = self.devices[di].xbars[l].rsp.remove(idx).expect("present");
-                    entry.arrival_cycle = self.clock;
-                    self.devices[di].xbars[e_link]
-                        .rsp
-                        .push(entry)
-                        .expect("fullness checked");
-                    moved += 1;
+                };
+                if self.devices[r].xbars[rl].rsp.is_full() {
+                    let tag = self.xbar_rsp_tag(di, l, idx);
+                    self.emit(TraceEvent::XbarRspStall {
+                        cube: dev_id,
+                        link: e_link as LinkId,
+                        tag,
+                    });
+                    idx += 1;
+                    continue;
                 }
+                let mut entry = self.devices[di].xbars[l].rsp.remove(idx).expect("present");
+                entry.arrival_cycle = self.clock;
+                if e_link == l {
+                    entry.arrival_link = rl as LinkId;
+                    entry.hops += 1;
+                }
+                let pushed = self.devices[r].xbars[rl].rsp.push(entry);
+                pushed.expect("fullness checked");
+                moved += 1;
             }
         }
     }
@@ -714,15 +631,8 @@ impl HmcSim {
                     .next_hop(dev_id, dest)
             };
             let Some(e_link) = egress else {
-                // Unreachable host: retire the response as misrouted.
                 let entry = dev.vaults[vi].rsp.pop().expect("head present");
-                self.bodies.give(entry.packet);
-                self.emit(TraceEvent::Misroute {
-                    cube: dev_id,
-                    link: arrival_link,
-                    dest_cube: dest,
-                    tag,
-                });
+                self.misrouted_response(di, arrival_link, entry);
                 continue;
             };
             // Buffered NoC fabrics carry cross-quad responses through the
@@ -825,28 +735,45 @@ impl HmcSim {
         rsp.get(idx).expect("idx checked").packet.tag()
     }
 
-    /// Retire slot `idx` of link `l`'s crossbar request queue and hand
-    /// its link-layer tokens back.
-    fn take_xbar_request(&mut self, di: usize, l: usize, idx: usize, flits: u32) -> QueueEntry {
-        let entry = self.devices[di].xbars[l]
-            .rqst
-            .remove(idx)
-            .expect("slot present");
-        self.return_link_tokens(di, l, flits);
-        entry
+    /// Retire a response whose host is unreachable from link `link`, as
+    /// misrouted.
+    fn misrouted_response(&mut self, di: usize, link: LinkId, entry: QueueEntry) {
+        self.emit(TraceEvent::Misroute {
+            cube: di as CubeId,
+            link,
+            dest_cube: entry.dest_cube,
+            tag: entry.packet.tag(),
+        });
+        self.bodies.give(entry.packet);
     }
 
-    /// Return link-layer flow-control tokens when a packet retires from a
-    /// host link's crossbar queue.
-    fn return_link_tokens(&mut self, di: usize, l: usize, flits: u32) {
-        let is_host = self.devices[di].links[l].is_host_link();
-        self.devices[di].links[l].return_tokens(flits);
-        if is_host && self.tracer.enabled(EventKind::TokenReturn) {
+    /// Retire slot `idx` of link `l`'s crossbar request queue and hand
+    /// its link-layer flow-control tokens back.
+    pub(crate) fn take_xbar_request(&mut self, di: usize, l: usize, idx: usize) -> QueueEntry {
+        let dev = &mut self.devices[di];
+        let entry = dev.xbars[l].rqst.remove(idx).expect("slot present");
+        let flits = entry.packet.lng() as u32;
+        dev.links[l].return_tokens(flits);
+        if dev.links[l].is_host_link() && self.tracer.enabled(EventKind::TokenReturn) {
             self.emit(TraceEvent::TokenReturn {
                 cube: di as CubeId,
                 link: l as LinkId,
                 tokens: flits as u8,
             });
+        }
+        entry
+    }
+
+    /// The one rule for a response the crossbar owes: true when the
+    /// request in slot `idx` of link `l`'s crossbar queue must wait,
+    /// because it is non-posted and the link's response queue is full.
+    /// A posted request owes no response and never waits.
+    #[inline]
+    pub(crate) fn reply_blocked(&self, di: usize, l: usize, idx: usize) -> bool {
+        let xbar = &self.devices[di].xbars[l];
+        xbar.rsp.is_full() && {
+            let e = xbar.rqst.get(idx).expect("idx checked");
+            !e.packet.cmd().is_ok_and(|c| c.is_posted())
         }
     }
 
@@ -868,116 +795,6 @@ impl HmcSim {
             _ => {}
         }
         self.bodies.give(entry.packet);
-    }
-
-    /// Execute an in-band MODE_READ / MODE_WRITE register access at the
-    /// crossbar logic layer and enqueue the response (§V.D).
-    fn execute_mode_access(&mut self, di: usize, l: usize, cmd: Command, entry: QueueEntry) {
-        let dev_id = di as CubeId;
-        let reg = entry.packet.addr() as u32;
-        let tag = entry.packet.tag();
-        let write = cmd == Command::ModeWrite;
-
-        // The register data a MODE_READ returns: one FLIT, value first.
-        let mut data = [0u8; 16];
-        let failed = |status| (Command::ErrorResponse, status, &[][..]);
-        let (rsp, status, data) = if write {
-            let value = entry.packet.data_words().first().copied().unwrap_or(0);
-            match self.devices[di].registers.write(reg, value) {
-                Ok(()) => (Command::ModeWriteResponse, ResponseStatus::Ok, &[][..]),
-                Err(hmc_types::HmcError::RegisterAccess(msg)) if msg.contains("read-only") => {
-                    failed(ResponseStatus::CommandError)
-                }
-                Err(_) => failed(ResponseStatus::AddressError),
-            }
-        } else {
-            match self.devices[di].registers.read(reg) {
-                Ok(v) => {
-                    data[..8].copy_from_slice(&v.to_le_bytes());
-                    (Command::ModeReadResponse, ResponseStatus::Ok, &data[..])
-                }
-                Err(_) => failed(ResponseStatus::AddressError),
-            }
-        };
-
-        self.emit(TraceEvent::ModeAccess {
-            cube: dev_id,
-            reg,
-            write,
-            tag,
-        });
-        if !status.is_ok() {
-            self.emit(TraceEvent::ErrorResponse {
-                cube: dev_id,
-                tag,
-                status: status.encode(),
-            });
-        }
-        let resp = entry.into_response(rsp, status, data, dev_id, self.clock);
-        self.devices[di].xbars[l]
-            .rsp
-            .push(resp)
-            .expect("response slot checked by caller");
-    }
-
-    /// Generate an error response for a request that failed at the
-    /// crossbar (bad command, bad address, misroute, zombie). Posted
-    /// requests fail silently; full response queues drop the error (the
-    /// condition is still traced).
-    fn xbar_error_response(
-        &mut self,
-        di: usize,
-        l: usize,
-        entry: QueueEntry,
-        status: ResponseStatus,
-    ) {
-        let posted = entry.packet.cmd().map(|c| c.is_posted()).unwrap_or(false);
-        let tag = entry.packet.tag();
-        self.emit(TraceEvent::ErrorResponse {
-            cube: di as CubeId,
-            tag,
-            status: status.encode(),
-        });
-        self.devices[di].registers.count_error_response();
-        if posted {
-            self.bodies.give(entry.packet);
-            return;
-        }
-        let cube = di as CubeId;
-        let resp = entry.into_response(Command::ErrorResponse, status, &[], cube, self.clock);
-        // Best effort: if the response queue is full the error is dropped;
-        // the trace event above still records the failure.
-        if let Err(dropped) = self.devices[di].xbars[l].rsp.push(resp) {
-            self.bodies.give(dropped.packet);
-        }
-    }
-
-    /// Generate the poisoned response for a request that exhausted the
-    /// link-retry protocol. Unlike [`Self::xbar_error_response`] this
-    /// path never drops: the caller verified a response slot is free
-    /// before retiring the request, so every non-posted request ends in
-    /// exactly one clean or poisoned response. Posted requests fail
-    /// silently (they carry no response by definition).
-    fn poison_response(&mut self, di: usize, l: usize, entry: QueueEntry) {
-        let posted = entry.packet.cmd().map(|c| c.is_posted()).unwrap_or(false);
-        let tag = entry.packet.tag();
-        self.devices[di].registers.count_error_response();
-        if posted {
-            self.bodies.give(entry.packet);
-            return;
-        }
-        self.emit(TraceEvent::PoisonedResponse {
-            cube: di as CubeId,
-            link: l as LinkId,
-            tag,
-        });
-        self.stats.poisoned_responses += 1;
-        let (cmd, status) = (Command::ErrorResponse, ResponseStatus::LinkPoisoned);
-        let resp = entry.into_response(cmd, status, &[], di as CubeId, self.clock);
-        self.devices[di].xbars[l]
-            .rsp
-            .push(resp)
-            .expect("poison slot checked by caller");
     }
 }
 

@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 
 use hmc_types::cellfault::{CellFaultConfig, Mitigation};
-use hmc_types::{BankId, Cycle};
+use hmc_types::{splitmix64_mix as mix, BankId, Cycle};
 
 use crate::vault_mem::VaultMemory;
 
@@ -36,13 +36,6 @@ pub const ELEVATED_REFRESH_DIVISOR: u64 = 4;
 const TAG_HAMMER: u64 = 0x4841_4d4d_4552_5f31; // "HAMMER_1"
 /// Hash-domain tag separating retention decay from every other draw.
 const TAG_RETENTION: u64 = 0x5245_5445_4e54_5f31; // "RETENT_1"
-
-/// SplitMix64 output mixer (same constants as `fault::FaultState`).
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Order-independent hash of a draw coordinate: each part is absorbed
 /// through a multiply + SplitMix64 round, so nearby coordinates (row

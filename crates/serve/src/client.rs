@@ -5,7 +5,6 @@
 //! synchronous request/reply — the server replies to every frame in
 //! order on a given connection.
 
-use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -15,7 +14,7 @@ use hmc_types::{
 };
 
 use crate::manager::frame_error;
-use crate::proto::{write_frame, FrameReader, ReadOutcome};
+use crate::proto::{write_frame, Conn, FrameReader, ReadOutcome};
 
 /// The server's reply to a submission attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,35 +55,6 @@ pub struct ServerInfo {
     pub max_sessions: u32,
     /// Sessions open at greeting time.
     pub active_sessions: u32,
-}
-
-enum Stream {
-    Uds(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Uds(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Uds(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Uds(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
-    }
 }
 
 /// Bounded retry schedule for BUSY backpressure: exponential backoff
@@ -153,10 +123,7 @@ impl RetryPolicy {
             .min(self.max_delay_ms);
         let base = exp.max(u64::from(hint_ms)).min(self.max_delay_ms).max(1);
         *jitter = jitter.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *jitter;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
+        let z = hmc_types::splitmix64_mix(*jitter);
         // Full jitter over [base/2, base]: keeps the exponential shape
         // while spreading resubmissions across half a period.
         base / 2 + z % (base / 2 + 1)
@@ -174,7 +141,7 @@ pub struct SubmitReport {
 
 /// A blocking protocol client.
 pub struct Client {
-    stream: Stream,
+    stream: Conn,
     reader: FrameReader,
     /// The server's greeting, captured during connect.
     pub server: ServerInfo,
@@ -185,7 +152,7 @@ impl Client {
     pub fn connect_uds(path: &Path) -> Result<Client> {
         let stream = UnixStream::connect(path)
             .map_err(|e| HmcError::Wire(format!("connect {}: {e}", path.display())))?;
-        Self::finish_connect(Stream::Uds(stream))
+        Self::finish_connect(Conn::Uds(stream))
     }
 
     /// Connect over TCP and exchange greetings.
@@ -195,10 +162,10 @@ impl Client {
         stream
             .set_nodelay(true)
             .map_err(|e| HmcError::Wire(format!("nodelay: {e}")))?;
-        Self::finish_connect(Stream::Tcp(stream))
+        Self::finish_connect(Conn::Tcp(stream))
     }
 
-    fn finish_connect(stream: Stream) -> Result<Client> {
+    fn finish_connect(stream: Conn) -> Result<Client> {
         let mut client = Client {
             stream,
             reader: FrameReader::new(),

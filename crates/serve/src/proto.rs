@@ -7,8 +7,41 @@
 //! framing mid-frame.
 
 use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
 
 use hmc_types::{Frame, HmcError, Result, MAX_FRAME_LEN};
+
+/// One connection, over either transport: the client's and the server's
+/// end of a session read and write it alike.
+pub(crate) enum Conn {
+    Uds(UnixStream),
+    Tcp(TcpStream),
+}
+
+impl Read for Conn {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self {
+            Conn::Uds(s) => s.read(buf),
+            Conn::Tcp(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Conn {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        match self {
+            Conn::Uds(s) => s.write(buf),
+            Conn::Tcp(s) => s.write(buf),
+        }
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        match self {
+            Conn::Uds(s) => s.flush(),
+            Conn::Tcp(s) => s.flush(),
+        }
+    }
+}
 
 /// The outcome of one [`FrameReader::poll`] call.
 #[derive(Debug)]

@@ -6,9 +6,8 @@
 //! only set an atomic — it cannot interrupt a blocking accept portably).
 //! Connection threads use socket read timeouts for the same reason.
 
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::net::TcpListener;
+use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -17,7 +16,7 @@ use std::time::Duration;
 use hmc_types::{Frame, HmcError, Result, WireErrorCode, WIRE_VERSION};
 
 use crate::manager::{ServerConfig, SessionManager};
-use crate::proto::{write_frame, FrameReader, ReadOutcome};
+use crate::proto::{write_frame, Conn, FrameReader, ReadOutcome};
 
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 const READ_TIMEOUT: Duration = Duration::from_millis(100);
@@ -110,13 +109,13 @@ impl Server {
             for (listener, _) in &self.uds {
                 while let Ok((stream, _)) = listener.accept() {
                     accepted = true;
-                    self.spawn_conn(UdsOrTcp::Uds(stream), &live_conns, &conn_exit);
+                    self.spawn_conn(Conn::Uds(stream), &live_conns, &conn_exit);
                 }
             }
             for listener in &self.tcp {
                 while let Ok((stream, _)) = listener.accept() {
                     accepted = true;
-                    self.spawn_conn(UdsOrTcp::Tcp(stream), &live_conns, &conn_exit);
+                    self.spawn_conn(Conn::Tcp(stream), &live_conns, &conn_exit);
                 }
             }
             if !accepted {
@@ -163,12 +162,7 @@ impl Server {
         outcome
     }
 
-    fn spawn_conn(
-        &self,
-        stream: UdsOrTcp,
-        live_conns: &Arc<AtomicUsize>,
-        conn_exit: &Arc<AtomicBool>,
-    ) {
+    fn spawn_conn(&self, stream: Conn, live_conns: &Arc<AtomicUsize>, conn_exit: &Arc<AtomicBool>) {
         let mgr = self.mgr.clone();
         let shutdown = self.shutdown.clone();
         let exit = conn_exit.clone();
@@ -193,19 +187,16 @@ impl Drop for DecrementOnDrop {
     }
 }
 
-enum UdsOrTcp {
-    Uds(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl UdsOrTcp {
+impl Conn {
+    /// Blocking reads that time out every [`READ_TIMEOUT`], so the
+    /// connection thread can poll the shutdown flag; no Nagle delay on TCP.
     fn prepare(&self) -> std::io::Result<()> {
         match self {
-            UdsOrTcp::Uds(s) => {
+            Conn::Uds(s) => {
                 s.set_nonblocking(false)?;
                 s.set_read_timeout(Some(READ_TIMEOUT))
             }
-            UdsOrTcp::Tcp(s) => {
+            Conn::Tcp(s) => {
                 s.set_nonblocking(false)?;
                 s.set_nodelay(true)?;
                 s.set_read_timeout(Some(READ_TIMEOUT))
@@ -214,34 +205,10 @@ impl UdsOrTcp {
     }
 }
 
-impl Read for UdsOrTcp {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            UdsOrTcp::Uds(s) => s.read(buf),
-            UdsOrTcp::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for UdsOrTcp {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            UdsOrTcp::Uds(s) => s.write(buf),
-            UdsOrTcp::Tcp(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            UdsOrTcp::Uds(s) => s.flush(),
-            UdsOrTcp::Tcp(s) => s.flush(),
-        }
-    }
-}
-
 /// One connection's request/reply loop. The first frame must be `Hello`
 /// with a matching protocol version.
 fn serve_connection(
-    mut stream: UdsOrTcp,
+    mut stream: Conn,
     mgr: &SessionManager,
     shutdown: &AtomicBool,
     conn_exit: &AtomicBool,

@@ -227,3 +227,54 @@ fn vault_failures_are_traced_and_counted_posted_or_not() {
         assert_eq!(sim.jtag_reg_read(0, err_reg).unwrap(), 1, "{cmd:?}");
     }
 }
+
+#[test]
+fn an_error_response_waits_for_a_full_response_queue() {
+    // Eight reads fill link 0's response queue (crossbar depth 8) and
+    // stay there: the host never receives them. A ninth request the
+    // crossbar answers itself must wait in its slot for a response slot,
+    // not retire with its error response dropped.
+    let mut sim = HmcSim::new(1, DeviceConfig::small()).unwrap();
+    let host = sim.host_cube_id(0);
+    topology::build_simple(&mut sim, host).unwrap();
+    for tag in 0..8 {
+        let addr = 0x40 * tag as u64;
+        let req = Packet::request(Command::Rd(BlockSize::B16), 0, addr, tag, 0, &[]).unwrap();
+        sim.send(0, 0, req).unwrap();
+    }
+    for _ in 0..50 {
+        sim.clock().unwrap();
+    }
+    assert_eq!(sim.pending_responses(0, 0).unwrap(), 8);
+
+    let beyond = sim.config().capacity_bytes + 4096;
+    let req = Packet::request(Command::Rd(BlockSize::B16), 0, beyond, 100, 0, &[]).unwrap();
+    sim.send(0, 0, req).unwrap();
+    for _ in 0..50 {
+        sim.clock().unwrap();
+    }
+    assert_eq!(
+        sim.free_request_slots(0, 0).unwrap(),
+        7,
+        "the bad request waits in its crossbar slot"
+    );
+
+    let mut answered = Vec::new();
+    for _ in 0..50 {
+        while let Ok(p) = sim.recv(0, 0) {
+            let info = decode_response(&p).unwrap();
+            answered.push((info.tag, info.status));
+        }
+        sim.clock().unwrap();
+    }
+    assert!(sim.is_idle());
+    let mut clean: Vec<u16> = answered
+        .iter()
+        .filter(|&&(_, status)| status == ResponseStatus::Ok)
+        .map(|&(tag, _)| tag)
+        .collect();
+    clean.sort_unstable();
+    assert_eq!(clean, (0..8).collect::<Vec<u16>>());
+    let errors: Vec<_> = answered.iter().filter(|&&(tag, _)| tag == 100).collect();
+    assert_eq!(errors, [&(100, ResponseStatus::AddressError)]);
+}
