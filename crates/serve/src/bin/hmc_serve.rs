@@ -2,11 +2,13 @@
 //!
 //! `hmc-serve --help` prints the synopsis (`USAGE` below) and the shared
 //! simulation-axis flags (`SimParams::USAGE`). `--threads` sizes the
-//! worker pool — sessions run in parallel, each simulation on one thread
-//! at a time; every session's device is built under the shared axes,
-//! with the session's own config laid on top. So `--fast-forward` arms every device's fast-forward
-//! mode, and the link-fault flags put the whole daemon into
-//! degraded-link mode — every session whose config does not arm its own
+//! worker pool, which runs every quantum after the one a submit or poll
+//! runs on its own connection thread — sessions run in parallel, each
+//! simulation on one thread at a time; every session's device is built
+//! under the shared axes, with the session's own config laid on top. So
+//! `--fast-forward` arms every device's fast-forward mode, and the
+//! link-fault flags put the whole daemon into degraded-link mode — every
+//! session whose config does not arm its own
 //! `link_faults` block inherits the server's, and retry-exhausted
 //! requests come back to clients as poisoned error frames. The timing
 //! backend and the fabric are always the session config's to name

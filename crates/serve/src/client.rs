@@ -42,7 +42,8 @@ pub struct PollResult {
     pub items: Vec<WireResponse>,
     /// Requests still awaiting device responses.
     pub outstanding: u32,
-    /// True when the session is fully drained server-side.
+    /// True when the session is fully drained server-side, with no
+    /// responses left buffered.
     pub idle: bool,
 }
 

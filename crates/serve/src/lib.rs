@@ -4,9 +4,11 @@
 //! over Unix-domain sockets or TCP and speak a length-prefixed binary
 //! protocol (`hmc_types::wire`): open a session backed by a private
 //! simulated device, submit batches of memory operations, poll completed
-//! responses, snapshot metrics, close. A bounded worker pool pumps every
-//! session with the exact per-cycle schedule of the in-process driver, so
-//! served responses are bit-identical to `hmc_host::run_workload` output —
+//! responses, snapshot metrics, close. The thread that receives a frame
+//! runs the session's next quantum and a bounded worker pool runs the
+//! rest, every one with the exact per-cycle schedule of the in-process
+//! driver, so served responses are bit-identical to
+//! `hmc_host::run_workload` output —
 //! the service adds multi-tenancy and a network boundary, never timing
 //! drift.
 //!

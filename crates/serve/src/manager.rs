@@ -1,14 +1,20 @@
 //! Session lifecycle and the bounded worker pool.
 //!
 //! The manager owns every live session, admits new ones under a
-//! concurrent-session cap, schedules runnable sessions onto a fixed pool
-//! of worker threads, reaps sessions idle past their timeout, and
-//! coordinates the graceful drain (stop admitting, pump everything to
-//! quiescence, then let the server exit 0).
+//! concurrent-session cap, runs sessions one quantum at a time, reaps
+//! sessions idle past their timeout, and coordinates the graceful drain
+//! (stop admitting, pump everything to quiescence, then let the server
+//! exit 0).
+//!
+//! The thread that receives a `SubmitBatch` or an empty-handed `Poll`
+//! runs the session's next quantum itself, so a batch that fits one
+//! quantum never waits for a worker; a fixed pool of worker threads runs
+//! every quantum after that one. The session mutex is held across a
+//! quantum, so one thread at a time pumps a session.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use hmc_core::SimParams;
@@ -21,7 +27,8 @@ use crate::session::{PumpOutcome, SessionLimits, SessionState};
 pub struct ServerConfig {
     /// Admission cap on concurrently open sessions.
     pub max_sessions: usize,
-    /// Worker threads pumping sessions.
+    /// Worker threads running the quanta after a frame's first: the
+    /// thread that receives a submit or a poll runs one quantum itself.
     pub threads: usize,
     /// Default per-session limits (clients may request smaller bounds).
     pub limits: SessionLimits,
@@ -229,23 +236,23 @@ impl SessionManager {
             return Self::error(WireErrorCode::UnknownSession, format!("session {id}"));
         };
         Self::touch(&handle);
-        let accepted = {
-            let mut state = handle.state.lock().unwrap();
-            match state.submit(ops) {
-                Ok(n) => {
-                    if n == 0 && !ops.is_empty() {
-                        return self.busy(hmc_types::BusyReason::InflightFull);
-                    }
-                    let free = state.queue_free() as u32;
-                    (n as u32, free)
-                }
-                Err(e) => return Self::error(WireErrorCode::BadFrame, e.to_string()),
-            }
+        let mut state = handle.state.lock().unwrap();
+        let accepted = match state.submit(ops) {
+            Ok(0) if !ops.is_empty() => return self.busy(hmc_types::BusyReason::InflightFull),
+            Ok(n) => n as u32,
+            Err(e) => return Self::error(WireErrorCode::BadFrame, e.to_string()),
         };
-        self.schedule(&handle);
+        if accepted > 0 {
+            // Run the batch's first quantum here instead of waiting for a
+            // worker to wake; a batch that fits one never queues.
+            state = match self.run_quantum(&handle, state) {
+                Ok(state) => state,
+                Err(e) => return Self::failed(id, &e),
+            };
+        }
         Frame::BatchAccepted {
-            accepted: accepted.0,
-            queue_free: accepted.1,
+            accepted,
+            queue_free: state.queue_free() as u32,
         }
     }
 
@@ -255,19 +262,22 @@ impl SessionManager {
             return Self::error(WireErrorCode::UnknownSession, format!("session {id}"));
         };
         Self::touch(&handle);
-        let (items, outstanding, idle, resume) = {
-            let mut state = handle.state.lock().unwrap();
-            let was_paused = state.paused();
-            let max = if max == 0 { u32::MAX } else { max };
-            let items = state.take_responses(max as usize);
-            let resume = was_paused && !state.paused() && state.has_work();
-            (
-                items,
-                state.outstanding() as u32,
-                state.drained(),
-                resume,
-            )
-        };
+        let mut state = handle.state.lock().unwrap();
+        if state.buffered() == 0 && state.has_work() {
+            // Run the quantum a worker would rather than answer empty —
+            // one, so a poll is bounded exactly as a worker's slice is.
+            state = match self.run_quantum(&handle, state) {
+                Ok(state) => state,
+                Err(e) => return Self::failed(id, &e),
+            };
+        }
+        let was_paused = state.paused();
+        let max = if max == 0 { u32::MAX } else { max };
+        let items = state.take_responses(max as usize);
+        let resume = was_paused && !state.paused() && state.has_work();
+        let outstanding = state.outstanding() as u32;
+        let idle = state.drained() && state.buffered() == 0;
+        drop(state);
         if resume {
             self.schedule(&handle);
         }
@@ -364,6 +374,35 @@ impl SessionManager {
         self.inner.work_ready.notify_all();
     }
 
+    /// Run one quantum of `handle`'s session on the calling thread and
+    /// apply the rules that follow every quantum: a session with work
+    /// left past its slice goes back on the run queue, and a session whose
+    /// simulation failed is dropped, so its clients get `UnknownSession`
+    /// rather than a wedged queue. Hands the guard back unless the
+    /// session failed.
+    fn run_quantum<'a>(
+        &self,
+        handle: &SessionHandle,
+        mut state: MutexGuard<'a, SessionState>,
+    ) -> Result<MutexGuard<'a, SessionState>> {
+        match state.pump() {
+            Ok(PumpOutcome::Working) => self.schedule(handle),
+            Ok(PumpOutcome::Idle) | Ok(PumpOutcome::Paused) => {}
+            Err(e) => {
+                drop(state);
+                eprintln!("hmc-serve: session {} failed: {e}", handle.id);
+                self.inner.sessions.lock().unwrap().remove(&handle.id);
+                return Err(e);
+            }
+        }
+        Ok(state)
+    }
+
+    /// The reply to a frame whose quantum failed the session.
+    fn failed(id: u64, e: &HmcError) -> Frame {
+        Self::error(WireErrorCode::Internal, format!("session {id} failed: {e}"))
+    }
+
     fn worker_loop(&self) {
         loop {
             let id = {
@@ -387,21 +426,9 @@ impl SessionManager {
                 continue;
             };
             handle.queued.store(false, Ordering::Release);
-            let outcome = {
-                let mut state = handle.state.lock().unwrap();
-                state.pump()
-            };
-            match outcome {
-                Ok(PumpOutcome::Working) => self.schedule(&handle),
-                Ok(PumpOutcome::Idle) | Ok(PumpOutcome::Paused) => {}
-                Err(e) => {
-                    // A broken simulation cannot be pumped further; drop
-                    // the session so clients get UnknownSession rather
-                    // than a wedged queue.
-                    eprintln!("hmc-serve: session {id} failed: {e}");
-                    self.inner.sessions.lock().unwrap().remove(&id);
-                }
-            }
+            // A failed session is logged and dropped inside; a worker
+            // has no frame to answer.
+            drop(self.run_quantum(&handle, handle.state.lock().unwrap()));
         }
     }
 

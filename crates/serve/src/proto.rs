@@ -129,9 +129,18 @@ impl FrameReader {
     }
 }
 
-/// Write one frame to `stream` (blocking, flushed).
+/// Write one frame to `stream` (blocking, flushed). A frame longer than
+/// [`MAX_FRAME_LEN`], which no [`FrameReader`] accepts, is refused with
+/// [`HmcError::Wire`] before a byte is written.
 pub fn write_frame(stream: &mut impl Write, frame: &Frame) -> Result<()> {
     let bytes = frame.encode_framed();
+    let len = bytes.len() - 4;
+    if len > MAX_FRAME_LEN as usize {
+        return Err(HmcError::Wire(format!(
+            "frame 0x{:02x} of {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
+            frame.opcode()
+        )));
+    }
     stream
         .write_all(&bytes)
         .and_then(|()| stream.flush())
@@ -278,6 +287,39 @@ mod tests {
         ));
         match reader.poll(&mut stream).unwrap() {
             ReadOutcome::Frame(f) => assert_eq!(f, Frame::Poll { session: 9, max: 1 }),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_oversized_frame_is_refused_before_a_byte_is_written() {
+        // A batch body is 13 bytes of header and 11 per op: the most ops
+        // that fit the cap, and one more.
+        let fit = (MAX_FRAME_LEN as usize - 13) / 11;
+        let op = hmc_types::WireOp {
+            kind: hmc_types::WireOp::KIND_READ,
+            addr: 0,
+            size_bytes: 64,
+        };
+        let frame = Frame::SubmitBatch {
+            session: 1,
+            ops: vec![op; fit + 1],
+        };
+        let mut wire = Vec::new();
+        let err = write_frame(&mut wire, &frame).unwrap_err();
+        assert!(
+            matches!(&err, HmcError::Wire(m) if m.contains("0x03") && m.contains("16777216")),
+            "{err}"
+        );
+        assert!(wire.is_empty(), "nothing written");
+        let fits = Frame::SubmitBatch {
+            session: 1,
+            ops: vec![op; fit],
+        };
+        write_frame(&mut wire, &fits).unwrap();
+        let mut reader = FrameReader::new();
+        match reader.poll(&mut Cursor::new(wire)).unwrap() {
+            ReadOutcome::Frame(got) => assert_eq!(got, fits),
             other => panic!("{other:?}"),
         }
     }

@@ -22,7 +22,7 @@ use hmc_core::{topology, HmcSim, ResponseInfo, SimParams};
 use hmc_host::Host;
 use hmc_types::{
     BlockSize, CubeId, Cycle, DeviceConfig, HmcError, PhysAddr, Result, WireOp, WireResponse,
-    WireStats,
+    WireStats, MAX_FRAME_LEN,
 };
 use hmc_workloads::{MemOp, OpKind, Workload};
 
@@ -219,10 +219,26 @@ impl SessionState {
         Ok(take)
     }
 
-    /// Move up to `max` buffered responses out, oldest first.
+    /// Move up to `max` buffered responses out, oldest first, as many as
+    /// one `Responses` frame carries: the prefix whose encoding fits
+    /// [`MAX_FRAME_LEN`], and always at least one. The rest stay
+    /// buffered for the next poll.
     pub fn take_responses(&mut self, max: usize) -> Vec<WireResponse> {
-        let n = self.responses.len().min(max.max(1));
+        let mut room = MAX_FRAME_LEN as usize - WireResponse::FRAME_OVERHEAD;
+        let mut n = 0;
+        for r in self.responses.iter().take(max.max(1)) {
+            if n > 0 && r.encoded_len() > room {
+                break;
+            }
+            room = room.saturating_sub(r.encoded_len());
+            n += 1;
+        }
         self.responses.drain(..n).collect()
+    }
+
+    /// Completed responses awaiting a poll.
+    pub fn buffered(&self) -> usize {
+        self.responses.len()
     }
 
     /// True when the session still has simulation work to do (pumping

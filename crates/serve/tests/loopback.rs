@@ -15,9 +15,12 @@ use std::time::{Duration, Instant};
 use hmc_core::{topology, HmcSim};
 use hmc_host::{run_workload_captured, Host, RunConfig};
 use hmc_serve::{
-    workload_to_wire, Client, DrainOutcome, Server, ServerConfig, SessionManager, SubmitResult,
+    workload_to_wire, Client, DrainOutcome, PumpOutcome, Server, ServerConfig, SessionLimits,
+    SessionManager, SessionState, SubmitResult,
 };
-use hmc_types::{BusyReason, DeviceConfig, Frame, WireErrorCode, WireOp, WireResponse};
+use hmc_types::{
+    BusyReason, DeviceConfig, Frame, WireErrorCode, WireOp, WireResponse, WireStats, MAX_FRAME_LEN,
+};
 use hmc_workloads::WorkloadSpec;
 
 fn socket_path(name: &str) -> PathBuf {
@@ -46,6 +49,53 @@ fn poll_until_idle(client: &mut Client, session: u64, deadline: Duration) -> Vec
         assert!(Instant::now() < until, "session never went idle");
         if empty {
             std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+}
+
+/// A manager whose worker pool has already exited: only the threads
+/// that call it can pump its sessions.
+fn manager_without_workers(cfg: ServerConfig) -> SessionManager {
+    let (mgr, workers) = SessionManager::start(cfg);
+    mgr.stop_workers();
+    for w in workers {
+        w.join().unwrap();
+    }
+    mgr
+}
+
+/// `n` back-to-back reads of `bytes` each, wrapping at 1 GiB.
+fn reads(n: u64, bytes: u16) -> Vec<WireOp> {
+    (0..n)
+        .map(|i| WireOp {
+            kind: WireOp::KIND_READ,
+            addr: (i * u64::from(bytes)) % (1 << 30),
+            size_bytes: bytes,
+        })
+        .collect()
+}
+
+fn stats(mgr: &SessionManager, session: u64) -> WireStats {
+    match mgr.stats(session) {
+        Frame::Stats(s) => s,
+        other => panic!("stats answered {other:?}"),
+    }
+}
+
+/// `ops` through a `SessionState` on the calling thread: the responses
+/// in order and the quanta the pump took to go idle.
+fn in_process(limits: SessionLimits, ops: &[WireOp]) -> (Vec<WireResponse>, usize) {
+    let mut session = SessionState::new(DeviceConfig::small(), limits).unwrap();
+    assert_eq!(session.submit(ops).unwrap(), ops.len());
+    let (mut responses, mut quanta) = (Vec::new(), 0);
+    loop {
+        quanta += 1;
+        let outcome = session.pump().unwrap();
+        while session.buffered() > 0 {
+            responses.extend(session.take_responses(usize::MAX));
+        }
+        if outcome == PumpOutcome::Idle {
+            return (responses, quanta);
         }
     }
 }
@@ -542,6 +592,198 @@ fn version_mismatch_is_rejected_at_hello() {
         Frame::Error { code, .. } if code == WireErrorCode::VersionMismatch as u8
     ));
 
+    flag.store(true, Ordering::Release);
+    assert_eq!(run.join().unwrap(), DrainOutcome::Drained);
+}
+
+#[test]
+fn submit_runs_a_batch_that_fits_one_quantum_before_it_replies() {
+    let mgr = manager_without_workers(ServerConfig::default());
+    let Frame::SessionOpened { session } = mgr.open_session("small", "", 0, 0) else {
+        panic!("open failed");
+    };
+    let ops = reads(512, 64);
+    assert!(matches!(
+        mgr.submit(session, &ops),
+        Frame::BatchAccepted { accepted: 512, .. }
+    ));
+    // Stats pumps nothing, and no worker is left: the submit ran it all.
+    let s = stats(&mgr, session);
+    assert_eq!(
+        (s.completed, s.buffered_responses, s.outstanding),
+        (512, 512, 0)
+    );
+    match mgr.poll(session, 0) {
+        Frame::Responses {
+            items,
+            outstanding,
+            idle,
+        } => {
+            assert_eq!(items.len(), 512);
+            assert_eq!(outstanding, 0);
+            assert!(idle);
+        }
+        other => panic!("poll answered {other:?}"),
+    }
+}
+
+#[test]
+fn polls_alone_pump_a_gapped_stream_bit_identically() {
+    let limits = SessionLimits {
+        slice_cycles: 256,
+        ..SessionLimits::default()
+    };
+    let mgr = manager_without_workers(ServerConfig {
+        limits,
+        ..ServerConfig::default()
+    });
+    // Three bursts of eight reads, ten quanta of idle device between them.
+    let mut ops = Vec::new();
+    for burst in 0..3u64 {
+        if burst > 0 {
+            ops.push(WireOp::idle(10 * limits.slice_cycles));
+        }
+        ops.extend(reads(8, 64).iter().map(|op| WireOp {
+            addr: op.addr + burst * 4096,
+            ..*op
+        }));
+    }
+    let (reference, quanta) = in_process(limits, &ops);
+    assert!(quanta > 20, "the gaps span many quanta: {quanta}");
+
+    let Frame::SessionOpened { session } = mgr.open_session("small", "", 0, 0) else {
+        panic!("open failed");
+    };
+    assert!(matches!(
+        mgr.submit(session, &ops),
+        Frame::BatchAccepted { .. }
+    ));
+    let (mut served, mut polls) = (Vec::new(), 0);
+    loop {
+        polls += 1;
+        // A poll either runs one quantum or returns what one buffered.
+        assert!(polls <= 2 * quanta + 1, "{polls} polls for {quanta} quanta");
+        let Frame::Responses {
+            items,
+            outstanding,
+            idle,
+        } = mgr.poll(session, 0)
+        else {
+            panic!("poll failed");
+        };
+        served.extend(items);
+        if idle {
+            assert_eq!(outstanding, 0);
+            break;
+        }
+    }
+    assert_eq!(served, reference, "polls must pump the in-process schedule");
+    assert_eq!(served.len(), 24);
+}
+
+#[test]
+fn a_poll_never_encodes_a_frame_past_the_cap() {
+    // 130,000 buffered 128-byte reads encode to 18,720,010 bytes: more
+    // than one frame may carry.
+    let limits = SessionLimits {
+        inflight_limit: 200_000,
+        response_limit: 200_000,
+        slice_cycles: 1 << 20,
+    };
+    let (mgr, _workers) = SessionManager::start(ServerConfig {
+        limits,
+        ..ServerConfig::default()
+    });
+    let Frame::SessionOpened { session } = mgr.open_session("small", "", 0, 0) else {
+        panic!("open failed");
+    };
+    let ops = reads(130_000, 128);
+    assert!(matches!(
+        mgr.submit(session, &ops),
+        Frame::BatchAccepted {
+            accepted: 130_000,
+            ..
+        }
+    ));
+    let until = Instant::now() + Duration::from_secs(120);
+    while stats(&mgr, session).buffered_responses < 130_000 {
+        assert!(Instant::now() < until, "the batch never completed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let mut served = Vec::new();
+    let mut replies = 0;
+    loop {
+        let reply = mgr.poll(session, 0);
+        let len = reply.encode_body().len();
+        assert!(len <= MAX_FRAME_LEN as usize, "a {len}-byte reply");
+        let Frame::Responses { items, idle, .. } = reply else {
+            panic!("poll failed");
+        };
+        replies += 1;
+        served.extend(items);
+        assert_eq!(
+            idle,
+            served.len() == 130_000,
+            "idle only once nothing is buffered"
+        );
+        if idle {
+            break;
+        }
+    }
+    assert_eq!(replies, 2);
+    let s = stats(&mgr, session);
+    assert_eq!((s.completed, s.buffered_responses), (130_000, 0));
+    let (reference, _) = in_process(limits, &ops);
+    assert!(served == reference, "every response once, in order");
+    mgr.stop_workers();
+}
+
+#[test]
+fn a_client_that_disconnects_mid_batch_is_pumped_to_drained() {
+    let limits = SessionLimits {
+        slice_cycles: 8,
+        ..SessionLimits::default()
+    };
+    let (path, server) = start_server(
+        "disconnect",
+        ServerConfig {
+            limits,
+            ..ServerConfig::default()
+        },
+    );
+    let mgr = server.manager();
+    let flag = server.shutdown_flag();
+    let run = std::thread::spawn(move || server.run(Duration::from_secs(30)));
+
+    let ops = reads(2_000, 64);
+    let (_, quanta) = in_process(limits, &ops);
+    assert!(quanta > 4, "the batch spans many quanta: {quanta}");
+    let mut client = Client::connect_uds(&path).unwrap();
+    let session = client.open_session_preset("small", 0, 0).unwrap();
+    assert!(matches!(
+        client.submit(session, &ops).unwrap(),
+        SubmitResult::Accepted {
+            accepted: 2_000,
+            ..
+        }
+    ));
+    drop(client);
+
+    // Nobody polls: the workers alone pump the session dry.
+    let until = Instant::now() + Duration::from_secs(30);
+    loop {
+        let s = stats(&mgr, session);
+        if s.inflight == 0 && s.outstanding == 0 && s.queue_occupancy == 0 {
+            assert_eq!((s.completed, s.buffered_responses), (2_000, 2_000));
+            break;
+        }
+        assert!(
+            Instant::now() < until,
+            "the workers never drained the session"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
     flag.store(true, Ordering::Release);
     assert_eq!(run.join().unwrap(), DrainOutcome::Drained);
 }

@@ -82,6 +82,18 @@ pub struct WireResponse {
     pub data: Vec<u8>,
 }
 
+impl WireResponse {
+    /// Bytes a `Responses` frame spends around its items: opcode, item
+    /// count, `outstanding` and `idle`.
+    pub const FRAME_OVERHEAD: usize = 10;
+
+    /// Bytes this response takes in an encoded `Responses` frame: tag,
+    /// ok, status, latency and data length (16), then the data.
+    pub fn encoded_len(&self) -> usize {
+        16 + self.data.len()
+    }
+}
+
 /// A per-session metrics snapshot as carried by `Stats`/`Closed` frames.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WireStats {
@@ -256,7 +268,7 @@ pub enum Frame {
         /// Requests still awaiting responses after this poll.
         outstanding: u32,
         /// True when the session has no queued work, no outstanding
-        /// requests, and an idle device.
+        /// requests, an idle device, and no responses left buffered.
         idle: bool,
     },
     /// Ask for a metrics snapshot.
@@ -648,6 +660,10 @@ mod tests {
         assert_eq!(framed.len(), body.len() + 4);
         let len = u32::from_le_bytes(framed[..4].try_into().unwrap()) as usize;
         assert_eq!(len, body.len());
+        if let Frame::Responses { items, .. } = &f {
+            let sized: usize = items.iter().map(WireResponse::encoded_len).sum();
+            assert_eq!(body.len(), WireResponse::FRAME_OVERHEAD + sized);
+        }
         assert_eq!(&framed[4..], &body[..]);
     }
 
