@@ -36,8 +36,9 @@ use hmc_types::{CubeId, Cycle, LinkId, Result, VaultId};
 
 use crate::device::Device;
 use crate::link::{Endpoint, LinkWait};
+use crate::noc::bits;
 use crate::params::{ConflictPolicy, RefreshParams};
-use crate::queue::{BodyPool, QueueEntry, NO_ROUTE, UNDECODED};
+use crate::queue::{BodyPool, QueueEntry, UNCLASSIFIED, UNDECODED};
 use crate::register::RegisterFile;
 use crate::sim::{HmcSim, SimStats};
 use crate::timing::{RowOutcome, VaultTiming};
@@ -617,6 +618,10 @@ impl HmcSim {
     ///   3. the tracer does not record `XbarRqstStall`, which the walk
     ///      re-emits every cycle for the first stalled packet per vault.
     ///
+    ///   1 and 2 are read off the union of the slots' route classes
+    ///   ([`RoutedQueue::class_union`](crate::queue::RoutedQueue::class_union)),
+    ///   so the queue costs one OR per slot.
+    ///
     ///   Such a walk leaves every slot and latch as it found them and
     ///   only zeroes sub-budget FLIT debt, which
     ///   [`Link::skip_turns`](crate::link::Link::skip_turns) reproduces.
@@ -648,13 +653,10 @@ impl HmcSim {
         if dead > 0 {
             return Gate::Held(dead);
         }
-        let noc_vaults = dev.noc_vaults(l as LinkId);
+        let classes = rqst.class_union();
         let inert = !self.tracer.enabled(EventKind::XbarRqstStall)
-            && rqst.route_keys().all(|vault| {
-                vault != NO_ROUTE
-                    && noc_vaults >> vault & 1 == 0
-                    && dev.vaults[vault as usize].rqst.is_full()
-            });
+            && classes & (UNCLASSIFIED | dev.noc_vaults(l as LinkId)) == 0
+            && bits(classes).all(|vault| dev.vaults[vault].rqst.is_full());
         if !inert {
             Gate::Live
         } else if self.ac_swap_pending() {
@@ -813,7 +815,7 @@ mod tests {
     use super::Gate;
     use crate::noc::NocParams;
     use crate::params::{ConflictPolicy, RefreshParams, SimParams};
-    use crate::queue::QueueEntry;
+    use crate::queue::{QueueEntry, NO_ROUTE};
     use crate::register::regs;
     use crate::sim::HmcSim;
     use crate::timing::TimingParams;
@@ -1314,7 +1316,7 @@ mod tests {
         }
         let settled = |s: &HmcSim| {
             let dev = &s.devices[0];
-            let keyed = |x: &Crossbar| x.rqst.route_keys().all(|k| k == 0);
+            let keyed = |x: &Crossbar| x.rqst.class_union() & !1 == 0;
             dev.vaults[0].rqst.is_full() && dev.xbars.iter().all(keyed)
         };
         while !settled(&s) {
@@ -1422,6 +1424,74 @@ mod tests {
         assert_eq!(s.xbar_rqst_gate(&s.devices[0], 0), Gate::Inert);
         assert_eq!(s.xbar_rqst_gate(&s.devices[0], 1), Gate::Live);
         assert_eq!(s.quiescent_horizon(10_000), 0);
+    }
+
+    /// The crossbar gate's inert rule as it stood before route classes:
+    /// every slot decoded to its vault and tested on its own.
+    fn per_slot_inert(s: &HmcSim, l: usize) -> bool {
+        let dev = &s.devices[0];
+        let (rqst, noc_vaults) = (&dev.xbars[l].rqst, dev.noc_vaults(l as LinkId));
+        (0..rqst.len()).all(|i| match rqst.route_key(i) {
+            NO_ROUTE => false,
+            v => noc_vaults >> v & 1 == 0 && dev.vaults[v as usize].rqst.is_full(),
+        })
+    }
+
+    #[test]
+    fn the_class_union_gate_matches_the_per_slot_rule_on_random_queues() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % n
+        };
+        // One vault per quad, so that on a ring or mesh each link reaches
+        // one of them directly and three through the fabric.
+        let vaults = [0u16, 5, 10, 15];
+        let (mut inert, mut live) = (0, 0);
+        for trial in 0..600 {
+            let fabric = InterconnectKind::ALL[trial % 3];
+            let mut s = sim_with(SimParams {
+                interconnect: NocParams::of(fabric),
+                ..ddr_params()
+            });
+            // Most vault queues full, the rest empty or part full.
+            for &v in &vaults {
+                let depth = s.devices[0].vaults[v as usize].rqst.depth() as u64;
+                let fill = if next(4) == 0 { next(depth) } else { depth };
+                for i in 0..fill as u16 {
+                    let mut e = QueueEntry::new(read_packet(0, i, 0), 1, 0, 0);
+                    (e.dest_vault, e.dest_bank, e.dest_row) = (v, 0, u64::from(i));
+                    deliver(&mut s, v as usize, e);
+                }
+            }
+            for l in 0..4u8 {
+                let rqst = &mut s.devices[0].xbars[l as usize].rqst;
+                for i in 0..next(rqst.depth() as u64 + 1) as usize {
+                    rqst.push(QueueEntry::new(read_packet(0, i as u16, l), 1, 0, 0))
+                        .unwrap();
+                    if next(8) != 0 {
+                        rqst.set_route(i, vaults[next(4) as usize], 0, 0);
+                    }
+                }
+            }
+            for l in 0..4 {
+                let want = if per_slot_inert(&s, l) {
+                    inert += 1;
+                    Gate::Inert
+                } else {
+                    live += 1;
+                    Gate::Live
+                };
+                assert_eq!(
+                    s.xbar_rqst_gate(&s.devices[0], l),
+                    want,
+                    "trial {trial} link {l} over {fabric:?}"
+                );
+            }
+        }
+        assert!(inert > 200 && live > 200, "{inert} inert, {live} live");
     }
 
     #[test]

@@ -23,11 +23,12 @@
 //!   in issue order (the §III.C link→bank stream-order guarantee; weak
 //!   ordering may only reorder *across* streams);
 //! * **memo validity** — what the engine skips work on is still what a
-//!   fresh look would say: every crossbar route key decodes as stored,
-//!   every sleeping vault's next tick would do nothing before its
-//!   cached edge (`sleep edge:`), and every live NoC scan memo counts
-//!   exactly the stalls and refusing targets a dry scan of its segment
-//!   derives (`noc memo:`);
+//!   fresh look would say: every crossbar route class names the vault a
+//!   fresh decode gives, every sleeping vault's next tick would do
+//!   nothing before its cached edge (`sleep edge:`), every live NoC scan
+//!   memo counts exactly the stalls and refusing targets a dry scan of
+//!   its segment derives (`noc memo:`), and every NoC segment's head set
+//!   and key counts are what its packets imply (`noc heads:`);
 //! * **body conservation** — every packet body the simulation created is
 //!   on its free list or resident in a slot: no path that retires an
 //!   entry forgets to recycle its body.
@@ -41,7 +42,7 @@ use std::collections::HashMap;
 use hmc_types::{CubeId, LinkId, Packet, PhysAddr, MAX_PACKET_FLITS};
 
 use crate::link::Endpoint;
-use crate::queue::{QueueEntry, NO_ROUTE};
+use crate::queue::{QueueEntry, UNCLASSIFIED};
 use crate::sim::HmcSim;
 
 /// Recorded violations are capped so a hard failure loop cannot grow the
@@ -278,8 +279,8 @@ impl HmcSim {
                 // classification would say, and the packet must be one
                 // the link-retry code has no business with.
                 for (slot, e) in x.rqst.iter().enumerate() {
-                    let key = x.rqst.route_key(slot);
-                    if key == NO_ROUTE {
+                    let class = x.rqst.route_class(slot);
+                    if class == UNCLASSIFIED {
                         continue;
                     }
                     let fresh = PhysAddr::new(e.packet.addr())
@@ -287,9 +288,10 @@ impl HmcSim {
                         .ok()
                         .map(|d| (d.vault, d.bank, d.row));
                     let stored = (e.dest_vault, e.dest_bank, e.dest_row);
-                    if fresh != Some(stored) || key != e.dest_vault {
+                    let stored_class = 1u64.checked_shl(e.dest_vault.into());
+                    if fresh != Some(stored) || stored_class != Some(class) {
                         found.push(format!(
-                            "route key: dev {di} xbar {li} slot {slot} keyed {key} with stored \
+                            "route key: dev {di} xbar {li} slot {slot} keyed {class:#x} with stored \
                              route {stored:?}, but the address map decodes {fresh:?} \
                              (tag {:#x}, cycle {clock})",
                             e.packet.tag()
@@ -306,9 +308,12 @@ impl HmcSim {
             }
             // NoC scan memos: a memoized segment is not scanned while its
             // refusing targets stay full, so the memo must still be what
-            // a dry scan of the packets it holds derives.
+            // a dry scan of the packets it holds derives. A scan visits
+            // its segment's heads alone, so the kept head set must be
+            // what the packets imply.
             if let Some(noc) = d.noc() {
                 noc.check_memos(clock, |msg| found.push(format!("noc memo: dev {di} {msg}")));
+                noc.check_heads(|msg| found.push(format!("noc heads: dev {di} {msg}")));
             }
             for v in &d.vaults {
                 // Sleep edges: a sleeping vault's tick is skipped on the
@@ -496,7 +501,7 @@ mod tests {
         s.clock().unwrap();
         s.clock().unwrap();
         let rqst = &s.devices[0].xbars[0].rqst;
-        assert_ne!(rqst.route_key(0), NO_ROUTE, "stalled head is keyed");
+        assert_ne!(rqst.route_class(0), UNCLASSIFIED, "stalled head is keyed");
         let head = rqst.get(0).unwrap();
         let (vault, bank, row) = (head.dest_vault, head.dest_bank, head.dest_row);
         assert_eq!(s.total_invariant_violations(), 0, "a real memo is clean");

@@ -378,7 +378,7 @@ struct ScanMemo {
 }
 
 /// The set bits of `mask`, lowest first.
-fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         let bit = mask.trailing_zeros() as usize;
         mask &= mask.wrapping_sub(1);
@@ -387,9 +387,10 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 }
 
 /// One quad segment buffer on one plane: a bounded FIFO of packets with
-/// each slot's [`SlotMeta`] beside it, moved in lock-step, and the memo
-/// of its last zero-move scan. Every operation that changes which
-/// packets it holds drops the memo.
+/// each slot's [`SlotMeta`] beside it, moved in lock-step, the set of
+/// slots free to move under per-destination FIFO order, and the memo of
+/// its last zero-move scan. Every operation that changes which packets
+/// it holds drops the memo and keeps the head set in step.
 #[derive(Debug)]
 struct Segment {
     /// Every slot holds a packet except while the scan of this buffer is
@@ -398,14 +399,24 @@ struct Segment {
     /// the scan ends.
     slots: VecDeque<Option<QueueEntry>>,
     meta: VecDeque<SlotMeta>,
+    /// The *heads*: slot `i` is the first packet in the buffer for its
+    /// destination key exactly when bit `i % 64` of word `i / 64` is set.
+    /// Only a head may move (an earlier packet for the same destination
+    /// holds the rest in place). A vacated slot is no head.
+    heads: Vec<u64>,
+    /// Per destination key, the packets buffered for it (vacated slots
+    /// not counted): a push is a head exactly when its key counts none.
+    keyed: Vec<u16>,
     memo: Option<ScanMemo>,
 }
 
 impl Segment {
-    fn with_capacity(depth: usize) -> Segment {
+    fn with_capacity(depth: usize, num_keys: usize) -> Segment {
         Segment {
             slots: VecDeque::with_capacity(depth),
             meta: VecDeque::with_capacity(depth),
+            heads: vec![0; depth.div_ceil(64)],
+            keyed: vec![0; num_keys],
             memo: None,
         }
     }
@@ -414,30 +425,117 @@ impl Segment {
         self.meta.len()
     }
 
+    fn is_head(&self, i: usize) -> bool {
+        self.heads[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    fn set_head(&mut self, i: usize) {
+        self.heads[i / 64] |= 1 << (i % 64);
+    }
+
+    /// The first head in `from..end`, reading the head set a word at a
+    /// time.
+    fn next_head(&self, from: usize, end: usize) -> Option<usize> {
+        if from >= end {
+            return None;
+        }
+        let mut w = from / 64;
+        let mut word = self.heads[w] & (!0u64 << (from % 64));
+        while word == 0 {
+            w += 1;
+            if w * 64 >= end {
+                return None;
+            }
+            word = self.heads[w];
+        }
+        let i = w * 64 + word.trailing_zeros() as usize;
+        (i < end).then_some(i)
+    }
+
+    /// Every head, in index order.
+    fn heads(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let i = self.next_head(at, self.len())?;
+            at = i + 1;
+            Some(i)
+        })
+    }
+
     fn push_back(&mut self, meta: SlotMeta, entry: QueueEntry) {
         self.memo = None;
+        let key = meta.key as usize;
+        if self.keyed[key] == 0 {
+            self.set_head(self.meta.len());
+        }
+        self.keyed[key] += 1;
         self.meta.push_back(meta);
         self.slots.push_back(Some(entry));
     }
 
-    /// Vacate slot `i` during this buffer's scan (squeezed out after it).
+    /// Vacate head `i` during this buffer's scan (squeezed out after it).
+    /// The next slot bound for the same destination becomes its head.
     fn take(&mut self, i: usize) -> QueueEntry {
+        debug_assert!(self.is_head(i), "only a head moves");
         self.memo = None;
+        self.heads[i / 64] &= !(1 << (i % 64));
+        let key = self.meta[i].key;
+        self.keyed[key as usize] -= 1;
+        if self.keyed[key as usize] > 0 {
+            // No vacated slot after `i` can carry `key`: it would have
+            // moved while `i` held it.
+            let next = (i + 1..self.len())
+                .find(|&j| self.meta[j].key == key)
+                .expect("a counted packet is buffered behind the head");
+            self.set_head(next);
+        }
         self.slots[i]
             .take()
             .expect("a slot is vacated once per scan")
     }
 
-    fn remove(&mut self, i: usize) -> (SlotMeta, Option<QueueEntry>) {
-        self.memo = None;
-        let meta = self.meta.remove(i).expect("index in range");
-        (meta, self.slots.remove(i).expect("index in range"))
+    /// Drop vacated slot `i`, shifting the head bits above it down one.
+    fn squeeze(&mut self, i: usize) {
+        self.meta.remove(i);
+        self.slots.remove(i);
+        // The highest bit to move was slot `len()` before the removal.
+        let (first, last) = (i / 64, self.len() / 64);
+        let below = (1u64 << (i % 64)) - 1;
+        for w in first..=last {
+            let keep = if w == first { below } else { 0 };
+            let carry = if w < last { self.heads[w + 1] << 63 } else { 0 };
+            let word = self.heads[w];
+            self.heads[w] = word & keep | (word >> 1) & !keep | carry;
+        }
+    }
+
+    /// Lift head `i` out of the buffer (the rotation escape).
+    fn lift(&mut self, i: usize) -> (SlotMeta, QueueEntry) {
+        let (meta, entry) = (self.meta[i], self.take(i));
+        self.squeeze(i);
+        (meta, entry)
     }
 
     fn clear(&mut self) {
         self.memo = None;
         self.meta.clear();
         self.slots.clear();
+        self.heads.fill(0);
+        self.keyed.fill(0);
+    }
+
+    /// The head set and key counts the buffered packets imply, derived
+    /// from scratch (outside a scan, when every slot is live).
+    fn derive_heads(&self) -> (Vec<u64>, Vec<u16>) {
+        let mut heads = vec![0u64; self.heads.len()];
+        let mut keyed = vec![0u16; self.keyed.len()];
+        for (i, m) in self.meta.iter().enumerate() {
+            if keyed[m.key as usize] == 0 {
+                heads[i / 64] |= 1 << (i % 64);
+            }
+            keyed[m.key as usize] += 1;
+        }
+        (heads, keyed)
     }
 
     /// The packet in slot `i`, outside this buffer's scan.
@@ -488,9 +586,6 @@ pub enum NocEvent {
     },
 }
 
-/// "No such index" in the per-destination order tables.
-const NO_INDEX: u32 = u32::MAX;
-
 /// Reusable buffers of the rotation escape, so that a saturated fabric
 /// rotating every cycle allocates nothing.
 #[derive(Debug, Default)]
@@ -504,6 +599,15 @@ struct RotateScratch {
     path: Vec<usize>,
     /// Members of the cycle being rotated, lifted out of their buffers.
     moving: Vec<(usize, QuadId, SlotMeta, QueueEntry)>,
+}
+
+/// Where one buffer's scan stands in its arbitration order.
+enum Cursor {
+    /// Round-robin: the heads in `at..end`, then those in `0..wrap`.
+    Ring { at: usize, end: usize, wrap: usize },
+    /// Oldest-first and locality-aware: the heads among `scratch_order`
+    /// from position `n` on.
+    Table { n: usize },
 }
 
 /// Buffered-fabric state for one device: per-quad, per-class segment
@@ -535,13 +639,6 @@ pub struct NocState {
     scratch_order: Vec<u32>,
     /// Scratch: indices vacated in the current quad's scan.
     scratch_vacated: Vec<u32>,
-    /// Scratch, per destination key: the earliest index in the buffer
-    /// being scanned that still holds a packet for that destination
-    /// ([`NO_INDEX`] when none does).
-    first: Vec<u32>,
-    /// Scratch, per buffer index: the next later index bound for the
-    /// same destination.
-    next_same: Vec<u32>,
     rotate_scratch: RotateScratch,
     /// Events staged by `advance`, drained by the engine afterwards.
     events: Vec<NocEvent>,
@@ -580,12 +677,12 @@ impl NocState {
             num_quads: nq,
             num_keys,
             route,
-            segments: (0..2 * nq).map(|_| Segment::with_capacity(depth)).collect(),
+            segments: (0..2 * nq)
+                .map(|_| Segment::with_capacity(depth, num_keys))
+                .collect(),
             rr_next: vec![0; 2 * nq],
             scratch_order: Vec::with_capacity(depth),
             scratch_vacated: Vec::with_capacity(depth),
-            first: vec![NO_INDEX; num_keys],
-            next_same: Vec::with_capacity(depth),
             rotate_scratch: RotateScratch {
                 cand: Vec::with_capacity(nq),
                 state: Vec::with_capacity(nq),
@@ -681,9 +778,10 @@ impl NocState {
     /// Per-destination FIFO order is enforced: a packet may move only if
     /// no earlier-positioned packet with the same destination is still
     /// in its buffer. With deterministic routing this preserves global
-    /// per-stream order regardless of arbitration policy. The check is a
-    /// table lookup (`index_destinations`), so one buffer's
-    /// scan is linear in its occupancy.
+    /// per-stream order regardless of arbitration policy. Each buffer
+    /// keeps the set of its packets that are first for their destination
+    /// (its *heads*) up to date as packets come and go, and the scan
+    /// visits those alone: a packet held behind another costs nothing.
     ///
     /// A buffer whose last scan moved nothing is not scanned again while
     /// it holds the same packets and every target that refused them is
@@ -757,34 +855,27 @@ impl NocState {
         let q = bi % self.num_quads;
         let base = bi - q;
         let len = self.segments[bi].len();
-        // Round-robin walks its two index ranges directly; the other
-        // policies sort a scratch order.
-        let round_robin = self.arbitration == ArbitrationKind::RoundRobin;
-        let start = if round_robin {
-            self.rr_next[bi] % len
+        // Round-robin walks the heads of its two index ranges directly;
+        // the other policies sort a scratch order and test the head bit.
+        let mut cursor = if self.arbitration == ArbitrationKind::RoundRobin {
+            let start = self.rr_next[bi] % len;
+            Cursor::Ring {
+                at: start,
+                end: len,
+                wrap: start,
+            }
         } else {
             self.build_scan_order(bi, len, q as QuadId);
-            0
+            Cursor::Table { n: 0 }
         };
-        self.index_destinations(bi);
         self.scratch_vacated.clear();
         let mut budget = self.quad_drain;
         let mut memo = ScanMemo::default();
         let mut saw_fresh = false;
-        for n in 0..len {
-            let i = if !round_robin {
-                self.scratch_order[n] as usize
-            } else if start + n < len {
-                start + n
-            } else {
-                start + n - len
-            };
+        // A head promoted when its predecessor leaves is visited only if
+        // it lies later in scan order than that predecessor.
+        while let Some(i) = self.next_visit(bi, &mut cursor) {
             let SlotMeta { key, moved_at } = self.segments[bi].meta[i];
-            // Per-destination FIFO: an earlier same-destination packet
-            // still present holds this one in place.
-            if self.first[key as usize] != i as u32 {
-                continue;
-            }
             // One segment per cycle: skip packets that hopped into this
             // buffer during this very advance call (or were injected
             // this cycle).
@@ -841,10 +932,6 @@ impl NocState {
                 }
                 continue;
             }
-            // The packet left: its successor for the same destination
-            // (necessarily still here — it was held until now) becomes
-            // the earliest.
-            self.first[key as usize] = self.next_same[i];
             self.scratch_vacated.push(i as u32);
             budget -= 1;
         }
@@ -858,7 +945,7 @@ impl NocState {
             // shifts next to nothing.
             self.scratch_vacated.sort_unstable();
             for &iu in self.scratch_vacated.iter().rev() {
-                self.segments[bi].remove(iu as usize);
+                self.segments[bi].squeeze(iu as usize);
             }
         } else if !saw_fresh {
             self.segments[bi].memo = Some(memo);
@@ -866,21 +953,29 @@ impl NocState {
         (self.scratch_vacated.len() as u64, memo.fwd_stalls as u64)
     }
 
-    /// Build the per-destination order tables for buffer `bi` in one
-    /// reverse pass over its keys: `first[key]` is the earliest index
-    /// bound for the destination `key`, `next_same[i]` the next index
-    /// after `i` with `i`'s destination. A packet at `i` is FIFO-held
-    /// iff `first[key] != i`; when it leaves, `first[key]` advances to
-    /// `next_same[i]`.
-    fn index_destinations(&mut self, bi: usize) {
-        let meta = &self.segments[bi].meta;
-        self.first.fill(NO_INDEX);
-        self.next_same.clear();
-        self.next_same.resize(meta.len(), NO_INDEX);
-        for (i, m) in meta.iter().enumerate().rev() {
-            let key = m.key as usize;
-            self.next_same[i] = self.first[key];
-            self.first[key] = i as u32;
+    /// The next head the scan of buffer `bi` visits in its arbitration
+    /// order, reading the head set as it stands now.
+    fn next_visit(&self, bi: usize, cursor: &mut Cursor) -> Option<usize> {
+        let seg = &self.segments[bi];
+        match cursor {
+            Cursor::Ring { at, end, wrap } => {
+                let i = match seg.next_head(*at, *end) {
+                    Some(i) => i,
+                    None => {
+                        let i = seg.next_head(0, *wrap)?;
+                        (*end, *wrap) = (*wrap, 0);
+                        i
+                    }
+                };
+                *at = i + 1;
+                Some(i)
+            }
+            Cursor::Table { n } => {
+                let rest = &self.scratch_order[*n..];
+                let p = rest.iter().position(|&i| seg.is_head(i as usize))?;
+                *n += p + 1;
+                Some(rest[p] as usize)
+            }
         }
     }
 
@@ -927,6 +1022,38 @@ impl NocState {
         }
     }
 
+    /// Re-derive every buffer's head set and key counts from the packets
+    /// it holds and report each buffer whose kept ones disagree.
+    pub(crate) fn check_heads(&self, mut report: impl FnMut(String)) {
+        let nq = self.num_quads;
+        for (bi, seg) in self.segments.iter().enumerate() {
+            let (heads, keyed) = seg.derive_heads();
+            if heads != seg.heads || keyed != seg.keyed {
+                let (class, q) = (NocClass::ALL[bi / nq], bi % nq);
+                report(format!(
+                    "{class:?} segment of quad {q} keeps heads {:x?} and key counts {:?}, \
+                     but its {} packet(s) imply heads {heads:x?} and key counts {keyed:?}",
+                    seg.heads,
+                    seg.keyed,
+                    seg.len()
+                ));
+            }
+        }
+    }
+
+    /// Flip the head bit of the last slot of the first non-empty buffer —
+    /// the drift [`NocState::check_heads`] must flag — and return whether
+    /// there was one.
+    #[cfg(test)]
+    pub(crate) fn corrupt_heads(&mut self) -> bool {
+        let Some(seg) = self.segments.iter_mut().find(|s| s.len() > 0) else {
+            return false;
+        };
+        let i = seg.len() - 1;
+        seg.heads[i / 64] ^= 1 << (i % 64);
+        true
+    }
+
     /// Make every live scan memo claim one stall more than its buffer
     /// holds — the stale memo [`NocState::check_memos`] must flag — and
     /// return how many there were.
@@ -955,22 +1082,20 @@ impl NocState {
             mut moving,
         } = std::mem::take(&mut self.rotate_scratch);
         // The packet each quad would move if its next segment had room:
-        // the first (index order) entry that is aged, not FIFO-held,
-        // and not yet at its destination quad. In a zero-move pass such
-        // an entry is necessarily stalled on a full next buffer.
+        // the first (index order) head that is aged and not yet at its
+        // destination quad. In a zero-move pass such a head is
+        // necessarily stalled on a full next buffer.
         cand.clear();
         cand.resize(nq, None);
         for (q, slot) in cand.iter_mut().enumerate() {
-            self.index_destinations(base + q);
-            for (i, m) in self.segments[base + q].meta.iter().enumerate() {
+            let seg = &self.segments[base + q];
+            for i in seg.heads() {
+                let m = seg.meta[i];
                 if m.moved_at >= clock {
                     continue;
                 }
                 let next = self.route[q * self.num_keys + m.key as usize];
                 if next as usize == q {
-                    continue;
-                }
-                if self.first[m.key as usize] != i as u32 {
                     continue;
                 }
                 if self.segments[base + next as usize].len() >= self.buffer_depth {
@@ -1005,9 +1130,9 @@ impl NocState {
                 let pos = path.iter().position(|&p| p == head).expect("head is on path");
                 for &p in &path[pos..] {
                     let (i, next) = cand[p].expect("cycle members have candidates");
-                    let (mut m, e) = self.segments[base + p].remove(i);
+                    let (mut m, e) = self.segments[base + p].lift(i);
                     m.moved_at = clock;
-                    moving.push((p, next, m, e.expect("candidate slot is live")));
+                    moving.push((p, next, m, e));
                 }
                 for (p, next, m, e) in moving.drain(..) {
                     if record_hops {
@@ -1127,11 +1252,17 @@ mod tests {
         assert!(NocState::new(&NocParams::of(InterconnectKind::Mesh), 4, 16).is_some());
     }
 
+    /// A packet tagged `tag` modulo the 9-bit tag space, carrying all of
+    /// `tag` in `send_seq` (which the fabric never reads) so that the
+    /// differential tests can tell every packet apart.
     fn test_entry(tag: u16) -> QueueEntry {
         use hmc_types::{Command, Packet};
-        let p =
-            Packet::request(Command::Rd(hmc_types::BlockSize::B32), 0, 0, tag, 0, &[]).unwrap();
-        QueueEntry::new(p, 9, 0, 0)
+        let b32 = Command::Rd(hmc_types::BlockSize::B32);
+        let p = Packet::request(b32, 0, 0, tag % 512, 0, &[]).unwrap();
+        QueueEntry {
+            send_seq: tag.into(),
+            ..QueueEntry::new(p, 9, 0, 0)
+        }
     }
 
     /// A sink for the unit tests: vault (link) queues are full while
@@ -1382,6 +1513,18 @@ mod tests {
 
     // ---- differential check against the pre-table advance pass ----
 
+    impl Segment {
+        /// Remove slot `i`, head or not, and re-derive the head set from
+        /// scratch: the reference passes' removal.
+        fn remove_any(&mut self, i: usize) -> (SlotMeta, QueueEntry) {
+            self.memo = None;
+            let meta = self.meta.remove(i).expect("index in range");
+            let entry = self.slots.remove(i).flatten().expect("a live slot");
+            (self.heads, self.keyed) = self.derive_heads();
+            (meta, entry)
+        }
+    }
+
     impl NocState {
         /// The order the arbitration policy scans buffer `bi` (quad
         /// `quad`'s segment) in, from the buffer alone.
@@ -1490,7 +1633,7 @@ mod tests {
                     }
                     moved.sort_unstable();
                     for &i in moved.iter().rev() {
-                        self.segments[bi].remove(i);
+                        self.segments[bi].remove_any(i);
                     }
                     if let Some(w) = last_winner {
                         self.rr_next[bi] = (w + 1) % len;
@@ -1549,12 +1692,12 @@ mod tests {
                     let mut moving = Vec::new();
                     for &p in &path[pos..] {
                         let (i, next) = cand[p].unwrap();
-                        let (m, e) = self.segments[base + p].remove(i);
+                        let (m, e) = self.segments[base + p].remove_any(i);
                         let m = SlotMeta {
                             moved_at: clock,
                             ..m
                         };
-                        moving.push((p, next, m, e.unwrap()));
+                        moving.push((p, next, m, e));
                     }
                     for (p, next, m, e) in moving {
                         self.events.push(NocEvent::Hop {
@@ -1576,16 +1719,16 @@ mod tests {
             hops
         }
 
-        /// `(tag, key, moved_at)` of every slot of every buffer, plus the
-        /// round-robin origins: everything `advance` may change.
+        /// `(packet, key, moved_at)` of every slot of every buffer, plus
+        /// the round-robin origins: everything `advance` may change.
         #[allow(clippy::type_complexity)]
-        fn snapshot(&self) -> (Vec<Vec<(u16, u16, Cycle)>>, Vec<usize>) {
+        fn snapshot(&self) -> (Vec<Vec<(u64, u16, Cycle)>>, Vec<usize>) {
             let buffers = self
                 .segments
                 .iter()
                 .map(|s| {
                     (0..s.len())
-                        .map(|i| (s.entry(i).packet.tag(), s.meta[i].key, s.meta[i].moved_at))
+                        .map(|i| (s.entry(i).send_seq, s.meta[i].key, s.meta[i].moved_at))
                         .collect()
                 })
                 .collect();
@@ -1617,24 +1760,39 @@ mod tests {
     }
 
     /// Fill every buffer of both planes of a fresh fabric to a random
-    /// level (often full) with cross-quad packets of random age.
+    /// level (often full) with cross-quad packets of random age. In a
+    /// buffer deeper than 16 a destination repeats in runs of up to
+    /// `1 + depth / 16`, so that some destinations first appear far back.
     fn random_fabric(params: &NocParams, quads: u8, seed: u64) -> NocState {
         let mut rng = Lcg(seed);
         let num_vaults = quads as u16 * 4;
         let mut noc = NocState::new(params, quads, num_vaults).unwrap();
+        let max_run = 1 + params.buffer_depth as u64 / 16;
         let mut tag = 0u16;
         for q in 0..quads {
             for response in [false, true] {
                 let fill = rng.below(params.buffer_depth as u64 + 2).min(params.buffer_depth as u64);
+                let (mut dest, mut run) = (NocDest::ToLink(q), 0);
                 for _ in 0..fill {
-                    let dest_quad = (q + 1 + rng.below(quads as u64 - 1) as u8) % quads;
-                    let dest = if response {
-                        NocDest::ToLink(dest_quad)
-                    } else {
-                        // Few distinct vaults per quad, so same-destination
-                        // runs (the FIFO hold) are common.
-                        NocDest::ToVault(dest_quad as u16 * 4 + rng.below(2) as u16)
-                    };
+                    if run == 0 {
+                        // No draw for a shallow buffer: its stream is the
+                        // one the shallow geometries always ran.
+                        run = if max_run > 1 {
+                            1 + rng.below(max_run)
+                        } else {
+                            1
+                        };
+                        let dest_quad = (q + 1 + rng.below(quads as u64 - 1) as u8) % quads;
+                        dest = if response {
+                            NocDest::ToLink(dest_quad)
+                        } else {
+                            // Few distinct vaults per quad, so
+                            // same-destination runs (the FIFO hold) are
+                            // common.
+                            NocDest::ToVault(dest_quad as u16 * 4 + rng.below(2) as u16)
+                        };
+                    }
+                    run -= 1;
                     let mut e = test_entry(tag);
                     e.entry_cycle = rng.below(4);
                     noc.inject(q, dest, e, 0);
@@ -1679,7 +1837,7 @@ mod tests {
     struct Sink {
         mode: u64,
         clock: Cycle,
-        log: Vec<(u16, u16, Cycle)>,
+        log: Vec<(u16, u64, Cycle)>,
     }
 
     impl Sink {
@@ -1710,18 +1868,26 @@ mod tests {
 
         fn deliver(&mut self, dest: NocDest, e: QueueEntry) {
             assert!(!self.full(dest), "delivered into a full queue");
-            self.log
-                .push((Sink::id(dest), e.packet.tag(), e.arrival_cycle));
+            self.log.push((Sink::id(dest), e.send_seq, e.arrival_cycle));
         }
     }
 
     /// Every fabric × policy × geometry the differential tests sweep.
+    /// Depths 70 and 130 spread a buffer's head set over two and three
+    /// words.
     fn fabrics() -> impl Iterator<Item = (NocParams, u8)> {
         [InterconnectKind::Ring, InterconnectKind::Mesh]
             .into_iter()
             .flat_map(|kind| ArbitrationKind::ALL.map(move |arb| (kind, arb)))
             .flat_map(|(kind, arb)| {
-                [(4u8, 3u16, 1u16), (4, 6, 4), (8, 2, 2)].map(move |(quads, depth, drain)| {
+                let geometries = [
+                    (4u8, 3u16, 1u16),
+                    (4, 6, 4),
+                    (8, 2, 2),
+                    (8, 70, 3),
+                    (4, 130, 4),
+                ];
+                geometries.map(move |(quads, depth, drain)| {
                     let mut params = NocParams::of(kind).with_arbitration(arb);
                     params.buffer_depth = depth;
                     params.quad_drain = drain;
@@ -1730,15 +1896,25 @@ mod tests {
             })
     }
 
+    /// Words past the first that hold a head, over every buffer.
+    fn deep_head_words(noc: &NocState) -> usize {
+        let words = |s: &Segment| s.heads[1..].iter().filter(|&&w| w != 0).count();
+        noc.segments.iter().map(words).sum()
+    }
+
     #[test]
     fn table_driven_advance_matches_the_quadratic_reference() {
+        let mut deep_heads = 0;
         for (params, quads) in fabrics() {
+            // The reference is quadratic in a buffer's occupancy.
+            let seeds = if params.buffer_depth > 64 { 4 } else { 12 };
             for mode in 0..3u64 {
-                for seed in 0..12u64 {
+                for seed in 0..seeds {
                     let mut new = random_fabric(&params, quads, seed);
                     let mut old = random_fabric(&params, quads, seed);
                     assert_eq!(new.snapshot(), old.snapshot());
                     for clock in 1..=10u64 {
+                        deep_heads += deep_head_words(&new);
                         let (mut got, mut want) = (Sink::new(mode, clock), Sink::new(mode, clock));
                         let d_new = new.advance(clock, &mut got, true, true);
                         let d_old = old.advance_reference(clock, &mut want);
@@ -1752,10 +1928,15 @@ mod tests {
                             "event list: {ctx}"
                         );
                         assert_eq!(new.snapshot(), old.snapshot(), "buffers: {ctx}");
+                        new.check_heads(|msg| panic!("{ctx}: {msg}"));
                     }
                 }
             }
         }
+        assert!(
+            deep_heads > 1000,
+            "only {deep_heads} heads past the first word"
+        );
     }
 
     /// Untraced, a buffer whose scan moved nothing replays its memo. Each
@@ -1770,7 +1951,8 @@ mod tests {
     fn untraced_advance_replays_memos_and_matches_the_reference() {
         let (mut replays, mut rotations) = (0u64, 0u64);
         for (params, quads) in fabrics() {
-            for seed in 0..8u64 {
+            let seeds = if params.buffer_depth > 64 { 3 } else { 8 };
+            for seed in 0..seeds {
                 let mut new = random_fabric(&params, quads, seed);
                 let mut old = random_fabric(&params, quads, seed);
                 for clock in 1..=14u64 {
@@ -1797,6 +1979,7 @@ mod tests {
                     assert!(new.events.is_empty(), "untraced events: {ctx}");
                     assert_eq!(new.snapshot(), old.snapshot(), "buffers: {ctx}");
                     new.check_memos(clock + 1, |msg| panic!("{ctx}: {msg}"));
+                    new.check_heads(|msg| panic!("{ctx}: {msg}"));
                     // Every segment is full and every sink refuses: any
                     // hop is the rotation escape's.
                     if clock == 11 && d_new.hops > 0 {
@@ -1825,5 +2008,63 @@ mod tests {
         noc.check_memos(3, |msg| found.push(msg));
         assert_eq!(found.len(), 1);
         assert!(found[0].contains("Request segment of quad 1"), "{found:?}");
+    }
+
+    #[test]
+    fn a_drifted_head_set_fails_the_check() {
+        let params = NocParams::of(InterconnectKind::Ring);
+        let mut noc = NocState::new(&params, 4, 16).unwrap();
+        // Two packets for one vault and one for another: heads 0 and 2.
+        noc.inject(0, NocDest::ToVault(8), test_entry(1), 0);
+        noc.inject(0, NocDest::ToVault(8), test_entry(2), 0);
+        noc.inject(0, NocDest::ToVault(9), test_entry(3), 0);
+        let mut found = Vec::new();
+        noc.check_heads(|msg| found.push(msg));
+        assert_eq!(found, [] as [String; 0], "a kept head set is clean");
+        assert!(noc.corrupt_heads());
+        noc.check_heads(|msg| found.push(msg));
+        assert_eq!(found.len(), 1);
+        assert!(found[0].contains("Request segment of quad 0"), "{found:?}");
+    }
+
+    #[test]
+    fn heads_follow_their_slots_across_word_boundaries() {
+        let mut params = NocParams::of(InterconnectKind::Ring);
+        params.buffer_depth = 200;
+        let mut noc = NocState::new(&params, 4, 16).unwrap();
+        // Quad 0 holds packets for vault 4 (quad 1, one hop) but for one
+        // for vault 5 in slot 64 and one for vault 6 in slot 128: heads
+        // 0, 64 and 128, the first bit of each of three words.
+        for tag in 0..140u16 {
+            let vault = match tag {
+                64 => 5,
+                128 => 6,
+                _ => 4,
+            };
+            noc.inject(0, NocDest::ToVault(vault), test_entry(tag), 0);
+        }
+        let heads = |noc: &NocState| noc.segments[0].heads().collect::<Vec<_>>();
+        assert_eq!(heads(&noc), [0, 64, 128]);
+        // The first advance moves four packets for vault 4 (drain 4), each
+        // promoting the next; squeezing out slots 0-3 moves the other two
+        // heads down across a word boundary each.
+        let mut sink = Recorder::default();
+        let d = noc.advance(1, &mut sink, false, false);
+        assert_eq!((d.hops, d.arb_losses), (4, 3));
+        assert_eq!(heads(&noc), [0, 60, 124]);
+        noc.check_heads(|msg| panic!("{msg}"));
+        for clock in 2..=80 {
+            noc.advance(clock, &mut sink, false, false);
+            noc.check_heads(|msg| panic!("cycle {clock}: {msg}"));
+        }
+        assert_eq!(noc.occupancy(), 0);
+        let order = |vault| {
+            let to = NocDest::ToVault(vault);
+            let got = sink.got.iter().filter(|g| g.0 == to);
+            got.map(|g| g.1).collect::<Vec<u16>>()
+        };
+        let vault4: Vec<u16> = (0..140).filter(|&t| t != 64 && t != 128).collect();
+        assert_eq!(order(4), vault4);
+        assert_eq!((order(5), order(6)), (vec![64], vec![128]));
     }
 }

@@ -15,11 +15,11 @@
 //! there can issue: a tick that finds every entry held caches the earliest
 //! cycle that can change (`Vault::wake_at`) and the ticks before it cost
 //! one compare. A
-//! crossbar request queue is a [`RoutedQueue`], which additionally carries one *route key* per
-//! slot, so its tick costs a key scan over the occupied slots plus full
-//! slow-path visits only for the packets that move and the first blocked
-//! packet of each route class — not one per stalled slot, which is what
-//! a congested fabric is made of.
+//! crossbar request queue is a [`RoutedQueue`], which additionally carries
+//! one *route class* bit per slot, so its tick costs one AND per occupied
+//! slot plus full slow-path visits only for the packets that move and the
+//! first blocked packet of each route class — not one per stalled slot,
+//! which is what a congested fabric is made of.
 
 use std::collections::VecDeque;
 
@@ -247,8 +247,13 @@ impl BodyPool {
 
 /// Route key of a slot the crossbar walk has not classified (or whose
 /// classification is not memoizable: flow, MODE, remote, erroneous,
-/// corrupt or retry-gated packets).
+/// corrupt or retry-gated packets), as [`RoutedQueue::route_key`]
+/// decodes it.
 pub const NO_ROUTE: u16 = u16::MAX;
+
+/// Route class bit of a slot the crossbar walk has not classified: bit
+/// 63, which no vault's bit ever is (vault ids stay below 32).
+pub const UNCLASSIFIED: u64 = 1 << 63;
 
 /// A fixed-depth FIFO of queue slots.
 #[derive(Debug)]
@@ -333,16 +338,6 @@ impl PacketQueue {
         self.slots.remove(i)
     }
 
-    /// Re-insert an entry at the head (an entry popped for processing
-    /// that must stall keeps its queue position).
-    pub fn push_front(&mut self, entry: QueueEntry) {
-        assert!(
-            self.slots.len() < self.depth,
-            "push_front into a full queue"
-        );
-        self.slots.push_front(entry);
-    }
-
     /// Iterate entries head-to-tail.
     pub fn iter(&self) -> impl Iterator<Item = &QueueEntry> {
         self.slots.iter()
@@ -362,18 +357,19 @@ impl PacketQueue {
 }
 
 /// A crossbar request queue: a [`PacketQueue`] whose slots each carry a
-/// *route key* — a dense `u16` beside the entry in which the
-/// crossbar request walk memoizes "clean local memory request for vault
-/// *v*" (the key is *v*; [`NO_ROUTE`] on arrival), so a later walk can
-/// tell a stalled slot is still stalled without touching the entry.
-/// Reads go straight through to the queue ([`Deref`](std::ops::Deref));
-/// every operation that moves slots is redefined here to move the keys
-/// with them, so the two can never fall out of step. Being a type of
-/// its own, it costs the vault and response queues nothing.
+/// *route class* — one `u64` beside the entry in which the crossbar
+/// request walk memoizes "clean local memory request for vault *v*" as
+/// bit *v* ([`UNCLASSIFIED`] on arrival), so a later walk can tell a
+/// stalled slot is still stalled with one AND and without touching the
+/// entry. Reads go straight through to the queue
+/// ([`Deref`](std::ops::Deref)); every operation that moves slots is
+/// redefined here to move the classes with them, so the two can never
+/// fall out of step. Being a type of its own, it costs the vault and
+/// response queues nothing.
 #[derive(Debug)]
 pub struct RoutedQueue {
     queue: PacketQueue,
-    keys: VecDeque<u16>,
+    classes: VecDeque<u64>,
 }
 
 impl std::ops::Deref for RoutedQueue {
@@ -389,7 +385,7 @@ impl RoutedQueue {
     pub fn new(depth: usize) -> Self {
         RoutedQueue {
             queue: PacketQueue::new(depth),
-            keys: VecDeque::with_capacity(depth),
+            classes: VecDeque::with_capacity(depth),
         }
     }
 
@@ -397,14 +393,8 @@ impl RoutedQueue {
     /// unclassified.
     pub fn push(&mut self, entry: QueueEntry) -> Result<(), QueueEntry> {
         self.queue.push(entry)?;
-        self.keys.push_back(NO_ROUTE);
+        self.classes.push_back(UNCLASSIFIED);
         Ok(())
-    }
-
-    /// Dequeue from the head.
-    pub fn pop(&mut self) -> Option<QueueEntry> {
-        self.keys.pop_front();
-        self.queue.pop()
     }
 
     /// Mutable peek at slot `i` (0 = head).
@@ -414,65 +404,71 @@ impl RoutedQueue {
 
     /// Remove slot `i` (0 = head), preserving the order of the rest.
     pub fn remove(&mut self, i: usize) -> Option<QueueEntry> {
-        self.keys.remove(i);
+        self.classes.remove(i);
         self.queue.remove(i)
-    }
-
-    /// Re-insert an entry at the head, unclassified.
-    pub fn push_front(&mut self, entry: QueueEntry) {
-        self.queue.push_front(entry);
-        self.keys.push_front(NO_ROUTE);
     }
 
     /// Drop every entry (device reset).
     pub fn clear(&mut self) {
         self.queue.clear();
-        self.keys.clear();
+        self.classes.clear();
     }
 
-    /// Route key of slot `i` ([`NO_ROUTE`] when unclassified or when
-    /// there is no such slot).
+    /// Route class of slot `i`: bit *v* when it is keyed to vault *v*,
+    /// [`UNCLASSIFIED`] when it is not keyed or there is no such slot.
+    pub fn route_class(&self, i: usize) -> u64 {
+        self.classes.get(i).copied().unwrap_or(UNCLASSIFIED)
+    }
+
+    /// Route key of slot `i`: the vault its class bit names, or
+    /// [`NO_ROUTE`] when it is unclassified.
     pub fn route_key(&self, i: usize) -> u16 {
-        self.keys.get(i).copied().unwrap_or(NO_ROUTE)
+        match self.route_class(i) {
+            UNCLASSIFIED => NO_ROUTE,
+            class => class.trailing_zeros() as u16,
+        }
     }
 
-    /// Every slot's route key, head to tail. Reads the keys only.
-    pub fn route_keys(&self) -> impl Iterator<Item = u16> + '_ {
-        self.keys.iter().copied()
+    /// The union of every slot's route class: [`UNCLASSIFIED`] is in it
+    /// when some slot is unclassified, and bit *v* when some slot is
+    /// keyed to vault *v*. Reads the classes only.
+    pub fn class_union(&self) -> u64 {
+        let (head, tail) = self.classes.as_slices();
+        head.iter()
+            .chain(tail)
+            .fold(0, |union, &class| union | class)
     }
 
     /// The first slot at or after `from` that a stall-aware walk must
-    /// visit — one with no route key, or whose keyed vault's bit is clear
-    /// in the `held` mask (bit *v* for vault *v*) — or
-    /// [`len`](PacketQueue::len) when every remaining slot is keyed and
-    /// held (`from` itself when it is already past the end). Reads the
-    /// keys only, as the ring buffer's two contiguous runs.
+    /// visit — one whose class has a bit clear in the `held` mask (bit
+    /// *v* for vault *v*; never [`UNCLASSIFIED`], so an unclassified
+    /// slot is always visited) — or [`len`](PacketQueue::len) when every
+    /// remaining slot is keyed and held (`from` itself when it is already
+    /// past the end). Reads the classes only, as the ring buffer's two
+    /// contiguous runs, four slots per branch.
     pub fn next_unblocked(&self, from: usize, held: u64) -> usize {
-        let visit = |&key: &u16| key == NO_ROUTE || held >> (key & 0x3f) & 1 == 0;
-        let (head, tail) = self.keys.as_slices();
+        debug_assert_eq!(held & UNCLASSIFIED, 0, "held names vaults only");
+        let (head, tail) = self.classes.as_slices();
         let found = if from < head.len() {
-            head[from..]
-                .iter()
-                .position(visit)
+            first_unheld(&head[from..], held)
                 .map(|p| from + p)
-                .or_else(|| tail.iter().position(visit).map(|p| head.len() + p))
+                .or_else(|| first_unheld(tail, held).map(|p| head.len() + p))
         } else {
             let start = (from - head.len()).min(tail.len());
-            tail[start..]
-                .iter()
-                .position(visit)
-                .map(|p| head.len() + start + p)
+            first_unheld(&tail[start..], held).map(|p| head.len() + start + p)
         };
-        found.unwrap_or(from.max(self.keys.len()))
+        found.unwrap_or(from.max(self.classes.len()))
     }
 
-    /// Memoize slot `i`'s route: the key, and the decoded coordinates in
-    /// the entry, are written together so they can never disagree.
+    /// Memoize slot `i`'s route: the class bit, and the decoded
+    /// coordinates in the entry, are written together so they can never
+    /// disagree.
     ///
     /// # Panics
     /// Panics if there is no slot `i`.
     pub fn set_route(&mut self, i: usize, vault: VaultId, bank: BankId, row: u64) {
-        self.keys[i] = vault;
+        debug_assert!(vault < 63, "vault bits stay clear of UNCLASSIFIED");
+        self.classes[i] = 1 << vault;
         let e = &mut self.queue.slots[i];
         e.dest_vault = vault;
         e.dest_bank = bank;
@@ -480,18 +476,36 @@ impl RoutedQueue {
     }
 
     /// Forget every memoized route (the address map changed): keyed
-    /// slots return to [`NO_ROUTE`] and their entries to undecoded, so
-    /// the next walk re-decodes them under the new map.
+    /// slots return to [`UNCLASSIFIED`] and their entries to undecoded,
+    /// so the next walk re-decodes them under the new map.
     pub fn forget_routes(&mut self) {
-        for (key, e) in self.keys.iter_mut().zip(self.queue.slots.iter_mut()) {
-            if *key != NO_ROUTE {
-                *key = NO_ROUTE;
+        for (class, e) in self.classes.iter_mut().zip(self.queue.slots.iter_mut()) {
+            if *class != UNCLASSIFIED {
+                *class = UNCLASSIFIED;
                 e.dest_vault = UNDECODED;
                 e.dest_bank = UNDECODED;
                 e.dest_row = 0;
             }
         }
     }
+}
+
+/// The position of the first class in `classes` with a bit outside
+/// `held`. Four classes are tested per branch: on a congested fabric
+/// nearly every slot is held, and the scan runs long.
+#[inline(always)]
+fn first_unheld(classes: &[u64], held: u64) -> Option<usize> {
+    let free = |class: &u64| class & !held != 0;
+    let mut quads = classes.chunks_exact(4);
+    for (n, c) in quads.by_ref().enumerate() {
+        if (c[0] | c[1] | c[2] | c[3]) & !held != 0 {
+            return c.iter().position(free).map(|p| 4 * n + p);
+        }
+    }
+    let rest = quads.remainder();
+    rest.iter()
+        .position(free)
+        .map(|p| classes.len() - rest.len() + p)
 }
 
 #[cfg(test)]
@@ -555,16 +569,6 @@ mod tests {
             .map(|e| e.packet.tag())
             .collect();
         assert_eq!(rest, vec![0, 2, 3]);
-    }
-
-    #[test]
-    fn push_front_restores_head_position() {
-        let mut q = PacketQueue::new(4);
-        q.push(entry(0)).unwrap();
-        q.push(entry(1)).unwrap();
-        let head = q.pop().unwrap();
-        q.push_front(head);
-        assert_eq!(q.front().unwrap().packet.tag(), 0);
     }
 
     #[test]
@@ -755,6 +759,7 @@ mod tests {
             keyed(&q).iter().all(|&(_, k)| k == NO_ROUTE),
             "NO_ROUTE on arrival"
         );
+        assert_eq!(q.class_union(), UNCLASSIFIED);
         for i in 1..5 {
             q.set_route(i, 10 + i as u16, i as u16, 100 + i as u64);
         }
@@ -762,34 +767,36 @@ mod tests {
             keyed(&q),
             [(0, NO_ROUTE), (1, 11), (2, 12), (3, 13), (4, 14)]
         );
+        assert_eq!(
+            (q.route_class(0), q.route_class(2)),
+            (UNCLASSIFIED, 1 << 12)
+        );
         let e = q.get(3).unwrap();
         assert_eq!((e.dest_vault, e.dest_bank, e.dest_row), (13, 3, 103));
 
         assert_eq!(q.remove(2).unwrap().packet.tag(), 2);
         assert_eq!(keyed(&q), [(0, NO_ROUTE), (1, 11), (3, 13), (4, 14)]);
-        assert_eq!(q.pop().unwrap().packet.tag(), 0);
+        assert_eq!(q.remove(0).unwrap().packet.tag(), 0);
         assert_eq!(keyed(&q), [(1, 11), (3, 13), (4, 14)]);
-        q.push_front(entry(9));
+        assert_eq!(q.class_union(), 1 << 11 | 1 << 13 | 1 << 14);
         q.push(entry(7)).unwrap();
-        assert_eq!(
-            keyed(&q),
-            [(9, NO_ROUTE), (1, 11), (3, 13), (4, 14), (7, NO_ROUTE)]
-        );
+        assert_eq!(keyed(&q), [(1, 11), (3, 13), (4, 14), (7, NO_ROUTE)]);
         assert!(q.remove(5).is_none(), "out of range removes nothing");
-        assert_eq!(keyed(&q).len(), 5);
+        assert_eq!(keyed(&q).len(), 4);
+        assert_eq!(q.route_class(4), UNCLASSIFIED, "no such slot");
 
         // A pre-decoded but unkeyed entry keeps its coordinates; keyed
         // ones go back to undecoded.
-        q.get_mut(0).unwrap().dest_vault = 3;
+        q.get_mut(3).unwrap().dest_vault = 3;
         q.forget_routes();
         assert!(keyed(&q).iter().all(|&(_, k)| k == NO_ROUTE));
-        assert_eq!(q.get(0).unwrap().dest_vault, 3);
-        assert!((1..5).all(|i| !q.get(i).unwrap().is_decoded()));
+        assert_eq!(q.get(3).unwrap().dest_vault, 3);
+        assert!((0..3).all(|i| !q.get(i).unwrap().is_decoded()));
 
         q.set_route(1, 4, 0, 0);
         q.clear();
         q.push(entry(5)).unwrap();
-        assert_eq!(keyed(&q), [(5, NO_ROUTE)], "clear drops the keys too");
+        assert_eq!(keyed(&q), [(5, NO_ROUTE)], "clear drops the classes too");
     }
 
     #[test]
@@ -801,13 +808,14 @@ mod tests {
         for (i, vault) in [(1, 11), (2, 12), (4, 11)] {
             q.set_route(i, vault, 0, 0);
         }
-        // Slots: unkeyed, 11, 12, unkeyed, 11.
+        // Slots: unkeyed, 11, 12, unkeyed, 11. Every vault held:
+        let all = !UNCLASSIFIED;
         assert_eq!(
-            q.next_unblocked(0, u64::MAX),
+            q.next_unblocked(0, all),
             0,
             "unkeyed slots are always visited"
         );
-        assert_eq!(q.next_unblocked(1, u64::MAX), 3);
+        assert_eq!(q.next_unblocked(1, all), 3);
         assert_eq!(q.next_unblocked(1, 1 << 11), 2, "vault 12 is not held back");
         assert_eq!(q.next_unblocked(1, 0), 1);
         assert_eq!(
@@ -815,19 +823,20 @@ mod tests {
             5,
             "len() when nothing is left"
         );
-        assert_eq!(q.next_unblocked(5, u64::MAX), 5);
-        assert_eq!(q.next_unblocked(7, u64::MAX), 7, "past the end stays put");
+        assert_eq!(q.next_unblocked(5, all), 5);
+        assert_eq!(q.next_unblocked(7, all), 7, "past the end stays put");
     }
 
-    /// The key scan as it stood before the mask: one `get` and one
-    /// predicate call per slot.
+    /// The key scan as it stood before class bits: one decoded `u16` key
+    /// and one predicate call per slot.
     fn next_unblocked_reference(
         q: &RoutedQueue,
         from: usize,
         blocked: impl Fn(VaultId) -> bool,
     ) -> usize {
         let mut i = from;
-        while let Some(&key) = q.keys.get(i) {
+        while i < q.len() {
+            let key = q.route_key(i);
             if key == NO_ROUTE || !blocked(key) {
                 break;
             }
@@ -845,35 +854,39 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (rng >> 33) % n
         };
-        let depth = 12;
+        // Deep enough that each contiguous run holds several four-slot
+        // chunks and a remainder.
+        let depth = 13;
         let mut splits = std::collections::BTreeSet::new();
         let mut checked = 0u64;
         for len in 0..=depth {
             // Rotate the ring's head through every offset, so the
             // occupied run wraps at every possible point.
-            for offset in 0..RoutedQueue::new(depth).keys.capacity() {
+            for offset in 0..RoutedQueue::new(depth).classes.capacity() {
                 let mut q = RoutedQueue::new(depth);
                 for _ in 0..offset {
                     q.push(entry(0)).unwrap();
-                    q.pop().unwrap();
+                    q.remove(0).unwrap();
                 }
                 for i in 0..len {
                     q.push(entry(i as u16)).unwrap();
-                    // A few vaults (so held runs are long) plus NO_ROUTE.
-                    match next(5) {
+                    // A few vaults (so held runs are long) plus
+                    // unclassified slots; vault 31 is the highest bit.
+                    match next(6) {
                         0 => {}
+                        5 => q.set_route(i, 31, 0, 0),
                         v => q.set_route(i, v as u16 * 7, 0, 0),
                     }
                 }
-                let head = q.keys.as_slices().0.len();
+                let head = q.classes.as_slices().0.len();
                 splits.insert((len, head));
                 for _ in 0..8 {
                     let held = match next(4) {
                         0 => 0,
-                        1 => u64::MAX,
-                        _ => next(u64::MAX) | next(u64::MAX) << 31,
+                        1 => !UNCLASSIFIED,
+                        _ => (next(u64::MAX) | next(u64::MAX) << 31) & !UNCLASSIFIED,
                     };
-                    let blocked = |v: VaultId| held >> (v & 0x3f) & 1 != 0;
+                    let blocked = |v: VaultId| held >> v & 1 != 0;
                     for from in [0, head, head.saturating_sub(1), head + 1, len, len + 3]
                         .into_iter()
                         .chain((0..=len).filter(|_| next(3) == 0))
@@ -881,8 +894,8 @@ mod tests {
                         assert_eq!(
                             q.next_unblocked(from, held),
                             next_unblocked_reference(&q, from, blocked),
-                            "len {len}, head run {head}, from {from}, held {held:#x}, keys {:?}",
-                            q.keys
+                            "len {len}, head run {head}, from {from}, held {held:#x}, classes {:x?}",
+                            q.classes
                         );
                         checked += 1;
                     }

@@ -32,7 +32,7 @@ use crate::fault::Retry;
 use crate::link::{Endpoint, LinkRules};
 use crate::noc::{NocClass, NocDest, NocEvent, NocSink};
 use crate::quad::Quad;
-use crate::queue::{QueueEntry, NO_ROUTE};
+use crate::queue::{QueueEntry, UNCLASSIFIED};
 use crate::sim::HmcSim;
 use crate::vault::Vault;
 use crate::xbar::Crossbar;
@@ -399,7 +399,7 @@ impl HmcSim {
             // the link-retry step.
             let rqst = &mut self.devices[di].xbars[l].rqst;
             let e = rqst.get(idx).expect("idx checked");
-            if rqst.route_key(idx) == NO_ROUTE && !e.corrupt && !e.retry_gated(self.clock) {
+            if rqst.route_class(idx) == UNCLASSIFIED && !e.corrupt && !e.retry_gated(self.clock) {
                 rqst.set_route(idx, vault, bank, row);
             }
             return Step::Passed;

@@ -348,8 +348,8 @@ fn steady_state_allocations(leg: Leg) -> (u64, u64) {
 
 /// The crossbar, and a ring and a mesh whose two-slot segment buffers
 /// stay packed (three quarters of the random traffic is cross-quad), so
-/// the NoC advance pass, its stalls and its rotation escape all run
-/// every cycle; then the crossbar again under the DDR backend, where
+/// the NoC advance pass, the head sets its segments keep, its stalls and
+/// its rotation escape all run every cycle; then the crossbar again under the DDR backend, where
 /// every response waits in the vault's data-ready queue (an ordered
 /// insert that must stay inside its initial capacity) and vaults sleep
 /// and wake. The last two legs are about packet bodies: traffic whose
