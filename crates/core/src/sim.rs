@@ -421,23 +421,6 @@ impl HmcSim {
         self.devices.iter().map(|d| d.total_occupancy()).sum()
     }
 
-    /// True when the simulation is fully quiescent: no packet resident in
-    /// any queue *and* every connected link's token pool is back at its
-    /// initial allotment (no FLIT still in transit anywhere).
-    ///
-    /// This is the condition a serving drain waits for before declaring a
-    /// device safe to tear down — stronger than [`HmcSim::is_idle`], which
-    /// only checks queue occupancy.
-    pub fn is_quiesced(&self) -> bool {
-        self.is_idle()
-            && self.devices.iter().all(|d| {
-                d.links
-                    .iter()
-                    .filter(|l| l.remote != Endpoint::Unconnected)
-                    .all(|l| l.at_initial_tokens())
-            })
-    }
-
     /// The active routing table, building it first if the topology has
     /// changed since the last build. Fails if the topology is invalid.
     pub fn route_table(&mut self) -> Result<&RouteTable> {

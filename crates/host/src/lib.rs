@@ -14,7 +14,8 @@ pub mod host;
 pub mod tags;
 
 pub use driver::{
-    run_workload, run_workload_captured, run_workload_with_progress, RunConfig, RunReport,
+    run_workload, run_workload_captured, run_workload_with_progress, Driver, RunConfig, RunReport,
+    SessionOp, Stop,
 };
 pub use host::{Host, HostStats, LatencyStats, LinkSelection};
 pub use tags::{Pending, TagPool, NUM_TAGS};

@@ -6,11 +6,11 @@
 //! simulated device, submit batches of memory operations, poll completed
 //! responses, snapshot metrics, close. The thread that receives a frame
 //! runs the session's next quantum and a bounded worker pool runs the
-//! rest, every one with the exact per-cycle schedule of the in-process
-//! driver, so served responses are bit-identical to
-//! `hmc_host::run_workload` output —
-//! the service adds multi-tenancy and a network boundary, never timing
-//! drift.
+//! rest. A quantum is a budgeted run of `hmc_host::Driver`, the loop
+//! `hmc_host::run_workload` runs to completion, so served responses and
+//! cycle counts are bit-identical to `run_workload` output by
+//! construction — the service adds multi-tenancy and a network boundary,
+//! never timing drift.
 //!
 //! Admission control and backpressure are explicit protocol citizens:
 //! a concurrent-session cap, bounded per-session inflight queues (typed
@@ -35,10 +35,11 @@ pub mod session;
 pub use client::{
     busy_reason_label, Client, PollResult, RetryPolicy, ServerInfo, SubmitReport, SubmitResult,
 };
+pub use hmc_host::SessionOp;
 pub use manager::{ServerConfig, SessionManager};
 pub use proto::{write_frame, FrameReader, ReadOutcome};
 pub use server::{DrainOutcome, Server};
 pub use session::{
-    memop_to_wire, wire_to_memop, wire_to_session_op, workload_to_wire, PumpOutcome,
-    SessionLimits, SessionOp, SessionState,
+    memop_to_wire, wire_to_memop, wire_to_session_op, workload_to_wire, PumpOutcome, SessionLimits,
+    SessionState,
 };

@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use hmc_core::SimParams;
@@ -87,7 +87,12 @@ pub struct SessionManager {
 }
 
 impl SessionManager {
-    /// Start the manager and its worker pool.
+    /// Start the manager and its worker pool; returns once every worker
+    /// is running. Threads that start in a fixed order (workers, then
+    /// connections) take the allocator's per-thread arenas in a fixed
+    /// order too, so a server started and stopped again and again does
+    /// not drift to a larger resident set when a connection thread
+    /// happens to start before a worker.
     pub fn start(cfg: ServerConfig) -> (SessionManager, Vec<std::thread::JoinHandle<()>>) {
         let mgr = SessionManager {
             inner: Arc::new(Inner {
@@ -100,15 +105,20 @@ impl SessionManager {
                 stop: AtomicBool::new(false),
             }),
         };
+        let running = Arc::new(Barrier::new(cfg.threads.max(1) + 1));
         let workers = (0..cfg.threads.max(1))
             .map(|i| {
-                let m = mgr.clone();
+                let (m, running) = (mgr.clone(), running.clone());
                 std::thread::Builder::new()
                     .name(format!("hmc-serve-worker-{i}"))
-                    .spawn(move || m.worker_loop())
+                    .spawn(move || {
+                        running.wait();
+                        m.worker_loop()
+                    })
                     .expect("spawn worker")
             })
             .collect();
+        running.wait();
         (mgr, workers)
     }
 
@@ -276,7 +286,7 @@ impl SessionManager {
         let items = state.take_responses(max as usize);
         let resume = was_paused && !state.paused() && state.has_work();
         let outstanding = state.outstanding() as u32;
-        let idle = state.drained() && state.buffered() == 0;
+        let idle = !state.has_work() && state.buffered() == 0;
         drop(state);
         if resume {
             self.schedule(&handle);
@@ -353,7 +363,7 @@ impl SessionManager {
             let all_drained = {
                 let sessions = self.inner.sessions.lock().unwrap();
                 sessions.values().all(|h| match h.state.try_lock() {
-                    Ok(state) => state.drained(),
+                    Ok(state) => !state.has_work(),
                     Err(_) => false,
                 })
             };

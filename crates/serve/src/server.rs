@@ -9,8 +9,9 @@
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hmc_types::{Frame, HmcError, Result, WireErrorCode, WIRE_VERSION};
@@ -33,7 +34,7 @@ pub enum DrainOutcome {
 /// A running service: listeners + manager + worker pool.
 pub struct Server {
     mgr: SessionManager,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
     shutdown: Arc<AtomicBool>,
     uds: Vec<(UnixListener, PathBuf)>,
     tcp: Vec<TcpListener>,
@@ -100,22 +101,24 @@ impl Server {
     ///
     /// Idle-session reaping runs on the accept loop's cadence.
     pub fn run(mut self, drain_timeout: Duration) -> DrainOutcome {
-        let live_conns = Arc::new(AtomicUsize::new(0));
+        let mut conns: Vec<JoinHandle<()>> = Vec::new();
         let conn_exit = Arc::new(AtomicBool::new(false));
         let mut reap_tick = 0u32;
 
         while !self.shutdown.load(Ordering::Acquire) {
+            // Finished connection threads are detached as they go.
+            conns.retain(|c| !c.is_finished());
             let mut accepted = false;
             for (listener, _) in &self.uds {
                 while let Ok((stream, _)) = listener.accept() {
                     accepted = true;
-                    self.spawn_conn(Conn::Uds(stream), &live_conns, &conn_exit);
+                    conns.extend(self.spawn_conn(Conn::Uds(stream), &conn_exit));
                 }
             }
             for listener in &self.tcp {
                 while let Ok((stream, _)) = listener.accept() {
                     accepted = true;
-                    self.spawn_conn(Conn::Tcp(stream), &live_conns, &conn_exit);
+                    conns.extend(self.spawn_conn(Conn::Tcp(stream), &conn_exit));
                 }
             }
             if !accepted {
@@ -142,13 +145,18 @@ impl Server {
         };
 
         // Give connected clients a moment to poll flushed responses,
-        // then retire connection threads.
+        // then retire connection threads: those that finished are joined,
+        // so they are gone before the workers stop; one still running at
+        // the deadline is left detached.
         conn_exit.store(true, Ordering::Release);
         let conn_deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while live_conns.load(Ordering::Acquire) > 0
-            && std::time::Instant::now() < conn_deadline
-        {
+        while conns.iter().any(|c| !c.is_finished()) && std::time::Instant::now() < conn_deadline {
             std::thread::sleep(Duration::from_millis(10));
+        }
+        for c in conns {
+            if c.is_finished() {
+                let _ = c.join();
+            }
         }
 
         self.mgr.stop_workers();
@@ -162,28 +170,19 @@ impl Server {
         outcome
     }
 
-    fn spawn_conn(&self, stream: Conn, live_conns: &Arc<AtomicUsize>, conn_exit: &Arc<AtomicBool>) {
+    fn spawn_conn(&self, stream: Conn, conn_exit: &Arc<AtomicBool>) -> Option<JoinHandle<()>> {
         let mgr = self.mgr.clone();
         let shutdown = self.shutdown.clone();
         let exit = conn_exit.clone();
-        let live = live_conns.clone();
-        live.fetch_add(1, Ordering::AcqRel);
-        let _ = std::thread::Builder::new()
+        std::thread::Builder::new()
             .name("hmc-serve-conn".into())
             .spawn(move || {
-                let _guard = DecrementOnDrop(live);
                 if let Err(e) = serve_connection(stream, &mgr, &shutdown, &exit) {
                     // Client protocol violations end the connection only.
                     eprintln!("hmc-serve: connection error: {e}");
                 }
-            });
-    }
-}
-
-struct DecrementOnDrop(Arc<AtomicUsize>);
-impl Drop for DecrementOnDrop {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
+            })
+            .ok()
     }
 }
 

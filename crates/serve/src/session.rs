@@ -1,28 +1,24 @@
 //! One serving session: a private simulated device plus the host-side
 //! state that pumps client-submitted operations through it.
 //!
-//! Determinism contract: for a fixed op stream, the pump executes the
-//! *exact* per-cycle schedule of `hmc_host::run_workload` — inject until
-//! stall, clock once, drain — so responses seen through the service are
-//! bit-identical (tag, data, per-stream order) to an in-process driver
-//! run. That is why the pump clocks one cycle at a time while responses
-//! are outstanding: a multi-cycle `clock_batch` would change the drain
-//! cadence, and with it the tag-reuse order. Batched advances are
-//! reserved for the idle settle phase, where only posted traffic (which
-//! carries no tags) is still draining, and for client-scheduled
-//! [`SessionOp::Idle`] gaps, whose span is part of the submitted stream
-//! and therefore deterministic too. Sessions built under server
-//! parameters with `SimParams::fast_forward` set arm the engine's
-//! event-driven fast-forward mode, which turns those batched advances
-//! over dead cycles into O(1) jumps without changing any observable.
+//! Determinism contract: the pump is `hmc_host`'s [`Driver`] — the one
+//! inject → clock → drain loop `hmc_host::run_workload` runs — stepped
+//! one quantum at a time over the session's inflight queue. A budget
+//! sliced into quanta steps exactly the schedule of one unbroken run, so
+//! responses seen through the service are bit-identical (tag, data,
+//! latency, order) to an in-process driver run, and so is the cycle
+//! count. Sessions built under server parameters with
+//! `SimParams::fast_forward` set arm the engine's event-driven
+//! fast-forward mode, which jumps the dead cycles of client-scheduled
+//! [`SessionOp::Idle`] gaps without changing any observable.
 
 use std::collections::VecDeque;
 
-use hmc_core::{topology, HmcSim, ResponseInfo, SimParams};
-use hmc_host::Host;
+use hmc_core::{topology, HmcSim, SimParams};
+use hmc_host::{Driver, Host, SessionOp, Stop};
 use hmc_types::{
-    BlockSize, CubeId, Cycle, DeviceConfig, HmcError, PhysAddr, Result, WireOp, WireResponse,
-    WireStats, MAX_FRAME_LEN,
+    BlockSize, DeviceConfig, HmcError, PhysAddr, Result, WireOp, WireResponse, WireStats,
+    MAX_FRAME_LEN,
 };
 use hmc_workloads::{MemOp, OpKind, Workload};
 
@@ -61,16 +57,6 @@ pub enum PumpOutcome {
     Paused,
     /// The slice budget ran out with work remaining; reschedule.
     Working,
-}
-
-/// One admitted session operation: a memory op to inject, or a
-/// client-scheduled idle gap the device runs through without injection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionOp {
-    /// A memory operation bound for the device.
-    Mem(MemOp),
-    /// Run the device this many cycles with no injection.
-    Idle(u64),
 }
 
 /// Convert a wire operation into a [`SessionOp`].
@@ -130,17 +116,6 @@ pub fn memop_to_wire(op: &MemOp) -> WireOp {
     }
 }
 
-/// The wire form of a correlated response and its latency.
-fn wire_response(info: &ResponseInfo, latency: Cycle) -> WireResponse {
-    WireResponse {
-        tag: info.tag,
-        ok: info.is_ok(),
-        status: info.status.encode(),
-        latency,
-        data: info.data.clone(),
-    }
-}
-
 /// Convert a whole workload into wire operations (loadgen, tests).
 pub fn workload_to_wire(workload: &mut dyn Workload) -> Vec<WireOp> {
     let mut ops = Vec::new();
@@ -155,9 +130,9 @@ pub fn workload_to_wire(workload: &mut dyn Workload) -> Vec<WireOp> {
 pub struct SessionState {
     sim: HmcSim,
     host: Host,
-    target: CubeId,
+    driver: Driver,
     limits: SessionLimits,
-    /// Ops admitted but not yet drawn by the host, in issue order (a
+    /// Ops admitted but not yet drawn by the driver, in issue order (a
     /// stalled op waits in the host, which retries it first).
     inflight: VecDeque<SessionOp>,
     /// Completed responses awaiting a client poll.
@@ -187,16 +162,11 @@ impl SessionState {
         Ok(SessionState {
             sim,
             host,
-            target: 0,
+            driver: Driver::new(0),
             limits,
             inflight: VecDeque::new(),
             responses: VecDeque::new(),
         })
-    }
-
-    /// The session's limits.
-    pub fn limits(&self) -> SessionLimits {
-        self.limits
     }
 
     /// Free slots in the inflight queue.
@@ -241,13 +211,10 @@ impl SessionState {
         self.responses.len()
     }
 
-    /// True when the session still has simulation work to do (pumping
-    /// would make progress).
+    /// True while ops are queued or the driver is busy; a session without
+    /// work is drained (buffered responses may still await a poll).
     pub fn has_work(&self) -> bool {
-        self.host.holds_op()
-            || !self.inflight.is_empty()
-            || self.host.outstanding() > 0
-            || !self.sim.is_quiesced()
+        !self.inflight.is_empty() || self.driver.busy(&self.sim, &self.host)
     }
 
     /// True when the response buffer has reached its bound.
@@ -255,88 +222,45 @@ impl SessionState {
         self.responses.len() >= self.limits.response_limit
     }
 
-    /// True when the session is fully drained: nothing queued, nothing
-    /// outstanding, device quiescent. (Buffered responses may remain for
-    /// the client to poll.)
-    pub fn drained(&self) -> bool {
-        !self.has_work()
-    }
-
     /// Requests currently awaiting device responses.
     pub fn outstanding(&self) -> usize {
         self.host.outstanding()
     }
 
-    /// Execute one scheduling quantum (at most `limits.slice_cycles`).
-    ///
-    /// Each iteration replays the driver loop exactly: inject from the
-    /// inflight queue until a stall (`Host::inject`, which holds a
-    /// stalled op and retries it first), clock one cycle, drain —
-    /// capturing correlated responses into the session buffer. Once every
-    /// tagged response is home and the queue is dry, residual posted
-    /// traffic is settled with batched clock advances (no tags in flight,
-    /// so cadence is free).
-    ///
-    /// An [`SessionOp::Idle`] gap at the queue head runs before anything
-    /// behind it: the gap models client think time, so ops submitted
-    /// after it must wait the full gap out. Gaps advance with batched
-    /// clocks (draining responses throughout) — under a fast-forward
-    /// session each batch jumps the dead cycles instead of stepping them.
+    /// Execute one scheduling quantum: up to `limits.slice_cycles` cycles
+    /// of the [`Driver`] over the inflight queue, responses into the
+    /// buffer. It ends early when a step fills the buffer to its bound
+    /// (`Paused`) or the session runs dry (`Idle`).
     pub fn pump(&mut self) -> Result<PumpOutcome> {
-        let mut budget = self.limits.slice_cycles.max(1);
-        while budget > 0 {
-            if self.paused() {
-                return Ok(PumpOutcome::Paused);
-            }
-            // Serve an idle gap at the queue head before injecting.
-            if !self.host.holds_op() {
-                if let Some(SessionOp::Idle(gap)) = self.inflight.front_mut() {
-                    let advance = (*gap).min(budget);
-                    self.sim.clock_batch(advance)?;
-                    let responses = &mut self.responses;
-                    self.host.drain_with(&mut self.sim, |info, latency| {
-                        responses.push_back(wire_response(info, latency));
-                    })?;
-                    *gap -= advance;
-                    if *gap == 0 {
-                        self.inflight.pop_front();
-                    }
-                    budget -= advance;
-                    continue;
-                }
-            }
-            // Inject until a stall, tag exhaustion, an empty queue, or an
-            // idle gap behind the memory ops.
-            let inflight = &mut self.inflight;
-            let next_mem = || match inflight.front() {
-                Some(&SessionOp::Mem(op)) => {
-                    inflight.pop_front();
-                    Some(op)
-                }
-                _ => None,
-            };
-            let dry = self.host.inject(&mut self.sim, self.target, next_mem)?;
-
-            if dry && self.inflight.is_empty() && self.host.outstanding() == 0 {
-                if self.sim.is_quiesced() {
-                    return Ok(PumpOutcome::Idle);
-                }
-                // Only untagged posted traffic remains; batch-settle it.
-                let advance = budget.min(32);
-                self.sim.clock_batch(advance)?;
-                self.host.drain(&mut self.sim)?;
-                budget -= advance;
-                continue;
-            }
-
-            self.sim.clock()?;
-            let responses = &mut self.responses;
-            self.host.drain_with(&mut self.sim, |info, latency| {
-                responses.push_back(wire_response(info, latency));
-            })?;
-            budget -= 1;
+        if self.paused() {
+            return Ok(PumpOutcome::Paused);
         }
-        Ok(PumpOutcome::Working)
+        if !self.has_work() {
+            return Ok(PumpOutcome::Idle);
+        }
+        let (inflight, responses) = (&mut self.inflight, &mut self.responses);
+        let limit = self.limits.response_limit;
+        let stop = self.driver.run(
+            &mut self.sim,
+            &mut self.host,
+            self.limits.slice_cycles.max(1),
+            || inflight.pop_front(),
+            |info, latency| {
+                responses.push_back(WireResponse {
+                    tag: info.tag,
+                    ok: info.is_ok(),
+                    status: info.status.encode(),
+                    latency,
+                    data: info.data.clone(),
+                });
+                responses.len() >= limit
+            },
+        )?;
+        Ok(match stop {
+            Stop::Done => PumpOutcome::Idle,
+            Stop::Halted => PumpOutcome::Paused,
+            Stop::Budget => PumpOutcome::Working,
+        })
     }
 
     /// A point-in-time metrics snapshot.

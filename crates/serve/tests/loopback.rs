@@ -19,9 +19,10 @@ use hmc_serve::{
     SessionManager, SessionState, SubmitResult,
 };
 use hmc_types::{
-    BusyReason, DeviceConfig, Frame, WireErrorCode, WireOp, WireResponse, WireStats, MAX_FRAME_LEN,
+    BlockSize, BusyReason, DeviceConfig, Frame, WireErrorCode, WireOp, WireResponse, WireStats,
+    MAX_FRAME_LEN,
 };
-use hmc_workloads::WorkloadSpec;
+use hmc_workloads::{RandomAccess, WorkloadSpec};
 
 fn socket_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hmc-serve-test-{}-{name}.sock", std::process::id()))
@@ -114,9 +115,17 @@ fn served_responses_are_bit_identical_to_the_in_process_driver() {
     // The second input keeps more than 512 requests in flight on the
     // paper's 4-link device, so the host runs out of tags and retries a
     // held op: the served run must take that retry exactly as the driver.
-    for (preset, tag_stalls) in [("small", false), ("4l8b", true)] {
+    // The third leaves posted writes in the device after the last tagged
+    // response, so the served run must settle them in the driver's cycles.
+    let random = |posted| {
+        RandomAccess::new(42, 1 << 24, BlockSize::B64, 50, 2_000).with_posted_writes(posted)
+    };
+    for (preset, posted, tag_stalls) in [
+        ("small", false, false),
+        ("4l8b", false, true),
+        ("4l8b", true, true),
+    ] {
         let config = DeviceConfig::by_name(preset).unwrap();
-        let spec = WorkloadSpec::new("random", 42, 1 << 24, 2_000);
 
         // In-process reference: the session pump's construction mirrors
         // this exactly (one device, simple topology, host on cube 0).
@@ -124,22 +133,26 @@ fn served_responses_are_bit_identical_to_the_in_process_driver() {
         let host_id = sim.host_cube_id(0);
         topology::build_simple(&mut sim, host_id).unwrap();
         let mut host = Host::attach(&sim, host_id).unwrap();
-        let mut reference_workload = spec.clone().build().unwrap();
         let (report, captured) = run_workload_captured(
             &mut sim,
             &mut host,
-            reference_workload.as_mut(),
+            &mut random(posted),
             RunConfig::default(),
         )
         .unwrap();
-        assert_eq!(report.completed, 2_000, "{preset}: every op answered");
-        assert_eq!(host.stats.tag_stalls > 0, tag_stalls, "{preset}");
+        let leg = format!("{preset}{}", if posted { ", posted writes" } else { "" });
+        assert_eq!(
+            report.completed + report.posted,
+            2_000,
+            "{leg}: every op ran"
+        );
+        assert_eq!(report.posted > 0, posted, "{leg}");
+        assert_eq!(host.stats.tag_stalls > 0, tag_stalls, "{leg}");
 
-        // Served run: same spec, fresh workload, one batch so the
+        // Served run: same stream, fresh workload, one batch so the
         // inflight queue never runs dry mid-run (the determinism
         // precondition).
-        let mut served_workload = spec.build().unwrap();
-        let ops = workload_to_wire(served_workload.as_mut());
+        let ops = workload_to_wire(&mut random(posted));
         let session = client
             .open_session_preset(preset, ops.len() as u32, 0)
             .unwrap();
@@ -155,29 +168,30 @@ fn served_responses_are_bit_identical_to_the_in_process_driver() {
         assert_eq!(
             served.len(),
             captured.len(),
-            "{preset}: served and in-process runs completed different response counts"
+            "{leg}: served and in-process runs completed different response counts"
         );
         for (i, (wire, reference)) in served.iter().zip(captured.iter()).enumerate() {
             assert_eq!(
                 wire.tag, reference.info.tag,
-                "{preset}: tag diverged at response {i}"
+                "{leg}: tag diverged at response {i}"
             );
             assert_eq!(
                 wire.data, reference.info.data,
-                "{preset}: data diverged at response {i} (tag {})",
+                "{leg}: data diverged at response {i} (tag {})",
                 wire.tag
             );
             assert_eq!(
                 wire.latency, reference.latency,
-                "{preset}: latency diverged at response {i} (tag {})",
+                "{leg}: latency diverged at response {i} (tag {})",
                 wire.tag
             );
             assert_eq!(
                 wire.ok,
                 reference.info.is_ok(),
-                "{preset}: status diverged at {i}"
+                "{leg}: status diverged at {i}"
             );
         }
+        assert_eq!(final_stats.cycles, report.cycles, "{leg}: cycles diverged");
         assert_eq!(final_stats.completed, report.completed);
         assert_eq!(final_stats.injected, report.injected);
         assert_eq!(final_stats.tag_stalls, host.stats.tag_stalls);
@@ -219,8 +233,7 @@ fn eight_concurrent_sessions_lose_and_duplicate_nothing() {
                     for chunk in ops.chunks(64) {
                         client.submit_all(session, chunk).unwrap();
                     }
-                    let served =
-                        poll_until_idle(&mut client, session, Duration::from_secs(30));
+                    let served = poll_until_idle(&mut client, session, Duration::from_secs(30));
                     let stats = client.close(session).unwrap();
                     assert_eq!(stats.outstanding, 0);
                     assert_eq!(stats.orphans, 0);
@@ -492,7 +505,9 @@ fn the_shutdown_frame_triggers_a_clean_drain_with_work_buffered() {
     let run = std::thread::spawn(move || server.run(Duration::from_secs(30)));
 
     let mut client = Client::connect_uds(&path).unwrap();
-    let mut workload = WorkloadSpec::new("stream", 9, 1 << 22, 500).build().unwrap();
+    let mut workload = WorkloadSpec::new("stream", 9, 1 << 22, 500)
+        .build()
+        .unwrap();
     let ops = workload_to_wire(workload.as_mut());
     let session = client.open_session_preset("small", 0, 0).unwrap();
     client.submit_all(session, &ops).unwrap();
@@ -501,7 +516,10 @@ fn the_shutdown_frame_triggers_a_clean_drain_with_work_buffered() {
     // the drain must finish the work, not abandon it.
     client.shutdown_server().unwrap();
     assert_eq!(run.join().unwrap(), DrainOutcome::Drained);
-    assert!(!path.exists(), "socket file must be removed after the drain");
+    assert!(
+        !path.exists(),
+        "socket file must be removed after the drain"
+    );
 }
 
 #[test]
@@ -527,7 +545,9 @@ fn degraded_link_sessions_deliver_poisoned_responses_as_error_frames() {
     let json = serde_json::to_string(&config).unwrap();
 
     let mut client = Client::connect_uds(&path).unwrap();
-    let mut workload = WorkloadSpec::new("random", 7, 1 << 24, 400).build().unwrap();
+    let mut workload = WorkloadSpec::new("random", 7, 1 << 24, 400)
+        .build()
+        .unwrap();
     let ops = workload_to_wire(workload.as_mut());
     let expected = ops
         .iter()

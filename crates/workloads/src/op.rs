@@ -79,7 +79,8 @@ impl MemOp {
 
 /// A deterministic stream of memory operations.
 pub trait Workload {
-    /// The next operation, or `None` when the workload is exhausted.
+    /// The next operation, or `None` when the workload is exhausted (and
+    /// on every call after that).
     fn next_op(&mut self) -> Option<MemOp>;
 
     /// Human-readable workload name for reports.
