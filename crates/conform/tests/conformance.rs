@@ -194,6 +194,52 @@ fn ddr_full_thread_sweep_passes_stepped_and_fast_forward() {
     assert!(report.is_clean(), "{:?}", report.failure.map(|(_, f)| f.to_string()));
 }
 
+/// Run `cfg` and fail on its first divergent stream.
+fn assert_campaign_clean(what: &str, cfg: &CampaignConfig) {
+    let report = campaign(cfg);
+    if let Some((case, failure)) = &report.failure {
+        panic!(
+            "{what} stream on {} / {} (seed {:#x}) diverged: {failure}",
+            case.label,
+            case.map.name(),
+            case.seed
+        );
+    }
+    assert_eq!(report.streams_run, cfg.streams);
+    assert!(report.responses_checked > 0);
+}
+
+#[test]
+fn ddr_fast_forward_campaign_at_the_ci_seed_is_clean() {
+    // CI's `--timing ddr --fast-forward` leg (seed C0FFEE07) at 100 of
+    // its 500 streams: every stream gapped, so every fast-forward run
+    // jumps over vaults that sleep on cached bank and data-ready edges.
+    let cfg = CampaignConfig {
+        streams: 100,
+        base_seed: 0xC0FF_EE07,
+        fast_forward: true,
+        params: axes(TimingKind::Ddr, NocParams::default()),
+        ..CampaignConfig::default()
+    };
+    assert_campaign_clean("ddr fast-forward", &cfg);
+}
+
+#[test]
+fn combined_axis_campaign_at_the_ci_seed_is_clean() {
+    // CI's combined leg (seed C0FFEE08: hammer, link errors, mesh, ddr,
+    // fast-forward) at 100 of its 1,000 streams.
+    let cfg = CampaignConfig {
+        streams: 100,
+        base_seed: 0xC0FF_EE08,
+        fast_forward: true,
+        hammer: true,
+        link_errors: true,
+        params: axes(TimingKind::Ddr, NocParams::of(InterconnectKind::Mesh)),
+        ..CampaignConfig::default()
+    };
+    assert_campaign_clean("combined-axis", &cfg);
+}
+
 #[test]
 fn backends_agree_functionally_on_every_preset_and_map() {
     // The backend-differential axis of the conformance suite: the same
@@ -414,4 +460,39 @@ fn hot_bank_streams_stay_conformant_under_periodic_refresh() {
             assert!(out.checked > 0);
         }
     }
+}
+
+#[test]
+fn hot_bank_streams_park_banks_under_sleeping_vaults() {
+    // TRR parks a bank from inside the tick that issued to it, and the
+    // vault caches that park as the edge it sleeps on. The campaign's
+    // hammer streams spread over 64-slot vault queues; these fill
+    // `small()`'s four slots behind one bank, with every activation
+    // crossing a threshold of one, so parks land under queued requests.
+    // A two-entry scan window, shallower than the queue, makes requests
+    // slide into the window behind every issue. DDR, stepped and
+    // fast-forward, oracle and invariants on.
+    let device = DeviceConfig::small();
+    let mut trr = 0;
+    for i in 0..100u64 {
+        let seed = 0xC0FF_EE05 ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let map = MapKind::ALL[i as usize % MapKind::ALL.len()];
+        let faults = hmc_conform::default_hammer_faults()
+            .with_hammer_threshold(1)
+            .with_seed(seed);
+        let params = SimParams {
+            cell_faults: Some(faults),
+            vault_window: Some(2),
+            ..axes(TimingKind::Ddr, NocParams::default())
+        };
+        let ops = hot_bank_stream(seed, 48, &device);
+        let mut case = FuzzCase::new("small", device.clone(), map, seed, ops).with_params(params);
+        case.gap_every = 1 + i % 3;
+        case.gap_cycles = 100 + seed % 300;
+        let out = run_case(&case)
+            .unwrap_or_else(|f| panic!("stream {i} / {} (seed {seed:#x}): {f}", map.name()));
+        assert!(out.checked > 0);
+        trr += out.reference.fault_stats[2];
+    }
+    assert!(trr > 0, "the leg must park banks");
 }

@@ -3,9 +3,9 @@
 //! One call to [`HmcSim::clock`] runs the six sub-cycle stages of paper
 //! §IV.C once, in order, on the calling thread ([`HmcSim::clock_cycle`]):
 //! the crossbar request walks of stages 1 and 2 and the NoC sub-stage
-//! ([`crate::stages`]), stages 3 and 4 for every vault in flat vault
-//! order ([`tick_vault`]), the root-first response registration of
-//! stage 5, and the stage-6 clock update. [`HmcSim::clock_batch`] is the
+//! ([`crate::stages`]), stages 3 and 4 for every vault that is not
+//! asleep, in flat vault order ([`tick_vault`]), the root-first response
+//! registration of stage 5, and the stage-6 clock update. [`HmcSim::clock_batch`] is the
 //! only loop over cycles; with [`SimParams::fast_forward`] set it asks
 //! [`HmcSim::quiescent_horizon`] before each cycle how many upcoming
 //! cycles are provably dead and jumps them instead of stepping them.
@@ -140,36 +140,56 @@ fn hold_edge(
     Some(edge)
 }
 
-/// The cycle a vault whose tick found nothing to do sleeps until — the
-/// three terms of [`Vault::wake_at`]: `held`, the minimum [`hold_edge`]
-/// over the entries the walk scanned (all of them held, or the tick
-/// would have acted); the head of `pending`, the next data-ready edge;
-/// and, with periodic refresh configured and anything queued, the next
-/// edge of its schedule: a window that opens or closes re-answers
-/// `blocked_until` (it parks the bank, or closes the row a tRAS wait was
-/// counted from) and moves the stage-4 refresh bit.
+/// The cycle a walk that will find every scanned entry held sleeps
+/// until — the two terms of [`Vault::wake_at`]: `held`, the minimum
+/// [`hold_edge`] over the entries in its scan window; and, with periodic
+/// refresh configured and anything queued, the next edge of its
+/// schedule: a window that opens or closes re-answers `blocked_until`
+/// (it parks the bank, or closes the row a tRAS wait was counted from)
+/// and moves the stage-4 refresh bit. The data-ready edge is the head of
+/// `pending`, read where it is needed ([`Vault::asleep`]).
 fn sleep_edge(vault: &Vault, held: Cycle, inputs: &CycleInputs) -> Cycle {
-    let mut edge = held.min(vault.pending_min_ready().unwrap_or(Cycle::MAX));
-    if !vault.rqst.is_empty() {
-        if let Some(r) = inputs.refresh {
-            edge = edge.min(r.window_edge_after(inputs.clock));
-        }
+    match inputs.refresh {
+        Some(r) if !vault.rqst.is_empty() => held.min(r.window_edge_after(inputs.clock)),
+        _ => held,
     }
-    edge
 }
 
-/// What the next [`tick_vault`] of an awake vault would do, without
-/// doing it: `None` when it would release, issue or stage something,
-/// else the edge that tick would go to sleep on. Pure; the fast-forward
-/// horizon asks it about vaults that just acted or just received an
-/// arrival, and `check_invariants` re-derives every cached edge with it.
-pub(crate) fn idle_edge(vault: &Vault, inputs: &CycleInputs) -> Option<Cycle> {
-    if vault
-        .pending_min_ready()
-        .is_some_and(|ready| ready <= inputs.clock)
-    {
-        return None;
+/// The sleep edge of a walk that issued, reported no `VaultRspStall`,
+/// staged no stage-3 conflicts and ran out of order. The entries it held
+/// keep the edges it just computed: an issue changes only its own bank,
+/// and that bank's younger entries asked `blocked_until` after it. Only
+/// the entries that slid into the window behind the issues — from slot
+/// `from` on — are new, and they are asked here under the walk's
+/// `latched` banks, stopping at the first one free by the next cycle
+/// (`0`: the walk runs again). Out of line, so the classic backend's
+/// walk, which never gets here, does not pay for it.
+#[inline(never)]
+fn issued_edge(
+    vault: &Vault,
+    mut latched: u64,
+    mut held: Cycle,
+    from: usize,
+    inputs: &CycleInputs,
+) -> Cycle {
+    let next = inputs.clock.saturating_add(1);
+    let timing = vault.timing.as_ref();
+    for e in vault.rqst.iter().take(inputs.window).skip(from) {
+        match hold_edge(timing, &mut latched, e.dest_bank, e.dest_row, inputs.clock) {
+            Some(edge) if edge > next => held = held.min(edge),
+            _ => return 0,
+        }
     }
+    sleep_edge(vault, held, inputs)
+}
+
+/// What the next stage-3/4 walk of a vault would do, without doing it:
+/// `None` when it would issue or stage something, else the edge that
+/// walk would go to sleep on. Pure, and blind to `pending` (a release
+/// never changes what the walk finds). The fast-forward horizon asks it
+/// about vaults whose walk just acted or just received an arrival, and
+/// `check_invariants` re-derives every cached edge with it.
+pub(crate) fn idle_edge(vault: &Vault, inputs: &CycleInputs) -> Option<Cycle> {
     let window = inputs.window.min(vault.rqst.len());
     if inputs.restages_conflicts(window) {
         return None;
@@ -195,10 +215,15 @@ pub(crate) fn idle_edge(vault: &Vault, inputs: &CycleInputs) -> Option<Cycle> {
 /// `vault.stats`, the cell-fault counters in `stats` and the device's
 /// error register are updated in place.
 ///
-/// A sleeping vault ([`Vault::asleep`]) returns at once. A tick that
-/// releases, issues or stages anything leaves the vault awake; one that
-/// does not has learnt, entry by entry, when that can first change, and
-/// puts the vault to sleep until then ([`sleep_edge`]).
+/// The engine does not call it for a sleeping vault ([`Vault::asleep`]).
+/// One whose walk sleeps ([`Vault::walk_asleep`]) was woken only to
+/// release data-ready responses, and returns after the release. Every
+/// walk caches the edge of the next one in [`Vault::wake_at`]: a walk
+/// that did nothing has learnt, entry by entry, when that can first
+/// change ([`sleep_edge`]); one that issued asks only the entries that
+/// slid into its window ([`issued_edge`]). One that reported
+/// `VaultRspStall`, staged conflicts or issued in order leaves the
+/// walk awake.
 ///
 /// Timing decisions inside the walk are delegated to the vault's
 /// [`crate::timing::VaultTiming`] backend through [`hold_edge`]; an
@@ -218,17 +243,19 @@ pub(crate) fn tick_vault(
     stats: &mut SimStats,
     bodies: &mut BodyPool,
 ) {
-    if vault.asleep(inputs.clock) {
-        return;
-    }
     // Release pending responses whose data became ready, before the walk
     // (their freed capacity admits new requests this cycle).
-    let mut acted = vault.release_ready(inputs.clock);
+    vault.release_ready(inputs.clock);
+    if vault.walk_asleep(inputs.clock) {
+        return;
+    }
 
     // ---- stage 3: recognize bank conflicts (no state modified) ----
     let window = inputs.window.min(vault.rqst.len());
-    if inputs.restages_conflicts(window) {
-        acted = true;
+    // The walk stays awake after staging conflicts or a response stall.
+    let mut awake = inputs.restages_conflicts(window);
+    let mut issued = false;
+    if awake {
         let mut seen: u64 = 0;
         for e in vault.rqst.iter().take(window) {
             let bank = e.dest_bank;
@@ -279,7 +306,6 @@ pub(crate) fn tick_vault(
             continue;
         }
         // From here the tick issues the entry or reports its stall.
-        acted = true;
         let packet = &vault.rqst.get(idx).expect("idx checked").packet;
         let cmd = packet.cmd().ok();
         let tag = packet.tag();
@@ -290,6 +316,7 @@ pub(crate) fn tick_vault(
                 vault: vi as VaultId,
                 tag,
             });
+            awake = true;
             latched |= 1u64 << (bank & 0x3f);
             if inputs.policy == ConflictPolicy::StallQueue {
                 break;
@@ -298,6 +325,7 @@ pub(crate) fn tick_vault(
             continue;
         }
 
+        issued = true;
         let entry = vault.rqst.remove(idx).expect("idx checked");
         let bytes = entry.packet.data_bytes() as u32;
         let grant = vault.timing.try_issue(bank, row, inputs.clock);
@@ -414,10 +442,22 @@ pub(crate) fn tick_vault(
             _ => {}
         }
     }
-    vault.wake_at = if acted {
+    // `idx` counts the entries the walk held: the slots it left behind.
+    vault.wake_at = if awake {
+        0
+    } else if !issued {
+        sleep_edge(vault, held, inputs)
+    } else if inputs.policy == ConflictPolicy::StallQueue
+        || idx == 0
+        || held <= inputs.clock.saturating_add(1)
+    {
+        // In order, the walk stops at its held head and never asks the
+        // entries behind it. Out of order with nothing held
+        // (the classic backend's steady state) or an edge at the next
+        // cycle, the walk runs again anyway.
         0
     } else {
-        sleep_edge(vault, held, inputs)
+        issued_edge(vault, latched, held, idx, inputs)
     };
 }
 
@@ -691,20 +731,20 @@ impl HmcSim {
     /// drain do in the upcoming cycles.
     ///
     /// * Any queued response is live (stage 5 would route or stall it).
-    /// * A sleeping vault answers from its cached edge
-    ///   ([`Vault::wake_at`]) in constant time: held until then, or inert
-    ///   when it is empty.
-    /// * An awake vault — it acted last cycle, or a request just arrived
-    ///   inside its scan window — is asked what its next tick would do
-    ///   ([`idle_edge`], the same hold rule the tick applies): live when
-    ///   it would release, issue or stage anything, else held until the
-    ///   edge that tick would cache.
+    /// * A sleeping walk answers from its cached edge
+    ///   ([`Vault::wake_at`]) in constant time.
+    /// * An awake walk — it acted last cycle, or a request just arrived
+    ///   inside its scan window — is asked what it would do
+    ///   ([`idle_edge`], the same hold rule the walk applies): live when
+    ///   it would issue or stage anything, else the edge it would cache.
+    /// * The head of `pending` adds the next data-ready edge: held until
+    ///   the earlier of the two, or inert when neither has one.
     fn vault_gate(&self, dev: &Device, vi: usize, inputs: &CycleInputs) -> Gate {
         let vault = &dev.vaults[vi];
         if !vault.rsp.is_empty() {
             return Gate::Live;
         }
-        let wake = if vault.asleep(self.clock) {
+        let walk = if vault.walk_asleep(self.clock) {
             vault.wake_at
         } else {
             match idle_edge(vault, inputs) {
@@ -712,6 +752,7 @@ impl HmcSim {
                 None => return Gate::Live,
             }
         };
+        let wake = walk.min(vault.pending_min_ready().unwrap_or(Cycle::MAX));
         if wake <= self.clock {
             Gate::Live
         } else if wake == Cycle::MAX {
@@ -772,6 +813,9 @@ impl HmcSim {
                 vaults, registers, ..
             } = dev;
             for (vi, vault) in vaults.iter_mut().enumerate() {
+                if vault.asleep(inputs.clock) {
+                    continue;
+                }
                 tick_vault(
                     vault,
                     registers,
@@ -798,7 +842,9 @@ impl HmcSim {
                 }
                 self.forward_xbar_responses(di);
                 for vi in 0..self.devices[di].vaults.len() {
-                    self.drain_vault_responses(di, vi);
+                    if !self.devices[di].vaults[vi].rsp.is_empty() {
+                        self.drain_vault_responses(di, vi);
+                    }
                 }
             }
         }
@@ -818,13 +864,15 @@ mod tests {
     use crate::queue::{QueueEntry, NO_ROUTE};
     use crate::register::regs;
     use crate::sim::HmcSim;
-    use crate::timing::TimingParams;
+    use crate::timing::{DdrTiming, IssueGrant, TimingParams, VaultTiming};
     use crate::xbar::Crossbar;
     use hmc_trace::{EventKind, NullSink, Tracer, Verbosity};
     use hmc_types::{
         ArbitrationKind, BlockSize, Command, DdrTimings, DeviceConfig, InterconnectKind,
         LinkFaultConfig, LinkId, Packet, TimingKind,
     };
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn sim_with(params: SimParams) -> HmcSim {
         let mut s = HmcSim::new(1, DeviceConfig::small())
@@ -1694,11 +1742,7 @@ mod tests {
         // vault is not even woken to re-derive the edge it has.
         let mut s = vault0_asleep(params, &[(0, 0), (0, 1), (0, 2)]);
         let (misses, edge) = (s.stats().row_misses, s.devices[0].vaults[0].wake_at);
-        // (In one of the sim's own bodies: the checker counts them.)
-        let body = s.bodies.take(read_packet(bank_row_addr(1, 0), 9, 0));
-        let mut e = QueueEntry::with_body(body, 1, 0, s.clock);
-        (e.dest_vault, e.dest_bank, e.dest_row) = (0, 1, 0);
-        deliver(&mut s, 0, e);
+        deliver_read(&mut s, 1, 0, 9);
         assert_eq!(s.devices[0].vaults[0].wake_at, edge);
         s.clock().unwrap();
         assert_eq!(s.devices[0].vaults[0].rqst.len(), 3);
@@ -1712,7 +1756,10 @@ mod tests {
         let mut s = vault0_asleep(ddr_params(), &[(0, 0)]);
         let ready_at = t.t_rcd + t.t_cas;
         assert!(s.devices[0].vaults[0].rqst.is_empty());
-        assert_eq!(s.devices[0].vaults[0].wake_at, ready_at);
+        // The walk of an empty queue has no edge; the data-ready one is
+        // the head of `pending`.
+        assert_eq!(s.devices[0].vaults[0].wake_at, u64::MAX);
+        assert_eq!(vault_gate(&s, 0), Gate::Held(ready_at - s.clock));
         s.clock_batch(ready_at - s.clock).unwrap();
         assert!(s.recv(0, 0).is_err(), "cycle {ready_at} has not run yet");
         s.clock().unwrap();
@@ -1841,9 +1888,10 @@ mod tests {
         };
         // The first activation crosses the threshold: the bank is parked
         // for a targeted refresh from the cycle it issued (0), well past
-        // its command spacing. The park lands after the walk looked at
-        // the bank, so the edge must come from the tick after.
-        let s = vault0_asleep(
+        // its command spacing. The park lands inside the tick that
+        // issued, before the younger read asks the bank, so that tick
+        // caches the park as its edge.
+        let mut s = vault0_asleep(
             SimParams {
                 cell_faults: Some(trr),
                 ..ddr_params()
@@ -1851,11 +1899,11 @@ mod tests {
             &[(0, 0), (0, 1)],
         );
         assert_eq!(s.stats().trr_refreshes, 1);
+        assert_eq!(s.current_clock(), 1, "asleep straight after the issue");
         assert!(100 > t.t_rcd + t.t_cas, "the park outlasts the data edge");
-        assert_eq!(s.devices[0].vaults[0].wake_at, t.t_rcd + t.t_cas);
-        // The release leaves the vault awake; the tick after it finds
-        // only the parked bank.
-        let mut s = s;
+        assert_eq!(s.devices[0].vaults[0].wake_at, 100);
+        assert_eq!(vault_gate(&s, 0), Gate::Held(t.t_rcd + t.t_cas - 1));
+        // The release does not walk: the walk sleeps on to the park.
         s.clock_batch(t.t_rcd + t.t_cas + 2 - s.clock).unwrap();
         assert_eq!(s.devices[0].vaults[0].wake_at, 100, "then the park");
         s.clock_batch(100 - s.clock).unwrap();
@@ -1863,6 +1911,123 @@ mod tests {
         s.clock().unwrap();
         assert_eq!(s.stats().row_misses, 2, "issued at the park edge");
         assert_clean(&s);
+    }
+
+    /// A read of (bank, row) handed to vault 0 in one of the sim's own
+    /// bodies (the checker counts them), as stage 2 would.
+    fn deliver_read(s: &mut HmcSim, bank: u16, row: u64, tag: u16) {
+        let body = s.bodies.take(read_packet(bank_row_addr(bank, row), tag, 0));
+        let mut e = QueueEntry::with_body(body, s.host_cube_id(0), 0, s.clock);
+        (e.dest_vault, e.dest_bank, e.dest_row) = (0, bank, row);
+        deliver(s, 0, e);
+    }
+
+    /// A two-slot DDR window whose tick at cycle 1 issues a row miss on
+    /// bank 0, holds the younger bank-0 read on it (edge `1 + tRCD +
+    /// tCCD`), and lets `slide_in` slide into the window behind the
+    /// issue. Bank 1 opened row 0 at cycle 0, so it is busy until `tRCD +
+    /// tCCD`, one cycle before bank 0.
+    fn issuing_tick(slide_in: (u16, u64)) -> HmcSim {
+        let mut s = sim_with(SimParams {
+            check_invariants: true,
+            vault_window: Some(2),
+            ..ddr_params()
+        });
+        deliver_read(&mut s, 1, 0, 0);
+        s.clock().unwrap();
+        deliver_read(&mut s, 0, 0, 1);
+        deliver_read(&mut s, 0, 1, 2);
+        deliver_read(&mut s, slide_in.0, slide_in.1, 3);
+        s.clock().unwrap();
+        assert_eq!(s.stats().row_misses, 2, "one issue per tick");
+        assert_eq!(s.devices[0].vaults[0].rqst.len(), 2);
+        s
+    }
+
+    #[test]
+    fn an_issuing_tick_whose_slid_in_entries_are_held_sleeps_on_their_earliest_edge() {
+        let t = DdrTimings::default();
+        // Bank 1 still serves row 0: the read that slid in waits for it,
+        // one cycle before the held bank-0 read could go.
+        let mut s = issuing_tick((1, 1));
+        let vault = &s.devices[0].vaults[0];
+        assert!(vault.asleep(s.clock), "asleep straight after the issue");
+        assert_eq!(vault.wake_at, t.t_rcd + t.t_ccd, "the slid-in entry's edge");
+        let misses = s.stats().row_misses;
+        s.clock_batch(vault.wake_at - s.clock).unwrap();
+        assert_eq!(s.stats().row_misses, misses, "nothing moves before it");
+        s.clock_batch(60).unwrap();
+        assert!(s.devices[0].vaults[0].rqst.is_empty());
+        assert_clean(&s);
+    }
+
+    #[test]
+    fn an_issuing_tick_with_a_slid_in_entry_free_next_cycle_stays_awake() {
+        // Bank 2 is idle: the read that slid in issues the next cycle.
+        let mut s = issuing_tick((2, 0));
+        assert_eq!(s.devices[0].vaults[0].wake_at, 0);
+        let misses = s.stats().row_misses;
+        s.clock().unwrap();
+        assert_eq!(s.stats().row_misses, misses + 1, "issued the cycle after");
+        assert_clean(&s);
+    }
+
+    /// A DDR backend that counts every question asked of it.
+    #[derive(Debug)]
+    struct Counting {
+        inner: DdrTiming,
+        asks: Arc<AtomicU64>,
+    }
+
+    impl Counting {
+        fn ask(&self) {
+            self.asks.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    impl VaultTiming for Counting {
+        fn blocked_until(&self, bank: u16, row: u64, cycle: u64) -> Option<u64> {
+            self.ask();
+            self.inner.blocked_until(bank, row, cycle)
+        }
+        fn try_issue(&mut self, bank: u16, row: u64, cycle: u64) -> IssueGrant {
+            self.ask();
+            self.inner.try_issue(bank, row, cycle)
+        }
+        fn park_bank(&mut self, bank: u16, until: u64) {
+            self.ask();
+            self.inner.park_bank(bank, until)
+        }
+        fn reset(&mut self) {
+            self.inner.reset()
+        }
+        fn kind(&self) -> TimingKind {
+            self.inner.kind()
+        }
+    }
+
+    #[test]
+    fn a_data_ready_wake_releases_without_asking_the_timing_backend() {
+        let t = DdrTimings::default();
+        // Unchecked: the invariant checker asks the backend too.
+        let mut s = sim_with(ddr_params());
+        let asks = Arc::default();
+        s.devices[0].vaults[0].timing = Box::new(Counting {
+            inner: DdrTiming::new(t, 0, s.config.banks_per_vault, None),
+            asks: Arc::clone(&asks),
+        });
+        // Row 0 issues at cycle 0; row 1 waits for the bank (tRCD + tCCD),
+        // then for tRAS to precharge — past row 0's data-ready edge.
+        deliver_read(&mut s, 0, 0, 0);
+        deliver_read(&mut s, 0, 1, 1);
+        let ready_at = t.t_rcd + t.t_cas;
+        s.clock_batch(ready_at).unwrap();
+        assert_eq!(s.devices[0].vaults[0].wake_at, t.t_ras);
+        assert!(ready_at < t.t_ras);
+        let before = asks.load(Ordering::Relaxed);
+        s.clock().unwrap();
+        assert_eq!(s.recv(0, 0).unwrap().tag(), 0, "released at {ready_at}");
+        assert_eq!(asks.load(Ordering::Relaxed), before);
     }
 
     #[test]

@@ -316,11 +316,12 @@ impl HmcSim {
                 noc.check_heads(|msg| found.push(format!("noc heads: dev {di} {msg}")));
             }
             for v in &d.vaults {
-                // Sleep edges: a sleeping vault's tick is skipped on the
-                // cached edge alone, so a fresh scan must still find
-                // nothing to release, issue or stage, and no edge earlier
-                // than the one cached.
-                if v.asleep(clock) {
+                // Sleep edges: a sleeping walk is skipped on the cached
+                // edge alone — also in a vault woken only to release
+                // data-ready responses — so a fresh scan must still find
+                // nothing to issue or stage, and no edge earlier than the
+                // one cached.
+                if v.walk_asleep(clock) {
                     let fresh = crate::engine::idle_edge(v, &inputs);
                     if fresh.is_none_or(|edge| edge < v.wake_at) {
                         found.push(format!(
@@ -564,6 +565,43 @@ mod tests {
         assert_eq!(s.total_invariant_violations(), memos as u64);
         assert!(
             s.invariant_violations()[0].starts_with("noc memo: dev 0 Request segment of quad"),
+            "{:?}",
+            s.invariant_violations()
+        );
+    }
+
+    #[test]
+    fn a_late_walk_edge_is_flagged_in_a_vault_woken_only_to_release() {
+        use crate::timing::TimingParams;
+        use hmc_types::TimingKind;
+        let mut s = HmcSim::new(1, DeviceConfig::small())
+            .unwrap()
+            .with_params(SimParams {
+                check_invariants: true,
+                timing: TimingParams::of(TimingKind::Ddr),
+                ..SimParams::default()
+            });
+        let host = s.host_cube_id(0);
+        topology::build_simple(&mut s, host).unwrap();
+        // Rows 0 and 1 of vault 0, bank 0: row 1 waits out tRAS, past
+        // row 0's data-ready edge.
+        for row in 0..2u16 {
+            s.send(0, 0, read(u64::from(row) << 14, row, 0)).unwrap();
+        }
+        let releasing = |s: &HmcSim| {
+            let v = &s.devices[0].vaults[0];
+            v.walk_asleep(s.clock) && !v.asleep(s.clock)
+        };
+        while !releasing(&s) {
+            assert!(s.current_clock() < 100, "never woken to release");
+            s.clock().unwrap();
+        }
+        assert_eq!(s.total_invariant_violations(), 0, "the real edge is clean");
+        s.devices[0].vaults[0].wake_at += 1;
+        s.inv_check_cycle();
+        assert_eq!(s.total_invariant_violations(), 1);
+        assert!(
+            s.invariant_violations()[0].starts_with("sleep edge: dev 0 vault 0"),
             "{:?}",
             s.invariant_violations()
         );

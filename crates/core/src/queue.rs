@@ -12,9 +12,9 @@
 //! into the response, read in place at `recv_with` and recycled
 //! ([`BodyPool`]). A response queue tick costs O(occupied slots). A
 //! vault request queue's tick walks its scan window only while something
-//! there can issue: a tick that finds every entry held caches the earliest
-//! cycle that can change (`Vault::wake_at`) and the ticks before it cost
-//! one compare. A
+//! there can issue: a walk that leaves every entry held caches the
+//! earliest cycle that can change (`Vault::wake_at`), and the cycles
+//! before it cost one compare. A
 //! crossbar request queue is a [`RoutedQueue`], which additionally carries
 //! one *route class* bit per slot, so its tick costs one AND per occupied
 //! slot plus full slow-path visits only for the packets that move and the

@@ -117,17 +117,20 @@ pub struct Vault {
     pub faults: Option<Box<CellFaultState>>,
     /// Operation counters.
     pub stats: VaultStats,
-    /// The cached sleep edge: a lower bound on the first cycle at which
-    /// this vault's stage-3/4 tick can release, issue or stage anything,
+    /// The walk's cached sleep edge: a lower bound on the first cycle at
+    /// which this vault's stage-3/4 walk can issue or stage anything,
     /// given that no request arrives inside its scan window first. While
-    /// the clock is short of it the tick returns at once and the
+    /// the clock is short of it the tick skips the walk, and the
     /// fast-forward horizon reads it instead of scanning. `0` is awake
     /// (the next tick runs its walk), [`Cycle::MAX`] asleep with no edge
-    /// of its own (an empty vault). Like
-    /// [`VaultTiming::blocked_until`], whose edges it is the minimum of,
-    /// it may be early — the vault wakes, finds nothing and sleeps again
-    /// — but never late. Written by the tick that found nothing to do,
-    /// dropped by [`Vault::wake`]; DESIGN.md "The sleeping vault".
+    /// of its own (an empty queue). The data-ready edge is not part of
+    /// it: that is the head of [`Vault::pending`], read in O(1) where it
+    /// is needed ([`Vault::asleep`]), and a release never changes what
+    /// the walk finds. Like [`VaultTiming::blocked_until`], whose edges it
+    /// is the minimum of, it may be early — the walk runs, finds nothing
+    /// and sleeps again — but never late. Written by every tick that ran
+    /// its walk, dropped by [`Vault::wake`]; DESIGN.md "The sleeping
+    /// vault".
     pub(crate) wake_at: Cycle,
 }
 
@@ -168,10 +171,17 @@ impl Vault {
         self.wake_at = 0;
     }
 
-    /// True while the stage-3/4 tick at `clock` has provably nothing to
-    /// do (see [`Vault::wake_at`]).
-    pub(crate) fn asleep(&self, clock: Cycle) -> bool {
+    /// True while the stage-3/4 walk at `clock` has provably nothing to
+    /// issue or stage (see [`Vault::wake_at`]).
+    pub(crate) fn walk_asleep(&self, clock: Cycle) -> bool {
         clock < self.wake_at
+    }
+
+    /// True while the whole stage-3/4 tick at `clock` has provably
+    /// nothing to do: the walk sleeps and no pending response is
+    /// data-ready. The engine does not call a sleeping vault's tick.
+    pub(crate) fn asleep(&self, clock: Cycle) -> bool {
+        self.walk_asleep(clock) && self.pending.front().is_none_or(|p| p.ready_at > clock)
     }
 
     /// True when registering another response would overflow the
