@@ -36,7 +36,7 @@ fn snapshot(sim: &HmcSim, tag: u16) -> String {
             if x.rqst.iter().any(|e| e.packet.tag() == tag) {
                 places.push(format!("dev{d}.link{}.xbar_rqst", x.link));
             }
-            if x.rsp.iter().any(|e| e.packet.tag() == tag) {
+            if x.rsp().iter().any(|e| e.packet.tag() == tag) {
                 places.push(format!("dev{d}.link{}.xbar_rsp", x.link));
             }
         }

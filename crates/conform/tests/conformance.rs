@@ -241,6 +241,67 @@ fn combined_axis_campaign_at_the_ci_seed_is_clean() {
 }
 
 #[test]
+fn link_error_campaign_at_the_ci_seed_is_clean() {
+    // CI's degraded-link leg (seed C0FFEE06) at 100 of its 1,000
+    // streams: retry-gated heads and retraining links in the stall walk.
+    let cfg = CampaignConfig {
+        streams: 100,
+        base_seed: 0xC0FF_EE06,
+        link_errors: true,
+        ..CampaignConfig::default()
+    };
+    assert_campaign_clean("link-error", &cfg);
+}
+
+#[test]
+fn ring_fast_forward_campaign_at_the_ci_seed_is_clean() {
+    // CI's ring fast-forward leg (seed C0FFEE09) at 100 of its 500
+    // streams.
+    let cfg = CampaignConfig {
+        streams: 100,
+        base_seed: 0xC0FF_EE09,
+        fast_forward: true,
+        params: axes(TimingKind::Classic, NocParams::of(InterconnectKind::Ring)),
+        ..CampaignConfig::default()
+    };
+    assert_campaign_clean("ring fast-forward", &cfg);
+}
+
+#[test]
+fn serialized_link_campaign_at_the_ci_seed_is_clean() {
+    // CI's serialized-link leg (seed C0FFEE0A: link errors, a one-beat
+    // FLIT budget, fast-forward) at 100 of its 1,000 streams: FLIT debt
+    // paid by walks, by skipped walks and by jumps.
+    let cfg = CampaignConfig {
+        streams: 100,
+        base_seed: 0xC0FF_EE0A,
+        fast_forward: true,
+        link_errors: true,
+        params: SimParams {
+            link_flits_per_cycle: Some(1),
+            ..SimParams::default()
+        },
+        ..CampaignConfig::default()
+    };
+    assert_campaign_clean("serialized-link", &cfg);
+}
+
+#[test]
+fn mesh_locality_aware_campaign_at_the_ci_seed_is_clean() {
+    // CI's mesh locality-aware leg (seed C0FFEE0B) at 100 of its 1,000
+    // streams.
+    let mesh =
+        NocParams::of(InterconnectKind::Mesh).with_arbitration(ArbitrationKind::LocalityAware);
+    let cfg = CampaignConfig {
+        streams: 100,
+        base_seed: 0xC0FF_EE0B,
+        params: axes(TimingKind::Classic, mesh),
+        ..CampaignConfig::default()
+    };
+    assert_campaign_clean("mesh locality-aware", &cfg);
+}
+
+#[test]
 fn backends_agree_functionally_on_every_preset_and_map() {
     // The backend-differential axis of the conformance suite: the same
     // seeded stream on every preset × address map, run to completion

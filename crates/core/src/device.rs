@@ -165,7 +165,7 @@ impl Device {
     pub fn packet_slots(&self) -> usize {
         self.xbars
             .iter()
-            .map(|x| x.rqst.depth() + x.rsp.depth())
+            .map(|x| x.rqst.depth() + x.rsp().depth())
             .sum::<usize>()
             + self
                 .vaults

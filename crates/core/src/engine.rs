@@ -35,7 +35,7 @@ use hmc_types::address::AddressMap;
 use hmc_types::{CubeId, Cycle, LinkId, Result, VaultId};
 
 use crate::device::Device;
-use crate::link::{Endpoint, LinkWait};
+use crate::link::LinkWait;
 use crate::noc::bits;
 use crate::params::{ConflictPolicy, RefreshParams};
 use crate::queue::{BodyPool, QueueEntry, UNCLASSIFIED, UNDECODED};
@@ -552,8 +552,8 @@ impl HmcSim {
     /// * [`HmcSim::xbar_rqst_gate`], per link — retraining window, FLIT
     ///   debt, retry timer, and the inert stage-1/2 walk over requests
     ///   that all wait on full vault queues;
-    /// * [`HmcSim::xbar_rsp_gate`], per link — responses parked for a
-    ///   host `recv`;
+    /// * [`HmcSim::xbar_rsp_gate`], per link — no response movers: all
+    ///   are parked for a host `recv`;
     /// * [`HmcSim::vault_gate`], per vault — response queue, and the
     ///   vault's sleep edge: pending data-ready cycles and the stage-3/4
     ///   scan window held by refresh or by the timing backend's bank
@@ -673,7 +673,13 @@ impl HmcSim {
     ///   `set_address_map` forgets the keys at once, and an AC-register
     ///   write not yet applied holds the walk inert for exactly one more
     ///   cycle — the stage-6 edge that applies it.
-    fn xbar_rqst_gate(&self, dev: &Device, l: usize) -> Gate {
+    ///
+    /// A stepped cycle asks this gate too, before the walk of a link
+    /// whose last walk was idle, and skips the walk on [`Gate::Inert`]
+    /// the way a one-cycle jump skips it: the step and the jump share
+    /// one inert predicate. The tracer is checked before the union is
+    /// read, so a traced run pays one branch.
+    pub(crate) fn xbar_rqst_gate(&self, dev: &Device, l: usize) -> Gate {
         let rqst = &dev.xbars[l].rqst;
         let debt_dead = match dev.links[l].wait(self.link_rules(), self.clock) {
             LinkWait::Retrain(0) => return Gate::Live,
@@ -693,9 +699,11 @@ impl HmcSim {
         if dead > 0 {
             return Gate::Held(dead);
         }
+        if self.tracer.enabled(EventKind::XbarRqstStall) {
+            return Gate::Live;
+        }
         let classes = rqst.class_union();
-        let inert = !self.tracer.enabled(EventKind::XbarRqstStall)
-            && classes & (UNCLASSIFIED | dev.noc_vaults(l as LinkId)) == 0
+        let inert = classes & (UNCLASSIFIED | dev.noc_vaults(l as LinkId)) == 0
             && bits(classes).all(|vault| dev.vaults[vault].rqst.is_full());
         if !inert {
             Gate::Live
@@ -715,12 +723,13 @@ impl HmcSim {
     }
 
     /// The crossbar-response gate of link `l`: inert when the response
-    /// queue holds only entries parked in host-deliverable position
-    /// (waiting on a host `recv`, which only the host can trigger), live
-    /// when the stage-5 forward walk would move or stall-report one.
+    /// queue has no movers ([`Crossbar::movers`](crate::xbar::Crossbar::movers)):
+    /// every entry is parked for the host on this link, waiting on a
+    /// host `recv`, which only the host can trigger. Live when the
+    /// stage-5 forward walk may move or stall-report one. The forward
+    /// walk skips the queue on the same count.
     fn xbar_rsp_gate(&self, dev: &Device, l: usize) -> Gate {
-        let remote = dev.links[l].remote;
-        if dev.xbars[l].rsp_all_parked(|e| remote == Endpoint::Host(e.dest_cube)) {
+        if dev.xbars[l].movers() == 0 {
             Gate::Inert
         } else {
             Gate::Live
@@ -861,12 +870,14 @@ mod tests {
     use super::Gate;
     use crate::noc::NocParams;
     use crate::params::{ConflictPolicy, RefreshParams, SimParams};
-    use crate::queue::{QueueEntry, NO_ROUTE};
+    use crate::queue::{PacketQueue, QueueEntry, NO_ROUTE};
     use crate::register::regs;
-    use crate::sim::HmcSim;
+    use crate::sim::{HmcSim, SimStats};
     use crate::timing::{DdrTiming, IssueGrant, TimingParams, VaultTiming};
     use crate::xbar::Crossbar;
-    use hmc_trace::{EventKind, NullSink, Tracer, Verbosity};
+    use hmc_trace::{
+        EventKind, NullSink, SharedSink, TraceEvent, TraceRecord, Tracer, VecSink, Verbosity,
+    };
     use hmc_types::{
         ArbitrationKind, BlockSize, Command, DdrTimings, DeviceConfig, InterconnectKind,
         LinkFaultConfig, LinkId, Packet, TimingKind,
@@ -1614,6 +1625,187 @@ mod tests {
         // Debt that covers the budget skips the walk: held, not inert.
         fast.devices[0].links[1].flit_debt = 5;
         assert_eq!(fast.xbar_rqst_gate(&fast.devices[0], 1), Gate::Held(2));
+    }
+
+    // ---- stage 1/2 and stage 5 skip what the horizon proves inert ----
+
+    /// One stepped cycle with every idle-walk hint cleared, so that each
+    /// link's walk runs: the engine as it was before stage 1/2 asked the
+    /// crossbar gate.
+    fn step_walking_every_link(s: &mut HmcSim) {
+        for x in s.devices.iter_mut().flat_map(|d| &mut d.xbars) {
+            x.idle_walk = false;
+        }
+        s.clock().unwrap();
+    }
+
+    /// The non-empty links of device 0 whose walk the next stepped cycle
+    /// skips on the hint and the gate.
+    fn skipped_walks(s: &HmcSim) -> Vec<usize> {
+        let dev = &s.devices[0];
+        let skipped = |&l: &usize| {
+            let x = &dev.xbars[l];
+            !x.rqst.is_empty() && x.idle_walk && s.xbar_rqst_gate(dev, l) == Gate::Inert
+        };
+        (0..dev.xbars.len()).filter(skipped).collect()
+    }
+
+    fn tags(q: &PacketQueue) -> Vec<u16> {
+        q.iter().map(|e| e.packet.tag()).collect()
+    }
+
+    /// Everything a skipped walk could leave differently on device 0:
+    /// every crossbar and vault request queue in order, each link's FLIT
+    /// debt and tokens, the clock and the counters.
+    type WalkState = (Vec<Vec<u16>>, Vec<(u32, u32)>, u64, SimStats);
+
+    fn walk_state(s: &HmcSim) -> WalkState {
+        let dev = &s.devices[0];
+        let xbars = dev.xbars.iter().map(|x| tags(&x.rqst));
+        let queues = xbars.chain(dev.vaults.iter().map(|v| tags(&v.rqst)));
+        let links = dev.links.iter().map(|l| (l.flit_debt, l.tokens)).collect();
+        (queues.collect(), links, s.clock, s.stats())
+    }
+
+    #[test]
+    fn a_skipped_serialized_walk_leaves_the_debt_the_walk_would() {
+        let params = SimParams {
+            link_flits_per_cycle: Some(2),
+            ..ddr_params()
+        };
+        let mut skipping = stalled_on_full_vault(params);
+        let mut walking = stalled_on_full_vault(params);
+        for s in [&mut skipping, &mut walking] {
+            s.clock().unwrap(); // a walk that moves nothing sets the hint
+            for link in &mut s.devices[0].links[..2] {
+                link.flit_debt = 1;
+            }
+        }
+        assert_eq!(skipped_walks(&skipping), [0, 1]);
+        skipping.clock().unwrap();
+        step_walking_every_link(&mut walking);
+        let debt = |s: &HmcSim| s.devices[0].links[1].flit_debt;
+        assert_eq!(
+            debt(&walking),
+            0,
+            "the walk's trailing store zeroes sub-budget debt"
+        );
+        assert_eq!(debt(&skipping), 0);
+        assert_eq!(walk_state(&skipping), walk_state(&walking));
+    }
+
+    #[test]
+    fn a_skipped_walk_runs_again_on_the_cycle_its_vault_frees_a_slot() {
+        let mut skipping = stalled_on_full_vault(ddr_params());
+        let mut walking = stalled_on_full_vault(ddr_params());
+        let (mut skips, mut wakes) = (0, 0);
+        let mut last: Vec<usize> = Vec::new();
+        while !skipping.devices[0].xbars[..2]
+            .iter()
+            .all(|x| x.rqst.is_empty())
+        {
+            assert!(
+                skipping.current_clock() < 5_000,
+                "the crossbar never drained"
+            );
+            let lens: Vec<usize> = skipping.devices[0]
+                .xbars
+                .iter()
+                .map(|x| x.rqst.len())
+                .collect();
+            let now = skipped_walks(&skipping);
+            skipping.clock().unwrap();
+            step_walking_every_link(&mut walking);
+            let clock = skipping.current_clock();
+            assert_eq!(walk_state(&skipping), walk_state(&walking), "cycle {clock}");
+            let moved = |l: &usize| skipping.devices[0].xbars[*l].rqst.len() < lens[*l];
+            wakes += last.iter().filter(|l| !now.contains(l) && moved(l)).count();
+            skips += now.len();
+            last = now;
+        }
+        assert!(skips > 100, "{skips} walks skipped");
+        assert!(wakes > 0, "no skipped walk moved on the cycle after");
+    }
+
+    #[test]
+    fn a_traced_stall_walk_is_never_skipped() {
+        let mut skipping = stalled_on_full_vault(ddr_params());
+        let mut walking = stalled_on_full_vault(ddr_params());
+        let sinks = [&mut skipping, &mut walking].map(|s| {
+            let sink = SharedSink::new(VecSink::default());
+            let verbosity = Verbosity::threshold_for(EventKind::XbarRqstStall);
+            s.set_tracer(Tracer::new(verbosity, Box::new(sink.handle())));
+            sink
+        });
+        for _ in 0..16 {
+            assert!(skipped_walks(&skipping).is_empty());
+            skipping.clock().unwrap();
+            step_walking_every_link(&mut walking);
+        }
+        let [skipped, walked] = sinks.map(|sink| {
+            let records = std::mem::take(&mut sink.0.lock().records);
+            let stall = |r: &TraceRecord| matches!(r.event, TraceEvent::XbarRqstStall { .. });
+            records.into_iter().filter(stall).collect::<Vec<_>>()
+        });
+        assert_eq!(skipped, walked);
+        assert_eq!(skipped.len(), 32, "both stalled links report every cycle");
+    }
+
+    #[test]
+    fn forwarded_responses_count_as_movers_on_a_chain() {
+        let mut s = HmcSim::new(2, DeviceConfig::small())
+            .unwrap()
+            .with_params(SimParams {
+                check_invariants: true,
+                ..SimParams::default()
+            });
+        let host = s.host_cube_id(0);
+        crate::topology::build_chain(&mut s, host).unwrap();
+        for tag in 0..8u16 {
+            let read = Command::Rd(BlockSize::B64);
+            let p = Packet::request(read, 1, u64::from(tag) * 64, tag, 0, &[]).unwrap();
+            s.send(0, 0, p).unwrap();
+        }
+        let (mut movers, mut got) = (0, 0);
+        while got < 8 {
+            assert!(s.current_clock() < 500, "{got} of 8 responses came back");
+            s.clock().unwrap();
+            // No link of cube 1 reaches a host: every response there
+            // moves on.
+            for x in &s.devices[1].xbars {
+                assert_eq!(x.movers(), x.rsp().len());
+                movers += x.movers();
+            }
+            while s.recv(0, 0).is_ok() {
+                got += 1;
+            }
+        }
+        assert!(movers > 0, "no response was ever forwarded");
+        assert_eq!(s.invariant_violations(), &[] as &[String]);
+    }
+
+    #[test]
+    fn rewiring_a_link_after_traffic_recounts_its_movers() {
+        let mut s = sim_with(SimParams::default());
+        for tag in 0..4u16 {
+            s.send(0, 0, read_packet(u64::from(tag) * 64, tag, 0))
+                .unwrap();
+        }
+        while s.pending_responses(0, 0).unwrap() < 4 {
+            assert!(s.current_clock() < 100, "the reads never completed");
+            s.clock().unwrap();
+        }
+        let movers = |s: &HmcSim| s.devices[0].xbars[0].movers();
+        assert_eq!(movers(&s), 0, "parked for the host's recv");
+        assert_eq!(s.xbar_rsp_gate(&s.devices[0], 0), Gate::Inert);
+        s.disconnect(0, 0).unwrap();
+        assert_eq!(movers(&s), 4, "no host to deliver to");
+        assert_eq!(s.xbar_rsp_gate(&s.devices[0], 0), Gate::Live);
+        s.connect_host(0, 0, s.host_cube_id(0)).unwrap();
+        assert_eq!(movers(&s), 0);
+        assert_eq!(s.xbar_rsp_gate(&s.devices[0], 0), Gate::Inert);
+        s.connect_host(0, 0, s.host_cube_id(1)).unwrap();
+        assert_eq!(movers(&s), 4, "parked for another host");
     }
 
     /// Vault 2 with bank 1 busy on row 0: a row-conflict head for bank

@@ -200,8 +200,7 @@ impl HmcSim {
         let (cmd, status) = (Command::ErrorResponse, ResponseStatus::LinkPoisoned);
         let resp = entry.into_response(cmd, status, &[], di as CubeId, self.clock);
         self.devices[di].xbars[l]
-            .rsp
-            .push(resp)
+            .push_rsp(resp)
             .expect("poison slot checked by the caller");
     }
 }

@@ -29,6 +29,11 @@
 //!   memo counts exactly the stalls and refusing targets a dry scan of
 //!   its segment derives (`noc memo:`), and every NoC segment's head set
 //!   and key counts are what its packets imply (`noc heads:`);
+//! * **skipped walks** — a crossbar walk the engine skips on its idle
+//!   hint and the crossbar gate is re-proved inert slot by slot, when it
+//!   is skipped (`skipped walk:`), and every response queue's host and
+//!   mover count are what the link's far end and the queue's entries
+//!   imply (`xbar movers:`);
 //! * **body conservation** — every packet body the simulation created is
 //!   on its free list or resident in a slot: no path that retires an
 //!   entry forgets to recycle its body.
@@ -39,10 +44,11 @@
 
 use std::collections::HashMap;
 
+use hmc_trace::EventKind;
 use hmc_types::{CubeId, LinkId, Packet, PhysAddr, MAX_PACKET_FLITS};
 
 use crate::link::Endpoint;
-use crate::queue::{QueueEntry, UNCLASSIFIED};
+use crate::queue::{QueueEntry, NO_ROUTE, UNCLASSIFIED};
 use crate::sim::HmcSim;
 
 /// Recorded violations are capped so a hard failure loop cannot grow the
@@ -232,6 +238,48 @@ impl HmcSim {
         }
     }
 
+    /// Skip-side hook: called when stage 1/2 skips link `l`'s walk of
+    /// device `di` as inert, before the skip. The crossbar gate reads
+    /// route classes in bulk; this re-proves the skip the long way, as the
+    /// walk itself would find it: every slot keyed, clean and not
+    /// retry-gated, bound for a vault on the direct path whose request
+    /// queue is full; no stall event recorded; no retraining to record.
+    pub(crate) fn inv_check_skipped_walk(&mut self, di: usize, l: usize) {
+        let (clock, rules) = (self.clock, self.link_rules());
+        let dev = &self.devices[di];
+        let (rqst, link) = (&dev.xbars[l].rqst, &dev.links[l]);
+        let noc_vaults = dev.noc_vaults(l as LinkId);
+        let mut found = Vec::new();
+        if rules.retry && link.retraining && !link.retrain_gated(clock) {
+            found.push("its link owes a LinkRetrain record".to_string());
+        }
+        if !rqst.is_empty() && self.tracer.enabled(EventKind::XbarRqstStall) {
+            found.push("the tracer records XbarRqstStall".to_string());
+        }
+        for (slot, e) in rqst.iter().enumerate() {
+            let vault = rqst.route_key(slot);
+            let inert = vault != NO_ROUTE
+                && !e.corrupt
+                && !e.retry_gated(clock)
+                && noc_vaults >> vault & 1 == 0
+                && dev.vaults[vault as usize].rqst.is_full();
+            if !inert {
+                found.push(format!(
+                    "slot {slot} (tag {:#x}, route {vault}) could move or be reported",
+                    e.packet.tag()
+                ));
+            }
+        }
+        if !found.is_empty() {
+            let state = self.inv_state();
+            for why in found {
+                state.record(format!(
+                    "skipped walk: dev {di} xbar {l} skipped at cycle {clock}, but {why}"
+                ));
+            }
+        }
+    }
+
     /// Whole-device structural sweep, run at the end of every cycle while
     /// the flag is on: queue-slot validity and token conservation.
     pub(crate) fn inv_check_cycle(&mut self) {
@@ -262,7 +310,7 @@ impl HmcSim {
         for d in &self.devices {
             let di = d.id;
             for (li, x) in d.xbars.iter().enumerate() {
-                for (name, q) in [("rqst", &*x.rqst), ("rsp", &x.rsp)] {
+                for (name, q) in [("rqst", &*x.rqst), ("rsp", x.rsp())] {
                     if q.len() > q.depth() {
                         found.push(format!(
                             "queue depth: dev {di} xbar {li} {name} holds {} of {} slots",
@@ -304,6 +352,24 @@ impl HmcSim {
                             e.packet.tag()
                         ));
                     }
+                }
+            }
+            // Mover counts: a response queue without movers is not
+            // walked, so the count and the host it is taken against must
+            // be what the link and the queue's entries say.
+            for (l, x) in d.links.iter().zip(&d.xbars) {
+                let host = l.remote.host();
+                let movers = x.rsp().iter().filter(|e| host != Some(e.dest_cube)).count();
+                if x.host() != host || x.movers() != movers {
+                    found.push(format!(
+                        "xbar movers: dev {di} xbar {} keeps host {:?} and {} movers, but its \
+                         link is wired to {:?} and {movers} of its {} responses move (cycle {clock})",
+                        l.id,
+                        x.host(),
+                        x.movers(),
+                        l.remote,
+                        x.rsp().len()
+                    ));
                 }
             }
             // NoC scan memos: a memoized segment is not scanned while its
@@ -449,7 +515,7 @@ mod tests {
         let rsp =
             Packet::response(Command::RdResponse, 9, 0, ResponseStatus::Ok, &[0u8; 64]).unwrap();
         let entry = QueueEntry::new(rsp, 0, s.host_cube_id(0), 0);
-        s.devices[0].xbars[0].rsp.push(entry).unwrap();
+        s.devices[0].xbars[0].push_rsp(entry).unwrap();
         let _ = s.recv(0, 0).unwrap();
         assert_eq!(s.total_invariant_violations(), 1);
         assert!(s.invariant_violations()[0].contains("tag correlation"));
@@ -464,7 +530,7 @@ mod tests {
             Packet::response(Command::RdResponse, 3, 0, ResponseStatus::Ok, &[0u8; 64]).unwrap();
         rsp.set_crc(rsp.crc() ^ 0x8000_0000);
         let entry = QueueEntry::new(rsp, 0, s.host_cube_id(0), 0);
-        s.devices[0].xbars[0].rsp.push(entry).unwrap();
+        s.devices[0].xbars[0].push_rsp(entry).unwrap();
         let _ = s.recv(0, 0).unwrap();
         assert!(s
             .invariant_violations()
@@ -571,6 +637,97 @@ mod tests {
     }
 
     #[test]
+    fn a_link_rewired_around_the_sim_is_flagged_as_stale_movers() {
+        let mut s = sim();
+        for tag in 0..3 {
+            s.send(0, 0, read(tag as u64 * 64, tag, 0)).unwrap();
+        }
+        while s.devices[0].xbars[0].rsp().len() < 3 {
+            assert!(s.current_clock() < 100, "the reads never completed");
+            s.clock().unwrap();
+        }
+        assert_eq!(s.total_invariant_violations(), 0, "real counts are clean");
+        // A rewiring that bypasses `disconnect` leaves the crossbar
+        // counting against the old host: three movers stage 5 never sees.
+        s.devices[0].links[0].remote = Endpoint::Unconnected;
+        s.inv_check_cycle();
+        assert_eq!(s.total_invariant_violations(), 1);
+        assert!(
+            s.invariant_violations()[0]
+                .starts_with("xbar movers: dev 0 xbar 0 keeps host Some(1) and 0 movers"),
+            "{:?}",
+            s.invariant_violations()
+        );
+    }
+
+    /// Ten reads to rows of one DDR bank of vault 0 against a two-slot
+    /// vault queue, clocked until the vault is full of row misses and
+    /// everything left on link 0 is keyed behind it: skipping link 0's
+    /// walk is sound.
+    fn keyed_behind_a_full_vault() -> HmcSim {
+        use crate::timing::TimingParams;
+        use hmc_types::TimingKind;
+        let mut s = HmcSim::new(1, DeviceConfig::small().with_queue_depths(16, 2))
+            .unwrap()
+            .with_params(SimParams {
+                check_invariants: true,
+                timing: TimingParams::of(TimingKind::Ddr),
+                ..SimParams::default()
+            });
+        let host = s.host_cube_id(0);
+        topology::build_simple(&mut s, host).unwrap();
+        for tag in 0..10 {
+            s.send(0, 0, read(u64::from(tag) << 16, tag, 0)).unwrap();
+        }
+        while s.devices[0].xbars[0].rqst.class_union() != 1
+            || !s.devices[0].vaults[0].rqst.is_full()
+        {
+            assert!(s.current_clock() < 8, "the burst never settled");
+            s.clock().unwrap();
+        }
+        s.inv_check_skipped_walk(0, 0);
+        assert_eq!(s.total_invariant_violations(), 0, "an inert walk is clean");
+        s
+    }
+
+    #[test]
+    fn a_skipped_walk_that_could_act_is_flagged() {
+        use hmc_trace::{NullSink, Tracer, Verbosity};
+        let last = |s: &HmcSim| s.invariant_violations().last().unwrap().clone();
+
+        // An unkeyed arrival behind the keyed slots would be routed.
+        let mut s = keyed_behind_a_full_vault();
+        s.send(0, 0, read(64, 10, 0)).unwrap();
+        s.inv_check_skipped_walk(0, 0);
+        assert_eq!(s.total_invariant_violations(), 1);
+        assert!(
+            last(&s).starts_with("skipped walk: dev 0 xbar 0"),
+            "{}",
+            last(&s)
+        );
+        assert!(last(&s).contains("tag 0xa, route 65535"), "{}", last(&s));
+
+        // A free vault slot lets every keyed slot move.
+        let mut s = keyed_behind_a_full_vault();
+        let keyed = s.devices[0].xbars[0].rqst.len() as u64;
+        drop(s.devices[0].vaults[0].rqst.pop());
+        s.inv_check_skipped_walk(0, 0);
+        assert_eq!(s.total_invariant_violations(), keyed);
+
+        // A tracer that records the stall hears from every walk.
+        let mut s = keyed_behind_a_full_vault();
+        let verbosity = Verbosity::threshold_for(EventKind::XbarRqstStall);
+        s.set_tracer(Tracer::new(verbosity, Box::new(NullSink)));
+        s.inv_check_skipped_walk(0, 0);
+        assert_eq!(s.total_invariant_violations(), 1);
+        assert!(
+            last(&s).ends_with("the tracer records XbarRqstStall"),
+            "{}",
+            last(&s)
+        );
+    }
+
+    #[test]
     fn a_late_walk_edge_is_flagged_in_a_vault_woken_only_to_release() {
         use crate::timing::TimingParams;
         use hmc_types::TimingKind;
@@ -640,13 +797,13 @@ mod tests {
     fn a_packet_body_that_is_not_recycled_is_flagged() {
         let mut s = sim();
         s.send(0, 0, read(0, 1, 0)).unwrap();
-        while s.devices[0].xbars[0].rsp.is_empty() {
+        while s.devices[0].xbars[0].rsp().is_empty() {
             s.clock().unwrap();
         }
         assert_eq!(s.total_invariant_violations(), 0, "one body, resident");
         // Retire the response around `recv`: its body is freed, not
         // given back.
-        drop(s.devices[0].xbars[0].rsp.pop());
+        drop(s.devices[0].xbars[0].pop_rsp());
         s.clock().unwrap();
         assert_eq!(s.total_invariant_violations(), 1);
         assert!(s.invariant_violations()[0]

@@ -32,6 +32,14 @@ impl Endpoint {
         matches!(self, Endpoint::Device(..))
     }
 
+    /// The host at the far end, if the far end is a host.
+    pub fn host(&self) -> Option<CubeId> {
+        match self {
+            Endpoint::Host(h) => Some(*h),
+            _ => None,
+        }
+    }
+
     /// The cube at the far end, if any.
     pub fn cube(&self) -> Option<CubeId> {
         match self {
@@ -285,6 +293,8 @@ mod tests {
         assert_eq!(Endpoint::Host(5).cube(), Some(5));
         assert_eq!(Endpoint::Device(1, 2).cube(), Some(1));
         assert_eq!(Endpoint::Unconnected.cube(), None);
+        assert_eq!(Endpoint::Host(5).host(), Some(5));
+        assert_eq!(Endpoint::Device(1, 2).host(), None);
     }
 
     #[test]

@@ -446,14 +446,7 @@ impl HmcSim {
                 "host cube ID {host} exceeds the 3-bit CUB space"
             )));
         }
-        let d = self.device_mut(dev)?;
-        let l = d
-            .links
-            .get_mut(link as usize)
-            .ok_or_else(|| HmcError::link_range(link, 0))?;
-        l.remote = Endpoint::Host(host);
-        self.routes = None;
-        Ok(())
+        self.rewire(dev, link, Endpoint::Host(host))
     }
 
     /// Chain two devices: `a.link_a <-> b.link_b` (both ends wired).
@@ -483,20 +476,26 @@ impl HmcSim {
         if link_a >= num_links || link_b >= num_links {
             return Err(HmcError::link_range(link_a.max(link_b), num_links));
         }
-        self.devices[a as usize].links[link_a as usize].remote = Endpoint::Device(b, link_b);
-        self.devices[b as usize].links[link_b as usize].remote = Endpoint::Device(a, link_a);
-        self.routes = None;
-        Ok(())
+        self.rewire(a, link_a, Endpoint::Device(b, link_b))?;
+        self.rewire(b, link_b, Endpoint::Device(a, link_a))
     }
 
     /// Disconnect a link (returns it to `Unconnected`).
     pub fn disconnect(&mut self, dev: CubeId, link: LinkId) -> Result<()> {
+        self.rewire(dev, link, Endpoint::Unconnected)
+    }
+
+    /// Wire device `dev` link `link` to `remote`: the link's far end, the
+    /// crossbar's host and its mover count (which the host decides), and
+    /// a route table rebuilt before the next use.
+    fn rewire(&mut self, dev: CubeId, link: LinkId, remote: Endpoint) -> Result<()> {
         let d = self.device_mut(dev)?;
         let l = d
             .links
             .get_mut(link as usize)
             .ok_or_else(|| HmcError::link_range(link, 0))?;
-        l.remote = Endpoint::Unconnected;
+        l.remote = remote;
+        d.xbars[link as usize].set_host(remote.host());
         self.routes = None;
         Ok(())
     }
@@ -682,7 +681,7 @@ impl HmcSim {
                 "link {link} on device {dev} is not a host link"
             )));
         }
-        match d.xbars[link as usize].rsp.pop() {
+        match d.xbars[link as usize].pop_rsp() {
             Some(entry) => {
                 self.stats.received += 1;
                 if self.params.check_invariants {
@@ -813,7 +812,7 @@ impl HmcSim {
             .xbars
             .get(link as usize)
             .ok_or_else(|| HmcError::link_range(link, d.links.len() as u8))?;
-        Ok(x.rsp.len())
+        Ok(x.rsp().len())
     }
 
 }

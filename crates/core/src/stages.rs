@@ -28,6 +28,7 @@ use hmc_trace::{EventKind, TraceEvent};
 use hmc_types::packet::ResponseStatus::{self, AddressError, CommandError, Misroute, Zombie};
 use hmc_types::{AddressMap, BankId, Command, CubeId, LinkId, PhysAddr, QuadId, VaultId};
 
+use crate::engine::Gate;
 use crate::fault::Retry;
 use crate::link::{Endpoint, LinkRules};
 use crate::noc::{NocClass, NocDest, NocEvent, NocSink};
@@ -116,14 +117,14 @@ impl NocSink for DeviceSink<'_> {
     fn full(&self, dest: NocDest) -> bool {
         match dest {
             NocDest::ToVault(v) => self.vaults[v as usize].rqst.is_full(),
-            NocDest::ToLink(l) => self.xbars[l as usize].rsp.is_full(),
+            NocDest::ToLink(l) => self.xbars[l as usize].rsp().is_full(),
         }
     }
 
     fn deliver(&mut self, dest: NocDest, entry: QueueEntry) {
         let pushed = match dest {
             NocDest::ToVault(v) => self.vaults[v as usize].push_request(entry, self.window),
-            NocDest::ToLink(l) => self.xbars[l as usize].rsp.push(entry),
+            NocDest::ToLink(l) => self.xbars[l as usize].push_rsp(entry),
         };
         pushed.expect("the fabric probes `full` before it delivers");
     }
@@ -175,15 +176,9 @@ impl HmcSim {
         let rules = self.link_rules();
         for root in [false, true] {
             for di in 0..self.devices.len() {
-                // A walk over empty queues with no link state to advance
-                // would do nothing at all.
-                let dev = &self.devices[di];
-                if dev.is_root() != root
-                    || (rules.stateless() && dev.xbars.iter().all(|x| x.rqst.is_empty()))
-                {
-                    continue;
+                if self.devices[di].is_root() == root {
+                    self.process_xbar_requests(di, rules);
                 }
-                self.process_xbar_requests(di, rules);
             }
         }
     }
@@ -211,6 +206,16 @@ impl HmcSim {
     /// (its vault, or NoC injection) has been found blocked in the same
     /// walk. DESIGN.md "crossbar walk" gives the three rules that keep
     /// this bit-identical to visiting every slot.
+    ///
+    /// A link's walk is skipped when it provably does nothing:
+    ///
+    /// * its queue is empty and the link layer keeps no per-turn state
+    ///   ([`LinkRules::stateless`]);
+    /// * its last walk moved nothing and held no NoC-riding class (the
+    ///   [`Crossbar`] `idle_walk` hint), and [`HmcSim::xbar_rqst_gate`]
+    ///   — the predicate the fast-forward horizon jumps on — answers
+    ///   [`Gate::Inert`]. The link is then left as a one-cycle jump
+    ///   leaves it ([`Link::skip_turns`](crate::link::Link::skip_turns)).
     fn process_xbar_requests(&mut self, di: usize, rules: LinkRules) {
         let max_drain = self.params().xbar_drain_per_cycle;
         // Deferred chain-forwards stage in a reusable buffer (capacity
@@ -219,6 +224,17 @@ impl HmcSim {
         let mut forwards = std::mem::take(&mut self.scratch.forwards);
 
         for l in 0..self.config.num_links as usize {
+            let xbar = &self.devices[di].xbars[l];
+            if xbar.rqst.is_empty() && rules.stateless() {
+                continue;
+            }
+            if xbar.idle_walk && self.xbar_rqst_gate(&self.devices[di], l) == Gate::Inert {
+                if self.params().check_invariants {
+                    self.inv_check_skipped_walk(di, l);
+                }
+                self.devices[di].links[l].skip_turns(rules, 1);
+                continue;
+            }
             let turn = self.devices[di].links[l].open_turn(rules, self.clock);
             if turn.retrained {
                 self.stats.link_retrains += 1;
@@ -275,6 +291,7 @@ impl HmcSim {
             }
 
             self.devices[di].links[l].close_turn(rules, budget, drained_flits);
+            self.devices[di].xbars[l].idle_walk = drained == 0 && walk.held & walk.noc_vaults == 0;
             for (entry, r, rl) in forwards.drain(..) {
                 self.devices[r].xbars[rl]
                     .rqst
@@ -508,7 +525,7 @@ impl HmcSim {
             self.bodies.give(entry.packet);
         } else {
             let resp = entry.into_response(rsp, status, &data[..len], cube, self.clock);
-            let pushed = self.devices[di].xbars[l].rsp.push(resp);
+            let pushed = self.devices[di].xbars[l].push_rsp(resp);
             pushed.expect("response slot checked");
         }
         Step::Moved
@@ -517,39 +534,41 @@ impl HmcSim {
     /// Move responses already in crossbar response queues one step: to a
     /// host-deliverable position, across a chained link, or to the egress
     /// crossbar within this device.
+    ///
+    /// Only a mover ([`Crossbar::movers`]) can do anything here: an entry
+    /// parked for the host on its link is passed over on its header alone.
+    /// So a queue with no movers is not walked at all, which is the same
+    /// predicate that lets the fast-forward horizon call it inert
+    /// (`HmcSim::xbar_rsp_gate`).
     pub(crate) fn forward_xbar_responses(&mut self, di: usize) {
         let dev_id = di as CubeId;
         let num_links = self.config.num_links as usize;
         let max_drain = self.params().xbar_drain_per_cycle;
 
         for l in 0..num_links {
+            if self.devices[di].xbars[l].movers() == 0 {
+                continue;
+            }
             let mut idx = 0usize;
             let mut moved = 0usize;
             loop {
                 if moved >= max_drain {
                     break;
                 }
-                if idx >= self.devices[di].xbars[l].rsp.len() {
+                let xbar = &self.devices[di].xbars[l];
+                let Some(e) = xbar.rsp().get(idx) else {
                     break;
-                }
-                let (dest, arrived) = {
-                    let e = self.devices[di].xbars[l].rsp.get(idx).expect("idx checked");
-                    (e.dest_cube, e.arrival_cycle)
                 };
                 // One internal stage per sub-cycle (§IV.C): an entry that
                 // already moved this cycle (re-routed from another link or
                 // forwarded from another device) waits for the next edge.
-                if arrived >= self.clock {
+                // An entry deliverable where it sits waits for a host
+                // `recv`.
+                if e.arrival_cycle >= self.clock || xbar.parked(e) {
                     idx += 1;
                     continue;
                 }
-                // Deliverable where it sits: host attached to this link.
-                // Passed on its header alone (only a stall report reads
-                // an entry's tag from its body).
-                if self.devices[di].links[l].remote == Endpoint::Host(dest) {
-                    idx += 1;
-                    continue;
-                }
+                let dest = e.dest_cube;
                 let next = self
                     .routes
                     .as_ref()
@@ -557,7 +576,7 @@ impl HmcSim {
                     .next_hop(dev_id, dest);
                 let Some(e_link) = next else {
                     // Zombie response: its host is unreachable.
-                    let entry = self.devices[di].xbars[l].rsp.remove(idx).expect("present");
+                    let entry = self.devices[di].xbars[l].remove_rsp(idx).expect("present");
                     self.misrouted_response(di, l as LinkId, entry);
                     moved += 1;
                     continue;
@@ -571,13 +590,13 @@ impl HmcSim {
                     _ => {
                         // Route says "this link" but it's a host link for
                         // a different host, or unconnected.
-                        let entry = self.devices[di].xbars[l].rsp.remove(idx).expect("present");
+                        let entry = self.devices[di].xbars[l].remove_rsp(idx).expect("present");
                         self.misrouted_response(di, l as LinkId, entry);
                         moved += 1;
                         continue;
                     }
                 };
-                if self.devices[r].xbars[rl].rsp.is_full() {
+                if self.devices[r].xbars[rl].rsp().is_full() {
                     let tag = self.xbar_rsp_tag(di, l, idx);
                     self.emit(TraceEvent::XbarRspStall {
                         cube: dev_id,
@@ -587,13 +606,13 @@ impl HmcSim {
                     idx += 1;
                     continue;
                 }
-                let mut entry = self.devices[di].xbars[l].rsp.remove(idx).expect("present");
+                let mut entry = self.devices[di].xbars[l].remove_rsp(idx).expect("present");
                 entry.arrival_cycle = self.clock;
                 if e_link == l {
                     entry.arrival_link = rl as LinkId;
                     entry.hops += 1;
                 }
-                let pushed = self.devices[r].xbars[rl].rsp.push(entry);
+                let pushed = self.devices[r].xbars[rl].push_rsp(entry);
                 pushed.expect("fullness checked");
                 moved += 1;
             }
@@ -653,8 +672,8 @@ impl HmcSim {
                 noc.inject(vault_quad, NocDest::ToLink(e_link), entry, clock);
                 continue;
             }
-            let egress_rsp = &mut dev.xbars[e_link as usize].rsp;
-            if egress_rsp.is_full() {
+            let egress = &mut dev.xbars[e_link as usize];
+            if egress.rsp().is_full() {
                 self.emit(TraceEvent::XbarRspStall {
                     cube: dev_id,
                     link: e_link,
@@ -664,7 +683,7 @@ impl HmcSim {
             }
             let mut entry = dev.vaults[vi].rsp.pop().expect("head present");
             entry.arrival_cycle = clock;
-            egress_rsp.push(entry).expect("fullness checked");
+            egress.push_rsp(entry).expect("fullness checked");
         }
     }
 
@@ -731,7 +750,7 @@ impl HmcSim {
     /// The tag of entry `idx` of link `l`'s crossbar response queue, for
     /// the stall event about to report it.
     fn xbar_rsp_tag(&self, di: usize, l: usize, idx: usize) -> u16 {
-        let rsp = &self.devices[di].xbars[l].rsp;
+        let rsp = self.devices[di].xbars[l].rsp();
         rsp.get(idx).expect("idx checked").packet.tag()
     }
 
@@ -771,7 +790,7 @@ impl HmcSim {
     #[inline]
     pub(crate) fn reply_blocked(&self, di: usize, l: usize, idx: usize) -> bool {
         let xbar = &self.devices[di].xbars[l];
-        xbar.rsp.is_full() && {
+        xbar.rsp().is_full() && {
             let e = xbar.rqst.get(idx).expect("idx checked");
             !e.packet.cmd().is_ok_and(|c| c.is_posted())
         }
@@ -950,8 +969,8 @@ mod tests {
         let sink = SharedSink::new(VecSink::default());
         sim.set_tracer(Tracer::new(Verbosity::Full, Box::new(sink.handle())));
         let dev = &mut sim.devices[0];
-        while !dev.xbars[2].rsp.is_full() {
-            dev.xbars[2].rsp.push(rsp(100, 2, HOST)).unwrap();
+        while !dev.xbars[2].rsp().is_full() {
+            dev.xbars[2].push_rsp(rsp(100, 2, HOST)).unwrap();
         }
         if let Some(noc) = dev.noc.as_mut() {
             while noc.has_room(0, NocClass::Response) {
@@ -996,7 +1015,7 @@ mod tests {
         assert_eq!(drain_pass(&mut sim, &sink), (vec![2, 3], vec![]));
         assert_eq!(drain_pass(&mut sim, &sink), (vec![2, 3], vec![stall]));
         assert_eq!(drain_pass(&mut sim, &sink), (vec![2, 3], vec![stall]));
-        sim.devices[0].xbars[2].rsp.pop().unwrap();
+        sim.devices[0].xbars[2].pop_rsp().unwrap();
         assert_eq!(drain_pass(&mut sim, &sink), (vec![3], vec![]));
         assert_eq!(drain_pass(&mut sim, &sink), (vec![], vec![MISROUTE]));
         assert_eq!(drain_pass(&mut sim, &sink), (vec![], vec![]));
@@ -1006,13 +1025,13 @@ mod tests {
         let (mut sim, sink) = blocked_drain(InterconnectKind::Crossbar, 4);
         assert_eq!(drain_pass(&mut sim, &sink), (vec![2, 3], vec![stall]));
         assert_eq!(drain_pass(&mut sim, &sink), (vec![2, 3], vec![stall]));
-        sim.devices[0].xbars[2].rsp.pop().unwrap();
+        sim.devices[0].xbars[2].pop_rsp().unwrap();
         assert_eq!(drain_pass(&mut sim, &sink), (vec![], vec![MISROUTE]));
 
         let dev = &sim.devices[0];
-        assert_eq!(dev.xbars[0].rsp.len(), 1);
-        assert_eq!(dev.xbars[0].rsp.front().unwrap().arrival_cycle, 9);
-        assert!(dev.xbars[2].rsp.is_full(), "tag 2 took the freed slot");
+        assert_eq!(dev.xbars[0].rsp().len(), 1);
+        assert_eq!(dev.xbars[0].rsp().front().unwrap().arrival_cycle, 9);
+        assert!(dev.xbars[2].rsp().is_full(), "tag 2 took the freed slot");
         assert_eq!(sim.stats.noc_stalls, 0);
         assert_eq!(sim.bodies.free(), 1, "the misrouted body came back");
     }
@@ -1035,7 +1054,7 @@ mod tests {
             assert_eq!(drain_pass(&mut sim, &sink), (vec![2, 3], vec![stall]));
             let stalls = 1 + first_pass.len() as u64;
             assert_eq!(sim.stats.noc_stalls, stalls, "one bump per stalled pass");
-            assert_eq!(sim.devices[0].xbars[0].rsp.len(), 1);
+            assert_eq!(sim.devices[0].xbars[0].rsp().len(), 1);
 
             // With room in the segment it rides the NoC — crossbar 2
             // being full is the fabric's problem at delivery, not stage 5's.

@@ -94,7 +94,7 @@ fn observe(s: &HmcSim) -> impl PartialEq + std::fmt::Debug {
         .unwrap()
         .xbars
         .iter()
-        .map(|x| (x.rqst.len(), x.rsp.len()))
+        .map(|x| (x.rqst.len(), x.rsp().len()))
         .collect();
     (
         s.stats(),

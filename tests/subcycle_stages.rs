@@ -31,7 +31,7 @@ fn locate(sim: &HmcSim, tag: u16) -> (usize, usize, usize, usize) {
         let dev = sim.device(d).unwrap();
         for x in &dev.xbars {
             loc.0 += x.rqst.iter().filter(|e| e.packet.tag() == tag).count();
-            loc.3 += x.rsp.iter().filter(|e| e.packet.tag() == tag).count();
+            loc.3 += x.rsp().iter().filter(|e| e.packet.tag() == tag).count();
         }
         for v in &dev.vaults {
             loc.1 += v.rqst.iter().filter(|e| e.packet.tag() == tag).count();
