@@ -210,6 +210,32 @@ fn assert_campaign_clean(what: &str, cfg: &CampaignConfig) {
 }
 
 #[test]
+fn pinned_campaign_at_the_ci_seed_is_clean() {
+    // CI's pinned differential leg (seed C0FFEE00: crossbar, classic
+    // timing, the fast-forward axis on the default rotation) at 100 of
+    // its 10,000 streams.
+    let cfg = CampaignConfig {
+        streams: 100,
+        base_seed: 0xC0FF_EE00,
+        ..CampaignConfig::default()
+    };
+    assert_campaign_clean("pinned", &cfg);
+}
+
+#[test]
+fn fast_forward_campaign_at_the_ci_seed_is_clean() {
+    // CI's fast-forward guard (seed C0FFEE01) at 100 of its 1,000
+    // streams: every stream gapped, so every fast-forward run jumps.
+    let cfg = CampaignConfig {
+        streams: 100,
+        base_seed: 0xC0FF_EE01,
+        fast_forward: true,
+        ..CampaignConfig::default()
+    };
+    assert_campaign_clean("fast-forward", &cfg);
+}
+
+#[test]
 fn ddr_fast_forward_campaign_at_the_ci_seed_is_clean() {
     // CI's `--timing ddr --fast-forward` leg (seed C0FFEE07) at 100 of
     // its 500 streams: every stream gapped, so every fast-forward run

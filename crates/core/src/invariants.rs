@@ -310,17 +310,20 @@ impl HmcSim {
         for d in &self.devices {
             let di = d.id;
             for (li, x) in d.xbars.iter().enumerate() {
-                for (name, q) in [("rqst", &*x.rqst), ("rsp", x.rsp())] {
-                    if q.len() > q.depth() {
+                let (rqst, rsp) = (&x.rqst, x.rsp());
+                for (name, len, depth) in [
+                    ("rqst", rqst.len(), rqst.depth()),
+                    ("rsp", rsp.len(), rsp.depth()),
+                ] {
+                    if len > depth {
                         found.push(format!(
-                            "queue depth: dev {di} xbar {li} {name} holds {} of {} slots",
-                            q.len(),
-                            q.depth()
+                            "queue depth: dev {di} xbar {li} {name} holds {len} of {depth} slots"
                         ));
                     }
-                    for e in q.iter() {
-                        check_entry(&mut found, &format!("dev {di} xbar {li} {name}"), e);
-                    }
+                }
+                let entries = rqst.iter().map(|e| ("rqst", e));
+                for (name, e) in entries.chain(rsp.iter().map(|e| ("rsp", e))) {
+                    check_entry(&mut found, &format!("dev {di} xbar {li} {name}"), e);
                 }
                 // Route keys: a keyed slot is skipped by the crossbar walk
                 // on the key alone, so the memo must still be what a fresh

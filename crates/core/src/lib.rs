@@ -62,7 +62,7 @@ pub use link::{Endpoint, Link};
 pub use noc::{Interconnect, MeshTopology, NocParams, NocSink, NocState, RingTopology, Topology};
 pub use params::{ConflictPolicy, RefreshParams, SimParams};
 pub use quad::Quad;
-pub use queue::{BodyPool, PacketQueue, QueueEntry, RoutedQueue};
+pub use queue::{BodyPool, PacketQueue, QueueEntry};
 pub use register::{regs, RegClass, RegisterFile};
 pub use report::{DeviceUtilizationReport, VaultUtilizationReport};
 pub use routing::RouteTable;

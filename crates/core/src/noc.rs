@@ -66,12 +66,10 @@
 //! any non-empty NoC as live: the quiescent horizon collapses to zero
 //! while packets are in flight between quads.
 
-use std::collections::VecDeque;
-
 use hmc_types::{ArbitrationKind, Cycle, InterconnectKind, LinkId, QuadId, VaultId};
 
 use crate::quad::Quad;
-use crate::queue::QueueEntry;
+use crate::queue::{PacketQueue, QueueEntry};
 
 /// Routing contract a non-crossbar fabric implements: a deterministic,
 /// loop-free, minimal next-hop function over quad segments.
@@ -347,10 +345,10 @@ pub trait NocSink {
     fn deliver(&mut self, dest: NocDest, entry: QueueEntry);
 }
 
-/// What a scan reads of a buffered packet, kept beside its slot so that
-/// a packet the scan passes over costs no read of its entry.
+/// What a scan reads of a buffered packet, kept as its slot's word so
+/// that a packet the scan passes over costs no read of its entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SlotMeta {
+pub(crate) struct SlotMeta {
     /// The packet's destination key ([`NocDest::key`]).
     key: u16,
     /// Clock of the last segment move (or injection): a packet whose
@@ -386,19 +384,18 @@ pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// One quad segment buffer on one plane: a bounded FIFO of packets with
-/// each slot's [`SlotMeta`] beside it, moved in lock-step, the set of
-/// slots free to move under per-destination FIFO order, and the memo of
-/// its last zero-move scan. Every operation that changes which packets
-/// it holds drops the memo and keeps the head set in step.
+/// One quad segment buffer on one plane: a bounded FIFO of packets whose
+/// slot words are their [`SlotMeta`], the set of slots free to move under
+/// per-destination FIFO order, and the memo of its last zero-move scan.
+/// Every operation that changes which packets it holds drops the memo and
+/// keeps the head set in step.
 #[derive(Debug)]
 struct Segment {
     /// Every slot holds a packet except while the scan of this buffer is
-    /// running: a winner is moved out of its slot (not cloned) the moment
-    /// it hops or delivers, and the vacated slots are squeezed out when
-    /// the scan ends.
-    slots: VecDeque<Option<QueueEntry>>,
-    meta: VecDeque<SlotMeta>,
+    /// running: a winner is vacated (not cloned) the moment it hops or
+    /// delivers, and the vacated slots are compacted out when the scan
+    /// ends.
+    slots: PacketQueue<SlotMeta>,
     /// The *heads*: slot `i` is the first packet in the buffer for its
     /// destination key exactly when bit `i % 64` of word `i / 64` is set.
     /// Only a head may move (an earlier packet for the same destination
@@ -413,8 +410,7 @@ struct Segment {
 impl Segment {
     fn with_capacity(depth: usize, num_keys: usize) -> Segment {
         Segment {
-            slots: VecDeque::with_capacity(depth),
-            meta: VecDeque::with_capacity(depth),
+            slots: PacketQueue::new(depth),
             heads: vec![0; depth.div_ceil(64)],
             keyed: vec![0; num_keys],
             memo: None,
@@ -422,7 +418,7 @@ impl Segment {
     }
 
     fn len(&self) -> usize {
-        self.meta.len()
+        self.slots.len()
     }
 
     fn is_head(&self, i: usize) -> bool {
@@ -466,59 +462,53 @@ impl Segment {
         self.memo = None;
         let key = meta.key as usize;
         if self.keyed[key] == 0 {
-            self.set_head(self.meta.len());
+            self.set_head(self.len());
         }
         self.keyed[key] += 1;
-        self.meta.push_back(meta);
-        self.slots.push_back(Some(entry));
+        self.slots.push_with(entry, meta).expect("room was checked");
     }
 
-    /// Vacate head `i` during this buffer's scan (squeezed out after it).
+    /// Vacate head `i` during this buffer's scan (compacted out after it).
     /// The next slot bound for the same destination becomes its head.
     fn take(&mut self, i: usize) -> QueueEntry {
         debug_assert!(self.is_head(i), "only a head moves");
         self.memo = None;
         self.heads[i / 64] &= !(1 << (i % 64));
-        let key = self.meta[i].key;
+        let key = self.slots.word(i).key;
         self.keyed[key as usize] -= 1;
         if self.keyed[key as usize] > 0 {
             // No vacated slot after `i` can carry `key`: it would have
             // moved while `i` held it.
             let next = (i + 1..self.len())
-                .find(|&j| self.meta[j].key == key)
+                .find(|&j| self.slots.word(j).key == key)
                 .expect("a counted packet is buffered behind the head");
             self.set_head(next);
         }
-        self.slots[i]
-            .take()
-            .expect("a slot is vacated once per scan")
+        self.slots.vacate(i)
     }
 
-    /// Drop vacated slot `i`, shifting the head bits above it down one.
-    fn squeeze(&mut self, i: usize) {
-        self.meta.remove(i);
-        self.slots.remove(i);
-        // The highest bit to move was slot `len()` before the removal.
-        let (first, last) = (i / 64, self.len() / 64);
-        let below = (1u64 << (i % 64)) - 1;
-        for w in first..=last {
-            let keep = if w == first { below } else { 0 };
-            let carry = if w < last { self.heads[w + 1] << 63 } else { 0 };
-            let word = self.heads[w];
-            self.heads[w] = word & keep | (word >> 1) & !keep | carry;
-        }
+    /// Drop the vacated slots, shifting the head bits above each down one.
+    fn compact(&mut self) {
+        let heads = &mut self.heads;
+        self.slots.compact(|i| {
+            let below = (1u64 << (i % 64)) - 1;
+            for w in i / 64..heads.len() {
+                let keep = if w == i / 64 { below } else { 0 };
+                let carry = heads.get(w + 1).map_or(0, |next| next << 63);
+                heads[w] = heads[w] & keep | (heads[w] >> 1) & !keep | carry;
+            }
+        });
     }
 
     /// Lift head `i` out of the buffer (the rotation escape).
     fn lift(&mut self, i: usize) -> (SlotMeta, QueueEntry) {
-        let (meta, entry) = (self.meta[i], self.take(i));
-        self.squeeze(i);
+        let (meta, entry) = (self.slots.word(i), self.take(i));
+        self.compact();
         (meta, entry)
     }
 
     fn clear(&mut self) {
         self.memo = None;
-        self.meta.clear();
         self.slots.clear();
         self.heads.fill(0);
         self.keyed.fill(0);
@@ -529,7 +519,7 @@ impl Segment {
     fn derive_heads(&self) -> (Vec<u64>, Vec<u16>) {
         let mut heads = vec![0u64; self.heads.len()];
         let mut keyed = vec![0u16; self.keyed.len()];
-        for (i, m) in self.meta.iter().enumerate() {
+        for (i, m) in self.slots.words().enumerate() {
             if keyed[m.key as usize] == 0 {
                 heads[i / 64] |= 1 << (i % 64);
             }
@@ -540,13 +530,8 @@ impl Segment {
 
     /// The packet in slot `i`, outside this buffer's scan.
     fn entry(&self, i: usize) -> &QueueEntry {
-        live(&self.slots[i])
+        self.slots.get(i).expect("slot in range")
     }
-}
-
-fn live(slot: &Option<QueueEntry>) -> &QueueEntry {
-    slot.as_ref()
-        .expect("segment slots are vacant only inside their own buffer's scan")
 }
 
 /// Per-cycle counter deltas from one [`NocState::advance`] call, merged
@@ -637,8 +622,6 @@ pub struct NocState {
     /// Scratch: oldest-first and locality-aware scan order for one quad
     /// (indices).
     scratch_order: Vec<u32>,
-    /// Scratch: indices vacated in the current quad's scan.
-    scratch_vacated: Vec<u32>,
     rotate_scratch: RotateScratch,
     /// Events staged by `advance`, drained by the engine afterwards.
     events: Vec<NocEvent>,
@@ -682,7 +665,6 @@ impl NocState {
                 .collect(),
             rr_next: vec![0; 2 * nq],
             scratch_order: Vec::with_capacity(depth),
-            scratch_vacated: Vec::with_capacity(depth),
             rotate_scratch: RotateScratch {
                 cand: Vec::with_capacity(nq),
                 state: Vec::with_capacity(nq),
@@ -763,7 +745,7 @@ impl NocState {
         let nq = self.num_quads;
         self.segments.iter().enumerate().flat_map(move |(bi, s)| {
             let (class, quad) = (NocClass::ALL[bi / nq], (bi % nq) as QuadId);
-            s.slots.iter().map(move |slot| (class, quad, live(slot)))
+            s.slots.iter().map(move |e| (class, quad, e))
         })
     }
 
@@ -868,14 +850,14 @@ impl NocState {
             self.build_scan_order(bi, len, q as QuadId);
             Cursor::Table { n: 0 }
         };
-        self.scratch_vacated.clear();
+        let (mut moves, mut last_won) = (0u64, None);
         let mut budget = self.quad_drain;
         let mut memo = ScanMemo::default();
         let mut saw_fresh = false;
         // A head promoted when its predecessor leaves is visited only if
         // it lies later in scan order than that predecessor.
         while let Some(i) = self.next_visit(bi, &mut cursor) {
-            let SlotMeta { key, moved_at } = self.segments[bi].meta[i];
+            let SlotMeta { key, moved_at } = self.segments[bi].slots.word(i);
             // One segment per cycle: skip packets that hopped into this
             // buffer during this very advance call (or were injected
             // this cycle).
@@ -932,25 +914,21 @@ impl NocState {
                 }
                 continue;
             }
-            self.scratch_vacated.push(i as u32);
+            (moves, last_won) = (moves + 1, Some(i));
             budget -= 1;
         }
         delta.stalls += memo.stalls as u64;
-        if let Some(&w) = self.scratch_vacated.last() {
-            self.rr_next[bi] = (w as usize + 1) % len;
-            // Squeeze out the vacated slots, highest index first so
-            // earlier removals do not shift later ones, so subsequent
-            // quads see true occupancy when forwarding into this buffer.
-            // Winners are few and mostly near the head, where a removal
-            // shifts next to nothing.
-            self.scratch_vacated.sort_unstable();
-            for &iu in self.scratch_vacated.iter().rev() {
-                self.segments[bi].squeeze(iu as usize);
-            }
+        if let Some(w) = last_won {
+            self.rr_next[bi] = (w + 1) % len;
+            // Compact out the vacated slots, so that subsequent quads see
+            // true occupancy when forwarding into this buffer. Winners are
+            // few and mostly near the head, where a removal shifts next to
+            // nothing.
+            self.segments[bi].compact();
         } else if !saw_fresh {
             self.segments[bi].memo = Some(memo);
         }
-        (self.scratch_vacated.len() as u64, memo.fwd_stalls as u64)
+        (moves, memo.fwd_stalls as u64)
     }
 
     /// The next head the scan of buffer `bi` visits in its arbitration
@@ -994,7 +972,7 @@ impl NocState {
             };
             let q = bi % nq;
             let (mut seen, mut fresh, mut want) = (0u64, 0usize, ScanMemo::default());
-            for m in &seg.meta {
+            for m in seg.slots.words() {
                 if seen >> m.key & 1 != 0 {
                     continue;
                 }
@@ -1090,7 +1068,7 @@ impl NocState {
         for (q, slot) in cand.iter_mut().enumerate() {
             let seg = &self.segments[base + q];
             for i in seg.heads() {
-                let m = seg.meta[i];
+                let m = seg.slots.word(i);
                 if m.moved_at >= clock {
                     continue;
                 }
@@ -1177,7 +1155,7 @@ impl NocState {
             }
             ArbitrationKind::LocalityAware => {
                 let route = &self.route[quad as usize * self.num_keys..];
-                let local = |i: &u32| route[seg.meta[*i as usize].key as usize] == quad;
+                let local = |i: &u32| route[seg.slots.word(*i as usize).key as usize] == quad;
                 self.scratch_order.extend((0..len as u32).filter(local));
                 self.scratch_order
                     .extend((0..len as u32).filter(|i| !local(i)));
@@ -1518,8 +1496,8 @@ mod tests {
         /// scratch: the reference passes' removal.
         fn remove_any(&mut self, i: usize) -> (SlotMeta, QueueEntry) {
             self.memo = None;
-            let meta = self.meta.remove(i).expect("index in range");
-            let entry = self.slots.remove(i).flatten().expect("a live slot");
+            let meta = self.slots.word(i);
+            let entry = self.slots.remove(i).expect("a live slot");
             (self.heads, self.keyed) = self.derive_heads();
             (meta, entry)
         }
@@ -1531,7 +1509,8 @@ mod tests {
         fn reference_order(&self, bi: usize, quad: QuadId) -> Vec<usize> {
             let seg = &self.segments[bi];
             let len = seg.len();
-            let dest_quad = |i: usize| NocDest::of_key(seg.meta[i].key, self.num_vaults).quad();
+            let dest_quad =
+                |i: usize| NocDest::of_key(seg.slots.word(i).key, self.num_vaults).quad();
             match self.arbitration {
                 ArbitrationKind::RoundRobin => {
                     let start = self.rr_next[bi] % len;
@@ -1575,14 +1554,15 @@ mod tests {
                     let mut budget = self.quad_drain;
                     let mut last_winner = None;
                     for i in self.reference_order(bi, q as QuadId) {
-                        let m = self.segments[bi].meta[i];
+                        let m = self.segments[bi].slots.word(i);
                         let e = self.segments[bi].entry(i).clone();
                         let tag = e.packet.tag();
                         if m.moved_at >= clock {
                             continue;
                         }
-                        let meta = &self.segments[bi].meta;
-                        let held = (0..i).any(|j| !moved.contains(&j) && meta[j].key == m.key);
+                        let seg = &self.segments[bi];
+                        let held =
+                            (0..i).any(|j| !moved.contains(&j) && seg.slots.word(j).key == m.key);
                         if held {
                             continue;
                         }
@@ -1652,13 +1632,13 @@ mod tests {
             let base = class.index() * nq;
             let mut cand: Vec<Option<(usize, QuadId)>> = vec![None; nq];
             for (q, slot) in cand.iter_mut().enumerate() {
-                let meta = &self.segments[base + q].meta;
-                for (i, m) in meta.iter().enumerate() {
+                let seg = &self.segments[base + q];
+                for (i, m) in seg.slots.words().enumerate() {
                     let dest = NocDest::of_key(m.key, nv);
                     if m.moved_at >= clock || dest.quad() == q as QuadId {
                         continue;
                     }
-                    if meta.iter().take(i).any(|p| p.key == m.key) {
+                    if seg.slots.words().take(i).any(|p| p.key == m.key) {
                         continue;
                     }
                     let next = self.topology.next_hop(q as QuadId, dest.quad());
@@ -1728,7 +1708,10 @@ mod tests {
                 .iter()
                 .map(|s| {
                     (0..s.len())
-                        .map(|i| (s.entry(i).send_seq, s.meta[i].key, s.meta[i].moved_at))
+                        .map(|i| {
+                            let m = s.slots.word(i);
+                            (s.entry(i).send_seq, m.key, m.moved_at)
+                        })
                         .collect()
                 })
                 .collect();

@@ -14,12 +14,13 @@
 //! vault request queue's tick walks its scan window only while something
 //! there can issue: a walk that leaves every entry held caches the
 //! earliest cycle that can change (`Vault::wake_at`), and the cycles
-//! before it cost one compare. A
-//! crossbar request queue is a [`RoutedQueue`], which additionally carries
-//! one *route class* bit per slot, so its tick costs one AND per occupied
-//! slot plus full slow-path visits only for the packets that move and the
-//! first blocked packet of each route class — not one per stalled slot,
-//! which is what a congested fabric is made of.
+//! before it cost one compare. Every packet queue is one [`PacketQueue`],
+//! whose slots each carry a word its owner chooses: `()` for vault and
+//! crossbar response queues; a NoC segment's scan metadata; and a
+//! crossbar request queue's `u64` *route class*, so its tick costs one
+//! AND per occupied slot plus full slow-path visits only for the packets
+//! that move and the first blocked packet of each route class — not one
+//! per stalled slot, which is what a congested fabric is made of.
 
 use std::collections::VecDeque;
 
@@ -247,7 +248,7 @@ impl BodyPool {
 
 /// Route key of a slot the crossbar walk has not classified (or whose
 /// classification is not memoizable: flow, MODE, remote, erroneous,
-/// corrupt or retry-gated packets), as [`RoutedQueue::route_key`]
+/// corrupt or retry-gated packets), as [`PacketQueue::route_key`]
 /// decodes it.
 pub const NO_ROUTE: u16 = u16::MAX;
 
@@ -255,14 +256,32 @@ pub const NO_ROUTE: u16 = u16::MAX;
 /// 63, which no vault's bit ever is (vault ids stay below 32).
 pub const UNCLASSIFIED: u64 = 1 << 63;
 
-/// A fixed-depth FIFO of queue slots.
+/// A fixed-depth FIFO of queue slots, each holding a packet and one word
+/// `W` its owner keeps about it (see the module docs). Every operation
+/// that moves slots moves the words with them; the words sit in a ring
+/// of their own, so a scan that reads them alone touches no entry.
+///
+/// A slot may be *vacated* in place ([`PacketQueue::vacate`]): its packet
+/// moves out, while the slot and its word keep their index until
+/// [`PacketQueue::compact`] drops every vacated slot in one pass; until
+/// then the queue takes pushes only. A vacated slot counts toward
+/// [`len`](PacketQueue::len); reading its entry panics.
 #[derive(Debug)]
-pub struct PacketQueue {
+pub struct PacketQueue<W = ()> {
     depth: usize,
-    slots: VecDeque<QueueEntry>,
+    slots: VecDeque<Option<QueueEntry>>,
+    words: VecDeque<W>,
+    /// Bit `i % 64` of word `i / 64` marks slot `i` vacated (grown on use).
+    vacated: Vec<u64>,
 }
 
-impl PacketQueue {
+const VACATED: &str = "a vacated slot is compacted before it is read";
+
+fn live(slot: &Option<QueueEntry>) -> &QueueEntry {
+    slot.as_ref().expect(VACATED)
+}
+
+impl<W: Copy> PacketQueue<W> {
     /// Create a queue of `depth` slots.
     ///
     /// # Panics
@@ -273,6 +292,8 @@ impl PacketQueue {
         PacketQueue {
             depth,
             slots: VecDeque::with_capacity(depth),
+            words: VecDeque::with_capacity(depth),
+            vacated: Vec::new(),
         }
     }
 
@@ -301,123 +322,127 @@ impl PacketQueue {
         self.depth - self.slots.len()
     }
 
-    /// Enqueue at the tail; returns the entry back on overflow so the
-    /// caller can leave it in its upstream queue (a stall).
-    pub fn push(&mut self, entry: QueueEntry) -> Result<(), QueueEntry> {
+    /// Enqueue at the tail with its word; returns the entry back on
+    /// overflow so the caller can leave it in its upstream queue (a
+    /// stall).
+    pub fn push_with(&mut self, entry: QueueEntry, word: W) -> Result<(), QueueEntry> {
         if self.is_full() {
             return Err(entry);
         }
-        self.slots.push_back(entry);
+        self.slots.push_back(Some(entry));
+        self.words.push_back(word);
         Ok(())
     }
 
     /// Dequeue from the head.
     pub fn pop(&mut self) -> Option<QueueEntry> {
-        self.slots.pop_front()
+        self.words.pop_front();
+        self.slots.pop_front().map(|slot| slot.expect(VACATED))
     }
 
     /// Peek at the head without removing.
     pub fn front(&self) -> Option<&QueueEntry> {
-        self.slots.front()
+        self.slots.front().map(live)
     }
 
     /// Peek at slot `i` (0 = head).
     pub fn get(&self, i: usize) -> Option<&QueueEntry> {
-        self.slots.get(i)
+        self.slots.get(i).map(live)
     }
 
     /// Mutable peek at slot `i` (0 = head).
     pub fn get_mut(&mut self, i: usize) -> Option<&mut QueueEntry> {
-        self.slots.get_mut(i)
+        Some(self.slots.get_mut(i)?.as_mut().expect(VACATED))
+    }
+
+    /// The word of slot `i` (0 = head); panics if there is no slot `i`.
+    pub fn word(&self, i: usize) -> W {
+        self.words[i]
+    }
+
+    /// Replace the word of slot `i` (0 = head); panics if there is none.
+    pub fn set_word(&mut self, i: usize, word: W) {
+        self.words[i] = word;
+    }
+
+    /// Every slot's word, head first.
+    pub fn words(&self) -> impl Iterator<Item = W> + '_ {
+        self.words.iter().copied()
     }
 
     /// Remove slot `i` (0 = head), preserving the order of the rest.
     /// Used by the crossbar's pass-ahead walk, where a stalled packet may
     /// be passed by later packets bound elsewhere (§III.C weak ordering).
     pub fn remove(&mut self, i: usize) -> Option<QueueEntry> {
-        self.slots.remove(i)
+        self.words.remove(i);
+        self.slots.remove(i).map(|slot| slot.expect(VACATED))
+    }
+
+    /// Move the packet out of slot `i`, leaving the slot vacated in place
+    /// (see the type docs); panics if there is no such packet.
+    pub fn vacate(&mut self, i: usize) -> QueueEntry {
+        self.vacated.resize(self.vacated.len().max(i / 64 + 1), 0);
+        self.vacated[i / 64] |= 1 << (i % 64);
+        self.slots[i].take().expect("a slot is vacated once")
+    }
+
+    /// Drop every vacated slot and its word, preserving the order of the
+    /// rest; `removed(i)` hears of each, highest index first.
+    pub fn compact(&mut self, mut removed: impl FnMut(usize)) {
+        for w in (0..self.vacated.len()).rev() {
+            while self.vacated[w] != 0 {
+                let i = w * 64 + 63 - self.vacated[w].leading_zeros() as usize;
+                self.vacated[w] &= !(1 << (i % 64));
+                self.slots.remove(i);
+                self.words.remove(i);
+                removed(i);
+            }
+        }
     }
 
     /// Iterate entries head-to-tail.
     pub fn iter(&self) -> impl Iterator<Item = &QueueEntry> {
-        self.slots.iter()
+        self.slots.iter().map(live)
     }
 
     /// Total FLITs resident across all occupied slots. Token-conservation
     /// checks compare this against the FLITs outstanding on the feeding
     /// link.
     pub fn resident_flits(&self) -> u32 {
-        self.slots.iter().map(|e| e.packet.lng() as u32).sum()
+        self.iter().map(|e| e.packet.lng() as u32).sum()
     }
 
     /// Drop every entry (device reset).
     pub fn clear(&mut self) {
         self.slots.clear();
+        self.words.clear();
+        self.vacated.fill(0);
     }
 }
 
-/// A crossbar request queue: a [`PacketQueue`] whose slots each carry a
-/// *route class* — one `u64` beside the entry in which the crossbar
-/// request walk memoizes "clean local memory request for vault *v*" as
-/// bit *v* ([`UNCLASSIFIED`] on arrival), so a later walk can tell a
-/// stalled slot is still stalled with one AND and without touching the
-/// entry. Reads go straight through to the queue
-/// ([`Deref`](std::ops::Deref)); every operation that moves slots is
-/// redefined here to move the classes with them, so the two can never
-/// fall out of step. Being a type of its own, it costs the vault and
-/// response queues nothing.
-#[derive(Debug)]
-pub struct RoutedQueue {
-    queue: PacketQueue,
-    classes: VecDeque<u64>,
-}
-
-impl std::ops::Deref for RoutedQueue {
-    type Target = PacketQueue;
-
-    fn deref(&self) -> &PacketQueue {
-        &self.queue
-    }
-}
-
-impl RoutedQueue {
-    /// Create a queue of `depth` slots (see [`PacketQueue::new`]).
-    pub fn new(depth: usize) -> Self {
-        RoutedQueue {
-            queue: PacketQueue::new(depth),
-            classes: VecDeque::with_capacity(depth),
-        }
-    }
-
-    /// Enqueue at the tail (see [`PacketQueue::push`]); the new slot is
-    /// unclassified.
+impl PacketQueue {
+    /// Enqueue at the tail; returns the entry back on overflow so the
+    /// caller can leave it in its upstream queue (a stall).
     pub fn push(&mut self, entry: QueueEntry) -> Result<(), QueueEntry> {
-        self.queue.push(entry)?;
-        self.classes.push_back(UNCLASSIFIED);
-        Ok(())
+        self.push_with(entry, ())
     }
+}
 
-    /// Mutable peek at slot `i` (0 = head).
-    pub fn get_mut(&mut self, i: usize) -> Option<&mut QueueEntry> {
-        self.queue.get_mut(i)
-    }
-
-    /// Remove slot `i` (0 = head), preserving the order of the rest.
-    pub fn remove(&mut self, i: usize) -> Option<QueueEntry> {
-        self.classes.remove(i);
-        self.queue.remove(i)
-    }
-
-    /// Drop every entry (device reset).
-    pub fn clear(&mut self) {
-        self.queue.clear();
-        self.classes.clear();
+/// A crossbar request queue: each slot's word is its *route class*, in
+/// which the crossbar request walk memoizes "clean local memory request
+/// for vault *v*" as bit *v* ([`UNCLASSIFIED`] on arrival), so a later
+/// walk can tell a stalled slot is still stalled with one AND and without
+/// touching the entry.
+impl PacketQueue<u64> {
+    /// Enqueue at the tail; the new slot is unclassified.
+    pub fn push(&mut self, entry: QueueEntry) -> Result<(), QueueEntry> {
+        self.push_with(entry, UNCLASSIFIED)
     }
 
     /// Route class of slot `i`: bit *v* when it is keyed to vault *v*,
     /// [`UNCLASSIFIED`] when it is not keyed or there is no such slot.
     pub fn route_class(&self, i: usize) -> u64 {
-        self.classes.get(i).copied().unwrap_or(UNCLASSIFIED)
+        self.words.get(i).copied().unwrap_or(UNCLASSIFIED)
     }
 
     /// Route key of slot `i`: the vault its class bit names, or
@@ -433,10 +458,7 @@ impl RoutedQueue {
     /// when some slot is unclassified, and bit *v* when some slot is
     /// keyed to vault *v*. Reads the classes only.
     pub fn class_union(&self) -> u64 {
-        let (head, tail) = self.classes.as_slices();
-        head.iter()
-            .chain(tail)
-            .fold(0, |union, &class| union | class)
+        self.words().fold(0, |union, class| union | class)
     }
 
     /// The first slot at or after `from` that a stall-aware walk must
@@ -448,16 +470,13 @@ impl RoutedQueue {
     /// contiguous runs, four slots per branch.
     pub fn next_unblocked(&self, from: usize, held: u64) -> usize {
         debug_assert_eq!(held & UNCLASSIFIED, 0, "held names vaults only");
-        let (head, tail) = self.classes.as_slices();
-        let found = if from < head.len() {
-            first_unheld(&head[from..], held)
-                .map(|p| from + p)
-                .or_else(|| first_unheld(tail, held).map(|p| head.len() + p))
-        } else {
-            let start = (from - head.len()).min(tail.len());
-            first_unheld(&tail[start..], held).map(|p| head.len() + start + p)
-        };
-        found.unwrap_or(from.max(self.classes.len()))
+        let (head, tail) = self.words.as_slices();
+        let h = from.min(head.len());
+        let t = (from - h).min(tail.len());
+        first_unheld(&head[h..], held)
+            .map(|p| h + p)
+            .or_else(|| first_unheld(&tail[t..], held).map(|p| head.len() + t + p))
+            .unwrap_or(from.max(self.words.len()))
     }
 
     /// Memoize slot `i`'s route: the class bit, and the decoded
@@ -468,8 +487,8 @@ impl RoutedQueue {
     /// Panics if there is no slot `i`.
     pub fn set_route(&mut self, i: usize, vault: VaultId, bank: BankId, row: u64) {
         debug_assert!(vault < 63, "vault bits stay clear of UNCLASSIFIED");
-        self.classes[i] = 1 << vault;
-        let e = &mut self.queue.slots[i];
+        self.set_word(i, 1 << vault);
+        let e = self.get_mut(i).expect("a slot to route");
         e.dest_vault = vault;
         e.dest_bank = bank;
         e.dest_row = row;
@@ -479,9 +498,10 @@ impl RoutedQueue {
     /// slots return to [`UNCLASSIFIED`] and their entries to undecoded,
     /// so the next walk re-decodes them under the new map.
     pub fn forget_routes(&mut self) {
-        for (class, e) in self.classes.iter_mut().zip(self.queue.slots.iter_mut()) {
-            if *class != UNCLASSIFIED {
-                *class = UNCLASSIFIED;
+        for i in 0..self.len() {
+            if self.word(i) != UNCLASSIFIED {
+                self.set_word(i, UNCLASSIFIED);
+                let e = self.get_mut(i).expect("i < len");
                 e.dest_vault = UNDECODED;
                 e.dest_bank = UNDECODED;
                 e.dest_row = 0;
@@ -520,7 +540,7 @@ mod tests {
 
     #[test]
     fn fifo_order_is_preserved() {
-        let mut q = PacketQueue::new(4);
+        let mut q = PacketQueue::<()>::new(4);
         for t in 0..4 {
             q.push(entry(t)).unwrap();
         }
@@ -532,7 +552,7 @@ mod tests {
 
     #[test]
     fn full_queue_returns_the_entry() {
-        let mut q = PacketQueue::new(2);
+        let mut q = PacketQueue::<()>::new(2);
         q.push(entry(0)).unwrap();
         q.push(entry(1)).unwrap();
         assert!(q.is_full());
@@ -544,13 +564,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one slot")]
     fn zero_depth_rejected() {
-        PacketQueue::new(0);
+        PacketQueue::<()>::new(0);
     }
 
     #[test]
     fn single_slot_queue_works() {
         // The minimum legal queue: one slot (§IV.A).
-        let mut q = PacketQueue::new(1);
+        let mut q = PacketQueue::<()>::new(1);
         q.push(entry(9)).unwrap();
         assert!(q.is_full());
         assert_eq!(q.pop().unwrap().packet.tag(), 9);
@@ -559,7 +579,7 @@ mod tests {
 
     #[test]
     fn remove_preserves_order_of_rest() {
-        let mut q = PacketQueue::new(4);
+        let mut q = PacketQueue::<()>::new(4);
         for t in 0..4 {
             q.push(entry(t)).unwrap();
         }
@@ -573,7 +593,7 @@ mod tests {
 
     #[test]
     fn free_slot_accounting() {
-        let mut q = PacketQueue::new(3);
+        let mut q = PacketQueue::<()>::new(3);
         assert_eq!(q.free_slots(), 3);
         q.push(entry(0)).unwrap();
         assert_eq!(q.free_slots(), 2);
@@ -722,7 +742,7 @@ mod tests {
 
     #[test]
     fn clear_empties_queue() {
-        let mut q = PacketQueue::new(4);
+        let mut q = PacketQueue::<()>::new(4);
         q.push(entry(0)).unwrap();
         q.clear();
         assert!(q.is_empty());
@@ -731,7 +751,7 @@ mod tests {
 
     #[test]
     fn get_and_iter_view_slots_in_order() {
-        let mut q = PacketQueue::new(4);
+        let mut q = PacketQueue::<()>::new(4);
         for t in 0..3 {
             q.push(entry(t)).unwrap();
         }
@@ -743,7 +763,7 @@ mod tests {
     }
 
     /// `(tag, route key)` of every slot, head first.
-    fn keyed(q: &RoutedQueue) -> Vec<(u16, u16)> {
+    fn keyed(q: &PacketQueue<u64>) -> Vec<(u16, u16)> {
         (0..q.len())
             .map(|i| (q.get(i).unwrap().packet.tag(), q.route_key(i)))
             .collect()
@@ -751,7 +771,7 @@ mod tests {
 
     #[test]
     fn route_keys_stay_in_lock_step_with_their_slots() {
-        let mut q = RoutedQueue::new(8);
+        let mut q = PacketQueue::<u64>::new(8);
         for t in 0..5 {
             q.push(entry(t)).unwrap();
         }
@@ -801,7 +821,7 @@ mod tests {
 
     #[test]
     fn next_unblocked_passes_over_keyed_blocked_slots_only() {
-        let mut q = RoutedQueue::new(8);
+        let mut q = PacketQueue::<u64>::new(8);
         for t in 0..5 {
             q.push(entry(t)).unwrap();
         }
@@ -830,7 +850,7 @@ mod tests {
     /// The key scan as it stood before class bits: one decoded `u16` key
     /// and one predicate call per slot.
     fn next_unblocked_reference(
-        q: &RoutedQueue,
+        q: &PacketQueue<u64>,
         from: usize,
         blocked: impl Fn(VaultId) -> bool,
     ) -> usize {
@@ -862,8 +882,8 @@ mod tests {
         for len in 0..=depth {
             // Rotate the ring's head through every offset, so the
             // occupied run wraps at every possible point.
-            for offset in 0..RoutedQueue::new(depth).classes.capacity() {
-                let mut q = RoutedQueue::new(depth);
+            for offset in 0..PacketQueue::<u64>::new(depth).words.capacity() {
+                let mut q = PacketQueue::<u64>::new(depth);
                 for _ in 0..offset {
                     q.push(entry(0)).unwrap();
                     q.remove(0).unwrap();
@@ -878,7 +898,7 @@ mod tests {
                         v => q.set_route(i, v as u16 * 7, 0, 0),
                     }
                 }
-                let head = q.classes.as_slices().0.len();
+                let head = q.words.as_slices().0.len();
                 splits.insert((len, head));
                 for _ in 0..8 {
                     let held = match next(4) {
@@ -895,7 +915,7 @@ mod tests {
                             q.next_unblocked(from, held),
                             next_unblocked_reference(&q, from, blocked),
                             "len {len}, head run {head}, from {from}, held {held:#x}, classes {:x?}",
-                            q.classes
+                            q.words
                         );
                         checked += 1;
                     }

@@ -389,10 +389,13 @@ impl HmcSim {
             .ok_or_else(|| HmcError::cube_range(id, self.num_devices()))
     }
 
-    /// Mutable device access (tests, fault injection). A device is reset
-    /// through [`HmcSim::reset_device`], not `device_mut(id)?.reset()`:
-    /// the bodies its queues hold belong to the simulation's pool.
-    pub fn device_mut(&mut self, id: CubeId) -> Result<&mut Device> {
+    /// Mutable device access, inside this crate only: a caller that set
+    /// a link's far end by hand would leave its crossbar's host and mover
+    /// count stale ([`HmcSim::rewire`] is the one way to change it). A
+    /// device is reset through [`HmcSim::reset_device`], not
+    /// `device_mut(id)?.reset()`: the bodies its queues hold belong to
+    /// the simulation's pool.
+    pub(crate) fn device_mut(&mut self, id: CubeId) -> Result<&mut Device> {
         let n = self.num_devices();
         self.devices
             .get_mut(id as usize)

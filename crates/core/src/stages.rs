@@ -200,8 +200,8 @@ impl HmcSim {
     /// counted here alone.
     ///
     /// The walk is stall-aware: a local memory request that stalls is
-    /// memoized as a route key beside its slot
-    /// ([`RoutedQueue`](crate::queue::RoutedQueue)),
+    /// memoized as a route class in its slot's word
+    /// ([`PacketQueue::set_route`](crate::queue::PacketQueue::set_route)),
     /// and a later visit skips the slot on the key alone once its class
     /// (its vault, or NoC injection) has been found blocked in the same
     /// walk. DESIGN.md "crossbar walk" gives the three rules that keep
@@ -822,6 +822,7 @@ mod tests {
     use super::*;
     use crate::noc::NocParams;
     use crate::params::SimParams;
+    use crate::queue::NO_ROUTE;
     use hmc_trace::{SharedSink, Tracer, VecSink, Verbosity};
     use hmc_types::{
         BankFirstMap, BlockSize, DeviceConfig, InterconnectKind, LinearMap, LowInterleaveMap,
@@ -1066,6 +1067,115 @@ mod tests {
             assert_eq!(sim.devices[0].noc.as_ref().unwrap().occupancy(), 1);
             assert_eq!(sim.stats.noc_stalls, stalls);
             assert_eq!(sim.bodies.free(), 1, "the misrouted body came back");
+        }
+    }
+
+    // ---- stage 2: requests placed in a crossbar queue behind `send` ----
+
+    /// Clock `sim` until link 0 answers, for at most `max` cycles.
+    fn pump_for_response(sim: &mut HmcSim, max: u32) -> Option<Packet> {
+        for _ in 0..max {
+            sim.clock().unwrap();
+            if let Ok(p) = sim.recv(0, 0) {
+                return Some(p);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn undecodable_command_in_flight_yields_command_error() {
+        let mut sim = HmcSim::new(1, DeviceConfig::small()).unwrap();
+        let host = sim.host_cube_id(0);
+        crate::topology::build_simple(&mut sim, host).unwrap();
+        // Build a valid packet, then give it an undefined CMD and reseal
+        // so it passes CRC but fails decode inside the device.
+        let mut req = Packet::request(Command::Rd(BlockSize::B16), 0, 0, 7, 0, &[]).unwrap();
+        req.header = (req.header & !0x3f) | 0x3f; // 0x3f is undefined
+        req.seal();
+        // send() validates and rejects it up front — the host-side guard.
+        assert!(sim.send(0, 0, req.clone()).is_err());
+        // Place it behind the guard to exercise the device-side path.
+        let entry = QueueEntry::new(req, host, 0, 0);
+        sim.devices[0].xbars[0].rqst.push(entry).unwrap();
+        let rsp = pump_for_response(&mut sim, 8).expect("command error response");
+        assert_eq!(rsp.errstat().unwrap(), ResponseStatus::CommandError);
+    }
+
+    /// Tags resident in link 0's crossbar request queue, head first.
+    fn rqst_tags(sim: &HmcSim) -> Vec<u16> {
+        let rqst = &sim.devices[0].xbars[0].rqst;
+        rqst.iter().map(|e| e.packet.tag()).collect()
+    }
+
+    #[test]
+    fn a_retry_gated_packet_behind_keyed_blocked_ones_still_ends_the_walk() {
+        // A deep crossbar queue in front of two-slot vault queues, so a
+        // burst to one vault stalls at the crossbar, fully traced.
+        let cfg = DeviceConfig::small()
+            .with_queue_depths(16, 2)
+            .with_storage_mode(hmc_types::StorageMode::TimingOnly);
+        let mut sim = HmcSim::new(1, cfg).unwrap();
+        let host = sim.host_cube_id(0);
+        crate::topology::build_simple(&mut sim, host).unwrap();
+        let sink = SharedSink::new(VecSink::default());
+        sim.set_tracer(Tracer::new(Verbosity::Full, Box::new(sink.handle())));
+        sim.set_params(SimParams {
+            link_faults: Some(hmc_types::LinkFaultConfig {
+                error_rate_ppm: 0,
+                ..hmc_types::LinkFaultConfig::default()
+            }),
+            ..*sim.params()
+        });
+        // Ten requests to vault 0 (alternating 64-byte reads and writes;
+        // the vault bits sit just above the 128-byte block offset): two
+        // cycles in, the ones still at the crossbar are stalled behind
+        // its two-slot queue and keyed.
+        for k in 0..10u16 {
+            let (addr, tag) = ((k as u64) << 11, k + 1);
+            let p = if k.is_multiple_of(2) {
+                Packet::request(Command::Rd(BlockSize::B64), 0, addr, tag, 0, &[])
+            } else {
+                Packet::request(Command::Wr(BlockSize::B64), 0, addr, tag, 0, &[0xa5; 64])
+            };
+            sim.send(0, 0, p.unwrap()).unwrap();
+        }
+        sim.clock().unwrap();
+        sim.clock().unwrap();
+        // Behind them, a request the link is retransmitting (gated, as a
+        // detected corruption leaves it; never seen by a walk, so
+        // unkeyed) and then one for idle vault 2 that nothing but the
+        // gate holds back.
+        let vault_rd = |vault: u64, tag| {
+            Packet::request(Command::Rd(BlockSize::B64), 0, vault << 7, tag, 0, &[]).unwrap()
+        };
+        sim.send(0, 0, vault_rd(1, 100)).unwrap();
+        sim.send(0, 0, vault_rd(2, 101)).unwrap();
+        let gate_until = sim.current_clock() + 3;
+        let rqst = &mut sim.devices[0].xbars[0].rqst;
+        let gated_slot = rqst.len() - 2;
+        assert!(gated_slot >= 2, "stalled packets sit ahead of the gate");
+        assert_ne!(rqst.route_key(0), NO_ROUTE, "the stalled head is keyed");
+        assert_eq!(rqst.route_key(gated_slot), NO_ROUTE);
+        rqst.get_mut(gated_slot).unwrap().retry_until = gate_until;
+
+        // While the gate holds, every walk skips or stalls on the keyed
+        // vault-0 packets and must then `break` at the gated one: tag 101
+        // stays in the crossbar although its vault is idle.
+        while sim.current_clock() < gate_until {
+            sim.clock().unwrap();
+            assert!(rqst_tags(&sim).ends_with(&[100, 101]));
+        }
+        // The next walk finds the gate lapsed: both move on.
+        sim.clock().unwrap();
+        assert!(!rqst_tags(&sim).contains(&100) && !rqst_tags(&sim).contains(&101));
+        let mut seen = 0;
+        while seen < 12 {
+            assert!(sim.current_clock() < 10_000, "never drained");
+            sim.clock().unwrap();
+            while sim.recv(0, 0).is_ok() {
+                seen += 1;
+            }
         }
     }
 }

@@ -8,7 +8,7 @@
 
 use hmc_types::{CubeId, LinkId};
 
-use crate::queue::{PacketQueue, QueueEntry, RoutedQueue};
+use crate::queue::{PacketQueue, QueueEntry};
 
 /// The crossbar logic stage attached to one link: a request queue (host →
 /// vaults) and a response queue (vaults → host).
@@ -26,8 +26,8 @@ use crate::queue::{PacketQueue, QueueEntry, RoutedQueue};
 pub struct Crossbar {
     /// The link this crossbar unit serves.
     pub link: LinkId,
-    /// Request (inbound) queue.
-    pub rqst: RoutedQueue,
+    /// Request (inbound) queue; each slot's word is its route class.
+    pub rqst: PacketQueue<u64>,
     /// Response (outbound) queue.
     rsp: PacketQueue,
     /// The host at the far end of the link; `None` for a chained or
@@ -47,7 +47,7 @@ impl Crossbar {
     pub fn new(link: LinkId, depth: usize) -> Self {
         Crossbar {
             link,
-            rqst: RoutedQueue::new(depth),
+            rqst: PacketQueue::new(depth),
             rsp: PacketQueue::new(depth),
             host: None,
             movers: 0,

@@ -147,33 +147,6 @@ fn vault_response_queue_backpressure_stalls_processing() {
 }
 
 #[test]
-fn undecodable_command_in_flight_yields_command_error() {
-    let mut sim = HmcSim::new(1, DeviceConfig::small()).unwrap();
-    let host = sim.host_cube_id(0);
-    topology::build_simple(&mut sim, host).unwrap();
-    // Build a valid packet, then give it an undefined CMD and reseal so
-    // it passes CRC but fails decode inside the device.
-    let mut req = Packet::request(Command::Rd(BlockSize::B16), 0, 0, 7, 0, &[]).unwrap();
-    req.header = (req.header & !0x3f) | 0x3f; // 0x3f is undefined
-    req.seal();
-    // send() validates and rejects it up front — the host-side guard.
-    assert!(sim.send(0, 0, req.clone()).is_err());
-    // Inject it behind the guard to exercise the device-side path.
-    {
-        use hmc_sim::hmc_core::QueueEntry;
-        let entry = QueueEntry::new(req, host, 0, 0);
-        sim.device_mut(0)
-            .unwrap()
-            .xbars[0]
-            .rqst
-            .push(entry)
-            .unwrap();
-    }
-    let rsp = pump_for_response(&mut sim, 0, 8).expect("command error response");
-    assert_eq!(rsp.errstat().unwrap(), ResponseStatus::CommandError);
-}
-
-#[test]
 fn error_register_accumulates_device_side_failures() {
     let mut sim = HmcSim::new(1, DeviceConfig::small()).unwrap();
     let host = sim.host_cube_id(0);

@@ -183,22 +183,76 @@ proptest! {
             "all maps share the in-block offset");
     }
 
+    /// The one packet queue against a `Vec<(tag, word)>`: every
+    /// operation that moves slots must move their words with them. The
+    /// depths are shallow, so the ring's seam moves through every
+    /// position.
     #[test]
-    fn queue_preserves_fifo_under_random_push_pop(ops in prop::collection::vec(any::<bool>(), 1..200)) {
-        let mut q = PacketQueue::new(16);
-        let mut model: std::collections::VecDeque<u16> = Default::default();
+    fn queue_preserves_fifo_under_random_push_pop(
+        depth in 1usize..=9,
+        ops in prop::collection::vec((0u8..8, any::<u16>()), 1..300),
+    ) {
+        let mut q = PacketQueue::<u16>::new(depth);
+        let mut model: Vec<(u16, u16)> = Vec::new();
         let mut next_tag = 0u16;
-        for push in ops {
-            if push && !q.is_full() {
-                let p = Packet::request(Command::Rd(BlockSize::B16), 0, 0, next_tag % 512, 0, &[]).unwrap();
-                q.push(QueueEntry::new(p, 1, 0, 0)).unwrap();
-                model.push_back(next_tag % 512);
-                next_tag = next_tag.wrapping_add(1);
-            } else if !push {
-                let got = q.pop().map(|e| e.packet.tag());
-                prop_assert_eq!(got, model.pop_front());
+        for (op, arg) in ops {
+            match op {
+                0..=2 => {
+                    let tag = next_tag % 512;
+                    let p = Packet::request(Command::Rd(BlockSize::B16), 0, 0, tag, 0, &[]).unwrap();
+                    match q.push_with(QueueEntry::new(p, 1, 0, 0), arg) {
+                        Ok(()) => model.push((tag, arg)),
+                        Err(back) => {
+                            prop_assert_eq!(model.len(), depth, "refused below depth");
+                            prop_assert_eq!(back.packet.tag(), tag);
+                        }
+                    }
+                    next_tag = next_tag.wrapping_add(1);
+                }
+                3 => {
+                    let got = q.pop().map(|e| e.packet.tag());
+                    let want = (!model.is_empty()).then(|| model.remove(0).0);
+                    prop_assert_eq!(got, want);
+                }
+                4 => {
+                    // Out of range one time in `len + 1`.
+                    let i = arg as usize % (model.len() + 1);
+                    let got = q.remove(i).map(|e| e.packet.tag());
+                    let want = (i < model.len()).then(|| model.remove(i).0);
+                    prop_assert_eq!(got, want);
+                }
+                5 if !model.is_empty() => {
+                    let i = arg as usize % model.len();
+                    q.set_word(i, arg);
+                    model[i].1 = arg;
+                }
+                6 => {
+                    // Vacate the slots whose bit is set in `arg`, then
+                    // compact: the rest keep their order and words.
+                    let vacated: Vec<usize> = (0..model.len()).filter(|i| arg >> i & 1 != 0).collect();
+                    for &i in &vacated {
+                        prop_assert_eq!(q.vacate(i).packet.tag(), model[i].0);
+                    }
+                    prop_assert_eq!(q.len(), model.len(), "a vacated slot still counts");
+                    let mut removed = Vec::new();
+                    q.compact(|i| removed.push(i));
+                    prop_assert_eq!(removed, vacated.iter().rev().copied().collect::<Vec<_>>());
+                    for &i in vacated.iter().rev() {
+                        model.remove(i);
+                    }
+                }
+                7 if arg % 16 == 0 => {
+                    q.clear();
+                    model.clear();
+                }
+                _ => {}
             }
+            let slots: Vec<(u16, u16)> = q.iter().map(|e| e.packet.tag()).zip(q.words()).collect();
+            prop_assert_eq!(&slots, &model);
             prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.is_full(), model.len() == depth);
+            prop_assert_eq!(q.free_slots(), depth - model.len());
+            prop_assert_eq!(q.front().map(|e| e.packet.tag()), model.first().map(|m| m.0));
         }
     }
 }

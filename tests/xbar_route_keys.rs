@@ -1,16 +1,15 @@
 //! The stall-aware crossbar walk memoizes "local request for vault v" in
-//! a route key beside each stalled slot. These tests pin the two places
+//! a route class in each stalled slot's word. These tests pin one place
 //! where that memo could change a simulated bit: an address-map swap
 //! while packets wait in a crossbar queue (goldens captured from the
-//! commit before the memo existed), and a retry-gated packet sitting
-//! behind a keyed, blocked one on a faulty link.
+//! commit before the memo existed). The other — a retry-gated packet
+//! sitting behind a keyed, blocked one on a faulty link — needs a packet
+//! placed in a crossbar queue by hand, so it is a unit test in
+//! `hmc-core` (`stages::tests`).
 
-use hmc_sim::hmc_core::queue::NO_ROUTE;
-use hmc_sim::hmc_core::{regs, topology, HmcSim, SimParams};
+use hmc_sim::hmc_core::{regs, topology, HmcSim};
 use hmc_sim::hmc_trace::{SharedSink, TraceEvent, Tracer, VecSink, Verbosity};
-use hmc_sim::hmc_types::{
-    BlockSize, Command, DeviceConfig, LinearMap, LinkFaultConfig, Packet, StorageMode,
-};
+use hmc_sim::hmc_types::{BlockSize, Command, DeviceConfig, LinearMap, Packet, StorageMode};
 
 const REQUESTS: u16 = 12;
 
@@ -155,68 +154,3 @@ const SET_MAP_SWAP: Golden = (
         (7, 0, 0), (8, 0, 0), (9, 0, 0), (10, 0, 0), (11, 0, 0), (12, 0, 0),
     ],
 );
-
-#[test]
-fn a_retry_gated_packet_behind_keyed_blocked_ones_still_ends_the_walk() {
-    let (mut sim, _sink) = congested();
-    sim.set_params(SimParams {
-        link_faults: Some(LinkFaultConfig {
-            error_rate_ppm: 0,
-            ..LinkFaultConfig::default()
-        }),
-        ..*sim.params()
-    });
-    // Ten requests to vault 0: two cycles in, the ones still at the
-    // crossbar are stalled behind its two-slot queue and keyed.
-    for k in 0..10 {
-        sim.send(0, 0, burst_packet(k)).unwrap();
-    }
-    sim.clock().unwrap();
-    sim.clock().unwrap();
-    // Behind them, a request the link is retransmitting (gated, as a
-    // detected corruption leaves it; never seen by a walk, so unkeyed)
-    // and then one for idle vault 2 that nothing but the gate holds back.
-    let vault_rd = |vault: u64, tag| {
-        Packet::request(Command::Rd(BlockSize::B64), 0, vault << 7, tag, 0, &[]).unwrap()
-    };
-    sim.send(0, 0, vault_rd(1, 100)).unwrap();
-    sim.send(0, 0, vault_rd(2, 101)).unwrap();
-    let gate_until = sim.current_clock() + 3;
-    let rqst = &mut sim.device_mut(0).unwrap().xbars[0].rqst;
-    let gated_slot = rqst.len() - 2;
-    assert!(
-        gated_slot >= 2,
-        "stalled packets must sit ahead of the gate"
-    );
-    assert_ne!(rqst.route_key(0), NO_ROUTE, "the stalled head is keyed");
-    assert_eq!(rqst.route_key(gated_slot), NO_ROUTE);
-    rqst.get_mut(gated_slot).unwrap().retry_until = gate_until;
-
-    // While the gate holds, every walk skips or stalls on the keyed
-    // vault-0 packets and must then `break` at the gated one: tag 101
-    // stays in the crossbar although its vault is idle.
-    while sim.current_clock() < gate_until {
-        sim.clock().unwrap();
-        assert!(tags(&sim).ends_with(&[100, 101]));
-    }
-    // The next walk finds the gate lapsed: both move on.
-    sim.clock().unwrap();
-    assert!(!tags(&sim).contains(&100) && !tags(&sim).contains(&101));
-    let mut seen = 0;
-    while seen < 12 {
-        assert!(sim.current_clock() < 10_000, "never drained");
-        sim.clock().unwrap();
-        while sim.recv(0, 0).is_ok() {
-            seen += 1;
-        }
-    }
-}
-
-/// Tags resident in link 0's crossbar request queue, head first.
-fn tags(sim: &HmcSim) -> Vec<u16> {
-    sim.device(0).unwrap().xbars[0]
-        .rqst
-        .iter()
-        .map(|e| e.packet.tag())
-        .collect()
-}
