@@ -9,8 +9,7 @@
 //! `--full` is shorthand for `--scale 1` (the paper's exact request
 //! count; takes a few minutes per configuration). The simulation axes
 //! are the shared flags of `SimParams::USAGE` (`--help` lists them):
-//! cycle counts are bit-identical with and without `--fast-forward`,
-//! and `--check` fails the run on any protocol invariant violation.
+//! `--check` fails the run on any protocol invariant violation.
 
 use hmc_bench::table1::{format_table, run_table1};
 use hmc_core::{Args, SimParams};

@@ -167,20 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_forward_rows_are_cycle_identical_to_stepped() {
-        let stepped = run_table1(8192, 1, SimParams::default(), |_, _| {});
-        let params = SimParams {
-            fast_forward: true,
-            ..SimParams::default()
-        };
-        let fast = run_table1(8192, 1, params, |_, _| {});
-        for (s, f) in stepped.iter().zip(&fast) {
-            assert_eq!(s.cycles, f.cycles, "{}: fast-forward perturbed timing", s.label);
-            assert_eq!(s.requests, f.requests);
-        }
-    }
-
-    #[test]
     fn checked_run_is_clean_and_cycle_identical_to_unchecked() {
         // The invariant checker must neither fire on a clean run nor
         // perturb simulated time (it only observes).

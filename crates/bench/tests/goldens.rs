@@ -14,8 +14,7 @@
 //!   the scan order is pinned.
 //! * Dense DDR (captured before vaults slept on cached bank edges) keeps
 //!   every 4l8b vault queue ~32 deep behind busy banks, where a wrong
-//!   sleep edge moves a cycle count within seconds, stepped and
-//!   fast-forward alike.
+//!   sleep edge moves a cycle count within seconds.
 //! * The trace files (full verbosity, 6,733 and 71,585 lines; captured
 //!   before responses were built in place in their request's body) show
 //!   a stale or clobbered read of a tag, link or address before it ever
@@ -217,11 +216,6 @@ fn hotspot_over_ring_locality_aware() {
 #[test]
 fn dense_ddr_stepped() {
     golden("--timing ddr", DENSE_DDR);
-}
-
-#[test]
-fn dense_ddr_fast_forward() {
-    golden("--timing ddr --fast-forward", DENSE_DDR);
 }
 
 #[test]

@@ -2,15 +2,16 @@
 //!
 //! `conform-fuzz --help` prints the synopsis (`USAGE` below) and the
 //! shared simulation-axis flags (`SimParams::USAGE`); every stream runs
-//! under them, with the engine mode swept and the invariant checker
-//! always armed.
+//! under them, stepped and batched, with the invariant checker always
+//! armed.
 //!
 //! Runs `N` seeded command streams differentially through the engine
-//! stepped, the engine in event-driven fast-forward mode, and the
+//! stepped (one `clock()` per cycle), the engine batched (`clock_batch`,
+//! which jumps what the fast-forward horizon proves dead), and the
 //! functional oracle, rotating over the four paper presets and four
-//! address maps. `--fast-forward` forces a seeded
-//! idle gap (the fast-forward engine's jump fodder) onto every stream
-//! instead of the default two-of-three rotation. `--timing` selects
+//! address maps. `--fast-forward` forces a seeded idle gap (the
+//! horizon's jump fodder) onto every stream instead of the default
+//! two-of-three rotation. `--timing` selects
 //! the vault timing backend the streams run under — `both` runs the
 //! whole campaign once per backend, so every stream is checked under
 //! the classic constant-time model *and* the cycle-accurate DDR state
@@ -25,7 +26,7 @@
 //! stay oracle-clean) and appends a threshold-crossing adversarial
 //! burst to every second stream: the seeded fault stream — counters,
 //! crossings, targeted refreshes, bank parks — must then be
-//! bit-identical in both engine modes.
+//! bit-identical stepped and batched.
 //! `--demo-hammer` runs the fault-injection detection demo instead:
 //! an unmitigated burst whose every flipped bit the oracle must flag
 //! end to end, then the same stream completing clean under TRR. The
@@ -73,9 +74,9 @@ fn main() -> ExitCode {
                 cfg.base_seed = u64::from_str_radix(v.trim_start_matches("0x"), 16)
                     .unwrap_or_else(|_| args.die(format_args!("--seed needs a hex value, got {v:?}")));
             }
-            // Here the flag forces an idle gap onto every stream; the
-            // engine mode itself is always swept.
-            "--fast-forward" => cfg.fast_forward = true,
+            // Here the flag forces an idle gap onto every stream; every
+            // stream runs stepped and batched either way.
+            "--fast-forward" => cfg.force_gaps = true,
             // The sweep spellings; single values fall through to the
             // shared parser.
             "--timing" if args.peek() == Some("both") => {
@@ -191,7 +192,7 @@ fn main() -> ExitCode {
 /// Fault-injection self-test: an unmitigated adversarial hammer burst
 /// whose every flipped bit the oracle must flag end to end (tallied
 /// bits equal the engine's `bit_flips` counter exactly, bit-identical
-/// stepped and fast-forward), then the same stream completing clean
+/// stepped and batched), then the same stream completing clean
 /// under TRR.
 fn run_hammer_demo(cfg: &CampaignConfig) -> ExitCode {
     match hammer_demo(cfg.base_seed, cfg.params.cell_faults) {

@@ -154,10 +154,11 @@ pub struct CampaignConfig {
     pub stream_len: usize,
     /// Base seed; stream `i` uses `base_seed ^ splitmix(i)`.
     pub base_seed: u64,
-    /// Force the stepped-vs-fast-forward axis and a seeded idle gap
-    /// onto every stream, instead of the default rotation (the axis on
-    /// every stream, gaps on two of every three).
-    pub fast_forward: bool,
+    /// Force a seeded idle gap onto every stream, instead of the default
+    /// rotation (gaps on two of every three). The stepped-vs-batched
+    /// axis runs on every stream either way; a gap is where a batch
+    /// jumps.
+    pub force_gaps: bool,
     /// The simulation axes every stream runs under (see
     /// [`FuzzCase::params`]). Its fault blocks parameterize the `hammer`
     /// and `link_errors` axes below and stay off until those arm them;
@@ -185,7 +186,7 @@ impl Default for CampaignConfig {
             streams: 64,
             stream_len: 48,
             base_seed: 0xC0FF_EE00,
-            fast_forward: false,
+            force_gaps: false,
             params: SimParams::default(),
             hammer: false,
             link_errors: false,
@@ -212,7 +213,7 @@ pub fn default_link_faults() -> LinkFaultConfig {
 /// enough for the appended bursts to cross it, aggressive flip odds,
 /// and TRR armed — so the oracle stays exact while the whole fault
 /// machinery (counting, crossings, targeted refresh, bank parking) is
-/// exercised in both engine modes.
+/// exercised stepped and batched.
 pub fn default_hammer_faults() -> CellFaultConfig {
     CellFaultConfig::default()
         .with_hammer_threshold(64)
@@ -309,10 +310,10 @@ pub fn case_for_stream(cfg: &CampaignConfig, i: usize) -> FuzzCase {
         link_faults: None,
         ..cfg.params
     });
-    // The fast-forward axis runs on every stream; idle gaps (the jumps
-    // that make the axis bite) rotate onto two of every three streams
-    // with seeded shape, unless forced everywhere.
-    if cfg.fast_forward || !i.is_multiple_of(3) {
+    // The stepped-vs-batched axis runs on every stream; idle gaps (the
+    // jumps that make the axis bite) rotate onto two of every three
+    // streams with seeded shape, unless forced everywhere.
+    if cfg.force_gaps || !i.is_multiple_of(3) {
         let mut gap = Lcg::new(seed ^ 0x6a70);
         case.gap_every = 2 + gap.below(4);
         case.gap_cycles = 200 + gap.below(4_000);
@@ -357,7 +358,7 @@ pub struct HammerDemoReport {
 /// of `--demo-corruption`, proving the oracle catches *every* injected
 /// flip end to end:
 ///
-/// 1. An adversarial burst runs unmitigated, stepped and fast-forward,
+/// 1. An adversarial burst runs unmitigated, stepped and batched,
 ///    in detection mode. Both runs must observe the bit-identical
 ///    corruption, and the oracle's flagged-bit tally must equal the
 ///    engine's `bit_flips` counter exactly — 100% detection.
@@ -554,10 +555,10 @@ mod tests {
         assert_eq!(gapped, 8, "two of every three streams carry a gap");
         for i in 0..12 {
             let case = case_for_stream(&cfg, i);
-            assert!(case.fast_forward, "the axis runs on every stream");
+            assert!(case.batched, "the axis runs on every stream");
             assert_eq!(case.gap_every > 0, case.gap_cycles > 0);
         }
-        let forced = CampaignConfig { fast_forward: true, ..cfg };
+        let forced = CampaignConfig { force_gaps: true, ..cfg };
         assert!((0..12).all(|i| case_for_stream(&forced, i).gap_cycles > 0));
     }
 

@@ -1,12 +1,13 @@
 //! The differential conformance harness.
 //!
 //! Runs one fuzz case — a seeded operation stream against one device
-//! preset and one address map — through the engine stepped and, when
-//! the case arms the axis, again in event-driven fast-forward mode, with
-//! the protocol invariant checker armed and the functional [`Oracle`]
-//! checking every response.
-//! Cases may also batch-clock seeded idle gaps mid-stream, which is
-//! where fast-forward actually jumps. A case passes only when every
+//! preset and one address map — through the engine stepped (one
+//! `clock()` per cycle) and, when the case arms the axis, again batched
+//! (`clock_batch`, which jumps what the fast-forward horizon proves
+//! dead), with the protocol invariant checker armed and the functional
+//! [`Oracle`] checking every response.
+//! Cases may also clock seeded idle gaps mid-stream, which is where a
+//! batch actually jumps. A case passes only when every
 //! engine run is internally clean (oracle agreement, zero invariant
 //! violations, full quiesce with link tokens back at their initial
 //! allotment) and all runs produce bit-identical observation streams.
@@ -61,20 +62,19 @@ pub struct FuzzCase {
     pub ops: Vec<MemOp>,
     /// Optional seeded corruption (conformance-of-the-checker tests).
     pub corrupt: Option<CorruptSpec>,
-    /// Also run the case in fast-forward mode and demand observations
-    /// bit-identical to the stepped run (the stepped-vs-fast-forward
-    /// axis).
-    pub fast_forward: bool,
-    /// Batch-clock an idle gap every this many injection rounds
-    /// (0 = no gaps). Gaps are part of the case, so every engine run
-    /// executes the identical gap schedule; they exist to push the
-    /// fast-forward engine through real jumps mid-stream.
+    /// Also run the case batched and demand observations bit-identical
+    /// to the stepped run (the stepped-vs-batched axis).
+    pub batched: bool,
+    /// Clock an idle gap every this many injection rounds (0 = no
+    /// gaps). Gaps are part of the case, so every engine run executes
+    /// the identical gap schedule; they exist to push the batched run
+    /// through real jumps mid-stream.
     pub gap_every: u64,
     /// Length of each injected idle gap in cycles.
     pub gap_cycles: u64,
     /// The simulation axes every engine run uses — timing backend,
-    /// fabric, fault blocks and the rest — except `fast_forward` and
-    /// `check_invariants`, which the harness sets per run. Defaults keep pinned-seed campaigns from before each axis
+    /// fabric, fault blocks and the rest — except `check_invariants`,
+    /// which the harness sets. Defaults keep pinned-seed campaigns from before each axis
     /// existed on their exact behaviour. One case runs one backend and
     /// one fabric (cycle counts are only comparable within them); the
     /// cross axes are [`run_case_cross_timing`] and
@@ -93,8 +93,8 @@ pub struct FuzzCase {
 }
 
 impl FuzzCase {
-    /// A case over `ops` with the fast-forward axis armed, no gaps and
-    /// no corruption.
+    /// A case over `ops` with the batched axis armed, no gaps and no
+    /// corruption.
     pub fn new(label: &str, config: DeviceConfig, map: MapKind, seed: u64, ops: Vec<MemOp>) -> Self {
         FuzzCase {
             label: label.to_string(),
@@ -103,7 +103,7 @@ impl FuzzCase {
             seed,
             ops,
             corrupt: None,
-            fast_forward: true,
+            batched: true,
             gap_every: 0,
             gap_cycles: 0,
             params: SimParams::default(),
@@ -134,7 +134,7 @@ pub struct EngineRun {
     /// flips, TRR refreshes, retention decays]`. All zero when the
     /// fault axis is off; when armed, part of the cross-engine
     /// comparison — the fault stream itself must be bit-identical
-    /// across engine modes.
+    /// across the stepped and batched runs.
     pub fault_stats: [u64; 4],
     /// Link-retry counters at quiesce: `[retries, retrains, poisoned
     /// responses]`. All zero when link errors are off; when armed, part
@@ -142,7 +142,7 @@ pub struct EngineRun {
     pub link_stats: [u64; 3],
     /// Op indices (sorted) whose response came back poisoned — exactly
     /// the set [`hmc_core::fault::predicts_poison`] predicted at issue
-    /// time, compared bit-for-bit across the engine modes.
+    /// time, compared bit-for-bit across the stepped and batched runs.
     pub poisoned: Vec<u32>,
 }
 
@@ -155,7 +155,7 @@ pub struct MismatchTally {
     pub bits: u64,
 }
 
-/// The result of a full (both engine modes) case run.
+/// The result of a full (stepped and batched) case run.
 #[derive(Debug, Clone)]
 pub struct CaseOutcome {
     /// The stepped run (the reference).
@@ -190,20 +190,20 @@ fn is_write_class(kind: OpKind) -> bool {
     matches!(kind, OpKind::Write | OpKind::PostedWrite)
 }
 
-/// Human-readable engine mode for failure messages.
-pub fn mode_name(fast_forward: bool) -> &'static str {
-    if fast_forward {
-        "fast-forward"
+/// Human-readable clocking for failure messages.
+pub fn mode_name(batched: bool) -> &'static str {
+    if batched {
+        "batched"
     } else {
         "stepped"
     }
 }
 
-/// Run one case in one engine mode. Internally checks the oracle on
+/// Run one case, stepped or batched. Internally checks the oracle on
 /// every response, the invariant checker every cycle, and full quiesce
 /// at the end.
-pub fn run_engine(case: &FuzzCase, fast_forward: bool) -> Result<EngineRun, Failure> {
-    run_engine_inner(case, fast_forward, false).map(|(run, _)| run)
+pub fn run_engine(case: &FuzzCase, batched: bool) -> Result<EngineRun, Failure> {
+    run_engine_inner(case, batched, false).map(|(run, _)| run)
 }
 
 /// Like [`run_engine`], but oracle read-data mismatches are tolerated
@@ -212,14 +212,14 @@ pub fn run_engine(case: &FuzzCase, fast_forward: bool) -> Result<EngineRun, Fail
 /// what the case exists to observe.
 pub fn run_engine_lenient(
     case: &FuzzCase,
-    fast_forward: bool,
+    batched: bool,
 ) -> Result<(EngineRun, MismatchTally), Failure> {
-    run_engine_inner(case, fast_forward, true)
+    run_engine_inner(case, batched, true)
 }
 
 fn run_engine_inner(
     case: &FuzzCase,
-    fast_forward: bool,
+    batched: bool,
     lenient: bool,
 ) -> Result<(EngineRun, MismatchTally), Failure> {
     let timing = case.params.timing.kind;
@@ -227,7 +227,7 @@ fn run_engine_inner(
     let fail = |description: String| Failure {
         description: format!(
             "[{} mode, {} timing, {} fabric] {description}",
-            mode_name(fast_forward),
+            mode_name(batched),
             timing.name(),
             fabric.name(),
         ),
@@ -236,7 +236,6 @@ fn run_engine_inner(
     let mut sim = HmcSim::new(1, case.config.clone())
         .map_err(|e| fail(format!("sim construction: {e}")))?
         .with_params(SimParams {
-            fast_forward,
             check_invariants: true,
             ..case.params
         });
@@ -337,10 +336,16 @@ fn run_engine_inner(
         if case.gap_every > 0 && case.gap_cycles > 0 && round.is_multiple_of(case.gap_every) {
             // The seeded idle gap: identical schedule in every engine
             // run (round counting is deterministic), so the observation
-            // streams stay comparable while the fast-forward engine
-            // gets real mid-stream jumps to prove itself on.
-            sim.clock_batch(case.gap_cycles)
-                .map_err(|e| fail(format!("gap clock: {e}")))?;
+            // streams stay comparable while the batched run gets real
+            // mid-stream jumps to prove itself on. The stepped run
+            // clocks it one cycle at a time, the reference. (A round's
+            // single `clock()` above asks no horizon in either run.)
+            let gap = if batched {
+                sim.clock_batch(case.gap_cycles)
+            } else {
+                (0..case.gap_cycles).try_for_each(|_| sim.clock())
+            };
+            gap.map_err(|e| fail(format!("gap clock: {e}")))?;
             gap_total += case.gap_cycles;
         }
 
@@ -455,14 +460,14 @@ fn run_engine_inner(
     ))
 }
 
-/// Run one case in both engine modes: the stepped reference first, then
-/// (when the case arms the axis) fast-forward, comparing bit-for-bit.
+/// Run one case stepped, the reference, then (when the case arms the
+/// axis) batched, comparing bit-for-bit.
 pub fn run_case(case: &FuzzCase) -> Result<CaseOutcome, Failure> {
     run_case_inner(case, false).map(|(out, _)| out)
 }
 
 /// [`run_case`] in detection mode: every engine run tolerates (and
-/// tallies) oracle read-data mismatches, and the two modes must still
+/// tallies) oracle read-data mismatches, and the two runs must still
 /// agree bit-for-bit — corrupted words included, since deterministic
 /// fault injection makes even the corruption reproducible. Returns the
 /// stepped reference's tally alongside the outcome.
@@ -473,7 +478,7 @@ pub fn run_case_lenient(case: &FuzzCase) -> Result<(CaseOutcome, MismatchTally),
 fn run_case_inner(case: &FuzzCase, lenient: bool) -> Result<(CaseOutcome, MismatchTally), Failure> {
     let (reference, tally) = run_engine_inner(case, false, lenient)?;
     let checked = reference.observations.len() as u64;
-    if case.fast_forward {
+    if case.batched {
         let (run, _) = run_engine_inner(case, true, lenient)?;
         if run != reference {
             let at = run
@@ -486,14 +491,14 @@ fn run_case_inner(case: &FuzzCase, lenient: bool) -> Result<(CaseOutcome, Mismat
                     |i| {
                         format!(
                             "first divergence at completion #{i}: \
-                             stepped {:?}, fast-forward {:?}",
+                             stepped {:?}, batched {:?}",
                             reference.observations[i], run.observations[i]
                         )
                     },
                 );
             return Err(Failure {
                 description: format!(
-                    "fast-forward run ({} timing, {} fabric) diverges from stepped \
+                    "batched run ({} timing, {} fabric) diverges from stepped \
                      ({} vs {} completions, {} vs {} cycles, fault stats \
                      {:?} vs {:?}): {at}",
                     case.params.timing.kind.name(),
@@ -595,7 +600,7 @@ pub struct CrossInterconnectOutcome {
 }
 
 /// Run one case on every interconnect fabric — each through both
-/// engine modes of [`run_case`] — and demand the functional observation streams (op, link, data) agree bit-for-bit
+/// runs of [`run_case`] — and demand the functional observation streams (op, link, data) agree bit-for-bit
 /// with the crossbar reference. Cycle counts are excluded from the
 /// comparison (buffered fabrics add hop latency) and surfaced as the
 /// per-fabric deltas instead.
@@ -752,7 +757,7 @@ mod tests {
         let mut case = tiny_case(ops);
         case.gap_every = 2;
         case.gap_cycles = 5_000;
-        assert!(case.fast_forward, "the axis defaults on");
+        assert!(case.batched, "the axis defaults on");
         let out = run_case(&case).unwrap();
         assert_eq!(out.checked, 6);
         // The gaps really ran: two rounds in, one 5k gap minimum.
@@ -764,7 +769,7 @@ mod tests {
         let f = Failure {
             description: format!("[{} mode] boom", mode_name(true)),
         };
-        assert!(format!("{f}").contains("fast-forward"));
+        assert!(format!("{f}").contains("batched"));
         assert_eq!(mode_name(false), "stepped");
     }
 
@@ -821,7 +826,7 @@ mod tests {
     fn link_errors_poison_predicted_ops_bit_identically_across_the_sweep() {
         // Most packets corrupt, one retry allowed: a solid fraction of
         // ops exhaust and must come back poisoned — predicted exactly
-        // by the oracle at issue time, identically in both engine modes.
+        // by the oracle at issue time, identically stepped and batched.
         let block = 128u64;
         let ops: Vec<MemOp> = (0..16u64)
             .map(|i| {

@@ -7,10 +7,11 @@
 //! that knows what the memory semantics of §II's command set must
 //! produce, but nothing about queues, crossbars, or clock domains. A
 //! deterministic fuzzer generates seeded command streams, the harness
-//! drives the same stream through the engine stepped, the engine in
-//! fast-forward mode, and the oracle, and any divergence — wrong read
-//! data, wrong response class, lost or duplicated tags, the two engine
-//! modes disagreeing with each other, leaked link tokens,
+//! drives the same stream through the engine stepped, the engine
+//! batched (jumping what the fast-forward horizon proves dead), and the
+//! oracle, and any divergence — wrong read data, wrong response class,
+//! lost or duplicated tags, the two engine runs disagreeing with each
+//! other, leaked link tokens,
 //! protocol-invariant violations — fails the stream. Failing
 //! streams are [shrunk](shrink) to a minimal reproduction and written
 //! as a replay trace loadable by `hmc_workloads::Replay`.

@@ -100,7 +100,7 @@ pub fn write_repro(case: &FuzzCase, failure: &Failure, path: &Path) -> std::io::
         params.interconnect.kind.name(),
         params.interconnect.arbitration.name()
     )?;
-    writeln!(out, "# fast-forward axis: {}", case.fast_forward)?;
+    writeln!(out, "# batched axis: {}", case.batched)?;
     if case.gap_every > 0 {
         writeln!(
             out,

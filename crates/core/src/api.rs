@@ -134,18 +134,6 @@ pub fn hmcsim_decode_memresponse(packet: &Packet) -> Result<builder::ResponseInf
     builder::decode_response(packet)
 }
 
-/// Switch the event-driven fast-forward engine mode on or off. An
-/// extension beyond the C API's Figure 4 sequence: when enabled, batch
-/// clocking jumps across provably quiescent cycles while remaining
-/// bit-identical to stepped execution (see
-/// [`crate::params::SimParams::fast_forward`]).
-pub fn hmcsim_set_fast_forward(sim: &mut HmcSim, enable: bool) {
-    sim.set_params(SimParams {
-        fast_forward: enable,
-        ..*sim.params()
-    });
-}
-
 /// Select the vault timing backend by kind, keeping default DDR
 /// parameters. An extension beyond the C API: the C library hard-wires
 /// the constant-time conflict model; here it is one of the pluggable
@@ -231,27 +219,6 @@ mod tests {
         hmcsim_link_config(&mut hmc, host, 0, 0, 0, LinkType::HostDev).unwrap();
         hmcsim_link_config(&mut hmc, 0, 1, 1, 0, LinkType::DevDev).unwrap();
         assert!(hmc.finalize_topology().is_ok());
-    }
-
-    #[test]
-    fn fast_forward_toggle_reaches_the_params() {
-        let mut hmc = hmcsim_init(1, 4, 16, 4, 8, 16, 2, 8).unwrap();
-        assert!(!hmc.params().fast_forward, "off by default");
-        hmcsim_set_fast_forward(&mut hmc, true);
-        assert!(hmc.params().fast_forward);
-        // The Figure 4 sequence still works with the mode on.
-        let host = hmc.host_cube_id(0);
-        for i in 0..4 {
-            hmcsim_link_config(&mut hmc, host, 0, i, i, LinkType::HostDev).unwrap();
-        }
-        let packet =
-            hmcsim_build_memrequest(0, 0x4000, 3, Command::Rd(BlockSize::B32), 1, &[]).unwrap();
-        hmcsim_send(&mut hmc, 0, 1, packet).unwrap();
-        hmc.clock_batch(16).unwrap();
-        let response = hmcsim_recv(&mut hmc, 0, 1).expect("response well within the batch");
-        assert_eq!(hmcsim_decode_memresponse(&response).unwrap().tag, 3);
-        hmcsim_set_fast_forward(&mut hmc, false);
-        assert!(!hmc.params().fast_forward);
     }
 
     #[test]

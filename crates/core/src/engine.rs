@@ -6,11 +6,11 @@
 //! ([`crate::stages`]), stages 3 and 4 for every vault that is not
 //! asleep, in flat vault order ([`tick_vault`]), the root-first response
 //! registration of stage 5, and the stage-6 clock update. [`HmcSim::clock_batch`] is the
-//! only loop over cycles; with [`SimParams::fast_forward`] set it asks
-//! [`HmcSim::quiescent_horizon`] before each cycle how many upcoming
-//! cycles are provably dead and jumps them instead of stepping them.
-//! DESIGN.md "One cycle path" records why there is no second,
-//! intra-cycle-parallel engine.
+//! only loop over cycles; it asks [`HmcSim::quiescent_horizon`] before
+//! each cycle how many upcoming cycles are provably dead and jumps them
+//! instead of stepping them, so `n` calls of `clock()` are its stepped
+//! reference. There is no engine mode to choose. DESIGN.md "One cycle
+//! path" records why there is no second, intra-cycle-parallel engine.
 //!
 //! **Why vault events are staged.** [`tick_vault`] visits a vault once
 //! and runs its stage 3 and its stage 4 back to back, but the trace
@@ -27,8 +27,6 @@
 //! its request arrived in, recycled when it leaves ([`BodyPool`]); the
 //! steady-state `clock()` performs no heap allocation
 //! (`tests/zero_alloc.rs`).
-//!
-//! [`SimParams::fast_forward`]: crate::params::SimParams::fast_forward
 
 use hmc_trace::{EventKind, EventStage, TraceEvent};
 use hmc_types::address::AddressMap;
@@ -507,9 +505,11 @@ impl HmcSim {
     /// Advance the simulation by `cycles` clock cycles.
     ///
     /// Results are bit-identical to calling [`HmcSim::clock`] `cycles`
-    /// times, with or without [`crate::params::SimParams::fast_forward`];
-    /// batching exists so the fast-forward mode has a span of cycles to
-    /// jump across.
+    /// times. Before each cycle (but the one a jump lands on, and a
+    /// last single cycle) the batch asks the fast-forward horizon how
+    /// many upcoming cycles are provably dead and jumps them; batching
+    /// exists so the horizon has a span of cycles to jump across. A
+    /// batch of one steps: that is [`HmcSim::clock`].
     pub fn clock_batch(&mut self, cycles: u64) -> Result<()> {
         self.ensure_routes()?;
         self.ensure_vault_edges();
@@ -521,10 +521,15 @@ impl HmcSim {
         // more, the landing step would cost time, not a different result.
         let mut landed = false;
         while done < cycles {
-            let dead = if self.params().fast_forward && !landed {
-                self.quiescent_horizon(cycles - done)
-            } else {
+            // A last single cycle steps too: the horizon could save at
+            // most that cycle, and proving it dead walks every gate, which
+            // costs more than stepping a dead cycle (whose walks the same
+            // gates and sleep edges already skip). So `clock()`, a batch
+            // of one, never asks.
+            let dead = if landed || cycles - done == 1 {
                 0
+            } else {
+                self.quiescent_horizon(cycles - done)
             };
             landed = dead > 0;
             if landed {
@@ -544,7 +549,9 @@ impl HmcSim {
     /// be emitted. Zero means the next cycle may do observable work and
     /// must run stepped.
     ///
-    /// A device with packets in flight on a buffered NoC is live. Apart
+    /// A device with packets in flight on a buffered NoC is live, and
+    /// that is asked first, before any per-unit gate: under dense
+    /// traffic over a ring or mesh almost every call ends there. Apart
     /// from that the predicate is three per-unit gates, each answering
     /// [`Gate::Live`], [`Gate::Held`] for a computable number of cycles,
     /// or [`Gate::Inert`] (idle until another gate's edge fires):
@@ -577,12 +584,20 @@ impl HmcSim {
         if horizon == 0 {
             return 0;
         }
-        let inputs = self.cycle_inputs();
+        // Packets in flight between quads on a buffered NoC move (or at
+        // least contend) every cycle: the device is live until the
+        // fabric drains. The crossbar default has no NoC state, so this
+        // costs one branch per device.
+        let noc_busy = |dev: &Device| dev.noc.as_ref().is_some_and(|n| !n.is_empty());
+        if self.devices.iter().any(noc_busy) {
+            return 0;
+        }
         if let Some(unit) = self.live_hint.get() {
-            if self.unit_gate(unit, &inputs) == Gate::Live {
+            if self.unit_gate(unit) == Gate::Live {
                 return 0;
             }
         }
+        let inputs = self.cycle_inputs();
         let mut fold = |gate: Gate, unit: LiveUnit| match gate {
             Gate::Live => {
                 self.live_hint.set(Some(unit));
@@ -596,13 +611,6 @@ impl HmcSim {
         };
         for (dev_index, dev) in self.devices.iter().enumerate() {
             let dev_index = dev_index as u8;
-            // Packets in flight between quads on a buffered NoC move (or
-            // at least contend) every cycle: the device is live until the
-            // fabric drains. The crossbar default has no NoC state, so
-            // this costs one branch.
-            if dev.noc.as_ref().is_some_and(|n| n.occupancy() > 0) {
-                return 0;
-            }
             for l in 0..self.config.num_links as usize {
                 let link = l as u16;
                 if !fold(self.xbar_rqst_gate(dev, l), LiveUnit::Rqst(dev_index, link))
@@ -623,12 +631,16 @@ impl HmcSim {
         horizon
     }
 
-    /// The gate of one unit.
-    fn unit_gate(&self, unit: LiveUnit, inputs: &CycleInputs) -> Gate {
+    /// The gate of one unit. Only a vault's gate reads the cycle inputs,
+    /// so a crossbar hint is answered without resolving them.
+    fn unit_gate(&self, unit: LiveUnit) -> Gate {
         match unit {
             LiveUnit::Rqst(d, l) => self.xbar_rqst_gate(&self.devices[d as usize], l as usize),
             LiveUnit::Rsp(d, l) => self.xbar_rsp_gate(&self.devices[d as usize], l as usize),
-            LiveUnit::Vault(d, v) => self.vault_gate(&self.devices[d as usize], v as usize, inputs),
+            LiveUnit::Vault(d, v) => {
+                let inputs = self.cycle_inputs();
+                self.vault_gate(&self.devices[d as usize], v as usize, &inputs)
+            }
         }
     }
 
@@ -895,18 +907,28 @@ mod tests {
         s
     }
 
-    fn ff_params() -> SimParams {
+    /// Links armed with the default (zero-rate) faults.
+    fn faulty_params() -> SimParams {
         SimParams {
-            fast_forward: true,
+            link_faults: Some(LinkFaultConfig::default()),
             ..SimParams::default()
         }
     }
 
-    /// Fast-forward over links armed with the default (zero-rate) faults.
-    fn faulty_ff_params() -> SimParams {
-        SimParams {
-            link_faults: Some(LinkFaultConfig::default()),
-            ..ff_params()
+    /// `n` stepped cycles: the reference every batch must reproduce.
+    fn step(s: &mut HmcSim, n: u64) {
+        for _ in 0..n {
+            s.clock().unwrap();
+        }
+    }
+
+    /// Advance `n` cycles: one batch, which jumps what the horizon
+    /// proves dead, or `n` stepped cycles.
+    fn advance(s: &mut HmcSim, n: u64, batched: bool) {
+        if batched {
+            s.clock_batch(n).unwrap();
+        } else {
+            step(s, n);
         }
     }
 
@@ -926,10 +948,17 @@ mod tests {
     }
 
     /// Drive `sim` through the same bursty schedule every differential
-    /// test uses: `bursts` rounds of (send `k` reads, batch-clock a long
-    /// mostly-dead gap, drain all responses). Returns every received
-    /// (tag, latency) in drain order plus the final (clock, cycles).
-    fn bursty_run(sim: &mut HmcSim, bursts: u64, k: u16, gap: u64) -> (Vec<(u16, u64)>, u64, u64) {
+    /// test uses: `bursts` rounds of (send `k` reads, clock a long
+    /// mostly-dead gap, drain all responses), batched or stepped.
+    /// Returns every received (tag, latency) in drain order plus the
+    /// final (clock, cycles).
+    fn bursty_run(
+        sim: &mut HmcSim,
+        batched: bool,
+        bursts: u64,
+        k: u16,
+        gap: u64,
+    ) -> (Vec<(u16, u64)>, u64, u64) {
         let mut got = Vec::new();
         let mut tag = 0u16;
         for burst in 0..bursts {
@@ -944,7 +973,7 @@ mod tests {
                     match sim.send(0, link, read_packet(addr, tag, link)) {
                         Ok(()) => break,
                         Err(e) if e.is_stall() => {
-                            sim.clock_batch(1).unwrap();
+                            advance(sim, 1, batched);
                             tries += 1;
                             assert!(tries < 100_000, "send stalled forever");
                         }
@@ -953,7 +982,7 @@ mod tests {
                 }
                 tag += 1;
             }
-            sim.clock_batch(gap).unwrap();
+            advance(sim, gap, batched);
             for link in 0..4 {
                 while let Ok((p, lat)) = sim.recv_with_latency(0, link) {
                     got.push((p.tag(), lat));
@@ -965,7 +994,7 @@ mod tests {
 
     #[test]
     fn empty_sim_fast_forwards_whole_batches() {
-        let mut s = sim_with(ff_params());
+        let mut s = sim_with(SimParams::default());
         s.clock_batch(10_000).unwrap();
         assert_eq!(s.current_clock(), 10_000);
         assert_eq!(s.stats().cycles, 10_000);
@@ -976,7 +1005,7 @@ mod tests {
 
     #[test]
     fn any_live_stage_forces_stepping() {
-        let mut s = sim_with(ff_params());
+        let mut s = sim_with(SimParams::default());
         s.send(0, 0, read_packet(0, 1, 0)).unwrap();
         assert_eq!(
             s.quiescent_horizon(100),
@@ -989,7 +1018,7 @@ mod tests {
     fn link_debt_gates_the_jump_by_exact_paydown() {
         let mut s = sim_with(SimParams {
             link_flits_per_cycle: Some(2),
-            ..ff_params()
+            ..SimParams::default()
         });
         s.send(0, 0, read_packet(0, 1, 0)).unwrap();
         s.devices[0].links[0].flit_debt = 7;
@@ -1008,7 +1037,7 @@ mod tests {
         };
         let mut s = sim_with(SimParams {
             refresh: Some(refresh),
-            ..ff_params()
+            ..SimParams::default()
         });
         let vault = 3u16;
         let banks = s.config.banks_per_vault;
@@ -1048,7 +1077,7 @@ mod tests {
 
     #[test]
     fn retry_timer_blocks_until_its_expiry_cycle() {
-        let mut s = sim_with(faulty_ff_params());
+        let mut s = sim_with(faulty_params());
         s.send(0, 0, read_packet(0, 1, 0)).unwrap();
         {
             let e = s.devices[0].xbars[0].rqst.get_mut(0).unwrap();
@@ -1081,7 +1110,7 @@ mod tests {
 
     #[test]
     fn retraining_link_sleeps_until_its_window_lapses() {
-        let mut s = sim_with(faulty_ff_params());
+        let mut s = sim_with(faulty_params());
         s.clock_batch(1).unwrap();
         {
             let link = &mut s.devices[0].links[0];
@@ -1112,7 +1141,7 @@ mod tests {
 
     #[test]
     fn horizon_clamps_at_clock_overflow_proximity() {
-        let mut s = sim_with(ff_params());
+        let mut s = sim_with(SimParams::default());
         s.clock = u64::MAX - 5;
         assert_eq!(s.quiescent_horizon(1_000), 5);
         s.fast_forward_jump(5);
@@ -1130,14 +1159,9 @@ mod tests {
             link_flits_per_cycle: Some(4),
             ..SimParams::default()
         };
-        let mut stepped = sim_with(params);
-        let mut fast = sim_with(SimParams {
-            fast_forward: true,
-            ..params
-        });
-        let a = bursty_run(&mut stepped, 6, 12, 400);
-        let b = bursty_run(&mut fast, 6, 12, 400);
-        assert_eq!(a, b, "fast-forward must be bit-identical to stepped");
+        let a = bursty_run(&mut sim_with(params), false, 6, 12, 400);
+        let b = bursty_run(&mut sim_with(params), true, 6, 12, 400);
+        assert_eq!(a, b, "a batch must be bit-identical to stepped");
     }
 
     #[test]
@@ -1145,7 +1169,7 @@ mod tests {
         let t = DdrTimings::default();
         let mut s = sim_with(SimParams {
             timing: TimingParams::of(TimingKind::Ddr),
-            ..ff_params()
+            ..SimParams::default()
         });
         let vault = 2usize;
         // Open row 0 on bank 1 at cycle 0: a miss, ACT at 0, and the
@@ -1186,7 +1210,7 @@ mod tests {
         let mut s = sim_with(SimParams {
             timing: TimingParams::of(TimingKind::Ddr),
             refresh: Some(refresh),
-            ..ff_params()
+            ..SimParams::default()
         });
         let vault = 3u16;
         let banks = s.config.banks_per_vault;
@@ -1218,13 +1242,9 @@ mod tests {
             ..SimParams::default()
         };
         let mut stepped = sim_with(params);
-        let mut fast = sim_with(SimParams {
-            fast_forward: true,
-            ..params
-        });
-        let a = bursty_run(&mut stepped, 6, 12, 400);
-        let b = bursty_run(&mut fast, 6, 12, 400);
-        assert_eq!(a, b, "DDR fast-forward must be bit-identical to stepped");
+        let a = bursty_run(&mut stepped, false, 6, 12, 400);
+        let b = bursty_run(&mut sim_with(params), true, 6, 12, 400);
+        assert_eq!(a, b, "a DDR batch must be bit-identical to stepped");
         let s = stepped.stats();
         assert!(
             s.row_hits + s.row_misses > 0,
@@ -1240,16 +1260,13 @@ mod tests {
                 .with_retry_cycles(11)
                 .with_seed(0xDEAD_BEEF),
         );
-        let mut stepped = sim_with(SimParams {
+        let params = SimParams {
             link_faults: faults,
             ..SimParams::default()
-        });
-        let mut fast = sim_with(SimParams {
-            link_faults: faults,
-            ..ff_params()
-        });
-        let a = bursty_run(&mut stepped, 6, 8, 250);
-        let b = bursty_run(&mut fast, 6, 8, 250);
+        };
+        let mut stepped = sim_with(params);
+        let a = bursty_run(&mut stepped, false, 6, 8, 250);
+        let b = bursty_run(&mut sim_with(params), true, 6, 8, 250);
         assert_eq!(a, b, "retry timers must fire identically across jumps");
         assert!(
             stepped.stats().link_retries > 0,
@@ -1271,8 +1288,8 @@ mod tests {
             InterconnectKind::Ring,
             ArbitrationKind::RoundRobin,
         ));
-        let (a, ..) = bursty_run(&mut xbar, 4, 12, 250);
-        let (b, ..) = bursty_run(&mut ring, 4, 12, 250);
+        let (a, ..) = bursty_run(&mut xbar, false, 4, 12, 250);
+        let (b, ..) = bursty_run(&mut ring, false, 4, 12, 250);
         let mut ta: Vec<u16> = a.iter().map(|&(t, _)| t).collect();
         let mut tb: Vec<u16> = b.iter().map(|&(t, _)| t).collect();
         ta.sort_unstable();
@@ -1286,12 +1303,8 @@ mod tests {
     fn ring_fast_forward_matches_stepped() {
         let ring = noc_params(InterconnectKind::Ring, ArbitrationKind::RoundRobin);
         let mut stepped = sim_with(ring);
-        let mut fast = sim_with(SimParams {
-            fast_forward: true,
-            ..ring
-        });
-        let a = bursty_run(&mut stepped, 5, 12, 300);
-        let b = bursty_run(&mut fast, 5, 12, 300);
+        let a = bursty_run(&mut stepped, false, 5, 12, 300);
+        let b = bursty_run(&mut sim_with(ring), true, 5, 12, 300);
         assert_eq!(a, b, "jumps must account for in-flight ring hops");
         assert!(stepped.stats().noc_hops > 0);
     }
@@ -1300,12 +1313,8 @@ mod tests {
     fn mesh_fast_forward_matches_stepped() {
         let mesh = noc_params(InterconnectKind::Mesh, ArbitrationKind::OldestFirst);
         let mut stepped = sim_with(mesh);
-        let mut fast = sim_with(SimParams {
-            fast_forward: true,
-            ..mesh
-        });
-        let a = bursty_run(&mut stepped, 5, 12, 300);
-        let b = bursty_run(&mut fast, 5, 12, 300);
+        let a = bursty_run(&mut stepped, false, 5, 12, 300);
+        let b = bursty_run(&mut sim_with(mesh), true, 5, 12, 300);
         assert_eq!(a, b, "jumps must account for in-flight mesh hops");
         assert!(stepped.stats().noc_hops > 0);
     }
@@ -1318,13 +1327,8 @@ mod tests {
             ArbitrationKind::LocalityAware,
         ] {
             let params = noc_params(InterconnectKind::Mesh, arb);
-            let mut stepped = sim_with(params);
-            let mut fast = sim_with(SimParams {
-                fast_forward: true,
-                ..params
-            });
-            let a = bursty_run(&mut stepped, 4, 12, 250);
-            let b = bursty_run(&mut fast, 4, 12, 250);
+            let a = bursty_run(&mut sim_with(params), false, 4, 12, 250);
+            let b = bursty_run(&mut sim_with(params), true, 4, 12, 250);
             assert_eq!(a, b, "{} must not depend on jump placement", arb.name());
         }
     }
@@ -1332,7 +1336,6 @@ mod tests {
     #[test]
     fn in_flight_noc_hops_force_stepping() {
         let mut s = sim_with(SimParams {
-            fast_forward: true,
             interconnect: NocParams::of(InterconnectKind::Ring),
             ..SimParams::default()
         });
@@ -1348,8 +1351,8 @@ mod tests {
         assert_eq!(s.quiescent_horizon(100), 0, "in-flight hops are live work");
     }
 
-    /// Stepped DDR: these tests call the horizon and the jump directly,
-    /// and `clock_batch` on such a sim is the stepped reference.
+    /// DDR timing: these tests call the horizon and the jump directly,
+    /// and [`step`] is the stepped reference.
     fn ddr_params() -> SimParams {
         SimParams {
             timing: TimingParams::of(TimingKind::Ddr),
@@ -1380,7 +1383,7 @@ mod tests {
         };
         while !settled(&s) {
             assert!(s.current_clock() < 8, "the burst never settled");
-            s.clock_batch(1).unwrap();
+            s.clock().unwrap();
         }
         let dev = &s.devices[0];
         assert!(!dev.xbars[0].rqst.is_empty() && !dev.xbars[1].rqst.is_empty());
@@ -1417,7 +1420,7 @@ mod tests {
         let mut stepped = stalled_on_full_vault(ddr_params());
         let dead = edge - s.clock;
         s.fast_forward_jump(dead);
-        stepped.clock_batch(dead).unwrap();
+        step(&mut stepped, dead);
         assert_eq!(s.current_clock(), stepped.current_clock());
         assert_eq!(s.stats(), stepped.stats());
         for (a, b) in s.devices[0].xbars.iter().zip(&stepped.devices[0].xbars) {
@@ -1617,7 +1620,7 @@ mod tests {
         let dead = fast.quiescent_horizon(10_000);
         assert_eq!(dead, head_edge(&fast) - fast.clock);
         fast.fast_forward_jump(dead);
-        stepped.clock_batch(dead).unwrap();
+        step(&mut stepped, dead);
         assert_eq!(stepped.devices[0].links[1].flit_debt, 0);
         assert_eq!(fast.devices[0].links[1].flit_debt, 0);
         assert_eq!(fast.current_clock(), stepped.current_clock());
@@ -1840,9 +1843,8 @@ mod tests {
 
     #[test]
     fn stall_queue_fast_forward_matches_stepped_behind_a_held_head() {
-        let run = |fast_forward: bool| {
+        let run = |batched: bool| {
             let mut s = sim_with(SimParams {
-                fast_forward,
                 conflict_policy: ConflictPolicy::StallQueue,
                 ..ddr_params()
             });
@@ -1855,7 +1857,7 @@ mod tests {
                     let tag = burst * 4 + i as u16;
                     s.send(0, 0, read_packet(addr, tag, 0)).unwrap();
                 }
-                s.clock_batch(200).unwrap();
+                advance(&mut s, 200, batched);
                 while let Ok((p, lat)) = s.recv_with_latency(0, 0) {
                     got.push((p.tag(), lat));
                 }
@@ -1952,7 +1954,8 @@ mod tests {
         // the head of `pending`.
         assert_eq!(s.devices[0].vaults[0].wake_at, u64::MAX);
         assert_eq!(vault_gate(&s, 0), Gate::Held(ready_at - s.clock));
-        s.clock_batch(ready_at - s.clock).unwrap();
+        let dead = ready_at - s.clock;
+        step(&mut s, dead);
         assert!(s.recv(0, 0).is_err(), "cycle {ready_at} has not run yet");
         s.clock().unwrap();
         assert_eq!(s.recv(0, 0).unwrap().tag(), 0);
@@ -2030,7 +2033,7 @@ mod tests {
             assert!(dev.vaults.iter().all(|v| !v.asleep(s.clock)), "{what}");
             // Whatever the new rules make of the queue, the edges the
             // vaults go back to sleep on are derived under them.
-            s.clock_batch(40).unwrap();
+            step(&mut s, 40);
             assert_eq!(s.invariant_violations(), &[] as &[String], "{what}");
         }
     }
@@ -2044,7 +2047,7 @@ mod tests {
         let level = Verbosity::threshold_for(EventKind::BankConflict);
         s.set_tracer(Tracer::new(level, Box::new(sink.clone())));
         let first = s.clock;
-        s.clock_batch(3).unwrap();
+        step(&mut s, 3);
         let conflicts: Vec<u64> = sink
             .0
             .lock()
@@ -2096,9 +2099,11 @@ mod tests {
         assert_eq!(s.devices[0].vaults[0].wake_at, 100);
         assert_eq!(vault_gate(&s, 0), Gate::Held(t.t_rcd + t.t_cas - 1));
         // The release does not walk: the walk sleeps on to the park.
-        s.clock_batch(t.t_rcd + t.t_cas + 2 - s.clock).unwrap();
+        let dead = t.t_rcd + t.t_cas + 2 - s.clock;
+        step(&mut s, dead);
         assert_eq!(s.devices[0].vaults[0].wake_at, 100, "then the park");
-        s.clock_batch(100 - s.clock).unwrap();
+        let dead = 100 - s.clock;
+        step(&mut s, dead);
         assert_eq!(s.stats().row_misses, 1, "cycle 100 has not run yet");
         s.clock().unwrap();
         assert_eq!(s.stats().row_misses, 2, "issued at the park edge");
@@ -2146,9 +2151,10 @@ mod tests {
         assert!(vault.asleep(s.clock), "asleep straight after the issue");
         assert_eq!(vault.wake_at, t.t_rcd + t.t_ccd, "the slid-in entry's edge");
         let misses = s.stats().row_misses;
-        s.clock_batch(vault.wake_at - s.clock).unwrap();
+        let dead = vault.wake_at - s.clock;
+        step(&mut s, dead);
         assert_eq!(s.stats().row_misses, misses, "nothing moves before it");
-        s.clock_batch(60).unwrap();
+        step(&mut s, 60);
         assert!(s.devices[0].vaults[0].rqst.is_empty());
         assert_clean(&s);
     }
@@ -2213,7 +2219,7 @@ mod tests {
         deliver_read(&mut s, 0, 0, 0);
         deliver_read(&mut s, 0, 1, 1);
         let ready_at = t.t_rcd + t.t_cas;
-        s.clock_batch(ready_at).unwrap();
+        step(&mut s, ready_at);
         assert_eq!(s.devices[0].vaults[0].wake_at, t.t_ras);
         assert!(ready_at < t.t_ras);
         let before = asks.load(Ordering::Relaxed);
@@ -2297,18 +2303,21 @@ mod tests {
     }
 
     /// Run one bursty stream twice for 2,048 cycles: on the production
-    /// stepper under `params`, and stepped with every idle-walk hint
-    /// cleared (fast-forward off), so that every link's walk runs. The
+    /// engine under `params`, one `clock()` a cycle or (`batched`) one
+    /// `clock_batch(2)` every two, which asks the horizon; and stepped with
+    /// every idle-walk hint cleared, so that every link's walk runs. The
     /// walk state must agree after every cycle, the host must receive the
     /// same `(tag, cycle)` stream, and a traced run must record the same
     /// events. Returns how often the gate called a non-empty link inert.
-    fn production_matches_walking_every_link(params: SimParams, traced: bool, seed: u64) -> usize {
-        let ctx = format!("{params:?} traced {traced} seed {seed}");
+    fn production_matches_walking_every_link(
+        params: SimParams,
+        batched: bool,
+        traced: bool,
+        seed: u64,
+    ) -> usize {
+        let ctx = format!("{params:?} batched {batched} traced {traced} seed {seed}");
         let mut production = sim_with(params);
-        let mut walking = sim_with(SimParams {
-            fast_forward: false,
-            ..params
-        });
+        let mut walking = sim_with(params);
         let sinks = [&mut production, &mut walking].map(|s| {
             let sink = SharedSink::new(VecSink::default());
             if traced {
@@ -2320,8 +2329,11 @@ mod tests {
         let mut stream = BurstyStream { rng: seed, tag: 0 };
         let (mut got, mut want) = (Vec::new(), Vec::new());
         let mut skipped = 0;
-        for clock in 0..2048u64 {
-            for (link, p) in stream.sends(clock) {
+        // A batched leg clocks two-cycle batches (a one-cycle batch
+        // steps), each after the sends of both its cycles.
+        let span = if batched { 2 } else { 1 };
+        for clock in (0..2048u64).step_by(span as usize) {
+            for (link, p) in (clock..clock + span).flat_map(|c| stream.sends(c)) {
                 let sent = production.send(0, link, p.clone()).is_ok();
                 let also = walking.send(0, link, p).is_ok();
                 assert_eq!(also, sent, "{ctx} cycle {clock}");
@@ -2332,8 +2344,10 @@ mod tests {
                 !x.rqst.is_empty() && production.xbar_rqst_gate(dev, *l) == Gate::Inert
             };
             skipped += (0..dev.xbars.len()).filter(inert).count();
-            production.clock().unwrap();
-            step_walking_every_link(&mut walking);
+            advance(&mut production, span, batched);
+            for _ in 0..span {
+                step_walking_every_link(&mut walking);
+            }
             let (got_state, want_state) = (walk_state(&production), walk_state(&walking));
             assert_eq!(got_state, want_state, "{ctx} cycle {clock}");
             if clock / 64 % 2 == 1 {
@@ -2357,9 +2371,9 @@ mod tests {
     /// A gate that only delays packets changes no data and no stream
     /// order, so the oracle cannot see it: these runs compare timing.
     /// Each leg is a fabric × timing backend × link axis; the traced leg
-    /// records `XbarRqstStall`, which no walk may skip; the fast-forward
-    /// legs ask the gate through the horizon, where NoC-riding slots and
-    /// the hint-free jump meet.
+    /// records `XbarRqstStall`, which no walk may skip; the batched legs
+    /// ask the gate through the horizon, where NoC-riding slots and the
+    /// hint-free jump meet.
     #[test]
     fn whole_runs_on_the_production_stepper_match_walking_every_link() {
         use InterconnectKind::{Crossbar, Mesh, Ring};
@@ -2369,9 +2383,9 @@ mod tests {
             ..LinkFaultConfig::default()
         };
         // Fabric and its segment depth, timing backend, link errors, a
-        // one-FLIT link budget, fast-forward.
-        let axes =
-            |kind, buffer_depth, timing, errors: bool, serialized: bool, fast_forward| SimParams {
+        // one-FLIT link budget, batched clocking.
+        let axes = |kind, buffer_depth, timing, errors: bool, serialized: bool, batched: bool| {
+            let params = SimParams {
                 interconnect: NocParams {
                     buffer_depth,
                     ..NocParams::of(kind)
@@ -2379,9 +2393,10 @@ mod tests {
                 timing: TimingParams::of(timing),
                 link_faults: errors.then_some(faults),
                 link_flits_per_cycle: serialized.then_some(1),
-                fast_forward,
                 ..SimParams::default()
             };
+            (params, batched)
+        };
         let legs = [
             axes(Crossbar, 16, Classic, false, false, false),
             axes(Crossbar, 16, Ddr, false, false, false),
@@ -2396,21 +2411,22 @@ mod tests {
             axes(Ring, 16, Classic, true, false, true),
         ];
         let mut skipped = 0;
-        for (i, params) in legs.into_iter().enumerate() {
-            skipped += production_matches_walking_every_link(params, false, 0x5eed + i as u64);
+        for (i, (params, batched)) in legs.into_iter().enumerate() {
+            let seed = 0x5eed + i as u64;
+            skipped += production_matches_walking_every_link(params, batched, false, seed);
         }
         assert!(skipped > 10_000, "only {skipped} walks skipped");
-        let plain = axes(Crossbar, 16, Classic, false, false, false);
-        production_matches_walking_every_link(plain, true, 0x5eed);
+        let (plain, _) = axes(Crossbar, 16, Classic, false, false, false);
+        production_matches_walking_every_link(plain, false, true, 0x5eed);
         // One-slot ring segments behind serialized links: a NoC-riding
         // slot can wait out the whole NoC draining while writes ahead of
         // it hold its link, and then only its class keeps the jump from
         // passing over its injection. The state is rare, so these legs
         // sweep seeds.
         for errors in [false, true] {
-            let params = axes(Ring, 1, Ddr, errors, true, true);
+            let (params, batched) = axes(Ring, 1, Ddr, errors, true, true);
             for seed in 0..6 {
-                production_matches_walking_every_link(params, false, seed);
+                production_matches_walking_every_link(params, batched, false, seed);
             }
         }
     }

@@ -54,8 +54,8 @@ fn transmission_draw(seed: u64, cube: u8, link: u8, send_seq: u64, attempt: u32)
 /// retransmission) of the packet holding slot `send_seq` in the link's
 /// monotonic send order is corrupted under `config`.
 ///
-/// A pure function of its arguments: independent of engine mode and
-/// simulation history.
+/// A pure function of its arguments: independent of stepping or jumping
+/// and of simulation history.
 pub fn transmission_corrupt(
     config: &LinkFaultConfig,
     cube: u8,

@@ -694,6 +694,12 @@ impl NocState {
         self.segments.iter().map(Segment::len).sum()
     }
 
+    /// True when no packet is in flight: `occupancy() == 0`, but stops at
+    /// the first occupied segment.
+    pub fn is_empty(&self) -> bool {
+        self.segments.iter().all(|s| s.len() == 0)
+    }
+
     /// Total segment slots: the bound on [`NocState::occupancy`].
     pub fn capacity(&self) -> usize {
         self.segments.len() * self.buffer_depth

@@ -118,14 +118,13 @@ pub struct SimParams {
     /// while `true` are recorded on the simulation object (see
     /// `HmcSim::invariant_violations`).
     pub check_invariants: bool,
-    /// Event-driven fast-forward: before each cycle the engine computes a
-    /// quiescence horizon — the earliest cycle at which any queue could
-    /// make observable progress (queue-head ready times, refresh window
-    /// edges, retry timers, FLIT-debt paydown) — and jumps the clock
-    /// straight to it when every stage is provably dead in between,
-    /// falling back to stepped execution otherwise. Bit-identical to the
-    /// stepped engine (state, stats, trace events) by construction;
-    /// `false` (the default) preserves the fully stepped behaviour.
+    // Read by nothing: `HmcSim::clock_batch` always asks the
+    // fast-forward horizon and `HmcSim::clock` always steps, whatever
+    // this says. Kept for `benchmark/src/burst_gap.rs`, which still sets
+    // it in a struct literal and changes only together with the
+    // benchmark; ROADMAP item 3(f) deletes it with the `with_threads`
+    // shim.
+    #[doc(hidden)]
     pub fast_forward: bool,
     /// Vault timing backend: the paper's constant-time conflict window
     /// (the default, bit-identical to the pre-trait engine) or the
@@ -179,7 +178,6 @@ impl SimParams {
     /// block every binary prints under its own synopsis.
     pub const USAGE: &'static str = "\
 simulation axes (the same flags on every binary):
-  --fast-forward          jump provably dead cycles instead of stepping them
   --check                 run the protocol invariant checker every cycle
   --timing KIND           vault timing backend: classic | ddr
   --interconnect KIND     intra-cube fabric: crossbar | ring | mesh
@@ -218,7 +216,6 @@ simulation axes (the same flags on every binary):
     /// of these flags in the workspace; see [`SimParams::USAGE`].
     pub fn apply_flag(&mut self, flag: &str, args: &mut Args) -> Result<bool> {
         match flag {
-            "--fast-forward" => self.fast_forward = true,
             "--check" => self.check_invariants = true,
             "--stall-queue" => self.conflict_policy = ConflictPolicy::StallQueue,
             "--serialize-flits" => {
@@ -398,7 +395,6 @@ mod tests {
         let cell = CellFaultConfig::default();
         let link = LinkFaultConfig::default();
         let table: Vec<(&[&str], SimParams)> = vec![
-            (&["--fast-forward"], SimParams { fast_forward: true, ..d }),
             (&["--check"], SimParams { check_invariants: true, ..d }),
             (
                 &["--stall-queue"],
@@ -490,28 +486,25 @@ mod tests {
         assert_eq!(rest.as_deref(), Some("5"), "the value is not consumed");
         let (hit, ..) = flag(&["--threads", "4"]);
         assert!(!hit.unwrap(), "the engine has no thread axis");
+        let (hit, ..) = flag(&["--fast-forward"]);
+        assert!(!hit.unwrap(), "no engine mode: a batch always asks the horizon");
     }
 
     #[test]
     fn device_axes_overlay_keeps_engine_axes_and_fills_fault_blocks() {
         let server = SimParams {
-            fast_forward: true,
+            check_invariants: true,
             timing: TimingParams::of(TimingKind::Ddr),
             link_faults: Some(LinkFaultConfig::default().with_error_rate_ppm(7)),
             ..SimParams::default()
         };
         let p = server.with_device_axes(&DeviceConfig::small());
-        assert!(p.fast_forward);
+        assert!(p.check_invariants);
         assert_eq!(p.timing.kind, TimingKind::Classic, "the config names its backend");
         assert_eq!(p.link_faults, server.link_faults, "an unset fault block inherits");
         let own = LinkFaultConfig::default().with_error_rate_ppm(9);
         let p = server.with_device_axes(&DeviceConfig::small().with_link_faults(Some(own)));
         assert_eq!(p.link_faults, Some(own), "the config's own block wins");
-    }
-
-    #[test]
-    fn fast_forward_defaults_off() {
-        assert!(!SimParams::default().fast_forward);
     }
 
     #[test]

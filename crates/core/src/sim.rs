@@ -274,7 +274,7 @@ impl HmcSim {
     }
 
     // Warts kept for `benchmark/src/host_driven.rs`, their one caller,
-    // which changes only together with the benchmark. ROADMAP item 4(e)
+    // which changes only together with the benchmark. ROADMAP item 3(f)
     // deletes the three together; nothing in the workspace may call them.
     #[doc(hidden)]
     pub fn with_threads(self, _threads: usize) -> Self {
@@ -702,11 +702,13 @@ impl HmcSim {
     // ------------------------------------------------------------- clock
 
     /// Advance the simulation by one clock cycle: the six sub-cycle
-    /// stages of Figure 3 in order (paper §IV.C).
+    /// stages of Figure 3 in order (paper §IV.C). A batch of one cycle
+    /// steps without asking the fast-forward horizon, so `n` calls are
+    /// the stepped reference [`HmcSim::clock_batch`]`(n)` reproduces bit
+    /// for bit.
     ///
     /// Prefer [`HmcSim::clock_batch`] when clocking many cycles between
-    /// host interactions: it gives [`SimParams::fast_forward`] a span to
-    /// jump across.
+    /// host interactions: it jumps the provably dead ones.
     pub fn clock(&mut self) -> Result<()> {
         self.clock_batch(1)
     }

@@ -12,7 +12,8 @@
 //! 2. **No sequential RNG.** Every flip decision is a pure function of
 //!    `(seed, axis, vault, bank, row, window, crossing, word, bit)`
 //!    hashed through a SplitMix64-style mixer. Order of evaluation is
-//!    irrelevant, so the engine mode cannot perturb the stream.
+//!    irrelevant, so stepping or jumping a span cannot perturb the
+//!    stream.
 //!
 //! One [`CellFaultState`] lives inside each vault; the engine calls
 //! [`CellFaultState::on_access`]

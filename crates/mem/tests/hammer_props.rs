@@ -12,9 +12,9 @@
 //!    past the horizon,
 //!  * the fault stream is a pure function of the activation multiset:
 //!    shuffling the global interleaving leaves the corrupted image
-//!    bit-identical (the property that makes the engine mode unable
-//!    to perturb faults — the engine-level analogue is enforced by the
-//!    hmc-conform stepped-vs-fast-forward sweep).
+//!    bit-identical (the property that keeps stepping or jumping a span
+//!    from perturbing faults — the engine-level analogue is enforced by
+//!    the hmc-conform stepped-vs-batched sweep).
 
 use std::collections::HashMap;
 

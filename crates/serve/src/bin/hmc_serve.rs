@@ -6,8 +6,7 @@
 //! runs on its own connection thread — sessions run in parallel, each
 //! simulation on one thread at a time; every session's device is built
 //! under the shared axes, with the session's own config laid on top. So
-//! `--fast-forward` arms every device's fast-forward mode, and the
-//! link-fault flags put the whole daemon into degraded-link mode — every
+//! the link-fault flags put the whole daemon into degraded-link mode — every
 //! session whose config does not arm its own
 //! `link_faults` block inherits the server's, and retry-exhausted
 //! requests come back to clients as poisoned error frames. The timing
@@ -117,14 +116,9 @@ fn main() {
     });
 
     eprintln!(
-        "hmc-serve: ready ({} worker(s), {} session cap{})",
+        "hmc-serve: ready ({} worker(s), {} session cap)",
         cfg.threads.max(1),
         cfg.max_sessions,
-        if cfg.params.fast_forward {
-            ", fast-forward"
-        } else {
-            ""
-        }
     );
     if let Some(f) = &cfg.params.link_faults {
         eprintln!(

@@ -19,11 +19,10 @@
 //! `--idle-every` memory operations an idle-gap op (`WireOp::idle`) is
 //! interleaved, telling the session's device to run that many cycles
 //! with no injection — a client that thinks between bursts rather than
-//! saturating the queue. Against a server in `--fast-forward` mode the
-//! dead cycles are jumped instead of stepped, so the same open-loop run
-//! finishes in a fraction of the wall time with identical responses;
-//! the report's `wall_seconds`/`sim_cycles` pair is the before/after
-//! evidence.
+//! saturating the queue. The server jumps the dead cycles of each gap
+//! rather than stepping them (the engine's fast-forward horizon), so an
+//! open-loop run costs wall time for its bursts, not for its gaps; the
+//! report's `wall_seconds`/`sim_cycles` pair shows the ratio.
 //!
 //! `--workload hotspot` concentrates `--hot-pct` percent of each
 //! session's requests on the vaults of quad `--hot-quad` (via the
@@ -160,8 +159,8 @@ fn parse_options() -> Options {
     // Only what the session config carries reaches the server.
     if SimParams::default().with_device_axes(&o.config) != o.params {
         args.die(
-            "--fast-forward/--check/--serialize-flits/--stall-queue are \
-             server-side; pass them to hmc-serve",
+            "--check/--serialize-flits/--stall-queue are server-side; \
+             pass them to hmc-serve",
         );
     }
     o

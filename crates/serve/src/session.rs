@@ -7,10 +7,9 @@
 //! sliced into quanta steps exactly the schedule of one unbroken run, so
 //! responses seen through the service are bit-identical (tag, data,
 //! latency, order) to an in-process driver run, and so is the cycle
-//! count. Sessions built under server parameters with
-//! `SimParams::fast_forward` set arm the engine's event-driven
-//! fast-forward mode, which jumps the dead cycles of client-scheduled
-//! [`SessionOp::Idle`] gaps without changing any observable.
+//! count. Once nothing is in flight, the driver serves the rest of a
+//! client-scheduled [`SessionOp::Idle`] gap as one `clock_batch`, which
+//! jumps its dead cycles without changing any observable.
 
 use std::collections::VecDeque;
 
@@ -489,14 +488,15 @@ mod tests {
 
     #[test]
     fn fast_forward_sessions_are_bit_identical_to_stepped() {
-        let run = |fast_forward: bool| {
-            let params = SimParams {
-                fast_forward,
-                ..SimParams::default()
+        // One-cycle quanta step every gap cycle (a one-cycle batch asks
+        // no horizon): the stepped reference. Default quanta jump each
+        // gap's dead cycles.
+        let run = |slice_cycles: u64| {
+            let limits = SessionLimits {
+                slice_cycles,
+                ..SessionLimits::default()
             };
-            let mut s =
-                SessionState::with_params(DeviceConfig::small(), SessionLimits::default(), params)
-                    .unwrap();
+            let mut s = small_session(limits);
             let mut ops = Vec::new();
             for i in 0u64..24 {
                 ops.push(WireOp {
@@ -513,17 +513,22 @@ mod tests {
                 }
             }
             assert_eq!(s.submit(&ops).unwrap(), ops.len());
-            pump_to_idle(&mut s);
+            let mut pumps = 0u64;
+            while s.pump().unwrap() != PumpOutcome::Idle {
+                pumps += 1;
+                assert!(pumps < 100_000, "session never went idle");
+            }
             let responses = s.take_responses(1_000);
-            (responses, s.snapshot())
+            (responses, s.snapshot(), pumps)
         };
-        let (stepped_rsp, stepped_snap) = run(false);
-        let (fast_rsp, fast_snap) = run(true);
+        let (stepped_rsp, stepped_snap, stepped_pumps) = run(1);
+        let (fast_rsp, fast_snap, _) = run(SessionLimits::default().slice_cycles);
         assert_eq!(stepped_rsp, fast_rsp, "responses must match exactly");
         assert_eq!(stepped_snap.cycles, fast_snap.cycles);
         assert_eq!(stepped_snap.completed, fast_snap.completed);
         assert_eq!(stepped_snap.mean_latency, fast_snap.mean_latency);
         assert!(stepped_snap.cycles >= 4 * 9_000, "the gaps elapsed");
+        assert!(stepped_pumps >= stepped_snap.cycles - 1, "one cycle a quantum");
     }
 
     #[test]

@@ -97,11 +97,7 @@ fn each_side_refuses_the_axes_it_cannot_apply() {
         &[&sock[..], &["--interconnect", "mesh"]].concat(),
     );
     // Engine-side axes do not ride in a device config.
-    assert_usage_error(
-        "loadgen",
-        BINS[1].1,
-        &[&sock[..], &["--fast-forward"]].concat(),
-    );
+    assert_usage_error("loadgen", BINS[1].1, &[&sock[..], &["--check"]].concat());
     assert_usage_error(
         "loadgen",
         BINS[1].1,

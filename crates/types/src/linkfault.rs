@@ -51,7 +51,7 @@ pub struct LinkFaultConfig {
     /// Seed of the deterministic corruption streams. Corruption
     /// decisions are pure functions of
     /// `(seed, cube, link, send_seq, attempt)`, so they are independent
-    /// of engine mode.
+    /// of whether the engine steps or jumps a span.
     pub seed: u64,
 }
 

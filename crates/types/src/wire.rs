@@ -52,8 +52,8 @@ impl WireOp {
     pub const KIND_BIT_WRITE: u8 = 5;
     /// Client-scheduled idle gap: run the device for `addr` cycles with
     /// no injection (open-loop arrival modeling). Produces no response;
-    /// `size_bytes` is ignored. Sessions in fast-forward mode jump these
-    /// dead cycles instead of stepping them.
+    /// `size_bytes` is ignored. Once nothing is in flight, a session
+    /// jumps the gap's dead cycles instead of stepping them.
     pub const KIND_IDLE: u8 = 6;
 
     /// An idle-gap operation spanning `cycles` device cycles.

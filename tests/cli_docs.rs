@@ -28,5 +28,5 @@ fn readme_axes_table_matches_the_usage_constant() {
         .collect::<Vec<_>>()
         .join("\n");
     assert_eq!(flags(&table), flags(SimParams::USAGE));
-    assert_eq!(flags(SimParams::USAGE).len(), 16);
+    assert_eq!(flags(SimParams::USAGE).len(), 15);
 }

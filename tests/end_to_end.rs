@@ -2,7 +2,7 @@
 //! pipeline for every command class, all block sizes, and the host/driver
 //! stack.
 
-use hmc_sim::hmc_core::{decode_response, topology, HmcSim, SimParams};
+use hmc_sim::hmc_core::{decode_response, topology, HmcSim};
 use hmc_sim::hmc_host::{run_workload, Host, RunConfig};
 use hmc_sim::hmc_types::{
     BlockSize, Command, DeviceConfig, Packet, ResponseStatus, StorageMode,
@@ -252,47 +252,40 @@ fn timing_only_mode_preserves_cycle_behaviour() {
 fn clock_batch_matches_per_cycle_clocking() {
     // One `clock_batch(16)` must leave exactly what sixteen `clock()`
     // calls leave — on a nearly idle device (most of the batch is dead
-    // cycles) and on a loaded `small()` one, stepped and fast-forward.
-    for fast_forward in [false, true] {
-        for requests in [1u16, 24] {
-            let build = || {
-                let mut s = HmcSim::new(1, DeviceConfig::small())
-                    .unwrap()
-                    .with_params(SimParams {
-                        fast_forward,
-                        ..SimParams::default()
-                    });
-                let host = s.host_cube_id(0);
-                topology::build_simple(&mut s, host).unwrap();
-                for tag in 0..requests {
-                    let (link, addr) = ((tag % 4) as u8, 0x40 + u64::from(tag) * 0x1_0040);
-                    let cmd = Command::Rd(BlockSize::B64);
-                    let p = Packet::request(cmd, 0, addr, tag, link, &[]).unwrap();
-                    s.send(0, link, p).unwrap();
-                }
-                s
-            };
-            let drain = |s: &mut HmcSim| {
-                let mut got = Vec::new();
-                for link in 0..4 {
-                    while let Ok((p, latency)) = s.recv_with_latency(0, link) {
-                        got.push((link, p.tag(), p.data_words().to_vec(), latency));
-                    }
-                }
-                got
-            };
-            let mut single = build();
-            for _ in 0..16 {
-                single.clock().unwrap();
+    // cycles) and on a loaded `small()` one.
+    for requests in [1u16, 24] {
+        let build = || {
+            let mut s = HmcSim::new(1, DeviceConfig::small()).unwrap();
+            let host = s.host_cube_id(0);
+            topology::build_simple(&mut s, host).unwrap();
+            for tag in 0..requests {
+                let (link, addr) = ((tag % 4) as u8, 0x40 + u64::from(tag) * 0x1_0040);
+                let cmd = Command::Rd(BlockSize::B64);
+                let p = Packet::request(cmd, 0, addr, tag, link, &[]).unwrap();
+                s.send(0, link, p).unwrap();
             }
-            let mut batched = build();
-            batched.clock_batch(16).unwrap();
-            let what = format!("{requests} request(s), fast_forward {fast_forward}");
-            assert_eq!(single.current_clock(), batched.current_clock(), "{what}");
-            assert_eq!(single.stats(), batched.stats(), "{what}");
-            let got = drain(&mut single);
-            assert!(!got.is_empty(), "{what}: responses inside the batch");
-            assert_eq!(got, drain(&mut batched), "{what}");
+            s
+        };
+        let drain = |s: &mut HmcSim| {
+            let mut got = Vec::new();
+            for link in 0..4 {
+                while let Ok((p, latency)) = s.recv_with_latency(0, link) {
+                    got.push((link, p.tag(), p.data_words().to_vec(), latency));
+                }
+            }
+            got
+        };
+        let mut single = build();
+        for _ in 0..16 {
+            single.clock().unwrap();
         }
+        let mut batched = build();
+        batched.clock_batch(16).unwrap();
+        let what = format!("{requests} request(s)");
+        assert_eq!(single.current_clock(), batched.current_clock(), "{what}");
+        assert_eq!(single.stats(), batched.stats(), "{what}");
+        let got = drain(&mut single);
+        assert!(!got.is_empty(), "{what}: responses inside the batch");
+        assert_eq!(got, drain(&mut batched), "{what}");
     }
 }

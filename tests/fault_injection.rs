@@ -133,11 +133,11 @@ fn retry_exhaustion_is_bit_identical_stepped_and_fast_forward() {
         seed: 0x0015_04ED,
     };
     const REQUESTS: u64 = 1_000;
-    let run = |fast_forward: bool| {
+    // Batched (`clock_batch`, which may jump) or one `clock()` a cycle.
+    let run = |batched: bool| {
         let mut s = HmcSim::new(1, DeviceConfig::small())
             .unwrap()
             .with_params(SimParams {
-                fast_forward,
                 link_faults: Some(faults),
                 ..SimParams::default()
             });
@@ -165,7 +165,11 @@ fn retry_exhaustion_is_bit_identical_stepped_and_fast_forward() {
                     }
                 }
             }
-            s.clock_batch(40).unwrap();
+            if batched {
+                s.clock_batch(40).unwrap();
+            } else {
+                (0..40).for_each(|_| s.clock().unwrap());
+            }
             for link in 0..4u8 {
                 while let Ok(p) = s.recv(0, link) {
                     seen.push((s.current_clock(), link, p.tag()));
@@ -261,11 +265,10 @@ fn an_armed_cell_fault_hook_flips_bits_without_moving_a_cycle() {
         .with_hammer_threshold(64)
         .with_flip_prob_ppm(1_000_000)
         .with_mitigation(Mitigation::None);
-    let run = |cell_faults: Option<CellFaultConfig>, fast_forward: bool| {
+    let run = |cell_faults: Option<CellFaultConfig>| {
         let mut s = HmcSim::new(1, DeviceConfig::small())
             .unwrap()
             .with_params(SimParams {
-                fast_forward,
                 cell_faults,
                 ..SimParams::default()
             });
@@ -277,21 +280,19 @@ fn an_armed_cell_fault_hook_flips_bits_without_moving_a_cycle() {
         let report = run_workload(&mut s, &mut host, &mut w, RunConfig::default()).unwrap();
         (report.cycles, report.completed, s.stats())
     };
-    for fast_forward in [false, true] {
-        let (off_cycles, off_completed, off) = run(None, fast_forward);
-        let (on_cycles, on_completed, on) = run(Some(armed), fast_forward);
-        assert_eq!(off_cycles, on_cycles, "fast_forward {fast_forward}");
-        assert_eq!((off_completed, on_completed), (6_000, 6_000));
-        assert!(on.bit_flips > 0, "the armed run must actually flip bits");
-        let timing_only = SimStats {
-            hammer_activations: 0,
-            bit_flips: 0,
-            trr_refreshes: 0,
-            retention_decays: 0,
-            ..on
-        };
-        assert_eq!(off, timing_only, "fast_forward {fast_forward}");
-    }
+    let (off_cycles, off_completed, off) = run(None);
+    let (on_cycles, on_completed, on) = run(Some(armed));
+    assert_eq!(off_cycles, on_cycles);
+    assert_eq!((off_completed, on_completed), (6_000, 6_000));
+    assert!(on.bit_flips > 0, "the armed run must actually flip bits");
+    let timing_only = SimStats {
+        hammer_activations: 0,
+        bit_flips: 0,
+        trr_refreshes: 0,
+        retention_decays: 0,
+        ..on
+    };
+    assert_eq!(off, timing_only);
 }
 
 #[test]

@@ -4,8 +4,9 @@
 //! wait. These tests drive the traffic that lives in that state — the
 //! benchmark's `bursty_ff_ddr` shape: 16 reads to rows of one bank over
 //! four links into `small()`'s four-slot vault queues, then a gap of
-//! about 512 cycles — through the engine stepped and in fast-forward
-//! mode, and demand that nothing observable differs.
+//! about 512 cycles — through the engine stepped (one `clock()` per
+//! cycle) and batched (`clock_batch`, which asks the horizon), and
+//! demand that nothing observable differs.
 
 use hmc_sim::hmc_core::{regs, topology, HmcSim, RefreshParams, SimParams, SimStats, TimingParams};
 use hmc_sim::hmc_trace::{EventKind, SharedSink, TraceRecord, Tracer, VecSink, Verbosity};
@@ -47,7 +48,17 @@ fn drain(sim: &mut HmcSim, responses: &mut Vec<(LinkId, u16, u64)>) {
     }
 }
 
-fn run(params: SimParams, scenario: Scenario) -> Outcome {
+/// Advance `n` cycles: one batch, which may jump, or one `clock()` per
+/// cycle.
+fn advance(sim: &mut HmcSim, n: u64, batched: bool) {
+    if batched {
+        sim.clock_batch(n).unwrap();
+    } else {
+        (0..n).for_each(|_| sim.clock().unwrap());
+    }
+}
+
+fn run(params: SimParams, scenario: Scenario, batched: bool) -> Outcome {
     let cfg = DeviceConfig::small().with_storage_mode(StorageMode::TimingOnly);
     // The invariant sweep runs everywhere but under map swaps, where its
     // per-(link, vault, bank) stream-order check does not apply: a swap
@@ -75,13 +86,13 @@ fn run(params: SimParams, scenario: Scenario) -> Outcome {
             // and retries, as a host loop would.
             while let Err(e) = sim.send(0, link, packet.clone()) {
                 assert!(e.is_stall(), "send failed: {e:?}");
-                sim.clock_batch(1).unwrap();
+                advance(&mut sim, 1, batched);
             }
             tag += 1;
         }
         let gap = 480 + (burst * 37) % 64;
         if scenario.ac_swaps && burst % 3 == 1 {
-            sim.clock_batch(3).unwrap();
+            advance(&mut sim, 3, batched);
             let waiting: usize = (0..4)
                 .map(|l| sim.device(0).unwrap().xbars[l].rqst.len())
                 .sum();
@@ -91,9 +102,9 @@ fn run(params: SimParams, scenario: Scenario) -> Outcome {
             );
             sim.jtag_reg_write(0, regs::AC, (burst / 3 + 1) % 3)
                 .unwrap();
-            sim.clock_batch(gap - 3).unwrap();
+            advance(&mut sim, gap - 3, batched);
         } else {
-            sim.clock_batch(gap).unwrap();
+            advance(&mut sim, gap, batched);
         }
         drain(&mut sim, &mut responses);
     }
@@ -103,13 +114,13 @@ fn run(params: SimParams, scenario: Scenario) -> Outcome {
             sim.current_clock() < 100_000,
             "the last bursts never drained"
         );
-        sim.clock_batch(64).unwrap();
+        advance(&mut sim, 64, batched);
         drain(&mut sim, &mut responses);
     }
     assert_eq!(
         sim.invariant_violations(),
         &[] as &[String],
-        "invariants must hold in every engine mode"
+        "invariants must hold stepped and batched"
     );
     let trace = std::mem::take(&mut sink.0.lock().records);
     Outcome {
@@ -120,18 +131,11 @@ fn run(params: SimParams, scenario: Scenario) -> Outcome {
     }
 }
 
-/// The stepped run is the reference; fast-forward must reproduce it
+/// The stepped run is the reference; the batched run must reproduce it
 /// exactly.
-fn assert_engines_agree(base: SimParams, scenario: Scenario) -> Outcome {
-    let stepped = run(base, scenario);
-    let fast = run(
-        SimParams {
-            fast_forward: true,
-            ..base
-        },
-        scenario,
-    );
-    assert_eq!(stepped, fast, "fast-forward");
+fn assert_engines_agree(params: SimParams, scenario: Scenario) -> Outcome {
+    let stepped = run(params, scenario, false);
+    assert_eq!(stepped, run(params, scenario, true), "batched");
     stepped
 }
 
@@ -226,7 +230,7 @@ fn ac_register_swaps_under_stalled_packets_stay_bit_identical() {
     };
     for kind in [TimingKind::Classic, TimingKind::Ddr] {
         let swapped = assert_engines_agree(timing(kind), swaps);
-        let plain = run(timing(kind), Scenario::default());
+        let plain = run(timing(kind), Scenario::default(), false);
         assert_ne!(
             swapped.responses, plain.responses,
             "the swaps must re-route waiting requests"

@@ -114,31 +114,38 @@ fn refresh_pressure_scales_with_duty_cycle() {
 /// used to fold a refresh edge only for the bank under refresh at the
 /// moment it looked, and jumped to the stale tRAS edge — one cycle late
 /// wherever that edge fell past the window (`ReadComplete` at cycle 129
-/// stepped, 130 fast-forward).
+/// stepped, 130 batched).
 #[test]
 fn fast_forward_honours_a_refresh_window_that_closes_a_row_under_a_tras_wait() {
     // Vault 0 refreshes bank 3 in window 3, from cycle 3 * interval.
     const BANK: u64 = 3;
     // Two reads to rows 0 and 64 of that bank, sent `lead` cycles in.
-    let run = |refresh: RefreshParams, lead: u64, fast_forward: bool| -> Vec<TraceRecord> {
+    // Batched (`clock_batch`, which may jump) or one `clock()` a cycle.
+    let run = |refresh: RefreshParams, lead: u64, batched: bool| -> Vec<TraceRecord> {
+        let advance = |s: &mut HmcSim, n: u64| {
+            if batched {
+                s.clock_batch(n).unwrap();
+            } else {
+                (0..n).for_each(|_| s.clock().unwrap());
+            }
+        };
         let cfg = DeviceConfig::small().with_storage_mode(StorageMode::TimingOnly);
         let mut s = HmcSim::new(1, cfg).unwrap().with_params(SimParams {
             refresh: Some(refresh),
             timing: TimingParams::of(TimingKind::Ddr),
-            fast_forward,
             ..SimParams::default()
         });
         let host = s.host_cube_id(0);
         topology::build_simple(&mut s, host).unwrap();
         let sink = SharedSink::new(VecSink::default());
         s.set_tracer(Tracer::new(Verbosity::Full, Box::new(sink.clone())));
-        s.clock_batch(lead).unwrap();
+        advance(&mut s, lead);
         for (tag, row) in [(1u16, 0u64), (2, 64)] {
             let addr = row << 16 | BANK << 11;
             let rd = Packet::request(Command::Rd(BlockSize::B64), 0, addr, tag, 0, &[]);
             s.send(0, 0, rd.unwrap()).unwrap();
         }
-        s.clock_batch(120).unwrap();
+        advance(&mut s, 120);
         let records = std::mem::take(&mut sink.0.lock().records);
         let is_read = |r: &&TraceRecord| r.event.kind() == EventKind::ReadComplete;
         assert_eq!(records.iter().filter(is_read).count(), 2, "{records:?}");
@@ -160,7 +167,7 @@ fn fast_forward_honours_a_refresh_window_that_closes_a_row_under_a_tras_wait() {
     assert_eq!(
         differing.len(),
         0,
-        "fast-forward diverged from stepped at (interval, duration, lead) {:?} …",
+        "batched diverged from stepped at (interval, duration, lead) {:?} …",
         &differing[..differing.len().min(8)]
     );
 }

@@ -1,12 +1,12 @@
-//! The stage-6 register edge, stepped and under fast-forward: an RWS
-//! write self-clears at the first edge, the IBTC registers mirror each
-//! link's live token count, and an AC write selects the address map that
-//! routes packets from the next edge on. Fast-forward runs stage 6 once
-//! per jump, so each check runs with `clock_batch` over a span the
-//! horizon can jump as well as one cycle at a time. A reset returns the
-//! AC register and the map it selected to power-on together.
+//! The stage-6 register edge, stepped and batched: an RWS write
+//! self-clears at the first edge, the IBTC registers mirror each link's
+//! live token count, and an AC write selects the address map that
+//! routes packets from the next edge on. A batch's jump runs stage 6
+//! once, so each check runs with `clock_batch` over a span the horizon
+//! can jump as well as with one `clock()` per cycle. A reset returns
+//! the AC register and the map it selected to power-on together.
 
-use hmc_sim::hmc_core::{regs, topology, HmcSim, SimParams};
+use hmc_sim::hmc_core::{regs, topology, HmcSim};
 use hmc_sim::hmc_host::{run_workload, Host, RunConfig, RunReport};
 use hmc_sim::hmc_types::{
     AddressMap, BlockSize, Command, DecodedAddr, DeviceConfig, LinearMap, LowInterleaveMap, Packet,
@@ -14,15 +14,22 @@ use hmc_sim::hmc_types::{
 };
 use hmc_sim::hmc_workloads::RandomAccess;
 
-fn sim(fast_forward: bool) -> HmcSim {
+fn sim() -> HmcSim {
     let cfg = DeviceConfig::small().with_storage_mode(StorageMode::TimingOnly);
-    let mut sim = HmcSim::new(1, cfg).unwrap().with_params(SimParams {
-        fast_forward,
-        ..SimParams::default()
-    });
+    let mut sim = HmcSim::new(1, cfg).unwrap();
     let host = sim.host_cube_id(0);
     topology::build_simple(&mut sim, host).unwrap();
     sim
+}
+
+/// Advance `n` cycles: one batch, which may jump, or one `clock()` per
+/// cycle.
+fn advance(sim: &mut HmcSim, n: u64, batched: bool) {
+    if batched {
+        sim.clock_batch(n).unwrap();
+    } else {
+        (0..n).for_each(|_| sim.clock().unwrap());
+    }
 }
 
 fn decode(map: &dyn AddressMap, addr: u64) -> DecodedAddr {
@@ -45,24 +52,24 @@ fn vault_reads(sim: &HmcSim) -> Vec<u64> {
 
 #[test]
 fn rws_writes_clear_at_the_first_edge() {
-    for fast_forward in [false, true] {
+    for batched in [false, true] {
         for span in [1, 1_000] {
-            let mut s = sim(fast_forward);
+            let mut s = sim();
             s.jtag_reg_write(0, regs::EDR0, 0xff).unwrap();
             s.jtag_reg_write(0, regs::EDR0, 0xfe).unwrap();
             assert_eq!(s.jtag_reg_read(0, regs::EDR0).unwrap(), 0xfe);
-            s.clock_batch(span).unwrap();
+            advance(&mut s, span, batched);
             assert_eq!(s.jtag_reg_read(0, regs::EDR0).unwrap(), 0);
             // A second round after the first edge clears as well, every
             // register written.
             s.jtag_reg_write(0, regs::EDR1, 1).unwrap();
             s.jtag_reg_write(0, regs::EDR3, 3).unwrap();
-            s.clock_batch(span).unwrap();
+            advance(&mut s, span, batched);
             for reg in [regs::EDR0, regs::EDR1, regs::EDR2, regs::EDR3] {
                 assert_eq!(
                     s.jtag_reg_read(0, reg).unwrap(),
                     0,
-                    "{reg:#x}, fast_forward {fast_forward}, span {span}"
+                    "{reg:#x}, batched {batched}, span {span}"
                 );
             }
         }
@@ -71,9 +78,9 @@ fn rws_writes_clear_at_the_first_edge() {
 
 #[test]
 fn ibtc_registers_mirror_live_link_tokens() {
-    for fast_forward in [false, true] {
+    for batched in [false, true] {
         for span in [1, 1_000] {
-            let mut s = sim(fast_forward);
+            let mut s = sim();
             // Reads for vault 0 (its queue holds four): link 0 fills it
             // and leaves one waiting, links 1 to 3 leave two, three and
             // four, so after one cycle every link has spent a different
@@ -87,13 +94,13 @@ fn ibtc_registers_mirror_live_link_tokens() {
                     tag += 1;
                 }
             }
-            s.clock_batch(span).unwrap();
+            advance(&mut s, span, batched);
             let d = s.device(0).unwrap();
             let tokens: Vec<u64> = d.links.iter().map(|l| u64::from(l.tokens)).collect();
             let ibtc: Vec<u64> = (0..4u8)
                 .map(|l| s.jtag_reg_read(0, regs::ibtc(l)).unwrap())
                 .collect();
-            assert_eq!(ibtc, tokens, "fast_forward {fast_forward}, span {span}");
+            assert_eq!(ibtc, tokens, "batched {batched}, span {span}");
             let distinct = tokens.iter().collect::<std::collections::BTreeSet<_>>();
             assert_eq!(distinct.len(), if span == 1 { 4 } else { 1 }, "{tokens:?}");
         }
@@ -110,25 +117,21 @@ fn an_ac_write_reroutes_from_the_next_edge() {
     for addr in [a, b] {
         assert_ne!(decode(&low, addr).vault, decode(&linear, addr).vault);
     }
-    for fast_forward in [false, true] {
+    for batched in [false, true] {
         for span in [1, 1_000] {
-            let mut s = sim(fast_forward);
+            let mut s = sim();
             s.jtag_reg_write(0, regs::AC, 2).unwrap();
             // Routed in stage 2 of the cycle whose stage 6 applies the
             // write: still under the power-on map.
             s.send(0, 0, read(a, 1, 0)).unwrap();
-            s.clock_batch(span).unwrap();
+            advance(&mut s, span, batched);
             assert_eq!(decode(s.address_map(), b), decode(&linear, b));
             s.send(0, 0, read(b, 2, 0)).unwrap();
-            s.clock_batch(1_000).unwrap();
+            advance(&mut s, 1_000, batched);
             let mut expect = vec![0; 16];
             expect[decode(&low, a).vault as usize] += 1;
             expect[decode(&linear, b).vault as usize] += 1;
-            assert_eq!(
-                vault_reads(&s),
-                expect,
-                "fast_forward {fast_forward}, span {span}"
-            );
+            assert_eq!(vault_reads(&s), expect, "batched {batched}, span {span}");
         }
     }
 }
@@ -141,11 +144,11 @@ fn random_access_report(sim: &mut HmcSim) -> RunReport {
 
 #[test]
 fn reset_restores_the_power_on_map_after_an_ac_swap() {
-    let mut fresh = sim(false);
+    let mut fresh = sim();
     let fresh_decode = decode(fresh.address_map(), 0x12340);
     let fresh_report = random_access_report(&mut fresh);
 
-    let mut s = sim(false);
+    let mut s = sim();
     s.jtag_reg_write(0, regs::AC, 1).unwrap();
     s.clock().unwrap();
     assert_ne!(decode(s.address_map(), 0x12340), fresh_decode);
@@ -159,7 +162,7 @@ fn reset_restores_the_power_on_map_after_an_ac_swap() {
 fn reset_keeps_a_map_installed_under_mode_zero() {
     let geometry = DeviceConfig::small().geometry();
     let linear = LinearMap::new(geometry).unwrap();
-    let mut s = sim(false);
+    let mut s = sim();
     s.set_address_map(Box::new(linear)).unwrap();
     s.clock().unwrap();
     s.reset();

@@ -74,12 +74,7 @@ fn classic_has_no_row_buffer_so_every_access_activates() {
 
 #[test]
 fn stats_cycles_is_the_clock() {
-    let mut sim = HmcSim::new(1, DeviceConfig::small())
-        .unwrap()
-        .with_params(SimParams {
-            fast_forward: true,
-            ..SimParams::default()
-        });
+    let mut sim = HmcSim::new(1, DeviceConfig::small()).unwrap();
     let host = sim.host_cube_id(0);
     topology::build_simple(&mut sim, host).unwrap();
     let rd = Packet::request(Command::Rd(BlockSize::B64), 0, 0, 1, 0, &[]).unwrap();

@@ -200,8 +200,8 @@ enum Through {
     Packets(Mix),
     /// The host model, in the run loop's inject / clock / drain shape.
     Host,
-    /// Burst / gap rounds of reads ([`burst_round`]) with
-    /// `SimParams::fast_forward` on.
+    /// Burst / gap rounds of reads ([`burst_round`]) through
+    /// `clock_batch`.
     Bursts,
 }
 
@@ -275,7 +275,6 @@ fn steady_state_allocations(leg: Leg) -> (u64, u64) {
             ..NocParams::of(leg.fabric)
         },
         link_faults: leg.link_faults,
-        fast_forward: leg.through == Through::Bursts,
         ..SimParams::default()
     });
     let host = sim.host_cube_id(0);
@@ -360,7 +359,7 @@ fn steady_state_allocations(leg: Leg) -> (u64, u64) {
 /// Then the host boundary: the plain stream through `Host::try_issue`
 /// and `Host::drain`, where every request is built in its pooled body
 /// and every response decoded into the host's one reusable
-/// `ResponseInfo`. The eighth leg is the fast-forward engine, run under
+/// `ResponseInfo`. The eighth leg is the fast-forward horizon, run under
 /// the classic and then the DDR backend: burst / gap rounds through
 /// `clock_batch`, so the horizon, its jumps and the steps they land on
 /// all run. One test, every leg in turn: the allocation counter is
