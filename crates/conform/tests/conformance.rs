@@ -212,10 +212,10 @@ fn assert_campaign_clean(what: &str, cfg: &CampaignConfig) {
 #[test]
 fn pinned_campaign_at_the_ci_seed_is_clean() {
     // CI's pinned differential leg (seed C0FFEE00: crossbar, classic
-    // timing, the fast-forward axis on the default rotation) at 100 of
+    // timing, the fast-forward axis on the default rotation) at 300 of
     // its 10,000 streams.
     let cfg = CampaignConfig {
-        streams: 100,
+        streams: 300,
         base_seed: 0xC0FF_EE00,
         ..CampaignConfig::default()
     };
@@ -224,10 +224,10 @@ fn pinned_campaign_at_the_ci_seed_is_clean() {
 
 #[test]
 fn fast_forward_campaign_at_the_ci_seed_is_clean() {
-    // CI's fast-forward guard (seed C0FFEE01) at 100 of its 1,000
+    // CI's fast-forward guard (seed C0FFEE01) at 300 of its 1,000
     // streams: every stream gapped, so every fast-forward run jumps.
     let cfg = CampaignConfig {
-        streams: 100,
+        streams: 300,
         base_seed: 0xC0FF_EE01,
         force_gaps: true,
         ..CampaignConfig::default()
@@ -237,11 +237,11 @@ fn fast_forward_campaign_at_the_ci_seed_is_clean() {
 
 #[test]
 fn ddr_fast_forward_campaign_at_the_ci_seed_is_clean() {
-    // CI's `--timing ddr --fast-forward` leg (seed C0FFEE07) at 100 of
+    // CI's `--timing ddr --fast-forward` leg (seed C0FFEE07) at 300 of
     // its 500 streams: every stream gapped, so every fast-forward run
     // jumps over vaults that sleep on cached bank and data-ready edges.
     let cfg = CampaignConfig {
-        streams: 100,
+        streams: 300,
         base_seed: 0xC0FF_EE07,
         force_gaps: true,
         params: axes(TimingKind::Ddr, NocParams::default()),
@@ -253,9 +253,9 @@ fn ddr_fast_forward_campaign_at_the_ci_seed_is_clean() {
 #[test]
 fn combined_axis_campaign_at_the_ci_seed_is_clean() {
     // CI's combined leg (seed C0FFEE08: hammer, link errors, mesh, ddr,
-    // fast-forward) at 100 of its 1,000 streams.
+    // fast-forward) at 300 of its 1,000 streams.
     let cfg = CampaignConfig {
-        streams: 100,
+        streams: 300,
         base_seed: 0xC0FF_EE08,
         force_gaps: true,
         hammer: true,
@@ -268,10 +268,10 @@ fn combined_axis_campaign_at_the_ci_seed_is_clean() {
 
 #[test]
 fn link_error_campaign_at_the_ci_seed_is_clean() {
-    // CI's degraded-link leg (seed C0FFEE06) at 100 of its 1,000
+    // CI's degraded-link leg (seed C0FFEE06) at 300 of its 1,000
     // streams: retry-gated heads and retraining links in the stall walk.
     let cfg = CampaignConfig {
-        streams: 100,
+        streams: 300,
         base_seed: 0xC0FF_EE06,
         link_errors: true,
         ..CampaignConfig::default()
@@ -281,10 +281,10 @@ fn link_error_campaign_at_the_ci_seed_is_clean() {
 
 #[test]
 fn ring_fast_forward_campaign_at_the_ci_seed_is_clean() {
-    // CI's ring fast-forward leg (seed C0FFEE09) at 100 of its 500
+    // CI's ring fast-forward leg (seed C0FFEE09) at 300 of its 500
     // streams.
     let cfg = CampaignConfig {
-        streams: 100,
+        streams: 300,
         base_seed: 0xC0FF_EE09,
         force_gaps: true,
         params: axes(TimingKind::Classic, NocParams::of(InterconnectKind::Ring)),
@@ -296,10 +296,10 @@ fn ring_fast_forward_campaign_at_the_ci_seed_is_clean() {
 #[test]
 fn serialized_link_campaign_at_the_ci_seed_is_clean() {
     // CI's serialized-link leg (seed C0FFEE0A: link errors, a one-beat
-    // FLIT budget, fast-forward) at 100 of its 1,000 streams: FLIT debt
+    // FLIT budget, fast-forward) at 300 of its 1,000 streams: FLIT debt
     // paid by walks, by skipped walks and by jumps.
     let cfg = CampaignConfig {
-        streams: 100,
+        streams: 300,
         base_seed: 0xC0FF_EE0A,
         force_gaps: true,
         link_errors: true,
@@ -314,12 +314,12 @@ fn serialized_link_campaign_at_the_ci_seed_is_clean() {
 
 #[test]
 fn mesh_locality_aware_campaign_at_the_ci_seed_is_clean() {
-    // CI's mesh locality-aware leg (seed C0FFEE0B) at 100 of its 1,000
+    // CI's mesh locality-aware leg (seed C0FFEE0B) at 300 of its 1,000
     // streams.
     let mesh =
         NocParams::of(InterconnectKind::Mesh).with_arbitration(ArbitrationKind::LocalityAware);
     let cfg = CampaignConfig {
-        streams: 100,
+        streams: 300,
         base_seed: 0xC0FF_EE0B,
         params: axes(TimingKind::Classic, mesh),
         ..CampaignConfig::default()

@@ -20,6 +20,7 @@ use hmc_types::{CubeId, DeviceConfig, LinkId, VaultId};
 use crate::link::Link;
 use crate::noc::NocState;
 use crate::quad::Quad;
+use crate::queue::QueueEntry;
 use crate::register::RegisterFile;
 use crate::vault::Vault;
 use crate::xbar::Crossbar;
@@ -48,6 +49,32 @@ pub struct Device {
     /// Per link: bit *v* set when traffic between that link and vault *v*
     /// rides the buffered fabric. All zero under the crossbar.
     noc_vaults: Vec<u64>,
+    /// Bit *v* set exactly when vault *v*'s request queue is full: set
+    /// by [`push_request`] when an arrival fills the queue, cleared by
+    /// stage 4 when it takes a request from one, zeroed by
+    /// [`Device::reset`]. What the crossbar gate asks of the vaults a
+    /// request queue's classes name, in one AND.
+    pub(crate) full_vaults: u64,
+}
+
+/// Push `entry` into vault `v`'s request queue through
+/// [`Vault::push_request`], setting `v`'s bit in `full_vaults` (a
+/// device's [`Device::full_vaults`]) when the arrival fills the queue.
+/// Every arrival at a vault takes this path: the crossbar walk's direct
+/// push and the NoC's delivery.
+pub(crate) fn push_request(
+    vaults: &mut [Vault],
+    full_vaults: &mut u64,
+    v: VaultId,
+    entry: QueueEntry,
+    window: usize,
+) -> Result<(), QueueEntry> {
+    let vault = &mut vaults[v as usize];
+    vault.push_request(entry, window)?;
+    if vault.rqst.is_full() {
+        *full_vaults |= 1 << v;
+    }
+    Ok(())
 }
 
 // Vault ids index the bits of a `u64` mask: the NoC-vault masks above and
@@ -82,6 +109,7 @@ impl Device {
             registers,
             noc: None,
             noc_vaults: vec![0; config.num_links as usize],
+            full_vaults: 0,
         }
     }
 
@@ -185,6 +213,7 @@ impl Device {
         for v in &mut self.vaults {
             v.reset();
         }
+        self.full_vaults = 0;
         for l in &mut self.links {
             l.reset_tokens();
         }

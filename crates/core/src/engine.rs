@@ -34,7 +34,6 @@ use hmc_types::{CubeId, Cycle, LinkId, Result, VaultId};
 
 use crate::device::Device;
 use crate::link::LinkWait;
-use crate::noc::bits;
 use crate::params::{ConflictPolicy, RefreshParams};
 use crate::queue::{BodyPool, QueueEntry, UNCLASSIFIED, UNDECODED};
 use crate::register::RegisterFile;
@@ -671,8 +670,10 @@ impl HmcSim {
     ///      re-emits every cycle for the first stalled packet per vault.
     ///
     ///   1 and 2 are read off the union of the slots' route classes
-    ///   ([`PacketQueue::class_union`](crate::queue::PacketQueue::class_union)),
-    ///   so the queue costs one OR per slot.
+    ///   ([`PacketQueue::class_union`](crate::queue::PacketQueue::class_union),
+    ///   kept by the queue's class census) and the device's full-vault
+    ///   mask ([`Device::full_vaults`]), so the gate costs a few ANDs,
+    ///   whatever the queue's depth and however many vaults it names.
     ///
     ///   Such a walk leaves every slot and latch as it found them and
     ///   only zeroes sub-budget FLIT debt, which
@@ -716,7 +717,7 @@ impl HmcSim {
         }
         let classes = rqst.class_union();
         let inert = classes & (UNCLASSIFIED | dev.noc_vaults(l as LinkId)) == 0
-            && bits(classes).all(|vault| dev.vaults[vault].rqst.is_full());
+            && classes & !dev.full_vaults == 0;
         if !inert {
             Gate::Live
         } else if self.ac_swap_pending() {
@@ -818,7 +819,10 @@ impl HmcSim {
 
     /// One clock cycle: the six sub-cycle stages of §IV.C in order.
     pub(crate) fn clock_cycle(&mut self) {
-        self.stages12_xbar_requests();
+        // No stage rewires a link, so which devices are roots holds for
+        // the whole cycle.
+        let roots = self.root_devices();
+        self.stages12_xbar_requests(roots);
         // NoC sub-stage (buffered fabrics only): move in-flight packets
         // one segment and deliver arrivals before stages 3 and 4 read
         // the vault queues.
@@ -831,7 +835,10 @@ impl HmcSim {
         let scratch = &mut self.scratch;
         for (di, dev) in self.devices.iter_mut().enumerate() {
             let Device {
-                vaults, registers, ..
+                vaults,
+                registers,
+                full_vaults,
+                ..
             } = dev;
             for (vi, vault) in vaults.iter_mut().enumerate() {
                 if vault.asleep(inputs.clock) {
@@ -849,6 +856,9 @@ impl HmcSim {
                     &mut self.stats,
                     &mut self.bodies,
                 );
+                if !vault.rqst.is_full() {
+                    *full_vaults &= !(1 << vi);
+                }
             }
         }
         // Sub-cycle order in the trace: conflicts, then completions.
@@ -858,7 +868,7 @@ impl HmcSim {
         // ---- stage 5: roots first, then children (§IV.C.5) ----
         for root_pass in [true, false] {
             for di in 0..self.devices.len() {
-                if self.devices[di].is_root() != root_pass {
+                if (roots >> di & 1 != 0) != root_pass {
                     continue;
                 }
                 self.forward_xbar_responses(di);
@@ -940,7 +950,9 @@ mod tests {
     /// do.
     fn deliver(s: &mut HmcSim, vault: usize, e: QueueEntry) {
         let window = s.params().window_for(s.config.banks_per_vault);
-        s.devices[0].vaults[vault].push_request(e, window).unwrap();
+        let dev = &mut s.devices[0];
+        let (vaults, full) = (&mut dev.vaults, &mut dev.full_vaults);
+        crate::device::push_request(vaults, full, vault as u16, e, window).unwrap();
     }
 
     fn vault_gate(s: &HmcSim, vault: usize) -> Gate {
@@ -1444,9 +1456,11 @@ mod tests {
         assert_eq!(s.xbar_rqst_gate(&s.devices[0], 1), Gate::Live);
         assert_eq!(s.quiescent_horizon(10_000), 0);
 
-        // A keyed slot whose vault has a free slot moves this cycle.
+        // A keyed slot whose vault has a free slot moves this cycle (the
+        // vault's head taken as stage 4 takes it, full bit and all).
         let mut s = stalled_on_full_vault(ddr_params());
         s.devices[0].vaults[0].rqst.pop().unwrap();
+        s.devices[0].full_vaults &= !1;
         assert_eq!(s.xbar_rqst_gate(&s.devices[0], 0), Gate::Live);
         assert_eq!(s.xbar_rqst_gate(&s.devices[0], 1), Gate::Live);
         assert_eq!(s.quiescent_horizon(10_000), 0);
@@ -1653,7 +1667,7 @@ mod tests {
         (0..dev.xbars.len()).filter(skipped).collect()
     }
 
-    fn tags<W: Copy>(q: &PacketQueue<W>) -> Vec<u16> {
+    fn tags<W: crate::queue::SlotWord>(q: &PacketQueue<W>) -> Vec<u16> {
         q.iter().map(|e| e.packet.tag()).collect()
     }
 

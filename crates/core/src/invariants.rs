@@ -33,7 +33,10 @@
 //!   hint and the crossbar gate is re-proved inert slot by slot, when it
 //!   is skipped (`skipped walk:`), and every response queue's host and
 //!   mover count are what the link's far end and the queue's entries
-//!   imply (`xbar movers:`);
+//!   imply (`xbar movers:`); every crossbar request queue's class
+//!   census is a recount of its route classes (`xbar census:`), and
+//!   every device's full-vault mask names exactly the vaults whose
+//!   request queue is full (`full vaults:`);
 //! * **body conservation** — every packet body the simulation created is
 //!   on its free list or resident in a slot: no path that retires an
 //!   entry forgets to recycle its body.
@@ -48,7 +51,7 @@ use hmc_trace::EventKind;
 use hmc_types::{CubeId, LinkId, Packet, PhysAddr, MAX_PACKET_FLITS};
 
 use crate::link::Endpoint;
-use crate::queue::{QueueEntry, NO_ROUTE, UNCLASSIFIED};
+use crate::queue::{ClassCensus, QueueEntry, NO_ROUTE, UNCLASSIFIED};
 use crate::sim::HmcSim;
 
 /// Recorded violations are capped so a hard failure loop cannot grow the
@@ -375,6 +378,33 @@ impl HmcSim {
                     ));
                 }
             }
+            // Class censuses and the full-vault mask: the crossbar walk
+            // and its gate read both instead of the slots and the vault
+            // queues, so each must be what a recount says.
+            for (li, x) in d.xbars.iter().enumerate() {
+                let recount = ClassCensus::of(x.rqst.words());
+                if *x.rqst.census() != recount {
+                    found.push(format!(
+                        "xbar census: dev {di} xbar {li} counts classes {:#x}, but its {} \
+                         slots hold {:#x} (cycle {clock})",
+                        x.rqst.class_union(),
+                        x.rqst.len(),
+                        recount.classes()
+                    ));
+                }
+            }
+            let full = d
+                .vaults
+                .iter()
+                .filter(|v| v.rqst.is_full())
+                .fold(0u64, |m, v| m | 1 << v.id);
+            if d.full_vaults != full {
+                found.push(format!(
+                    "full vaults: dev {di} keeps full-vault mask {:#x}, but the vaults whose \
+                     request queue is full are {full:#x} (cycle {clock})",
+                    d.full_vaults
+                ));
+            }
             // NoC scan memos: a memoized segment is not scanned while its
             // refusing targets stay full, so the memo must still be what
             // a dry scan of the packets it holds derives. A scan visits
@@ -661,6 +691,56 @@ mod tests {
             "{:?}",
             s.invariant_violations()
         );
+    }
+
+    #[test]
+    fn a_class_census_out_of_step_with_its_slots_is_flagged() {
+        let mut s = keyed_behind_a_full_vault();
+        let keyed = s.devices[0].xbars[0].rqst.len();
+        s.inv_check_cycle();
+        assert_eq!(s.total_invariant_violations(), 0, "kept censuses are clean");
+        // A census that missed every slot: the gate would read an empty
+        // queue, and the walk would stop before its first slot.
+        *s.devices[0].xbars[0].rqst.census_mut() = ClassCensus::default();
+        s.inv_check_cycle();
+        assert_eq!(
+            s.invariant_violations(),
+            [format!(
+                "xbar census: dev 0 xbar 0 counts classes 0x0, but its {keyed} slots hold 0x1 \
+                 (cycle {})",
+                s.clock
+            )]
+        );
+    }
+
+    #[test]
+    fn a_full_vault_mask_out_of_step_with_the_vaults_is_flagged() {
+        let mut s = keyed_behind_a_full_vault();
+        assert_eq!(s.devices[0].full_vaults, 1, "vault 0 filled up");
+        // The vault's head taken around stage 4: the mask still says
+        // full, and the gate would hold the keyed slots back.
+        let head = s.devices[0].vaults[0].rqst.pop().unwrap();
+        s.bodies.give(head.packet);
+        s.inv_check_cycle();
+        assert_eq!(s.total_invariant_violations(), 1);
+        assert!(
+            s.invariant_violations()[0].starts_with(
+                "full vaults: dev 0 keeps full-vault mask 0x1, but the vaults whose request \
+                 queue is full are 0x0"
+            ),
+            "{:?}",
+            s.invariant_violations()
+        );
+    }
+
+    #[test]
+    fn a_device_reset_forgets_its_full_vaults() {
+        let mut s = keyed_behind_a_full_vault();
+        s.reset_device(0).unwrap();
+        // Before any vault is ticked again.
+        s.inv_check_cycle();
+        assert_eq!(s.invariant_violations(), &[] as &[String]);
+        assert_eq!(s.devices[0].full_vaults, 0);
     }
 
     /// Ten reads to rows of one DDR bank of vault 0 against a two-slot

@@ -69,7 +69,7 @@
 use hmc_types::{ArbitrationKind, Cycle, InterconnectKind, LinkId, QuadId, VaultId};
 
 use crate::quad::Quad;
-use crate::queue::{PacketQueue, QueueEntry};
+use crate::queue::{PacketQueue, QueueEntry, SlotWord};
 
 /// Routing contract a non-crossbar fabric implements: a deterministic,
 /// loop-free, minimal next-hop function over quad segments.
@@ -357,6 +357,15 @@ pub(crate) struct SlotMeta {
     /// engine's one-stage-per-sub-cycle rule.
     moved_at: Cycle,
 }
+
+impl SlotWord for SlotMeta {
+    type Census = ();
+}
+
+// A segment's queue keeps no census, and is no larger for the queues
+// that do.
+const _: () =
+    assert!(std::mem::size_of::<PacketQueue<SlotMeta>>() == std::mem::size_of::<PacketQueue<()>>());
 
 /// What one buffer's scan found when it moved nothing: every packet it
 /// could have moved was refused by a full target. While the buffer holds

@@ -20,7 +20,11 @@
 //! crossbar request queue's `u64` *route class*, so its tick costs one
 //! AND per occupied slot plus full slow-path visits only for the packets
 //! that move and the first blocked packet of each route class — not one
-//! per stalled slot, which is what a congested fabric is made of.
+//! per stalled slot, which is what a congested fabric is made of. A
+//! word type may keep a census of the words in its queue
+//! ([`SlotWord::Census`]): the route classes keep one per class
+//! ([`ClassCensus`]), so the union of a queue's classes costs one load,
+//! while `()` and the NoC's words keep none and pay nothing.
 
 use std::collections::VecDeque;
 
@@ -256,10 +260,100 @@ pub const NO_ROUTE: u16 = u16::MAX;
 /// 63, which no vault's bit ever is (vault ids stay below 32).
 pub const UNCLASSIFIED: u64 = 1 << 63;
 
+/// A word a queue slot carries beside its entry, and what the queue keeps
+/// about its words as a whole: the [`Census`](SlotWord::Census), which
+/// every operation that adds, drops or rewrites a word keeps in step
+/// (push, pop, remove, compact, clear, [`PacketQueue::set_word`]). A word
+/// type that needs no census keeps `()`, and its queue stays the size
+/// it was.
+pub trait SlotWord: Copy {
+    /// The summary of the words in one queue.
+    type Census: std::fmt::Debug + Default;
+
+    /// `word` entered the queue.
+    #[inline(always)]
+    fn enter(_census: &mut Self::Census, _word: Self) {}
+
+    /// `word` left the queue.
+    #[inline(always)]
+    fn leave(_census: &mut Self::Census, _word: Self) {}
+}
+
+impl SlotWord for () {
+    type Census = ();
+}
+
+/// The route classes of one crossbar request queue, counted: how many
+/// slots hold each class bit ([`UNCLASSIFIED`] included) and the mask of
+/// the classes present. A class word has exactly one bit set.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ClassCensus {
+    counts: [u16; 64],
+    present: u64,
+}
+
+impl Default for ClassCensus {
+    fn default() -> Self {
+        ClassCensus {
+            counts: [0; 64],
+            present: 0,
+        }
+    }
+}
+
+impl ClassCensus {
+    /// The census of `classes`, counted afresh (what `check_invariants`
+    /// holds a queue's kept census against).
+    pub fn of(classes: impl IntoIterator<Item = u64>) -> Self {
+        let mut census = ClassCensus::default();
+        classes.into_iter().for_each(|class| census.add(class));
+        census
+    }
+
+    /// The union of the classes counted.
+    #[inline]
+    pub fn classes(&self) -> u64 {
+        self.present
+    }
+
+    #[inline(always)]
+    fn add(&mut self, class: u64) {
+        debug_assert!(class.is_power_of_two(), "a class is one bit");
+        self.counts[class.trailing_zeros() as usize] += 1;
+        self.present |= class;
+    }
+
+    #[inline(always)]
+    fn sub(&mut self, class: u64) {
+        let count = &mut self.counts[class.trailing_zeros() as usize];
+        *count -= 1;
+        if *count == 0 {
+            self.present &= !class;
+        }
+    }
+}
+
+/// A crossbar request queue's word is its route class (see the
+/// `PacketQueue<u64>` methods), counted in a [`ClassCensus`].
+impl SlotWord for u64 {
+    type Census = ClassCensus;
+
+    #[inline(always)]
+    fn enter(census: &mut ClassCensus, class: u64) {
+        census.add(class);
+    }
+
+    #[inline(always)]
+    fn leave(census: &mut ClassCensus, class: u64) {
+        census.sub(class);
+    }
+}
+
 /// A fixed-depth FIFO of queue slots, each holding a packet and one word
 /// `W` its owner keeps about it (see the module docs). Every operation
 /// that moves slots moves the words with them; the words sit in a ring
-/// of their own, so a scan that reads them alone touches no entry.
+/// of their own, so a scan that reads them alone touches no entry. The
+/// queue keeps its words' [census](SlotWord::Census) in step.
 ///
 /// A slot may be *vacated* in place ([`PacketQueue::vacate`]): its packet
 /// moves out, while the slot and its word keep their index until
@@ -267,13 +361,17 @@ pub const UNCLASSIFIED: u64 = 1 << 63;
 /// then the queue takes pushes only. A vacated slot counts toward
 /// [`len`](PacketQueue::len); reading its entry panics.
 #[derive(Debug)]
-pub struct PacketQueue<W = ()> {
+pub struct PacketQueue<W: SlotWord = ()> {
     depth: usize,
     slots: VecDeque<Option<QueueEntry>>,
     words: VecDeque<W>,
+    census: W::Census,
     /// Bit `i % 64` of word `i / 64` marks slot `i` vacated (grown on use).
     vacated: Vec<u64>,
 }
+
+// The census costs nothing where a word type keeps none.
+const _: () = assert!(std::mem::size_of::<PacketQueue<()>>() <= 96);
 
 const VACATED: &str = "a vacated slot is compacted before it is read";
 
@@ -281,7 +379,7 @@ fn live(slot: &Option<QueueEntry>) -> &QueueEntry {
     slot.as_ref().expect(VACATED)
 }
 
-impl<W: Copy> PacketQueue<W> {
+impl<W: SlotWord> PacketQueue<W> {
     /// Create a queue of `depth` slots.
     ///
     /// # Panics
@@ -293,6 +391,7 @@ impl<W: Copy> PacketQueue<W> {
             depth,
             slots: VecDeque::with_capacity(depth),
             words: VecDeque::with_capacity(depth),
+            census: W::Census::default(),
             vacated: Vec::new(),
         }
     }
@@ -331,12 +430,14 @@ impl<W: Copy> PacketQueue<W> {
         }
         self.slots.push_back(Some(entry));
         self.words.push_back(word);
+        W::enter(&mut self.census, word);
         Ok(())
     }
 
     /// Dequeue from the head.
     pub fn pop(&mut self) -> Option<QueueEntry> {
-        self.words.pop_front();
+        let word = self.words.pop_front()?;
+        W::leave(&mut self.census, word);
         self.slots.pop_front().map(|slot| slot.expect(VACATED))
     }
 
@@ -362,7 +463,21 @@ impl<W: Copy> PacketQueue<W> {
 
     /// Replace the word of slot `i` (0 = head); panics if there is none.
     pub fn set_word(&mut self, i: usize, word: W) {
-        self.words[i] = word;
+        let old = std::mem::replace(&mut self.words[i], word);
+        W::leave(&mut self.census, old);
+        W::enter(&mut self.census, word);
+    }
+
+    /// The census of every slot's word.
+    pub fn census(&self) -> &W::Census {
+        &self.census
+    }
+
+    /// The census, to be set out of step by a test of the checker that
+    /// must notice.
+    #[cfg(test)]
+    pub(crate) fn census_mut(&mut self) -> &mut W::Census {
+        &mut self.census
     }
 
     /// Every slot's word, head first.
@@ -374,7 +489,8 @@ impl<W: Copy> PacketQueue<W> {
     /// Used by the crossbar's pass-ahead walk, where a stalled packet may
     /// be passed by later packets bound elsewhere (§III.C weak ordering).
     pub fn remove(&mut self, i: usize) -> Option<QueueEntry> {
-        self.words.remove(i);
+        let word = self.words.remove(i)?;
+        W::leave(&mut self.census, word);
         self.slots.remove(i).map(|slot| slot.expect(VACATED))
     }
 
@@ -394,7 +510,8 @@ impl<W: Copy> PacketQueue<W> {
                 let i = w * 64 + 63 - self.vacated[w].leading_zeros() as usize;
                 self.vacated[w] &= !(1 << (i % 64));
                 self.slots.remove(i);
-                self.words.remove(i);
+                let word = self.words.remove(i).expect("a vacated slot is in the ring");
+                W::leave(&mut self.census, word);
                 removed(i);
             }
         }
@@ -416,6 +533,7 @@ impl<W: Copy> PacketQueue<W> {
     pub fn clear(&mut self) {
         self.slots.clear();
         self.words.clear();
+        self.census = W::Census::default();
         self.vacated.fill(0);
     }
 }
@@ -432,7 +550,9 @@ impl PacketQueue {
 /// which the crossbar request walk memoizes "clean local memory request
 /// for vault *v*" as bit *v* ([`UNCLASSIFIED`] on arrival), so a later
 /// walk can tell a stalled slot is still stalled with one AND and without
-/// touching the entry.
+/// touching the entry. The queue counts its classes ([`ClassCensus`]),
+/// so the walk and the crossbar gate learn which classes are present
+/// without reading a slot.
 impl PacketQueue<u64> {
     /// Enqueue at the tail; the new slot is unclassified.
     pub fn push(&mut self, entry: QueueEntry) -> Result<(), QueueEntry> {
@@ -456,9 +576,11 @@ impl PacketQueue<u64> {
 
     /// The union of every slot's route class: [`UNCLASSIFIED`] is in it
     /// when some slot is unclassified, and bit *v* when some slot is
-    /// keyed to vault *v*. Reads the classes only.
+    /// keyed to vault *v*. Read off the queue's [`ClassCensus`] in
+    /// constant time.
+    #[inline]
     pub fn class_union(&self) -> u64 {
-        self.words().fold(0, |union, class| union | class)
+        self.census.classes()
     }
 
     /// The first slot at or after `from` that a stall-aware walk must
@@ -467,7 +589,11 @@ impl PacketQueue<u64> {
     /// slot is always visited) — or [`len`](PacketQueue::len) when every
     /// remaining slot is keyed and held (`from` itself when it is already
     /// past the end). Reads the classes only, as the ring buffer's two
-    /// contiguous runs, four slots per branch.
+    /// contiguous runs, four slots per branch. A caller that must know
+    /// only whether any slot is left to visit asks
+    /// [`class_union`](PacketQueue::class_union)` & !held` instead, in
+    /// constant time: it is zero exactly when this returns `len` from
+    /// the head.
     pub fn next_unblocked(&self, from: usize, held: u64) -> usize {
         debug_assert_eq!(held & UNCLASSIFIED, 0, "held names vaults only");
         let (head, tail) = self.words.as_slices();

@@ -533,8 +533,12 @@ impl HmcSim {
     /// Returns [`HmcError::Stalled`] when the link's crossbar queue (or
     /// its token pool) has no room — the signal the paper's harness uses
     /// to throttle injection (§VI.A).
+    ///
+    /// Errors come in this order: the topology; then a stall when the
+    /// port refuses every packet, before the packet is looked at
+    /// ([`HmcSim::open_port`]); then validation; then a token stall.
     pub fn send(&mut self, dev: CubeId, link: LinkId, packet: Packet) -> Result<()> {
-        let host = self.host_link(dev, link)?;
+        let host = self.open_port(dev, link)?;
         let body = self.bodies.take(packet);
         self.admit(dev, link, host, body)
     }
@@ -544,16 +548,16 @@ impl HmcSim {
     /// and copied over. The body comes as its last packet left it: `fill`
     /// must overwrite it whole, as [`Packet::fill_request`] does.
     ///
-    /// Errors come in `send`'s order — the topology first, then `fill`'s
-    /// own, then validation, then stalls — and a refused body goes back
-    /// to the pool.
+    /// Errors come in `send`'s order, with `fill`'s own after the port's
+    /// refusal (no body is taken and `fill` does not run) and before
+    /// validation. A refused body goes back to the pool.
     pub fn send_with(
         &mut self,
         dev: CubeId,
         link: LinkId,
         fill: impl FnOnce(&mut Packet) -> Result<()>,
     ) -> Result<()> {
-        let host = self.host_link(dev, link)?;
+        let host = self.open_port(dev, link)?;
         let mut body = self.bodies.take_any();
         if let Err(e) = fill(&mut body) {
             self.bodies.give(body);
@@ -563,9 +567,13 @@ impl HmcSim {
     }
 
     /// The host cube at the far end of `dev`'s link `link`, building the
-    /// routes first if the topology changed; an error unless it is a
-    /// host link.
-    fn host_link(&mut self, dev: CubeId, link: LinkId) -> Result<CubeId> {
+    /// routes first if the topology changed: a topology error unless it
+    /// is a host link, and a stall while the port refuses every packet,
+    /// whatever it is. It does when the link is down, retraining after
+    /// retry exhaustion (the same stall signal as flow-control
+    /// back-pressure, so host throttling loops need no special case), or
+    /// its crossbar request queue is full.
+    fn open_port(&mut self, dev: CubeId, link: LinkId) -> Result<CubeId> {
         self.ensure_routes()?;
         let d = self
             .devices
@@ -575,12 +583,17 @@ impl HmcSim {
             .links
             .get(link as usize)
             .ok_or_else(|| HmcError::link_range(link, d.links.len() as u8))?;
-        match l.remote {
-            Endpoint::Host(h) => Ok(h),
-            _ => Err(HmcError::Topology(format!(
+        let Endpoint::Host(host) = l.remote else {
+            return Err(HmcError::Topology(format!(
                 "link {link} on device {dev} is not a host link"
-            ))),
+            )));
+        };
+        if (self.faults.is_some() && l.retrain_gated(self.clock))
+            || d.xbars[link as usize].rqst.is_full()
+        {
+            return Err(HmcError::Stalled { cube: dev, link });
         }
+        Ok(host)
     }
 
     /// The admission path `send` and `send_with` share: the packet in
@@ -620,9 +633,9 @@ impl HmcSim {
     }
 
     /// Whether `packet` may enter `dev`'s crossbar queue for host link
-    /// `link` now: it is a valid request or flow packet, the link is not
-    /// retraining, the queue has a free slot and the link's token pool
-    /// covers it. The tokens are taken when it may.
+    /// `link`, whose port is open ([`HmcSim::open_port`]): it is a valid
+    /// request or flow packet and the link's token pool covers it. The
+    /// tokens are taken when it may.
     fn admission(&mut self, dev: CubeId, link: LinkId, packet: &Packet) -> Result<()> {
         packet.validate()?;
         if packet.cmd()?.is_response() {
@@ -631,16 +644,6 @@ impl HmcSim {
             ));
         }
         let d = &mut self.devices[dev as usize];
-        if self.faults.is_some() && d.links[link as usize].retrain_gated(self.clock) {
-            // The link is down, retraining after retry exhaustion: no
-            // packet enters until the window lapses (same stall signal
-            // as flow-control back-pressure, so host throttling loops
-            // need no special case).
-            return Err(HmcError::Stalled { cube: dev, link });
-        }
-        if d.xbars[link as usize].rqst.is_full() {
-            return Err(HmcError::Stalled { cube: dev, link });
-        }
         if !d.links[link as usize].take_tokens(packet.lng() as u32) {
             self.stats.token_stalls += 1;
             return Err(HmcError::Stalled { cube: dev, link });

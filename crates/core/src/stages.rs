@@ -28,6 +28,7 @@ use hmc_trace::{EventKind, TraceEvent};
 use hmc_types::packet::ResponseStatus::{self, AddressError, CommandError, Misroute, Zombie};
 use hmc_types::{AddressMap, BankId, Command, CubeId, LinkId, PhysAddr, QuadId, VaultId};
 
+use crate::device;
 use crate::engine::Gate;
 use crate::fault::Retry;
 use crate::link::{Endpoint, LinkRules};
@@ -108,6 +109,8 @@ pub(crate) fn classify(e: &QueueEntry, dev_id: CubeId, map: &dyn AddressMap) -> 
 /// crossbar response queues.
 struct DeviceSink<'a> {
     vaults: &'a mut [Vault],
+    /// [`Device::full_vaults`](crate::device::Device::full_vaults).
+    full_vaults: &'a mut u64,
     xbars: &'a mut [Crossbar],
     /// Stage 4's scan window ([`Vault::push_request`]).
     window: usize,
@@ -123,7 +126,9 @@ impl NocSink for DeviceSink<'_> {
 
     fn deliver(&mut self, dest: NocDest, entry: QueueEntry) {
         let pushed = match dest {
-            NocDest::ToVault(v) => self.vaults[v as usize].push_request(entry, self.window),
+            NocDest::ToVault(v) => {
+                device::push_request(self.vaults, self.full_vaults, v, entry, self.window)
+            }
             NocDest::ToLink(l) => self.xbars[l as usize].push_rsp(entry),
         };
         pushed.expect("the fabric probes `full` before it delivers");
@@ -171,16 +176,29 @@ struct Walk {
 
 impl HmcSim {
     /// Stages 1 and 2: the crossbar request walks of child devices
-    /// (without a host link), then of root devices (with one).
-    pub(crate) fn stages12_xbar_requests(&mut self) {
+    /// (without a host link), then of root devices (with one); bit *d*
+    /// of `roots` is set when device *d* is a root
+    /// ([`HmcSim::root_devices`]).
+    pub(crate) fn stages12_xbar_requests(&mut self, roots: u64) {
         let rules = self.link_rules();
         for root in [false, true] {
             for di in 0..self.devices.len() {
-                if self.devices[di].is_root() == root {
+                if (roots >> di & 1 != 0) == root {
                     self.process_xbar_requests(di, rules);
                 }
             }
         }
+    }
+
+    /// The root devices ([`Device::is_root`](crate::device::Device::is_root)),
+    /// bit *d* for device *d*: asked once per cycle, for the stage
+    /// orders of stages 1/2 and 5.
+    pub(crate) fn root_devices(&self) -> u64 {
+        self.devices
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| d.is_root())
+            .fold(0, |roots, (di, _)| roots | 1 << di)
     }
 
     /// The link-layer rules the installed parameters set for every link.
@@ -261,8 +279,12 @@ impl HmcSim {
                 // over with no side effect — so pass over such slots on
                 // their keys alone. The first blocked packet of each
                 // class still takes the route step, which is what
-                // latches the class and emits the stall.
+                // latches the class and emits the stall. The queue's class
+                // census says in one AND when no slot is left to visit.
                 let rqst = &self.devices[di].xbars[l].rqst;
+                if rqst.class_union() & !walk.held == 0 {
+                    break;
+                }
                 idx = rqst.next_unblocked(idx, walk.held);
                 if idx >= rqst.len() {
                     break;
@@ -447,8 +469,8 @@ impl HmcSim {
             noc.inject(l as QuadId, NocDest::ToVault(vault), entry, self.clock);
         } else {
             let window = self.params().window_for(self.config.banks_per_vault);
-            self.devices[di].vaults[vault as usize]
-                .push_request(entry, window)
+            let dev = &mut self.devices[di];
+            device::push_request(&mut dev.vaults, &mut dev.full_vaults, vault, entry, window)
                 .expect("fullness checked above");
         }
         Step::Moved
@@ -699,14 +721,19 @@ impl HmcSim {
         let record_hops = self.tracer.enabled(EventKind::NocHop);
         let record_stalls = self.tracer.enabled(EventKind::NocStall);
         let window = self.params().window_for(self.config.banks_per_vault);
-        let crate::device::Device {
-            noc, vaults, xbars, ..
+        let device::Device {
+            noc,
+            vaults,
+            full_vaults,
+            xbars,
+            ..
         } = &mut self.devices[di];
         let Some(noc) = noc.as_mut() else {
             return;
         };
         let mut sink = DeviceSink {
             vaults,
+            full_vaults,
             xbars,
             window,
         };

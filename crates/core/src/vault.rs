@@ -96,7 +96,9 @@ pub struct Vault {
     pub id: VaultId,
     /// Request queue (from the crossbar). Arrivals enter through
     /// [`Vault::push_request`] and nothing else, so a sleeping vault
-    /// hears of every one that matters.
+    /// hears of every one that matters (and through
+    /// `device::push_request`, which keeps the device's full-vault
+    /// mask).
     pub rqst: PacketQueue,
     /// Response queue (toward the crossbar).
     pub rsp: PacketQueue,

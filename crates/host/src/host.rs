@@ -14,7 +14,7 @@
 
 use hmc_core::builder::ResponseInfo;
 use hmc_core::HmcSim;
-use hmc_types::{CubeId, Cycle, HmcError, LinkId, PhysAddr, Result};
+use hmc_types::{CubeId, Cycle, HmcError, LinkId, Packet, PhysAddr, Result};
 use hmc_workloads::MemOp;
 
 use crate::tags::{Pending, TagPool};
@@ -231,29 +231,40 @@ impl Host {
         let preferred = self.preferred(sim, &route, target, op);
         let rotation = (route.next..route.len).chain(0..route.next);
         let payload_len = self.write_payload(op);
+        // Every port would build the same packet but for its tag and
+        // link: a malformed op errors here, on its first try, and moves
+        // no counter.
+        Packet::check_request(cmd, op.addr, 0, payload_len)?;
+        let issue_cycle = sim.current_clock();
         for pos in preferred
             .into_iter()
             .chain(rotation.filter(|&pos| Some(pos) != preferred))
         {
             let (dev, link) = self.ports[route.first + pos];
-            // Tag 0x1ff is reserved for posted requests (no correlation).
-            let tag = if expects_response {
-                self.tags
-                    .alloc(Pending {
+            let (tags, payload) = (&mut self.tags, &self.scratch[..payload_len]);
+            // The tag is taken inside the fill, which a port that refuses
+            // every packet never runs. Tag 0x1ff is reserved for posted
+            // requests (no correlation).
+            let mut taken = None;
+            let sent = sim.send_with(dev, link, |p| {
+                let tag = if expects_response {
+                    let pending = Pending {
                         addr: op.addr,
                         cmd,
-                        issue_cycle: sim.current_clock(),
+                        issue_cycle,
                         dev,
                         link,
-                    })
-                    .expect("exhaustion checked above")
-            } else {
-                0x1ff
-            };
-            let payload = &self.scratch[..payload_len];
-            match sim.send_with(dev, link, |p| {
+                    };
+                    *taken.insert(tags.alloc(pending).expect("exhaustion checked above"))
+                } else {
+                    0x1ff
+                };
                 p.fill_request(cmd, target, op.addr, tag, link, payload)
-            }) {
+            });
+            if let (Err(_), Some(tag)) = (&sent, taken) {
+                self.tags.complete(tag);
+            }
+            match sent {
                 Ok(()) => {
                     self.routes[r].next = if pos + 1 == route.len { 0 } else { pos + 1 };
                     self.stats.injected += 1;
@@ -262,19 +273,8 @@ impl Host {
                     }
                     return Ok(true);
                 }
-                Err(e) if e.is_stall() => {
-                    self.stats.send_stalls += 1;
-                    if expects_response {
-                        self.tags.complete(tag);
-                    }
-                    continue;
-                }
-                Err(e) => {
-                    if expects_response {
-                        self.tags.complete(tag);
-                    }
-                    return Err(e);
-                }
+                Err(e) if e.is_stall() => self.stats.send_stalls += 1,
+                Err(e) => return Err(e),
             }
         }
         Ok(false)
@@ -543,6 +543,36 @@ mod tests {
             1,
             "every refused fill gave its body back for the next"
         );
+    }
+
+    #[test]
+    fn a_full_device_refuses_without_building_and_a_malformed_op_still_errors() {
+        let mut s = sim();
+        let mut h = Host::attach(&s, s.host_cube_id(0)).unwrap();
+        // Fill every crossbar request queue: eight slots on each of the
+        // four ports.
+        let mut addr = 0;
+        while h.try_issue(&mut s, 0, &MemOp::read(addr, BlockSize::B64)).unwrap() {
+            addr += 64;
+        }
+        assert_eq!(h.outstanding(), 32);
+        let (stats, bodies) = (h.stats, s.packet_bodies_created());
+
+        // A valid op is refused by every port, and no port takes a body
+        // or a tag for it.
+        assert!(!h.try_issue(&mut s, 0, &MemOp::read(addr, BlockSize::B64)).unwrap());
+        assert_eq!(h.stats.send_stalls, stats.send_stalls + 4);
+        assert_eq!((h.outstanding(), s.packet_bodies_created()), (32, bodies));
+
+        // A malformed op errors on its first try and moves no counter,
+        // though every port would refuse it.
+        let stalls = h.stats;
+        let err = h
+            .try_issue(&mut s, 0, &MemOp::read(1 << 34, BlockSize::B64))
+            .unwrap_err();
+        assert!(matches!(err, HmcError::InvalidAddress { .. }), "{err}");
+        assert_eq!(h.stats, stalls);
+        assert_eq!((h.outstanding(), s.packet_bodies_created()), (32, bodies));
     }
 
     #[test]

@@ -431,6 +431,33 @@ impl Packet {
         Ok(p)
     }
 
+    /// Whether [`Packet::fill_request`] would accept these fields: `cmd`
+    /// is a request command, `data_bytes` is its payload size, `addr`
+    /// fits the 34-bit address field and `tag` the 9-bit tag field. The
+    /// error is the one it would return.
+    pub fn check_request(cmd: Command, addr: u64, tag: u16, data_bytes: usize) -> Result<()> {
+        if !cmd.is_request() {
+            return Err(HmcError::InvalidPacket(format!(
+                "{} is not a request command",
+                cmd.mnemonic()
+            )));
+        }
+        let expected = cmd.request_data_bytes();
+        if data_bytes != expected {
+            return Err(HmcError::InvalidPacket(format!(
+                "{} expects {expected} payload bytes, got {data_bytes}",
+                cmd.mnemonic()
+            )));
+        }
+        PhysAddr::new(addr)?;
+        if tag >= (1 << 9) {
+            return Err(HmcError::InvalidPacket(format!(
+                "tag {tag} exceeds the 9-bit tag field"
+            )));
+        }
+        Ok(())
+    }
+
     /// [`Packet::request`] written over this packet, whatever it held:
     /// header, tail and all sixteen payload words are overwritten, so a
     /// recycled body keeps nothing of its last packet. On error the
@@ -444,26 +471,7 @@ impl Packet {
         link: LinkId,
         data: &[u8],
     ) -> Result<()> {
-        if !cmd.is_request() {
-            return Err(HmcError::InvalidPacket(format!(
-                "{} is not a request command",
-                cmd.mnemonic()
-            )));
-        }
-        let expected = cmd.request_data_bytes();
-        if data.len() != expected {
-            return Err(HmcError::InvalidPacket(format!(
-                "{} expects {expected} payload bytes, got {}",
-                cmd.mnemonic(),
-                data.len()
-            )));
-        }
-        PhysAddr::new(addr)?;
-        if tag >= (1 << 9) {
-            return Err(HmcError::InvalidPacket(format!(
-                "tag {tag} exceeds the 9-bit tag field"
-            )));
-        }
+        Packet::check_request(cmd, addr, tag, data.len())?;
         self.header = 0;
         self.tail = 0;
         self.set_cmd(cmd);

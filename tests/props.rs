@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 
+use hmc_sim::hmc_core::queue::{ClassCensus, UNCLASSIFIED};
 use hmc_sim::hmc_core::{decode_response, topology, HmcSim, PacketQueue, QueueEntry};
 use hmc_sim::hmc_types::address::{AddressMap, Field};
 use hmc_sim::hmc_types::crc::crc32k;
@@ -184,24 +185,31 @@ proptest! {
     }
 
     /// The one packet queue against a `Vec<(tag, word)>`: every
-    /// operation that moves slots must move their words with them. The
-    /// depths are shallow, so the ring's seam moves through every
-    /// position.
+    /// operation that moves slots must move their words with them, and
+    /// keep the class census a recount of the words. The words are
+    /// route classes (one bit each, `UNCLASSIFIED` among them), as in a
+    /// crossbar request queue. The depths are shallow, so the ring's seam
+    /// moves through every position.
     #[test]
     fn queue_preserves_fifo_under_random_push_pop(
         depth in 1usize..=9,
         ops in prop::collection::vec((0u8..8, any::<u16>()), 1..300),
     ) {
-        let mut q = PacketQueue::<u16>::new(depth);
-        let mut model: Vec<(u16, u16)> = Vec::new();
+        // Few classes, so that a class is often held by several slots.
+        let class = |arg: u16| match arg % 6 {
+            5 => UNCLASSIFIED,
+            v => 1u64 << (v * 7),
+        };
+        let mut q = PacketQueue::<u64>::new(depth);
+        let mut model: Vec<(u16, u64)> = Vec::new();
         let mut next_tag = 0u16;
         for (op, arg) in ops {
             match op {
                 0..=2 => {
                     let tag = next_tag % 512;
                     let p = Packet::request(Command::Rd(BlockSize::B16), 0, 0, tag, 0, &[]).unwrap();
-                    match q.push_with(QueueEntry::new(p, 1, 0, 0), arg) {
-                        Ok(()) => model.push((tag, arg)),
+                    match q.push_with(QueueEntry::new(p, 1, 0, 0), class(arg)) {
+                        Ok(()) => model.push((tag, class(arg))),
                         Err(back) => {
                             prop_assert_eq!(model.len(), depth, "refused below depth");
                             prop_assert_eq!(back.packet.tag(), tag);
@@ -223,8 +231,8 @@ proptest! {
                 }
                 5 if !model.is_empty() => {
                     let i = arg as usize % model.len();
-                    q.set_word(i, arg);
-                    model[i].1 = arg;
+                    q.set_word(i, class(arg >> 4));
+                    model[i].1 = class(arg >> 4);
                 }
                 6 => {
                     // Vacate the slots whose bit is set in `arg`, then
@@ -247,8 +255,10 @@ proptest! {
                 }
                 _ => {}
             }
-            let slots: Vec<(u16, u16)> = q.iter().map(|e| e.packet.tag()).zip(q.words()).collect();
+            let slots: Vec<(u16, u64)> = q.iter().map(|e| e.packet.tag()).zip(q.words()).collect();
             prop_assert_eq!(&slots, &model);
+            prop_assert_eq!(q.census(), &ClassCensus::of(model.iter().map(|m| m.1)));
+            prop_assert_eq!(q.class_union(), model.iter().fold(0, |u, m| u | m.1));
             prop_assert_eq!(q.len(), model.len());
             prop_assert_eq!(q.is_full(), model.len() == depth);
             prop_assert_eq!(q.free_slots(), depth - model.len());
