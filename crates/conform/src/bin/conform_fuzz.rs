@@ -146,38 +146,13 @@ fn main() -> ExitCode {
                 );
             }
             let report = campaign(&cfg);
-            match report.failure {
-                None => {
-                    streams_clean += report.streams_run;
-                    responses_checked += report.responses_checked;
-                }
-                Some((case, failure)) => {
-                    eprintln!(
-                        "FAIL on stream {} ({}, {} map, seed {:#x}, {} timing, \
-                         {} fabric): {failure}",
-                        report.streams_run - 1,
-                        case.label,
-                        case.map.name(),
-                        case.seed,
-                        case.params.timing.kind.name(),
-                        case.params.interconnect.kind.name(),
-                    );
-                    eprintln!("shrinking…");
-                    let shrunk = shrink_case(&case);
-                    let path = repro_dir.join("conform-repro.csv");
-                    match write_repro(&shrunk.minimal, &shrunk.failure, &path) {
-                        Ok(()) => eprintln!(
-                            "minimal repro: {} of {} ops ({} runs) -> {}",
-                            shrunk.minimal.ops.len(),
-                            shrunk.original_len,
-                            shrunk.runs,
-                            path.display()
-                        ),
-                        Err(e) => eprintln!("could not write repro file: {e}"),
-                    }
-                    return ExitCode::FAILURE;
-                }
+            if report.shrink_failure(&repro_dir.join("conform-repro.csv"), |line| {
+                eprintln!("{line}")
+            }) {
+                return ExitCode::FAILURE;
             }
+            streams_clean += report.streams_run;
+            responses_checked += report.responses_checked;
         }
     }
     println!(

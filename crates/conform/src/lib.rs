@@ -36,6 +36,7 @@
 
 pub mod fuzz;
 pub mod harness;
+pub mod legs;
 pub mod oracle;
 pub mod shrink;
 
@@ -48,5 +49,6 @@ pub use harness::{
     CaseOutcome, CorruptSpec, CrossInterconnectOutcome, CrossTimingOutcome, Failure, FuzzCase,
     MismatchTally,
 };
+pub use legs::{Leg, CI_LEGS};
 pub use oracle::Oracle;
 pub use shrink::{shrink_case, write_repro, ShrinkReport};

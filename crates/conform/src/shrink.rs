@@ -13,13 +13,15 @@
 //! The minimal stream is written with [`write_repro`] in the
 //! `hmc_workloads::Replay` CSV dialect (`kind,addr,size`), so
 //! `Replay::read_csv` + the printed `(preset, map, seed)` triple
-//! reproduce the failure exactly.
+//! reproduce the failure exactly. [`CampaignReport::shrink_failure`]
+//! is the one path from a failed campaign to that file.
 
 use std::io::Write as _;
 use std::path::Path;
 
 use hmc_workloads::Replay;
 
+use crate::fuzz::CampaignReport;
 use crate::harness::{run_case, Failure, FuzzCase};
 
 /// The outcome of shrinking a failing case.
@@ -80,6 +82,40 @@ pub fn shrink_case(case: &FuzzCase) -> ShrinkReport {
         failure,
         original_len,
         runs,
+    }
+}
+
+impl CampaignReport {
+    /// If a stream diverged: describe it, shrink it and write the
+    /// minimal repro to `path`, handing each line of that account to
+    /// `log` as it happens (shrinking takes up to a few hundred runs).
+    /// Returns whether a stream diverged.
+    pub fn shrink_failure(&self, path: &Path, mut log: impl FnMut(String)) -> bool {
+        let Some((case, failure)) = &self.failure else {
+            return false;
+        };
+        log(format!(
+            "FAIL on stream {} ({}, {} map, seed {:#x}, {} timing, {} fabric): {failure}",
+            self.streams_run - 1,
+            case.label,
+            case.map.name(),
+            case.seed,
+            case.params.timing.kind.name(),
+            case.params.interconnect.kind.name(),
+        ));
+        log("shrinking…".to_string());
+        let shrunk = shrink_case(case);
+        log(match write_repro(&shrunk.minimal, &shrunk.failure, path) {
+            Ok(()) => format!(
+                "minimal repro: {} of {} ops ({} runs) -> {}",
+                shrunk.minimal.ops.len(),
+                shrunk.original_len,
+                shrunk.runs,
+                path.display()
+            ),
+            Err(e) => format!("could not write repro file: {e}"),
+        });
+        true
     }
 }
 

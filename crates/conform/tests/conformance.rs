@@ -1,17 +1,25 @@
-//! End-to-end conformance checks: a clean mini-campaign over all four
-//! paper presets and map kinds, and the checker-of-the-checker path —
-//! a deliberately corrupted datapath must be caught, shrunk to a
-//! minimal stream, and reproduced from the written replay file.
+//! End-to-end conformance checks: CI's twelve conformance legs (the
+//! rows of [`CI_LEGS`]), a clean mini-campaign over all four paper
+//! presets and map kinds, and the checker-of-the-checker path — a
+//! deliberately corrupted datapath must be caught, shrunk to a minimal
+//! stream, and reproduced from the written replay file.
+//!
+//! Every leg runs here at `min(CI count, 300)` streams; its
+//! `#[ignore]`d `*_at_ci_count` twin runs CI's count:
+//! `cargo test --release -p hmc-conform --test conformance -- --ignored`.
+//! A divergent campaign is shrunk, and its repro written to
+//! `fuzz-repro/<name>.csv` at the workspace root.
 
 use std::io::BufReader;
+use std::path::Path;
 
 use hmc_conform::fuzz::{campaign_with_corruption, case_for_stream, gen_stream};
 use hmc_conform::{
     campaign, hammer_demo, run_case, run_case_cross_interconnect, run_case_cross_timing,
-    shrink_case, write_repro, CampaignConfig, CorruptSpec, FuzzCase, MapKind,
+    shrink_case, write_repro, CampaignConfig, CorruptSpec, FuzzCase, Leg, MapKind, CI_LEGS,
 };
 use hmc_core::{NocParams, RefreshParams, SimParams, TimingParams};
-use hmc_types::{ArbitrationKind, DeviceConfig, InterconnectKind, TimingKind};
+use hmc_types::{DeviceConfig, TimingKind};
 use hmc_workloads::{OpKind, Replay, Workload};
 
 fn axes(timing: TimingKind, interconnect: NocParams) -> SimParams {
@@ -20,6 +28,83 @@ fn axes(timing: TimingKind, interconnect: NocParams) -> SimParams {
         interconnect,
         ..SimParams::default()
     }
+}
+
+/// Run `cfg` and fail on its first divergent stream, after shrinking it
+/// and writing its repro to `fuzz-repro/<what>.csv`.
+fn assert_campaign_clean(what: &str, cfg: &CampaignConfig) {
+    let report = campaign(cfg);
+    let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let repro = crate_dir
+        .ancestors()
+        .nth(2)
+        .unwrap()
+        .join(format!("fuzz-repro/{}.csv", what.replace(' ', "-")));
+    let mut account = Vec::new();
+    if report.shrink_failure(&repro, |line| account.push(line)) {
+        panic!("{what} campaign:\n{}", account.join("\n"));
+    }
+    assert_eq!(report.streams_run, cfg.streams, "{what}");
+    assert!(report.responses_checked > 0, "{what}");
+    println!(
+        "{what}: PASS: {} streams clean, {} responses oracle-checked",
+        report.streams_run, report.responses_checked
+    );
+}
+
+/// Run CI's leg at `seed` at the stream count `streams` picks for it.
+fn run_leg(seed: u64, streams: fn(&Leg) -> usize) {
+    let leg = Leg::by_seed(seed).expect("a CI leg");
+    assert_campaign_clean(leg.name, &leg.config(streams(leg)));
+}
+
+/// Each CI leg's two tests: tier-1's at `Leg::tier1_streams`, and its
+/// `#[ignore]`d twin at CI's count, which CI's conformance job runs.
+macro_rules! leg_tests {
+    ($($seed:literal => $tier1:ident, $ci:ident;)*) => {
+        $(
+            #[test]
+            fn $tier1() {
+                run_leg($seed, Leg::tier1_streams);
+            }
+
+            #[test]
+            #[ignore = "CI's stream count; run with --release -- --ignored"]
+            fn $ci() {
+                run_leg($seed, |leg| leg.ci_streams);
+            }
+        )*
+
+        /// The seeds the leg tests run, in table order.
+        const TESTED_SEEDS: &[u64] = &[$($seed),*];
+    };
+}
+
+leg_tests! {
+    0xC0FF_EE00 => pinned_campaign_at_the_ci_seed_is_clean, pinned_campaign_at_ci_count;
+    0xC0FF_EE01 => fast_forward_campaign_at_the_ci_seed_is_clean, fast_forward_campaign_at_ci_count;
+    0xC0FF_EE02 => ddr_campaign_with_pinned_seed_is_clean, ddr_campaign_at_ci_count;
+    0xC0FF_EE03 => ring_campaign_with_pinned_seed_is_clean, ring_campaign_at_ci_count;
+    0xC0FF_EE04 => mesh_campaign_with_pinned_seed_is_clean, mesh_campaign_at_ci_count;
+    0xC0FF_EE05 => hammer_campaign_with_pinned_seed_is_clean, hammer_campaign_at_ci_count;
+    0xC0FF_EE06 => link_error_campaign_at_the_ci_seed_is_clean, link_error_campaign_at_ci_count;
+    0xC0FF_EE07 => ddr_fast_forward_campaign_at_the_ci_seed_is_clean, ddr_fast_forward_campaign_at_ci_count;
+    0xC0FF_EE08 => combined_axis_campaign_at_the_ci_seed_is_clean, combined_axis_campaign_at_ci_count;
+    0xC0FF_EE09 => ring_fast_forward_campaign_at_the_ci_seed_is_clean, ring_fast_forward_campaign_at_ci_count;
+    0xC0FF_EE0A => serialized_link_campaign_at_the_ci_seed_is_clean, serialized_link_campaign_at_ci_count;
+    0xC0FF_EE0B => mesh_locality_aware_campaign_at_the_ci_seed_is_clean, mesh_locality_aware_campaign_at_ci_count;
+}
+
+#[test]
+fn the_leg_table_names_each_ci_seed_once_and_every_leg_is_tested() {
+    let ci_seeds: Vec<u64> = (0..12).map(|i| 0xC0FF_EE00 + i).collect();
+    let table: Vec<u64> = CI_LEGS.iter().map(|leg| leg.base_seed).collect();
+    assert_eq!(table, ci_seeds, "C0FFEE00..0B, once each, in order");
+    assert_eq!(TESTED_SEEDS, &ci_seeds[..]);
+    let mut names: Vec<&str> = CI_LEGS.iter().map(|leg| leg.name).collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), CI_LEGS.len(), "names pick distinct files");
 }
 
 /// Enough streams to hit every (preset, map) pair once: 4 presets
@@ -36,17 +121,7 @@ fn mini_campaign() -> CampaignConfig {
 
 #[test]
 fn mini_campaign_is_clean_across_presets_and_maps() {
-    let report = campaign(&mini_campaign());
-    if let Some((case, failure)) = &report.failure {
-        panic!(
-            "stream on {} / {} (seed {:#x}) diverged: {failure}",
-            case.label,
-            case.map.name(),
-            case.seed
-        );
-    }
-    assert_eq!(report.streams_run, 16);
-    assert!(report.responses_checked > 0);
+    assert_campaign_clean("mini", &mini_campaign());
 }
 
 #[test]
@@ -58,8 +133,7 @@ fn full_thread_sweep_passes_on_one_stream_per_preset() {
         force_gaps: false,
         ..CampaignConfig::default()
     };
-    let report = campaign(&cfg);
-    assert!(report.is_clean(), "{:?}", report.failure.map(|(_, f)| f.to_string()));
+    assert_campaign_clean("full-thread sweep", &cfg);
 }
 
 #[test]
@@ -147,35 +221,7 @@ fn forced_fast_forward_campaign_is_clean() {
         force_gaps: true,
         ..CampaignConfig::default()
     };
-    let report = campaign(&cfg);
-    assert!(report.is_clean(), "{:?}", report.failure.map(|(_, f)| f.to_string()));
-    assert_eq!(report.streams_run, 8);
-}
-
-#[test]
-fn ddr_campaign_with_pinned_seed_is_clean() {
-    // The DDR backend through the full harness: oracle agreement,
-    // invariant checks, fast-forward axis, quiesce — all
-    // under the cycle-accurate state machine, at a pinned seed so this
-    // is the same guard every CI run executes.
-    let cfg = CampaignConfig {
-        streams: 16,
-        stream_len: 32,
-        base_seed: 0xC0FF_EE02,
-        force_gaps: false,
-        params: axes(TimingKind::Ddr, NocParams::default()),
-        ..CampaignConfig::default()
-    };
-    let report = campaign(&cfg);
-    if let Some((case, failure)) = &report.failure {
-        panic!(
-            "ddr stream on {} / {} (seed {:#x}) diverged: {failure}",
-            case.label,
-            case.map.name(),
-            case.seed
-        );
-    }
-    assert_eq!(report.streams_run, 16);
+    assert_campaign_clean("forced fast-forward", &cfg);
 }
 
 #[test]
@@ -190,141 +236,7 @@ fn ddr_full_thread_sweep_passes_stepped_and_fast_forward() {
         params: axes(TimingKind::Ddr, NocParams::default()),
         ..CampaignConfig::default()
     };
-    let report = campaign(&cfg);
-    assert!(report.is_clean(), "{:?}", report.failure.map(|(_, f)| f.to_string()));
-}
-
-/// Run `cfg` and fail on its first divergent stream.
-fn assert_campaign_clean(what: &str, cfg: &CampaignConfig) {
-    let report = campaign(cfg);
-    if let Some((case, failure)) = &report.failure {
-        panic!(
-            "{what} stream on {} / {} (seed {:#x}) diverged: {failure}",
-            case.label,
-            case.map.name(),
-            case.seed
-        );
-    }
-    assert_eq!(report.streams_run, cfg.streams);
-    assert!(report.responses_checked > 0);
-}
-
-#[test]
-fn pinned_campaign_at_the_ci_seed_is_clean() {
-    // CI's pinned differential leg (seed C0FFEE00: crossbar, classic
-    // timing, the fast-forward axis on the default rotation) at 300 of
-    // its 10,000 streams.
-    let cfg = CampaignConfig {
-        streams: 300,
-        base_seed: 0xC0FF_EE00,
-        ..CampaignConfig::default()
-    };
-    assert_campaign_clean("pinned", &cfg);
-}
-
-#[test]
-fn fast_forward_campaign_at_the_ci_seed_is_clean() {
-    // CI's fast-forward guard (seed C0FFEE01) at 300 of its 1,000
-    // streams: every stream gapped, so every fast-forward run jumps.
-    let cfg = CampaignConfig {
-        streams: 300,
-        base_seed: 0xC0FF_EE01,
-        force_gaps: true,
-        ..CampaignConfig::default()
-    };
-    assert_campaign_clean("fast-forward", &cfg);
-}
-
-#[test]
-fn ddr_fast_forward_campaign_at_the_ci_seed_is_clean() {
-    // CI's `--timing ddr --fast-forward` leg (seed C0FFEE07) at 300 of
-    // its 500 streams: every stream gapped, so every fast-forward run
-    // jumps over vaults that sleep on cached bank and data-ready edges.
-    let cfg = CampaignConfig {
-        streams: 300,
-        base_seed: 0xC0FF_EE07,
-        force_gaps: true,
-        params: axes(TimingKind::Ddr, NocParams::default()),
-        ..CampaignConfig::default()
-    };
-    assert_campaign_clean("ddr fast-forward", &cfg);
-}
-
-#[test]
-fn combined_axis_campaign_at_the_ci_seed_is_clean() {
-    // CI's combined leg (seed C0FFEE08: hammer, link errors, mesh, ddr,
-    // fast-forward) at 300 of its 1,000 streams.
-    let cfg = CampaignConfig {
-        streams: 300,
-        base_seed: 0xC0FF_EE08,
-        force_gaps: true,
-        hammer: true,
-        link_errors: true,
-        params: axes(TimingKind::Ddr, NocParams::of(InterconnectKind::Mesh)),
-        ..CampaignConfig::default()
-    };
-    assert_campaign_clean("combined-axis", &cfg);
-}
-
-#[test]
-fn link_error_campaign_at_the_ci_seed_is_clean() {
-    // CI's degraded-link leg (seed C0FFEE06) at 300 of its 1,000
-    // streams: retry-gated heads and retraining links in the stall walk.
-    let cfg = CampaignConfig {
-        streams: 300,
-        base_seed: 0xC0FF_EE06,
-        link_errors: true,
-        ..CampaignConfig::default()
-    };
-    assert_campaign_clean("link-error", &cfg);
-}
-
-#[test]
-fn ring_fast_forward_campaign_at_the_ci_seed_is_clean() {
-    // CI's ring fast-forward leg (seed C0FFEE09) at 300 of its 500
-    // streams.
-    let cfg = CampaignConfig {
-        streams: 300,
-        base_seed: 0xC0FF_EE09,
-        force_gaps: true,
-        params: axes(TimingKind::Classic, NocParams::of(InterconnectKind::Ring)),
-        ..CampaignConfig::default()
-    };
-    assert_campaign_clean("ring fast-forward", &cfg);
-}
-
-#[test]
-fn serialized_link_campaign_at_the_ci_seed_is_clean() {
-    // CI's serialized-link leg (seed C0FFEE0A: link errors, a one-beat
-    // FLIT budget, fast-forward) at 300 of its 1,000 streams: FLIT debt
-    // paid by walks, by skipped walks and by jumps.
-    let cfg = CampaignConfig {
-        streams: 300,
-        base_seed: 0xC0FF_EE0A,
-        force_gaps: true,
-        link_errors: true,
-        params: SimParams {
-            link_flits_per_cycle: Some(1),
-            ..SimParams::default()
-        },
-        ..CampaignConfig::default()
-    };
-    assert_campaign_clean("serialized-link", &cfg);
-}
-
-#[test]
-fn mesh_locality_aware_campaign_at_the_ci_seed_is_clean() {
-    // CI's mesh locality-aware leg (seed C0FFEE0B) at 300 of its 1,000
-    // streams.
-    let mesh =
-        NocParams::of(InterconnectKind::Mesh).with_arbitration(ArbitrationKind::LocalityAware);
-    let cfg = CampaignConfig {
-        streams: 300,
-        base_seed: 0xC0FF_EE0B,
-        params: axes(TimingKind::Classic, mesh),
-        ..CampaignConfig::default()
-    };
-    assert_campaign_clean("mesh locality-aware", &cfg);
+    assert_campaign_clean("ddr full-thread sweep", &cfg);
 }
 
 #[test]
@@ -382,32 +294,6 @@ fn fabrics_agree_functionally_on_every_preset_and_map() {
 }
 
 #[test]
-fn hammer_campaign_with_pinned_seed_is_clean() {
-    // The RowHammer fault axis through the full harness at a pinned
-    // seed — the CI hammer leg's guard. Every stream runs with fault
-    // injection armed (TRR-mitigated), every second stream carries a
-    // threshold-crossing adversarial burst, and the seeded fault
-    // stream must be bit-identical stepped and fast-forward.
-    let cfg = CampaignConfig {
-        streams: 8,
-        stream_len: 24,
-        base_seed: 0xC0FF_EE05,
-        hammer: true,
-        ..CampaignConfig::default()
-    };
-    let report = campaign(&cfg);
-    if let Some((case, failure)) = &report.failure {
-        panic!(
-            "hammer stream on {} / {} (seed {:#x}) diverged: {failure}",
-            case.label,
-            case.map.name(),
-            case.seed
-        );
-    }
-    assert_eq!(report.streams_run, 8);
-}
-
-#[test]
 fn hammer_demo_proves_end_to_end_detection() {
     // The fault-injection checker-of-the-checker: every injected flip
     // must surface through response data and be flagged by the oracle,
@@ -417,55 +303,6 @@ fn hammer_demo_proves_end_to_end_detection() {
     assert_eq!(report.detected_bits, report.bit_flips, "100% detection");
     assert!(report.corrupted_responses > 0);
     assert!(report.trr_refreshes > 0, "the mitigated leg must fire TRR");
-}
-
-#[test]
-fn ring_campaign_with_pinned_seed_is_clean() {
-    // The ring fabric through the full harness at a pinned seed — the
-    // same guard the CI interconnect leg executes.
-    let cfg = CampaignConfig {
-        streams: 16,
-        stream_len: 32,
-        base_seed: 0xC0FF_EE03,
-        params: axes(TimingKind::Classic, NocParams::of(InterconnectKind::Ring)),
-        ..CampaignConfig::default()
-    };
-    let report = campaign(&cfg);
-    if let Some((case, failure)) = &report.failure {
-        panic!(
-            "ring stream on {} / {} (seed {:#x}) diverged: {failure}",
-            case.label,
-            case.map.name(),
-            case.seed
-        );
-    }
-    assert_eq!(report.streams_run, 16);
-}
-
-#[test]
-fn mesh_campaign_with_pinned_seed_is_clean() {
-    // As above for the mesh, crossed with a non-default arbitration
-    // policy so the oldest-first scan order sees campaign traffic too.
-    let cfg = CampaignConfig {
-        streams: 16,
-        stream_len: 32,
-        base_seed: 0xC0FF_EE04,
-        params: axes(
-            TimingKind::Classic,
-            NocParams::of(InterconnectKind::Mesh).with_arbitration(ArbitrationKind::OldestFirst),
-        ),
-        ..CampaignConfig::default()
-    };
-    let report = campaign(&cfg);
-    if let Some((case, failure)) = &report.failure {
-        panic!(
-            "mesh stream on {} / {} (seed {:#x}) diverged: {failure}",
-            case.label,
-            case.map.name(),
-            case.seed
-        );
-    }
-    assert_eq!(report.streams_run, 16);
 }
 
 /// A [`gen_stream`] stream folded onto rows of one bank in each of two

@@ -98,7 +98,12 @@ fn run(s: Schedule, batched: bool) -> Outcome {
             let read = read.unwrap();
             // A full crossbar: give the device a cycle and free link
             // buffers before retrying the same request.
+            let refused_until = sim.current_clock() + 100_000;
             while sim.send(0, link, read.clone()).is_err() {
+                assert!(
+                    sim.current_clock() < refused_until,
+                    "{s:?}, batched {batched}: burst {burst} read {i} refused for 100,000 cycles"
+                );
                 advance(&mut sim, 1, batched);
                 drain(&mut sim, &mut responses);
             }
@@ -108,7 +113,12 @@ fn run(s: Schedule, batched: bool) -> Outcome {
         advance(&mut sim, gap, batched);
         drain(&mut sim, &mut responses);
     }
+    let drained_by = sim.current_clock() + 100_000;
     while !sim.is_idle() {
+        assert!(
+            sim.current_clock() < drained_by,
+            "{s:?}, batched {batched}: still busy 100,000 cycles after the last burst"
+        );
         advance(&mut sim, 64, batched);
         drain(&mut sim, &mut responses);
     }

@@ -20,6 +20,7 @@ fn sim() -> HmcSim {
 
 /// Send one request and pump the clock until its response returns.
 fn transact(sim: &mut HmcSim, link: u8, packet: Packet) -> hmc_sim::hmc_core::ResponseInfo {
+    let what = format!("{:?} tag {}", packet.cmd().unwrap(), packet.tag());
     sim.send(0, link, packet).unwrap();
     for _ in 0..64 {
         sim.clock().unwrap();
@@ -27,7 +28,7 @@ fn transact(sim: &mut HmcSim, link: u8, packet: Packet) -> hmc_sim::hmc_core::Re
             return decode_response(&p).unwrap();
         }
     }
-    panic!("no response within 64 cycles");
+    panic!("{what}: no response within 64 cycles");
 }
 
 #[test]
@@ -201,20 +202,11 @@ fn functional_gups_updates_are_all_applied() {
     for i in 0..100u64 {
         let mut op = [0u8; 16];
         op[..8].copy_from_slice(&i.to_le_bytes());
-        let r = {
-            s.send(
-                0,
-                0,
-                Packet::request(Command::Add16, 0, 0x4000, 1, 0, &op).unwrap(),
-            )
-            .unwrap();
-            loop {
-                s.clock().unwrap();
-                if let Ok(p) = s.recv(0, 0) {
-                    break decode_response(&p).unwrap();
-                }
-            }
-        };
+        let r = transact(
+            &mut s,
+            0,
+            Packet::request(Command::Add16, 0, 0x4000, 1, 0, &op).unwrap(),
+        );
         assert!(r.is_ok());
         total += i;
     }

@@ -175,7 +175,12 @@ fn retry_exhaustion_is_bit_identical_stepped_and_fast_forward() {
                     seen.push((s.current_clock(), link, p.tag()));
                 }
             }
-            assert!(s.current_clock() < 1_000_000, "the run did not converge");
+            assert!(
+                s.current_clock() < 1_000_000,
+                "the {} run did not converge: {} of {REQUESTS} responses",
+                if batched { "batched" } else { "stepped" },
+                seen.len()
+            );
         }
         let fault_counts = (s.fault_state().unwrap().injected, s.stats());
         let counters = &counting.0.lock().counters;

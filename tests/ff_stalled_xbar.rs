@@ -29,7 +29,7 @@ struct Outcome {
 }
 
 /// Extras layered over the plain burst/gap schedule.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Scenario {
     /// Record every event at full verbosity.
     traced: bool,
@@ -84,8 +84,15 @@ fn run(params: SimParams, scenario: Scenario, batched: bool) -> Outcome {
             let packet = packet.unwrap();
             // A stalled send (a link down retraining) clocks one cycle
             // and retries, as a host loop would.
+            let refused_until = sim.current_clock() + 100_000;
             while let Err(e) = sim.send(0, link, packet.clone()) {
                 assert!(e.is_stall(), "send failed: {e:?}");
+                assert!(
+                    sim.current_clock() < refused_until,
+                    "{:?} timing, {scenario:?}, batched {batched}: burst {burst} read {i} \
+                     refused for 100,000 cycles",
+                    params.timing.kind
+                );
                 advance(&mut sim, 1, batched);
             }
             tag += 1;
@@ -112,7 +119,8 @@ fn run(params: SimParams, scenario: Scenario, batched: bool) -> Outcome {
     while responses.len() < (BURSTS * u64::from(BURST_LEN)) as usize {
         assert!(
             sim.current_clock() < 100_000,
-            "the last bursts never drained"
+            "{:?} timing, {scenario:?}, batched {batched}: the last bursts never drained",
+            params.timing.kind
         );
         advance(&mut sim, 64, batched);
         drain(&mut sim, &mut responses);

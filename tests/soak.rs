@@ -121,10 +121,15 @@ fn functional_mode_scatter_gather_integrity() {
             &[val; 32],
         )
         .unwrap();
+        let refused_until = sim.current_clock() + 100_000;
         loop {
             match sim.send(0, (i % 4) as u8, wr.clone()) {
                 Ok(()) => break,
                 Err(e) if e.is_stall() => {
+                    assert!(
+                        sim.current_clock() < refused_until,
+                        "scatter write {i} refused for 100,000 cycles"
+                    );
                     sim.clock().unwrap();
                     for l in 0..4 {
                         while sim.recv(0, l).is_ok() {}

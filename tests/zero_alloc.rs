@@ -332,7 +332,12 @@ fn steady_state_allocations(leg: Leg) -> (u64, u64) {
     // for a long while. Count them instead: once the device has drained,
     // the invariant checker's first sweep must find every body created
     // back on the free list.
+    let drained_by = sim.current_clock() + 100_000;
     while !sim.is_idle() {
+        assert!(
+            sim.current_clock() < drained_by,
+            "{leg:?}: still busy 100,000 cycles into the drain"
+        );
         sim.clock().unwrap();
         injector.drain(&mut sim);
     }
