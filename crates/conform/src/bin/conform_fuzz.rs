@@ -3,7 +3,10 @@
 //! `conform-fuzz --help` prints the synopsis (`USAGE` below) and the
 //! shared simulation-axis flags (`SimParams::USAGE`); every stream runs
 //! under them, stepped and batched, with the invariant checker always
-//! armed.
+//! armed. The campaign flags and the shared axes are read by
+//! `hmc_conform::parse_campaign`, the parser that also reads every row
+//! of `hmc_conform::CI_LEGS`, so each CI leg is a command line of this
+//! binary; only the modes below the campaign are parsed here.
 //!
 //! Runs `N` seeded command streams differentially through the engine
 //! stepped (one `clock()` per cycle), the engine batched (`clock_batch`,
@@ -21,32 +24,37 @@
 //! on the first divergence, after shrinking it and writing a repro
 //! trace. `--demo-corruption` instead *injects* a datapath fault into
 //! one stream and exits zero only if the harness catches and shrinks
-//! it — the checker checking itself. `--hammer` arms the RowHammer
-//! fault axis on every stream (TRR-mitigated by default, so streams
-//! stay oracle-clean) and appends a threshold-crossing adversarial
-//! burst to every second stream: the seeded fault stream — counters,
-//! crossings, targeted refreshes, bank parks — must then be
-//! bit-identical stepped and batched.
-//! `--demo-hammer` runs the fault-injection detection demo instead:
-//! an unmitigated burst whose every flipped bit the oracle must flag
-//! end to end, then the same stream completing clean under TRR. The
-//! shared cell-fault flags (`--hammer-threshold`, `--flip-prob`,
-//! `--retention`, `--mitigation`) parameterize both. `--link-errors`
-//! arms the link-retry axis on every stream: packets are corrupted in
-//! SERDES transit, recovered by in-order retransmission, or — past the
-//! retry cap — aborted with poisoned responses while the link
-//! retrains, and the oracle predicts the exact poisoned tag set at
-//! issue time from the stateless fault stream. The shared link-fault
-//! flags (`--link-error-rate`, `--link-retry-limit`,
-//! `--link-retry-cycles`, `--retrain-cycles`, `--link-fault-seed`)
-//! parameterize the axis.
+//! it — the checker checking itself.
+//!
+//! Two fault axes ride on the shared fault flags, and any one of a
+//! family's flags arms its axis. The cell-fault flags
+//! (`--hammer-threshold`, `--flip-prob`, `--retention`, `--mitigation`)
+//! arm the RowHammer axis on every stream and append a
+//! threshold-crossing adversarial burst to every second stream: the
+//! seeded fault stream — counters, crossings, targeted refreshes, bank
+//! parks — must then be bit-identical stepped and batched. `--hammer`
+//! arms it at `default_hammer_faults()`, TRR-mitigated so streams stay
+//! oracle-clean, unless a cell-fault flag armed it. `--demo-hammer`
+//! runs the fault-injection detection demo instead: an unmitigated
+//! burst whose every flipped bit the oracle must flag end to end, then
+//! the same stream completing clean under TRR; the cell-fault flags
+//! parameterize it too. The link-fault flags (`--link-error-rate`,
+//! `--link-retry-limit`, `--link-retry-cycles`, `--retrain-cycles`,
+//! `--link-fault-seed`) arm the link-retry axis on every stream:
+//! packets are corrupted in SERDES transit, recovered by in-order
+//! retransmission, or — past the retry cap — aborted with poisoned
+//! responses while the link retrains, and the oracle predicts the exact
+//! poisoned tag set at issue time from the stateless fault stream.
+//! `--link-errors` arms it at `default_link_faults()` unless a
+//! link-fault flag armed it.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use hmc_conform::{campaign, hammer_demo, shrink_case, write_repro, CampaignConfig};
-use hmc_conform::fuzz::campaign_with_corruption;
-use hmc_conform::CorruptSpec;
+use hmc_conform::{
+    campaign, campaign_streams, hammer_demo, parse_campaign, shrink_case, write_repro, ArgError,
+    CampaignConfig, CorruptSpec,
+};
 use hmc_core::{Args, SimParams};
 use hmc_types::{InterconnectKind, TimingKind};
 
@@ -57,7 +65,6 @@ usage: conform-fuzz [--streams N] [--len N] [--seed HEX] [--fast-forward]
                     [--link-errors] [simulation axes]";
 
 fn main() -> ExitCode {
-    let mut cfg = CampaignConfig::default();
     let mut repro_dir = PathBuf::from(".");
     let mut demo_corruption = false;
     let mut demo_hammer = false;
@@ -65,18 +72,8 @@ fn main() -> ExitCode {
     let mut all_fabrics = false;
 
     let mut args = Args::from_env("conform-fuzz", USAGE);
-    while let Some(flag) = args.next_flag() {
-        match flag.as_str() {
-            "--streams" => cfg.streams = args.value(&flag),
-            "--len" => cfg.stream_len = args.value(&flag),
-            "--seed" => {
-                let v: String = args.value(&flag);
-                cfg.base_seed = u64::from_str_radix(v.trim_start_matches("0x"), 16)
-                    .unwrap_or_else(|_| args.die(format_args!("--seed needs a hex value, got {v:?}")));
-            }
-            // Here the flag forces an idle gap onto every stream; every
-            // stream runs stepped and batched either way.
-            "--fast-forward" => cfg.force_gaps = true,
+    let parsed = parse_campaign(&mut args, |flag, args| {
+        match flag {
             // The sweep spellings; single values fall through to the
             // shared parser.
             "--timing" if args.peek() == Some("both") => {
@@ -87,15 +84,21 @@ fn main() -> ExitCode {
                 args.next_flag();
                 all_fabrics = true;
             }
-            "--repro-dir" => repro_dir = args.value(&flag),
+            "--repro-dir" => repro_dir = args.try_value(flag)?,
             "--demo-corruption" => demo_corruption = true,
-            "--hammer" => cfg.hammer = true,
             "--demo-hammer" => demo_hammer = true,
-            "--link-errors" => cfg.link_errors = true,
-            _ => args.axis(&flag),
+            _ => return Ok(false),
         }
-    }
-    cfg.params = args.params_over(SimParams::default());
+        Ok(true)
+    });
+    let cfg = match parsed {
+        Ok(cfg) => cfg,
+        Err(ArgError::Help) => {
+            println!("{USAGE}\n\n{}", SimParams::USAGE);
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => args.die(e),
+    };
     let timings = if all_timings {
         TimingKind::ALL.to_vec()
     } else {
@@ -106,11 +109,6 @@ fn main() -> ExitCode {
     } else {
         vec![cfg.params.interconnect.kind]
     };
-
-    // Any link-fault parameter implies the axis itself.
-    if cfg.params.link_faults.is_some() {
-        cfg.link_errors = true;
-    }
 
     if demo_corruption {
         return run_corruption_demo(&cfg, &repro_dir);
@@ -135,10 +133,9 @@ fn main() -> ExitCode {
                 kind.name(),
                 fabric.name(),
                 cfg.params.interconnect.arbitration.name(),
-                if cfg.hammer { ", hammer axis armed" } else { "" },
+                if cfg.params.cell_faults.is_some() { ", hammer axis armed" } else { "" },
             );
-            if cfg.link_errors {
-                let lf = cfg.params.link_faults.unwrap_or_else(hmc_conform::default_link_faults);
+            if let Some(lf) = cfg.params.link_faults {
                 println!(
                     "link-retry axis armed: error rate {} ppm, retry limit {}, \
                      retry {} cycles, retrain {} cycles",
@@ -199,8 +196,8 @@ fn run_corruption_demo(cfg: &CampaignConfig, repro_dir: &std::path::Path) -> Exi
         ..cfg.clone()
     };
     let spec = CorruptSpec { addr: 0, xor: 0xbad0_bad0_bad0_bad0 };
-    let report = campaign_with_corruption(&demo, Some((0, spec)));
-    let Some((case, failure)) = report.failure else {
+    let report = campaign_streams(&demo, 0..demo.streams, Some((0, spec)));
+    let Some((_, case, failure)) = report.failure else {
         eprintln!("FAIL: seeded corruption was NOT detected");
         return ExitCode::FAILURE;
     };

@@ -6,6 +6,8 @@
 //! four address-map kinds, so a `(base seed, stream index)` pair names
 //! one exact `(preset, map, ops)` case forever.
 
+use std::ops::Range;
+
 use hmc_core::SimParams;
 use hmc_types::cellfault::{CellFaultConfig, Mitigation};
 use hmc_types::{
@@ -160,24 +162,18 @@ pub struct CampaignConfig {
     /// jumps.
     pub force_gaps: bool,
     /// The simulation axes every stream runs under (see
-    /// [`FuzzCase::params`]). Its fault blocks parameterize the `hammer`
-    /// and `link_errors` axes below and stay off until those arm them;
-    /// each stream re-seeds them with its own stream seed.
+    /// [`FuzzCase::params`]); each stream re-seeds the fault blocks with
+    /// its own stream seed. Both are off by default, so pinned-seed
+    /// campaigns keep their behaviour. An armed `cell_faults` is the
+    /// RowHammer axis: every stream runs with cell-fault injection
+    /// installed ([`default_hammer_faults`] are TRR-mitigated, so the
+    /// oracle stays exact), and every second stream carries an appended
+    /// adversarial burst that crosses the threshold. An armed
+    /// `link_faults` is the link-error axis: every stream runs with the
+    /// retry protocol under fire, the oracle predicting the exact
+    /// poisoned tag set at issue time, and the poisoned-op sets are
+    /// part of the differential compare.
     pub params: SimParams,
-    /// Arm the RowHammer fault axis: every stream runs with cell-fault
-    /// injection installed (TRR-mitigated by default, so the oracle
-    /// stays exact), and every second stream carries an appended
-    /// adversarial hammer burst that actually crosses the threshold.
-    /// Off by default — pinned-seed campaigns keep their behaviour.
-    /// `params.cell_faults` overrides [`default_hammer_faults`].
-    pub hammer: bool,
-    /// Arm the link-error axis: every stream runs with the retry
-    /// protocol under fire ([`default_link_faults`] unless
-    /// `params.link_faults` overrides them),
-    /// the oracle predicting the exact poisoned tag set at issue time,
-    /// and the poisoned-op sets included in the differential compare.
-    /// Off by default — pinned-seed campaigns keep their behaviour.
-    pub link_errors: bool,
 }
 
 impl Default for CampaignConfig {
@@ -188,8 +184,6 @@ impl Default for CampaignConfig {
             base_seed: 0xC0FF_EE00,
             force_gaps: false,
             params: SimParams::default(),
-            hammer: false,
-            link_errors: false,
         }
     }
 }
@@ -285,15 +279,8 @@ pub struct CampaignReport {
     pub streams_run: usize,
     /// Total responses checked by the oracle across all engine runs.
     pub responses_checked: u64,
-    /// The first failing case and its failure, if any.
-    pub failure: Option<(FuzzCase, Failure)>,
-}
-
-impl CampaignReport {
-    /// True when every stream passed.
-    pub fn is_clean(&self) -> bool {
-        self.failure.is_none()
-    }
+    /// The first failing stream's index, case and failure, if any.
+    pub failure: Option<(usize, FuzzCase, Failure)>,
 }
 
 /// Build the case for stream `i` of a campaign: preset and map derive
@@ -305,11 +292,7 @@ pub fn case_for_stream(cfg: &CampaignConfig, i: usize) -> FuzzCase {
     let map = MapKind::ALL[(i / presets.len()) % MapKind::ALL.len()];
     let seed = cfg.base_seed ^ Lcg::new(i as u64).next_u64();
     let ops = gen_stream(seed, cfg.stream_len, device);
-    let mut case = FuzzCase::new(label, device.clone(), map, seed, ops).with_params(SimParams {
-        cell_faults: None,
-        link_faults: None,
-        ..cfg.params
-    });
+    let mut case = FuzzCase::new(label, device.clone(), map, seed, ops).with_params(cfg.params);
     // The stepped-vs-batched axis runs on every stream; idle gaps (the
     // jumps that make the axis bite) rotate onto two of every three
     // streams with seeded shape, unless forced everywhere.
@@ -318,12 +301,8 @@ pub fn case_for_stream(cfg: &CampaignConfig, i: usize) -> FuzzCase {
         case.gap_every = 2 + gap.below(4);
         case.gap_cycles = 200 + gap.below(4_000);
     }
-    if cfg.link_errors {
-        let base = cfg.params.link_faults.unwrap_or_else(default_link_faults);
-        case.params.link_faults = Some(base.with_seed(seed));
-    }
-    if cfg.hammer {
-        let base = cfg.params.cell_faults.unwrap_or_else(default_hammer_faults);
+    case.params.link_faults = cfg.params.link_faults.map(|lf| lf.with_seed(seed));
+    if let Some(base) = cfg.params.cell_faults {
         // Every stream runs with the axis armed (the counting path must
         // be deterministic even without crossings); every second stream
         // carries a real adversarial burst that crosses the threshold.
@@ -427,15 +406,17 @@ pub fn hammer_demo(
     })
 }
 
-/// Run a fuzz campaign, optionally seeding a deliberate corruption
-/// into stream `corrupt_stream` (checker-of-the-checker tests). Stops
-/// at the first failure.
-pub fn campaign_with_corruption(
+/// Run streams `streams` of a fuzz campaign, optionally seeding a
+/// deliberate corruption into stream `corrupt.0` (checker-of-the-checker
+/// tests). Stops at the first failure. A stream's case depends only on
+/// its index, so a campaign split into ranges runs the same streams.
+pub fn campaign_streams(
     cfg: &CampaignConfig,
+    streams: Range<usize>,
     corrupt: Option<(usize, CorruptSpec)>,
 ) -> CampaignReport {
     let mut checked = 0u64;
-    for i in 0..cfg.streams {
+    for i in streams.clone() {
         let mut case = case_for_stream(cfg, i);
         if let Some((stream, spec)) = corrupt {
             if stream == i {
@@ -467,15 +448,15 @@ pub fn campaign_with_corruption(
             Ok(out) => checked += out.checked,
             Err(failure) => {
                 return CampaignReport {
-                    streams_run: i + 1,
+                    streams_run: i + 1 - streams.start,
                     responses_checked: checked,
-                    failure: Some((case, failure)),
+                    failure: Some((i, case, failure)),
                 }
             }
         }
     }
     CampaignReport {
-        streams_run: cfg.streams,
+        streams_run: streams.len(),
         responses_checked: checked,
         failure: None,
     }
@@ -483,7 +464,7 @@ pub fn campaign_with_corruption(
 
 /// Run a clean fuzz campaign (no seeded corruption).
 pub fn campaign(cfg: &CampaignConfig) -> CampaignReport {
-    campaign_with_corruption(cfg, None)
+    campaign_streams(cfg, 0..cfg.streams, None)
 }
 
 #[cfg(test)]
@@ -536,7 +517,7 @@ mod tests {
     }
 
     #[test]
-    fn case_schedule_covers_presets_maps_and_threads() {
+    fn case_schedule_covers_every_preset_and_map() {
         let cfg = CampaignConfig { streams: 16, ..Default::default() };
         let mut pairs = std::collections::HashSet::new();
         for i in 0..16 {
@@ -595,7 +576,11 @@ mod tests {
 
     #[test]
     fn hammer_campaigns_arm_every_stream_and_burst_every_second() {
-        let cfg = CampaignConfig { streams: 8, hammer: true, ..Default::default() };
+        let params = SimParams {
+            cell_faults: Some(default_hammer_faults()),
+            ..SimParams::default()
+        };
+        let cfg = CampaignConfig { streams: 8, params, ..Default::default() };
         for i in 0..8 {
             let case = case_for_stream(&cfg, i);
             let faults = case.params.cell_faults.expect("hammer campaigns arm every stream");
@@ -620,7 +605,11 @@ mod tests {
 
     #[test]
     fn link_error_campaigns_arm_every_stream_with_per_stream_seeds() {
-        let cfg = CampaignConfig { streams: 6, link_errors: true, ..Default::default() };
+        let params = SimParams {
+            link_faults: Some(default_link_faults()),
+            ..SimParams::default()
+        };
+        let cfg = CampaignConfig { streams: 6, params, ..Default::default() };
         for i in 0..6 {
             let case = case_for_stream(&cfg, i);
             let lf = case.params.link_faults.expect("link-error campaigns arm every stream");
@@ -637,12 +626,15 @@ mod tests {
         let cfg = CampaignConfig {
             streams: 4,
             stream_len: 32,
-            link_errors: true,
+            params: SimParams {
+                link_faults: Some(default_link_faults()),
+                ..SimParams::default()
+            },
             ..Default::default()
         };
         let report = campaign(&cfg);
-        if let Some((case, failure)) = &report.failure {
-            panic!("stream {} ({}): {failure}", report.streams_run - 1, case.label);
+        if let Some((i, case, failure)) = &report.failure {
+            panic!("stream {i} ({}): {failure}", case.label);
         }
         assert!(report.responses_checked > 0);
     }

@@ -15,7 +15,7 @@
 use hmc_core::fault::predicts_poison;
 use hmc_core::{decode_response, topology, HmcSim, SimParams};
 use hmc_host::{Pending, TagPool};
-use hmc_types::{Cycle, DeviceConfig, HmcError, InterconnectKind, LinkId, Packet, TimingKind};
+use hmc_types::{Cycle, DeviceConfig, HmcError, LinkId, Packet};
 use hmc_workloads::{MemOp, OpKind};
 
 use crate::fuzz::{Lcg, MapKind};
@@ -74,14 +74,13 @@ pub struct FuzzCase {
     pub gap_cycles: u64,
     /// The simulation axes every engine run uses — timing backend,
     /// fabric, fault blocks and the rest — except `check_invariants`,
-    /// which the harness sets. Defaults keep pinned-seed campaigns from before each axis
-    /// existed on their exact behaviour. One case runs one backend and
-    /// one fabric (cycle counts are only comparable within them); the
-    /// cross axes are [`run_case_cross_timing`] and
-    /// [`run_case_cross_interconnect`]. Fault decisions are stateless
-    /// hashes, so an armed fault stream is part of the case: every
-    /// engine run must reproduce it bit-identically, and for link
-    /// faults the harness mirrors each link's send counter and calls
+    /// which the harness sets. Defaults keep pinned-seed campaigns from
+    /// before each axis existed on their exact behaviour. One case runs
+    /// one backend and one fabric (cycle counts are only comparable
+    /// within them); the cross-axis runner is [`run_case_across`]. Fault
+    /// decisions are stateless hashes, so an armed fault stream is part
+    /// of the case: every engine run must reproduce it bit-identically,
+    /// and for link faults the harness mirrors each link's send counter and calls
     /// [`hmc_core::fault::predicts_poison`] at issue time, so the oracle
     /// knows the exact poisoned tag set before the engine does.
     pub params: SimParams,
@@ -201,23 +200,11 @@ pub fn mode_name(batched: bool) -> &'static str {
 
 /// Run one case, stepped or batched. Internally checks the oracle on
 /// every response, the invariant checker every cycle, and full quiesce
-/// at the end.
-pub fn run_engine(case: &FuzzCase, batched: bool) -> Result<EngineRun, Failure> {
-    run_engine_inner(case, batched, false).map(|(run, _)| run)
-}
-
-/// Like [`run_engine`], but oracle read-data mismatches are tolerated
-/// and tallied instead of failing the run — the detection mode for
-/// unmitigated cell-fault cases, where corrupted read data is exactly
-/// what the case exists to observe.
-pub fn run_engine_lenient(
-    case: &FuzzCase,
-    batched: bool,
-) -> Result<(EngineRun, MismatchTally), Failure> {
-    run_engine_inner(case, batched, true)
-}
-
-fn run_engine_inner(
+/// at the end. A `lenient` run tolerates and tallies oracle read-data
+/// mismatches instead of failing: the detection mode for unmitigated
+/// cell-fault cases, where corrupted read data is exactly what the case
+/// exists to observe.
+fn run_engine(
     case: &FuzzCase,
     batched: bool,
     lenient: bool,
@@ -476,10 +463,10 @@ pub fn run_case_lenient(case: &FuzzCase) -> Result<(CaseOutcome, MismatchTally),
 }
 
 fn run_case_inner(case: &FuzzCase, lenient: bool) -> Result<(CaseOutcome, MismatchTally), Failure> {
-    let (reference, tally) = run_engine_inner(case, false, lenient)?;
+    let (reference, tally) = run_engine(case, false, lenient)?;
     let checked = reference.observations.len() as u64;
     if case.batched {
-        let (run, _) = run_engine_inner(case, true, lenient)?;
+        let (run, _) = run_engine(case, true, lenient)?;
         if run != reference {
             let at = run
                 .observations
@@ -532,123 +519,48 @@ pub fn functional_observations(run: &EngineRun) -> Vec<(u32, LinkId, u64)> {
     v
 }
 
-/// The outcome of one case run under both timing backends.
-#[derive(Debug, Clone)]
-pub struct CrossTimingOutcome {
-    /// The classic backend's run.
-    pub classic: CaseOutcome,
-    /// The DDR backend's run.
-    pub ddr: CaseOutcome,
-    /// `ddr cycles − classic cycles` for the stepped reference —
-    /// reported, never asserted: the backends are *supposed* to differ
-    /// here.
-    pub latency_delta: i64,
-}
-
-/// Run one case under both timing backends — each through both engine
-/// modes of [`run_case`] — and demand the functional observation streams (op, link, data) agree bit-for-bit.
-/// Cycle counts are excluded from the comparison and surfaced as
-/// [`CrossTimingOutcome::latency_delta`] instead.
-pub fn run_case_cross_timing(case: &FuzzCase) -> Result<CrossTimingOutcome, Failure> {
-    let under = |kind| {
-        let mut case = case.clone();
-        case.params.timing.kind = kind;
-        run_case(&case)
+/// Run one case under each of `variants` in turn — each through both
+/// engine modes of [`run_case`] — and demand that every variant's
+/// functional observations (op, link, data) equal the first's, the
+/// reference, bit-for-bit. Cycle counts are left out of the comparison,
+/// since the variants are *supposed* to schedule differently; the
+/// outcomes come back in variant order for callers to report them.
+pub fn run_case_across(case: &FuzzCase, variants: &[SimParams]) -> Result<Vec<CaseOutcome>, Failure> {
+    let outcomes = variants
+        .iter()
+        .map(|&params| run_case(&case.clone().with_params(params)))
+        .collect::<Result<Vec<_>, _>>()?;
+    let name = |p: &SimParams| {
+        format!("{} timing, {} fabric", p.timing.kind.name(), p.interconnect.kind.name())
     };
-    let classic = under(TimingKind::Classic)?;
-    let ddr = under(TimingKind::Ddr)?;
-    let a = functional_observations(&classic.reference);
-    let b = functional_observations(&ddr.reference);
-    if a != b {
-        let at = a
-            .iter()
-            .zip(&b)
-            .position(|(x, y)| x != y)
-            .map_or_else(
-                || format!("{} vs {} completions", a.len(), b.len()),
-                |i| format!("first divergence at op-sorted #{i}: classic {:?}, ddr {:?}", a[i], b[i]),
-            );
-        return Err(Failure {
-            description: format!(
-                "cross-backend functional divergence (classic vs ddr): {at}"
-            ),
-        });
-    }
-    let latency_delta = ddr.reference.cycles as i64 - classic.reference.cycles as i64;
-    Ok(CrossTimingOutcome {
-        classic,
-        ddr,
-        latency_delta,
-    })
-}
-
-/// The outcome of one case run on every interconnect fabric.
-#[derive(Debug, Clone)]
-pub struct CrossInterconnectOutcome {
-    /// The crossbar fabric's run (the reference fabric).
-    pub crossbar: CaseOutcome,
-    /// The ring fabric's run.
-    pub ring: CaseOutcome,
-    /// The mesh fabric's run.
-    pub mesh: CaseOutcome,
-    /// `ring cycles − crossbar cycles` for the stepped reference
-    /// — reported, never asserted: buffered hops are *supposed* to cost
-    /// cycles.
-    pub ring_delta: i64,
-    /// `mesh cycles − crossbar cycles`, likewise reported only.
-    pub mesh_delta: i64,
-}
-
-/// Run one case on every interconnect fabric — each through both
-/// runs of [`run_case`] — and demand the functional observation streams (op, link, data) agree bit-for-bit
-/// with the crossbar reference. Cycle counts are excluded from the
-/// comparison (buffered fabrics add hop latency) and surfaced as the
-/// per-fabric deltas instead.
-pub fn run_case_cross_interconnect(case: &FuzzCase) -> Result<CrossInterconnectOutcome, Failure> {
-    let on = |kind| {
-        let mut case = case.clone();
-        case.params.interconnect.kind = kind;
-        run_case(&case)
+    let Some((first, rest)) = outcomes.split_first() else {
+        return Ok(outcomes);
     };
-    let crossbar = on(InterconnectKind::Crossbar)?;
-    let ring = on(InterconnectKind::Ring)?;
-    let mesh = on(InterconnectKind::Mesh)?;
-    let reference = functional_observations(&crossbar.reference);
-    for (fabric, run) in [("ring", &ring), ("mesh", &mesh)] {
-        let got = functional_observations(&run.reference);
+    let reference = functional_observations(&first.reference);
+    for (params, out) in variants[1..].iter().zip(rest) {
+        let got = functional_observations(&out.reference);
         if got != reference {
             let at = reference.iter().zip(&got).position(|(x, y)| x != y).map_or_else(
                 || format!("{} vs {} completions", reference.len(), got.len()),
-                |i| {
-                    format!(
-                        "first divergence at op-sorted #{i}: crossbar {:?}, {fabric} {:?}",
-                        reference[i], got[i]
-                    )
-                },
+                |i| format!("first divergence at op-sorted #{i}: {:?} vs {:?}", reference[i], got[i]),
             );
             return Err(Failure {
                 description: format!(
-                    "cross-fabric functional divergence (crossbar vs {fabric}): {at}"
+                    "functional divergence ({} vs {}): {at}",
+                    name(&variants[0]),
+                    name(params)
                 ),
             });
         }
     }
-    let ring_delta = ring.reference.cycles as i64 - crossbar.reference.cycles as i64;
-    let mesh_delta = mesh.reference.cycles as i64 - crossbar.reference.cycles as i64;
-    Ok(CrossInterconnectOutcome {
-        crossbar,
-        ring,
-        mesh,
-        ring_delta,
-        mesh_delta,
-    })
+    Ok(outcomes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hmc_core::NocParams;
-    use hmc_types::{ArbitrationKind, BlockSize, CellFaultConfig, LinkFaultConfig};
+    use hmc_types::{ArbitrationKind, BlockSize, CellFaultConfig, InterconnectKind, LinkFaultConfig};
 
     fn tiny_case(ops: Vec<MemOp>) -> FuzzCase {
         FuzzCase::new("tiny", DeviceConfig::small(), MapKind::LowInterleave, 7, ops)
@@ -788,15 +700,21 @@ mod tests {
         let mut case = tiny_case(ops);
         case.gap_every = 3;
         case.gap_cycles = 1_000;
-        let out = run_case_cross_interconnect(&case).unwrap();
-        assert_eq!(out.crossbar.checked, 7);
-        assert_eq!(out.ring.checked, 7);
-        assert_eq!(out.mesh.checked, 7);
+        let fabrics = InterconnectKind::ALL.map(|kind| SimParams {
+            interconnect: NocParams::of(kind),
+            ..SimParams::default()
+        });
+        let out = run_case_across(&case, &fabrics).unwrap();
+        let [crossbar, ring, mesh] = [0, 1, 2].map(|i| &out[i]);
+        assert_eq!(crossbar.checked, 7);
+        assert_eq!(ring.checked, 7);
+        assert_eq!(mesh.checked, 7);
+        let delta = |run: &CaseOutcome| run.reference.cycles as i64 - crossbar.reference.cycles as i64;
         assert!(
-            out.ring_delta >= 0 && out.mesh_delta >= 0,
+            delta(ring) >= 0 && delta(mesh) >= 0,
             "buffered hops never make a stream faster (ring {:+}, mesh {:+})",
-            out.ring_delta,
-            out.mesh_delta
+            delta(ring),
+            delta(mesh)
         );
     }
 

@@ -41,14 +41,14 @@ pub mod oracle;
 pub mod shrink;
 
 pub use fuzz::{
-    campaign, crossing_pairs, default_hammer_faults, default_link_faults, gen_stream,
-    hammer_burst, hammer_demo, CampaignConfig, CampaignReport, HammerDemoReport, Lcg, MapKind,
+    campaign, campaign_streams, crossing_pairs, default_hammer_faults, default_link_faults,
+    gen_stream, hammer_burst, hammer_demo, CampaignConfig, CampaignReport, HammerDemoReport, Lcg,
+    MapKind,
 };
 pub use harness::{
-    owner_link, run_case, run_case_cross_interconnect, run_case_cross_timing, run_case_lenient,
-    CaseOutcome, CorruptSpec, CrossInterconnectOutcome, CrossTimingOutcome, Failure, FuzzCase,
-    MismatchTally,
+    owner_link, run_case, run_case_across, run_case_lenient, CaseOutcome, CorruptSpec, Failure,
+    FuzzCase, MismatchTally,
 };
-pub use legs::{Leg, CI_LEGS};
+pub use legs::{parse_campaign, ArgError, Leg, CI_LEGS};
 pub use oracle::Oracle;
 pub use shrink::{shrink_case, write_repro, ShrinkReport};

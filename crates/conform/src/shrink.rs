@@ -91,12 +91,11 @@ impl CampaignReport {
     /// `log` as it happens (shrinking takes up to a few hundred runs).
     /// Returns whether a stream diverged.
     pub fn shrink_failure(&self, path: &Path, mut log: impl FnMut(String)) -> bool {
-        let Some((case, failure)) = &self.failure else {
+        let Some((stream, case, failure)) = &self.failure else {
             return false;
         };
         log(format!(
-            "FAIL on stream {} ({}, {} map, seed {:#x}, {} timing, {} fabric): {failure}",
-            self.streams_run - 1,
+            "FAIL on stream {stream} ({}, {} map, seed {:#x}, {} timing, {} fabric): {failure}",
             case.label,
             case.map.name(),
             case.seed,

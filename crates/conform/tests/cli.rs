@@ -1,7 +1,8 @@
 //! `conform-fuzz` speaks the shared command-line contract: the common
 //! usage block under `--help`, exit status 2 for unknown, missing and
 //! malformed arguments. Its campaign path runs each CI leg's flags to
-//! the same verdict as the leg's table row, and both self tests pass.
+//! the same verdict as the leg's campaign in process, a cell-fault flag
+//! arms the hammer axis, and both self tests pass.
 
 use std::io::BufReader;
 use std::process::{Command, Output};
@@ -58,18 +59,17 @@ fn the_campaign_path_passes_at_the_pinned_seed() {
     assert!(text.contains("\nPASS: 4 streams clean"), "{text}");
 }
 
-/// Each leg's flags, run by the binary, reach the verdict its table row
-/// reaches in-process: the same streams and the same responses checked.
+/// Each leg's flags, run by the binary, reach the verdict its campaign
+/// reaches in process: the same streams and the same responses checked.
 #[test]
 fn every_leg_runs_the_same_campaign_through_its_flags() {
     for leg in &CI_LEGS {
-        let report = campaign(&leg.config(2));
-        if let Some((_, failure)) = &report.failure {
+        let report = campaign(&leg.campaign(2));
+        if let Some((_, _, failure)) = &report.failure {
             panic!("{} leg, in process: {failure}", leg.name);
         }
-        let mut args = vec!["--streams".to_string(), "2".to_string()];
-        args.extend(leg.flags());
-        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let mut args = vec!["--streams", "2"];
+        args.extend(leg.flags.split_whitespace());
         let out = run(&args);
         let pass = format!(
             "PASS: 2 streams clean across 1 backend(s) x 1 fabric(s), {} responses \
@@ -79,6 +79,23 @@ fn every_leg_runs_the_same_campaign_through_its_flags() {
         let text = String::from_utf8_lossy(&out.stdout);
         assert!(text.contains(&pass), "{} leg, {args:?}: {text}", leg.name);
     }
+}
+
+/// Any cell-fault flag arms the hammer axis, as any link-fault flag arms
+/// the link one: an unmitigated threshold of 64 is crossed by stream 1's
+/// burst, whose flipped bits the oracle catches.
+#[test]
+fn a_cell_fault_flag_arms_the_hammer_axis() {
+    let dir = std::env::temp_dir().join(format!("conform-cli-hammer-{}", std::process::id()));
+    let args = ["--streams", "2", "--hammer-threshold", "64", "--repro-dir"];
+    let out = Command::new(BIN).args(args).arg(&dir).output().unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains(", hammer axis armed\n"), "{text}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("FAIL on stream 1 "), "{stderr}");
+    assert!(stderr.contains("read data mismatch"), "{stderr}");
+    assert_eq!(out.status.code(), Some(1));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -4,22 +4,24 @@
 //! deliberately corrupted datapath must be caught, shrunk to a minimal
 //! stream, and reproduced from the written replay file.
 //!
-//! Every leg runs here at `min(CI count, 300)` streams; its
+//! Every leg runs here at `min(CI count, 300)` streams (the slowest,
+//! combined-axis, as two tests over halves of one campaign); its
 //! `#[ignore]`d `*_at_ci_count` twin runs CI's count:
 //! `cargo test --release -p hmc-conform --test conformance -- --ignored`.
 //! A divergent campaign is shrunk, and its repro written to
 //! `fuzz-repro/<name>.csv` at the workspace root.
 
 use std::io::BufReader;
+use std::ops::Range;
 use std::path::Path;
 
-use hmc_conform::fuzz::{campaign_with_corruption, case_for_stream, gen_stream};
+use hmc_conform::fuzz::{case_for_stream, gen_stream};
 use hmc_conform::{
-    campaign, hammer_demo, run_case, run_case_cross_interconnect, run_case_cross_timing,
-    shrink_case, write_repro, CampaignConfig, CorruptSpec, FuzzCase, Leg, MapKind, CI_LEGS,
+    campaign_streams, hammer_demo, run_case, run_case_across, shrink_case, write_repro,
+    CampaignConfig, CorruptSpec, FuzzCase, Leg, MapKind, CI_LEGS,
 };
 use hmc_core::{NocParams, RefreshParams, SimParams, TimingParams};
-use hmc_types::{DeviceConfig, TimingKind};
+use hmc_types::{DeviceConfig, InterconnectKind, TimingKind};
 use hmc_workloads::{OpKind, Replay, Workload};
 
 fn axes(timing: TimingKind, interconnect: NocParams) -> SimParams {
@@ -33,7 +35,12 @@ fn axes(timing: TimingKind, interconnect: NocParams) -> SimParams {
 /// Run `cfg` and fail on its first divergent stream, after shrinking it
 /// and writing its repro to `fuzz-repro/<what>.csv`.
 fn assert_campaign_clean(what: &str, cfg: &CampaignConfig) {
-    let report = campaign(cfg);
+    assert_streams_clean(what, cfg, 0..cfg.streams);
+}
+
+/// [`assert_campaign_clean`] over streams `streams` of `cfg` alone.
+fn assert_streams_clean(what: &str, cfg: &CampaignConfig, streams: Range<usize>) {
+    let report = campaign_streams(cfg, streams.clone(), None);
     let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
     let repro = crate_dir
         .ancestors()
@@ -44,7 +51,7 @@ fn assert_campaign_clean(what: &str, cfg: &CampaignConfig) {
     if report.shrink_failure(&repro, |line| account.push(line)) {
         panic!("{what} campaign:\n{}", account.join("\n"));
     }
-    assert_eq!(report.streams_run, cfg.streams, "{what}");
+    assert_eq!(report.streams_run, streams.len(), "{what}");
     assert!(report.responses_checked > 0, "{what}");
     println!(
         "{what}: PASS: {} streams clean, {} responses oracle-checked",
@@ -52,56 +59,76 @@ fn assert_campaign_clean(what: &str, cfg: &CampaignConfig) {
     );
 }
 
-/// Run CI's leg at `seed` at the stream count `streams` picks for it.
-fn run_leg(seed: u64, streams: fn(&Leg) -> usize) {
-    let leg = Leg::by_seed(seed).expect("a CI leg");
-    assert_campaign_clean(leg.name, &leg.config(streams(leg)));
+fn leg(name: &str) -> &'static Leg {
+    CI_LEGS.iter().find(|leg| leg.name == name).expect("a CI leg")
 }
 
-/// Each CI leg's two tests: tier-1's at `Leg::tier1_streams`, and its
-/// `#[ignore]`d twin at CI's count, which CI's conformance job runs.
+/// Run streams `part` of CI's leg `name`, or all of the `streams` its
+/// campaign has when `part` is `None`.
+fn run_leg(name: &str, streams: fn(&Leg) -> usize, part: Option<Range<usize>>) {
+    let leg = leg(name);
+    let cfg = leg.campaign(streams(leg));
+    match part {
+        None => assert_campaign_clean(leg.name, &cfg),
+        Some(part) => {
+            let what = format!("{} streams {}-{}", leg.name, part.start, part.end);
+            assert_streams_clean(&what, &cfg, part);
+        }
+    }
+}
+
+/// Each CI leg's tests: tier-1's at `Leg::tier1_streams`, split into
+/// parts where a `part` range follows the test, and its `#[ignore]`d
+/// twin at CI's count, which CI's conformance job runs.
 macro_rules! leg_tests {
-    ($($seed:literal => $tier1:ident, $ci:ident;)*) => {
+    ($($name:literal => $($tier1:ident $(in $part:expr)?),+ ; $ci:ident;)*) => {
         $(
-            #[test]
-            fn $tier1() {
-                run_leg($seed, Leg::tier1_streams);
-            }
+            $(
+                #[test]
+                fn $tier1() {
+                    run_leg($name, Leg::tier1_streams, [$($part)?].into_iter().next());
+                }
+            )+
 
             #[test]
             #[ignore = "CI's stream count; run with --release -- --ignored"]
             fn $ci() {
-                run_leg($seed, |leg| leg.ci_streams);
+                run_leg($name, |leg| leg.ci_streams, None);
             }
         )*
 
-        /// The seeds the leg tests run, in table order.
-        const TESTED_SEEDS: &[u64] = &[$($seed),*];
+        /// The legs the tests run, in table order.
+        const TESTED_LEGS: &[&str] = &[$($name),*];
     };
 }
 
 leg_tests! {
-    0xC0FF_EE00 => pinned_campaign_at_the_ci_seed_is_clean, pinned_campaign_at_ci_count;
-    0xC0FF_EE01 => fast_forward_campaign_at_the_ci_seed_is_clean, fast_forward_campaign_at_ci_count;
-    0xC0FF_EE02 => ddr_campaign_with_pinned_seed_is_clean, ddr_campaign_at_ci_count;
-    0xC0FF_EE03 => ring_campaign_with_pinned_seed_is_clean, ring_campaign_at_ci_count;
-    0xC0FF_EE04 => mesh_campaign_with_pinned_seed_is_clean, mesh_campaign_at_ci_count;
-    0xC0FF_EE05 => hammer_campaign_with_pinned_seed_is_clean, hammer_campaign_at_ci_count;
-    0xC0FF_EE06 => link_error_campaign_at_the_ci_seed_is_clean, link_error_campaign_at_ci_count;
-    0xC0FF_EE07 => ddr_fast_forward_campaign_at_the_ci_seed_is_clean, ddr_fast_forward_campaign_at_ci_count;
-    0xC0FF_EE08 => combined_axis_campaign_at_the_ci_seed_is_clean, combined_axis_campaign_at_ci_count;
-    0xC0FF_EE09 => ring_fast_forward_campaign_at_the_ci_seed_is_clean, ring_fast_forward_campaign_at_ci_count;
-    0xC0FF_EE0A => serialized_link_campaign_at_the_ci_seed_is_clean, serialized_link_campaign_at_ci_count;
-    0xC0FF_EE0B => mesh_locality_aware_campaign_at_the_ci_seed_is_clean, mesh_locality_aware_campaign_at_ci_count;
+    "pinned" => pinned_campaign_at_the_ci_seed_is_clean; pinned_campaign_at_ci_count;
+    "fast-forward" => fast_forward_campaign_at_the_ci_seed_is_clean; fast_forward_campaign_at_ci_count;
+    "ddr" => ddr_campaign_with_pinned_seed_is_clean; ddr_campaign_at_ci_count;
+    "ring" => ring_campaign_with_pinned_seed_is_clean; ring_campaign_at_ci_count;
+    "mesh oldest-first" => mesh_campaign_with_pinned_seed_is_clean; mesh_campaign_at_ci_count;
+    "hammer" => hammer_campaign_with_pinned_seed_is_clean; hammer_campaign_at_ci_count;
+    "link-error" => link_error_campaign_at_the_ci_seed_is_clean; link_error_campaign_at_ci_count;
+    "ddr fast-forward" => ddr_fast_forward_campaign_at_the_ci_seed_is_clean; ddr_fast_forward_campaign_at_ci_count;
+    // The slowest leg in tier-1, so its 300 streams run as two tests.
+    "combined-axis" =>
+        combined_axis_campaign_streams_0_to_150_are_clean in 0..150,
+        combined_axis_campaign_streams_150_to_300_are_clean in 150..300;
+        combined_axis_campaign_at_ci_count;
+    "ring fast-forward" => ring_fast_forward_campaign_at_the_ci_seed_is_clean; ring_fast_forward_campaign_at_ci_count;
+    "serialized-link" => serialized_link_campaign_at_the_ci_seed_is_clean; serialized_link_campaign_at_ci_count;
+    "mesh locality-aware" => mesh_locality_aware_campaign_at_the_ci_seed_is_clean; mesh_locality_aware_campaign_at_ci_count;
 }
 
 #[test]
 fn the_leg_table_names_each_ci_seed_once_and_every_leg_is_tested() {
     let ci_seeds: Vec<u64> = (0..12).map(|i| 0xC0FF_EE00 + i).collect();
-    let table: Vec<u64> = CI_LEGS.iter().map(|leg| leg.base_seed).collect();
+    let table: Vec<u64> = CI_LEGS.iter().map(|leg| leg.campaign(1).base_seed).collect();
     assert_eq!(table, ci_seeds, "C0FFEE00..0B, once each, in order");
-    assert_eq!(TESTED_SEEDS, &ci_seeds[..]);
     let mut names: Vec<&str> = CI_LEGS.iter().map(|leg| leg.name).collect();
+    assert_eq!(TESTED_LEGS, &names[..]);
+    assert_eq!(leg("combined-axis").tier1_streams(), 300, "its two parts cover it");
     names.sort_unstable();
     names.dedup();
     assert_eq!(names.len(), CI_LEGS.len(), "names pick distinct files");
@@ -125,7 +152,7 @@ fn mini_campaign_is_clean_across_presets_and_maps() {
 }
 
 #[test]
-fn full_thread_sweep_passes_on_one_stream_per_preset() {
+fn one_stream_per_preset_passes_stepped_and_batched() {
     let cfg = CampaignConfig {
         streams: 4,
         stream_len: 32,
@@ -133,15 +160,15 @@ fn full_thread_sweep_passes_on_one_stream_per_preset() {
         force_gaps: false,
         ..CampaignConfig::default()
     };
-    assert_campaign_clean("full-thread sweep", &cfg);
+    assert_campaign_clean("one stream per preset", &cfg);
 }
 
 #[test]
 fn seeded_corruption_is_caught_shrunk_and_replayable() {
     let cfg = mini_campaign();
     let spec = CorruptSpec { addr: 0, xor: 0xbad0_bad0 };
-    let report = campaign_with_corruption(&cfg, Some((0, spec)));
-    let (case, failure) = report.failure.expect("the corrupted stream must fail");
+    let report = campaign_streams(&cfg, 0..cfg.streams, Some((0, spec)));
+    let (_, case, failure) = report.failure.expect("the corrupted stream must fail");
     assert_eq!(report.streams_run, 1, "stream 0 carries the corruption");
     assert!(
         failure.description.contains("mismatch"),
@@ -225,7 +252,7 @@ fn forced_fast_forward_campaign_is_clean() {
 }
 
 #[test]
-fn ddr_full_thread_sweep_passes_stepped_and_fast_forward() {
+fn ddr_one_stream_per_preset_passes_stepped_and_fast_forward() {
     // DdrTiming with every stream gapped: stepped and fast-forward
     // engine modes, bit-identical.
     let cfg = CampaignConfig {
@@ -234,9 +261,8 @@ fn ddr_full_thread_sweep_passes_stepped_and_fast_forward() {
         base_seed: 0xFADE,
         force_gaps: true,
         params: axes(TimingKind::Ddr, NocParams::default()),
-        ..CampaignConfig::default()
     };
-    assert_campaign_clean("ddr full-thread sweep", &cfg);
+    assert_campaign_clean("ddr one stream per preset", &cfg);
 }
 
 #[test]
@@ -246,17 +272,20 @@ fn backends_agree_functionally_on_every_preset_and_map() {
     // under the classic constant-time model and the DDR state machine.
     // Responses (op, owner link, data) must match bit-for-bit; cycle
     // counts are expected to differ and are only reported.
+    let backends = TimingKind::ALL.map(|kind| axes(kind, NocParams::default()));
     let mut deltas = Vec::new();
     for (pi, (label, device)) in DeviceConfig::paper_configs().iter().enumerate() {
         for (mi, map) in MapKind::ALL.into_iter().enumerate() {
             let seed = 0x5EED_0000 + (pi * 4 + mi) as u64;
             let ops = gen_stream(seed, 24, device);
             let case = FuzzCase::new(label, device.clone(), map, seed, ops);
-            let out = run_case_cross_timing(&case)
+            let out = run_case_across(&case, &backends)
                 .unwrap_or_else(|f| panic!("{label} / {}: {f}", map.name()));
-            assert!(out.classic.checked > 0);
-            assert_eq!(out.classic.checked, out.ddr.checked);
-            deltas.push((label.to_string(), map.name(), out.latency_delta));
+            let [classic, ddr] = [&out[0], &out[1]];
+            assert!(classic.checked > 0);
+            assert_eq!(classic.checked, ddr.checked);
+            let delta = ddr.reference.cycles as i64 - classic.reference.cycles as i64;
+            deltas.push((label.to_string(), map.name(), delta));
         }
     }
     assert_eq!(deltas.len(), 16, "all preset x map pairs ran");
@@ -273,18 +302,23 @@ fn fabrics_agree_functionally_on_every_preset_and_map() {
     // ring, and the mesh. Responses (op, owner link, data) must match
     // bit-for-bit; hop latency makes cycle counts differ, so those are
     // only reported.
+    let fabrics = InterconnectKind::ALL.map(|kind| axes(TimingKind::Classic, NocParams::of(kind)));
     let mut deltas = Vec::new();
     for (pi, (label, device)) in DeviceConfig::paper_configs().iter().enumerate() {
         for (mi, map) in MapKind::ALL.into_iter().enumerate() {
             let seed = 0xFAB0_0000 + (pi * 4 + mi) as u64;
             let ops = gen_stream(seed, 24, device);
             let case = FuzzCase::new(label, device.clone(), map, seed, ops);
-            let out = run_case_cross_interconnect(&case)
+            let out = run_case_across(&case, &fabrics)
                 .unwrap_or_else(|f| panic!("{label} / {}: {f}", map.name()));
-            assert!(out.crossbar.checked > 0);
-            assert_eq!(out.crossbar.checked, out.ring.checked);
-            assert_eq!(out.crossbar.checked, out.mesh.checked);
-            deltas.push((label.to_string(), map.name(), out.ring_delta, out.mesh_delta));
+            let [crossbar, ring, mesh] = [&out[0], &out[1], &out[2]];
+            assert!(crossbar.checked > 0);
+            assert_eq!(crossbar.checked, ring.checked);
+            assert_eq!(crossbar.checked, mesh.checked);
+            let delta = |run: &hmc_conform::CaseOutcome| {
+                run.reference.cycles as i64 - crossbar.reference.cycles as i64
+            };
+            deltas.push((label.to_string(), map.name(), delta(ring), delta(mesh)));
         }
     }
     assert_eq!(deltas.len(), 16, "all preset x map pairs ran");

@@ -157,11 +157,6 @@ impl Device {
             .collect()
     }
 
-    /// The quad that owns `vault`.
-    pub fn quad_of(&self, vault: VaultId) -> u8 {
-        Quad::of_vault(vault)
-    }
-
     /// True when a packet between link `link`'s crossbar unit and `vault`
     /// rides the buffered fabric: the device has one (ring or mesh) and
     /// the two sit in different quads (link `l` fronts quad `l`). The

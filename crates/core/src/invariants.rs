@@ -117,11 +117,6 @@ impl HmcSim {
         self.inv.as_ref().map(|s| s.total).unwrap_or(0)
     }
 
-    /// Drop recorded violations and in-flight tracking (fresh run).
-    pub fn clear_invariant_state(&mut self) {
-        self.inv = None;
-    }
-
     fn inv_state(&mut self) -> &mut InvariantState {
         self.inv.get_or_insert_with(Default::default)
     }

@@ -481,11 +481,3 @@ pub fn frame_error(frame: &Frame) -> HmcError {
         other => HmcError::Wire(format!("unexpected reply 0x{:02x}", other.opcode())),
     }
 }
-
-/// `Result`-flavored unwrap for client replies that should be `T`.
-pub fn expect_frame<T>(frame: Frame, extract: impl FnOnce(&Frame) -> Option<T>) -> Result<T> {
-    match extract(&frame) {
-        Some(v) => Ok(v),
-        None => Err(frame_error(&frame)),
-    }
-}

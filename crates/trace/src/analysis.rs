@@ -5,25 +5,13 @@
 //! transaction efficiency" (paper §IV.E). This module computes those
 //! derived quantities from run counts: how many bytes of user data moved,
 //! how many bytes of packet overhead moved with them, what fraction of
-//! the available link bandwidth the run achieved, and the efficiency of
-//! the packet format at each block size.
+//! the available link bandwidth the run achieved, and the user-data
+//! share of the wire traffic.
 
 use hmc_types::flit::FLIT_BYTES;
 use hmc_types::units::aggregate_bandwidth_gbs;
 use hmc_types::{BlockSize, Command, Cycle, LinkSpeed};
 use serde::Serialize;
-
-/// Packet-format efficiency of one command: user bytes over wire bytes,
-/// counting both the request and (if any) the response packet.
-pub fn transaction_efficiency(cmd: Command) -> f64 {
-    let data = cmd.request_data_bytes().max(cmd.response_data_bytes()) as f64;
-    let wire = ((cmd.request_flits() + cmd.response_flits()) * FLIT_BYTES) as f64;
-    if wire == 0.0 {
-        0.0
-    } else {
-        data / wire
-    }
-}
 
 /// Aggregate run-level bandwidth analysis.
 #[derive(Debug, Clone, Serialize)]
@@ -177,42 +165,6 @@ pub fn percentile_sorted(sorted: &[u64], p: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn efficiency_grows_with_block_size() {
-        let e16 = transaction_efficiency(Command::Rd(BlockSize::B16));
-        let e64 = transaction_efficiency(Command::Rd(BlockSize::B64));
-        let e128 = transaction_efficiency(Command::Rd(BlockSize::B128));
-        assert!(e16 < e64 && e64 < e128);
-        // RD128: 128 data bytes over (1 + 9) FLITs = 160 bytes.
-        assert!((e128 - 128.0 / 160.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn read_and_write_efficiency_match_at_equal_blocks() {
-        // RD64: 1-FLIT request + 5-FLIT response; WR64: 5-FLIT request +
-        // 1-FLIT response — identical wire totals.
-        assert_eq!(
-            transaction_efficiency(Command::Rd(BlockSize::B64)),
-            transaction_efficiency(Command::Wr(BlockSize::B64)),
-        );
-    }
-
-    #[test]
-    fn posted_writes_are_more_efficient_than_acknowledged() {
-        let posted = {
-            let cmd = Command::PostedWr(BlockSize::B64);
-            64.0 / ((cmd.request_flits() * FLIT_BYTES) as f64)
-        };
-        let acked = transaction_efficiency(Command::Wr(BlockSize::B64));
-        assert!(posted > acked);
-    }
-
-    #[test]
-    fn flow_commands_have_zero_efficiency() {
-        assert_eq!(transaction_efficiency(Command::Null), 0.0);
-        assert_eq!(transaction_efficiency(Command::Tret), 0.0);
-    }
 
     #[test]
     fn uniform_traffic_accounting() {

@@ -18,8 +18,7 @@ pub mod stage;
 pub mod stats;
 
 pub use analysis::{
-    analyze_bandwidth, percentile_sorted, transaction_efficiency, BandwidthReport,
-    LatencyPercentiles, TrafficCounts,
+    analyze_bandwidth, percentile_sorted, BandwidthReport, LatencyPercentiles, TrafficCounts,
 };
 pub use event::{EventKind, TraceEvent, TraceRecord};
 pub use stage::EventStage;

@@ -45,11 +45,6 @@ pub struct WorkloadSpec {
     pub hot_quad: QuadId,
     /// Percentage of `hotspot` requests aimed at the hot quad.
     pub hot_pct: u8,
-    /// `(vault, bank)` the `hammer` generator attacks.
-    pub hammer_target: (u16, u16),
-    /// Victim row the `hammer` generator disturbs; `None` picks the
-    /// middle row of the geometry at build time.
-    pub hammer_row: Option<u64>,
 }
 
 impl WorkloadSpec {
@@ -66,8 +61,6 @@ impl WorkloadSpec {
             geometry: None,
             hot_quad: 0,
             hot_pct: DEFAULT_HOT_PCT,
-            hammer_target: (0, 0),
-            hammer_row: None,
         }
     }
 
@@ -95,14 +88,6 @@ impl WorkloadSpec {
     pub fn with_hotspot(mut self, quad: QuadId, hot_pct: u8) -> Self {
         self.hot_quad = quad;
         self.hot_pct = hot_pct;
-        self
-    }
-
-    /// Point the `hammer` generator at `(vault, bank)`, disturbing
-    /// `row` (builder style). `None` picks the geometry's middle row.
-    pub fn with_hammer(mut self, vault: u16, bank: u16, row: Option<u64>) -> Self {
-        self.hammer_target = (vault, bank);
-        self.hammer_row = row;
         self
     }
 
@@ -166,14 +151,13 @@ impl WorkloadSpec {
                             .into(),
                     )
                 })?;
-                let (vault, bank) = self.hammer_target;
-                let row = self.hammer_row.unwrap_or(geometry.rows / 2);
+                // Vault 0, bank 0, disturbing the middle row.
                 Box::new(Hammer::new(
                     geometry,
                     self.block,
-                    vault,
-                    bank,
-                    row,
+                    0,
+                    0,
+                    geometry.rows / 2,
                     self.requests,
                 )?)
             }

@@ -48,11 +48,6 @@ impl Stencil {
     fn cell_addr(&self, x: u64, y: u64) -> u64 {
         (y * self.width + x) * self.block.bytes() as u64
     }
-
-    /// Total ops emitted over the whole run: 5 per interior cell per sweep.
-    pub fn total_ops(&self) -> u64 {
-        (self.width - 2) * (self.height - 2) * 5 * self.sweeps_left
-    }
 }
 
 impl Workload for Stencil {
